@@ -230,6 +230,18 @@ def run_work_precision(config: ExperimentConfig):
     return rows, summary
 
 
+def attempt_rows(traj) -> list:
+    """One needle row (t, h, accepted, y1, y2, err) per attempted step;
+    y1 and y2 are the first two components of the candidate end state."""
+    rows = []
+    for at in traj.h_history:
+        y = np.asarray(at.y, float).ravel()
+        y1 = float(y[0]) if y.size > 0 else float("nan")
+        y2 = float(y[1]) if y.size > 1 else float("nan")
+        rows.append((at.t, at.h, at.accepted, y1, y2, at.err))
+    return rows
+
+
 def run_needle(config: ExperimentConfig):
     """Per-attempt step trace of an adaptive run, with a step-size summary
     over the spike window t in [1.4, 1.56] (the Van der Pol needle).
@@ -247,13 +259,7 @@ def run_needle(config: ExperimentConfig):
     cfg = ControllerConfig(atol=tol, rtol=tol, h0=config.h0, hmax=hmax)
     y0 = problem.default_y0
     traj = integrate_adaptive(tableau, problem, y0, config.t0, config.t1, cfg)
-
-    rows = []
-    for at in traj.h_history:
-        y = np.asarray(at.y, float).ravel()
-        y1 = float(y[0]) if y.size > 0 else float("nan")
-        y2 = float(y[1]) if y.size > 1 else float("nan")
-        rows.append((at.t, at.h, at.accepted, y1, y2, at.err))
+    rows = attempt_rows(traj)
 
     lo, hi = NEEDLE_WINDOW
     accepted_h = [at.h for at in traj.h_history if at.accepted]

@@ -29,8 +29,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .order_conditions import _CLASSICAL, _SPLIT, residual_vector
 from .tableaux import CFTableau
 
 
@@ -260,13 +260,23 @@ _CF43_QUINTIC = (144.0, 90.0, -3.0, -13.0, -5.0, -1.0)
 
 
 def cf43_root() -> float:
-    """The unique real root in (0, 1) of the defining quintic."""
+    """The unique real root in (0, 1) of the defining quintic.
+
+    Bisection from p(0) = -1 < 0 < p(1) until the bracket ends are adjacent
+    floats; the end with the smaller |p| is returned.
+    """
     def poly(z):
         acc = 0.0
         for coeff in _CF43_QUINTIC:
             acc = acc * z + coeff
         return acc
-    return brentq(poly, 0.0, 1.0, xtol=1e-16, rtol=8.9e-16)
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if poly(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return min(lo, hi, key=lambda z: abs(poly(z)))
 
 
 def _cf43_coeff_polys(w: float) -> dict:
@@ -383,75 +393,43 @@ def instantiate_cf43(family_param: float = 0.0) -> CFTableau:
 
 # ------------------------------------------------------ decimal projections
 
-def _classical_residual_vec(a, b, c):
-    Ac = a @ c
-    return np.array([
-        b.sum() - 1.0, b @ c - 0.5, b @ c ** 2 - 1 / 3, b @ Ac - 1 / 6,
-        b @ c ** 3 - 0.25, b @ (c * Ac) - 0.125,
-        b @ (a @ c ** 2) - 1 / 12, b @ (a @ Ac) - 1 / 24,
-    ])
-
-
-def _split_residual_vec(b1, b2, a, c):
-    return np.array([
-        b1 @ c + b2.sum() / 2 - 1 / 3,
-        b1 @ c + b2.sum() / 3 - 0.25,
-        b1 @ c ** 2 + b2.sum() / 3 - 1 / 6,
-        b1 @ (a @ c) + b2.sum() / 6 - 1 / 12,
-    ])
+def _principal_residuals(x):
+    """Stage matrix, weights, abscissae and principal-update residuals of
+    the packed layout x[:14] that all decimal 4(3) pairs share."""
+    A = np.zeros((4, 4))
+    A[1, 0] = x[0]
+    A[2, :2] = x[1:3]
+    A[3] = A[2] + np.array([x[3], x[4], x[5], 0.0])
+    y1, y2 = x[6:10], x[10:14]
+    b = y1 + y2
+    c = A.sum(axis=1)
+    return A, b, c, [residual_vector(_CLASSICAL, 4, A, b, c),
+                     residual_vector(_SPLIT, 4, y1, y2, A, c),
+                     np.array([c[3] - 1.0])]
 
 
 def _residuals_5fsal(x, pin: float, reused_hat_first: bool):
-    a21 = x[0]
-    a31, a32 = x[1], x[2]
-    b4 = np.array([x[3], x[4], x[5], 0.0])
-    y1 = x[6:10]
-    y2 = x[10:14]
-    free_hat = np.array([x[14], x[15], pin, x[16], x[17]])
-    A = np.zeros((4, 4))
-    A[1, 0] = a21
-    A[2, :2] = (a31, a32)
-    A[3] = np.array([a31, a32, 0.0, 0.0]) + b4
-    b = y1 + y2
-    c = A.sum(axis=1)
-    parts = [_classical_residual_vec(A, b, c),
-             _split_residual_vec(y1, y2, A, c),
-             np.array([c[3] - 1.0])]
+    A, b, c, parts = _principal_residuals(x)
     a_ext = np.zeros((5, 5))
     a_ext[1:4, :4] = A[1:4]
     a_ext[4, :4] = b
     c_ext = np.append(c, 1.0)
-    reused_hat = np.array([b4[0], b4[1], b4[2], 0.0, 0.0])
+    reused_hat = np.array([x[3], x[4], x[5], 0.0, 0.0])
+    free_hat = np.array([x[14], x[15], pin, x[16], x[17]])
     bh = reused_hat + free_hat
     first, second = ((reused_hat, free_hat) if reused_hat_first
                      else (free_hat, reused_hat))
-    parts.append(_classical_residual_vec(a_ext, bh, c_ext)[:4])
-    parts.append(_split_residual_vec(first, second, a_ext, c_ext)[:1])
-    return np.concatenate(parts)
+    return np.concatenate(parts + [
+        residual_vector(_CLASSICAL, 3, a_ext, bh, c_ext),
+        residual_vector(_SPLIT, 3, first, second, a_ext, c_ext)])
 
 
 def _residuals_4stage(x):
-    a21 = x[0]
-    a31, a32 = x[1], x[2]
-    b4 = np.array([x[3], x[4], x[5], 0.0])
-    y1 = x[6:10]
-    y2 = x[10:14]
-    h2 = x[14:18]
-    A = np.zeros((4, 4))
-    A[1, 0] = a21
-    A[2, :2] = (a31, a32)
-    A[3] = np.array([a31, a32, 0.0, 0.0]) + b4
-    b = y1 + y2
-    c = A.sum(axis=1)
-    h1 = np.array([a31, a32, 0.0, 0.0])
-    bh = h1 + h2
-    return np.concatenate([
-        _classical_residual_vec(A, b, c),
-        _split_residual_vec(y1, y2, A, c),
-        np.array([c[3] - 1.0]),
-        _classical_residual_vec(A, bh, c)[:4],
-        _split_residual_vec(h1, h2, A, c)[:1],
-    ])
+    A, b, c, parts = _principal_residuals(x)
+    h1, h2 = A[2], x[14:18]
+    return np.concatenate(parts + [
+        residual_vector(_CLASSICAL, 3, A, h1 + h2, c),
+        residual_vector(_SPLIT, 3, h1, h2, A, c)])
 
 
 def _project_to_conditions(fun, x0, step_cap: float = 2e-6,

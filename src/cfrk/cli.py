@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .bench import (CSV_COLUMNS, ExperimentConfig, build_experiment,
-                    render_csv, render_json, resolved_config,
+from .bench import (CSV_COLUMNS, ExperimentConfig, attempt_rows,
+                    build_experiment, render_csv, render_json, resolved_config,
                     run_convergence, run_needle, run_tableau_check,
                     run_work_precision, write_output)
 from .catalog import catalog
@@ -161,12 +161,6 @@ def _cmd_integrate(args) -> int:
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
-    rows = []
-    for at in traj.h_history:
-        y = np.asarray(at.y, float).ravel()
-        rows.append((at.t, at.h, at.accepted,
-                     float(y[0]), float(y[1]) if y.size > 1 else float("nan"),
-                     at.err))
     summary = {
         "t_end": traj.t_end,
         "y_end": np.asarray(traj.y_end, float).tolist(),
@@ -175,7 +169,7 @@ def _cmd_integrate(args) -> int:
         "n_exp": traj.totals.n_exp,
         "n_feval": traj.totals.n_feval,
     }
-    _emit("needle", rows, summary, config)
+    _emit("needle", attempt_rows(traj), summary, config)
     return 0
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .actions import DomainError
 from .stepper import cf_step
 
 _EPS = float(np.finfo(float).eps)
@@ -133,6 +134,15 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
     return min(h0, (t1 - t0) / 10.0)
 
 
+def _in_domain(trajectory, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a DomainError from f or the action raised
+    as an IntegrationError carrying the partial trajectory."""
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        raise IntegrationError(f"left the domain: {exc}", trajectory) from exc
+
+
 def _check_finite(y, trajectory):
     arr = np.asarray(y, float)
     if not np.all(np.isfinite(arr)):
@@ -166,7 +176,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     traj.times.append(t)
     traj.points.append(y)
 
-    h = initial_step(problem, y, cfg, p, t0, t1)
+    h = _in_domain(traj, initial_step, problem, y, cfg, p, t0, t1)
     h = min(h, t1 - t0)
     carry = None
     rejects_in_a_row = 0
@@ -174,8 +184,8 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     while t < t1:
         truncated = t + h >= t1
         h_step = t1 - t if truncated else h
-        res = cf_step(pair, action, f, y, h_step, carried_f=carry,
-                      with_embedded=True)
+        res = _in_domain(traj, cf_step, pair, action, f, y, h_step,
+                         carried_f=carry, with_embedded=True)
         traj.totals.n_exp += res.n_exp
         traj.totals.n_feval += res.n_feval
         _check_finite(res.y1, traj)
@@ -232,8 +242,8 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     traj.points.append(y)
     carry = None
     for i in range(1, n_steps + 1):
-        res = cf_step(method, action, f, y, h, carried_f=carry,
-                      with_embedded=advance_embedded)
+        res = _in_domain(traj, cf_step, method, action, f, y, h,
+                         carried_f=carry, with_embedded=advance_embedded)
         traj.totals.n_exp += res.n_exp
         traj.totals.n_feval += res.n_feval
         traj.totals.n_accepted += 1

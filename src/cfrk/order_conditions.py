@@ -50,6 +50,14 @@ _SPLIT = {
 }
 
 
+def residual_vector(table: dict, up_to: int, *args) -> np.ndarray:
+    """Residuals of the conditions in table (_CLASSICAL or _SPLIT) through
+    the given order, in table order; args are those the table's lambdas
+    take."""
+    return np.array([fn(*args) for order in sorted(table) if order <= up_to
+                     for _, fn in table[order]])
+
+
 class UnsupportedShapeError(ValueError):
     """Update-row layout outside the two-row theory implemented here."""
 

@@ -2,24 +2,25 @@
 
 A step composes exponentials of "frozen" algebra elements: each tableau row
 contributes exp(h * sum_k row[k] * f_k), applied to the base point with row
-1 innermost (first).  Rows declared identical in the tableau's reuse map
-share a single computed exponential through a per-step cache; the step also
-counts exponentials and f evaluations, since those dominate the cost.
+1 innermost (first).  Row reuse is resolved once per tableau: the step
+runs the tableau's StepPlan, in which zero rows are dropped and rows
+declared identical in the reuse map share one exponential slot.  The step
+also counts exponentials and f evaluations, since those dominate the cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tableaux import CFTableau, TableauError, reuse_groups
+from .tableaux import CFTableau
 
 
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one step.
 
-    f_last is f evaluated at y1 when the tableau is FSAL (or its embedded
-    row needs it); callers pass it back as carried_f on the next step.
+    f_last is f evaluated at y1 when the tableau is FSAL and the embedded
+    update ran; callers pass it back as carried_f on the next step.
     """
     y1: object
     yhat1: object
@@ -28,38 +29,11 @@ class StepResult:
     n_feval: int
 
 
-class ExpCache:
-    """Per-step cache of computed exponentials, keyed by reuse group.
-
-    Only rows named in the tableau's reuse map participate; rows that
-    merely happen to be numerically equal are never coalesced.
-    """
-
-    def __init__(self, tableau: CFTableau, include_embedded: bool):
-        self._group_of = {}
-        for gid, group in enumerate(reuse_groups(tableau, include_embedded)):
-            for key in group:
-                self._group_of[key] = gid
-        self._stored = {}
-
-    def lookup(self, key):
-        gid = self._group_of.get(key)
-        if gid is None:
-            return None
-        return self._stored.get(gid)
-
-    def store(self, key, g) -> None:
-        gid = self._group_of.get(key)
-        if gid is not None:
-            self._stored[gid] = g
-
-
-def _combine(action, h: float, row, fvals):
-    """h * sum_k row[k] * f_k, skipping zero coefficients."""
+def _combine(action, h: float, terms, fvals):
+    """h * sum of coeff * f_k over a plan row's nonzero terms."""
     v = action.algebra_zero()
-    for k, coeff in enumerate(row):
-        if coeff != 0.0:
-            v = action.algebra_axpy(h * coeff, fvals[k], v)
+    for k, coeff in terms:
+        v = action.algebra_axpy(h * coeff, fvals[k], v)
     return v
 
 
@@ -71,64 +45,49 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     carried_f, if given, must equal f(y) (the FSAL carry).  With
     with_embedded=False the embedded rows are skipped entirely: no yhat1,
     no f(y1) evaluation, and their exponentials are not counted.
-    use_reuse=False disables the exponential cache (for cost accounting
-    experiments); results change only at roundoff level.
+    use_reuse=False computes every row's exponential, declared reuse
+    included (for cost accounting experiments); results change only at
+    roundoff level.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
-    s = tableau.s
-    cache = ExpCache(tableau, include_embedded=with_embedded)
+    plan = tableau.step_plan(with_embedded)
+    slots = [None] * plan.n_exp
     n_exp = 0
     n_feval = 0
 
-    fvals = [None] * s
-    if carried_f is not None:
-        fvals[0] = carried_f
-    else:
-        fvals[0] = f(y)
+    if carried_f is None:
+        carried_f = f(y)
         n_feval += 1
+    fvals = [carried_f]
 
-    def apply_rows(keys_and_rows, base):
+    def apply_rows(rows, point):
         nonlocal n_exp
-        point = base
-        for key, row in keys_and_rows:
-            if not any(c != 0.0 for c in row):
-                continue
-            g = cache.lookup(key) if use_reuse else None
-            if g is None:
-                g = action.exp(_combine(action, h, row, fvals))
+        for terms, slot, reused in rows:
+            if reused and use_reuse:
+                g = slots[slot]
+            else:
+                g = action.exp(_combine(action, h, terms, fvals))
                 n_exp += 1
-                if use_reuse:
-                    cache.store(key, g)
+                slots[slot] = g
             point = action.act(g, point)
         return point
 
-    for r in range(2, s + 1):
-        rows = tableau.alpha[r - 2]
-        point = apply_rows(
-            [(("stage", r, j), row) for j, row in enumerate(rows)], y)
-        fvals[r - 1] = f(point)
+    for rows in plan.stages:
+        fvals.append(f(apply_rows(rows, y)))
         n_feval += 1
 
-    y1 = apply_rows(
-        [(("y", j), row) for j, row in enumerate(tableau.beta)], y)
+    y1 = apply_rows(plan.y, y)
 
     yhat1 = None
     f_last = None
     if with_embedded and tableau.has_embedded:
-        hat_refs_last = (tableau.hat_width == s + 1 and
-                         any(row[s] != 0.0 for row in tableau.beta_hat))
-        if hat_refs_last or tableau.fsal:
+        # FSAL embedded rows have width s+1: the last column is f(y1)
+        if tableau.fsal:
             f_last = f(y1)
             n_feval += 1
-        if tableau.hat_width == s + 1:
-            if f_last is None:
-                raise TableauError(
-                    f"{tableau.name}: embedded rows have width s+1 but the "
-                    "tableau is not FSAL and no f(y1) is available")
             fvals.append(f_last)
-        yhat1 = apply_rows(
-            [(("yhat", j), row) for j, row in enumerate(tableau.beta_hat)], y)
+        yhat1 = apply_rows(plan.yhat, y)
 
     return StepResult(y1=y1, yhat1=yhat1, f_last=f_last,
                       n_exp=n_exp, n_feval=n_feval)
@@ -138,25 +97,10 @@ def count_budget(tableau: CFTableau):
     """Static (exp, feval) cost per step, assuming FSAL carry and all
     declared reuse hits; embedded rows are included when present.
 
-    Must agree with the dynamic counts reported by cf_step under the same
-    assumptions.
+    The exponentials are the slots of the step plan cf_step runs.  With the
+    FSAL carry f(y) is free, but the embedded update then spends f(y1).
     """
-    include_embedded = tableau.has_embedded
-    nonzero = set()
-    for key in tableau.all_row_keys(include_embedded=include_embedded):
-        if any(c != 0.0 for c in tableau.row(key)):
-            nonzero.add(key)
-    hits = 0
-    for group in reuse_groups(tableau, include_embedded):
-        live = len(group & nonzero)
-        if live > 1:
-            hits += live - 1
-    n_exp = len(nonzero) - hits
-
-    n_feval = tableau.s - 1 if tableau.fsal else tableau.s
-    if include_embedded:
-        hat_refs_last = (tableau.hat_width == tableau.s + 1 and
-                         any(row[tableau.s] != 0.0 for row in tableau.beta_hat))
-        if hat_refs_last or tableau.fsal:
-            n_feval += 1
-    return n_exp, n_feval
+    n_feval = tableau.s
+    if tableau.fsal and not tableau.has_embedded:
+        n_feval -= 1
+    return tableau.step_plan(with_embedded=True).n_exp, n_feval

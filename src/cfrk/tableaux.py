@@ -8,8 +8,9 @@ the current point in listed order (row 0 innermost).
 
 The tableau also carries a reuse map declaring which rows are elementwise
 identical, so a stepper can compute the shared exponential once.  Reuse is
-always declared explicitly, never inferred from floating-point coincidence
-at step time.
+always declared explicitly, never inferred from floating-point coincidence.
+It is resolved once, when the tableau is built, into a StepPlan per choice
+of running or skipping the embedded update.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class CFTableau:
         object.__setattr__(self, "reuse_map",
                            tuple((tuple(k1), tuple(k2)) for k1, k2 in self.reuse_map))
         self._validate()
+        # not a dataclass field, so equality, repr and JSON ignore it
+        object.__setattr__(self, "_plans",
+                           tuple(_step_plan(self, emb) for emb in (False, True)))
 
     # ---------------------------------------------------------------- access
 
@@ -79,6 +83,10 @@ class CFTableau:
     def hat_width(self) -> int:
         """Length of the beta_hat rows (s+1 when they reference f(y1))."""
         return self.s + 1 if (self.fsal and self.has_embedded) else self.s
+
+    def step_plan(self, with_embedded: bool) -> StepPlan:
+        """The rows of one step, with or without the embedded update."""
+        return self._plans[bool(with_embedded)]
 
     def row(self, key: RowKey) -> np.ndarray:
         kind = key[0]
@@ -327,6 +335,49 @@ def reuse_groups(tableau: CFTableau, include_embedded: bool = True) -> list:
     for k in parent:
         groups.setdefault(find(k), set()).add(k)
     return [g for g in groups.values() if len(g) > 1]
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """The rows of one step in application order, zero rows dropped.
+
+    stages[r-2] holds the rows of stage r; yhat is empty when the plan
+    skips the embedded update.  Each row is a (terms, slot, reused) triple
+    standing for exp(h * sum of coeff * f_k over its (k, coeff) terms).
+    slot indexes the step's list of computed exponentials; a reused row
+    reads the slot that the first row of its reuse group filled earlier in
+    the step.  n_exp, the number of slots, is the count of exponentials one
+    step computes with declared reuse honored.
+    """
+    stages: tuple
+    y: tuple
+    yhat: tuple
+    n_exp: int
+
+
+def _step_plan(tableau: CFTableau, include_embedded: bool) -> StepPlan:
+    group_of = {}
+    for gid, group in enumerate(reuse_groups(tableau, include_embedded)):
+        for key in group:
+            group_of[key] = gid
+    slot_of = {}  # reuse group (or the key of an unshared row) -> slot
+    rows = {}  # keyed by the row key without its row index
+    for key in tableau.all_row_keys(include_embedded):
+        terms = tuple((k, c) for k, c in enumerate(tableau.row(key))
+                      if c != 0.0)
+        if not terms:
+            continue
+        group = group_of.get(key, key)
+        reused = group in slot_of
+        if not reused:
+            slot_of[group] = len(slot_of)
+        rows.setdefault(key[:-1], []).append((terms, slot_of[group], reused))
+    return StepPlan(
+        stages=tuple(tuple(rows.get(("stage", r), ()))
+                     for r in range(2, tableau.s + 1)),
+        y=tuple(rows.get(("y",), ())),
+        yhat=tuple(rows.get(("yhat",), ())),
+        n_exp=len(slot_of))
 
 
 def scan_identical_rows(tableau: CFTableau, tol: float = REUSE_EQ_TOL) -> list:

@@ -2,12 +2,16 @@
 family with its root selection and failure modes, and the 4(3) builders."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cfrk
 from cfrk.catalog import (RootSelectionError, SingularParameterError,
                           catalog, cf43_root, get_tableau,
                           instantiate_cf32_family, instantiate_cf43)
@@ -73,6 +77,20 @@ def test_cf43_root_solves_quintic():
     poly = ((((144 * w + 90) * w - 3) * w - 13) * w - 5) * w - 1
     assert abs(poly) < 1e-13
     assert w / 2 == pytest.approx(0.2227590088, abs=1e-8)
+    # every cf43 coefficient is a polynomial in w, so pin its last bit
+    assert w == 0.44551801757517717
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(cfrk.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cfrk; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_cf43_marker_coefficients():

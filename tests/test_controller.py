@@ -1,13 +1,14 @@
 """Step-size controller: the accept/reject rule, the growth formula with
 its clamps, typed failure modes, and both integration drivers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.actions import So3SphereAction
+from cfrk.actions import DomainError, So3SphereAction
 from cfrk.catalog import get_tableau
 from cfrk.controller import (ControllerConfig, IntegrationError,
                              NonFiniteError, StepSizeUnderflowError,
@@ -273,6 +274,41 @@ def test_non_finite_state_is_reported():
     with pytest.raises(NonFiniteError):
         integrate_adaptive(get_tableau("cf32a"), prob, prob.default_y0,
                            0.0, 1.0, ControllerConfig())
+
+
+def vdp_failing_after(n_calls):
+    prob = van_der_pol()
+    calls = []
+
+    def f(y):
+        calls.append(None)
+        if len(calls) > n_calls:
+            raise DomainError("synthetic domain failure")
+        return prob.f(y)
+    return dataclasses.replace(prob, f=f)
+
+
+@pytest.mark.parametrize("run", [
+    lambda prob: integrate_adaptive(get_tableau("cf43"), prob,
+                                    prob.default_y0, 0.0, 1.0,
+                                    ControllerConfig(atol=1e-6, rtol=1e-6)),
+    lambda prob: integrate_fixed(get_tableau("cf4"), prob, prob.default_y0,
+                                 0.0, 1.0, 100),
+], ids=["adaptive", "fixed"])
+def test_domain_error_from_f_is_an_integration_error(run):
+    with pytest.raises(IntegrationError) as info:
+        run(vdp_failing_after(40))
+    assert len(info.value.trajectory.points) > 1
+    assert isinstance(info.value.__cause__, DomainError)
+
+
+def test_start_outside_the_domain_is_an_integration_error():
+    prob = van_der_pol()
+    with pytest.raises(IntegrationError) as info:
+        integrate_adaptive(get_tableau("cf43"), prob, np.zeros(2), 0.0, 1.0,
+                           ControllerConfig())
+    assert len(info.value.trajectory.points) == 1
+    assert isinstance(info.value.__cause__, DomainError)
 
 
 # --------------------------------------------------------------- fixed mode

@@ -1,5 +1,5 @@
-"""Single-step semantics: row application order, FSAL carry, the
-exponential cache, and static versus dynamic cost accounting."""
+"""Single-step semantics: row application order, FSAL carry, declared
+row reuse, and static versus dynamic cost accounting."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from cfrk.actions import So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
 from cfrk.problems import heavy_top, rigid_body
-from cfrk.stepper import ExpCache, cf_step, count_budget
+from cfrk.stepper import cf_step, count_budget
 from cfrk.tableaux import CFTableau
 
 SPHERE = So3SphereAction()
@@ -170,12 +170,20 @@ def test_known_budgets():
     assert count_budget(get_tableau("cf43_4stage")) == (6, 4)
 
 
-def test_cache_ignores_undeclared_keys():
-    cache = ExpCache(get_tableau("cf4"), include_embedded=True)
-    cache.store(("y", 0), np.eye(3))
-    assert cache.lookup(("y", 0)) is None
-    cache.store(("stage", 2, 0), "marker")
-    assert cache.lookup(("stage", 4, 0)) == "marker"
+def test_undeclared_equal_rows_are_not_coalesced():
+    # the stage row and both update rows are equal; only declared reuse
+    # shares an exponential
+    rows = dict(name="equal-rows", s=2, alpha=(((0.5, 0.0),),),
+                beta=((0.5, 0.0), (0.5, 0.0)), beta_hat=(),
+                order_p=1, order_phat=0, fsal=False)
+    _, f, y0 = sphere_setup()
+    plain = cf_step(CFTableau(**rows), SPHERE, f, y0, 0.05)
+    assert plain.n_exp == 3
+    shared = cf_step(CFTableau(**rows, reuse_map=(
+        (("stage", 2, 0), ("y", 0)), (("y", 0), ("y", 1)))),
+        SPHERE, f, y0, 0.05)
+    assert shared.n_exp == 1
+    assert np.array_equal(shared.y1, plain.y1)
 
 
 def test_heavy_top_step_preserves_casimirs():
