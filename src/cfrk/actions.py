@@ -49,23 +49,56 @@ def vee(M) -> np.ndarray:
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
-def so3_exp(v) -> np.ndarray:
-    """Rotation matrix exp(hat(v)) by the Rodrigues formula.
-
-    Below theta = 1e-4 the two trigonometric quotients switch to short
-    Taylor expansions; the closed forms lose digits to cancellation there.
-    """
+def _floats(v, n: int) -> list:
+    """v as a list of n Python floats; ValueError for any other shape."""
     v = np.asarray(v, float)
-    K = hat(v)
-    t2 = float(v @ v)
+    if v.shape != (n,):
+        raise ValueError(
+            f"expected a vector of length {n}, got shape {v.shape}")
+    return v.tolist()
+
+
+def _rodrigues_coeffs(t2: float) -> tuple:
+    """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = sqrt(t2).
+
+    Below theta = 1e-4 the three quotients switch to short Taylor
+    expansions; the closed forms lose digits to cancellation there.
+    """
     if t2 < 1e-8:  # theta < 1e-4
         A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
         B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
+        C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
     else:
         t = math.sqrt(t2)
-        A = math.sin(t) / t
+        s = math.sin(t)
+        A = s / t
         B = (1.0 - math.cos(t)) / t2
-    return np.eye(3) + A * K + B * (K @ K)
+        C = (t - s) / (t2 * t)
+    return A, B, C
+
+
+def _rotation(x: float, y: float, z: float, A: float, B: float) -> np.ndarray:
+    """I + A hat(v) + B hat(v)^2 for v = (x, y, z), entry by entry
+    (hat(v)^2 = v v^T - |v|^2 I)."""
+    xx, yy, zz = x * x, y * y, z * z
+    bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
+    ax, ay, az = A * x, A * y, A * z
+    return np.array([1.0 - B * (yy + zz), bxy - az, bxz + ay,
+                     bxy + az, 1.0 - B * (xx + zz), byz - ax,
+                     bxz - ay, byz + ax, 1.0 - B * (xx + yy)]).reshape(3, 3)
+
+
+def so3_exp(v) -> np.ndarray:
+    """Rotation matrix exp(hat(v)) by the Rodrigues formula
+    I + (sin t / t) hat(v) + ((1 - cos t) / t^2) hat(v)^2, t = |v|.
+
+    Below theta = 1e-4 the two trigonometric quotients switch to short
+    Taylor expansions; the closed forms lose digits to cancellation there.
+    Raises ValueError unless v has exactly 3 components.
+    """
+    x, y, z = _floats(v, 3)
+    A, B, _ = _rodrigues_coeffs(x * x + y * y + z * z)
+    return _rotation(x, y, z, A, B)
 
 
 # ------------------------------------------------------------- gl(2) basics
@@ -143,30 +176,37 @@ def se3_bracket(a, b) -> np.ndarray:
 
 def se3_exp(a) -> Se3Element:
     """Exponential of (xi, u): rotation so3_exp(xi) and translation V(xi) u
-    with V the convergent series sum_m hat(xi)^m / (m+1)!.
+    with V the convergent series sum_m hat(xi)^m / (m+1)!, evaluated as
+    u + B xi x u + C xi x (xi x u) with B = (1 - cos t) / t^2 and
+    C = (t - sin t) / t^3, t = |xi|.
+
+    Below theta = 1e-4 the trigonometric quotients switch to short Taylor
+    expansions, as in so3_exp.  Raises ValueError unless a has exactly 6
+    components.
     """
-    a = np.asarray(a, float)
-    xi, u = a[:3], a[3:]
-    K = hat(xi)
-    t2 = float(xi @ xi)
-    if t2 < 1e-8:
-        B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
-        C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
-    else:
-        t = math.sqrt(t2)
-        B = (1.0 - math.cos(t)) / t2
-        C = (t - math.sin(t)) / (t2 * t)
-    V = np.eye(3) + B * K + C * (K @ K)
-    return Se3Element(so3_exp(xi), V @ u)
+    x, y, z, u1, u2, u3 = _floats(a, 6)
+    A, B, C = _rodrigues_coeffs(x * x + y * y + z * z)
+    w1, w2, w3 = y * u3 - z * u2, z * u1 - x * u3, x * u2 - y * u1
+    trans = np.array([u1 + B * w1 + C * (y * w3 - z * w2),
+                      u2 + B * w2 + C * (z * w1 - x * w3),
+                      u3 + B * w3 + C * (x * w2 - y * w1)])
+    return Se3Element(_rotation(x, y, z, A, B), trans)
 
 
 def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
     """Coadjoint action of (g, u) on (mu, beta):
-    (g^T (mu - u x beta), g^T beta)."""
-    m = np.asarray(m, float)
-    mu, beta = m[:3], m[3:]
-    g, u = ge.rot, ge.trans
-    return np.concatenate([g.T @ (mu - np.cross(u, beta)), g.T @ beta])
+    (g^T (mu - u x beta), g^T beta).
+
+    With w = mu - u x beta, both halves come from the one row-stacked
+    product [w; beta] @ g.  Raises ValueError unless m has exactly 6
+    components.
+    """
+    m1, m2, m3, b1, b2, b3 = _floats(m, 6)
+    u1, u2, u3 = ge.trans.tolist()
+    w = [m1 - (u2 * b3 - u3 * b2),
+         m2 - (u3 * b1 - u1 * b3),
+         m3 - (u1 * b2 - u2 * b1)]
+    return (np.array([w, [b1, b2, b3]]) @ ge.rot).ravel()
 
 
 # ----------------------------------------------------------- action contract

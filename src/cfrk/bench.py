@@ -62,17 +62,20 @@ class ExperimentConfig:
             raise ValueError("format must be csv or json")
 
 
+def _resolve_tableau(name: str):
+    """A tableau file when name ends in .json or contains a path
+    separator, otherwise the catalog member of that name."""
+    if name.endswith(".json") or os.path.sep in name:
+        return load_tableau(name)
+    return get_tableau(name)
+
+
 def build_experiment(config: ExperimentConfig):
     params = dict(config.problem_params)
     if config.problem == "rigid-body" and "seed" not in params:
         params["seed"] = config.seed
     problem = build_problem(config.problem, params)
-    name = config.tableau
-    if name.endswith(".json") or os.path.sep in name:
-        tableau = load_tableau(name)
-    else:
-        tableau = get_tableau(name)
-    return problem, tableau
+    return problem, _resolve_tableau(config.tableau)
 
 
 def resolved_config(config: ExperimentConfig, problem=None, tableau=None) -> dict:
@@ -288,12 +291,7 @@ def run_tableau_check(config: ExperimentConfig):
     the certified orders match the claimed ones and all declared reuse is
     sound and maximal.
     """
-    name = config.tableau
-    if name.endswith(".json") or os.path.sep in name:
-        tableau = load_tableau(name)
-    else:
-        tableau = get_tableau(name)
-
+    tableau = _resolve_tableau(config.tableau)
     reports = certify_pair(tableau)
     principal = reports["principal"]
     lines = [f"tableau {tableau.name}: s={tableau.s}, fsal={tableau.fsal}, "

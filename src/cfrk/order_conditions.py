@@ -74,18 +74,20 @@ class OrderReport:
     tolerance: float = 1e-9
     notes: list = field(default_factory=list)
 
+    def residuals_at(self, order: int) -> list:
+        """(label, residual) for the evaluated conditions of exactly the
+        given order, classical ones first, each in table order."""
+        evaluated = {**self.classical_residuals, **self.nonclassical_residuals}
+        return [(label, evaluated[label])
+                for table in (_CLASSICAL, _SPLIT)
+                for label, _ in table.get(order, []) if label in evaluated]
+
     def failed(self, order: int, threshold: float | None = None):
         """Conditions of exactly the given order whose residual exceeds
         the threshold (the report tolerance by default)."""
         thr = self.tolerance if threshold is None else threshold
-        out = []
-        for label, _ in _CLASSICAL.get(order, []):
-            if label in self.classical_residuals and abs(self.classical_residuals[label]) > thr:
-                out.append((label, self.classical_residuals[label]))
-        for label, _ in _SPLIT.get(order, []):
-            if label in self.nonclassical_residuals and abs(self.nonclassical_residuals[label]) > thr:
-                out.append((label, self.nonclassical_residuals[label]))
-        return out
+        return [(label, r) for label, r in self.residuals_at(order)
+                if abs(r) > thr]
 
 
 def check_classical(reduced: ReducedCoefficients, up_to: int = 4) -> dict:
@@ -164,18 +166,10 @@ def certify(tableau: CFTableau, which: str = "principal",
 
     certified = 0
     for order in (1, 2, 3, 4):
-        labels = [lab for lab, _ in _CLASSICAL[order]] + \
-                 [lab for lab, _ in _SPLIT.get(order, [])]
-        residuals = []
-        for lab in labels:
-            if lab in report.classical_residuals:
-                residuals.append(report.classical_residuals[lab])
-            elif lab in report.nonclassical_residuals:
-                residuals.append(report.nonclassical_residuals[lab])
-        if residuals and max(abs(r) for r in residuals) <= tol:
-            certified = order
-        else:
+        residuals = report.residuals_at(order)
+        if not residuals or max(abs(r) for _, r in residuals) > tol:
             break
+        certified = order
     report.certified_algebraic_order = certified
     return report
 

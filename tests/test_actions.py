@@ -72,8 +72,14 @@ def test_so3_exp_matches_series():
 
 def test_so3_exp_small_angle_branch():
     rng = np.random.default_rng(43)
-    for scale in (1e-5, 1e-7, 1e-10, 0.0):
-        v = scale * rng.standard_normal(3)
+    inputs = [scale * rng.standard_normal(3)
+              for scale in (1e-5, 1e-7, 1e-10, 0.0)]
+    axis = rng.standard_normal(3)
+    # either side of the series switch at theta = 1e-4
+    inputs += [theta * axis / np.linalg.norm(axis)
+               for theta in (0.999999e-4, 1.000001e-4)]
+    inputs += [[3e-5, -2e-5, 1e-6], np.zeros(3, dtype=int)]
+    for v in inputs:
         assert_allclose(so3_exp(v), series_expm(hat(v)), atol=1e-14)
 
 
@@ -164,13 +170,33 @@ def test_se3_exp_matches_homogeneous_series():
 
 def test_se3_exp_small_rotation_branch():
     rng = np.random.default_rng(48)
-    for scale in (1e-5, 1e-8, 0.0):
-        v = np.concatenate([scale * rng.standard_normal(3),
-                            rng.standard_normal(3)])
+    inputs = [np.concatenate([scale * rng.standard_normal(3),
+                              rng.standard_normal(3)])
+              for scale in (1e-5, 1e-8, 0.0)]
+    axis = rng.standard_normal(3)
+    # either side of the series switch at theta = 1e-4
+    inputs += [np.concatenate([theta * axis / np.linalg.norm(axis),
+                               rng.standard_normal(3)])
+               for theta in (0.999999e-4, 1.000001e-4)]
+    inputs += [[3e-5, -2e-5, 1e-6, 0.5, -1.0, 2.0],
+               np.array([0, 0, 0, 1, -2, 3])]
+    for v in inputs:
         ref = series_expm(se3_matrix(v))
         ge = se3_exp(v)
         assert_allclose(ge.rot, ref[:3, :3], atol=1e-14)
         assert_allclose(ge.trans, ref[:3, 3], atol=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: so3_exp(np.ones(4)),
+    lambda: so3_exp([1.0, 2.0]),
+    lambda: se3_exp(np.ones(5)),
+    lambda: se3_exp(np.ones((2, 3))),
+    lambda: coadjoint_act(Se3Element.identity(), np.ones(7)),
+])
+def test_kernels_reject_wrong_length_input(call):
+    with pytest.raises(ValueError, match="length"):
+        call()
 
 
 def test_se3_pure_translation():

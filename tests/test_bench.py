@@ -14,6 +14,7 @@ from cfrk.bench import (ExperimentConfig, build_experiment, reference_endpoint,
                         run_convergence, run_needle, run_tableau_check,
                         run_work_precision, write_output)
 from cfrk.catalog import get_tableau
+from cfrk.order_conditions import certify_pair
 from cfrk.problems import rigid_body
 from cfrk.tableaux import CFTableau, save_tableau
 
@@ -35,6 +36,24 @@ def test_build_experiment_loads_tableau_files(tmp_path):
     _, tableau = build_experiment(ExperimentConfig(tableau=str(path)))
     assert tableau.name == "cf32a"
     assert tableau.has_embedded
+
+
+def test_experiment_and_tableau_check_resolve_names_alike(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "pair.json"
+    save_tableau(get_tableau("cf43"), path)
+    checked = []
+
+    def spy(tableau, *args, **kwargs):
+        checked.append(tableau)
+        return certify_pair(tableau, *args, **kwargs)
+
+    monkeypatch.setattr("cfrk.bench.certify_pair", spy)
+    for name in ("cf43", str(path)):
+        _, tableau = build_experiment(ExperimentConfig(tableau=name))
+        run_tableau_check(ExperimentConfig(tableau=name))
+        assert checked.pop().to_json() == tableau.to_json() == \
+            get_tableau("cf43").to_json()
 
 
 def test_rigid_body_seed_is_injected_from_config():
