@@ -3,16 +3,14 @@ tableau validation, with reproducible CSV/JSON output.
 
 Every output embeds the fully resolved configuration (defaults filled in,
 seed included) as a JSON comment, so any row can be reproduced from the
-file alone.  Reference solutions are computed on demand and cached on disk
-keyed by a content hash of the problem, parameters, initial state, and time
-span; the cache directory honors the CFRK_CACHE environment variable and
-is safe to delete.
+file alone.  Reference solutions come from scipy's DOP853 on the ambient
+ODE, so the errors of cfrk's own integrators are measured against an
+integrator that shares no code with them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -92,65 +90,42 @@ def resolved_config(config: ExperimentConfig, problem=None, tableau=None) -> dic
 
 # ------------------------------------------------------- reference solutions
 
-def _cache_dir() -> str:
-    return os.environ.get(
-        "CFRK_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "cfrk"))
-
-
-def _reference_key(problem, y0, t0: float, t1: float) -> str:
-    blob = json.dumps({
-        "problem": problem.name,
-        "params": dataclasses.asdict(problem.params),
-        "y0": np.asarray(y0, float).tolist(),
-        "t0": t0,
-        "t1": t1,
-    }, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
-    """High-accuracy solution at t1, cached on disk.
+    """High-accuracy solution at t1 from an integrator independent of cfrk.
 
-    Van der Pol uses a tight-tolerance adaptive run cross-checked against a
-    small fixed step; the geometric problems use a fine fixed-step run
-    cross-checked against one twice as fine.  A failed cross-check raises
-    rather than returning a silently bad reference.
+    Integrates the ambient ODE y' = infinitesimal(f(y), y) with scipy's
+    DOP853 at rtol 1e-13, atol 1e-14, cross-checked against a second
+    DOP853 solve at rtol 1e-11, atol 1e-12.  A failed solve, a non-finite
+    derivative or a cross-check gap above 1e-9 raises RuntimeError rather
+    than returning a silently bad reference.
     """
-    key = _reference_key(problem, y0, t0, t1)
-    path = os.path.join(_cache_dir(), key + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return np.asarray(json.load(fh)["y"], float)
+    # scipy.integrate takes most of a second to import; only this needs it.
+    from scipy.integrate import solve_ivp
 
-    span = t1 - t0
-    if problem.name == "van-der-pol":
-        cfg = ControllerConfig(atol=1e-12, rtol=1e-12, hmax=1e-3)
-        ref = integrate_adaptive(get_tableau("cf43"), problem, y0,
-                                 t0, t1, cfg).y_end
-        n_check = max(1, round(span / 1e-5))
-        check = integrate_fixed(get_tableau("cf4"), problem, y0,
-                                t0, t1, n_check).y_end
-        agreement = float(np.linalg.norm(ref - check))
-        if agreement > 1e-9:
-            raise RuntimeError(
-                f"reference cross-check failed for {problem.name}: adaptive "
-                f"and fixed references differ by {agreement:.2e}")
-    else:
-        n_lo = max(2560, int(math.ceil(1280 * span)))
-        lo = integrate_fixed(get_tableau("cf4"), problem, y0, t0, t1, n_lo).y_end
-        ref = integrate_fixed(get_tableau("cf4"), problem, y0, t0, t1,
-                              2 * n_lo).y_end
-        agreement = float(np.linalg.norm(ref - lo))
-        if agreement > 1e-9:
-            raise RuntimeError(
-                f"reference cross-check failed for {problem.name}: "
-                f"refinement changed the endpoint by {agreement:.2e}")
+    action, f = problem.action, problem.f
 
-    os.makedirs(_cache_dir(), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"y": np.asarray(ref, float).tolist(),
-                   "cross_check_gap": agreement}, fh)
-    return np.asarray(ref, float)
+    def rhs(t, y):
+        dy = action.infinitesimal(f(y), y)
+        if not np.all(np.isfinite(dy)):
+            raise RuntimeError(f"reference for {problem.name}: non-finite "
+                               f"derivative at t={t!r}")
+        return dy
+
+    ends = []
+    for rtol, atol in ((1e-13, 1e-14), (1e-11, 1e-12)):
+        sol = solve_ivp(rhs, (t0, t1), np.asarray(y0, float), method="DOP853",
+                        rtol=rtol, atol=atol, t_eval=[t1])
+        if not sol.success:
+            raise RuntimeError(f"reference solve failed for {problem.name} "
+                               f"at rtol={rtol:g}: {sol.message}")
+        ends.append(sol.y[:, -1])
+    ref, check = ends
+    agreement = float(np.linalg.norm(ref - check))
+    if agreement > 1e-9:
+        raise RuntimeError(
+            f"reference cross-check failed for {problem.name}: the two "
+            f"DOP853 solves differ by {agreement:.2e}")
+    return ref
 
 
 # ------------------------------------------------------------------- runners

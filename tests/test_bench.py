@@ -1,7 +1,8 @@
 """Experiment drivers and their file formats: convergence and
 work-precision sweeps, the step-trace runner, tableau check reports,
-reference caching, and CSV/JSON rendering."""
+reference solutions, and CSV/JSON rendering."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from cfrk.bench import (ExperimentConfig, build_experiment, reference_endpoint,
                         run_convergence, run_needle, run_tableau_check,
                         run_work_precision, write_output)
 from cfrk.catalog import get_tableau
+from cfrk.controller import integrate_fixed
 from cfrk.order_conditions import certify_pair
 from cfrk.problems import rigid_body
 from cfrk.tableaux import CFTableau, save_tableau
@@ -77,35 +79,27 @@ def test_resolved_config_fills_defaults():
     assert doc["seed"] == 7
 
 
-# ------------------------------------------------------------ reference cache
+# -------------------------------------------------------- reference solutions
 
-def test_reference_endpoint_round_trips_through_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("CFRK_CACHE", str(tmp_path))
+def test_reference_endpoint_stays_on_sphere_and_matches_cf4():
     prob = rigid_body()
     ref = reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    # a second call must come from the cache file, not a recomputation
-    sentinel = {"y": [1.0, 2.0, 3.0], "cross_check_gap": 0.0}
-    files[0].write_text(json.dumps(sentinel))
-    again = reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
-    assert np.array_equal(again, [1.0, 2.0, 3.0])
-    assert not np.array_equal(ref, again)
+    assert abs(np.linalg.norm(ref) - 1.0) <= 1e-14
+    fine = integrate_fixed(get_tableau("cf4"), prob, prob.default_y0,
+                           0.0, 0.5, 640).y_end
+    assert np.linalg.norm(ref - fine) <= 1e-12
 
 
-def test_reference_key_depends_on_problem_parameters(tmp_path, monkeypatch):
-    monkeypatch.setenv("CFRK_CACHE", str(tmp_path))
-    a = rigid_body()
-    b = rigid_body(inertia=(1.0, 3.0, 5.0))
-    reference_endpoint(a, a.default_y0, 0.0, 0.5)
-    reference_endpoint(b, b.default_y0, 0.0, 0.5)
-    assert len(list(tmp_path.glob("*.json"))) == 2
+def test_reference_endpoint_rejects_non_finite_derivative():
+    prob = dataclasses.replace(rigid_body(), f=lambda y: np.full(3, np.nan))
+    with pytest.raises(RuntimeError, match=r"rigid-body: non-finite "
+                                           r"derivative at t=0\.0"):
+        reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
 
 
 # ---------------------------------------------------------------- convergence
 
-def test_convergence_rows_and_slopes(tmp_path, monkeypatch):
-    monkeypatch.setenv("CFRK_CACHE", str(tmp_path))
+def test_convergence_rows_and_slopes():
     cfg = ExperimentConfig(tableau="cf4", mode="fixed", steps=(20, 40))
     rows, summary = run_convergence(cfg)
     assert len(rows) == 2
@@ -118,8 +112,7 @@ def test_convergence_rows_and_slopes(tmp_path, monkeypatch):
     assert summary["advance_embedded"] is False
 
 
-def test_convergence_runs_are_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("CFRK_CACHE", str(tmp_path))
+def test_convergence_runs_are_deterministic():
     cfg = ExperimentConfig(tableau="cf32a", mode="fixed", steps=(20, 40))
     first = run_convergence(cfg)
     second = run_convergence(cfg)

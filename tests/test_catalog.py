@@ -81,16 +81,17 @@ def test_cf43_root_solves_quintic():
     assert w == 0.44551801757517717
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_of_package_and_cli_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(cfrk.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cfrk; print('scipy.optimize' in sys.modules)"],
+         "import sys, cfrk, cfrk.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_cf43_marker_coefficients():
