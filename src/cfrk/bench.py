@@ -3,9 +3,9 @@ tableau validation, with reproducible CSV/JSON output.
 
 Every output embeds the fully resolved configuration (defaults filled in,
 seed included) as a JSON comment, so any row can be reproduced from the
-file alone.  Reference solutions come from scipy's DOP853 on the ambient
-ODE, so the errors of cfrk's own integrators are measured against an
-integrator that shares no code with them.
+file alone.  Reference solutions come from scipy's DOP853 on each
+problem's ambient field, so the errors of cfrk's own integrators are
+measured against an integrator that shares no code with them.
 """
 
 from __future__ import annotations
@@ -93,38 +93,43 @@ def resolved_config(config: ExperimentConfig, problem=None, tableau=None) -> dic
 def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
     """High-accuracy solution at t1 from an integrator independent of cfrk.
 
-    Integrates the ambient ODE y' = infinitesimal(f(y), y) with scipy's
-    DOP853 at rtol 1e-13, atol 1e-14, cross-checked against a second
-    DOP853 solve at rtol 1e-11, atol 1e-12.  A failed solve, a non-finite
-    derivative or a cross-check gap above 1e-9 raises RuntimeError rather
-    than returning a silently bad reference.
+    Integrates problem.ambient_field, which uses neither f nor the group
+    action, with scipy's DOP853 at rtol 1e-13, atol 1e-14, cross-checked
+    against LSODA (Adams/BDF multistep, a different method family) at
+    rtol 1e-12, atol 1e-14.  A failed solve, a non-finite derivative or a
+    cross-check gap above 1e-9 raises RuntimeError rather than returning a
+    silently bad reference; a problem without an ambient field raises
+    ValueError.
     """
+    field = problem.ambient_field
+    if field is None:
+        raise ValueError(f"problem {problem.name!r} has no ambient_field "
+                         "to compute a reference from")
     # scipy.integrate takes most of a second to import; only this needs it.
     from scipy.integrate import solve_ivp
 
-    action, f = problem.action, problem.f
-
     def rhs(t, y):
-        dy = action.infinitesimal(f(y), y)
+        dy = field(y)
         if not np.all(np.isfinite(dy)):
             raise RuntimeError(f"reference for {problem.name}: non-finite "
                                f"derivative at t={t!r}")
         return dy
 
     ends = []
-    for rtol, atol in ((1e-13, 1e-14), (1e-11, 1e-12)):
-        sol = solve_ivp(rhs, (t0, t1), np.asarray(y0, float), method="DOP853",
+    for method, rtol, atol in (("DOP853", 1e-13, 1e-14),
+                               ("LSODA", 1e-12, 1e-14)):
+        sol = solve_ivp(rhs, (t0, t1), np.asarray(y0, float), method=method,
                         rtol=rtol, atol=atol, t_eval=[t1])
         if not sol.success:
-            raise RuntimeError(f"reference solve failed for {problem.name} "
-                               f"at rtol={rtol:g}: {sol.message}")
+            raise RuntimeError(f"reference {method} solve failed for "
+                               f"{problem.name}: {sol.message}")
         ends.append(sol.y[:, -1])
     ref, check = ends
     agreement = float(np.linalg.norm(ref - check))
     if agreement > 1e-9:
         raise RuntimeError(
-            f"reference cross-check failed for {problem.name}: the two "
-            f"DOP853 solves differ by {agreement:.2e}")
+            f"reference cross-check failed for {problem.name}: DOP853 and "
+            f"LSODA differ by {agreement:.2e}")
     return ref
 
 

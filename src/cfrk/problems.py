@@ -1,8 +1,9 @@
 """Benchmark problems packaged with their geometry.
 
 Each problem bundles a group action, the algebra-valued coefficient map f
-(so that y' is the infinitesimal action of f(y) at y), a default initial
-state, and evaluators for its conserved quantities.
+(so that y' is the infinitesimal action of f(y) at y), the same vector
+field written out directly on the ambient space, a default initial state,
+and evaluators for its conserved quantities.
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ class HeavyTopParams:
 
 @dataclass(frozen=True)
 class Problem:
-    """A vector field in frozen-coefficient form over a group action."""
+    """A vector field in frozen-coefficient form over a group action.
+
+    ambient_field, if given, is action.infinitesimal(f(y), y) written out
+    without f or the action, for reference solutions to integrate.
+    """
     name: str
     action: GroupAction
     f: object  # Point -> AlgebraElement
@@ -54,6 +59,7 @@ class Problem:
     use_rtol: bool
     invariants: object  # Point -> dict of named conserved values
     params: object = None
+    ambient_field: object = None  # Point -> ambient velocity
 
 
 def conserved(problem: Problem, point) -> dict:
@@ -85,6 +91,7 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
         name="rigid-body",
         action=So3SphereAction(),
         f=f,
+        ambient_field=lambda y: mass * np.cross(y, inv_inertia * y),
         default_y0=y0,
         use_rtol=False,
         invariants=lambda y: {"norm2": float(y @ y)},
@@ -110,6 +117,8 @@ def van_der_pol(mu: float = 60.0) -> Problem:
         name="van-der-pol",
         action=Gl2PlaneAction(),
         f=f,
+        ambient_field=lambda y: np.array(
+            [y[1], p.mu * (1.0 - y[0] ** 2) * y[1] - y[0]]),
         default_y0=np.array([1.0, 1.0]),
         use_rtol=True,
         invariants=lambda y: {},
@@ -121,8 +130,10 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
               chi=(1.0, 0.0, 0.0)) -> Problem:
     """Heavy top as a coadjoint flow on pairs (mu, beta).
 
-    f(mu, beta) = (I^{-1} mu, m g chi); the coadjoint action preserves
-    |beta|^2 and mu . beta, so those are reported as invariants.  Defaults
+    f(mu, beta) = (I^{-1} mu, m g chi), so the induced field is
+    (mu x I^{-1} mu + beta x m g chi, beta x I^{-1} mu) (the Euler-Poisson
+    equations).  The coadjoint action preserves |beta|^2 and mu . beta,
+    so those are reported as invariants.  Defaults
     give a Kovalevskaya configuration (inertia ratio 2:2:1, center of mass
     along the first axis) with mu0 = (0.1, 0.2, 0.3), beta0 = e3.
     """
@@ -134,6 +145,12 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
     def f(y):
         return np.concatenate([inv_inertia * y[:3], mg_chi])
 
+    def ambient_field(y):
+        mu_, beta = y[:3], y[3:]
+        omega = inv_inertia * mu_
+        return np.concatenate([np.cross(mu_, omega) + np.cross(beta, mg_chi),
+                               np.cross(beta, omega)])
+
     def invariants(y):
         mu_, beta = y[:3], y[3:]
         return {"beta2": float(beta @ beta), "mubeta": float(mu_ @ beta)}
@@ -142,6 +159,7 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
         name="heavy-top",
         action=Se3CoadjointAction(),
         f=f,
+        ambient_field=ambient_field,
         default_y0=np.array([0.1, 0.2, 0.3, 0.0, 0.0, 1.0]),
         use_rtol=False,
         invariants=invariants,

@@ -83,15 +83,24 @@ def test_resolved_config_fills_defaults():
 
 def test_reference_endpoint_stays_on_sphere_and_matches_cf4():
     prob = rigid_body()
-    ref = reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
+    # the reference calls neither f nor the action, the code it judges
+    blind = dataclasses.replace(prob, f=None, action=None)
+    ref = reference_endpoint(blind, prob.default_y0, 0.0, 0.5)
     assert abs(np.linalg.norm(ref) - 1.0) <= 1e-14
     fine = integrate_fixed(get_tableau("cf4"), prob, prob.default_y0,
                            0.0, 0.5, 640).y_end
     assert np.linalg.norm(ref - fine) <= 1e-12
 
 
+def test_reference_endpoint_needs_an_ambient_field():
+    prob = dataclasses.replace(rigid_body(), ambient_field=None)
+    with pytest.raises(ValueError, match="'rigid-body' has no ambient_field"):
+        reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
+
+
 def test_reference_endpoint_rejects_non_finite_derivative():
-    prob = dataclasses.replace(rigid_body(), f=lambda y: np.full(3, np.nan))
+    prob = dataclasses.replace(rigid_body(),
+                               ambient_field=lambda y: np.full(3, np.nan))
     with pytest.raises(RuntimeError, match=r"rigid-body: non-finite "
                                            r"derivative at t=0\.0"):
         reference_endpoint(prob, prob.default_y0, 0.0, 0.5)

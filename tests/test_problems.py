@@ -30,6 +30,21 @@ def test_build_problem_forwards_params():
     assert build_problem("rigid-body", {"seed": 3}).default_y0 is not None
 
 
+@pytest.mark.parametrize("prob", [
+    rigid_body(inertia=(1.5, 0.7, 3.0), m=2.0),
+    van_der_pol(mu=7.0),
+    heavy_top(inertia=(3.0, 1.0, 0.5), m=2.0, g=9.81, chi=(0.6, 0.0, 0.8)),
+], ids=lambda prob: prob.name)
+def test_ambient_field_is_the_induced_field(prob):
+    # the reference solutions integrate ambient_field, so it must be the
+    # field the integrators see through f and the action
+    rng = np.random.default_rng(11)
+    for y in rng.standard_normal((20, len(prob.default_y0))):
+        assert_allclose(prob.ambient_field(y),
+                        prob.action.infinitesimal(prob.f(y), y),
+                        rtol=1e-14, atol=1e-14)
+
+
 # ---------------------------------------------------------------- rigid body
 
 def test_rigid_body_initial_state_is_unit_and_seeded():
