@@ -49,12 +49,12 @@ def vee(M) -> np.ndarray:
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
-def _floats(v, n: int) -> list:
-    """v as a list of n Python floats; ValueError for any other shape."""
+def _floats(v, *shape: int) -> list:
+    """v as (nested) lists of Python floats; ValueError naming the shape
+    of v unless it is exactly `shape`."""
     v = np.asarray(v, float)
-    if v.shape != (n,):
-        raise ValueError(
-            f"expected a vector of length {n}, got shape {v.shape}")
+    if v.shape != shape:
+        raise ValueError(f"expected shape {shape}, got shape {v.shape}")
     return v.tolist()
 
 
@@ -103,6 +103,19 @@ def so3_exp(v) -> np.ndarray:
 
 # ------------------------------------------------------------- gl(2) basics
 
+def _np_exp(x: float) -> float:
+    """float(np.exp(x)), silent when it overflows to inf.
+
+    np.exp rather than math.exp, whose last bit differs on a few percent
+    of inputs; the errstate context costs more than the exponential, so it
+    is entered only where np.exp can overflow.
+    """
+    if x >= 709.0:
+        with np.errstate(over="ignore"):
+            return float(np.exp(x))
+    return float(np.exp(x))
+
+
 def gl2_exp(A) -> np.ndarray:
     """Exponential of a real 2x2 matrix in closed form.
 
@@ -115,30 +128,35 @@ def gl2_exp(A) -> np.ndarray:
     products are rearranged into the two eigenvalue exponentials
     e^(mu +- sqrt(D)) so that stiff but contractive matrices do not
     overflow in intermediates; genuinely divergent input yields
-    non-finite entries rather than an exception.
+    non-finite entries rather than an exception.  Raises ValueError
+    unless A is 2x2.
     """
-    A = np.asarray(A, float)
-    mu = 0.5 * (A[0, 0] + A[1, 1])
-    B = A - mu * np.eye(2)
-    D = mu * mu - (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    (a, b), (c, d) = _floats(A, 2, 2)
+    mu = 0.5 * (a + d)
+    D = mu * mu - (a * d - b * c)
     if abs(D) < 1e-6:
         C = 1.0 + D / 2.0 + D * D / 24.0 + D ** 3 / 720.0 + D ** 4 / 40320.0
         S = 1.0 + D / 6.0 + D * D / 120.0 + D ** 3 / 5040.0 + D ** 4 / 362880.0
     elif D > 0.0:
         s = math.sqrt(D)
         if s > 30.0 or mu + s > 700.0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ep = float(np.exp(mu + s))
-                em = float(np.exp(mu - s))
-                return 0.5 * (ep + em) * np.eye(2) + 0.5 * (ep - em) / s * B
+            ep = _np_exp(mu + s)
+            em = _np_exp(mu - s)
+            C = 0.5 * (ep + em)
+            S = 0.5 * (ep - em) / s
+            # C * 0.0 is the off-diagonal of C*I: NaN once C overflows
+            z = C * 0.0
+            return np.array([C + S * (a - mu), z + S * b,
+                             z + S * c, C + S * (d - mu)]).reshape(2, 2)
         C = math.cosh(s)
         S = math.sinh(s) / s
     else:
         s = math.sqrt(-D)
         C = math.cos(s)
         S = math.sin(s) / s
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.exp(mu)) * (C * np.eye(2) + S * B)
+    E = _np_exp(mu)
+    return np.array([E * (C + S * (a - mu)), E * (S * b),
+                     E * (S * c), E * (C + S * (d - mu))]).reshape(2, 2)
 
 
 # ------------------------------------------------------------- se(3) basics

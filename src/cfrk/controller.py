@@ -105,8 +105,9 @@ def error_measure(y0, y1, yhat1, cfg: ControllerConfig, action) -> float:
     """Scaled error: distance(y1, yhat1) / (atol + max(|y0|,|y1|) rtol)."""
     if yhat1 is None:
         raise ValueError("error_measure needs an embedded solution")
-    sc = cfg.atol + max(action.ambient_norm(y0),
-                        action.ambient_norm(y1)) * cfg.rtol
+    sc = cfg.atol
+    if cfg.rtol != 0.0:  # with rtol 0 the norms would only be scaled by 0
+        sc += max(action.ambient_norm(y0), action.ambient_norm(y1)) * cfg.rtol
     return action.ambient_distance(y1, yhat1) / sc
 
 

@@ -30,9 +30,11 @@ class StepResult:
 
 
 def _combine(action, h: float, terms, fvals):
-    """h * sum of coeff * f_k over a plan row's nonzero terms."""
-    v = action.algebra_zero()
-    for k, coeff in terms:
+    """h * sum of coeff * f_k over a plan row's nonzero terms (a plan row
+    has at least one)."""
+    k, coeff = terms[0]
+    v = (h * coeff) * fvals[k]
+    for k, coeff in terms[1:]:
         v = action.algebra_axpy(h * coeff, fvals[k], v)
     return v
 

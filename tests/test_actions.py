@@ -1,6 +1,8 @@
 """Geometry tests: exponentials against power-series oracles, action
 axioms, and the infinitesimal maps against finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -126,6 +128,19 @@ def test_gl2_exp_branches():
     for d in (1e-7, -1e-7, 0.0):
         A = np.array([[0.2, 1.0], [d + 0.0, 0.2]])  # D = d
         assert_allclose(gl2_exp(A), series_expm(A), atol=1e-13)
+    # the same branches with both off-diagonal entries nonzero
+    for A in ([[0.3, 1.0], [0.5, -0.2]],  # hyperbolic, D = 0.5625
+              [[0.1, 1.0], [-2.0, 0.3]]):  # elliptic, D = -1.99
+        assert_allclose(gl2_exp(A), series_expm(A), atol=1e-14)
+    for d in (5e-7, -5e-7):
+        A = [[0.2, 1.0], [d, 0.2]]
+        assert_allclose(gl2_exp(A), series_expm(A), atol=1e-13)
+    # rearranged into e^(mu +- s): s > 30, and mu + s > 700 with s = 1;
+    # B = [[0, s], [s, 0]], so exp(A) = e^mu (cosh s I + sinh s B / s)
+    for mu, s in ((0.0, 40.0), (700.0, 1.0)):
+        expect = np.exp(mu) * np.array([[np.cosh(s), np.sinh(s)],
+                                        [np.sinh(s), np.cosh(s)]])
+        assert_allclose(gl2_exp([[mu, s], [s, mu]]), expect, rtol=1e-13)
 
 
 def test_gl2_exp_zero_is_identity():
@@ -143,8 +158,10 @@ def test_gl2_exp_strongly_hyperbolic_input():
     assert gl2_exp(np.diag([35.0, -35.0]))[1, 1] == \
         pytest.approx(np.exp(-35.0), rel=1e-12)
     # a stiff contractive matrix must not overflow in intermediates even
-    # though cosh of its half-spread would
-    E = gl2_exp(np.array([[0.0, 0.01], [-0.01, -1e9]]))
+    # though cosh of its half-spread would, nor warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = gl2_exp(np.array([[0.0, 0.01], [-0.01, -1e9]]))
     assert np.all(np.isfinite(E))
     assert np.linalg.norm(E, 2) <= 1.0 + 1e-12
     assert E[0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -152,8 +169,16 @@ def test_gl2_exp_strongly_hyperbolic_input():
 
 
 def test_gl2_exp_divergent_input_yields_non_finite_entries():
-    assert not np.all(np.isfinite(gl2_exp(np.diag([800.0, 800.0]))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.all(np.isfinite(gl2_exp(np.diag([800.0, 800.0]))))
     assert not np.all(np.isfinite(gl2_exp(np.diag([800.0, 900.0]))))
+    # e^(mu + s) overflows, so C = S = inf in C I + S B: the diagonal is
+    # inf + inf (a - mu), NaN where a - mu < 0, and the off-diagonal
+    # inf * 0 + S b is NaN, not +-inf
+    expect = np.array([[np.inf, np.nan], [np.nan, np.nan]])
+    for A in ([[800.0, 1.0], [2.0, 700.0]], [[1e3, 0.0], [0.0, -1e3]]):
+        assert np.array_equal(gl2_exp(A), expect, equal_nan=True)
 
 
 # -------------------------------------------------------- se(3) exponential
@@ -193,9 +218,13 @@ def test_se3_exp_small_rotation_branch():
     lambda: se3_exp(np.ones(5)),
     lambda: se3_exp(np.ones((2, 3))),
     lambda: coadjoint_act(Se3Element.identity(), np.ones(7)),
+    lambda: gl2_exp(np.ones(4)),
+    lambda: gl2_exp(np.ones((3, 3))),
+    lambda: gl2_exp(np.ones((2, 3))),
+    lambda: gl2_exp(np.ones((1, 2, 2))),
 ])
 def test_kernels_reject_wrong_length_input(call):
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"got shape \("):
         call()
 
 

@@ -68,6 +68,28 @@ def test_error_measure_relative_scale_uses_larger_norm():
     assert error_measure(y0, y1, yhat, cfg, act) == pytest.approx(0.01 / 3.1)
 
 
+class _NormCountingAction(So3SphereAction):
+    def __init__(self):
+        self.norm_calls = 0
+
+    def ambient_norm(self, p) -> float:
+        self.norm_calls += 1
+        return super().ambient_norm(p)
+
+
+def test_error_measure_skips_norms_without_rtol():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        y0, y1, yhat = rng.standard_normal((3, 3))
+        for atol, rtol in ((1e-6, 0.0), (0.1, 1e-3)):
+            act = _NormCountingAction()
+            cfg = ControllerConfig(atol=atol, rtol=rtol)
+            sc = atol + max(np.linalg.norm(y0), np.linalg.norm(y1)) * rtol
+            assert error_measure(y0, y1, yhat, cfg, act) == \
+                np.linalg.norm(y1 - yhat) / sc
+            assert act.norm_calls == (0 if rtol == 0.0 else 2)
+
+
 def test_error_measure_requires_embedded_solution():
     with pytest.raises(ValueError):
         error_measure(np.zeros(3), np.zeros(3), None,
