@@ -183,13 +183,20 @@ class Se3Element:
 
 
 def se3_bracket(a, b) -> np.ndarray:
-    """Algebra bracket [(xi,u),(eta,v)] = (xi x eta, xi x v - eta x u)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    xi, u = a[:3], a[3:]
-    eta, v = b[:3], b[3:]
-    return np.concatenate([np.cross(xi, eta),
-                           np.cross(xi, v) - np.cross(eta, u)])
+    """Algebra bracket [(xi,u),(eta,v)] = (xi x eta, xi x v - eta x u).
+
+    The cross products are written out on floats, with the same products
+    and differences as numpy's cross.  Raises ValueError unless a and b have
+    exactly 6 components.
+    """
+    x1, x2, x3, u1, u2, u3 = _floats(a, 6)
+    e1, e2, e3, v1, v2, v3 = _floats(b, 6)
+    return np.array([x2 * e3 - x3 * e2,
+                     x3 * e1 - x1 * e3,
+                     x1 * e2 - x2 * e1,
+                     (x2 * v3 - x3 * v2) - (e2 * u3 - e3 * u2),
+                     (x3 * v1 - x1 * v3) - (e3 * u1 - e1 * u3),
+                     (x1 * v2 - x2 * v1) - (e1 * u2 - e2 * u1)])
 
 
 def se3_exp(a) -> Se3Element:
@@ -236,10 +243,18 @@ class GroupAction(ABC):
 
     @abstractmethod
     def algebra_zero(self):
-        """Zero element of the Lie algebra, in the representation f uses."""
+        """Zero element of the Lie algebra, in the representation f uses.
+
+        cfrk itself does not call this; it remains only because the
+        benchmark's tracing proxy forwards it by name.
+        """
 
     def algebra_axpy(self, coeff: float, v, acc):
-        """acc + coeff * v (algebra elements are numpy arrays here)."""
+        """acc + coeff * v (algebra elements are numpy arrays here).
+
+        cf_step forms this sum inline; the method remains only because the
+        benchmark's tracing proxy forwards it by name.
+        """
         return acc + coeff * v
 
     @abstractmethod
@@ -255,11 +270,14 @@ class GroupAction(ABC):
         """d/dt at t=0 of act(exp(t v), p), as an ambient vector."""
 
     def ambient_norm(self, p) -> float:
-        return float(np.linalg.norm(np.asarray(p, float).ravel()))
+        """Euclidean norm of the flattened point: the sqrt(x . x) that
+        numpy's norm computes for 1-D real input, without its dispatch."""
+        x = np.asarray(p, float).ravel()
+        return math.sqrt(x.dot(x))
 
     def ambient_distance(self, p, q) -> float:
-        return float(np.linalg.norm(
-            (np.asarray(p, float) - np.asarray(q, float)).ravel()))
+        x = (np.asarray(p, float) - np.asarray(q, float)).ravel()
+        return math.sqrt(x.dot(x))
 
 
 class So3SphereAction(GroupAction):
@@ -277,7 +295,12 @@ class So3SphereAction(GroupAction):
         return g @ p
 
     def infinitesimal(self, v, p):
-        return np.cross(v, p)
+        """v x p, written out on floats as numpy's cross computes it."""
+        a1, a2, a3 = _floats(v, 3)
+        p1, p2, p3 = _floats(p, 3)
+        return np.array([a2 * p3 - a3 * p2,
+                         a3 * p1 - a1 * p3,
+                         a1 * p2 - a2 * p1])
 
 
 class Gl2PlaneAction(GroupAction):
@@ -296,9 +319,6 @@ class Gl2PlaneAction(GroupAction):
 
     def infinitesimal(self, v, p):
         return v @ p
-
-    def ambient_norm(self, p) -> float:
-        return float(np.linalg.norm(p))
 
 
 class Se3CoadjointAction(GroupAction):
@@ -322,9 +342,13 @@ class Se3CoadjointAction(GroupAction):
         return coadjoint_act(g, p)
 
     def infinitesimal(self, v, p):
-        v = np.asarray(v, float)
-        p = np.asarray(p, float)
-        xi, u = v[:3], v[3:]
-        mu, beta = p[:3], p[3:]
-        return np.concatenate([-np.cross(xi, mu) - np.cross(u, beta),
-                               -np.cross(xi, beta)])
+        """(-(xi x mu) - u x beta, -(xi x beta)), written out on floats as
+        numpy's cross computes each product."""
+        x1, x2, x3, u1, u2, u3 = _floats(v, 6)
+        m1, m2, m3, b1, b2, b3 = _floats(p, 6)
+        return np.array([-(x2 * m3 - x3 * m2) - (u2 * b3 - u3 * b2),
+                         -(x3 * m1 - x1 * m3) - (u3 * b1 - u1 * b3),
+                         -(x1 * m2 - x2 * m1) - (u1 * b2 - u2 * b1),
+                         -(x2 * b3 - x3 * b2),
+                         -(x3 * b1 - x1 * b3),
+                         -(x1 * b2 - x2 * b1)])

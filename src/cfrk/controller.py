@@ -145,9 +145,14 @@ def _in_domain(trajectory, fn, *args, **kwargs):
 
 
 def _check_finite(y, trajectory):
-    arr = np.asarray(y, float)
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, np.asarray(y, float).ravel().tolist())):
         raise NonFiniteError("state became non-finite", trajectory)
+
+
+def _check_span(t0: float, t1: float) -> None:
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError(f"need finite t0, t1 with t1 > t0, got t0 = {t0}, "
+                         f"t1 = {t1}")
 
 
 def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
@@ -159,8 +164,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     step (growth is disabled on the retry).  The final step is truncated
     to land exactly on t1.
     """
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
+    _check_span(t0, t1)
     if not pair.has_embedded:
         raise ValueError(f"{pair.name} has no embedded solution")
     if pair.order_phat != pair.order_p - 1:
@@ -176,6 +180,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     t = t0
     traj.times.append(t)
     traj.points.append(y)
+    _check_finite(y, traj)
 
     h = _in_domain(traj, initial_step, problem, y, cfg, p, t0, t1)
     h = min(h, t1 - t0)
@@ -229,6 +234,7 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     which case the trajectory follows the embedded (lower-order) solution;
     the FSAL carry is then invalid and never used.
     """
+    _check_span(t0, t1)
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
     if advance_embedded and not method.has_embedded:
@@ -241,6 +247,7 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     y = np.asarray(y0, float)
     traj.times.append(t0)
     traj.points.append(y)
+    _check_finite(y, traj)
     carry = None
     for i in range(1, n_steps + 1):
         res = _in_domain(traj, cf_step, method, action, f, y, h,

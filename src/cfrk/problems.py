@@ -83,6 +83,15 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
     def f(y):
         return -mass * (inv_inertia * y)
 
+    i1, i2, i3 = inv_inertia.tolist()
+
+    def ambient_field(y):
+        y1, y2, y3 = y.tolist()
+        w1, w2, w3 = i1 * y1, i2 * y2, i3 * y3
+        return np.array([mass * (y2 * w3 - y3 * w2),
+                         mass * (y3 * w1 - y1 * w3),
+                         mass * (y1 * w2 - y2 * w1)])
+
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal(3)
     y0 /= np.linalg.norm(y0)
@@ -91,7 +100,7 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
         name="rigid-body",
         action=So3SphereAction(),
         f=f,
-        ambient_field=lambda y: mass * np.cross(y, inv_inertia * y),
+        ambient_field=ambient_field,
         default_y0=y0,
         use_rtol=False,
         invariants=lambda y: {"norm2": float(y @ y)},
@@ -145,11 +154,18 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
     def f(y):
         return np.concatenate([inv_inertia * y[:3], mg_chi])
 
+    i1, i2, i3 = inv_inertia.tolist()
+    c1, c2, c3 = mg_chi.tolist()
+
     def ambient_field(y):
-        mu_, beta = y[:3], y[3:]
-        omega = inv_inertia * mu_
-        return np.concatenate([np.cross(mu_, omega) + np.cross(beta, mg_chi),
-                               np.cross(beta, omega)])
+        m1, m2, m3, b1, b2, b3 = y.tolist()
+        w1, w2, w3 = i1 * m1, i2 * m2, i3 * m3
+        return np.array([(m2 * w3 - m3 * w2) + (b2 * c3 - b3 * c2),
+                         (m3 * w1 - m1 * w3) + (b3 * c1 - b1 * c3),
+                         (m1 * w2 - m2 * w1) + (b1 * c2 - b2 * c1),
+                         b2 * w3 - b3 * w2,
+                         b3 * w1 - b1 * w3,
+                         b1 * w2 - b2 * w1])
 
     def invariants(y):
         mu_, beta = y[:3], y[3:]

@@ -261,6 +261,31 @@ def test_se3_bracket_formula_and_antisymmetry():
         assert_allclose(se3_bracket(b, a), -br, atol=1e-13)
 
 
+def _spread(rng, n, dim):
+    """n random dim-vectors with magnitudes spread over twelve decades."""
+    return rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+
+
+def test_cross_products_match_numpy_cross_bitwise():
+    # the float forms must give the bits of the np.cross expressions they
+    # replaced, not just agree to roundoff
+    rng = np.random.default_rng(52)
+    a, b = _spread(rng, 10_000, 6), _spread(rng, 10_000, 6)
+    xi, u, eta, v = a[:, :3], a[:, 3:], b[:, :3], b[:, 3:]
+    so3_ref = np.cross(xi, eta)
+    se3_ref = np.concatenate([-np.cross(xi, eta) - np.cross(u, v),
+                              -np.cross(xi, v)], axis=1)
+    bracket_ref = np.concatenate([np.cross(xi, eta),
+                                  np.cross(xi, v) - np.cross(eta, u)], axis=1)
+    so3, se3 = So3SphereAction(), Se3CoadjointAction()
+    assert np.array_equal(
+        np.array([so3.infinitesimal(x, y) for x, y in zip(xi, eta)]), so3_ref)
+    assert np.array_equal(
+        np.array([se3.infinitesimal(x, y) for x, y in zip(a, b)]), se3_ref)
+    assert np.array_equal(
+        np.array([se3_bracket(x, y) for x, y in zip(a, b)]), bracket_ref)
+
+
 # ---------------------------------------------------------- action contract
 
 def test_sphere_action_composes_left_to_right():
@@ -355,6 +380,22 @@ def test_ambient_metric_defaults():
     assert act.ambient_norm([3.0, 4.0, 0.0]) == 5.0
     assert act.ambient_distance([1.0, 0, 0], [0, 1.0, 0]) == pytest.approx(
         np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("action", [So3SphereAction(), Gl2PlaneAction(),
+                                    Se3CoadjointAction()],
+                         ids=lambda action: action.name)
+def test_ambient_metric_equals_numpy_norm(action):
+    rng = np.random.default_rng(53)
+    for shape in ((2,), (3,), (6,), (2, 2)):
+        for _ in range(300):
+            p = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6)
+            q = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6)
+            norm = action.ambient_norm(p)
+            assert type(norm) is float
+            assert norm == float(np.linalg.norm(p))
+            assert action.ambient_distance(p, q) == \
+                float(np.linalg.norm(p - q))
 
 
 def test_algebra_linear_ops():

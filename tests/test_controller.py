@@ -3,6 +3,7 @@ its clamps, typed failure modes, and both integration drivers."""
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from cfrk.actions import DomainError, So3SphereAction
 from cfrk.catalog import get_tableau
 from cfrk.controller import (ControllerConfig, IntegrationError,
                              NonFiniteError, StepSizeUnderflowError,
-                             TooManyRejectsError, error_measure,
-                             initial_step, integrate_adaptive,
+                             TooManyRejectsError, Trajectory, _check_finite,
+                             error_measure, initial_step, integrate_adaptive,
                              integrate_fixed, next_step_size)
-from cfrk.problems import Problem, rigid_body, van_der_pol
+from cfrk.problems import Problem, heavy_top, rigid_body, van_der_pol
 from cfrk.tableaux import CFTableau
 
 EPS = np.finfo(float).eps
@@ -331,6 +332,86 @@ def test_start_outside_the_domain_is_an_integration_error():
                            ControllerConfig())
     assert len(info.value.trajectory.points) == 1
     assert isinstance(info.value.__cause__, DomainError)
+
+
+# ---------------------------------------------------------- driver boundary
+
+def counted(prob):
+    """A copy of prob, with its own action, that records f and exp calls."""
+    calls = []
+    action = type(prob.action)()
+    exp = action.exp
+
+    def counted_exp(v):
+        calls.append("exp")
+        return exp(v)
+
+    def f(y):
+        calls.append("f")
+        return prob.f(y)
+
+    action.exp = counted_exp
+    return dataclasses.replace(prob, f=f, action=action), calls
+
+
+DRIVERS = {
+    "adaptive": lambda prob, y0, t0, t1: integrate_adaptive(
+        get_tableau("cf43"), prob, y0, t0, t1,
+        ControllerConfig(atol=1e-6, rtol=1e-6)),
+    "fixed": lambda prob, y0, t0, t1: integrate_fixed(
+        get_tableau("cf4"), prob, y0, t0, t1, 10),
+}
+BOUNDARY_PROBLEMS = [rigid_body, heavy_top, van_der_pol]
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (0.0, math.nan),
+                                   (-math.inf, 1.0), (math.nan, 1.0)],
+                         ids=["t1-inf", "t1-nan", "t0-inf", "t0-nan"])
+def test_non_finite_time_span_is_rejected(driver, build, t0, t1):
+    prob, calls = counted(build())
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="finite"):
+        DRIVERS[driver](prob, prob.default_y0, t0, t1)
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_non_finite_initial_state_is_a_non_finite_error(driver, build, bad):
+    prob, calls = counted(build())
+    y0 = prob.default_y0.copy()
+    y0[-1] = bad
+    start = time.perf_counter()
+    with pytest.raises(NonFiniteError) as info:
+        DRIVERS[driver](prob, y0, 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+    traj = info.value.trajectory
+    assert traj.times == [0.0]
+    assert len(traj.points) == 1
+    assert np.array_equal(traj.points[0], y0, equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (6,), (2, 2)])
+def test_check_finite_accepts_huge_and_rejects_non_finite_entries(shape):
+    traj = Trajectory()
+    huge = np.full(shape, 1e300)  # huge . huge overflows; the check must not
+    _check_finite(huge, traj)
+    _check_finite(-huge, traj)
+    for bad in (math.inf, -math.inf, math.nan):
+        for idx in np.ndindex(*shape):
+            y = huge.copy()
+            y[idx] = bad
+            with pytest.raises(NonFiniteError) as info:
+                _check_finite(y, traj)
+            assert info.value.trajectory is traj
 
 
 # --------------------------------------------------------------- fixed mode

@@ -45,6 +45,42 @@ def test_ambient_field_is_the_induced_field(prob):
                         rtol=1e-14, atol=1e-14)
 
 
+def _states(rng, n, dim):
+    return rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+
+
+def test_rigid_body_fields_match_numpy_cross_bitwise():
+    inertia, m = (1.5, 0.7, 3.0), 1.3  # m not a power of two
+    prob = rigid_body(inertia=inertia, m=m)
+    Y = _states(np.random.default_rng(12), 10_000, 3)
+    inv = 1.0 / np.asarray(inertia)
+    field_ref = m * np.cross(Y, inv * Y)
+    induced_ref = np.cross(-m * (inv * Y), Y)
+    assert np.array_equal(np.array([prob.ambient_field(y) for y in Y]),
+                          field_ref)
+    assert np.array_equal(
+        np.array([prob.action.infinitesimal(prob.f(y), y) for y in Y]),
+        induced_ref)
+
+
+def test_heavy_top_fields_match_numpy_cross_bitwise():
+    inertia, m, g, chi = (3.0, 1.0, 0.5), 2.0, 9.81, (0.6, 0.0, 0.8)
+    prob = heavy_top(inertia=inertia, m=m, g=g, chi=chi)
+    Y = _states(np.random.default_rng(13), 10_000, 6)
+    mu, beta = Y[:, :3], Y[:, 3:]
+    omega = (1.0 / np.asarray(inertia)) * mu
+    mg_chi = m * g * np.asarray(chi)
+    field_ref = np.concatenate([np.cross(mu, omega) + np.cross(beta, mg_chi),
+                                np.cross(beta, omega)], axis=1)
+    induced_ref = np.concatenate([-np.cross(omega, mu) - np.cross(mg_chi, beta),
+                                  -np.cross(omega, beta)], axis=1)
+    assert np.array_equal(np.array([prob.ambient_field(y) for y in Y]),
+                          field_ref)
+    assert np.array_equal(
+        np.array([prob.action.infinitesimal(prob.f(y), y) for y in Y]),
+        induced_ref)
+
+
 # ---------------------------------------------------------------- rigid body
 
 def test_rigid_body_initial_state_is_unit_and_seeded():
