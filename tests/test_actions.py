@@ -222,6 +222,9 @@ def test_se3_exp_small_rotation_branch():
     lambda: gl2_exp(np.ones((3, 3))),
     lambda: gl2_exp(np.ones((2, 3))),
     lambda: gl2_exp(np.ones((1, 2, 2))),
+    lambda: se3_bracket(np.ones(6), np.ones(7)),
+    lambda: So3SphereAction().infinitesimal(np.ones(3), np.ones(4)),
+    lambda: Se3CoadjointAction().infinitesimal(np.ones(5), np.ones(6)),
 ])
 def test_kernels_reject_wrong_length_input(call):
     with pytest.raises(ValueError, match=r"got shape \("):

@@ -368,9 +368,11 @@ BOUNDARY_PROBLEMS = [rigid_body, heavy_top, van_der_pol]
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
                          ids=lambda build: build.__name__)
 @pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (0.0, math.nan),
-                                   (-math.inf, 1.0), (math.nan, 1.0)],
-                         ids=["t1-inf", "t1-nan", "t0-inf", "t0-nan"])
-def test_non_finite_time_span_is_rejected(driver, build, t0, t1):
+                                   (-math.inf, 1.0), (math.nan, 1.0),
+                                   (1.0, 1.0), (1.0, 0.0)],
+                         ids=["t1-inf", "t1-nan", "t0-inf", "t0-nan",
+                              "empty", "reversed"])
+def test_bad_time_span_is_rejected(driver, build, t0, t1):
     prob, calls = counted(build())
     start = time.perf_counter()
     with pytest.raises(ValueError, match="finite"):
