@@ -11,9 +11,20 @@ Three concrete geometries are provided:
 Each geometry packages the same small contract: linear operations on
 algebra elements, the group exponential, the action on points, the
 infinitesimal action (the vector field generated by an algebra element),
-and an ambient Euclidean metric.  Points and algebra elements are plain
-numpy arrays; group elements are whatever the geometry finds convenient
-(matrices, or a rotation/translation pair).
+and an ambient Euclidean metric.
+
+exp and act work on Python floats.  exp takes the algebra element as a
+flat list of floats (a 2x2 gl(2) element row-major) and returns the group
+element as a flat list too: the nine entries of a rotation, the four
+entries of a 2x2 matrix, or for SE(3) the nine rotation entries followed
+by the translation.  act takes such an element and a point given as a
+list of floats, writes each product out as multiply-adds, and returns the
+new point as a list.  Both also accept numpy input, which they check for
+shape and convert once: an algebra element or point as an array, and for
+act a rotation or 2x2 matrix as an array or an SE(3) element as an
+Se3Element.  The public kernels so3_exp, gl2_exp, se3_exp and
+coadjoint_act check their input the same way, run the same float bodies
+and return numpy matrices, an Se3Element or a numpy vector.
 """
 
 from __future__ import annotations
@@ -50,42 +61,62 @@ def vee(M) -> np.ndarray:
 
 
 def _floats(v, *shape: int) -> list:
-    """v as (nested) lists of Python floats; ValueError naming the shape
-    of v unless it is exactly `shape`."""
+    """v's entries as a flat row-major list of Python floats; ValueError
+    naming the shape of v unless it is exactly `shape`."""
     v = np.asarray(v, float)
     if v.shape != shape:
         raise ValueError(f"expected shape {shape}, got shape {v.shape}")
-    return v.tolist()
+    return v.ravel().tolist()
+
+
+def _flat(v, n: int, *shape: int) -> list:
+    """v itself when it is a list of n entries (the form cf_step passes
+    between f, exp and act), else _floats(v, *shape)."""
+    if type(v) is list and len(v) == n:
+        return v
+    return _floats(v, *shape)
 
 
 def _rodrigues_coeffs(t2: float) -> tuple:
     """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = sqrt(t2).
 
     Below theta = 1e-4 the three quotients switch to short Taylor
-    expansions; the closed forms lose digits to cancellation there.
+    expansions; the closed forms lose digits to cancellation there.  An
+    infinite or NaN t2 (an algebra element that overflowed) gives NaN
+    coefficients, so the state turns non-finite instead of math.sin
+    raising a domain error.
     """
     if t2 < 1e-8:  # theta < 1e-4
         A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
         B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
         C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
-    else:
+    elif t2 < math.inf:
         t = math.sqrt(t2)
         s = math.sin(t)
         A = s / t
         B = (1.0 - math.cos(t)) / t2
         C = (t - s) / (t2 * t)
+    else:
+        A = B = C = math.nan
     return A, B, C
 
 
-def _rotation(x: float, y: float, z: float, A: float, B: float) -> np.ndarray:
-    """I + A hat(v) + B hat(v)^2 for v = (x, y, z), entry by entry
+def _rotation(x: float, y: float, z: float, A: float, B: float) -> list:
+    """Row-major entries of I + A hat(v) + B hat(v)^2 for v = (x, y, z)
     (hat(v)^2 = v v^T - |v|^2 I)."""
     xx, yy, zz = x * x, y * y, z * z
     bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
     ax, ay, az = A * x, A * y, A * z
-    return np.array([1.0 - B * (yy + zz), bxy - az, bxz + ay,
-                     bxy + az, 1.0 - B * (xx + zz), byz - ax,
-                     bxz - ay, byz + ax, 1.0 - B * (xx + yy)]).reshape(3, 3)
+    return [1.0 - B * (yy + zz), bxy - az, bxz + ay,
+            bxy + az, 1.0 - B * (xx + zz), byz - ax,
+            bxz - ay, byz + ax, 1.0 - B * (xx + yy)]
+
+
+def _so3_exp(v: list) -> list:
+    """so3_exp on a list of 3 floats, as a list of 9 entries."""
+    x, y, z = v
+    A, B, _ = _rodrigues_coeffs(x * x + y * y + z * z)
+    return _rotation(x, y, z, A, B)
 
 
 def so3_exp(v) -> np.ndarray:
@@ -96,9 +127,7 @@ def so3_exp(v) -> np.ndarray:
     Taylor expansions; the closed forms lose digits to cancellation there.
     Raises ValueError unless v has exactly 3 components.
     """
-    x, y, z = _floats(v, 3)
-    A, B, _ = _rodrigues_coeffs(x * x + y * y + z * z)
-    return _rotation(x, y, z, A, B)
+    return np.array(_so3_exp(_floats(v, 3))).reshape(3, 3)
 
 
 # ------------------------------------------------------------- gl(2) basics
@@ -116,22 +145,9 @@ def _np_exp(x: float) -> float:
     return float(np.exp(x))
 
 
-def gl2_exp(A) -> np.ndarray:
-    """Exponential of a real 2x2 matrix in closed form.
-
-    Writing A = mu*I + B with tr(B) = 0 and D = mu^2 - det(A) = -det(B),
-    exp(A) = e^mu (C(D) I + S(D) B) where C, S are cosh/cos and sinhc/sinc
-    depending on the sign of D.  Within 1e-6 of the branch point D = 0 both
-    are evaluated by their common power series in D.
-
-    For strongly hyperbolic input (large sqrt(D)) the e^mu cosh/sinh
-    products are rearranged into the two eigenvalue exponentials
-    e^(mu +- sqrt(D)) so that stiff but contractive matrices do not
-    overflow in intermediates; genuinely divergent input yields
-    non-finite entries rather than an exception.  Raises ValueError
-    unless A is 2x2.
-    """
-    (a, b), (c, d) = _floats(A, 2, 2)
+def _gl2_exp(A: list) -> list:
+    """gl2_exp on the 4 entries of A, row-major, as 4 entries."""
+    a, b, c, d = A
     mu = 0.5 * (a + d)
     D = mu * mu - (a * d - b * c)
     if abs(D) < 1e-6:
@@ -146,17 +162,36 @@ def gl2_exp(A) -> np.ndarray:
             S = 0.5 * (ep - em) / s
             # C * 0.0 is the off-diagonal of C*I: NaN once C overflows
             z = C * 0.0
-            return np.array([C + S * (a - mu), z + S * b,
-                             z + S * c, C + S * (d - mu)]).reshape(2, 2)
+            return [C + S * (a - mu), z + S * b, z + S * c, C + S * (d - mu)]
         C = math.cosh(s)
         S = math.sinh(s) / s
-    else:
+    elif D > -math.inf:
         s = math.sqrt(-D)
         C = math.cos(s)
         S = math.sin(s) / s
+    else:  # D = -inf or NaN: non-finite entries, not a math domain error
+        C = S = math.nan
     E = _np_exp(mu)
-    return np.array([E * (C + S * (a - mu)), E * (S * b),
-                     E * (S * c), E * (C + S * (d - mu))]).reshape(2, 2)
+    return [E * (C + S * (a - mu)), E * (S * b),
+            E * (S * c), E * (C + S * (d - mu))]
+
+
+def gl2_exp(A) -> np.ndarray:
+    """Exponential of a real 2x2 matrix in closed form.
+
+    Writing A = mu*I + B with tr(B) = 0 and D = mu^2 - det(A) = -det(B),
+    exp(A) = e^mu (C(D) I + S(D) B) where C, S are cosh/cos and sinhc/sinc
+    depending on the sign of D.  Within 1e-6 of the branch point D = 0 both
+    are evaluated by their common power series in D.
+
+    For strongly hyperbolic input (large sqrt(D)) the e^mu cosh/sinh
+    products are rearranged into the two eigenvalue exponentials
+    e^(mu +- sqrt(D)) so that stiff but contractive matrices do not
+    overflow in intermediates; genuinely divergent input, and input whose
+    D is -inf or NaN, yields non-finite entries rather than an exception.
+    Raises ValueError unless A is 2x2.
+    """
+    return np.array(_gl2_exp(_floats(A, 2, 2))).reshape(2, 2)
 
 
 # ------------------------------------------------------------- se(3) basics
@@ -199,6 +234,17 @@ def se3_bracket(a, b) -> np.ndarray:
                      (x1 * v2 - x2 * v1) - (e1 * u2 - e2 * u1)])
 
 
+def _se3_exp(a: list) -> list:
+    """se3_exp on a list of 6 floats, as the 9 rotation entries followed
+    by the translation."""
+    x, y, z, u1, u2, u3 = a
+    A, B, C = _rodrigues_coeffs(x * x + y * y + z * z)
+    w1, w2, w3 = y * u3 - z * u2, z * u1 - x * u3, x * u2 - y * u1
+    return _rotation(x, y, z, A, B) + [u1 + B * w1 + C * (y * w3 - z * w2),
+                                       u2 + B * w2 + C * (z * w1 - x * w3),
+                                       u3 + B * w3 + C * (x * w2 - y * w1)]
+
+
 def se3_exp(a) -> Se3Element:
     """Exponential of (xi, u): rotation so3_exp(xi) and translation V(xi) u
     with V the convergent series sum_m hat(xi)^m / (m+1)!, evaluated as
@@ -209,29 +255,39 @@ def se3_exp(a) -> Se3Element:
     expansions, as in so3_exp.  Raises ValueError unless a has exactly 6
     components.
     """
-    x, y, z, u1, u2, u3 = _floats(a, 6)
-    A, B, C = _rodrigues_coeffs(x * x + y * y + z * z)
-    w1, w2, w3 = y * u3 - z * u2, z * u1 - x * u3, x * u2 - y * u1
-    trans = np.array([u1 + B * w1 + C * (y * w3 - z * w2),
-                      u2 + B * w2 + C * (z * w1 - x * w3),
-                      u3 + B * w3 + C * (x * w2 - y * w1)])
-    return Se3Element(_rotation(x, y, z, A, B), trans)
+    g = _se3_exp(_floats(a, 6))
+    return Se3Element(np.array(g[:9]).reshape(3, 3), np.array(g[9:]))
+
+
+def _se3_floats(ge: Se3Element) -> list:
+    """The rotation entries, row-major, then the translation of ge."""
+    return _floats(ge.rot, 3, 3) + _floats(ge.trans, 3)
+
+
+def _coadjoint(g: list, m: list) -> list:
+    """coadjoint_act on the 12 floats of _se3_exp and a list of 6."""
+    r11, r12, r13, r21, r22, r23, r31, r32, r33, u1, u2, u3 = g
+    m1, m2, m3, b1, b2, b3 = m
+    w1 = m1 - (u2 * b3 - u3 * b2)
+    w2 = m2 - (u3 * b1 - u1 * b3)
+    w3 = m3 - (u1 * b2 - u2 * b1)
+    return [w1 * r11 + w2 * r21 + w3 * r31,
+            w1 * r12 + w2 * r22 + w3 * r32,
+            w1 * r13 + w2 * r23 + w3 * r33,
+            b1 * r11 + b2 * r21 + b3 * r31,
+            b1 * r12 + b2 * r22 + b3 * r32,
+            b1 * r13 + b2 * r23 + b3 * r33]
 
 
 def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
     """Coadjoint action of (g, u) on (mu, beta):
     (g^T (mu - u x beta), g^T beta).
 
-    With w = mu - u x beta, both halves come from the one row-stacked
-    product [w; beta] @ g.  Raises ValueError unless m has exactly 6
-    components.
+    With w = mu - u x beta, each entry of g^T w and g^T beta is written out
+    as three products summed left to right.  Raises ValueError unless m has
+    exactly 6 components.
     """
-    m1, m2, m3, b1, b2, b3 = _floats(m, 6)
-    u1, u2, u3 = ge.trans.tolist()
-    w = [m1 - (u2 * b3 - u3 * b2),
-         m2 - (u3 * b1 - u1 * b3),
-         m3 - (u1 * b2 - u2 * b1)]
-    return (np.array([w, [b1, b2, b3]]) @ ge.rot).ravel()
+    return np.array(_coadjoint(_se3_floats(ge), _floats(m, 6)))
 
 
 # ----------------------------------------------------------- action contract
@@ -259,11 +315,15 @@ class GroupAction(ABC):
 
     @abstractmethod
     def exp(self, v):
-        """Group exponential of an algebra element."""
+        """Group exponential of an algebra element, returned as a flat list
+        of Python floats.  v is a flat list of floats (what cf_step passes)
+        or a numpy array in the shape f returns."""
 
     @abstractmethod
     def act(self, g, p):
-        """Apply a group element to a point."""
+        """Apply a group element to a point; the new point is returned as a
+        list of Python floats.  g is what exp returns or the public
+        kernel's numpy form; p is a list of floats or a numpy array."""
 
     @abstractmethod
     def infinitesimal(self, v, p):
@@ -289,10 +349,14 @@ class So3SphereAction(GroupAction):
         return np.zeros(3)
 
     def exp(self, v):
-        return so3_exp(v)
+        return _so3_exp(_flat(v, 3, 3))
 
     def act(self, g, p):
-        return g @ p
+        r11, r12, r13, r21, r22, r23, r31, r32, r33 = _flat(g, 9, 3, 3)
+        p1, p2, p3 = _flat(p, 3, 3)
+        return [r11 * p1 + r12 * p2 + r13 * p3,
+                r21 * p1 + r22 * p2 + r23 * p3,
+                r31 * p1 + r32 * p2 + r33 * p3]
 
     def infinitesimal(self, v, p):
         """v x p, written out on floats as numpy's cross computes it."""
@@ -312,10 +376,12 @@ class Gl2PlaneAction(GroupAction):
         return np.zeros((2, 2))
 
     def exp(self, v):
-        return gl2_exp(v)
+        return _gl2_exp(_flat(v, 4, 2, 2))
 
     def act(self, g, p):
-        return g @ p
+        g11, g12, g21, g22 = _flat(g, 4, 2, 2)
+        x, y = _flat(p, 2, 2)
+        return [g11 * x + g12 * y, g21 * x + g22 * y]
 
     def infinitesimal(self, v, p):
         return v @ p
@@ -336,10 +402,12 @@ class Se3CoadjointAction(GroupAction):
         return np.zeros(6)
 
     def exp(self, v):
-        return se3_exp(v)
+        return _se3_exp(_flat(v, 6, 6))
 
     def act(self, g, p):
-        return coadjoint_act(g, p)
+        if type(g) is not list:
+            g = _se3_floats(g)
+        return _coadjoint(g, _flat(p, 6, 6))
 
     def infinitesimal(self, v, p):
         """(-(xi x mu) - u x beta, -(xi x beta)), written out on floats as

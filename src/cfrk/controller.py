@@ -129,7 +129,10 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
     if cfg.h0 is not None:
         return cfg.h0
     action = problem.action
-    rate = action.ambient_norm(action.infinitesimal(problem.f(y0), y0))
+    xi = problem.f(y0)
+    # a huge y0 may overflow the rate to inf; h0 then falls to hmin
+    with np.errstate(over="ignore"):
+        rate = action.ambient_norm(action.infinitesimal(xi, y0))
     h0 = 0.01 * cfg.atol ** (1.0 / p) / max(rate, _EPS)
     h0 = min(cfg.hmax, max(cfg.hmin, h0))
     return min(h0, (t1 - t0) / 10.0)
@@ -155,6 +158,23 @@ def _check_span(t0: float, t1: float) -> None:
                          f"t1 = {t1}")
 
 
+def _start(problem, y0, t0: float) -> tuple:
+    """The one-point trajectory at (t0, y0), and y0 as a float array.
+
+    Raises ValueError unless y0 has the shape of problem.default_y0, and
+    NonFiniteError carrying the trajectory unless every entry is finite;
+    both before any f or exp call.
+    """
+    y = np.asarray(y0, float)
+    expected = np.shape(problem.default_y0)
+    if y.shape != expected:
+        raise ValueError(f"y0 must have shape {expected}, got shape "
+                         f"{y.shape}")
+    traj = Trajectory(times=[t0], points=[y])
+    _check_finite(y, traj)
+    return traj, y
+
+
 def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
                        cfg: ControllerConfig) -> Trajectory:
     """Adaptive integration of problem over [t0, t1] with an embedded pair.
@@ -175,12 +195,8 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     p = pair.order_p
     cfg_err = cfg if problem.use_rtol else replace(cfg, rtol=0.0)
 
-    traj = Trajectory()
-    y = np.asarray(y0, float)
+    traj, y = _start(problem, y0, t0)
     t = t0
-    traj.times.append(t)
-    traj.points.append(y)
-    _check_finite(y, traj)
 
     h = _in_domain(traj, initial_step, problem, y, cfg, p, t0, t1)
     h = min(h, t1 - t0)
@@ -243,11 +259,7 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     f = problem.f
     h = (t1 - t0) / n_steps
 
-    traj = Trajectory()
-    y = np.asarray(y0, float)
-    traj.times.append(t0)
-    traj.points.append(y)
-    _check_finite(y, traj)
+    traj, y = _start(problem, y0, t0)
     carry = None
     for i in range(1, n_steps + 1):
         res = _in_domain(traj, cf_step, method, action, f, y, h,

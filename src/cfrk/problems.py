@@ -117,10 +117,13 @@ def van_der_pol(mu: float = 60.0) -> Problem:
     p = VdpParams(float(mu))
 
     def f(y):
-        if y[0] == 0.0 and y[1] == 0.0:
+        x = float(y[0])
+        if x == 0.0 and y[1] == 0.0:
             raise DomainError("Van der Pol state reached the origin, "
                               "which is outside the GL(2) orbit")
-        return np.array([[0.0, 1.0], [-1.0, p.mu * (1.0 - y[0] ** 2)]])
+        # x * x on a Python float: a huge state squares to inf without the
+        # overflow warning of numpy's ** 2
+        return np.array([[0.0, 1.0], [-1.0, p.mu * (1.0 - x * x)]])
 
     return Problem(
         name="van-der-pol",

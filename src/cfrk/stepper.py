@@ -7,15 +7,19 @@ runs the tableau's StepPlan, in which zero rows are dropped and rows
 declared identical in the reuse map share one exponential slot.  The step
 also counts exponentials and f evaluations, since those dominate the cost.
 
-Each row's algebra element is summed inline with numpy array arithmetic;
-the action is used only for exp and act.  GroupAction.algebra_zero and
-algebra_axpy are not called here; they remain only because the
-benchmark's tracing proxy forwards them by name.
+Inside a step everything is Python floats.  Each f value is flattened to a
+list once; each row's algebra element is summed on those lists; exp and
+act (called through the action, see actions.py) take and return lists.
+numpy appears only at the edges: the point handed to f, and y1 and yhat1.
+GroupAction.algebra_zero and algebra_axpy are not called here; they remain
+only because the benchmark's tracing proxy forwards them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .tableaux import CFTableau
 
@@ -48,6 +52,7 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
+    h = float(h)
     plan = tableau.step_plan(with_embedded)
     exp, act = action.exp, action.act
     slots = [None] * plan.n_exp
@@ -57,31 +62,35 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     if carried_f is None:
         carried_f = f(y)
         n_feval += 1
-    fvals = [carried_f]
+    fvals = [carried_f.ravel().tolist()]
+    base = np.asarray(y, float).ravel().tolist()
 
-    def apply_rows(rows, point):
+    def apply_rows(rows):
         nonlocal n_exp
+        point = base
         for terms, slot, reused in rows:
             if reused and use_reuse:
                 g = slots[slot]
             else:
-                # h * sum of coeff * f_k over the row's nonzero terms
-                # (a plan row has at least one)
+                # h * sum of coeff * f_k over the row's nonzero terms (a
+                # plan row has at least one), in numpy's order of operations
                 k, coeff = terms[0]
-                v = (h * coeff) * fvals[k]
+                x = h * coeff
+                v = [x * a for a in fvals[k]]
                 for k, coeff in terms[1:]:
-                    v = v + (h * coeff) * fvals[k]
+                    x = h * coeff
+                    v = [s + x * a for s, a in zip(v, fvals[k])]
                 g = exp(v)
                 n_exp += 1
                 slots[slot] = g
             point = act(g, point)
-        return point
+        return np.array(point)
 
     for rows in plan.stages:
-        fvals.append(f(apply_rows(rows, y)))
+        fvals.append(f(apply_rows(rows)).ravel().tolist())
         n_feval += 1
 
-    y1 = apply_rows(plan.y, y)
+    y1 = apply_rows(plan.y)
 
     yhat1 = None
     f_last = None
@@ -90,8 +99,8 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
         if tableau.fsal:
             f_last = f(y1)
             n_feval += 1
-            fvals.append(f_last)
-        yhat1 = apply_rows(plan.yhat, y)
+            fvals.append(f_last.ravel().tolist())
+        yhat1 = apply_rows(plan.yhat)
 
     return StepResult(y1=y1, yhat1=yhat1, f_last=f_last,
                       n_exp=n_exp, n_feval=n_feval)

@@ -343,7 +343,8 @@ class StepPlan:
 
     stages[r-2] holds the rows of stage r; yhat is empty when the plan
     skips the embedded update.  Each row is a (terms, slot, reused) triple
-    standing for exp(h * sum of coeff * f_k over its (k, coeff) terms).
+    standing for exp(h * sum of coeff * f_k over its (k, coeff) terms),
+    each coeff a Python float.
     slot indexes the step's list of computed exponentials; a reused row
     reads the slot that the first row of its reuse group filled earlier in
     the step.  n_exp, the number of slots, is the count of exponentials one
@@ -363,7 +364,7 @@ def _step_plan(tableau: CFTableau, include_embedded: bool) -> StepPlan:
     slot_of = {}  # reuse group (or the key of an unshared row) -> slot
     rows = {}  # keyed by the row key without its row index
     for key in tableau.all_row_keys(include_embedded):
-        terms = tuple((k, c) for k, c in enumerate(tableau.row(key))
+        terms = tuple((k, float(c)) for k, c in enumerate(tableau.row(key))
                       if c != 0.0)
         if not terms:
             continue

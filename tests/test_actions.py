@@ -289,6 +289,122 @@ def test_cross_products_match_numpy_cross_bitwise():
         np.array([se3_bracket(x, y) for x, y in zip(a, b)]), bracket_ref)
 
 
+# --------------------------------------------- float exp and act vs numpy
+
+EPS = np.finfo(float).eps
+
+
+def _act_bound(G, p):
+    """n eps (|G| @ |p|): twice the classical bound gamma_n |G| |p| on the
+    error of an n-term dot product, so it holds between any two orderings
+    of it, with or without fused multiply-adds."""
+    G = np.asarray(G, float)
+    return G.shape[1] * EPS * (np.abs(G) @ np.abs(np.asarray(p, float)))
+
+
+def _scaled(rng, n, lo, hi):
+    """A random n-vector of norm 10^u, u uniform in [lo, hi]."""
+    v = rng.standard_normal(n)
+    return v * (10.0 ** rng.uniform(lo, hi) / np.linalg.norm(v))
+
+
+def _float_exp_act(action, v, p):
+    """action.act(action.exp(v), p) from flat lists, checked to give the
+    same bits as from numpy input."""
+    g = action.exp(np.ravel(v).tolist())
+    assert type(g) is list
+    assert g == action.exp(v)
+    q = action.act(g, p.tolist())
+    assert type(q) is list
+    assert q == action.act(g, p)
+    return g, q
+
+
+def test_so3_float_act_matches_numpy_kernel():
+    rng = np.random.default_rng(60)
+    action = So3SphereAction()
+    series = 0
+    for _ in range(10_000):
+        v = _scaled(rng, 3, -7, 1.5)  # about a third below theta = 1e-4
+        series += np.linalg.norm(v) < 1e-4
+        p = _scaled(rng, 3, -3, 3)
+        R = so3_exp(v)
+        g, q = _float_exp_act(action, v, p)
+        assert g == R.ravel().tolist()
+        assert np.all(np.abs(np.array(q) - R @ p) <= _act_bound(R, p))
+        assert action.act(R, p) == action.act(g, p)
+    assert series > 2000
+
+
+def test_se3_float_act_matches_numpy_kernel():
+    rng = np.random.default_rng(61)
+    action = Se3CoadjointAction()
+    n = 10_000
+    xi = np.array([_scaled(rng, 3, -7, 1.5) for _ in range(n)])
+    u = np.array([_scaled(rng, 3, -3, 3) for _ in range(n)])
+    M = np.array([_scaled(rng, 6, -3, 3) for _ in range(n)])
+    assert np.count_nonzero(np.linalg.norm(xi, axis=1) < 1e-4) > 2000
+    rot, trans, Q = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 6))
+    for i, (v, m) in enumerate(zip(np.hstack([xi, u]), M)):
+        ge = se3_exp(v)
+        g, q = _float_exp_act(action, v, m)
+        assert g == ge.rot.ravel().tolist() + ge.trans.tolist()
+        assert q == coadjoint_act(ge, m).tolist()
+        assert action.act(ge, m) == q
+        rot[i], trans[i], Q[i] = ge.rot, ge.trans, q
+    # against numpy: w = mu - u x beta, then g^T w and g^T beta by matmul
+    W = M[:, :3] - np.cross(trans, M[:, 3:])
+    gt = rot.transpose(0, 2, 1)
+    for half, x in ((Q[:, :3], W), (Q[:, 3:], M[:, 3:])):
+        ref = (gt @ x[:, :, None])[:, :, 0]
+        bound = 3 * EPS * (np.abs(gt) @ np.abs(x)[:, :, None])[:, :, 0]
+        assert np.all(np.abs(half - ref) <= bound)
+
+
+def test_gl2_float_act_matches_numpy_kernel():
+    rng = np.random.default_rng(62)
+    action = Gl2PlaneAction()
+    branches = dict(series=0, elliptic=0, hyperbolic=0, rearranged=0,
+                    divergent=0)
+    for _ in range(10_000):
+        V = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-4, 3)
+        p = _scaled(rng, 2, -3, 3)
+        a, b, c, d = V.ravel()
+        mu = 0.5 * (a + d)
+        D = mu * mu - (a * d - b * c)
+        s = np.sqrt(abs(D))
+        E = gl2_exp(V)
+        if not np.all(np.isfinite(E)):
+            branches["divergent"] += 1
+            g = action.exp(V.ravel().tolist())
+            assert np.array_equal(g, E.ravel(), equal_nan=True)
+            q = np.array(action.act(g, p.tolist()))
+            with np.errstate(all="ignore"):
+                ref = E @ p
+            assert np.array_equal(np.isfinite(q), np.isfinite(ref))
+            continue
+        branches["series" if abs(D) < 1e-6 else
+                 "elliptic" if D < 0.0 else
+                 "rearranged" if s > 30.0 or mu + s > 700.0 else
+                 "hyperbolic"] += 1
+        g, q = _float_exp_act(action, V, p)
+        assert g == E.ravel().tolist()
+        assert np.all(np.abs(np.array(q) - E @ p) <= _act_bound(E, p))
+        assert action.act(E, p) == action.act(g, p)
+    assert min(branches.values()) > 100, branches
+
+
+def test_float_kernels_give_nan_for_overflowed_input():
+    # an algebra element whose squared norm or D overflows yields NaN
+    # entries, not a math domain error from sin or cos of inf
+    for v in ([1e200, 0.0, 0.0], [0.0, -1e160, 1e160]):
+        assert np.all(np.isnan(so3_exp(v)))
+        ge = se3_exp(v + [1.0, 2.0, 3.0])
+        assert np.all(np.isnan(ge.rot)) and np.all(np.isnan(ge.trans))
+    # det = +inf, D = -inf: the elliptic branch would take cos(inf)
+    assert np.all(np.isnan(gl2_exp([[0.0, 1e200], [-1e200, 0.0]])))
+
+
 # ---------------------------------------------------------- action contract
 
 def test_sphere_action_composes_left_to_right():
@@ -356,7 +472,7 @@ def test_coadjoint_preserves_casimirs():
     for _ in range(100):
         g = se3_exp(rng.standard_normal(6))
         m = rng.standard_normal(6)
-        m2 = act.act(g, m)
+        m2 = np.asarray(act.act(g, m))
         assert abs(m2[3:] @ m2[3:] - m[3:] @ m[3:]) < 1e-12
         assert abs(m2[:3] @ m2[3:] - m[:3] @ m[3:]) < 1e-12
 

@@ -3,6 +3,7 @@ its clamps, typed failure modes, and both integration drivers."""
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -384,21 +385,41 @@ def test_bad_time_span_is_rejected(driver, build, t0, t1):
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
                          ids=lambda build: build.__name__)
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
-                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200],
+                         ids=["inf", "-inf", "nan", "huge"])
 def test_non_finite_initial_state_is_a_non_finite_error(driver, build, bad):
+    # inf and nan replace the last entry and are caught before any f or exp
+    # call; huge scales the whole (finite) state, so the first algebra
+    # element overflows and the first step's state turns non-finite
     prob, calls = counted(build())
     y0 = prob.default_y0.copy()
-    y0[-1] = bad
+    if math.isfinite(bad):
+        y0 *= bad
+    else:
+        y0[-1] = bad
     start = time.perf_counter()
     with pytest.raises(NonFiniteError) as info:
         DRIVERS[driver](prob, y0, 0.0, 1.0)
     assert time.perf_counter() - start < 1.0
-    assert calls == []
+    assert (calls == []) == (not math.isfinite(bad))
     traj = info.value.trajectory
     assert traj.times == [0.0]
     assert len(traj.points) == 1
     assert np.array_equal(traj.points[0], y0, equal_nan=True)
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+def test_wrong_length_initial_state_is_rejected(driver, build, extra):
+    prob, calls = counted(build())
+    n = len(prob.default_y0)
+    y0 = np.resize(prob.default_y0, n + extra)
+    expected = re.escape(f"shape ({n},), got shape ({n + extra},)")
+    with pytest.raises(ValueError, match=expected):
+        DRIVERS[driver](prob, y0, 0.0, 1.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("shape", [(2,), (3,), (6,), (2, 2)])

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from cfrk.actions import So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
-from cfrk.problems import heavy_top, rigid_body
+from cfrk.problems import heavy_top, rigid_body, van_der_pol
 from cfrk.stepper import cf_step, count_budget
 from cfrk.tableaux import CFTableau
 
@@ -194,3 +194,36 @@ def test_heavy_top_step_preserves_casimirs():
     after = prob.invariants(res.y1)
     assert abs(after["beta2"] - before["beta2"]) < 1e-13
     assert abs(after["mubeta"] - before["mubeta"]) < 1e-13
+
+
+@pytest.mark.parametrize("build", [rigid_body, heavy_top, van_der_pol],
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", ["cf4", "cf43"])
+def test_row_sums_match_numpy_bitwise(build, name):
+    # exp receives, as a flat list, the bits of the numpy row sum
+    # (h*c0)*f_k0 + (h*c1)*f_k1 + ... over the row's nonzero terms
+    prob = build()
+    t = get_tableau(name)
+    fs, vs = [], []
+
+    def f(y):
+        fs.append(prob.f(y))
+        return fs[-1]
+
+    class Recording(type(prob.action)):
+        def exp(self, v):
+            vs.append(v)
+            return super().exp(v)
+
+    h = 0.01
+    cf_step(t, Recording(), f, prob.default_y0, h)
+    plan = t.step_plan(with_embedded=True)
+    rows = [terms for rows in (*plan.stages, plan.y, plan.yhat)
+            for terms, _, reused in rows if not reused]
+    assert len(vs) == len(rows)
+    for terms, v in zip(rows, vs):
+        k, c = terms[0]
+        ref = (h * c) * fs[k]
+        for k, c in terms[1:]:
+            ref = ref + (h * c) * fs[k]
+        assert np.ravel(v).tolist() == ref.ravel().tolist()
