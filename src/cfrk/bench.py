@@ -24,7 +24,8 @@ from .controller import (ControllerConfig, IntegrationError,
 from .order_conditions import certify_pair, is_genuine_pair
 from .problems import build_problem
 from .stepper import count_budget
-from .tableaux import load_tableau, reuse_groups, scan_identical_rows
+from .tableaux import (TableauError, load_tableau, reuse_groups,
+                       scan_identical_rows)
 
 NEEDLE_WINDOW = (1.4, 1.56)
 
@@ -65,7 +66,10 @@ def _resolve_tableau(name: str):
     separator, otherwise the catalog member of that name."""
     if name.endswith(".json") or os.path.sep in name:
         return load_tableau(name)
-    return get_tableau(name)
+    try:
+        return get_tableau(name)
+    except KeyError as exc:
+        raise TableauError(exc.args[0]) from None
 
 
 def build_experiment(config: ExperimentConfig):

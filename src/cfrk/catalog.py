@@ -10,13 +10,18 @@ Seven named tableaux are provided:
 * ``cf43_v2``      a 4(3) pair with an alternative reuse pattern
 * ``cf43_4stage``  a non-FSAL true 4-stage 4(3) pair
 
-The decimal tableaux start from coefficient literals rounded to 10
+The decimal tableaux are published as coefficient literals rounded to 10
 significant digits.  Rounded coefficients satisfy the order conditions
 only to about that rounding (1e-7 .. 1e-9), which is too loose for
-certification, so the constructors project the literals onto the condition
-manifold with a damped Gauss-Newton iteration.  The projection is
-deterministic and moves no coefficient by more than the rounding allows;
-both properties are asserted at build time.
+certification, so each ships beside its literals the coefficients
+projected onto the condition manifold (a damped Gauss-Newton iteration),
+stored as exact float literals.  The test suite holds their residuals
+below 1e-13 and their drift from the published literals within the
+rounding.
+
+The exact constructors solve for their unknown update rows from the
+linear systems that order_conditions.linear_conditions reads off the
+condition tables, so no condition is written out here.
 
 Beyond the fixed catalog, one-parameter families of 3(2) pairs can be
 instantiated for any admissible value of the free parameter, in four reuse
@@ -30,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .order_conditions import _CLASSICAL, _SPLIT, residual_vector
+from .order_conditions import linear_conditions
 from .tableaux import CFTableau
 
 
@@ -148,6 +153,8 @@ def instantiate_cf32_family(a: float, variant: str,
     and 3) of the embedded row; the remaining two are solved from the
     order-2 conditions.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a!r}")
     data = _cf32_variant_data(float(a), variant)
     roots = _poly_roots(data["poly"], data["poly_text"], a)
     if root not in ("small", "large"):
@@ -170,24 +177,9 @@ def instantiate_cf32_family(a: float, variant: str,
     reused = stage3 if data["reused_row"] == "stage3" else stage2
     ri = data["reused_index"]
 
-    # Solve the non-reused update row u from the five order-3 conditions.
-    # With v the reused row, the update rows are (v, u) or (u, v) depending
-    # on the variant; the split condition weights the first-applied row by c.
-    cond_rows = [np.ones(3), c, c ** 2, A @ c]
-    targets = [1.0, 0.5, 1 / 3, 1 / 6]
-    M = np.zeros((5, 3))
-    d = np.zeros(5)
-    for i, (rr, tv) in enumerate(zip(cond_rows, targets)):
-        M[i] = rr
-        d[i] = tv - reused @ rr
-    if ri == 0:
-        # reused row applied first: v.c + sum(u)/2 = 1/3
-        M[4] = 0.5 * np.ones(3)
-        d[4] = 1 / 3 - reused @ c
-    else:
-        # unknown row applied first: u.c + sum(v)/2 = 1/3
-        M[4] = c
-        d[4] = 1 / 3 - reused.sum() / 2
+    # Solve the non-reused update row u from the order-3 conditions; the
+    # update rows are (v, u) or (u, v) with v the reused row.
+    M, d = linear_conditions(A, c, 3, reused, unknown_first=(ri == 1))
     u, _, _, _ = np.linalg.lstsq(M, d, rcond=None)
     resid = np.max(np.abs(M @ u - d))
     if resid > 1e-9:
@@ -357,25 +349,15 @@ def instantiate_cf43(family_param: float = 0.0) -> CFTableau:
     c = A.sum(axis=1)
 
     # Embedded weights: first row repeats the second stage-4 row; the free
-    # second row is solved from five conditions (classical order 3 plus the
-    # split order-3 condition) with its third slot pinned.
+    # second row is solved from the order-3 conditions with its third slot
+    # pinned.
     a_ext = np.zeros((5, 5))
     a_ext[1:4, :4] = A[1:4]
     a_ext[4, :4] = b
-    c_ext = np.append(c, 1.0)
     bh1 = np.array([p["b41"], p["b42"], p["b43"], 0.0, 0.0])
-    idx = [0, 1, 3, 4]
-    M = np.zeros((5, 4))
-    d = np.zeros(5)
-    pinned = np.zeros(5)
-    pinned[2] = family_param
-    cond_rows = [np.ones(5), c_ext, c_ext ** 2, a_ext @ c_ext]
-    targets = [1.0, 0.5, 1 / 3, 1 / 6]
-    for i, (rr, tv) in enumerate(zip(cond_rows, targets)):
-        M[i] = rr[idx]
-        d[i] = tv - bh1 @ rr - pinned @ rr
-    M[4] = 0.5 * np.ones(5)[idx]
-    d[4] = 1 / 3 - bh1 @ c_ext - pinned.sum() / 2
+    M, d = linear_conditions(a_ext, np.append(c, 1.0), 3, bh1,
+                             unknown_first=False, pinned={2: family_param},
+                             columns=(0, 1, 3, 4))
     v, _, _, _ = np.linalg.lstsq(M, d, rcond=None)
     resid = np.max(np.abs(M @ v - d))
     if resid > 1e-12:
@@ -391,134 +373,65 @@ def instantiate_cf43(family_param: float = 0.0) -> CFTableau:
     return _assemble_5fsal("cf43", x, pin=family_param, reused_hat_first=True)
 
 
-# ------------------------------------------------------ decimal projections
+# ------------------------------------------------------ decimal tableaux
 
-def _principal_residuals(x):
-    """Stage matrix, weights, abscissae and principal-update residuals of
-    the packed layout x[:14] that all decimal 4(3) pairs share."""
-    A = np.zeros((4, 4))
-    A[1, 0] = x[0]
-    A[2, :2] = x[1:3]
-    A[3] = A[2] + np.array([x[3], x[4], x[5], 0.0])
-    y1, y2 = x[6:10], x[10:14]
-    b = y1 + y2
-    c = A.sum(axis=1)
-    return A, b, c, [residual_vector(_CLASSICAL, 4, A, b, c),
-                     residual_vector(_SPLIT, 4, y1, y2, A, c),
-                     np.array([c[3] - 1.0])]
-
-
-def _residuals_5fsal(x, pin: float, reused_hat_first: bool):
-    A, b, c, parts = _principal_residuals(x)
-    a_ext = np.zeros((5, 5))
-    a_ext[1:4, :4] = A[1:4]
-    a_ext[4, :4] = b
-    c_ext = np.append(c, 1.0)
-    reused_hat = np.array([x[3], x[4], x[5], 0.0, 0.0])
-    free_hat = np.array([x[14], x[15], pin, x[16], x[17]])
-    bh = reused_hat + free_hat
-    first, second = ((reused_hat, free_hat) if reused_hat_first
-                     else (free_hat, reused_hat))
-    return np.concatenate(parts + [
-        residual_vector(_CLASSICAL, 3, a_ext, bh, c_ext),
-        residual_vector(_SPLIT, 3, first, second, a_ext, c_ext)])
-
-
-def _residuals_4stage(x):
-    A, b, c, parts = _principal_residuals(x)
-    h1, h2 = A[2], x[14:18]
-    return np.concatenate(parts + [
-        residual_vector(_CLASSICAL, 3, A, h1 + h2, c),
-        residual_vector(_SPLIT, 3, h1, h2, A, c)])
-
-
-def _project_to_conditions(fun, x0, step_cap: float = 2e-6,
-                           tol: float = 1e-13, itmax: int = 40):
-    """Damped Gauss-Newton projection of rounded decimals onto the
-    condition manifold.
-
-    Steps are restricted to well-determined directions (truncated SVD) and
-    capped in infinity norm, so the iterate cannot wander along the
-    manifold's free directions away from the starting literals.
-    """
-    x = np.array(x0, float)
-    n = len(x)
-    for _ in range(itmax):
-        r = fun(x)
-        if np.max(np.abs(r)) < tol:
-            return x
-        J = np.zeros((len(r), n))
-        for j in range(n):
-            dx = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += dx
-            xm = x.copy()
-            xm[j] -= dx
-            J[:, j] = (fun(xp) - fun(xm)) / (2 * dx)
-        U, S, Vt = np.linalg.svd(J, full_matrices=False)
-        keep = S > 1e-10 * S[0]
-        step = Vt[keep].T @ ((U[:, keep].T @ -r) / S[keep])
-        cap = np.max(np.abs(step))
-        if cap > step_cap:
-            step *= step_cap / cap
-        x = x + step
-    raise RuntimeError("decimal tableau projection did not converge")
-
-
-# coefficient literals (10 significant digits where given)
-_CF43_DECIMAL_LITERALS = np.array([
+# All three pack their free scalars alike: [a21, a31, a32, b41, b42, b43,
+# y1 (4), y2 (4), free embedded entries (4)].  Each vector of published
+# literals is followed by its projection onto the order conditions.
+_CF43_DECIMAL_LITERALS = (
     4.785707347, 0.7701000600, 0.03922683443,
     0.6195164818, 0.06934556872, -0.4981889449,
     0.4211354919, -0.005776103764, -0.1381183969, 0.2227590088,
     -0.1403784973, 0.006491728470, 1.302163795, -0.6682770264,
     -0.075415454, -0.082788288, 0.5828295568, 0.3847010797,
-])
+)
 
-_CF43_V2_LITERALS = np.array([
+_CF43_DECIMAL_PROJECTED = (
+    4.785707347038485, 0.7701000599898836, 0.03922683443669456,
+    0.6195164817555546, 0.0693455687269095, -0.4981889449090423,
+    0.4211354918753693, -0.005776103766520807, -0.13811839690593508,
+    0.2227590087970866, -0.14037849729178997, 0.006491728472405327,
+    1.3021637952106453, -0.6682770263912607, -0.07541545316247728,
+    -0.08278828894533499, 0.582829556817274, 0.3847010797171165,
+)
+
+_CF43_V2_LITERALS = (
     0.67104050, 2.547687640, -1.355037274,
     -0.21944181, -0.0735967, 0.1003880,
     0.324015249, 0.15832891, -0.21057643, 0.2282322824,
     -0.108005081, 0.84426683, 0.44843513, -0.6846968472,
     0.45603817, 0.93310478, -0.2660264, 0.06953371,
-])
+)
 
-_CF43_4STAGE_LITERALS = np.array([
+_CF43_V2_PROJECTED = (
+    0.6710404495786346, 2.547689041847356, -1.355038526518835,
+    -0.2194417430188915, -0.07359681112750911, 0.1003880388178797,
+    0.32401523041944663, 0.15832897895436726, -0.21057616400630394,
+    0.22823195463249019, -0.1080050768064827, 0.8442665152540579,
+    0.4484344254498963, -0.6846958638974717, 0.45603809128233586,
+    0.9331050965245216, -0.266026316208882, 0.06953364373054552,
+)
+
+_CF43_4STAGE_LITERALS = (
     1.351207192, 0.5, 0.097900176,
     7.900943678, 2.989500877, -10.48834473,
     0.301574869, -0.054881885, 0.238291289, 0.01501572796,
     -0.1005249562, 0.1005249562, 0.5450471839, -0.04504718389,
     -0.2989500877, -0.0522571042, 0.783338473, -0.03003145592,
-])
+)
 
-
-def _build_cf43_decimal() -> CFTableau:
-    x = _project_to_conditions(
-        lambda v: _residuals_5fsal(v, 0.0, reused_hat_first=True),
-        _CF43_DECIMAL_LITERALS)
-    drift = np.max(np.abs(x - _CF43_DECIMAL_LITERALS))
-    if drift > 1e-8:
-        raise RuntimeError(f"cf43_decimal projection moved {drift:.2e} from its literals")
-    return _assemble_5fsal("cf43_decimal", x, pin=0.0, reused_hat_first=True)
-
-
-def _build_cf43_v2() -> CFTableau:
-    # This pattern applies the repeated exponential as the second factor of
-    # the embedded update; with the rows taken in that order all conditions
-    # hold to the rounding precision.
-    x = _project_to_conditions(
-        lambda v: _residuals_5fsal(v, 0.0, reused_hat_first=False),
-        _CF43_V2_LITERALS)
-    drift = np.max(np.abs(x - _CF43_V2_LITERALS))
-    if drift > 5e-6:
-        raise RuntimeError(f"cf43_v2 projection moved {drift:.2e} from its literals")
-    return _assemble_5fsal("cf43_v2", x, pin=0.0, reused_hat_first=False)
+_CF43_4STAGE_PROJECTED = (
+    1.35120719196447, 0.5000000000004834, 0.09790017532776371,
+    7.9009436780033155, 2.989500876736544, -10.488344730068109,
+    0.3015748685041772, -0.0548818851348761, 0.23829128866885593,
+    0.01501572796184294, -0.10052495616805913, 0.10052495616630139,
+    0.5450471838872866, -0.045047183885528835, -0.2989500876643655,
+    -0.05225710429633846, 0.7833384725561426, -0.03003145592368588,
+)
 
 
 def _build_cf43_4stage() -> CFTableau:
-    x = _project_to_conditions(_residuals_4stage, _CF43_4STAGE_LITERALS)
-    drift = np.max(np.abs(x - _CF43_4STAGE_LITERALS))
-    if drift > 1e-8:
-        raise RuntimeError(f"cf43_4stage projection moved {drift:.2e} from its literals")
+    x = _CF43_4STAGE_PROJECTED
     a21 = x[0]
     a31, a32 = x[1], x[2]
     b41, b42, b43 = x[3], x[4], x[5]
@@ -549,8 +462,13 @@ def _catalog() -> tuple:
         _build_cf32a(),
         _build_cf32b(),
         instantiate_cf43(),
-        _build_cf43_decimal(),
-        _build_cf43_v2(),
+        _assemble_5fsal("cf43_decimal", _CF43_DECIMAL_PROJECTED, pin=0.0,
+                        reused_hat_first=True),
+        # cf43_v2 applies the repeated exponential as the second factor of
+        # the embedded update; with the rows taken in that order all
+        # conditions hold to the rounding precision
+        _assemble_5fsal("cf43_v2", _CF43_V2_PROJECTED, pin=0.0,
+                        reused_hat_first=False),
         _build_cf43_4stage(),
     )
 

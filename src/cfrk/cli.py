@@ -23,6 +23,7 @@ from .bench import (CSV_COLUMNS, ExperimentConfig, attempt_rows,
 from .catalog import catalog
 from .controller import ControllerConfig, IntegrationError, integrate_adaptive
 from .stepper import count_budget
+from .tableaux import TableauError
 
 
 def _parse_params(pairs) -> dict:
@@ -180,8 +181,7 @@ def _run_sweep(kind: str, runner, config: ExperimentConfig) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _dispatch(args) -> int:
     if args.command == "tableaux":
         if args.tableaux_command == "list":
             return _cmd_tableaux_list()
@@ -199,6 +199,16 @@ def main(argv=None) -> int:
         config = _config_from(args, "needle")
         return _run_sweep("needle", run_needle, config)
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except TableauError as exc:
+        # a bad --tableau is a usage error: one line, argparse's exit code
+        print(f"cfrk: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,12 @@ addition satisfy non-classical conditions coupling the two rows; these are
 evaluated here exactly as stated, with the summation over k applying to
 both addends.
 
+Each condition is linear in the weights and is written once, in the
+tables below: a classical condition as b . w(a, c) = target, a split
+condition as b1 . w(a, c) + sum(b2) / k = target.  The same tables yield
+the residuals of a given tableau and, through linear_conditions, the
+linear system that the catalog's constructors solve for an unknown row.
+
 The last order-4 non-classical condition is not evaluated algebraically
 (no well-formed closed expression for it is adopted here), so certification
 relies on the first three plus empirical convergence measurements.  Reports
@@ -25,37 +31,64 @@ CONDITION_4_NOTE = ("order-4 non-classical condition 4 is not evaluated "
                     "algebraically; it is covered by empirical convergence "
                     "measurements only")
 
-# classical conditions grouped by the order at which they first appear
+# (label, w, target) and, for the split conditions, (label, w, k, target),
+# grouped by the order at which each condition first appears; b1 is the
+# row applied first
 _CLASSICAL = {
-    1: [("sum(b) = 1", lambda a, b, c: b.sum() - 1.0)],
-    2: [("b.c = 1/2", lambda a, b, c: b @ c - 0.5)],
-    3: [("b.c^2 = 1/3", lambda a, b, c: b @ c**2 - 1 / 3),
-        ("b.A.c = 1/6", lambda a, b, c: b @ (a @ c) - 1 / 6)],
-    4: [("b.c^3 = 1/4", lambda a, b, c: b @ c**3 - 0.25),
-        ("b.(c*A.c) = 1/8", lambda a, b, c: b @ (c * (a @ c)) - 0.125),
-        ("b.A.c^2 = 1/12", lambda a, b, c: b @ (a @ c**2) - 1 / 12),
-        ("b.A.A.c = 1/24", lambda a, b, c: b @ (a @ (a @ c)) - 1 / 24)],
+    1: [("sum(b) = 1", lambda a, c: np.ones(len(c)), 1.0)],
+    2: [("b.c = 1/2", lambda a, c: c, 0.5)],
+    3: [("b.c^2 = 1/3", lambda a, c: c**2, 1 / 3),
+        ("b.A.c = 1/6", lambda a, c: a @ c, 1 / 6)],
+    4: [("b.c^3 = 1/4", lambda a, c: c**3, 0.25),
+        ("b.(c*A.c) = 1/8", lambda a, c: c * (a @ c), 0.125),
+        ("b.A.c^2 = 1/12", lambda a, c: a @ c**2, 1 / 12),
+        ("b.A.A.c = 1/24", lambda a, c: a @ (a @ c), 1 / 24)],
 }
 
-# non-classical split-row conditions; b1 is the row applied first
 _SPLIT = {
-    3: [("b1.c + (1/2)sum(b2) = 1/3",
-         lambda b1, b2, a, c: b1 @ c + b2.sum() / 2 - 1 / 3)],
-    4: [("b1.c + (1/3)sum(b2) = 1/4",
-         lambda b1, b2, a, c: b1 @ c + b2.sum() / 3 - 0.25),
-        ("b1.c^2 + (1/3)sum(b2) = 1/6",
-         lambda b1, b2, a, c: b1 @ c**2 + b2.sum() / 3 - 1 / 6),
-        ("b1.A.c + (1/6)sum(b2) = 1/12",
-         lambda b1, b2, a, c: b1 @ (a @ c) + b2.sum() / 6 - 1 / 12)],
+    3: [("b1.c + (1/2)sum(b2) = 1/3", lambda a, c: c, 2, 1 / 3)],
+    4: [("b1.c + (1/3)sum(b2) = 1/4", lambda a, c: c, 3, 0.25),
+        ("b1.c^2 + (1/3)sum(b2) = 1/6", lambda a, c: c**2, 3, 1 / 6),
+        ("b1.A.c + (1/6)sum(b2) = 1/12", lambda a, c: a @ c, 6, 1 / 12)],
 }
 
 
-def residual_vector(table: dict, up_to: int, *args) -> np.ndarray:
-    """Residuals of the conditions in table (_CLASSICAL or _SPLIT) through
-    the given order, in table order; args are those the table's lambdas
-    take."""
-    return np.array([fn(*args) for order in sorted(table) if order <= up_to
-                     for _, fn in table[order]])
+def _through(table: dict, up_to: int) -> list:
+    """The conditions of table through the given order, in table order."""
+    return [cond for order in sorted(table) if order <= up_to
+            for cond in table[order]]
+
+
+def linear_conditions(a, c, up_to: int, known, unknown_first: bool,
+                      pinned=None, columns=None):
+    """The conditions through order up_to as a system M u = d in the free
+    entries of one unknown update row u.
+
+    The update's weights are known + u, with u applied first when
+    unknown_first is set.  pinned maps columns of u to fixed values;
+    columns lists the entries of u solved for, in the order of M's
+    columns (all of them by default).  Rows follow the tables: classical
+    conditions first, then the split ones from order 3 on.
+    """
+    a, c, known = (np.asarray(x, float) for x in (a, c, known))
+    fixed = np.zeros(len(c))
+    for col, value in (pinned or {}).items():
+        fixed[col] = value
+    cols = list(range(len(c))) if columns is None else list(columns)
+    M, d = [], []
+    for _, w, target in _through(_CLASSICAL, up_to):
+        w = w(a, c)
+        M.append(w[cols])
+        d.append(target - known @ w - fixed @ w)
+    for _, w, k, target in _through(_SPLIT, up_to):
+        w = w(a, c)
+        if unknown_first:
+            M.append(w[cols])
+            d.append(target - known.sum() / k - fixed @ w)
+        else:
+            M.append(np.ones(len(c))[cols] / k)
+            d.append(target - known @ w - fixed.sum() / k)
+    return np.array(M), np.array(d)
 
 
 class UnsupportedShapeError(ValueError):
@@ -80,14 +113,15 @@ class OrderReport:
         evaluated = {**self.classical_residuals, **self.nonclassical_residuals}
         return [(label, evaluated[label])
                 for table in (_CLASSICAL, _SPLIT)
-                for label, _ in table.get(order, []) if label in evaluated]
+                for label, *_ in table.get(order, []) if label in evaluated]
 
     def failed(self, order: int, threshold: float | None = None):
-        """Conditions of exactly the given order whose residual exceeds
-        the threshold (the report tolerance by default)."""
+        """Conditions of exactly the given order whose residual is not
+        within the threshold (the report tolerance by default); a
+        non-finite residual always fails."""
         thr = self.tolerance if threshold is None else threshold
         return [(label, r) for label, r in self.residuals_at(order)
-                if abs(r) > thr]
+                if not abs(r) <= thr]
 
 
 def check_classical(reduced: ReducedCoefficients, up_to: int = 4) -> dict:
@@ -97,11 +131,8 @@ def check_classical(reduced: ReducedCoefficients, up_to: int = 4) -> dict:
     a = np.asarray(reduced.a, float)
     b = np.asarray(reduced.b, float)
     c = np.asarray(reduced.c, float)
-    out = {}
-    for order in range(1, up_to + 1):
-        for label, fn in _CLASSICAL[order]:
-            out[label] = float(fn(a, b, c))
-    return out
+    return {label: float(b @ w(a, c) - target)
+            for label, w, target in _through(_CLASSICAL, up_to)}
 
 
 def split_residuals(rows, a, c, up_to: int = 4) -> dict:
@@ -120,11 +151,8 @@ def split_residuals(rows, a, c, up_to: int = 4) -> dict:
             f"update with {len(rows)} rows is outside the two-row order theory")
     a = np.asarray(a, float)
     c = np.asarray(c, float)
-    out = {}
-    for order in range(3, up_to + 1):
-        for label, fn in _SPLIT[order]:
-            out[label] = float(fn(b1, b2, a, c))
-    return out
+    return {label: float(b1 @ w(a, c) + b2.sum() / k - target)
+            for label, w, k, target in _through(_SPLIT, up_to)}
 
 
 def check_nonclassical(tableau: CFTableau) -> dict:
@@ -166,8 +194,7 @@ def certify(tableau: CFTableau, which: str = "principal",
 
     certified = 0
     for order in (1, 2, 3, 4):
-        residuals = report.residuals_at(order)
-        if not residuals or max(abs(r) for _, r in residuals) > tol:
+        if not report.residuals_at(order) or report.failed(order):
             break
         certified = order
     report.certified_algebraic_order = certified

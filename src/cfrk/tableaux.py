@@ -68,8 +68,14 @@ class CFTableau:
         object.__setattr__(self, "beta_hat", tuple(_freeze(r) for r in self.beta_hat))
         object.__setattr__(self, "reuse_map",
                            tuple((tuple(k1), tuple(k2)) for k1, k2 in self.reuse_map))
+        # _rows and _plans are not dataclass fields, so equality, repr and
+        # JSON ignore them
+        rows = {("stage", r, j): row for r, stage in enumerate(self.alpha, 2)
+                for j, row in enumerate(stage)}
+        rows.update({("y", j): row for j, row in enumerate(self.beta)})
+        rows.update({("yhat", j): row for j, row in enumerate(self.beta_hat)})
+        object.__setattr__(self, "_rows", rows)
         self._validate()
-        # not a dataclass field, so equality, repr and JSON ignore it
         object.__setattr__(self, "_plans",
                            tuple(_step_plan(self, emb) for emb in (False, True)))
 
@@ -89,15 +95,10 @@ class CFTableau:
         return self._plans[bool(with_embedded)]
 
     def row(self, key: RowKey) -> np.ndarray:
-        kind = key[0]
-        if kind == "stage":
-            _, r, j = key
-            return self.alpha[r - 2][j]
-        if kind == "y":
-            return self.beta[key[1]]
-        if kind == "yhat":
-            return self.beta_hat[key[1]]
-        raise TableauError(f"unknown row key {key!r}")
+        try:
+            return self._rows[tuple(key)]
+        except (KeyError, TypeError):
+            raise TableauError(f"{self.name}: no row {key!r}") from None
 
     def row_padded(self, key: RowKey) -> np.ndarray:
         """Row extended with zeros to length s+1, for cross-kind comparison."""
@@ -107,16 +108,9 @@ class CFTableau:
         return np.concatenate([r, np.zeros(self.s + 1 - len(r))])
 
     def all_row_keys(self, include_embedded: bool = True) -> list:
-        keys = []
-        for r in range(2, self.s + 1):
-            for j in range(len(self.alpha[r - 2])):
-                keys.append(("stage", r, j))
-        for j in range(len(self.beta)):
-            keys.append(("y", j))
-        if include_embedded:
-            for j in range(len(self.beta_hat)):
-                keys.append(("yhat", j))
-        return keys
+        """Keys of every row: stages in order, then y, then yhat."""
+        return [key for key in self._rows
+                if include_embedded or key[0] != "yhat"]
 
     # ------------------------------------------------------------ validation
 
@@ -131,23 +125,16 @@ class CFTableau:
             if len(stage) == 0:
                 raise TableauError(f"{self.name}: stage {r} has no rows")
             for j, row in enumerate(stage):
-                if len(row) != self.s:
-                    raise TableauError(
-                        f"{self.name}: stage {r} row {j} has length {len(row)}, expected {self.s}")
+                self._check_row(f"stage {r} row {j}", row, self.s)
                 if np.any(row[r - 1:] != 0.0):
                     raise TableauError(
                         f"{self.name}: stage {r} row {j} is not explicit (nonzero at k >= {r})")
         if len(self.beta) == 0:
             raise TableauError(f"{self.name}: no update rows")
         for j, row in enumerate(self.beta):
-            if len(row) != self.s:
-                raise TableauError(
-                    f"{self.name}: y row {j} has length {len(row)}, expected {self.s}")
-        width = self.hat_width
+            self._check_row(f"y row {j}", row, self.s)
         for j, row in enumerate(self.beta_hat):
-            if len(row) != width:
-                raise TableauError(
-                    f"{self.name}: yhat row {j} has length {len(row)}, expected {width}")
+            self._check_row(f"yhat row {j}", row, self.hat_width)
         b = np.zeros(self.s)
         for row in self.beta:
             b = b + row
@@ -162,6 +149,13 @@ class CFTableau:
             if np.max(np.abs(r1 - r2)) > REUSE_EQ_TOL:
                 raise TableauError(
                     f"{self.name}: reuse pair {k1} ~ {k2} is not elementwise equal")
+
+    def _check_row(self, label: str, row: np.ndarray, width: int):
+        if len(row) != width:
+            raise TableauError(
+                f"{self.name}: {label} has length {len(row)}, expected {width}")
+        if not np.all(np.isfinite(row)):
+            raise TableauError(f"{self.name}: {label} has a non-finite entry")
 
     # --------------------------------------------------------- serialization
 
@@ -185,10 +179,14 @@ class CFTableau:
 
 
 def tableau_from_json_dict(data: dict) -> CFTableau:
+    if not isinstance(data, dict):
+        raise TableauError(
+            f"tableau JSON must be an object, got {type(data).__name__}")
+
     def parse_row(row):
         return [float(x) for x in row]
     try:
-        return CFTableau(
+        fields = dict(
             name=data["name"],
             s=int(data["s"]),
             alpha=tuple(tuple(parse_row(r) for r in stage) for stage in data["alpha"]),
@@ -201,6 +199,9 @@ def tableau_from_json_dict(data: dict) -> CFTableau:
         )
     except KeyError as exc:
         raise TableauError(f"tableau JSON is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise TableauError(f"tableau JSON has a malformed field: {exc}") from exc
+    return CFTableau(**fields)
 
 
 def tableau_from_json(text: str) -> CFTableau:

@@ -1,6 +1,7 @@
 """Catalog construction: the shipped tableaux, the one-parameter 3(2)
 family with its root selection and failure modes, and the 4(3) builders."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -16,7 +17,9 @@ from cfrk.catalog import (RootSelectionError, SingularParameterError,
                           catalog, cf43_root, get_tableau,
                           instantiate_cf32_family, instantiate_cf43)
 from cfrk.order_conditions import certify
-from cfrk.tableaux import reduce
+from cfrk.tableaux import TableauError, reduce
+
+catalog_module = sys.modules["cfrk.catalog"]
 
 EXPECTED_NAMES = ["cf4", "cf32a", "cf32b", "cf43", "cf43_decimal",
                   "cf43_v2", "cf43_4stage"]
@@ -129,6 +132,20 @@ def test_cf43_decimal_markers():
     assert t.alpha[0][0][0] == pytest.approx(4.785707347, abs=1e-8)
     assert t.beta[0][3] == pytest.approx(0.2227590088, abs=1e-8)
     assert t.beta[1][3] == pytest.approx(-0.6682770264, abs=1e-9)
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("CF43_DECIMAL", 1e-8), ("CF43_V2", 5e-6), ("CF43_4STAGE", 1e-8)])
+def test_projected_coefficients_stay_near_their_literals(name, bound):
+    # the shipped coefficients are the published 10-digit literals projected
+    # onto the order conditions; the projection moves none of them by more
+    # than the rounding allows, and keeps the last abscissa at 1
+    literals = np.array(getattr(catalog_module, f"_{name}_LITERALS"))
+    projected = np.array(getattr(catalog_module, f"_{name}_PROJECTED"))
+    assert literals.shape == projected.shape == (18,)
+    assert np.max(np.abs(projected - literals)) <= bound
+    t = get_tableau(name.lower())
+    assert reduce(t).c[3] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_cf43_v2_layout():
@@ -250,6 +267,23 @@ def test_family_singular_parameters_raise():
         instantiate_cf32_family(-1 / 3, "row2-of-update", root="small")
 
 
+def test_family_rejects_non_finite_parameter(capfd):
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="a must be finite"):
+            instantiate_cf32_family(a, "row2-of-update")
+    # rejected before any root or least-squares work reaches LAPACK
+    assert capfd.readouterr().err == ""
+
+
+def test_non_finite_coefficients_are_rejected():
+    for value in (math.nan, math.inf):
+        with pytest.raises(TableauError, match="yhat row 1 has a non-finite"):
+            instantiate_cf43(value)
+    with pytest.raises(TableauError, match="yhat row 0 has a non-finite"):
+        instantiate_cf32_family(0.5, "row1-of-update",
+                                hat_params=(math.nan, 0.0))
+
+
 def test_family_unknown_variant_and_root():
     with pytest.raises(ValueError, match="variant"):
         instantiate_cf32_family(0.5, "no-such-variant")
@@ -267,3 +301,43 @@ def test_construction_is_fast():
         certify(t, "principal")
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"catalog build + certification took {elapsed:.2f}s"
+
+
+# ------------------------------------------------------------ bit pinning
+
+def _sha256(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def _family_member_text(a, variant, hat_params, root):
+    try:
+        return instantiate_cf32_family(a, variant, hat_params=hat_params,
+                                       root=root).to_json()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_catalog_coefficients_are_pinned_bit_for_bit():
+    # SHA-256 of the JSON (shortest round-trip decimals) of every catalog
+    # tableau and of family members over a parameter grid, failures by
+    # their error text; moving any coefficient by one bit changes a digest
+    texts = {
+        "catalog": [t.to_json() for t in catalog()],
+        "cf32_family": [
+            _family_member_text(a, variant, hat_params, root)
+            for variant in ("row2-of-update", "row1-of-update",
+                            "stage2-in-row1", "stage2-in-row2")
+            for a in (0.25, 0.5, 0.7, 1.3, -0.4, 2.0, 0.1)
+            for root in ("small", "large")
+            for hat_params in ((0.0, 0.0), (0.1, -0.2))],
+        "cf43_family": [instantiate_cf43(p).to_json()
+                        for p in (0.0, 0.1, -0.3, 1.0)],
+    }
+    assert {key: _sha256(value) for key, value in texts.items()} == {
+        "catalog": "312c16e5f6dbd56076ecf51608f6b5fa"
+                   "bf73e7b40c050f99f87fe637872db92c",
+        "cf32_family": "7d1b1bc46190004068ae21e23a2428ba"
+                       "0298ea2259c3db2749b4a4d6e03d679d",
+        "cf43_family": "36f60275dbe3985b38416fa734dde61c"
+                       "6d8be34dd15c12511257edbba456e34b",
+    }

@@ -68,6 +68,28 @@ def test_tableaux_check_fails_on_broken_file(tmp_path, capsys):
     assert "VIOLATED" in capsys.readouterr().out
 
 
+def _bad_tableau_files(tmp_path):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(get_tableau("cf32a").to_json()[:60])
+    doc = get_tableau("cf32a").to_json_dict()
+    doc["beta_hat"][0][1] = "nan"
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(doc))
+    return {"cf99": "no catalog tableau named 'cf99'",
+            str(truncated): "invalid tableau JSON",
+            str(nan): "non-finite entry"}
+
+
+@pytest.mark.parametrize("command", [["tableaux", "check"], ["integrate"]])
+def test_bad_tableau_is_a_one_line_usage_error(tmp_path, capsys, command):
+    for tableau, message in _bad_tableau_files(tmp_path).items():
+        assert main(command + ["--tableau", tableau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("cfrk: ") and message in captured.err
+
+
 def test_integrate_writes_trace(tmp_path):
     out = tmp_path / "run.csv"
     assert main(["integrate", "--problem", "rigid-body", "--tableau", "cf43",

@@ -3,13 +3,14 @@ conditions that couple the two exponential rows of an update."""
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from cfrk.catalog import catalog, get_tableau
 from cfrk.order_conditions import (CONDITION_4_NOTE, UnsupportedShapeError,
                                    certify, certify_pair, check_classical,
                                    check_nonclassical, is_genuine_pair,
-                                   split_residuals)
-from cfrk.tableaux import CFTableau, reduce
+                                   linear_conditions, split_residuals)
+from cfrk.tableaux import CFTableau, ReducedCoefficients, reduce
 
 
 def test_cf4_classical_residuals_vanish():
@@ -81,11 +82,15 @@ def test_catalog_certifies_claimed_orders(name):
         assert reports["embedded"].certified_algebraic_order == t.order_phat
 
 
-@pytest.mark.parametrize("name", ["cf4", "cf32a", "cf32b", "cf43"])
+@pytest.mark.parametrize("name", [t.name for t in catalog()])
 def test_exact_tableaux_certify_at_tight_tolerance(name):
+    # the decimal tableaux ship coefficients projected onto the conditions,
+    # so they certify as tightly as the exact ones
     t = get_tableau(name)
-    rep = certify(t, "principal", tol=1e-13)
-    assert rep.certified_algebraic_order == t.order_p
+    reports = certify_pair(t, tol=1e-13)
+    assert reports["principal"].certified_algebraic_order == t.order_p
+    if t.has_embedded:
+        assert reports["embedded"].certified_algebraic_order == t.order_phat
 
 
 @pytest.mark.parametrize("name",
@@ -125,6 +130,27 @@ def test_perturbed_tableau_drops_certification():
     assert failed[0][1] == pytest.approx(-5e-4)
 
 
+def test_non_finite_residual_drops_certification():
+    # cf4 plus a fifth stage with zero weight and a huge abscissa: its
+    # square overflows, so 0 * inf makes every order-3 and order-4
+    # residual that involves c^2 NaN, and NaN must not pass for "within tol"
+    t = get_tableau("cf4")
+
+    def pad(row):
+        return tuple(row) + (0.0,)
+    stages = tuple(tuple(pad(r) for r in stage) for stage in t.alpha)
+    huge = CFTableau(name="cf4-huge-stage", s=5,
+                     alpha=stages + (((1e200, 0.0, 0.0, 0.0, 0.0),),),
+                     beta=tuple(pad(r) for r in t.beta), beta_hat=(),
+                     order_p=4, order_phat=0, fsal=False,
+                     reuse_map=t.reuse_map)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = certify(huge)
+    assert np.isnan(rep.classical_residuals["b.c^2 = 1/3"])
+    assert rep.certified_algebraic_order == 2
+    assert "b.c^2 = 1/3" in [label for label, _ in rep.failed(3)]
+
+
 def test_failed_respects_threshold():
     rep = certify(get_tableau("cf43_decimal"))
     # residuals are far below 1e-9, so nothing fails even at order 4
@@ -136,3 +162,28 @@ def test_failed_respects_threshold():
 def test_certify_rejects_unknown_side():
     with pytest.raises(ValueError):
         certify(get_tableau("cf43"), "both")
+
+
+@pytest.mark.parametrize("unknown_first", [False, True])
+@pytest.mark.parametrize("pinned", [None, {2: 0.3}, {0: -0.7, 3: 1.1}])
+def test_linear_conditions_match_table_residuals(unknown_first, pinned):
+    # for any rows, M u - d over the free entries equals the residuals the
+    # tables give for the assembled update, classical then split
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        n = 5
+        a = np.tril(rng.normal(size=(n, n)), -1)
+        c = rng.normal(size=n)
+        known = rng.normal(size=n)
+        u = rng.normal(size=n)
+        for col, value in (pinned or {}).items():
+            u[col] = value
+        columns = [j for j in range(n) if j not in (pinned or {})]
+        M, d = linear_conditions(a, c, 4, known, unknown_first,
+                                 pinned=pinned, columns=columns)
+        rows = (u, known) if unknown_first else (known, u)
+        red = ReducedCoefficients(a=a, b=known + u, b_hat=None, c=c, c_hat=c)
+        expected = list(check_classical(red).values()) \
+            + list(split_residuals(rows, a, c).values())
+        assert M.shape == (len(expected), len(columns))
+        assert_allclose(M @ u[columns] - d, expected, rtol=0, atol=1e-14)

@@ -2,6 +2,7 @@
 JSON round trips, and the declared-reuse census."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_rejects_unequal_reuse_pair():
                   reuse_map=((("stage", 2, 0), ("y", 0)),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_coefficients(bad):
+    kw = dict(name="bad", s=2, order_p=2, order_phat=1, fsal=True)
+    with pytest.raises(TableauError, match="stage 2 row 0 has a non-finite"):
+        CFTableau(alpha=(((bad, 0.0),),), beta=((0.5, 0.5),),
+                  beta_hat=((0.0, 0.5, 0.5),), **kw)
+    with pytest.raises(TableauError, match="y row 1 has a non-finite"):
+        CFTableau(alpha=(((0.5, 0.0),),), beta=((0.5, 0.5), (bad, 0.0)),
+                  beta_hat=((0.0, 0.5, 0.5),), **kw)
+    with pytest.raises(TableauError, match="yhat row 0 has a non-finite"):
+        CFTableau(alpha=(((0.5, 0.0),),), beta=((0.5, 0.5),),
+                  beta_hat=((0.0, 0.5, bad),), **kw)
+
+
 def test_rows_are_read_only():
     t = get_tableau("cf4")
     with pytest.raises(ValueError):
@@ -94,6 +109,11 @@ def test_row_lookup():
     assert_allclose(t.row(("y", 1)), [-1 / 12, 1 / 6, 1 / 6, 1 / 4], atol=0)
     with pytest.raises(TableauError):
         t.row(("nope", 0))
+    # out of range, negative indices and stage 1 (which has no rows) included
+    for key in (("y", 2), ("y", -1), ("stage", 5, 0), ("stage", 1, 0),
+                ("stage", 4, 2), ("stage", 2)):
+        with pytest.raises(TableauError, match="no row"):
+            t.row(key)
 
 
 # --------------------------------------------------------------- reduction
@@ -183,6 +203,39 @@ def test_json_missing_field():
     doc = get_tableau("cf4").to_json_dict()
     del doc["beta"]
     with pytest.raises(TableauError, match="missing field"):
+        tableau_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", ["[]", '"cf4"', "3", "null"])
+def test_json_must_be_an_object(doc):
+    with pytest.raises(TableauError, match="must be an object"):
+        tableau_from_json(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("s", "four"), ("s", None), ("beta", [["0.5", "x", "0", "0.5"]]),
+    ("alpha", [[[0.5, [0], 0, 0]]]), ("reuse_map", [[["y", 0]]]),
+])
+def test_json_malformed_field(field, value):
+    doc = get_tableau("cf4").to_json_dict()
+    doc[field] = value
+    with pytest.raises(TableauError, match="malformed field"):
+        tableau_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", [["y", 2], ["y", -1], ["stage", 9, 0],
+                                 ["yhat", 0], ["stage", 2]])
+def test_json_reuse_key_out_of_range(key):
+    doc = get_tableau("cf4").to_json_dict()
+    doc["reuse_map"] = [[["stage", 2, 0], key]]
+    with pytest.raises(TableauError, match="no row"):
+        tableau_from_json(json.dumps(doc))
+
+
+def test_json_non_finite_coefficient():
+    doc = get_tableau("cf32a").to_json_dict()
+    doc["beta_hat"][0][1] = "nan"
+    with pytest.raises(TableauError, match="yhat row 0 has a non-finite"):
         tableau_from_json(json.dumps(doc))
 
 
