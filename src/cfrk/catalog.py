@@ -179,7 +179,7 @@ def instantiate_cf32_family(a: float, variant: str,
 
     # Solve the non-reused update row u from the order-3 conditions; the
     # update rows are (v, u) or (u, v) with v the reused row.
-    M, d = linear_conditions(A, c, 3, reused, unknown_first=(ri == 1))
+    M, d = linear_conditions(A, c, reused, unknown_first=(ri == 1))
     u, _, _, _ = np.linalg.lstsq(M, d, rcond=None)
     resid = np.max(np.abs(M @ u - d))
     if resid > 1e-9:
@@ -355,9 +355,8 @@ def instantiate_cf43(family_param: float = 0.0) -> CFTableau:
     a_ext[1:4, :4] = A[1:4]
     a_ext[4, :4] = b
     bh1 = np.array([p["b41"], p["b42"], p["b43"], 0.0, 0.0])
-    M, d = linear_conditions(a_ext, np.append(c, 1.0), 3, bh1,
-                             unknown_first=False, pinned={2: family_param},
-                             columns=(0, 1, 3, 4))
+    M, d = linear_conditions(a_ext, np.append(c, 1.0), bh1,
+                             unknown_first=False, pinned={2: family_param})
     v, _, _, _ = np.linalg.lstsq(M, d, rcond=None)
     resid = np.max(np.abs(M @ v - d))
     if resid > 1e-12:

@@ -59,28 +59,28 @@ def _through(table: dict, up_to: int) -> list:
             for cond in table[order]]
 
 
-def linear_conditions(a, c, up_to: int, known, unknown_first: bool,
-                      pinned=None, columns=None):
-    """The conditions through order up_to as a system M u = d in the free
+def linear_conditions(a, c, known, unknown_first: bool, pinned=None):
+    """The conditions through order 3 as a system M u = d in the free
     entries of one unknown update row u.
 
     The update's weights are known + u, with u applied first when
-    unknown_first is set.  pinned maps columns of u to fixed values;
-    columns lists the entries of u solved for, in the order of M's
-    columns (all of them by default).  Rows follow the tables: classical
-    conditions first, then the split ones from order 3 on.
+    unknown_first is set.  pinned maps entries of u to fixed values; the
+    other entries are solved for, and M has one column for each, in
+    order.  Rows follow the tables: classical conditions first, then the
+    split one.
     """
     a, c, known = (np.asarray(x, float) for x in (a, c, known))
+    pinned = pinned or {}
     fixed = np.zeros(len(c))
-    for col, value in (pinned or {}).items():
+    for col, value in pinned.items():
         fixed[col] = value
-    cols = list(range(len(c))) if columns is None else list(columns)
+    cols = [j for j in range(len(c)) if j not in pinned]
     M, d = [], []
-    for _, w, target in _through(_CLASSICAL, up_to):
+    for _, w, target in _through(_CLASSICAL, 3):
         w = w(a, c)
         M.append(w[cols])
         d.append(target - known @ w - fixed @ w)
-    for _, w, k, target in _through(_SPLIT, up_to):
+    for _, w, k, target in _through(_SPLIT, 3):
         w = w(a, c)
         if unknown_first:
             M.append(w[cols])

@@ -185,16 +185,22 @@ def tableau_from_json_dict(data: dict) -> CFTableau:
 
     def parse_row(row):
         return [float(x) for x in row]
+
+    def field_of_type(key, kind, what):
+        value = data[key]
+        if type(value) is not kind:
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        return value
     try:
         fields = dict(
             name=data["name"],
-            s=int(data["s"]),
+            s=field_of_type("s", int, "an integer"),
             alpha=tuple(tuple(parse_row(r) for r in stage) for stage in data["alpha"]),
             beta=tuple(parse_row(r) for r in data["beta"]),
             beta_hat=tuple(parse_row(r) for r in data["beta_hat"]),
-            order_p=int(data["order_p"]),
-            order_phat=int(data["order_phat"]),
-            fsal=bool(data["fsal"]),
+            order_p=field_of_type("order_p", int, "an integer"),
+            order_phat=field_of_type("order_phat", int, "an integer"),
+            fsal=field_of_type("fsal", bool, "true or false"),
             reuse_map=tuple((tuple(k1), tuple(k2)) for k1, k2 in data["reuse_map"]),
         )
     except KeyError as exc:

@@ -215,6 +215,8 @@ def test_json_must_be_an_object(doc):
 @pytest.mark.parametrize("field,value", [
     ("s", "four"), ("s", None), ("beta", [["0.5", "x", "0", "0.5"]]),
     ("alpha", [[[0.5, [0], 0, 0]]]), ("reuse_map", [[["y", 0]]]),
+    ("s", "4"), ("s", 4.0), ("order_p", 4.7), ("order_phat", True),
+    ("fsal", "false"), ("fsal", 0),
 ])
 def test_json_malformed_field(field, value):
     doc = get_tableau("cf4").to_json_dict()
