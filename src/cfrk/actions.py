@@ -69,14 +69,6 @@ def _floats(v, *shape: int) -> list:
     return v.ravel().tolist()
 
 
-def _flat(v, n: int, *shape: int) -> list:
-    """v itself when it is a list of n entries (the form cf_step passes
-    between f, exp and act), else _floats(v, *shape)."""
-    if type(v) is list and len(v) == n:
-        return v
-    return _floats(v, *shape)
-
-
 def _rodrigues_coeffs(t2: float) -> tuple:
     """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = sqrt(t2).
 
@@ -349,11 +341,13 @@ class So3SphereAction(GroupAction):
         return np.zeros(3)
 
     def exp(self, v):
-        return _so3_exp(_flat(v, 3, 3))
+        return _so3_exp(v if type(v) is list and len(v) == 3
+                        else _floats(v, 3))
 
     def act(self, g, p):
-        r11, r12, r13, r21, r22, r23, r31, r32, r33 = _flat(g, 9, 3, 3)
-        p1, p2, p3 = _flat(p, 3, 3)
+        r11, r12, r13, r21, r22, r23, r31, r32, r33 = (
+            g if type(g) is list and len(g) == 9 else _floats(g, 3, 3))
+        p1, p2, p3 = p if type(p) is list and len(p) == 3 else _floats(p, 3)
         return [r11 * p1 + r12 * p2 + r13 * p3,
                 r21 * p1 + r22 * p2 + r23 * p3,
                 r31 * p1 + r32 * p2 + r33 * p3]
@@ -376,11 +370,13 @@ class Gl2PlaneAction(GroupAction):
         return np.zeros((2, 2))
 
     def exp(self, v):
-        return _gl2_exp(_flat(v, 4, 2, 2))
+        return _gl2_exp(v if type(v) is list and len(v) == 4
+                        else _floats(v, 2, 2))
 
     def act(self, g, p):
-        g11, g12, g21, g22 = _flat(g, 4, 2, 2)
-        x, y = _flat(p, 2, 2)
+        g11, g12, g21, g22 = (
+            g if type(g) is list and len(g) == 4 else _floats(g, 2, 2))
+        x, y = p if type(p) is list and len(p) == 2 else _floats(p, 2)
         return [g11 * x + g12 * y, g21 * x + g22 * y]
 
     def infinitesimal(self, v, p):
@@ -402,12 +398,14 @@ class Se3CoadjointAction(GroupAction):
         return np.zeros(6)
 
     def exp(self, v):
-        return _se3_exp(_flat(v, 6, 6))
+        return _se3_exp(v if type(v) is list and len(v) == 6
+                        else _floats(v, 6))
 
     def act(self, g, p):
         if type(g) is not list:
             g = _se3_floats(g)
-        return _coadjoint(g, _flat(p, 6, 6))
+        return _coadjoint(g, p if type(p) is list and len(p) == 6
+                          else _floats(p, 6))
 
     def infinitesimal(self, v, p):
         """(-(xi x mu) - u x beta, -(xi x beta)), written out on floats as

@@ -2,26 +2,38 @@
 
 A step composes exponentials of "frozen" algebra elements: each tableau row
 contributes exp(h * sum_k row[k] * f_k), applied to the base point with row
-1 innermost (first).  Row reuse is resolved once per tableau: the step
-runs the tableau's StepPlan, in which zero rows are dropped and rows
-declared identical in the reuse map share one exponential slot.  The step
-also counts exponentials and f evaluations, since those dominate the cost.
+1 innermost (first).  Row reuse is resolved once per tableau into its
+StepPlan, in which zero rows are dropped and rows declared identical in the
+reuse map share one exponential slot.
 
-Inside a step everything is Python floats.  Each f value is flattened to a
-list once; each row's algebra element is summed on those lists; exp and
-act (called through the action, see actions.py) take and return lists.
-numpy appears only at the edges: the point handed to f, and y1 and yhat1.
-GroupAction.algebra_zero and algebra_axpy are not called here; they remain
-only because the benchmark's tracing proxy forwards them by name.
+A step runs a kernel compiled from the plan: straight-line Python source,
+generated and compiled the first time the plan is stepped with an algebra
+element of a given length and cached on the plan, one kernel per length
+and per use_reuse.  The kernel unpacks each f value into local floats
+once and writes each row sum out per component as
+x0*a0_i + x1*a1_i + ... with x_j = h * c_j, summed left to right: numpy's
+order of operations for (h*c0)*f0 + (h*c1)*f1 + ..., so the row sums are
+bit-identical to the array expression.  It calls the exp, act and f it is
+handed, so a wrapper around any of them sees every call.  Only integer
+indices and the repr of finite Python floats enter the source.  The
+kernel's n_exp and n_feval are static, the exponentials and f evaluations
+its source contains; they are the step's cost and count_budget's.
+
+Everything inside the kernel is Python floats; exp and act (see
+actions.py) take and return lists.  numpy appears only at the edges: the
+point handed to f, and y1 and yhat1.  GroupAction.algebra_zero and
+algebra_axpy are not called here; they remain only because the benchmark's
+tracing proxy forwards them by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tableaux import CFTableau
+from .tableaux import CFTableau, StepPlan
 
 
 @dataclass(frozen=True)
@@ -48,72 +60,104 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     no f(y1) evaluation, and their exponentials are not counted.
     use_reuse=False computes every row's exponential, declared reuse
     included (for cost accounting experiments); results change only at
-    roundoff level.
+    roundoff level.  A ValueError is raised if f returns a different
+    number of entries within the step than at its start.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
-    h = float(h)
-    plan = tableau.step_plan(with_embedded)
-    exp, act = action.exp, action.act
-    slots = [None] * plan.n_exp
-    n_exp = 0
     n_feval = 0
-
     if carried_f is None:
         carried_f = f(y)
-        n_feval += 1
-    fvals = [carried_f.ravel().tolist()]
-    base = np.asarray(y, float).ravel().tolist()
-
-    def apply_rows(rows):
-        nonlocal n_exp
-        point = base
-        for terms, slot, reused in rows:
-            if reused and use_reuse:
-                g = slots[slot]
-            else:
-                # h * sum of coeff * f_k over the row's nonzero terms (a
-                # plan row has at least one), in numpy's order of operations
-                k, coeff = terms[0]
-                x = h * coeff
-                v = [x * a for a in fvals[k]]
-                for k, coeff in terms[1:]:
-                    x = h * coeff
-                    v = [s + x * a for s, a in zip(v, fvals[k])]
-                g = exp(v)
-                n_exp += 1
-                slots[slot] = g
-            point = act(g, point)
-        return np.array(point)
-
-    for rows in plan.stages:
-        fvals.append(f(apply_rows(rows)).ravel().tolist())
-        n_feval += 1
-
-    y1 = apply_rows(plan.y)
-
-    yhat1 = None
-    f_last = None
-    if with_embedded and tableau.has_embedded:
-        # FSAL embedded rows have width s+1: the last column is f(y1)
-        if tableau.fsal:
-            f_last = f(y1)
-            n_feval += 1
-            fvals.append(f_last.ravel().tolist())
-        yhat1 = apply_rows(plan.yhat)
-
+        n_feval = 1
+    kernel = step_kernel(tableau.step_plan(with_embedded), carried_f.size,
+                         use_reuse)
+    y1, yhat1, f_last = kernel(action.exp, action.act, f, y, float(h),
+                               carried_f)
     return StepResult(y1=y1, yhat1=yhat1, f_last=f_last,
-                      n_exp=n_exp, n_feval=n_feval)
+                      n_exp=kernel.n_exp, n_feval=n_feval + kernel.n_feval)
 
 
 def count_budget(tableau: CFTableau):
     """Static (exp, feval) cost per step, assuming FSAL carry and all
     declared reuse hits; embedded rows are included when present.
 
-    The exponentials are the slots of the step plan cf_step runs.  With the
-    FSAL carry f(y) is free, but the embedded update then spends f(y1).
+    Both counts are the step kernel's; they do not depend on the algebra's
+    length.  With the FSAL carry f(y) is free, but the embedded update then
+    spends f(y1); without it the step evaluates f(y) itself.
     """
-    n_feval = tableau.s
-    if tableau.fsal and not tableau.has_embedded:
-        n_feval -= 1
-    return tableau.step_plan(with_embedded=True).n_exp, n_feval
+    kernel = step_kernel(tableau.step_plan(with_embedded=True), 1, True)
+    return kernel.n_exp, kernel.n_feval + (not tableau.fsal)
+
+
+def step_kernel(plan: StepPlan, n: int, use_reuse: bool):
+    """The compiled step of plan for algebra elements of n entries.
+
+    kernel(exp, act, f, y, h, f0) returns (y1, yhat1, f_last), where f0 is
+    f(y); kernel.n_exp and kernel.n_feval count the exponentials and the f
+    evaluations after f0, and kernel.source is the generated code.
+    """
+    key = (n, bool(use_reuse))
+    kernel = plan.kernels.get(key)
+    if kernel is None:
+        kernel = plan.kernels[key] = _compile(plan, n, key[1])
+    return kernel
+
+
+def _length_error(n: int, v: list) -> ValueError:
+    return ValueError(f"f returned {len(v)} entries within the step, "
+                      f"expected {n} as at its start")
+
+
+def _compile(plan: StepPlan, n: int, use_reuse: bool):
+    coeffs = {}  # coefficient -> local holding h * coefficient
+    body = []
+    n_exp = n_feval = 0
+
+    def unpack(k, value):
+        # f_k's entries into the locals f{k}_0 ... f{k}_{n-1}
+        body.append(f"v = {value}.ravel().tolist()")
+        body.append(f"if len(v) != {n}: raise _length_error({n}, v)")
+        body.append(f"[{', '.join(f'f{k}_{i}' for i in range(n))}] = v")
+
+    def apply_rows(rows):
+        # the rows applied to the base point; returns the new point's local
+        nonlocal n_exp
+        point = "base"
+        for terms, slot, reused in rows:
+            if not (reused and use_reuse):
+                for _, c in terms:
+                    if type(c) is not float or not math.isfinite(c):
+                        raise ValueError(f"plan coefficient {c!r} is not "
+                                         f"a finite float")
+                    coeffs.setdefault(c, f"x{len(coeffs)}")
+                entries = (" + ".join(f"{coeffs[c]} * f{k}_{i}"
+                                      for k, c in terms) for i in range(n))
+                body.append(f"g{slot} = exp([{', '.join(entries)}])")
+                n_exp += 1
+            body.append(f"p = act(g{slot}, {point})")
+            point = "p"
+        return point
+
+    unpack(0, "f0")
+    for r, rows in enumerate(plan.stages, 2):
+        unpack(r - 1, f"f(array({apply_rows(rows)}))")
+        n_feval += 1
+    body.append(f"y1 = array({apply_rows(plan.y)})")
+    if plan.fsal:
+        body.append("f_last = f(y1)")
+        n_feval += 1
+        unpack(len(plan.stages) + 1, "f_last")
+    yhat1 = f"array({apply_rows(plan.yhat)})" if plan.embedded else "None"
+    body.append(f"return y1, {yhat1}, {'f_last' if plan.fsal else 'None'}")
+
+    source = "\n    ".join([
+        "def kernel(exp, act, f, y, h, f0):",
+        "base = asarray(y, float).ravel().tolist()",
+        *(f"{x} = h * {c!r}" for c, x in coeffs.items()),
+        *body]) + "\n"
+    namespace = {"array": np.array, "asarray": np.asarray,
+                 "_length_error": _length_error}
+    exec(compile(source, f"<cf_step kernel n={n}>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source, kernel.n_exp, kernel.n_feval = source, n_exp, n_feval
+    return kernel

@@ -355,12 +355,18 @@ class StepPlan:
     slot indexes the step's list of computed exponentials; a reused row
     reads the slot that the first row of its reuse group filled earlier in
     the step.  n_exp, the number of slots, is the count of exponentials one
-    step computes with declared reuse honored.
+    step computes with declared reuse honored.  embedded tells whether the
+    step forms yhat1, and fsal whether it first evaluates f(y1), the last
+    column of the yhat rows.  kernels caches the step kernels compiled from
+    the plan (see stepper.py).
     """
     stages: tuple
     y: tuple
     yhat: tuple
     n_exp: int
+    embedded: bool
+    fsal: bool
+    kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _step_plan(tableau: CFTableau, include_embedded: bool) -> StepPlan:
@@ -385,7 +391,9 @@ def _step_plan(tableau: CFTableau, include_embedded: bool) -> StepPlan:
                      for r in range(2, tableau.s + 1)),
         y=tuple(rows.get(("y",), ())),
         yhat=tuple(rows.get(("yhat",), ())),
-        n_exp=len(slot_of))
+        n_exp=len(slot_of),
+        embedded=include_embedded and tableau.has_embedded,
+        fsal=include_embedded and tableau.has_embedded and tableau.fsal)
 
 
 def scan_identical_rows(tableau: CFTableau, tol: float = REUSE_EQ_TOL) -> list:

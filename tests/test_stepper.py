@@ -1,17 +1,83 @@
 """Single-step semantics: row application order, FSAL carry, declared
-row reuse, and static versus dynamic cost accounting."""
+row reuse, static versus dynamic cost accounting, and the compiled step
+kernel against a plan interpreter."""
+
+import ast
+import dataclasses
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.actions import So3SphereAction, so3_exp
+import cfrk.stepper
+from cfrk.actions import DomainError, So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
 from cfrk.problems import heavy_top, rigid_body, van_der_pol
-from cfrk.stepper import cf_step, count_budget
-from cfrk.tableaux import CFTableau
+from cfrk.stepper import StepResult, cf_step, count_budget, step_kernel
+from cfrk.tableaux import CFTableau, StepPlan, tableau_from_json
 
 SPHERE = So3SphereAction()
+PROBLEMS = [rigid_body, heavy_top, van_der_pol]
+
+
+def reference_step(tableau, action, f, y, h, carried_f=None, *,
+                   with_embedded=True, use_reuse=True):
+    """cf_step as a plan interpreter: the rows of each stage and update are
+    walked one by one, each row sum built as a list per term."""
+    h = float(h)
+    plan = tableau.step_plan(with_embedded)
+    exp, act = action.exp, action.act
+    slots = [None] * plan.n_exp
+    n_exp = 0
+    n_feval = 0
+
+    if carried_f is None:
+        carried_f = f(y)
+        n_feval += 1
+    fvals = [carried_f.ravel().tolist()]
+    base = np.asarray(y, float).ravel().tolist()
+
+    def apply_rows(rows):
+        nonlocal n_exp
+        point = base
+        for terms, slot, reused in rows:
+            if reused and use_reuse:
+                g = slots[slot]
+            else:
+                k, coeff = terms[0]
+                x = h * coeff
+                v = [x * a for a in fvals[k]]
+                for k, coeff in terms[1:]:
+                    x = h * coeff
+                    v = [s + x * a for s, a in zip(v, fvals[k])]
+                g = exp(v)
+                n_exp += 1
+                slots[slot] = g
+            point = act(g, point)
+        return np.array(point)
+
+    for rows in plan.stages:
+        fvals.append(f(apply_rows(rows)).ravel().tolist())
+        n_feval += 1
+
+    y1 = apply_rows(plan.y)
+
+    yhat1 = None
+    f_last = None
+    if with_embedded and tableau.has_embedded:
+        if tableau.fsal:
+            f_last = f(y1)
+            n_feval += 1
+            fvals.append(f_last.ravel().tolist())
+        yhat1 = apply_rows(plan.yhat)
+
+    return StepResult(y1=y1, yhat1=yhat1, f_last=f_last,
+                      n_exp=n_exp, n_feval=n_feval)
+
+
+def fresh(name):
+    """A new copy of a catalog tableau, with plans no step has touched."""
+    return tableau_from_json(get_tableau(name).to_json())
 
 
 def sphere_setup():
@@ -227,3 +293,155 @@ def test_row_sums_match_numpy_bitwise(build, name):
         for k, c in terms[1:]:
             ref = ref + (h * c) * fs[k]
         assert np.ravel(v).tolist() == ref.ravel().tolist()
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+@pytest.mark.parametrize("use_reuse", [True, False], ids=["reuse", "noreuse"])
+@pytest.mark.parametrize("with_embedded", [True, False],
+                         ids=["embedded", "principal"])
+@pytest.mark.parametrize("build", PROBLEMS, ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", [t.name for t in catalog()])
+def test_kernel_matches_plan_interpreter_bitwise(name, build, with_embedded,
+                                                 use_reuse, carried):
+    t = get_tableau(name)
+    prob = build()
+    y0 = prob.default_y0
+    carried_f = prob.f(y0) if carried else None
+    opts = dict(with_embedded=with_embedded, use_reuse=use_reuse)
+    got = cf_step(t, prob.action, prob.f, y0, 0.01, carried_f, **opts)
+    ref = reference_step(t, prob.action, prob.f, y0, 0.01, carried_f, **opts)
+    for field in ("y1", "yhat1", "f_last"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), field
+    assert (got.n_exp, got.n_feval) == (ref.n_exp, ref.n_feval)
+
+
+def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
+    compiled = []
+    compile_kernel = cfrk.stepper._compile
+
+    def counting(plan, n, use_reuse):
+        compiled.append((n, use_reuse))
+        return compile_kernel(plan, n, use_reuse)
+    monkeypatch.setattr(cfrk.stepper, "_compile", counting)
+    t = fresh("cf43")
+    assert t.step_plan(True).kernels == {} == t.step_plan(False).kernels
+    _, f, y0 = sphere_setup()
+    first = cf_step(t, SPHERE, f, y0, 0.05)
+    second = cf_step(t, SPHERE, f, first.y1, 0.05, carried_f=first.f_last)
+    assert compiled == [(3, True)]
+    assert second.n_exp == first.n_exp
+    cf_step(t, SPHERE, f, y0, 0.05, use_reuse=False)
+    cf_step(t, SPHERE, f, y0, 0.05, with_embedded=False)
+    prob = heavy_top()
+    cf_step(t, prob.action, prob.f, prob.default_y0, 0.05)
+    assert compiled == [(3, True), (3, False), (3, True), (6, True)]
+    assert step_kernel(t.step_plan(True), 3, True) is \
+        t.step_plan(True).kernels[(3, True)]
+
+
+def literal_values(source):
+    """The numeric literals of source, a leading minus included, with
+    their text; fails on any other kind of constant."""
+    tree = ast.parse(source)
+    found = []
+    negated = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant)):
+            negated.add(id(node.operand))
+            found.append((-node.operand.value,
+                          ast.get_source_segment(source, node)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and id(node) not in negated:
+            assert node.value is None or type(node.value) in (int, float), \
+                node.value
+            found.append((node.value, ast.get_source_segment(source, node)))
+    return found
+
+
+@pytest.mark.parametrize("use_reuse", [True, False])
+@pytest.mark.parametrize("name", [t.name for t in catalog()])
+def test_kernel_literals_round_trip_to_plan_coefficients(name, use_reuse):
+    t = get_tableau(name)
+    for with_embedded in (True, False):
+        plan = t.step_plan(with_embedded)
+        coeffs = {c for rows in (*plan.stages, plan.y, plan.yhat)
+                  for terms, _, _ in rows for _, c in terms}
+        floats = [(v, text) for v, text in
+                  literal_values(step_kernel(plan, 3, use_reuse).source)
+                  if type(v) is float]
+        assert floats
+        for value, text in floats:
+            assert value in coeffs
+            assert float(text) == value and repr(value) == text
+
+
+@pytest.mark.parametrize("name", [t.name for t in catalog()])
+def test_kernel_counts_are_the_plan_slots(name):
+    t = get_tableau(name)
+    for with_embedded in (True, False):
+        plan = t.step_plan(with_embedded)
+        kernel = step_kernel(plan, 3, True)
+        assert kernel.n_exp == plan.n_exp
+        assert kernel.n_feval == t.s - 1 + plan.fsal
+        assert kernel.source.count("exp(") == kernel.n_exp
+        assert kernel.source.count(" f(") == kernel.n_feval
+
+
+def changing_length(prob, first_wrong, n_entries, events):
+    """prob with f returning n_entries entries from call first_wrong on."""
+    calls = []
+
+    def f(y):
+        calls.append(None)
+        events.append("f")
+        out = prob.f(y)
+        if len(calls) >= first_wrong:
+            out = np.resize(out, n_entries)
+        return out
+
+    class Recording(type(prob.action)):
+        def exp(self, v):
+            events.append("exp")
+            return super().exp(v)
+    return dataclasses.replace(prob, f=f, action=Recording())
+
+
+@pytest.mark.parametrize("n_entries", [4, 2])
+@pytest.mark.parametrize("first_wrong", [2, 3, 4, 5])
+def test_f_changing_length_within_a_step_is_an_error(first_wrong, n_entries):
+    # cf43 calls f at y, at stages 2..4 and at y1 (FSAL): calls 1..5
+    events = []
+    prob = changing_length(rigid_body(), first_wrong, n_entries, events)
+    with pytest.raises(ValueError, match=f"f returned {n_entries} entries "
+                       "within the step, expected 3"):
+        cf_step(get_tableau("cf43"), prob.action, prob.f, prob.default_y0,
+                0.05)
+    # no exponential after the f call that changed length
+    assert events[-1] == "f" and events.count("f") == first_wrong
+
+
+def test_domain_error_from_f_passes_through_the_kernel():
+    prob = rigid_body()
+    failure = DomainError("left the sphere")
+    calls = []
+
+    def f(y):
+        calls.append(None)
+        if len(calls) == 3:
+            raise failure
+        return prob.f(y)
+    with pytest.raises(DomainError) as info:
+        cf_step(get_tableau("cf43"), prob.action, f, prob.default_y0, 0.05)
+    assert info.value is failure
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), "0.5", 1])
+def test_kernel_takes_only_finite_float_coefficients(coeff):
+    plan = StepPlan(stages=(), y=((((0, coeff),), 0, False),), yhat=(),
+                    n_exp=1, embedded=False, fsal=False)
+    with pytest.raises(ValueError, match="not a finite float"):
+        step_kernel(plan, 3, True)
