@@ -18,7 +18,7 @@ from .order_conditions import (OrderReport, UnsupportedShapeError, certify,
 from .problems import (HeavyTopParams, Problem, RigidBodyParams, VdpParams,
                        build_problem, conserved, heavy_top, rigid_body,
                        van_der_pol)
-from .stepper import StepResult, cf_step, count_budget
+from .stepper import FieldLengthError, StepResult, cf_step, count_budget
 from .tableaux import (CFTableau, ReducedCoefficients, TableauError,
                        load_tableau, reduce, reduce_embedded, reuse_groups,
                        save_tableau, scan_identical_rows, tableau_from_json,
@@ -38,7 +38,7 @@ __all__ = [
     "GroupAction", "So3SphereAction", "Gl2PlaneAction", "Se3CoadjointAction",
     "Se3Element", "DomainError", "hat", "vee", "so3_exp", "gl2_exp",
     "se3_exp", "se3_bracket", "coadjoint_act",
-    "StepResult", "cf_step", "count_budget",
+    "FieldLengthError", "StepResult", "cf_step", "count_budget",
     "ControllerConfig", "Trajectory", "Totals", "StepAttempt",
     "IntegrationError", "StepSizeUnderflowError", "TooManyRejectsError",
     "NonFiniteError", "error_measure", "next_step_size", "initial_step",

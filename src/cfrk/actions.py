@@ -69,6 +69,11 @@ def _floats(v, *shape: int) -> list:
     return v.ravel().tolist()
 
 
+def _entries(p) -> list:
+    """p when it is a list, else its entries as a flat list of floats."""
+    return p if type(p) is list else np.asarray(p, float).ravel().tolist()
+
+
 def _rodrigues_coeffs(t2: float) -> tuple:
     """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = sqrt(t2).
 
@@ -322,14 +327,20 @@ class GroupAction(ABC):
         """d/dt at t=0 of act(exp(t v), p), as an ambient vector."""
 
     def ambient_norm(self, p) -> float:
-        """Euclidean norm of the flattened point: the sqrt(x . x) that
-        numpy's norm computes for 1-D real input, without its dispatch."""
-        x = np.asarray(p, float).ravel()
-        return math.sqrt(x.dot(x))
+        """Euclidean norm of the point, a flat list of floats or an array
+        (flattened): math.hypot of its entries."""
+        return math.hypot(*_entries(p))
 
     def ambient_distance(self, p, q) -> float:
-        x = (np.asarray(p, float) - np.asarray(q, float)).ravel()
-        return math.sqrt(x.dot(x))
+        """Euclidean distance between two points, each a flat list of
+        floats or an array (flattened): math.dist of their entries.
+
+        Both metrics are correctly rounded in practice (math guarantees
+        under 1 ulp) and scale by the largest entry, so finite input never
+        overflows an intermediate sum of squares; a list is used as it is,
+        an array converted once.
+        """
+        return math.dist(_entries(p), _entries(q))
 
 
 class So3SphereAction(GroupAction):

@@ -4,6 +4,15 @@ The adaptive loop uses the embedded pair's error estimate with local
 extrapolation: the error is measured between the two members, but the
 trajectory always advances with the higher-order one.  A fixed-step driver
 without error estimation is provided for convergence and cost comparisons.
+
+Between attempts both drivers hold the state, the FSAL value and the step's
+y1/yhat1 as flat lists of Python floats, which cf_step takes and returns
+beside its arrays; the finite check and the error measure (math.dist and
+math.hypot through the action) run on those lists.  numpy appears only at
+the edges: the point handed to f, and the arrays stored in
+Trajectory.points and StepAttempt.y.  A DomainError from f or the action
+and a FieldLengthError from the step end the run as an IntegrationError
+carrying the partial trajectory.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .actions import DomainError
-from .stepper import cf_step
+from .stepper import FieldLengthError, cf_step
 
 _EPS = float(np.finfo(float).eps)
 
@@ -102,7 +111,9 @@ class NonFiniteError(IntegrationError):
 
 
 def error_measure(y0, y1, yhat1, cfg: ControllerConfig, action) -> float:
-    """Scaled error: distance(y1, yhat1) / (atol + max(|y0|,|y1|) rtol)."""
+    """Scaled error: distance(y1, yhat1) / (atol + max(|y0|,|y1|) rtol),
+    with the action's ambient metric; the points are flat lists of floats
+    or arrays."""
     if yhat1 is None:
         raise ValueError("error_measure needs an embedded solution")
     sc = cfg.atol
@@ -130,7 +141,8 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
         return cfg.h0
     action = problem.action
     xi = problem.f(y0)
-    # a huge y0 may overflow the rate to inf; h0 then falls to hmin
+    # a huge y0 may overflow the rate to inf (gl(2)'s infinitesimal action
+    # is a numpy matmul); h0 then falls to hmin
     with np.errstate(over="ignore"):
         rate = action.ambient_norm(action.infinitesimal(xi, y0))
     h0 = 0.01 * cfg.atol ** (1.0 / p) / max(rate, _EPS)
@@ -138,17 +150,18 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
     return min(h0, (t1 - t0) / 10.0)
 
 
-def _in_domain(trajectory, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a DomainError from f or the action raised
-    as an IntegrationError carrying the partial trajectory."""
-    try:
-        return fn(*args, **kwargs)
-    except DomainError as exc:
-        raise IntegrationError(f"left the domain: {exc}", trajectory) from exc
+def _failure(exc: Exception, trajectory) -> IntegrationError:
+    """A DomainError or FieldLengthError as an IntegrationError carrying
+    the partial trajectory."""
+    if isinstance(exc, DomainError):
+        return IntegrationError(f"left the domain: {exc}", trajectory)
+    return IntegrationError(str(exc), trajectory)
 
 
-def _check_finite(y, trajectory):
-    if not all(map(math.isfinite, np.asarray(y, float).ravel().tolist())):
+def _check_finite(y: list, trajectory):
+    """NonFiniteError carrying trajectory unless every float of y is
+    finite."""
+    if not all(map(math.isfinite, y)):
         raise NonFiniteError("state became non-finite", trajectory)
 
 
@@ -159,7 +172,8 @@ def _check_span(t0: float, t1: float) -> None:
 
 
 def _start(problem, y0, t0: float) -> tuple:
-    """The one-point trajectory at (t0, y0), and y0 as a float array.
+    """The one-point trajectory at (t0, y0), and y0 as a flat list of
+    floats.
 
     Raises ValueError unless y0 has the shape of problem.default_y0, and
     NonFiniteError carrying the trajectory unless every entry is finite;
@@ -171,6 +185,7 @@ def _start(problem, y0, t0: float) -> tuple:
         raise ValueError(f"y0 must have shape {expected}, got shape "
                          f"{y.shape}")
     traj = Trajectory(times=[t0], points=[y])
+    y = y.ravel().tolist()
     _check_finite(y, traj)
     return traj, y
 
@@ -196,49 +211,55 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     cfg_err = cfg if problem.use_rtol else replace(cfg, rtol=0.0)
 
     traj, y = _start(problem, y0, t0)
+    totals = traj.totals
     t = t0
-
-    h = _in_domain(traj, initial_step, problem, y, cfg, p, t0, t1)
-    h = min(h, t1 - t0)
     carry = None
     rejects_in_a_row = 0
 
-    while t < t1:
-        truncated = t + h >= t1
-        h_step = t1 - t if truncated else h
-        res = _in_domain(traj, cf_step, pair, action, f, y, h_step,
-                         carried_f=carry, with_embedded=True)
-        traj.totals.n_exp += res.n_exp
-        traj.totals.n_feval += res.n_feval
-        _check_finite(res.y1, traj)
-        err = error_measure(y, res.y1, res.yhat1, cfg_err, action)
-        if not math.isfinite(err):
-            raise NonFiniteError("error measure became non-finite", traj)
-        accepted = err <= 1.0
-        traj.h_history.append(StepAttempt(t, h_step, accepted, err, res.y1))
+    try:
+        h = initial_step(problem, traj.points[0], cfg, p, t0, t1)
+        h = min(h, t1 - t0)
+        while t < t1:
+            truncated = t + h >= t1
+            h_step = t1 - t if truncated else h
+            res = cf_step(pair, action, f, y, h_step, carried_f=carry,
+                          with_embedded=True)
+            totals.n_exp += res.n_exp
+            totals.n_feval += res.n_feval
+            y1 = res.y1_list
+            _check_finite(y1, traj)
+            err = error_measure(y, y1, res.yhat1_list, cfg_err, action)
+            if not math.isfinite(err):
+                raise NonFiniteError("error measure became non-finite", traj)
+            accepted = err <= 1.0
+            traj.h_history.append(StepAttempt(t, h_step, accepted, err,
+                                              res.y1))
 
-        if accepted:
-            traj.totals.n_accepted += 1
-            rejects_in_a_row = 0
-            t = t1 if truncated else t + h_step
-            y = res.y1
-            carry = res.f_last if pair.fsal else None
-            traj.times.append(t)
-            traj.points.append(y)
-            if truncated:
-                break
-            h = next_step_size(h_step, err, p, cfg)
-        else:
-            traj.totals.n_rejected += 1
-            rejects_in_a_row += 1
-            if rejects_in_a_row > cfg.max_consecutive_rejects:
-                raise TooManyRejectsError(
-                    f"{rejects_in_a_row} consecutive rejected steps at "
-                    f"t = {t}", traj)
-            if h_step <= cfg.hmin * (1.0 + 1e-12):
-                raise StepSizeUnderflowError(
-                    f"step size underflow at t = {t} (h = {h_step})", traj)
-            h = next_step_size(h_step, err, p, cfg, facmax=1.0)
+            if accepted:
+                totals.n_accepted += 1
+                rejects_in_a_row = 0
+                t = t1 if truncated else t + h_step
+                y = y1
+                carry = res.f_last_list
+                traj.times.append(t)
+                traj.points.append(res.y1)
+                if truncated:
+                    break
+                h = next_step_size(h_step, err, p, cfg)
+            else:
+                totals.n_rejected += 1
+                rejects_in_a_row += 1
+                if rejects_in_a_row > cfg.max_consecutive_rejects:
+                    raise TooManyRejectsError(
+                        f"{rejects_in_a_row} consecutive rejected steps at "
+                        f"t = {t}", traj)
+                if h_step <= cfg.hmin * (1.0 + 1e-12):
+                    raise StepSizeUnderflowError(
+                        f"step size underflow at t = {t} (h = {h_step})",
+                        traj)
+                h = next_step_size(h_step, err, p, cfg, facmax=1.0)
+    except (DomainError, FieldLengthError) as exc:
+        raise _failure(exc, traj) from exc
     return traj
 
 
@@ -260,19 +281,25 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     h = (t1 - t0) / n_steps
 
     traj, y = _start(problem, y0, t0)
+    totals = traj.totals
     carry = None
-    for i in range(1, n_steps + 1):
-        res = _in_domain(traj, cf_step, method, action, f, y, h,
-                         carried_f=carry, with_embedded=advance_embedded)
-        traj.totals.n_exp += res.n_exp
-        traj.totals.n_feval += res.n_feval
-        traj.totals.n_accepted += 1
-        y = res.yhat1 if advance_embedded else res.y1
-        carry = None if advance_embedded else res.f_last
-        _check_finite(y, traj)
-        t = t1 if i == n_steps else t0 + i * h
-        traj.h_history.append(StepAttempt(t0 + (i - 1) * h, h, True,
-                                          float("nan"), y))
-        traj.times.append(t)
-        traj.points.append(y)
+    try:
+        for i in range(1, n_steps + 1):
+            res = cf_step(method, action, f, y, h, carried_f=carry,
+                          with_embedded=advance_embedded)
+            totals.n_exp += res.n_exp
+            totals.n_feval += res.n_feval
+            totals.n_accepted += 1
+            if advance_embedded:
+                point, y = res.yhat1, res.yhat1_list
+            else:
+                point, y, carry = res.y1, res.y1_list, res.f_last_list
+            _check_finite(y, traj)
+            t = t1 if i == n_steps else t0 + i * h
+            traj.h_history.append(StepAttempt(t0 + (i - 1) * h, h, True,
+                                              float("nan"), point))
+            traj.times.append(t)
+            traj.points.append(point)
+    except (DomainError, FieldLengthError) as exc:
+        raise _failure(exc, traj) from exc
     return traj

@@ -20,34 +20,57 @@ kernel's n_exp and n_feval are static, the exponentials and f evaluations
 its source contains; they are the step's cost and count_budget's.
 
 Everything inside the kernel is Python floats; exp and act (see
-actions.py) take and return lists.  numpy appears only at the edges: the
-point handed to f, and y1 and yhat1.  GroupAction.algebra_zero and
-algebra_axpy are not called here; they remain only because the benchmark's
-tracing proxy forwards them by name.
+actions.py) take and return lists.  The base point and f(y) go in as
+lists, and y1, yhat1 and f(y1) come out as lists beside the arrays, so the
+drivers carry the state, the FSAL value and the error measure's inputs
+between attempts without numpy.  numpy appears only at the edges: the
+point handed to f, and the y1 and f_last arrays of StepResult (yhat1 is
+made an array only when read).  GroupAction.algebra_zero and algebra_axpy
+are not called here; they remain only because the benchmark's tracing
+proxy forwards them by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tableaux import CFTableau, StepPlan
 
 
-@dataclass(frozen=True)
+class FieldLengthError(ValueError):
+    """f returned a different number of entries within a step than at its
+    start."""
+
+
 class StepResult:
     """Outcome of one step.
 
-    f_last is f evaluated at y1 when the tableau is FSAL and the embedded
-    update ran; callers pass it back as carried_f on the next step.
+    y1 is the new point as an array; yhat1, the embedded solution, is made
+    an array each time it is read, and is None when the step skipped the
+    embedded rows.  f_last is f evaluated at y1 when the tableau is FSAL
+    and the embedded update ran, else None; callers pass it back as
+    carried_f on the next step.  y1_list, yhat1_list and f_last_list hold
+    the same values as flat lists of Python floats.
     """
-    y1: object
-    yhat1: object
-    f_last: object
-    n_exp: int
-    n_feval: int
+
+    __slots__ = ("y1", "y1_list", "yhat1_list", "f_last", "f_last_list",
+                 "n_exp", "n_feval")
+
+    def __init__(self, y1, y1_list: list, yhat1_list, f_last, f_last_list,
+                 n_exp: int, n_feval: int):
+        self.y1 = y1
+        self.y1_list = y1_list
+        self.yhat1_list = yhat1_list
+        self.f_last = f_last
+        self.f_last_list = f_last_list
+        self.n_exp = n_exp
+        self.n_feval = n_feval
+
+    @property
+    def yhat1(self):
+        return None if self.yhat1_list is None else np.array(self.yhat1_list)
 
 
 def cf_step(tableau: CFTableau, action, f, y, h: float,
@@ -55,26 +78,31 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
             use_reuse: bool = True) -> StepResult:
     """Advance one step of size h from the point y.
 
+    y and carried_f are each a flat list of Python floats or a numpy array.
     carried_f, if given, must equal f(y) (the FSAL carry).  With
     with_embedded=False the embedded rows are skipped entirely: no yhat1,
     no f(y1) evaluation, and their exponentials are not counted.
     use_reuse=False computes every row's exponential, declared reuse
     included (for cost accounting experiments); results change only at
-    roundoff level.  A ValueError is raised if f returns a different
-    number of entries within the step than at its start.
+    roundoff level.  A FieldLengthError (a ValueError) is raised if f
+    returns a different number of entries within the step than at its
+    start.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
     n_feval = 0
     if carried_f is None:
-        carried_f = f(y)
+        carried_f = f(np.array(y) if type(y) is list else y)
         n_feval = 1
-    kernel = step_kernel(tableau.step_plan(with_embedded), carried_f.size,
+    if type(y) is not list:
+        y = np.asarray(y, float).ravel().tolist()
+    if type(carried_f) is not list:
+        carried_f = carried_f.ravel().tolist()
+    kernel = step_kernel(tableau.step_plan(with_embedded), len(carried_f),
                          use_reuse)
-    y1, yhat1, f_last = kernel(action.exp, action.act, f, y, float(h),
-                               carried_f)
-    return StepResult(y1=y1, yhat1=yhat1, f_last=f_last,
-                      n_exp=kernel.n_exp, n_feval=n_feval + kernel.n_feval)
+    return StepResult(*kernel(action.exp, action.act, f, y, float(h),
+                              carried_f), kernel.n_exp,
+                      n_feval + kernel.n_feval)
 
 
 def count_budget(tableau: CFTableau):
@@ -92,8 +120,11 @@ def count_budget(tableau: CFTableau):
 def step_kernel(plan: StepPlan, n: int, use_reuse: bool):
     """The compiled step of plan for algebra elements of n entries.
 
-    kernel(exp, act, f, y, h, f0) returns (y1, yhat1, f_last), where f0 is
-    f(y); kernel.n_exp and kernel.n_feval count the exponentials and the f
+    kernel(exp, act, f, base, h, f0), with the base point y and f0 = f(y)
+    as flat lists of floats, returns (y1, y1_list, yhat1_list, f_last,
+    f_last_list): y1 and f_last = f(y1) as arrays and the three lists, with
+    None where the plan has no embedded update or is not FSAL.
+    kernel.n_exp and kernel.n_feval count the exponentials and the f
     evaluations after f0, and kernel.source is the generated code.
     """
     key = (n, bool(use_reuse))
@@ -103,9 +134,9 @@ def step_kernel(plan: StepPlan, n: int, use_reuse: bool):
     return kernel
 
 
-def _length_error(n: int, v: list) -> ValueError:
-    return ValueError(f"f returned {len(v)} entries within the step, "
-                      f"expected {n} as at its start")
+def _length_error(n: int, v: list) -> FieldLengthError:
+    return FieldLengthError(f"f returned {len(v)} entries within the step, "
+                            f"expected {n} as at its start")
 
 
 def _compile(plan: StepPlan, n: int, use_reuse: bool):
@@ -113,11 +144,16 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
     body = []
     n_exp = n_feval = 0
 
-    def unpack(k, value):
-        # f_k's entries into the locals f{k}_0 ... f{k}_{n-1}
-        body.append(f"v = {value}.ravel().tolist()")
-        body.append(f"if len(v) != {n}: raise _length_error({n}, v)")
-        body.append(f"[{', '.join(f'f{k}_{i}' for i in range(n))}] = v")
+    def unpack(k, values):
+        # the list values into the locals f{k}_0 ... f{k}_{n-1}
+        body.append(f"[{', '.join(f'f{k}_{i}' for i in range(n))}] = {values}")
+
+    def listed(k, values, value):
+        # the f value as the list values, checked for length n, unpacked
+        body.append(f"{values} = {value}.ravel().tolist()")
+        body.append(f"if len({values}) != {n}: "
+                    f"raise _length_error({n}, {values})")
+        unpack(k, values)
 
     def apply_rows(rows):
         # the rows applied to the base point; returns the new point's local
@@ -140,23 +176,23 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
 
     unpack(0, "f0")
     for r, rows in enumerate(plan.stages, 2):
-        unpack(r - 1, f"f(array({apply_rows(rows)}))")
+        listed(r - 1, "v", f"f(array({apply_rows(rows)}))")
         n_feval += 1
-    body.append(f"y1 = array({apply_rows(plan.y)})")
+    body.append(f"y1_list = {apply_rows(plan.y)}")
+    body.append("y1 = array(y1_list)")
     if plan.fsal:
         body.append("f_last = f(y1)")
         n_feval += 1
-        unpack(len(plan.stages) + 1, "f_last")
-    yhat1 = f"array({apply_rows(plan.yhat)})" if plan.embedded else "None"
-    body.append(f"return y1, {yhat1}, {'f_last' if plan.fsal else 'None'}")
+        listed(len(plan.stages) + 1, "f_last_list", "f_last")
+    yhat1 = apply_rows(plan.yhat) if plan.embedded else "None"
+    fsal = "f_last, f_last_list" if plan.fsal else "None, None"
+    body.append(f"return y1, y1_list, {yhat1}, {fsal}")
 
     source = "\n    ".join([
-        "def kernel(exp, act, f, y, h, f0):",
-        "base = asarray(y, float).ravel().tolist()",
+        "def kernel(exp, act, f, base, h, f0):",
         *(f"{x} = h * {c!r}" for c, x in coeffs.items()),
         *body]) + "\n"
-    namespace = {"array": np.array, "asarray": np.asarray,
-                 "_length_error": _length_error}
+    namespace = {"array": np.array, "_length_error": _length_error}
     exec(compile(source, f"<cf_step kernel n={n}>", "exec"), namespace)
     kernel = namespace["kernel"]
     kernel.source, kernel.n_exp, kernel.n_feval = source, n_exp, n_feval

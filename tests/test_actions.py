@@ -2,6 +2,8 @@
 axioms, and the infinitesimal maps against finite differences."""
 
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -501,20 +503,43 @@ def test_ambient_metric_defaults():
         np.sqrt(2.0))
 
 
+def rounded_norm(x) -> float:
+    """The float nearest the Euclidean norm of a list of floats: the exact
+    sum of squares as a Fraction, then a 60-digit square root."""
+    s = sum(Fraction(a) ** 2 for a in x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float((Decimal(s.numerator) / Decimal(s.denominator)).sqrt())
+
+
 @pytest.mark.parametrize("action", [So3SphereAction(), Gl2PlaneAction(),
                                     Se3CoadjointAction()],
                          ids=lambda action: action.name)
-def test_ambient_metric_equals_numpy_norm(action):
+def test_ambient_metric_is_correctly_rounded(action):
+    # a stronger check than equality with np.linalg.norm, whose dot product
+    # misses the correctly rounded result on about one sample in six; the
+    # distance is the norm of the float differences p - q
     rng = np.random.default_rng(53)
     for shape in ((2,), (3,), (6,), (2, 2)):
         for _ in range(300):
             p = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6)
             q = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6)
-            norm = action.ambient_norm(p)
-            assert type(norm) is float
-            assert norm == float(np.linalg.norm(p))
-            assert action.ambient_distance(p, q) == \
-                float(np.linalg.norm(p - q))
+            pl, ql = p.ravel().tolist(), q.ravel().tolist()
+            norm = rounded_norm(pl)
+            distance = rounded_norm((p - q).ravel().tolist())
+            for a, b in ((p, q), (pl, ql)):
+                got = action.ambient_norm(a)
+                assert type(got) is float and got == norm
+                got = action.ambient_distance(a, b)
+                assert type(got) is float and got == distance
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_ambient_metric_does_not_overflow_on_finite_points(scale):
+    act = So3SphereAction()
+    p = np.array([3.0, 4.0, 0.0]) * scale
+    assert act.ambient_norm(p) == 5.0 * scale
+    assert act.ambient_distance(p, -p) == 10.0 * scale
 
 
 def test_algebra_linear_ops():

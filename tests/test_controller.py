@@ -18,6 +18,7 @@ from cfrk.controller import (ControllerConfig, IntegrationError,
                              error_measure, initial_step, integrate_adaptive,
                              integrate_fixed, next_step_size)
 from cfrk.problems import Problem, heavy_top, rigid_body, van_der_pol
+from cfrk.stepper import FieldLengthError
 from cfrk.tableaux import CFTableau
 
 EPS = np.finfo(float).eps
@@ -86,10 +87,13 @@ def test_error_measure_skips_norms_without_rtol():
         for atol, rtol in ((1e-6, 0.0), (0.1, 1e-3)):
             act = _NormCountingAction()
             cfg = ControllerConfig(atol=atol, rtol=rtol)
-            sc = atol + max(np.linalg.norm(y0), np.linalg.norm(y1)) * rtol
-            assert error_measure(y0, y1, yhat, cfg, act) == \
-                np.linalg.norm(y1 - yhat) / sc
+            sc = atol + max(math.hypot(*y0), math.hypot(*y1)) * rtol
+            want = math.dist(y1, yhat) / sc
+            assert error_measure(y0, y1, yhat, cfg, act) == want
             assert act.norm_calls == (0 if rtol == 0.0 else 2)
+            lists = (y0.tolist(), y1.tolist(), yhat.tolist())
+            assert error_measure(*lists, cfg, act) == want
+            assert act.norm_calls == (0 if rtol == 0.0 else 4)
 
 
 def test_error_measure_requires_embedded_solution():
@@ -326,6 +330,37 @@ def test_domain_error_from_f_is_an_integration_error(run):
     assert isinstance(info.value.__cause__, DomainError)
 
 
+def rigid_body_changing_length_at(n_call):
+    """The rigid body with f returning 4 entries from call n_call on."""
+    prob = rigid_body()
+    calls = []
+
+    def f(y):
+        calls.append(None)
+        out = prob.f(y)
+        return np.resize(out, 4) if len(calls) >= n_call else out
+    return dataclasses.replace(prob, f=f)
+
+
+@pytest.mark.parametrize("run", [
+    lambda prob: integrate_adaptive(get_tableau("cf43"), prob,
+                                    prob.default_y0, 0.0, 1.0,
+                                    ControllerConfig(atol=1e-6)),
+    lambda prob: integrate_fixed(get_tableau("cf4"), prob, prob.default_y0,
+                                 0.0, 1.0, 100),
+], ids=["adaptive", "fixed"])
+def test_f_changing_length_is_an_integration_error(run):
+    # cf43 calls f 4 times per attempt after the first f(y0), cf4 4 times
+    # per step: call 31 falls in the eighth attempt of either
+    with pytest.raises(IntegrationError,
+                       match="f returned 4 entries within the step, "
+                             "expected 3") as info:
+        run(rigid_body_changing_length_at(31))
+    traj = info.value.trajectory
+    assert len(traj.points) == 8 == traj.totals.n_accepted + 1
+    assert isinstance(info.value.__cause__, FieldLengthError)
+
+
 def test_start_outside_the_domain_is_an_integration_error():
     prob = van_der_pol()
     with pytest.raises(IntegrationError) as info:
@@ -408,6 +443,20 @@ def test_non_finite_initial_state_is_a_non_finite_error(driver, build, bad):
     assert np.array_equal(traj.points[0], y0, equal_nan=True)
 
 
+@pytest.mark.parametrize("build,scale,error", [
+    (rigid_body, 1e160, StepSizeUnderflowError),
+    (heavy_top, 1e160, StepSizeUnderflowError),
+    (van_der_pol, 1e150, NonFiniteError),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_huge_finite_initial_state_is_a_typed_failure(build, scale, error):
+    # the error measure's squares of ~1e160 entries would overflow a dot
+    # product; on Van der Pol the initial-step rate overflows to inf
+    prob = build()
+    with pytest.raises(error) as info:
+        DRIVERS["adaptive"](prob, prob.default_y0 * scale, 0.0, 1.0)
+    assert info.value.trajectory.times == [0.0]
+
+
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
                          ids=lambda build: build.__name__)
@@ -422,14 +471,15 @@ def test_wrong_length_initial_state_is_rejected(driver, build, extra):
     assert calls == []
 
 
-@pytest.mark.parametrize("shape", [(2,), (3,), (6,), (2, 2)])
-def test_check_finite_accepts_huge_and_rejects_non_finite_entries(shape):
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_check_finite_accepts_huge_and_rejects_non_finite_entries(n):
+    # the drivers check the state as a flat list of floats
     traj = Trajectory()
-    huge = np.full(shape, 1e300)  # huge . huge overflows; the check must not
+    huge = [1e300] * n  # huge . huge overflows; the check must not
     _check_finite(huge, traj)
-    _check_finite(-huge, traj)
+    _check_finite([-x for x in huge], traj)
     for bad in (math.inf, -math.inf, math.nan):
-        for idx in np.ndindex(*shape):
+        for idx in range(n):
             y = huge.copy()
             y[idx] = bad
             with pytest.raises(NonFiniteError) as info:

@@ -4,6 +4,7 @@ kernel against a plan interpreter."""
 
 import ast
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import cfrk.stepper
 from cfrk.actions import DomainError, So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
 from cfrk.problems import heavy_top, rigid_body, van_der_pol
-from cfrk.stepper import StepResult, cf_step, count_budget, step_kernel
+from cfrk.stepper import FieldLengthError, cf_step, count_budget, step_kernel
 from cfrk.tableaux import CFTableau, StepPlan, tableau_from_json
 
 SPHERE = So3SphereAction()
@@ -71,8 +72,8 @@ def reference_step(tableau, action, f, y, h, carried_f=None, *,
             fvals.append(f_last.ravel().tolist())
         yhat1 = apply_rows(plan.yhat)
 
-    return StepResult(y1=y1, yhat1=yhat1, f_last=f_last,
-                      n_exp=n_exp, n_feval=n_feval)
+    return SimpleNamespace(y1=y1, yhat1=yhat1, f_last=f_last,
+                           n_exp=n_exp, n_feval=n_feval)
 
 
 def fresh(name):
@@ -318,6 +319,34 @@ def test_kernel_matches_plan_interpreter_bitwise(name, build, with_embedded,
     assert (got.n_exp, got.n_feval) == (ref.n_exp, ref.n_feval)
 
 
+@pytest.mark.parametrize("build", PROBLEMS, ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", [t.name for t in catalog()])
+def test_list_input_and_list_output_match_the_arrays(name, build):
+    # the drivers pass the state and the FSAL value as lists of floats
+    t = get_tableau(name)
+    prob = build()
+    y0 = prob.default_y0
+    carried = prob.f(y0)
+    arrays = cf_step(t, prob.action, prob.f, y0, 0.01, carried)
+    lists = cf_step(t, prob.action, prob.f, y0.tolist(), 0.01,
+                    carried.ravel().tolist())
+    fresh = cf_step(t, prob.action, prob.f, y0.tolist(), 0.01)
+    for res in (arrays, lists, fresh):
+        assert res.y1.tobytes() == arrays.y1.tobytes()
+        assert res.y1_list == res.y1.tolist()
+        if t.has_embedded:
+            assert res.yhat1_list == res.yhat1.tolist()
+            assert res.yhat1.tobytes() == arrays.yhat1.tobytes()
+        else:
+            assert res.yhat1_list is None and res.yhat1 is None
+        if t.fsal:
+            assert res.f_last_list == res.f_last.ravel().tolist()
+            assert res.f_last.tobytes() == arrays.f_last.tobytes()
+        else:
+            assert res.f_last_list is None and res.f_last is None
+    assert fresh.n_feval == lists.n_feval + 1
+
+
 def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
     compiled = []
     compile_kernel = cfrk.stepper._compile
@@ -417,9 +446,10 @@ def test_f_changing_length_within_a_step_is_an_error(first_wrong, n_entries):
     events = []
     prob = changing_length(rigid_body(), first_wrong, n_entries, events)
     with pytest.raises(ValueError, match=f"f returned {n_entries} entries "
-                       "within the step, expected 3"):
+                       "within the step, expected 3") as info:
         cf_step(get_tableau("cf43"), prob.action, prob.f, prob.default_y0,
                 0.05)
+    assert type(info.value) is FieldLengthError
     # no exponential after the f call that changed length
     assert events[-1] == "f" and events.count("f") == first_wrong
 
