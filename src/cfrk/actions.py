@@ -313,8 +313,8 @@ class GroupAction(ABC):
     @abstractmethod
     def exp(self, v):
         """Group exponential of an algebra element, returned as a flat list
-        of Python floats.  v is a flat list of floats (what cf_step passes)
-        or a numpy array in the shape f returns."""
+        of Python floats.  v is a flat list of floats (what f returns and
+        cf_step passes) or a numpy array, 2x2 for gl(2)."""
 
     @abstractmethod
     def act(self, g, p):
@@ -391,7 +391,11 @@ class Gl2PlaneAction(GroupAction):
         return [g11 * x + g12 * y, g21 * x + g22 * y]
 
     def infinitesimal(self, v, p):
-        return v @ p
+        """v p, written out on floats; v is a flat row-major list of 4
+        floats or a 2x2 array."""
+        a, b, c, d = v if type(v) is list and len(v) == 4 else _floats(v, 2, 2)
+        x, y = p if type(p) is list and len(p) == 2 else _floats(p, 2)
+        return np.array([a * x + b * y, c * x + d * y])
 
 
 class Se3CoadjointAction(GroupAction):

@@ -7,9 +7,10 @@ without error estimation is provided for convergence and cost comparisons.
 
 Between attempts both drivers hold the state, the FSAL value and the step's
 y1/yhat1 as flat lists of Python floats, which cf_step takes and returns
-beside its arrays; the finite check and the error measure (math.dist and
-math.hypot through the action) run on those lists.  numpy appears only at
-the edges: the point handed to f, and the arrays stored in
+(the FSAL value is the list f returned at y1); the finite check and the
+error measure (math.dist and math.hypot through the action) run on those
+lists.  f sees only lists, the starting rate estimate included.  numpy
+appears only at the edges: y0 as given, and the arrays stored in
 Trajectory.points and StepAttempt.y.  A DomainError from f or the action
 and a FieldLengthError from the step end the run as an IntegrationError
 carrying the partial trajectory.
@@ -136,15 +137,13 @@ def next_step_size(h: float, err: float, p: int,
 def initial_step(problem, y0, cfg: ControllerConfig, p: int,
                  t0: float, t1: float) -> float:
     """Starting step size: cfg.h0 verbatim when given, else a crude rate
-    heuristic clamped to a tenth of the span."""
+    heuristic clamped to a tenth of the span.  y0 is the state as a flat
+    list of floats; a huge y0 may overflow the rate to inf, and h0 then
+    falls to hmin."""
     if cfg.h0 is not None:
         return cfg.h0
     action = problem.action
-    xi = problem.f(y0)
-    # a huge y0 may overflow the rate to inf (gl(2)'s infinitesimal action
-    # is a numpy matmul); h0 then falls to hmin
-    with np.errstate(over="ignore"):
-        rate = action.ambient_norm(action.infinitesimal(xi, y0))
+    rate = action.ambient_norm(action.infinitesimal(problem.f(y0), y0))
     h0 = 0.01 * cfg.atol ** (1.0 / p) / max(rate, _EPS)
     h0 = min(cfg.hmax, max(cfg.hmin, h0))
     return min(h0, (t1 - t0) / 10.0)
@@ -217,7 +216,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     rejects_in_a_row = 0
 
     try:
-        h = initial_step(problem, traj.points[0], cfg, p, t0, t1)
+        h = initial_step(problem, y, cfg, p, t0, t1)
         h = min(h, t1 - t0)
         while t < t1:
             truncated = t + h >= t1
@@ -240,7 +239,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
                 rejects_in_a_row = 0
                 t = t1 if truncated else t + h_step
                 y = y1
-                carry = res.f_last_list
+                carry = res.f_last
                 traj.times.append(t)
                 traj.points.append(res.y1)
                 if truncated:
@@ -293,7 +292,7 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
             if advance_embedded:
                 point, y = res.yhat1, res.yhat1_list
             else:
-                point, y, carry = res.y1, res.y1_list, res.f_last_list
+                point, y, carry = res.y1, res.y1_list, res.f_last
             _check_finite(y, traj)
             t = t1 if i == n_steps else t0 + i * h
             traj.h_history.append(StepAttempt(t0 + (i - 1) * h, h, True,

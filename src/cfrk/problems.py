@@ -4,6 +4,12 @@ Each problem bundles a group action, the algebra-valued coefficient map f
 (so that y' is the infinitesimal action of f(y) at y), the same vector
 field written out directly on the ambient space, a default initial state,
 and evaluators for its conserved quantities.
+
+f takes the point as a flat list of Python floats and returns the algebra
+element as a flat list of Python floats, in the layout the action's exp
+takes: the gl(2) element row-major [a, b, c, d].  It also accepts the
+point as a numpy array, which it converts once, so that scipy's solvers
+can call action.infinitesimal(f(y), y) on their own arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import (DomainError, Gl2PlaneAction, GroupAction,
-                      Se3CoadjointAction, So3SphereAction)
+                      Se3CoadjointAction, So3SphereAction, _entries)
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ class Problem:
     """
     name: str
     action: GroupAction
-    f: object  # Point -> AlgebraElement
+    f: object  # point (list or array) -> algebra element as a flat list
     default_y0: np.ndarray
     use_rtol: bool
     invariants: object  # Point -> dict of named conserved values
@@ -80,10 +86,11 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
     inv_inertia = 1.0 / np.asarray(p.inertia, float)
     mass = p.m
 
-    def f(y):
-        return -mass * (inv_inertia * y)
-
     i1, i2, i3 = inv_inertia.tolist()
+
+    def f(y):
+        y1, y2, y3 = y if type(y) is list else _entries(y)
+        return [-mass * (i1 * y1), -mass * (i2 * y2), -mass * (i3 * y3)]
 
     def ambient_field(y):
         y1, y2, y3 = y.tolist()
@@ -111,19 +118,21 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
 def van_der_pol(mu: float = 60.0) -> Problem:
     """Van der Pol oscillator in first-order form on the punctured plane.
 
-    f(y) = [[0, 1], [-1, mu (1 - y1^2)]], acting by matrix-vector product.
-    The origin is outside the action's domain.
+    f(y) = [[0, 1], [-1, mu (1 - y1^2)]], acting by matrix-vector product,
+    returned row-major as [0, 1, -1, mu (1 - y1^2)].  The origin is outside
+    the action's domain: f raises DomainError there.
     """
     p = VdpParams(float(mu))
+    mu = p.mu
 
     def f(y):
-        x = float(y[0])
-        if x == 0.0 and y[1] == 0.0:
+        x, v = y if type(y) is list else _entries(y)
+        if x == 0.0 and v == 0.0:
             raise DomainError("Van der Pol state reached the origin, "
                               "which is outside the GL(2) orbit")
         # x * x on a Python float: a huge state squares to inf without the
         # overflow warning of numpy's ** 2
-        return np.array([[0.0, 1.0], [-1.0, p.mu * (1.0 - x * x)]])
+        return [0.0, 1.0, -1.0, mu * (1.0 - x * x)]
 
     return Problem(
         name="van-der-pol",
@@ -154,11 +163,12 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
     inv_inertia = 1.0 / np.asarray(p.inertia, float)
     mg_chi = p.m * p.g * np.asarray(p.chi, float)
 
-    def f(y):
-        return np.concatenate([inv_inertia * y[:3], mg_chi])
-
     i1, i2, i3 = inv_inertia.tolist()
     c1, c2, c3 = mg_chi.tolist()
+
+    def f(y):
+        m1, m2, m3, _, _, _ = y if type(y) is list else _entries(y)
+        return [i1 * m1, i2 * m2, i3 * m3, c1, c2, c3]
 
     def ambient_field(y):
         m1, m2, m3, b1, b2, b3 = y.tolist()

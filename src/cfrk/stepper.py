@@ -19,15 +19,17 @@ indices and the repr of finite Python floats enter the source.  The
 kernel's n_exp and n_feval are static, the exponentials and f evaluations
 its source contains; they are the step's cost and count_budget's.
 
-Everything inside the kernel is Python floats; exp and act (see
-actions.py) take and return lists.  The base point and f(y) go in as
-lists, and y1, yhat1 and f(y1) come out as lists beside the arrays, so the
-drivers carry the state, the FSAL value and the error measure's inputs
-between attempts without numpy.  numpy appears only at the edges: the
-point handed to f, and the y1 and f_last arrays of StepResult (yhat1 is
-made an array only when read).  GroupAction.algebra_zero and algebra_axpy
-are not called here; they remain only because the benchmark's tracing
-proxy forwards them by name.
+Everything inside the kernel is Python floats.  f takes the point as a
+flat list of floats and returns the algebra element as one (see
+problems.py), and exp and act (see actions.py) take and return lists, so
+the kernel hands f each point as act returned it and unpacks f's list
+after a length check.  The base point and f(y) go in as lists, and y1,
+yhat1 and f(y1) come out as lists, so the drivers carry the state, the
+FSAL value and the error measure's inputs between attempts without numpy.
+numpy appears only in StepResult's y1 array (yhat1 is made an array only
+when read).  GroupAction.algebra_zero and algebra_axpy are not called
+here; they remain only because the benchmark's tracing proxy forwards
+them by name.
 """
 
 from __future__ import annotations
@@ -49,22 +51,21 @@ class StepResult:
 
     y1 is the new point as an array; yhat1, the embedded solution, is made
     an array each time it is read, and is None when the step skipped the
-    embedded rows.  f_last is f evaluated at y1 when the tableau is FSAL
-    and the embedded update ran, else None; callers pass it back as
-    carried_f on the next step.  y1_list, yhat1_list and f_last_list hold
-    the same values as flat lists of Python floats.
+    embedded rows.  y1_list and yhat1_list hold the same values as flat
+    lists of Python floats.  f_last is the list f returned at y1 when the
+    tableau is FSAL and the embedded update ran, else None; callers pass it
+    back as carried_f on the next step.
     """
 
-    __slots__ = ("y1", "y1_list", "yhat1_list", "f_last", "f_last_list",
-                 "n_exp", "n_feval")
+    __slots__ = ("y1", "y1_list", "yhat1_list", "f_last", "n_exp",
+                 "n_feval")
 
-    def __init__(self, y1, y1_list: list, yhat1_list, f_last, f_last_list,
+    def __init__(self, y1, y1_list: list, yhat1_list, f_last,
                  n_exp: int, n_feval: int):
         self.y1 = y1
         self.y1_list = y1_list
         self.yhat1_list = yhat1_list
         self.f_last = f_last
-        self.f_last_list = f_last_list
         self.n_exp = n_exp
         self.n_feval = n_feval
 
@@ -78,8 +79,9 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
             use_reuse: bool = True) -> StepResult:
     """Advance one step of size h from the point y.
 
-    y and carried_f are each a flat list of Python floats or a numpy array.
-    carried_f, if given, must equal f(y) (the FSAL carry).  With
+    y is a flat list of Python floats or a numpy array, which is converted
+    once; f is called on lists only.  carried_f, if given, must equal f(y)
+    (the FSAL carry), a flat list as f returns it.  With
     with_embedded=False the embedded rows are skipped entirely: no yhat1,
     no f(y1) evaluation, and their exponentials are not counted.
     use_reuse=False computes every row's exponential, declared reuse
@@ -90,14 +92,12 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
-    n_feval = 0
-    if carried_f is None:
-        carried_f = f(np.array(y) if type(y) is list else y)
-        n_feval = 1
     if type(y) is not list:
         y = np.asarray(y, float).ravel().tolist()
-    if type(carried_f) is not list:
-        carried_f = carried_f.ravel().tolist()
+    n_feval = 0
+    if carried_f is None:
+        carried_f = f(y)
+        n_feval = 1
     kernel = step_kernel(tableau.step_plan(with_embedded), len(carried_f),
                          use_reuse)
     return StepResult(*kernel(action.exp, action.act, f, y, float(h),
@@ -121,9 +121,10 @@ def step_kernel(plan: StepPlan, n: int, use_reuse: bool):
     """The compiled step of plan for algebra elements of n entries.
 
     kernel(exp, act, f, base, h, f0), with the base point y and f0 = f(y)
-    as flat lists of floats, returns (y1, y1_list, yhat1_list, f_last,
-    f_last_list): y1 and f_last = f(y1) as arrays and the three lists, with
-    None where the plan has no embedded update or is not FSAL.
+    as flat lists of floats, returns (y1, y1_list, yhat1_list, f_last): y1
+    as an array and as a list, yhat1 as a list and f_last = f(y1) as f
+    returned it, with None where the plan has no embedded update or is not
+    FSAL.
     kernel.n_exp and kernel.n_feval count the exponentials and the f
     evaluations after f0, and kernel.source is the generated code.
     """
@@ -150,7 +151,7 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
 
     def listed(k, values, value):
         # the f value as the list values, checked for length n, unpacked
-        body.append(f"{values} = {value}.ravel().tolist()")
+        body.append(f"{values} = {value}")
         body.append(f"if len({values}) != {n}: "
                     f"raise _length_error({n}, {values})")
         unpack(k, values)
@@ -176,17 +177,16 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
 
     unpack(0, "f0")
     for r, rows in enumerate(plan.stages, 2):
-        listed(r - 1, "v", f"f(array({apply_rows(rows)}))")
+        listed(r - 1, "v", f"f({apply_rows(rows)})")
         n_feval += 1
     body.append(f"y1_list = {apply_rows(plan.y)}")
     body.append("y1 = array(y1_list)")
     if plan.fsal:
-        body.append("f_last = f(y1)")
+        listed(len(plan.stages) + 1, "f_last", "f(y1_list)")
         n_feval += 1
-        listed(len(plan.stages) + 1, "f_last_list", "f_last")
     yhat1 = apply_rows(plan.yhat) if plan.embedded else "None"
-    fsal = "f_last, f_last_list" if plan.fsal else "None, None"
-    body.append(f"return y1, y1_list, {yhat1}, {fsal}")
+    f_last = "f_last" if plan.fsal else "None"
+    body.append(f"return y1, y1_list, {yhat1}, {f_last}")
 
     source = "\n    ".join([
         "def kernel(exp, act, f, base, h, f0):",

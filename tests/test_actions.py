@@ -396,6 +396,27 @@ def test_gl2_float_act_matches_numpy_kernel():
     assert min(branches.values()) > 100, branches
 
 
+def test_gl2_float_infinitesimal_matches_numpy_matmul():
+    # [a x + b y, c x + d y] on floats against v @ p, which BLAS may
+    # evaluate with a fused multiply-add
+    rng = np.random.default_rng(63)
+    action = Gl2PlaneAction()
+    for _ in range(1000):
+        V = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-4, 3)
+        p = _scaled(rng, 2, -3, 3)
+        got = action.infinitesimal(V.ravel().tolist(), p.tolist())
+        assert got.tobytes() == action.infinitesimal(V, p).tobytes()
+        bound = 2 * EPS * (np.abs(V) @ np.abs(p))
+        assert np.all(np.abs(got - V @ p) <= bound)
+
+
+def test_gl2_infinitesimal_overflows_to_inf_without_a_warning():
+    action = Gl2PlaneAction()
+    with np.errstate(all="raise"):
+        vel = action.infinitesimal([0.0, 1.0, -1.0, -6e301], [1e150, 1e150])
+    assert vel[0] == 1e150 and vel[1] == -np.inf
+
+
 def test_float_kernels_give_nan_for_overflowed_input():
     # an algebra element whose squared norm or D overflows yields NaN
     # entries, not a math domain error from sin or cos of inf

@@ -26,7 +26,7 @@ EPS = np.finfo(float).eps
 
 def zero_field_problem():
     return Problem(name="still", action=So3SphereAction(),
-                   f=lambda y: np.zeros(3),
+                   f=lambda y: [0.0, 0.0, 0.0],
                    default_y0=np.array([1.0, 0.0, 0.0]),
                    use_rtol=False, invariants=lambda y: {}, params=None)
 
@@ -284,7 +284,7 @@ def test_too_many_rejects():
             return 1.0
 
     prob = Problem(name="stubborn", action=AlwaysFar(),
-                   f=lambda y: np.array([0.0, 0.0, 1.0]),
+                   f=lambda y: [0.0, 0.0, 1.0],
                    default_y0=np.array([1.0, 0.0, 0.0]),
                    use_rtol=False, invariants=lambda y: {}, params=None)
     cfg = ControllerConfig(atol=0.01, max_consecutive_rejects=3, hmin=1e-300)
@@ -296,7 +296,7 @@ def test_too_many_rejects():
 
 def test_non_finite_state_is_reported():
     prob = Problem(name="blowup", action=So3SphereAction(),
-                   f=lambda y: np.array([np.nan, 0.0, 0.0]),
+                   f=lambda y: [math.nan, 0.0, 0.0],
                    default_y0=np.array([1.0, 0.0, 0.0]),
                    use_rtol=False, invariants=lambda y: {}, params=None)
     with pytest.raises(NonFiniteError):
@@ -338,7 +338,7 @@ def rigid_body_changing_length_at(n_call):
     def f(y):
         calls.append(None)
         out = prob.f(y)
-        return np.resize(out, 4) if len(calls) >= n_call else out
+        return out + out[:1] if len(calls) >= n_call else out
     return dataclasses.replace(prob, f=f)
 
 
@@ -447,6 +447,7 @@ def test_non_finite_initial_state_is_a_non_finite_error(driver, build, bad):
     (rigid_body, 1e160, StepSizeUnderflowError),
     (heavy_top, 1e160, StepSizeUnderflowError),
     (van_der_pol, 1e150, NonFiniteError),
+    (van_der_pol, 1e160, NonFiniteError),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_huge_finite_initial_state_is_a_typed_failure(build, scale, error):
     # the error measure's squares of ~1e160 entries would overflow a dot
@@ -455,6 +456,46 @@ def test_huge_finite_initial_state_is_a_typed_failure(build, scale, error):
     with pytest.raises(error) as info:
         DRIVERS["adaptive"](prob, prob.default_y0 * scale, 0.0, 1.0)
     assert info.value.trajectory.times == [0.0]
+
+
+def test_initial_step_keeps_the_callers_numpy_error_state():
+    # the rate estimate overflows to inf on Python floats, with no numpy
+    # operation to warn, so nothing inside initial_step silences numpy
+    prob = van_der_pol()
+    seen = []
+
+    class Recording(type(prob.action)):
+        def infinitesimal(self, v, p):
+            seen.append(np.geterr()["over"])
+            return super().infinitesimal(v, p)
+
+        def ambient_norm(self, p):
+            seen.append(np.geterr()["over"])
+            return super().ambient_norm(p)
+    prob = dataclasses.replace(prob, action=Recording())
+    y0 = (prob.default_y0 * 1e150).tolist()
+    cfg = ControllerConfig(atol=1e-6, rtol=1e-6)
+    with np.errstate(over="raise"):
+        h0 = initial_step(prob, y0, cfg, 3, 0.0, 1.0)
+    assert seen == ["raise", "raise"]
+    assert h0 == cfg.hmin
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+def test_drivers_call_f_on_lists_only(driver, build):
+    # the initial-step rate, the first f(y0) and every stage get a list
+    prob = build()
+    received = []
+
+    def f(y):
+        received.append(type(y))
+        return prob.f(y)
+    traj = DRIVERS[driver](dataclasses.replace(prob, f=f), prob.default_y0,
+                           0.0, 0.1)
+    assert set(received) == {list}
+    assert len(received) == traj.totals.n_feval + (driver == "adaptive")
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))

@@ -24,7 +24,8 @@ PROBLEMS = [rigid_body, heavy_top, van_der_pol]
 def reference_step(tableau, action, f, y, h, carried_f=None, *,
                    with_embedded=True, use_reuse=True):
     """cf_step as a plan interpreter: the rows of each stage and update are
-    walked one by one, each row sum built as a list per term."""
+    walked one by one, each row sum built as a list per term, and f called
+    on each point as a list."""
     h = float(h)
     plan = tableau.step_plan(with_embedded)
     exp, act = action.exp, action.act
@@ -32,11 +33,11 @@ def reference_step(tableau, action, f, y, h, carried_f=None, *,
     n_exp = 0
     n_feval = 0
 
-    if carried_f is None:
-        carried_f = f(y)
-        n_feval += 1
-    fvals = [carried_f.ravel().tolist()]
     base = np.asarray(y, float).ravel().tolist()
+    if carried_f is None:
+        carried_f = f(base)
+        n_feval += 1
+    fvals = [carried_f]
 
     def apply_rows(rows):
         nonlocal n_exp
@@ -55,10 +56,10 @@ def reference_step(tableau, action, f, y, h, carried_f=None, *,
                 n_exp += 1
                 slots[slot] = g
             point = act(g, point)
-        return np.array(point)
+        return point
 
     for rows in plan.stages:
-        fvals.append(f(apply_rows(rows)).ravel().tolist())
+        fvals.append(f(apply_rows(rows)))
         n_feval += 1
 
     y1 = apply_rows(plan.y)
@@ -69,11 +70,17 @@ def reference_step(tableau, action, f, y, h, carried_f=None, *,
         if tableau.fsal:
             f_last = f(y1)
             n_feval += 1
-            fvals.append(f_last.ravel().tolist())
-        yhat1 = apply_rows(plan.yhat)
+            fvals.append(f_last)
+        yhat1 = np.array(apply_rows(plan.yhat))
 
-    return SimpleNamespace(y1=y1, yhat1=yhat1, f_last=f_last,
+    return SimpleNamespace(y1=np.array(y1), yhat1=yhat1, f_last=f_last,
                            n_exp=n_exp, n_feval=n_feval)
+
+
+def bits(v):
+    """The bytes of v's float entries: a bitwise fingerprint of a list or
+    an array."""
+    return np.asarray(v, float).tobytes()
 
 
 def fresh(name):
@@ -98,7 +105,7 @@ def test_lie_euler_step():
     _, f, y0 = sphere_setup()
     h = 0.05
     res = cf_step(t, SPHERE, f, y0, h)
-    assert_allclose(res.y1, so3_exp(h * f(y0)) @ y0, atol=0)
+    assert_allclose(res.y1, so3_exp(h * np.array(f(y0))) @ y0, atol=0)
     assert (res.n_exp, res.n_feval) == (1, 1)
     assert res.yhat1 is None and res.f_last is None
     assert abs(np.linalg.norm(res.y1) - 1.0) < 1e-15
@@ -112,7 +119,7 @@ def test_zero_rows_cost_nothing():
     _, f, y0 = sphere_setup()
     h = 0.05
     res = cf_step(t, SPHERE, f, y0, h)
-    assert_allclose(res.y1, so3_exp(h * f(y0)) @ y0, atol=0)
+    assert_allclose(res.y1, so3_exp(h * np.array(f(y0))) @ y0, atol=0)
     assert res.n_exp == 1  # only the single nonzero update row
     assert res.n_feval == 2  # f at y0 and at the (unmoved) stage-2 point
 
@@ -122,16 +129,16 @@ def test_cf4_step_matches_hand_composition():
     _, f, y0 = sphere_setup()
     h = 0.02
 
-    f1 = f(y0)
+    f1 = np.array(f(y0))
     g_half = so3_exp(h * 0.5 * f1)
     y2 = g_half @ y0
-    f2 = f(y2)
+    f2 = np.array(f(y2))
     y3 = so3_exp(h * 0.5 * f2) @ y0
-    f3 = f(y3)
+    f3 = np.array(f(y3))
     # stage 4 applies its first row (shared with stage 2) and then the
     # second row, innermost first
     y4 = so3_exp(h * (-0.5 * f1 + f3)) @ (g_half @ y0)
-    f4 = f(y4)
+    f4 = np.array(f(y4))
     b1 = h * (f1 / 4 + f2 / 6 + f3 / 6 - f4 / 12)
     b2 = h * (-f1 / 12 + f2 / 6 + f3 / 6 + f4 / 4)
     expected = so3_exp(b2) @ (so3_exp(b1) @ y0)
@@ -148,8 +155,8 @@ def test_update_rows_apply_first_row_innermost():
                   order_p=1, order_phat=0, fsal=False)
     _, f, y0 = sphere_setup()
     h = 0.1
-    f1 = f(y0)
-    f2 = f(so3_exp(h * 0.5 * f1) @ y0)
+    f1 = np.array(f(y0))
+    f2 = np.array(f(so3_exp(h * 0.5 * f1) @ y0))
     inner = so3_exp(h * (0.3 * f1 + 0.1 * f2))
     outer = so3_exp(h * (0.2 * f1 + 0.4 * f2))
     res = cf_step(t, SPHERE, f, y0, h)
@@ -268,7 +275,8 @@ def test_heavy_top_step_preserves_casimirs():
 @pytest.mark.parametrize("name", ["cf4", "cf43"])
 def test_row_sums_match_numpy_bitwise(build, name):
     # exp receives, as a flat list, the bits of the numpy row sum
-    # (h*c0)*f_k0 + (h*c1)*f_k1 + ... over the row's nonzero terms
+    # (h*c0)*f_k0 + (h*c1)*f_k1 + ... over the row's nonzero terms, with
+    # each f value as an array
     prob = build()
     t = get_tableau(name)
     fs, vs = [], []
@@ -290,10 +298,10 @@ def test_row_sums_match_numpy_bitwise(build, name):
     assert len(vs) == len(rows)
     for terms, v in zip(rows, vs):
         k, c = terms[0]
-        ref = (h * c) * fs[k]
+        ref = (h * c) * np.array(fs[k])
         for k, c in terms[1:]:
-            ref = ref + (h * c) * fs[k]
-        assert np.ravel(v).tolist() == ref.ravel().tolist()
+            ref = ref + (h * c) * np.array(fs[k])
+        assert bits(v) == bits(ref)
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
@@ -315,21 +323,21 @@ def test_kernel_matches_plan_interpreter_bitwise(name, build, with_embedded,
         a, b = getattr(got, field), getattr(ref, field)
         assert (a is None) == (b is None), field
         if a is not None:
-            assert a.tobytes() == b.tobytes(), field
+            assert bits(a) == bits(b), field
     assert (got.n_exp, got.n_feval) == (ref.n_exp, ref.n_feval)
 
 
 @pytest.mark.parametrize("build", PROBLEMS, ids=lambda build: build.__name__)
 @pytest.mark.parametrize("name", [t.name for t in catalog()])
 def test_list_input_and_list_output_match_the_arrays(name, build):
-    # the drivers pass the state and the FSAL value as lists of floats
+    # the drivers pass the state as a list of floats and the FSAL value as
+    # the list f returned
     t = get_tableau(name)
     prob = build()
     y0 = prob.default_y0
-    carried = prob.f(y0)
-    arrays = cf_step(t, prob.action, prob.f, y0, 0.01, carried)
+    arrays = cf_step(t, prob.action, prob.f, y0, 0.01, prob.f(y0))
     lists = cf_step(t, prob.action, prob.f, y0.tolist(), 0.01,
-                    carried.ravel().tolist())
+                    prob.f(y0.tolist()))
     fresh = cf_step(t, prob.action, prob.f, y0.tolist(), 0.01)
     for res in (arrays, lists, fresh):
         assert res.y1.tobytes() == arrays.y1.tobytes()
@@ -340,11 +348,28 @@ def test_list_input_and_list_output_match_the_arrays(name, build):
         else:
             assert res.yhat1_list is None and res.yhat1 is None
         if t.fsal:
-            assert res.f_last_list == res.f_last.ravel().tolist()
-            assert res.f_last.tobytes() == arrays.f_last.tobytes()
+            assert type(res.f_last) is list
+            assert bits(res.f_last) == bits(arrays.f_last)
         else:
-            assert res.f_last_list is None and res.f_last is None
+            assert res.f_last is None
     assert fresh.n_feval == lists.n_feval + 1
+
+
+@pytest.mark.parametrize("build", PROBLEMS, ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", [t.name for t in catalog() if t.has_embedded])
+def test_f_is_called_on_lists_only(name, build):
+    # y0 as an array and no carried f: cf_step converts y once, and every
+    # f call, f(y) and f(y1) included, gets a list
+    t = get_tableau(name)
+    prob = build()
+    received = []
+
+    def f(y):
+        received.append(type(y))
+        return prob.f(y)
+    res = cf_step(t, prob.action, f, prob.default_y0, 0.01)
+    assert received == [list] * res.n_feval
+    assert res.n_feval == t.s + t.fsal
 
 
 def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
@@ -429,7 +454,7 @@ def changing_length(prob, first_wrong, n_entries, events):
         events.append("f")
         out = prob.f(y)
         if len(calls) >= first_wrong:
-            out = np.resize(out, n_entries)
+            out = (out + out)[:n_entries]
         return out
 
     class Recording(type(prob.action)):
