@@ -296,14 +296,16 @@ class GroupAction(ABC):
 
     @abstractmethod
     def algebra_zero(self):
-        """Zero element of the Lie algebra, in the representation f uses.
+        """Zero element of the Lie algebra as a numpy array (2x2 for
+        gl(2)), not the flat list f returns.
 
         cfrk itself does not call this; it remains only because the
         benchmark's tracing proxy forwards it by name.
         """
 
     def algebra_axpy(self, coeff: float, v, acc):
-        """acc + coeff * v (algebra elements are numpy arrays here).
+        """acc + coeff * v on numpy arrays; the flat lists f returns do not
+        support it.
 
         cf_step forms this sum inline; the method remains only because the
         benchmark's tracing proxy forwards it by name.
