@@ -7,9 +7,10 @@ from .actions import (DomainError, Gl2PlaneAction, GroupAction,
 from .catalog import (RootSelectionError, SingularParameterError, catalog,
                       cf43_root, get_tableau, instantiate_cf32_family,
                       instantiate_cf43)
-from .controller import (ControllerConfig, IntegrationError, NonFiniteError,
-                         StepAttempt, StepSizeUnderflowError,
-                         TooManyRejectsError, Totals, Trajectory,
+from .controller import (ControllerConfig, ControllerConfigError,
+                         IntegrationError, NonFiniteError, StepAttempt,
+                         StepSizeUnderflowError, TooManyRejectsError,
+                         Totals, Trajectory,
                          error_measure, initial_step, integrate_adaptive,
                          integrate_fixed, next_step_size)
 from .order_conditions import (OrderReport, UnsupportedShapeError, certify,
@@ -39,7 +40,8 @@ __all__ = [
     "Se3Element", "DomainError", "hat", "vee", "so3_exp", "gl2_exp",
     "se3_exp", "se3_bracket", "coadjoint_act",
     "FieldLengthError", "StepResult", "cf_step", "count_budget",
-    "ControllerConfig", "Trajectory", "Totals", "StepAttempt",
+    "ControllerConfig", "ControllerConfigError", "Trajectory", "Totals",
+    "StepAttempt",
     "IntegrationError", "StepSizeUnderflowError", "TooManyRejectsError",
     "NonFiniteError", "error_measure", "next_step_size", "initial_step",
     "integrate_adaptive", "integrate_fixed",

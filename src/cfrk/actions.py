@@ -19,12 +19,23 @@ element as a flat list too: the nine entries of a rotation, the four
 entries of a 2x2 matrix, or for SE(3) the nine rotation entries followed
 by the translation.  act takes such an element and a point given as a
 list of floats, writes each product out as multiply-adds, and returns the
-new point as a list.  Both also accept numpy input, which they check for
-shape and convert once: an algebra element or point as an array, and for
-act a rotation or 2x2 matrix as an array or an SE(3) element as an
-Se3Element.  The public kernels so3_exp, gl2_exp, se3_exp and
-coadjoint_act check their input the same way, run the same float bodies
-and return numpy matrices, an Se3Element or a numpy vector.
+new point as a list.
+
+Each geometry's exp and act are module-level float bodies bound as static
+methods, so a call from the step kernel runs one Python frame: the
+Rodrigues coefficients, rotation entries and coadjoint product are
+written inline.  The only guard in a body is
+`x if type(x) is list else _floats(x, ...)`: a list is unpacked as it is,
+and one of the wrong length raises the unpacking's ValueError; numpy
+input is checked for shape (a ValueError naming the shape it got) and
+converted once: an algebra element or point as an array, and for act a
+rotation or 2x2 matrix as an array or an SE(3) element as an Se3Element.
+_se3_exp repeats _so3_exp's Rodrigues block with the same operations, so
+its rotation has so3_exp's bits.  The public kernels so3_exp, gl2_exp,
+se3_exp and coadjoint_act check their input, call the same bodies and
+return numpy matrices, an Se3Element or a numpy vector; each formula is
+written once per geometry.  ambient_norm and ambient_distance likewise
+use a list as it is and convert anything else once.
 """
 
 from __future__ import annotations
@@ -70,38 +81,33 @@ def _floats(v, *shape: int) -> list:
 
 
 def _entries(p) -> list:
-    """p when it is a list, else its entries as a flat list of floats."""
-    return p if type(p) is list else np.asarray(p, float).ravel().tolist()
+    """The entries of p, any shape, as a flat row-major list of floats."""
+    return np.asarray(p, float).ravel().tolist()
 
 
-def _rodrigues_coeffs(t2: float) -> tuple:
-    """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = sqrt(t2).
+def _so3_exp(v) -> list:
+    """so3_exp on a list of 3 floats (or a 3-vector array), as a list of
+    the 9 entries of I + A hat(v) + B hat(v)^2, hat(v)^2 = v v^T - |v|^2 I.
 
-    Below theta = 1e-4 the three quotients switch to short Taylor
-    expansions; the closed forms lose digits to cancellation there.  An
-    infinite or NaN t2 (an algebra element that overflowed) gives NaN
-    coefficients, so the state turns non-finite instead of math.sin
-    raising a domain error.
+    A = sin t / t and B = (1 - cos t) / t^2 at t = |v|.  Below theta = 1e-4
+    both switch to short Taylor expansions; the closed forms lose digits to
+    cancellation there.  An infinite or NaN t^2 (an algebra element that
+    overflowed) gives NaN coefficients, so the state turns non-finite
+    instead of math.sin raising a domain error.  _se3_exp repeats this
+    block for its rotation, with the same operations.
     """
+    x, y, z = v if type(v) is list else _floats(v, 3)
+    xx, yy, zz = x * x, y * y, z * z
+    t2 = xx + yy + zz
     if t2 < 1e-8:  # theta < 1e-4
         A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
         B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
-        C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
     elif t2 < math.inf:
         t = math.sqrt(t2)
-        s = math.sin(t)
-        A = s / t
+        A = math.sin(t) / t
         B = (1.0 - math.cos(t)) / t2
-        C = (t - s) / (t2 * t)
     else:
-        A = B = C = math.nan
-    return A, B, C
-
-
-def _rotation(x: float, y: float, z: float, A: float, B: float) -> list:
-    """Row-major entries of I + A hat(v) + B hat(v)^2 for v = (x, y, z)
-    (hat(v)^2 = v v^T - |v|^2 I)."""
-    xx, yy, zz = x * x, y * y, z * z
+        A = B = math.nan
     bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
     ax, ay, az = A * x, A * y, A * z
     return [1.0 - B * (yy + zz), bxy - az, bxz + ay,
@@ -109,11 +115,15 @@ def _rotation(x: float, y: float, z: float, A: float, B: float) -> list:
             bxz - ay, byz + ax, 1.0 - B * (xx + yy)]
 
 
-def _so3_exp(v: list) -> list:
-    """so3_exp on a list of 3 floats, as a list of 9 entries."""
-    x, y, z = v
-    A, B, _ = _rodrigues_coeffs(x * x + y * y + z * z)
-    return _rotation(x, y, z, A, B)
+def _so3_act(g, p) -> list:
+    """The rotation g (9 entries, row-major, or a 3x3 array) applied to the
+    point p (3 floats or a 3-vector array)."""
+    r11, r12, r13, r21, r22, r23, r31, r32, r33 = (
+        g if type(g) is list else _floats(g, 3, 3))
+    p1, p2, p3 = p if type(p) is list else _floats(p, 3)
+    return [r11 * p1 + r12 * p2 + r13 * p3,
+            r21 * p1 + r22 * p2 + r23 * p3,
+            r31 * p1 + r32 * p2 + r33 * p3]
 
 
 def so3_exp(v) -> np.ndarray:
@@ -134,7 +144,8 @@ def _np_exp(x: float) -> float:
 
     np.exp rather than math.exp, whose last bit differs on a few percent
     of inputs; the errstate context costs more than the exponential, so it
-    is entered only where np.exp can overflow.
+    is entered only where np.exp can overflow (_gl2_exp makes the common
+    call itself).
     """
     if x >= 709.0:
         with np.errstate(over="ignore"):
@@ -142,9 +153,10 @@ def _np_exp(x: float) -> float:
     return float(np.exp(x))
 
 
-def _gl2_exp(A: list) -> list:
-    """gl2_exp on the 4 entries of A, row-major, as 4 entries."""
-    a, b, c, d = A
+def _gl2_exp(A) -> list:
+    """gl2_exp on the 4 entries of A, row-major (or a 2x2 array), as 4
+    entries."""
+    a, b, c, d = A if type(A) is list else _floats(A, 2, 2)
     mu = 0.5 * (a + d)
     D = mu * mu - (a * d - b * c)
     if abs(D) < 1e-6:
@@ -168,7 +180,7 @@ def _gl2_exp(A: list) -> list:
         S = math.sin(s) / s
     else:  # D = -inf or NaN: non-finite entries, not a math domain error
         C = S = math.nan
-    E = _np_exp(mu)
+    E = float(np.exp(mu)) if mu < 709.0 else _np_exp(mu)
     return [E * (C + S * (a - mu)), E * (S * b),
             E * (S * c), E * (C + S * (d - mu))]
 
@@ -189,6 +201,14 @@ def gl2_exp(A) -> np.ndarray:
     Raises ValueError unless A is 2x2.
     """
     return np.array(_gl2_exp(_floats(A, 2, 2))).reshape(2, 2)
+
+
+def _gl2_act(g, p) -> list:
+    """The 2x2 matrix g (4 entries, row-major, or a 2x2 array) applied to
+    the point p (2 floats or a 2-vector array)."""
+    g11, g12, g21, g22 = g if type(g) is list else _floats(g, 2, 2)
+    x, y = p if type(p) is list else _floats(p, 2)
+    return [g11 * x + g12 * y, g21 * x + g22 * y]
 
 
 # ------------------------------------------------------------- se(3) basics
@@ -231,15 +251,37 @@ def se3_bracket(a, b) -> np.ndarray:
                      (x1 * v2 - x2 * v1) - (e1 * u2 - e2 * u1)])
 
 
-def _se3_exp(a: list) -> list:
-    """se3_exp on a list of 6 floats, as the 9 rotation entries followed
-    by the translation."""
-    x, y, z, u1, u2, u3 = a
-    A, B, C = _rodrigues_coeffs(x * x + y * y + z * z)
+def _se3_exp(a) -> list:
+    """se3_exp on a list of 6 floats (or a 6-vector array), as the 9
+    rotation entries followed by the translation.
+
+    The rotation and its coefficients A, B are _so3_exp's, written out again
+    with the same operations; C = (t - sin t) / t^3 joins them.
+    """
+    x, y, z, u1, u2, u3 = a if type(a) is list else _floats(a, 6)
+    xx, yy, zz = x * x, y * y, z * z
+    t2 = xx + yy + zz
+    if t2 < 1e-8:  # theta < 1e-4
+        A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
+        B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
+        C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
+    elif t2 < math.inf:
+        t = math.sqrt(t2)
+        s = math.sin(t)
+        A = s / t
+        B = (1.0 - math.cos(t)) / t2
+        C = (t - s) / (t2 * t)
+    else:
+        A = B = C = math.nan
+    bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
+    ax, ay, az = A * x, A * y, A * z
     w1, w2, w3 = y * u3 - z * u2, z * u1 - x * u3, x * u2 - y * u1
-    return _rotation(x, y, z, A, B) + [u1 + B * w1 + C * (y * w3 - z * w2),
-                                       u2 + B * w2 + C * (z * w1 - x * w3),
-                                       u3 + B * w3 + C * (x * w2 - y * w1)]
+    return [1.0 - B * (yy + zz), bxy - az, bxz + ay,
+            bxy + az, 1.0 - B * (xx + zz), byz - ax,
+            bxz - ay, byz + ax, 1.0 - B * (xx + yy),
+            u1 + B * w1 + C * (y * w3 - z * w2),
+            u2 + B * w2 + C * (z * w1 - x * w3),
+            u3 + B * w3 + C * (x * w2 - y * w1)]
 
 
 def se3_exp(a) -> Se3Element:
@@ -261,10 +303,12 @@ def _se3_floats(ge: Se3Element) -> list:
     return _floats(ge.rot, 3, 3) + _floats(ge.trans, 3)
 
 
-def _coadjoint(g: list, m: list) -> list:
-    """coadjoint_act on the 12 floats of _se3_exp and a list of 6."""
-    r11, r12, r13, r21, r22, r23, r31, r32, r33, u1, u2, u3 = g
-    m1, m2, m3, b1, b2, b3 = m
+def _se3_act(g, m) -> list:
+    """coadjoint_act on the 12 floats of _se3_exp (or an Se3Element) and 6
+    floats (or a 6-vector array)."""
+    r11, r12, r13, r21, r22, r23, r31, r32, r33, u1, u2, u3 = (
+        g if type(g) is list else _se3_floats(g))
+    m1, m2, m3, b1, b2, b3 = m if type(m) is list else _floats(m, 6)
     w1 = m1 - (u2 * b3 - u3 * b2)
     w2 = m2 - (u3 * b1 - u1 * b3)
     w3 = m3 - (u1 * b2 - u2 * b1)
@@ -284,7 +328,7 @@ def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
     as three products summed left to right.  Raises ValueError unless m has
     exactly 6 components.
     """
-    return np.array(_coadjoint(_se3_floats(ge), _floats(m, 6)))
+    return np.array(_se3_act(_se3_floats(ge), _floats(m, 6)))
 
 
 # ----------------------------------------------------------- action contract
@@ -331,7 +375,7 @@ class GroupAction(ABC):
     def ambient_norm(self, p) -> float:
         """Euclidean norm of the point, a flat list of floats or an array
         (flattened): math.hypot of its entries."""
-        return math.hypot(*_entries(p))
+        return math.hypot(*(p if type(p) is list else _entries(p)))
 
     def ambient_distance(self, p, q) -> float:
         """Euclidean distance between two points, each a flat list of
@@ -342,7 +386,8 @@ class GroupAction(ABC):
         overflows an intermediate sum of squares; a list is used as it is,
         an array converted once.
         """
-        return math.dist(_entries(p), _entries(q))
+        return math.dist(p if type(p) is list else _entries(p),
+                         q if type(q) is list else _entries(q))
 
 
 class So3SphereAction(GroupAction):
@@ -353,17 +398,8 @@ class So3SphereAction(GroupAction):
     def algebra_zero(self):
         return np.zeros(3)
 
-    def exp(self, v):
-        return _so3_exp(v if type(v) is list and len(v) == 3
-                        else _floats(v, 3))
-
-    def act(self, g, p):
-        r11, r12, r13, r21, r22, r23, r31, r32, r33 = (
-            g if type(g) is list and len(g) == 9 else _floats(g, 3, 3))
-        p1, p2, p3 = p if type(p) is list and len(p) == 3 else _floats(p, 3)
-        return [r11 * p1 + r12 * p2 + r13 * p3,
-                r21 * p1 + r22 * p2 + r23 * p3,
-                r31 * p1 + r32 * p2 + r33 * p3]
+    exp = staticmethod(_so3_exp)
+    act = staticmethod(_so3_act)
 
     def infinitesimal(self, v, p):
         """v x p, written out on floats as numpy's cross computes it."""
@@ -382,21 +418,14 @@ class Gl2PlaneAction(GroupAction):
     def algebra_zero(self):
         return np.zeros((2, 2))
 
-    def exp(self, v):
-        return _gl2_exp(v if type(v) is list and len(v) == 4
-                        else _floats(v, 2, 2))
-
-    def act(self, g, p):
-        g11, g12, g21, g22 = (
-            g if type(g) is list and len(g) == 4 else _floats(g, 2, 2))
-        x, y = p if type(p) is list and len(p) == 2 else _floats(p, 2)
-        return [g11 * x + g12 * y, g21 * x + g22 * y]
+    exp = staticmethod(_gl2_exp)
+    act = staticmethod(_gl2_act)
 
     def infinitesimal(self, v, p):
         """v p, written out on floats; v is a flat row-major list of 4
         floats or a 2x2 array."""
-        a, b, c, d = v if type(v) is list and len(v) == 4 else _floats(v, 2, 2)
-        x, y = p if type(p) is list and len(p) == 2 else _floats(p, 2)
+        a, b, c, d = v if type(v) is list else _floats(v, 2, 2)
+        x, y = p if type(p) is list else _floats(p, 2)
         return np.array([a * x + b * y, c * x + d * y])
 
 
@@ -414,15 +443,8 @@ class Se3CoadjointAction(GroupAction):
     def algebra_zero(self):
         return np.zeros(6)
 
-    def exp(self, v):
-        return _se3_exp(v if type(v) is list and len(v) == 6
-                        else _floats(v, 6))
-
-    def act(self, g, p):
-        if type(g) is not list:
-            g = _se3_floats(g)
-        return _coadjoint(g, p if type(p) is list and len(p) == 6
-                          else _floats(p, 6))
+    exp = staticmethod(_se3_exp)
+    act = staticmethod(_se3_act)
 
     def infinitesimal(self, v, p):
         """(-(xi x mu) - u x beta, -(xi x beta)), written out on floats as

@@ -21,7 +21,8 @@ from .bench import (CSV_COLUMNS, ExperimentConfig, attempt_rows,
                     run_convergence, run_needle, run_tableau_check,
                     run_work_precision, write_output)
 from .catalog import catalog
-from .controller import ControllerConfig, IntegrationError, integrate_adaptive
+from .controller import (ControllerConfig, ControllerConfigError,
+                         IntegrationError, integrate_adaptive)
 from .stepper import count_budget
 from .tableaux import TableauError
 
@@ -205,8 +206,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except TableauError as exc:
-        # a bad --tableau is a usage error: one line, argparse's exit code
+    except (TableauError, ControllerConfigError) as exc:
+        # a bad --tableau, tolerance or step size is a usage error: one
+        # line, argparse's exit code
         print(f"cfrk: {exc}", file=sys.stderr)
         return 2
 

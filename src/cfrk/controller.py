@@ -9,10 +9,13 @@ Between attempts both drivers hold the state, the FSAL value and the step's
 y1/yhat1 as flat lists of Python floats, which cf_step takes and returns
 (the FSAL value is the list f returned at y1); the finite check and the
 error measure (math.dist and math.hypot through the action) run on those
-lists.  f sees only lists, the starting rate estimate included.  numpy
-appears only at the edges: y0 as given, and the arrays stored in
-Trajectory.points and StepAttempt.y.  A DomainError from f or the action
-and a FieldLengthError from the step end the run as an IntegrationError
+lists.  f sees only lists, the starting rate estimate included, and each
+StepAttempt.y is the list the step returned.  numpy appears only at the
+edges: y0 as given (copied once), and Trajectory.points, built once per
+run from the accepted lists as one array, in a finally clause so that a
+failed run's partial trajectory holds it too; a rejected attempt
+allocates no array.  A DomainError from f or the action and a
+FieldLengthError from the step end the run as an IntegrationError
 carrying the partial trajectory.
 """
 
@@ -29,8 +32,17 @@ from .stepper import FieldLengthError, cf_step
 _EPS = float(np.finfo(float).eps)
 
 
+class ControllerConfigError(ValueError):
+    """A ControllerConfig field outside its valid range."""
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
+    """Tolerances and step-size control of integrate_adaptive.
+
+    h0, when given, must be positive; an infinite h0 is clamped to the
+    span.  Any field outside its range raises ControllerConfigError.
+    """
     atol: float = 1e-6
     rtol: float = 0.0
     fac: float = 0.9
@@ -43,23 +55,26 @@ class ControllerConfig:
 
     def __post_init__(self):
         if not (0.0 < self.fac < 1.0):
-            raise ValueError("fac must lie in (0, 1)")
+            raise ControllerConfigError("fac must lie in (0, 1)")
         if not (0.0 < self.facmin < 1.0 < self.facmax):
-            raise ValueError("need 0 < facmin < 1 < facmax")
-        if self.atol <= 0.0:
-            raise ValueError("atol must be positive")
-        if self.rtol < 0.0:
-            raise ValueError("rtol must be nonnegative")
+            raise ControllerConfigError("need 0 < facmin < 1 < facmax")
+        if not self.atol > 0.0:
+            raise ControllerConfigError("atol must be positive")
+        if not self.rtol >= 0.0:
+            raise ControllerConfigError("rtol must be nonnegative")
         if not self.hmin < self.hmax:
-            raise ValueError("need hmin < hmax")
+            raise ControllerConfigError("need hmin < hmax")
         if self.max_consecutive_rejects < 1:
-            raise ValueError("max_consecutive_rejects must be >= 1")
+            raise ControllerConfigError("max_consecutive_rejects must be >= 1")
+        if self.h0 is not None and not self.h0 > 0.0:
+            raise ControllerConfigError(f"h0 must be positive, got {self.h0}")
 
 
 @dataclass
 class StepAttempt:
     """One attempted step: base time, size, outcome, error measure, and the
-    candidate end point (the accepted point when accepted)."""
+    candidate end point (the accepted point when accepted) as the flat list
+    of Python floats the step returned."""
     t: float
     h: float
     accepted: bool
@@ -77,8 +92,10 @@ class Totals:
 
 @dataclass
 class Trajectory:
+    """The accepted times, and the points at them as the rows of one array
+    of shape (len(times), *y0.shape); every attempt in h_history."""
     times: list = field(default_factory=list)
-    points: list = field(default_factory=list)
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     h_history: list = field(default_factory=list)
     totals: Totals = field(default_factory=Totals)
 
@@ -171,22 +188,27 @@ def _check_span(t0: float, t1: float) -> None:
 
 
 def _start(problem, y0, t0: float) -> tuple:
-    """The one-point trajectory at (t0, y0), and y0 as a flat list of
-    floats.
+    """The one-point trajectory at (t0, y0), with its own copy of y0, and
+    y0 as a flat list of floats.
 
     Raises ValueError unless y0 has the shape of problem.default_y0, and
     NonFiniteError carrying the trajectory unless every entry is finite;
     both before any f or exp call.
     """
-    y = np.asarray(y0, float)
+    y = np.array(y0, float)
     expected = np.shape(problem.default_y0)
     if y.shape != expected:
         raise ValueError(f"y0 must have shape {expected}, got shape "
                          f"{y.shape}")
-    traj = Trajectory(times=[t0], points=[y])
+    traj = Trajectory(times=[t0], points=y[np.newaxis])
     y = y.ravel().tolist()
     _check_finite(y, traj)
     return traj, y
+
+
+def _set_points(traj: Trajectory, rows: list) -> None:
+    """traj.points as one new array of the rows, each shaped like y0."""
+    traj.points = np.array(rows).reshape(-1, *traj.points.shape[1:])
 
 
 def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
@@ -211,6 +233,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
 
     traj, y = _start(problem, y0, t0)
     totals = traj.totals
+    rows = [y]
     t = t0
     carry = None
     rejects_in_a_row = 0
@@ -231,8 +254,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
             if not math.isfinite(err):
                 raise NonFiniteError("error measure became non-finite", traj)
             accepted = err <= 1.0
-            traj.h_history.append(StepAttempt(t, h_step, accepted, err,
-                                              res.y1))
+            traj.h_history.append(StepAttempt(t, h_step, accepted, err, y1))
 
             if accepted:
                 totals.n_accepted += 1
@@ -241,7 +263,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
                 y = y1
                 carry = res.f_last
                 traj.times.append(t)
-                traj.points.append(res.y1)
+                rows.append(y1)
                 if truncated:
                     break
                 h = next_step_size(h_step, err, p, cfg)
@@ -259,6 +281,8 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
                 h = next_step_size(h_step, err, p, cfg, facmax=1.0)
     except (DomainError, FieldLengthError) as exc:
         raise _failure(exc, traj) from exc
+    finally:
+        _set_points(traj, rows)
     return traj
 
 
@@ -281,6 +305,7 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
 
     traj, y = _start(problem, y0, t0)
     totals = traj.totals
+    rows = [y]
     carry = None
     try:
         for i in range(1, n_steps + 1):
@@ -290,15 +315,17 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
             totals.n_feval += res.n_feval
             totals.n_accepted += 1
             if advance_embedded:
-                point, y = res.yhat1, res.yhat1_list
+                y = res.yhat1_list
             else:
-                point, y, carry = res.y1, res.y1_list, res.f_last
+                y, carry = res.y1_list, res.f_last
             _check_finite(y, traj)
             t = t1 if i == n_steps else t0 + i * h
             traj.h_history.append(StepAttempt(t0 + (i - 1) * h, h, True,
-                                              float("nan"), point))
+                                              float("nan"), y))
             traj.times.append(t)
-            traj.points.append(point)
+            rows.append(y)
     except (DomainError, FieldLengthError) as exc:
         raise _failure(exc, traj) from exc
+    finally:
+        _set_points(traj, rows)
     return traj

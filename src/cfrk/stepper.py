@@ -13,7 +13,11 @@ and per use_reuse.  The kernel unpacks each f value into local floats
 once and writes each row sum out per component as
 x0*a0_i + x1*a1_i + ... with x_j = h * c_j, summed left to right: numpy's
 order of operations for (h*c0)*f0 + (h*c1)*f1 + ..., so the row sums are
-bit-identical to the array expression.  It calls the exp, act and f it is
+bit-identical to the array expression.  With use_reuse, each point is
+formed once: the generator keys every point by the sequence of slots
+applied to the base point, and a row sequence whose prefix is already
+formed starts from that point without another act (cf43 makes 7 act
+calls per embedded step, not 8).  It calls the exp, act and f it is
 handed, so a wrapper around any of them sees every call.  Only integer
 indices and the repr of finite Python floats enter the source.  The
 kernel's n_exp and n_feval are static, the exponentials and f evaluations
@@ -26,8 +30,8 @@ the kernel hands f each point as act returned it and unpacks f's list
 after a length check.  The base point and f(y) go in as lists, and y1,
 yhat1 and f(y1) come out as lists, so the drivers carry the state, the
 FSAL value and the error measure's inputs between attempts without numpy.
-numpy appears only in StepResult's y1 array (yhat1 is made an array only
-when read).  GroupAction.algebra_zero and algebra_axpy are not called
+The kernel builds no array; StepResult makes its y1 and yhat1 arrays only
+when they are read.  GroupAction.algebra_zero and algebra_axpy are not called
 here; they remain only because the benchmark's tracing proxy forwards
 them by name.
 """
@@ -49,25 +53,27 @@ class FieldLengthError(ValueError):
 class StepResult:
     """Outcome of one step.
 
-    y1 is the new point as an array; yhat1, the embedded solution, is made
-    an array each time it is read, and is None when the step skipped the
-    embedded rows.  y1_list and yhat1_list hold the same values as flat
-    lists of Python floats.  f_last is the list f returned at y1 when the
+    y1_list is the new point and yhat1_list the embedded solution, as flat
+    lists of Python floats; yhat1_list is None when the step skipped the
+    embedded rows.  y1 and yhat1 are the same points as arrays, made each
+    time they are read.  f_last is the list f returned at y1 when the
     tableau is FSAL and the embedded update ran, else None; callers pass it
     back as carried_f on the next step.
     """
 
-    __slots__ = ("y1", "y1_list", "yhat1_list", "f_last", "n_exp",
-                 "n_feval")
+    __slots__ = ("y1_list", "yhat1_list", "f_last", "n_exp", "n_feval")
 
-    def __init__(self, y1, y1_list: list, yhat1_list, f_last,
+    def __init__(self, y1_list: list, yhat1_list, f_last,
                  n_exp: int, n_feval: int):
-        self.y1 = y1
         self.y1_list = y1_list
         self.yhat1_list = yhat1_list
         self.f_last = f_last
         self.n_exp = n_exp
         self.n_feval = n_feval
+
+    @property
+    def y1(self):
+        return np.array(self.y1_list)
 
     @property
     def yhat1(self):
@@ -80,7 +86,9 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     """Advance one step of size h from the point y.
 
     y is a flat list of Python floats or a numpy array, which is converted
-    once; f is called on lists only.  carried_f, if given, must equal f(y)
+    once; f is called on lists only.  The kernel cached on the step plan is
+    looked up here directly; step_kernel compiles it on the first step.
+    carried_f, if given, must equal f(y)
     (the FSAL carry), a flat list as f returns it.  With
     with_embedded=False the embedded rows are skipped entirely: no yhat1,
     no f(y1) evaluation, and their exponentials are not counted.
@@ -98,8 +106,10 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     if carried_f is None:
         carried_f = f(y)
         n_feval = 1
-    kernel = step_kernel(tableau.step_plan(with_embedded), len(carried_f),
-                         use_reuse)
+    plan = tableau.step_plan(with_embedded)
+    kernel = plan.kernels.get((len(carried_f), use_reuse))
+    if kernel is None:
+        kernel = step_kernel(plan, len(carried_f), use_reuse)
     return StepResult(*kernel(action.exp, action.act, f, y, float(h),
                               carried_f), kernel.n_exp,
                       n_feval + kernel.n_feval)
@@ -121,10 +131,9 @@ def step_kernel(plan: StepPlan, n: int, use_reuse: bool):
     """The compiled step of plan for algebra elements of n entries.
 
     kernel(exp, act, f, base, h, f0), with the base point y and f0 = f(y)
-    as flat lists of floats, returns (y1, y1_list, yhat1_list, f_last): y1
-    as an array and as a list, yhat1 as a list and f_last = f(y1) as f
-    returned it, with None where the plan has no embedded update or is not
-    FSAL.
+    as flat lists of floats, returns (y1, yhat1, f_last): y1 and yhat1 as
+    lists and f_last = f(y1) as f returned it, with None where the plan has
+    no embedded update or is not FSAL.
     kernel.n_exp and kernel.n_feval count the exponentials and the f
     evaluations after f0, and kernel.source is the generated code.
     """
@@ -142,8 +151,12 @@ def _length_error(n: int, v: list) -> FieldLengthError:
 
 def _compile(plan: StepPlan, n: int, use_reuse: bool):
     coeffs = {}  # coefficient -> local holding h * coefficient
+    # the slots applied to the base point, in order -> the local holding
+    # the point they form; reused only with use_reuse, where equal slots
+    # hold the same exponential
+    points = {}
     body = []
-    n_exp = n_feval = 0
+    n_exp = n_feval = n_act = 0
 
     def unpack(k, values):
         # the list values into the locals f{k}_0 ... f{k}_{n-1}
@@ -158,8 +171,8 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
 
     def apply_rows(rows):
         # the rows applied to the base point; returns the new point's local
-        nonlocal n_exp
-        point = "base"
+        nonlocal n_exp, n_act
+        point, prefix = "base", ()
         for terms, slot, reused in rows:
             if not (reused and use_reuse):
                 for _, c in terms:
@@ -171,28 +184,31 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
                                       for k, c in terms) for i in range(n))
                 body.append(f"g{slot} = exp([{', '.join(entries)}])")
                 n_exp += 1
-            body.append(f"p = act(g{slot}, {point})")
-            point = "p"
+            prefix += (slot,)
+            if not (use_reuse and prefix in points):
+                points[prefix] = f"p{n_act}"
+                body.append(f"p{n_act} = act(g{slot}, {point})")
+                n_act += 1
+            point = points[prefix]
         return point
 
     unpack(0, "f0")
     for r, rows in enumerate(plan.stages, 2):
         listed(r - 1, "v", f"f({apply_rows(rows)})")
         n_feval += 1
-    body.append(f"y1_list = {apply_rows(plan.y)}")
-    body.append("y1 = array(y1_list)")
+    y1 = apply_rows(plan.y)
     if plan.fsal:
-        listed(len(plan.stages) + 1, "f_last", "f(y1_list)")
+        listed(len(plan.stages) + 1, "f_last", f"f({y1})")
         n_feval += 1
     yhat1 = apply_rows(plan.yhat) if plan.embedded else "None"
     f_last = "f_last" if plan.fsal else "None"
-    body.append(f"return y1, y1_list, {yhat1}, {f_last}")
+    body.append(f"return {y1}, {yhat1}, {f_last}")
 
     source = "\n    ".join([
         "def kernel(exp, act, f, base, h, f0):",
         *(f"{x} = h * {c!r}" for c, x in coeffs.items()),
         *body]) + "\n"
-    namespace = {"array": np.array, "_length_error": _length_error}
+    namespace = {"_length_error": _length_error}
     exec(compile(source, f"<cf_step kernel n={n}>", "exec"), namespace)
     kernel = namespace["kernel"]
     kernel.source, kernel.n_exp, kernel.n_feval = source, n_exp, n_feval

@@ -1,6 +1,7 @@
 """Geometry tests: exponentials against power-series oracles, action
 axioms, and the infinitesimal maps against finite differences."""
 
+import struct
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -231,6 +232,60 @@ def test_se3_exp_small_rotation_branch():
 def test_kernels_reject_wrong_length_input(call):
     with pytest.raises(ValueError, match=r"got shape \("):
         call()
+
+
+@pytest.mark.parametrize("action,algebra,element", [
+    (So3SphereAction(), (3,), np.eye(2)),
+    (Gl2PlaneAction(), (2, 2), np.eye(3)),
+    (Se3CoadjointAction(), (6,), Se3Element(np.eye(2), np.zeros(3))),
+], ids=lambda x: getattr(x, "name", None))
+def test_exp_and_act_reject_wrong_length_lists_and_wrong_shape_arrays(
+        action, algebra, element):
+    # a list is unpacked as it is; an array is checked for its shape
+    n = int(np.prod(algebra))
+    m = n // 2 if n == 4 else n  # the point's length
+    g = action.exp([0.1] * n)
+    p = [1.0] * m
+    for bad in ([0.1] * (n - 1), [0.1] * (n + 1)):
+        with pytest.raises(ValueError):
+            action.exp(bad)
+    for bad in (g[:-1], g + [0.0]):
+        with pytest.raises(ValueError):
+            action.act(bad, p)
+    for bad in (p[:-1], p + [1.0]):
+        with pytest.raises(ValueError):
+            action.act(g, bad)
+    for call in (lambda: action.exp(np.zeros(n + 1)),
+                 lambda: action.exp(np.zeros((1, n))),
+                 lambda: action.act(element, p),
+                 lambda: action.act(g, np.zeros(m + 1))):
+        with pytest.raises(ValueError, match=r"got shape \("):
+            call()
+
+
+def float_bits(values) -> bytes:
+    """The float64 bytes of a list of floats, NaN payloads included."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def test_se3_rotation_is_so3_exp_bitwise():
+    # _se3_exp writes out _so3_exp's Rodrigues block again; both copies
+    # must give the same bits on either side of the series switch at
+    # theta = 1e-4 and on overflowed input
+    rng = np.random.default_rng(62)
+    so3, se3 = So3SphereAction(), Se3CoadjointAction()
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    vs = [_scaled(rng, 3, -7, 1.5).tolist() for _ in range(1000)]
+    vs += [(theta * axis).tolist()
+           for theta in (0.999999e-4, np.nextafter(1e-4, 0.0), 1e-4,
+                         np.nextafter(1e-4, 1.0), 1.000001e-4)]
+    vs += [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [np.inf, 0.0, 0.0],
+           [0.0, -np.inf, 1.0], [np.nan, 0.0, 0.0], [1.0, np.nan, np.inf]]
+    for v in vs:
+        u = rng.standard_normal(3).tolist()
+        assert float_bits(se3.exp(v + u)[:9]) == float_bits(so3.exp(v))
+        assert se3_exp(v + u).rot.tobytes() == so3_exp(v).tobytes()
 
 
 def test_se3_pure_translation():

@@ -90,6 +90,22 @@ def test_bad_tableau_is_a_one_line_usage_error(tmp_path, capsys, command):
         assert captured.err.startswith("cfrk: ") and message in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["needle", "--h0", "0"], "h0 must be positive, got 0.0"),
+    (["needle", "--tol", "-1"], "atol must be positive"),
+    (["integrate", "--h0", "-0.1"], "h0 must be positive, got -0.1"),
+    (["integrate", "--h0", "nan"], "h0 must be positive, got nan"),
+    (["integrate", "--atol", "0"], "atol must be positive"),
+], ids=["needle-h0", "needle-tol", "integrate-h0", "integrate-h0-nan",
+        "integrate-atol"])
+def test_invalid_controller_config_is_a_one_line_usage_error(capsys, argv,
+                                                              message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cfrk: {message}\n"
+
+
 def test_integrate_writes_trace(tmp_path):
     out = tmp_path / "run.csv"
     assert main(["integrate", "--problem", "rigid-body", "--tableau", "cf43",

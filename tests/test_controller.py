@@ -12,8 +12,9 @@ from numpy.testing import assert_allclose
 
 from cfrk.actions import DomainError, So3SphereAction
 from cfrk.catalog import get_tableau
-from cfrk.controller import (ControllerConfig, IntegrationError,
-                             NonFiniteError, StepSizeUnderflowError,
+from cfrk.controller import (ControllerConfig, ControllerConfigError,
+                             IntegrationError, NonFiniteError,
+                             StepSizeUnderflowError,
                              TooManyRejectsError, Trajectory, _check_finite,
                              error_measure, initial_step, integrate_adaptive,
                              integrate_fixed, next_step_size)
@@ -48,6 +49,25 @@ def test_config_validation():
         ControllerConfig(hmin=2.0, hmax=1.0)
     with pytest.raises(ValueError):
         ControllerConfig(max_consecutive_rejects=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("h0", 0.0), ("h0", -0.1), ("h0", math.nan), ("h0", -math.inf),
+    ("atol", math.nan), ("rtol", math.nan)])
+def test_config_rejects_invalid_h0_and_nan_tolerances(field, value):
+    # caught at construction, before a run could take a zero, backward or
+    # NaN first step
+    with pytest.raises(ControllerConfigError, match=f"{field} must be"):
+        ControllerConfig(**{field: value})
+    assert issubclass(ControllerConfigError, ValueError)
+
+
+def test_infinite_h0_is_clamped_to_the_span():
+    prob = rigid_body()
+    traj = integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                              0.0, 0.5, ControllerConfig(h0=math.inf))
+    assert traj.h_history[0].h == 0.5
+    assert traj.t_end == 0.5
 
 
 # ------------------------------------------------------------ error measure
@@ -526,6 +546,97 @@ def test_check_finite_accepts_huge_and_rejects_non_finite_entries(n):
             with pytest.raises(NonFiniteError) as info:
                 _check_finite(y, traj)
             assert info.value.trajectory is traj
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_trajectory_owns_its_first_point(driver):
+    prob = rigid_body()
+    y0 = prob.default_y0.copy()
+    for start in (prob.default_y0, y0):
+        traj = DRIVERS[driver](prob, start, 0.0, 0.1)
+        traj.points[0][0] = 99.0
+        assert np.array_equal(prob.default_y0, y0)
+        assert np.array_equal(start, y0)
+    assert np.array_equal(rigid_body().default_y0, y0)
+    y0[-1] = math.inf
+    with pytest.raises(NonFiniteError) as info:
+        DRIVERS[driver](prob, y0, 0.0, 0.1)
+    assert info.value.trajectory.points[0] is not y0
+
+
+def nan_field_after(prob, n_calls):
+    """prob with f returning NaN entries from call n_calls + 1 on."""
+    calls = []
+
+    def f(y):
+        calls.append(None)
+        out = prob.f(y)
+        return [math.nan] * len(out) if len(calls) > n_calls else out
+    return dataclasses.replace(prob, f=f)
+
+
+def far_after(prob, n_calls):
+    """prob whose error distance reads 0 for n_calls attempts and 1 from
+    then on, so every later attempt is rejected."""
+    calls = []
+
+    class Switching(type(prob.action)):
+        def ambient_distance(self, p, q):
+            calls.append(None)
+            return 0.0 if len(calls) <= n_calls else 1.0
+    return dataclasses.replace(prob, action=Switching())
+
+
+# Each ending after some accepted steps: (problem, error, adaptive config).
+# The adaptive runs cap h at 0.01 so that they cannot reach t1 = 1 first.
+ENDINGS = {
+    "non-finite": (lambda: nan_field_after(rigid_body(), 20), NonFiniteError,
+                   ControllerConfig(atol=1e-6, hmax=0.01)),
+    "too-many-rejects": (lambda: far_after(rigid_body(), 5),
+                         TooManyRejectsError,
+                         ControllerConfig(atol=1e-6, hmax=0.01,
+                                          max_consecutive_rejects=3)),
+    "step-size-underflow": (lambda: far_after(heavy_top(), 5),
+                            StepSizeUnderflowError,
+                            ControllerConfig(atol=1e-6, hmin=1e-4,
+                                             hmax=0.01)),
+    "domain": (lambda: vdp_failing_after(40), IntegrationError,
+               ControllerConfig(atol=1e-6, rtol=1e-6, hmax=0.01)),
+    "field-length": (lambda: rigid_body_changing_length_at(31),
+                     IntegrationError, ControllerConfig(atol=1e-6,
+                                                        hmax=0.01)),
+}
+
+
+@pytest.mark.parametrize("driver,ending", [
+    *(("adaptive", ending) for ending in ENDINGS),
+    pytest.param("fixed", "non-finite", marks=pytest.mark.xfail(
+        strict=True, reason="integrate_fixed counts the step that turned "
+        "non-finite in totals.n_accepted; the fixed-step digest in "
+        "test_regression.py pins that count")),
+    ("fixed", "domain"), ("fixed", "field-length")])
+def test_partial_trajectory_points_are_arrays_of_the_accepted_states(
+        driver, ending):
+    build, error, cfg = ENDINGS[ending]
+    prob = build()
+    with pytest.raises(error) as info:
+        if driver == "adaptive":
+            integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                               0.0, 1.0, cfg)
+        else:
+            integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
+                            1.0, 100)
+    traj = info.value.trajectory
+    accepted = [a for a in traj.h_history if a.accepted]
+    assert len(accepted) > 1
+    assert len(traj.points) == len(accepted) + 1 == len(traj.times)
+    assert traj.points.shape == (len(traj.times), *prob.default_y0.shape)
+    for point in traj.points:
+        assert type(point) is np.ndarray
+        assert point.shape == prob.default_y0.shape
+    assert all(type(a.y) is list for a in traj.h_history)
+    assert traj.points[-1].tolist() == accepted[-1].y
+    assert traj.totals.n_accepted == len(accepted)
 
 
 # --------------------------------------------------------------- fixed mode

@@ -445,6 +445,69 @@ def test_kernel_counts_are_the_plan_slots(name):
         assert kernel.source.count(" f(") == kernel.n_feval
 
 
+def slot_prefixes(plan):
+    """The distinct sequences of slots that the plan's rows apply to the
+    base point, each row sequence contributing each of its prefixes."""
+    return {tuple(slot for _, slot, _ in rows[:i])
+            for rows in (*plan.stages, plan.y, plan.yhat)
+            for i in range(1, len(rows) + 1)}
+
+
+@pytest.mark.parametrize("use_reuse", [True, False], ids=["reuse", "noreuse"])
+@pytest.mark.parametrize("with_embedded", [True, False],
+                         ids=["embedded", "principal"])
+@pytest.mark.parametrize("name", [t.name for t in catalog()])
+def test_each_point_is_formed_once(name, with_embedded, use_reuse):
+    # with reuse, a row sequence whose prefix an earlier one formed starts
+    # from that point: one act per distinct prefix; without it, one per row
+    t = get_tableau(name)
+    prob = rigid_body()
+    calls = []
+
+    class Counting(So3SphereAction):
+        def exp(self, v):
+            calls.append("exp")
+            return super().exp(v)
+
+        def act(self, g, p):
+            calls.append("act")
+            return super().act(g, p)
+
+    def f(y):
+        calls.append("f")
+        return prob.f(y)
+    res = cf_step(t, Counting(), f, prob.default_y0, 0.01,
+                  with_embedded=with_embedded, use_reuse=use_reuse)
+    plan = t.step_plan(with_embedded)
+    n_rows = sum(len(rows) for rows in (*plan.stages, plan.y, plan.yhat))
+    n_act = len(slot_prefixes(plan)) if use_reuse else n_rows
+    n_exp = plan.n_exp if use_reuse else n_rows
+    assert calls.count("act") == n_act
+    assert calls.count("exp") == res.n_exp == n_exp
+    assert calls.count("f") == res.n_feval == t.s + plan.fsal
+    if name == "cf43" and with_embedded and use_reuse:
+        assert (n_act, n_rows, n_exp) == (7, 8, 6)
+
+
+@pytest.mark.parametrize("name", [t.name for t in catalog()])
+def test_kernel_returns_lists_and_step_result_makes_the_arrays(name):
+    t = get_tableau(name)
+    prob = heavy_top()
+    for with_embedded in (True, False):
+        for use_reuse in (True, False):
+            kernel = step_kernel(t.step_plan(with_embedded), 6, use_reuse)
+            assert "array(" not in kernel.source
+        res = cf_step(t, prob.action, prob.f, prob.default_y0.tolist(), 0.01,
+                      with_embedded=with_embedded)
+        assert type(res.y1_list) is list
+        assert type(res.y1) is np.ndarray
+        assert res.y1.tobytes() == np.array(res.y1_list).tobytes()
+        assert res.y1 is not res.y1  # made on each read
+        if res.yhat1_list is not None:
+            assert type(res.yhat1_list) is list
+            assert res.yhat1.tobytes() == np.array(res.yhat1_list).tobytes()
+
+
 def changing_length(prob, first_wrong, n_entries, events):
     """prob with f returning n_entries entries from call first_wrong on."""
     calls = []
