@@ -177,19 +177,20 @@ def run_work_precision(config: ExperimentConfig):
     Rows are (tol, global_error, n_exp, n_feval, n_steps, n_rejected);
     fixed-step rows carry tol = NaN.  A failed entry is recorded with
     global_error = NaN and listed in the summary instead of aborting the
-    sweep.
+    sweep.  Every tolerance's ControllerConfig is built first, so a bad
+    tolerance raises ControllerConfigError before the reference is solved.
     """
     problem, tableau = build_experiment(config)
     tols = config.tols or (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+    cfgs = [ControllerConfig(atol=tol, rtol=tol, h0=config.h0,
+                             hmax=config.hmax or math.inf) for tol in tols]
     y0 = problem.default_y0
     ref = reference_endpoint(problem, y0, config.t0, config.t1)
     action = problem.action
 
     rows = []
     failures = []
-    for tol in tols:
-        cfg = ControllerConfig(atol=tol, rtol=tol, h0=config.h0,
-                               hmax=config.hmax or math.inf)
+    for tol, cfg in zip(tols, cfgs):
         try:
             traj = integrate_adaptive(tableau, problem, y0,
                                       config.t0, config.t1, cfg)

@@ -313,12 +313,12 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
                           with_embedded=advance_embedded)
             totals.n_exp += res.n_exp
             totals.n_feval += res.n_feval
-            totals.n_accepted += 1
             if advance_embedded:
                 y = res.yhat1_list
             else:
                 y, carry = res.y1_list, res.f_last
             _check_finite(y, traj)
+            totals.n_accepted += 1
             t = t1 if i == n_steps else t0 + i * h
             traj.h_history.append(StepAttempt(t0 + (i - 1) * h, h, True,
                                               float("nan"), y))

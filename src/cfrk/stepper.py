@@ -2,15 +2,16 @@
 
 A step composes exponentials of "frozen" algebra elements: each tableau row
 contributes exp(h * sum_k row[k] * f_k), applied to the base point with row
-1 innermost (first).  Row reuse is resolved once per tableau into its
-StepPlan, in which zero rows are dropped and rows declared identical in the
-reuse map share one exponential slot.
+1 innermost (first).
 
-A step runs a kernel compiled from the plan: straight-line Python source,
-generated and compiled the first time the plan is stepped with an algebra
-element of a given length and cached on the plan, one kernel per length
-and per use_reuse.  The kernel unpacks each f value into local floats
-once and writes each row sum out per component as
+A step runs a kernel compiled from the tableau: straight-line Python
+source, generated and compiled the first time the tableau is stepped with
+an algebra element of a given length and cached on the tableau, one kernel
+per length, use_reuse and with_embedded.  The generator walks the stage,
+update and embedded rows in order, drops zero rows, and gives the rows of
+each reuse group one exponential slot, numbered by first use; so reuse is
+resolved once per kernel, never per step.  The kernel unpacks each f value
+into local floats once and writes each row sum out per component as
 x0*a0_i + x1*a1_i + ... with x_j = h * c_j, summed left to right: numpy's
 order of operations for (h*c0)*f0 + (h*c1)*f1 + ..., so the row sums are
 bit-identical to the array expression.  With use_reuse, each point is
@@ -42,7 +43,7 @@ import math
 
 import numpy as np
 
-from .tableaux import CFTableau, StepPlan
+from .tableaux import CFTableau, reuse_groups
 
 
 class FieldLengthError(ValueError):
@@ -86,7 +87,7 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     """Advance one step of size h from the point y.
 
     y is a flat list of Python floats or a numpy array, which is converted
-    once; f is called on lists only.  The kernel cached on the step plan is
+    once; f is called on lists only.  The kernel cached on the tableau is
     looked up here directly; step_kernel compiles it on the first step.
     carried_f, if given, must equal f(y)
     (the FSAL carry), a flat list as f returns it.  With
@@ -106,10 +107,10 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     if carried_f is None:
         carried_f = f(y)
         n_feval = 1
-    plan = tableau.step_plan(with_embedded)
-    kernel = plan.kernels.get((len(carried_f), use_reuse))
+    kernel = tableau._kernels.get((len(carried_f), use_reuse, with_embedded))
     if kernel is None:
-        kernel = step_kernel(plan, len(carried_f), use_reuse)
+        kernel = step_kernel(tableau, len(carried_f), use_reuse,
+                             with_embedded)
     return StepResult(*kernel(action.exp, action.act, f, y, float(h),
                               carried_f), kernel.n_exp,
                       n_feval + kernel.n_feval)
@@ -123,24 +124,25 @@ def count_budget(tableau: CFTableau):
     length.  With the FSAL carry f(y) is free, but the embedded update then
     spends f(y1); without it the step evaluates f(y) itself.
     """
-    kernel = step_kernel(tableau.step_plan(with_embedded=True), 1, True)
+    kernel = step_kernel(tableau, 1, True, True)
     return kernel.n_exp, kernel.n_feval + (not tableau.fsal)
 
 
-def step_kernel(plan: StepPlan, n: int, use_reuse: bool):
-    """The compiled step of plan for algebra elements of n entries.
+def step_kernel(tableau: CFTableau, n: int, use_reuse: bool,
+                with_embedded: bool):
+    """The compiled step of tableau for algebra elements of n entries.
 
     kernel(exp, act, f, base, h, f0), with the base point y and f0 = f(y)
     as flat lists of floats, returns (y1, yhat1, f_last): y1 and yhat1 as
-    lists and f_last = f(y1) as f returned it, with None where the plan has
-    no embedded update or is not FSAL.
+    lists and f_last = f(y1) as f returned it, with None where the step
+    skips the embedded update or the tableau is not FSAL.
     kernel.n_exp and kernel.n_feval count the exponentials and the f
     evaluations after f0, and kernel.source is the generated code.
     """
-    key = (n, bool(use_reuse))
-    kernel = plan.kernels.get(key)
+    key = (n, bool(use_reuse), bool(with_embedded))
+    kernel = tableau._kernels.get(key)
     if kernel is None:
-        kernel = plan.kernels[key] = _compile(plan, n, key[1])
+        kernel = tableau._kernels[key] = _compile(tableau, *key)
     return kernel
 
 
@@ -149,7 +151,14 @@ def _length_error(n: int, v: list) -> FieldLengthError:
                             f"expected {n} as at its start")
 
 
-def _compile(plan: StepPlan, n: int, use_reuse: bool):
+def _compile(tableau: CFTableau, n: int, use_reuse: bool,
+             with_embedded: bool):
+    embedded = with_embedded and tableau.has_embedded
+    fsal = embedded and tableau.fsal
+    group_of = {key: i
+                for i, group in enumerate(reuse_groups(tableau, embedded))
+                for key in group}
+    slots = {}  # reuse group (or the key of an unshared row) -> slot
     coeffs = {}  # coefficient -> local holding h * coefficient
     # the slots applied to the base point, in order -> the local holding
     # the point they form; reused only with use_reuse, where equal slots
@@ -169,15 +178,22 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
                     f"raise _length_error({n}, {values})")
         unpack(k, values)
 
-    def apply_rows(rows):
-        # the rows applied to the base point; returns the new point's local
+    def apply_rows(kind, rows):
+        # the nonzero rows, keyed (*kind, j), applied to the base point;
+        # returns the new point's local
         nonlocal n_exp, n_act
         point, prefix = "base", ()
-        for terms, slot, reused in rows:
+        for j, row in enumerate(rows):
+            terms = [(k, float(c)) for k, c in enumerate(row) if c != 0.0]
+            if not terms:
+                continue
+            group = group_of.get((*kind, j), (*kind, j))
+            reused = group in slots
+            slot = slots.setdefault(group, len(slots))
             if not (reused and use_reuse):
                 for _, c in terms:
-                    if type(c) is not float or not math.isfinite(c):
-                        raise ValueError(f"plan coefficient {c!r} is not "
+                    if not math.isfinite(c):
+                        raise ValueError(f"tableau coefficient {c!r} is not "
                                          f"a finite float")
                     coeffs.setdefault(c, f"x{len(coeffs)}")
                 entries = (" + ".join(f"{coeffs[c]} * f{k}_{i}"
@@ -193,15 +209,15 @@ def _compile(plan: StepPlan, n: int, use_reuse: bool):
         return point
 
     unpack(0, "f0")
-    for r, rows in enumerate(plan.stages, 2):
-        listed(r - 1, "v", f"f({apply_rows(rows)})")
+    for r, rows in enumerate(tableau.alpha, 2):
+        listed(r - 1, "v", f"f({apply_rows(('stage', r), rows)})")
         n_feval += 1
-    y1 = apply_rows(plan.y)
-    if plan.fsal:
-        listed(len(plan.stages) + 1, "f_last", f"f({y1})")
+    y1 = apply_rows(("y",), tableau.beta)
+    if fsal:
+        listed(tableau.s, "f_last", f"f({y1})")
         n_feval += 1
-    yhat1 = apply_rows(plan.yhat) if plan.embedded else "None"
-    f_last = "f_last" if plan.fsal else "None"
+    yhat1 = apply_rows(("yhat",), tableau.beta_hat) if embedded else "None"
+    f_last = "f_last" if fsal else "None"
     body.append(f"return {y1}, {yhat1}, {f_last}")
 
     source = "\n    ".join([

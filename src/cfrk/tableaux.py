@@ -9,8 +9,8 @@ the current point in listed order (row 0 innermost).
 The tableau also carries a reuse map declaring which rows are elementwise
 identical, so a stepper can compute the shared exponential once.  Reuse is
 always declared explicitly, never inferred from floating-point coincidence.
-It is resolved once, when the tableau is built, into a StepPlan per choice
-of running or skipping the embedded update.
+It is resolved once, when a step kernel is compiled from the tableau (see
+stepper.py), never per step; the kernels are cached on the tableau.
 """
 
 from __future__ import annotations
@@ -68,16 +68,15 @@ class CFTableau:
         object.__setattr__(self, "beta_hat", tuple(_freeze(r) for r in self.beta_hat))
         object.__setattr__(self, "reuse_map",
                            tuple((tuple(k1), tuple(k2)) for k1, k2 in self.reuse_map))
-        # _rows and _plans are not dataclass fields, so equality, repr and
-        # JSON ignore them
+        # _rows and _kernels are not dataclass fields, so equality, repr and
+        # JSON ignore them; _kernels caches the step kernels (see stepper.py)
         rows = {("stage", r, j): row for r, stage in enumerate(self.alpha, 2)
                 for j, row in enumerate(stage)}
         rows.update({("y", j): row for j, row in enumerate(self.beta)})
         rows.update({("yhat", j): row for j, row in enumerate(self.beta_hat)})
         object.__setattr__(self, "_rows", rows)
         self._validate()
-        object.__setattr__(self, "_plans",
-                           tuple(_step_plan(self, emb) for emb in (False, True)))
+        object.__setattr__(self, "_kernels", {})
 
     # ---------------------------------------------------------------- access
 
@@ -89,10 +88,6 @@ class CFTableau:
     def hat_width(self) -> int:
         """Length of the beta_hat rows (s+1 when they reference f(y1))."""
         return self.s + 1 if (self.fsal and self.has_embedded) else self.s
-
-    def step_plan(self, with_embedded: bool) -> StepPlan:
-        """The rows of one step, with or without the embedded update."""
-        return self._plans[bool(with_embedded)]
 
     def row(self, key: RowKey) -> np.ndarray:
         try:
@@ -107,10 +102,9 @@ class CFTableau:
             return r
         return np.concatenate([r, np.zeros(self.s + 1 - len(r))])
 
-    def all_row_keys(self, include_embedded: bool = True) -> list:
+    def all_row_keys(self) -> list:
         """Keys of every row: stages in order, then y, then yhat."""
-        return [key for key in self._rows
-                if include_embedded or key[0] != "yhat"]
+        return list(self._rows)
 
     # ------------------------------------------------------------ validation
 
@@ -314,86 +308,25 @@ def reduce_embedded(tableau: CFTableau) -> ReducedCoefficients:
 def reuse_groups(tableau: CFTableau, include_embedded: bool = True) -> list:
     """Partition of row keys into reuse groups (union of declared pairs).
 
-    Singleton groups are omitted.  With include_embedded=False, pairs that
+    Groups come in the order of their first key in the reuse map, and
+    singleton groups are omitted.  With include_embedded=False, pairs that
     touch a yhat row are ignored, matching a stepper run that skips the
     embedded update.
     """
-    parent = {}
-
-    def find(k):
-        while parent.get(k, k) != k:
-            parent[k] = parent.get(parent[k], parent[k])
-            k = parent[k]
-        return k
-
-    def union(k1, k2):
-        r1, r2 = find(k1), find(k2)
-        if r1 != r2:
-            parent[r2] = r1
-
-    for k1, k2 in tableau.reuse_map:
-        if not include_embedded and ("yhat" in (k1[0], k2[0])):
+    groups = []
+    for pair in tableau.reuse_map:
+        if not include_embedded and "yhat" in (pair[0][0], pair[1][0]):
             continue
-        parent.setdefault(k1, k1)
-        parent.setdefault(k2, k2)
-        union(k1, k2)
-
-    groups = {}
-    for k in parent:
-        groups.setdefault(find(k), set()).add(k)
-    return [g for g in groups.values() if len(g) > 1]
-
-
-@dataclass(frozen=True)
-class StepPlan:
-    """The rows of one step in application order, zero rows dropped.
-
-    stages[r-2] holds the rows of stage r; yhat is empty when the plan
-    skips the embedded update.  Each row is a (terms, slot, reused) triple
-    standing for exp(h * sum of coeff * f_k over its (k, coeff) terms),
-    each coeff a Python float.
-    slot indexes the step's list of computed exponentials; a reused row
-    reads the slot that the first row of its reuse group filled earlier in
-    the step.  n_exp, the number of slots, is the count of exponentials one
-    step computes with declared reuse honored.  embedded tells whether the
-    step forms yhat1, and fsal whether it first evaluates f(y1), the last
-    column of the yhat rows.  kernels caches the step kernels compiled from
-    the plan (see stepper.py).
-    """
-    stages: tuple
-    y: tuple
-    yhat: tuple
-    n_exp: int
-    embedded: bool
-    fsal: bool
-    kernels: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def _step_plan(tableau: CFTableau, include_embedded: bool) -> StepPlan:
-    group_of = {}
-    for gid, group in enumerate(reuse_groups(tableau, include_embedded)):
-        for key in group:
-            group_of[key] = gid
-    slot_of = {}  # reuse group (or the key of an unshared row) -> slot
-    rows = {}  # keyed by the row key without its row index
-    for key in tableau.all_row_keys(include_embedded):
-        terms = tuple((k, float(c)) for k, c in enumerate(tableau.row(key))
-                      if c != 0.0)
-        if not terms:
+        # the pair joins the first group it touches, which absorbs the others
+        touched = [i for i, g in enumerate(groups) if not g.isdisjoint(pair)]
+        if not touched:
+            groups.append(set(pair))
             continue
-        group = group_of.get(key, key)
-        reused = group in slot_of
-        if not reused:
-            slot_of[group] = len(slot_of)
-        rows.setdefault(key[:-1], []).append((terms, slot_of[group], reused))
-    return StepPlan(
-        stages=tuple(tuple(rows.get(("stage", r), ()))
-                     for r in range(2, tableau.s + 1)),
-        y=tuple(rows.get(("y",), ())),
-        yhat=tuple(rows.get(("yhat",), ())),
-        n_exp=len(slot_of),
-        embedded=include_embedded and tableau.has_embedded,
-        fsal=include_embedded and tableau.has_embedded and tableau.fsal)
+        first = groups[touched[0]]
+        first.update(pair)
+        for i in reversed(touched[1:]):
+            first |= groups.pop(i)
+    return [g for g in groups if len(g) > 1]
 
 
 def scan_identical_rows(tableau: CFTableau, tol: float = REUSE_EQ_TOL) -> list:

@@ -163,6 +163,25 @@ def test_work_precision_sweep(tmp_path):
     assert doc["rows"][0][0] == 1e-3
 
 
+def test_work_precision_rejects_a_bad_tolerance_before_any_run(monkeypatch,
+                                                                capsys):
+    # every tolerance is checked before the reference or the first run
+    import cfrk.bench as bench_mod
+    calls = []
+
+    def counting(name):
+        def fail(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return fail
+    for name in ("reference_endpoint", "integrate_adaptive"):
+        monkeypatch.setattr(bench_mod, name, counting(name))
+    assert main(["work-precision", "--tol", "1e-4", "--tol", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cfrk: ") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_work_precision_failure_exit_code(monkeypatch, capsys):
     import cfrk.cli as cli_mod
 

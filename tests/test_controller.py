@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cfrk.actions import DomainError, So3SphereAction
-from cfrk.catalog import get_tableau
+from cfrk.catalog import catalog, get_tableau
 from cfrk.controller import (ControllerConfig, ControllerConfigError,
                              IntegrationError, NonFiniteError,
                              StepSizeUnderflowError,
@@ -610,11 +610,7 @@ ENDINGS = {
 
 @pytest.mark.parametrize("driver,ending", [
     *(("adaptive", ending) for ending in ENDINGS),
-    pytest.param("fixed", "non-finite", marks=pytest.mark.xfail(
-        strict=True, reason="integrate_fixed counts the step that turned "
-        "non-finite in totals.n_accepted; the fixed-step digest in "
-        "test_regression.py pins that count")),
-    ("fixed", "domain"), ("fixed", "field-length")])
+    ("fixed", "non-finite"), ("fixed", "domain"), ("fixed", "field-length")])
 def test_partial_trajectory_points_are_arrays_of_the_accepted_states(
         driver, ending):
     build, error, cfg = ENDINGS[ending]
@@ -670,3 +666,68 @@ def test_fixed_embedded_mode_follows_lower_order_solution():
     with pytest.raises(ValueError):
         integrate_fixed(get_tableau("cf4"), prob, y0, 0.0, 1.0, 10,
                         advance_embedded=True)
+
+
+# ----------------------------------------------------------- failure matrix
+
+# Inputs from the user or the vector field, each a change to y0, to the
+# adaptive ControllerConfig, or to f ("f-nan": NaN from its eleventh call
+# on).
+MATRIX_Y0 = {
+    "y0-nan": lambda y0: np.append(y0[:-1], math.nan),
+    "y0-inf": lambda y0: np.append(y0[:-1], math.inf),
+    "y0-huge": lambda y0: y0 * 1e200,
+    "y0-long": lambda y0: np.append(y0, 0.0),
+}
+MATRIX_CFG = {
+    "atol-tiny-hmin": dict(atol=1e-300, hmin=1e-3),
+    "h0-huge": dict(h0=1e6, atol=1e6),
+    "hmin-over-span": dict(hmin=2.0),
+    "one-reject": dict(max_consecutive_rejects=1),
+}
+EMBEDDED = [t.name for t in catalog() if t.has_embedded]
+
+
+def run_failure_case(driver, name, build, case):
+    """Run one matrix case over t in [0, 1]: it must succeed, raise
+    ValueError before any f or exp call, or raise an IntegrationError whose
+    partial trajectory holds the accepted points and counts them."""
+    prob = build()
+    if case == "f-nan":
+        prob = nan_field_after(prob, 10)
+    prob, calls = counted(prob)
+    y0 = MATRIX_Y0.get(case, lambda y0: y0)(prob.default_y0)
+    start = time.perf_counter()
+    try:
+        if driver == "adaptive":
+            cfg = ControllerConfig(**MATRIX_CFG.get(case, {}))
+            traj = integrate_adaptive(get_tableau(name), prob, y0, 0.0, 1.0,
+                                      cfg)
+        else:
+            traj = integrate_fixed(get_tableau(name), prob, y0, 0.0, 1.0, 20)
+    except IntegrationError as exc:
+        traj = exc.trajectory
+    except ValueError:
+        assert calls == []
+        traj = None
+    assert time.perf_counter() - start < 1.0
+    if traj is not None:
+        accepted = sum(a.accepted for a in traj.h_history)
+        assert len(traj.points) == len(traj.times) == accepted + 1
+        assert traj.totals.n_accepted == accepted
+
+
+@pytest.mark.parametrize("case", [*MATRIX_Y0, *MATRIX_CFG, "f-nan"])
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_adaptive_failure_matrix(name, build, case):
+    run_failure_case("adaptive", name, build, case)
+
+
+@pytest.mark.parametrize("case", [*MATRIX_Y0, "f-nan"])
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", ["cf4", "cf43"])
+def test_fixed_failure_matrix(name, build, case):
+    run_failure_case("fixed", name, build, case)

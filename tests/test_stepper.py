@@ -1,6 +1,6 @@
 """Single-step semantics: row application order, FSAL carry, declared
 row reuse, static versus dynamic cost accounting, and the compiled step
-kernel against a plan interpreter."""
+kernel against an interpreter of the tableau's rows."""
 
 import ast
 import dataclasses
@@ -15,21 +15,53 @@ from cfrk.actions import DomainError, So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
 from cfrk.problems import heavy_top, rigid_body, van_der_pol
 from cfrk.stepper import FieldLengthError, cf_step, count_budget, step_kernel
-from cfrk.tableaux import CFTableau, StepPlan, tableau_from_json
+from cfrk.tableaux import CFTableau, reuse_groups, tableau_from_json
 
 SPHERE = So3SphereAction()
 PROBLEMS = [rigid_body, heavy_top, van_der_pol]
 
 
+def step_rows(tableau, with_embedded):
+    """The nonzero rows of one step, read off the tableau and its reuse
+    groups: stages[r-2] holds stage r's rows and y and yhat the updates',
+    yhat empty when the step skips it, each as (terms, slot, reused) with
+    terms the (k, coeff) pairs.  Slots are numbered in order of first use,
+    one per reuse group; a row whose group already has one reuses it.
+    n_exp counts the slots."""
+    embedded = with_embedded and tableau.has_embedded
+    group_of = {key: frozenset(group)
+                for group in reuse_groups(tableau, embedded) for key in group}
+    sequences = [[(("stage", r, j), row) for j, row in enumerate(stage)]
+                 for r, stage in enumerate(tableau.alpha, 2)]
+    sequences.append([(("y", j), row) for j, row in enumerate(tableau.beta)])
+    sequences.append([(("yhat", j), row) for j, row in
+                      enumerate(tableau.beta_hat if embedded else ())])
+    slots = {}
+    steps = []
+    for sequence in sequences:
+        rows = []
+        for key, row in sequence:
+            terms = tuple((k, float(c)) for k, c in enumerate(row) if c != 0)
+            if terms:
+                group = group_of.get(key, key)
+                reused = group in slots
+                rows.append((terms, slots.setdefault(group, len(slots)),
+                             reused))
+        steps.append(tuple(rows))
+    return SimpleNamespace(stages=tuple(steps[:-2]), y=steps[-2],
+                           yhat=steps[-1], n_exp=len(slots),
+                           fsal=embedded and tableau.fsal)
+
+
 def reference_step(tableau, action, f, y, h, carried_f=None, *,
                    with_embedded=True, use_reuse=True):
-    """cf_step as a plan interpreter: the rows of each stage and update are
-    walked one by one, each row sum built as a list per term, and f called
-    on each point as a list."""
+    """cf_step as an interpreter of step_rows: the rows of each stage and
+    update are walked one by one, each row sum built as a list per term,
+    and f called on each point as a list."""
     h = float(h)
-    plan = tableau.step_plan(with_embedded)
+    step = step_rows(tableau, with_embedded)
     exp, act = action.exp, action.act
-    slots = [None] * plan.n_exp
+    slots = [None] * step.n_exp
     n_exp = 0
     n_feval = 0
 
@@ -58,11 +90,11 @@ def reference_step(tableau, action, f, y, h, carried_f=None, *,
             point = act(g, point)
         return point
 
-    for rows in plan.stages:
+    for rows in step.stages:
         fvals.append(f(apply_rows(rows)))
         n_feval += 1
 
-    y1 = apply_rows(plan.y)
+    y1 = apply_rows(step.y)
 
     yhat1 = None
     f_last = None
@@ -71,7 +103,7 @@ def reference_step(tableau, action, f, y, h, carried_f=None, *,
             f_last = f(y1)
             n_feval += 1
             fvals.append(f_last)
-        yhat1 = np.array(apply_rows(plan.yhat))
+        yhat1 = np.array(apply_rows(step.yhat))
 
     return SimpleNamespace(y1=np.array(y1), yhat1=yhat1, f_last=f_last,
                            n_exp=n_exp, n_feval=n_feval)
@@ -84,7 +116,7 @@ def bits(v):
 
 
 def fresh(name):
-    """A new copy of a catalog tableau, with plans no step has touched."""
+    """A new copy of a catalog tableau, with no kernel compiled yet."""
     return tableau_from_json(get_tableau(name).to_json())
 
 
@@ -292,8 +324,8 @@ def test_row_sums_match_numpy_bitwise(build, name):
 
     h = 0.01
     cf_step(t, Recording(), f, prob.default_y0, h)
-    plan = t.step_plan(with_embedded=True)
-    rows = [terms for rows in (*plan.stages, plan.y, plan.yhat)
+    step = step_rows(t, with_embedded=True)
+    rows = [terms for rows in (*step.stages, step.y, step.yhat)
             for terms, _, reused in rows if not reused]
     assert len(vs) == len(rows)
     for terms, v in zip(rows, vs):
@@ -376,24 +408,24 @@ def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
     compiled = []
     compile_kernel = cfrk.stepper._compile
 
-    def counting(plan, n, use_reuse):
-        compiled.append((n, use_reuse))
-        return compile_kernel(plan, n, use_reuse)
+    def counting(tableau, n, use_reuse, with_embedded):
+        compiled.append((n, use_reuse, with_embedded))
+        return compile_kernel(tableau, n, use_reuse, with_embedded)
     monkeypatch.setattr(cfrk.stepper, "_compile", counting)
     t = fresh("cf43")
-    assert t.step_plan(True).kernels == {} == t.step_plan(False).kernels
+    assert t._kernels == {}
     _, f, y0 = sphere_setup()
     first = cf_step(t, SPHERE, f, y0, 0.05)
     second = cf_step(t, SPHERE, f, first.y1, 0.05, carried_f=first.f_last)
-    assert compiled == [(3, True)]
+    assert compiled == [(3, True, True)]
     assert second.n_exp == first.n_exp
     cf_step(t, SPHERE, f, y0, 0.05, use_reuse=False)
     cf_step(t, SPHERE, f, y0, 0.05, with_embedded=False)
     prob = heavy_top()
     cf_step(t, prob.action, prob.f, prob.default_y0, 0.05)
-    assert compiled == [(3, True), (3, False), (3, True), (6, True)]
-    assert step_kernel(t.step_plan(True), 3, True) is \
-        t.step_plan(True).kernels[(3, True)]
+    assert compiled == [(3, True, True), (3, False, True), (3, True, False),
+                        (6, True, True)]
+    assert step_kernel(t, 3, True, True) is t._kernels[(3, True, True)]
 
 
 def literal_values(source):
@@ -421,11 +453,11 @@ def literal_values(source):
 def test_kernel_literals_round_trip_to_plan_coefficients(name, use_reuse):
     t = get_tableau(name)
     for with_embedded in (True, False):
-        plan = t.step_plan(with_embedded)
-        coeffs = {c for rows in (*plan.stages, plan.y, plan.yhat)
+        step = step_rows(t, with_embedded)
+        coeffs = {c for rows in (*step.stages, step.y, step.yhat)
                   for terms, _, _ in rows for _, c in terms}
-        floats = [(v, text) for v, text in
-                  literal_values(step_kernel(plan, 3, use_reuse).source)
+        source = step_kernel(t, 3, use_reuse, with_embedded).source
+        floats = [(v, text) for v, text in literal_values(source)
                   if type(v) is float]
         assert floats
         for value, text in floats:
@@ -437,19 +469,19 @@ def test_kernel_literals_round_trip_to_plan_coefficients(name, use_reuse):
 def test_kernel_counts_are_the_plan_slots(name):
     t = get_tableau(name)
     for with_embedded in (True, False):
-        plan = t.step_plan(with_embedded)
-        kernel = step_kernel(plan, 3, True)
-        assert kernel.n_exp == plan.n_exp
-        assert kernel.n_feval == t.s - 1 + plan.fsal
+        step = step_rows(t, with_embedded)
+        kernel = step_kernel(t, 3, True, with_embedded)
+        assert kernel.n_exp == step.n_exp
+        assert kernel.n_feval == t.s - 1 + step.fsal
         assert kernel.source.count("exp(") == kernel.n_exp
         assert kernel.source.count(" f(") == kernel.n_feval
 
 
-def slot_prefixes(plan):
-    """The distinct sequences of slots that the plan's rows apply to the
+def slot_prefixes(step):
+    """The distinct sequences of slots that the step's rows apply to the
     base point, each row sequence contributing each of its prefixes."""
     return {tuple(slot for _, slot, _ in rows[:i])
-            for rows in (*plan.stages, plan.y, plan.yhat)
+            for rows in (*step.stages, step.y, step.yhat)
             for i in range(1, len(rows) + 1)}
 
 
@@ -478,13 +510,13 @@ def test_each_point_is_formed_once(name, with_embedded, use_reuse):
         return prob.f(y)
     res = cf_step(t, Counting(), f, prob.default_y0, 0.01,
                   with_embedded=with_embedded, use_reuse=use_reuse)
-    plan = t.step_plan(with_embedded)
-    n_rows = sum(len(rows) for rows in (*plan.stages, plan.y, plan.yhat))
-    n_act = len(slot_prefixes(plan)) if use_reuse else n_rows
-    n_exp = plan.n_exp if use_reuse else n_rows
+    step = step_rows(t, with_embedded)
+    n_rows = sum(len(rows) for rows in (*step.stages, step.y, step.yhat))
+    n_act = len(slot_prefixes(step)) if use_reuse else n_rows
+    n_exp = step.n_exp if use_reuse else n_rows
     assert calls.count("act") == n_act
     assert calls.count("exp") == res.n_exp == n_exp
-    assert calls.count("f") == res.n_feval == t.s + plan.fsal
+    assert calls.count("f") == res.n_feval == t.s + step.fsal
     if name == "cf43" and with_embedded and use_reuse:
         assert (n_act, n_rows, n_exp) == (7, 8, 6)
 
@@ -495,7 +527,7 @@ def test_kernel_returns_lists_and_step_result_makes_the_arrays(name):
     prob = heavy_top()
     for with_embedded in (True, False):
         for use_reuse in (True, False):
-            kernel = step_kernel(t.step_plan(with_embedded), 6, use_reuse)
+            kernel = step_kernel(t, 6, use_reuse, with_embedded)
             assert "array(" not in kernel.source
         res = cf_step(t, prob.action, prob.f, prob.default_y0.tolist(), 0.01,
                       with_embedded=with_embedded)
@@ -557,9 +589,11 @@ def test_domain_error_from_f_passes_through_the_kernel():
     assert info.value is failure
 
 
-@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), "0.5", 1])
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf")])
 def test_kernel_takes_only_finite_float_coefficients(coeff):
-    plan = StepPlan(stages=(), y=((((0, coeff),), 0, False),), yhat=(),
-                    n_exp=1, embedded=False, fsal=False)
+    # the tableau rejects a non-finite row, so the row is swapped in after
+    t = CFTableau(name="euler", s=1, alpha=(), beta=((1.0,),),
+                  beta_hat=(), order_p=1, order_phat=0, fsal=False)
+    object.__setattr__(t, "beta", (np.array([coeff]),))
     with pytest.raises(ValueError, match="not a finite float"):
-        step_kernel(plan, 3, True)
+        step_kernel(t, 3, True, True)

@@ -3,6 +3,7 @@ JSON round trips, and the declared-reuse census."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,6 +271,24 @@ def test_reuse_groups_skip_embedded():
     # cf32a's only tie is between a stage and a principal row, so it stays
     assert reuse_groups(get_tableau("cf32a"), include_embedded=False) == \
         [{("stage", 3, 0), ("y", 1)}]
+
+
+@pytest.mark.parametrize("pairs,groups", [
+    # a~b, c~d, b~c: the third pair joins the two groups into the first
+    ("ab cd bc", ["abcd"]),
+    # a~b, c~d, e~f, a~e: the last pair folds the third group into the first
+    ("ab cd ef ae", ["abef", "cd"]),
+    # c~d, a~b, d~a: the merged group keeps the first group's place
+    ("cd ab ef da", ["abcd", "ef"]),
+    # a~a alone is a singleton and omitted; b~a then makes a group
+    ("aa cd ba", ["ab", "cd"]),
+    ("aa", []),
+])
+def test_reuse_groups_merge_chained_pairs_in_first_key_order(pairs, groups):
+    key = {x: ("stage", 2, j) for j, x in enumerate("abcdef")}
+    t = SimpleNamespace(reuse_map=tuple((key[p[0]], key[p[1]])
+                                        for p in pairs.split()))
+    assert reuse_groups(t) == [{key[x] for x in g} for g in groups]
 
 
 @pytest.mark.parametrize("name", [t.name for t in catalog()])
