@@ -7,7 +7,7 @@ from .actions import (DomainError, Gl2PlaneAction, GroupAction,
 from .catalog import (RootSelectionError, SingularParameterError, catalog,
                       cf43_root, get_tableau, instantiate_cf32_family,
                       instantiate_cf43)
-from .controller import (ControllerConfig, ControllerConfigError,
+from .controller import (ConfigError, ControllerConfig, ControllerConfigError,
                          IntegrationError, NonFiniteError, StepAttempt,
                          StepSizeUnderflowError, TooManyRejectsError,
                          Totals, Trajectory,
@@ -40,7 +40,8 @@ __all__ = [
     "Se3Element", "DomainError", "hat", "vee", "so3_exp", "gl2_exp",
     "se3_exp", "se3_bracket", "coadjoint_act",
     "FieldLengthError", "StepResult", "cf_step", "count_budget",
-    "ControllerConfig", "ControllerConfigError", "Trajectory", "Totals",
+    "ConfigError", "ControllerConfig", "ControllerConfigError", "Trajectory",
+    "Totals",
     "StepAttempt",
     "IntegrationError", "StepSizeUnderflowError", "TooManyRejectsError",
     "NonFiniteError", "error_measure", "next_step_size", "initial_step",

@@ -15,12 +15,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .catalog import get_tableau
-from .controller import (ControllerConfig, IntegrationError,
-                         integrate_adaptive, integrate_fixed)
+from .controller import (ConfigError, ControllerConfig, IntegrationError,
+                         check_span, integrate_adaptive, integrate_fixed)
 from .order_conditions import certify_pair, is_genuine_pair
 from .problems import build_problem
 from .stepper import count_budget
@@ -57,8 +58,13 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        # a run that cannot start fails here, before any reference solve
         if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+            raise ConfigError("format must be csv or json")
+        check_span(self.t0, self.t1)
+        for n in self.steps:
+            if n < 1:
+                raise ConfigError(f"need step counts >= 1, got {n}")
 
 
 def _resolve_tableau(name: str):
@@ -80,10 +86,9 @@ def build_experiment(config: ExperimentConfig):
     return problem, _resolve_tableau(config.tableau)
 
 
-def resolved_config(config: ExperimentConfig, problem=None, tableau=None) -> dict:
+def resolved_config(config: ExperimentConfig) -> dict:
     """The full configuration with defaults filled in, for output headers."""
-    if problem is None or tableau is None:
-        problem, tableau = build_experiment(config)
+    problem, tableau = build_experiment(config)
     out = dataclasses.asdict(config)
     out["problem_params"] = dataclasses.asdict(problem.params)
     out["tableau"] = tableau.name
@@ -103,8 +108,10 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
     rtol 1e-12, atol 1e-14.  A failed solve, a non-finite derivative or a
     cross-check gap above 1e-9 raises RuntimeError rather than returning a
     silently bad reference; a problem without an ambient field raises
-    ValueError.
+    ValueError, and a span that is not finite with t1 > t0 ConfigError
+    (a ValueError).
     """
+    check_span(t0, t1)
     field = problem.ambient_field
     if field is None:
         raise ValueError(f"problem {problem.name!r} has no ambient_field "
@@ -182,40 +189,28 @@ def run_work_precision(config: ExperimentConfig):
     """
     problem, tableau = build_experiment(config)
     tols = config.tols or (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-    cfgs = [ControllerConfig(atol=tol, rtol=tol, h0=config.h0,
-                             hmax=config.hmax or math.inf) for tol in tols]
-    y0 = problem.default_y0
-    ref = reference_endpoint(problem, y0, config.t0, config.t1)
-    action = problem.action
+    t0, t1, y0 = config.t0, config.t1, problem.default_y0
+    runs = [(tol, f"tol={tol:g}", partial(
+        integrate_adaptive, tableau, problem, y0, t0, t1,
+        ControllerConfig(atol=tol, rtol=tol, h0=config.h0,
+                         hmax=config.hmax or math.inf))) for tol in tols]
+    runs += [(math.nan, f"steps={n}", partial(
+        integrate_fixed, tableau, problem, y0, t0, t1, int(n)))
+        for n in config.steps]
+    ref = reference_endpoint(problem, y0, t0, t1)
 
-    rows = []
-    failures = []
-    for tol, cfg in zip(tols, cfgs):
+    rows, failures = [], []
+    for tol, label, run in runs:
         try:
-            traj = integrate_adaptive(tableau, problem, y0,
-                                      config.t0, config.t1, cfg)
-            err = action.ambient_distance(traj.y_end, ref)
+            traj = run()
+            err = problem.action.ambient_distance(traj.y_end, ref)
         except IntegrationError as exc:
-            failures.append(f"tol={tol:g}: {exc}")
-            traj = exc.trajectory
-            err = float("nan")
+            failures.append(f"{label}: {exc}")
+            traj, err = exc.trajectory, math.nan
         tt = traj.totals
         rows.append((tol, err, tt.n_exp, tt.n_feval, tt.n_accepted,
                      tt.n_rejected))
-    for n in config.steps:
-        try:
-            traj = integrate_fixed(tableau, problem, y0, config.t0,
-                                   config.t1, int(n))
-            err = action.ambient_distance(traj.y_end, ref)
-        except IntegrationError as exc:
-            failures.append(f"steps={n}: {exc}")
-            traj = exc.trajectory
-            err = float("nan")
-        tt = traj.totals
-        rows.append((float("nan"), err, tt.n_exp, tt.n_feval, tt.n_accepted,
-                     tt.n_rejected))
-    summary = {"failures": failures}
-    return rows, summary
+    return rows, {"failures": failures}
 
 
 def attempt_rows(traj) -> list:

@@ -21,8 +21,8 @@ from .bench import (CSV_COLUMNS, ExperimentConfig, attempt_rows,
                     run_convergence, run_needle, run_tableau_check,
                     run_work_precision, write_output)
 from .catalog import catalog
-from .controller import (ControllerConfig, ControllerConfigError,
-                         IntegrationError, integrate_adaptive)
+from .controller import (ConfigError, ControllerConfig, IntegrationError,
+                         integrate_adaptive)
 from .stepper import count_budget
 from .tableaux import TableauError
 
@@ -178,8 +178,7 @@ def _cmd_integrate(args) -> int:
 def _run_sweep(kind: str, runner, config: ExperimentConfig) -> int:
     rows, summary = runner(config)
     _emit(kind, rows, summary, config)
-    failures = summary.get("failures", []) if isinstance(summary, dict) else []
-    return 1 if failures else 0
+    return 1 if summary.get("failures") else 0
 
 
 def _dispatch(args) -> int:
@@ -206,9 +205,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (TableauError, ControllerConfigError) as exc:
-        # a bad --tableau, tolerance or step size is a usage error: one
-        # line, argparse's exit code
+    except (TableauError, ConfigError) as exc:
+        # a bad --tableau, --param, span, step count, tolerance or step
+        # size is a usage error: one line, argparse's exit code
         print(f"cfrk: {exc}", file=sys.stderr)
         return 2
 

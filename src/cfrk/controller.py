@@ -5,17 +5,17 @@ extrapolation: the error is measured between the two members, but the
 trajectory always advances with the higher-order one.  A fixed-step driver
 without error estimation is provided for convergence and cost comparisons.
 
-Between attempts both drivers hold the state, the FSAL value and the step's
-y1/yhat1 as flat lists of Python floats, which cf_step takes and returns
-(the FSAL value is the list f returned at y1); the finite check and the
-error measure (math.dist and math.hypot through the action) run on those
-lists.  f sees only lists, the starting rate estimate included, and each
-StepAttempt.y is the list the step returned.  numpy appears only at the
-edges: y0 as given (copied once), and Trajectory.points, built once per
-run from the accepted lists as one array, in a finally clause so that a
-failed run's partial trajectory holds it too; a rejected attempt
-allocates no array.  A DomainError from f or the action and a
-FieldLengthError from the step end the run as an IntegrationError
+Between attempts both drivers hold the state and the step's y1/yhat1, and
+the adaptive driver the FSAL value, as flat lists of Python floats, which
+cf_step takes and returns (the FSAL value is the list f returned at y1);
+the finite check and the error measure (math.dist and math.hypot through
+the action) run on those lists.  f sees only lists, the starting rate
+estimate included, and each StepAttempt.y is the list the step
+returned.  numpy appears only at the edges: y0 as given (copied once), and
+Trajectory.points, built once per run from the accepted lists as one array,
+in a finally clause so that a failed run's partial trajectory holds it too;
+a rejected attempt allocates no array.  A DomainError from f or the action
+and a FieldLengthError from the step end the run as an IntegrationError
 carrying the partial trajectory.
 """
 
@@ -32,7 +32,12 @@ from .stepper import FieldLengthError, cf_step
 _EPS = float(np.finfo(float).eps)
 
 
-class ControllerConfigError(ValueError):
+class ConfigError(ValueError):
+    """A setting outside its valid range: a time span, a step count, a
+    problem parameter."""
+
+
+class ControllerConfigError(ConfigError):
     """A ControllerConfig field outside its valid range."""
 
 
@@ -181,10 +186,11 @@ def _check_finite(y: list, trajectory):
         raise NonFiniteError("state became non-finite", trajectory)
 
 
-def _check_span(t0: float, t1: float) -> None:
+def check_span(t0: float, t1: float) -> None:
+    """ConfigError unless t0 and t1 are finite with t1 > t0."""
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
-        raise ValueError(f"need finite t0, t1 with t1 > t0, got t0 = {t0}, "
-                         f"t1 = {t1}")
+        raise ConfigError(f"need finite t0, t1 with t1 > t0, got t0 = {t0}, "
+                          f"t1 = {t1}")
 
 
 def _start(problem, y0, t0: float) -> tuple:
@@ -220,7 +226,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     step (growth is disabled on the retry).  The final step is truncated
     to land exactly on t1.
     """
-    _check_span(t0, t1)
+    check_span(t0, t1)
     if not pair.has_embedded:
         raise ValueError(f"{pair.name} has no embedded solution")
     if pair.order_phat != pair.order_p - 1:
@@ -291,12 +297,13 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     """Fixed-step integration with n_steps equal steps, no error control.
 
     Embedded rows are skipped entirely unless advance_embedded is set, in
-    which case the trajectory follows the embedded (lower-order) solution;
-    the FSAL carry is then invalid and never used.
+    which case the trajectory follows the embedded (lower-order) solution.
+    No f value is carried: f(y1), when a step forms it, is not at the point
+    the trajectory follows, so each step evaluates f at its base point.
     """
-    _check_span(t0, t1)
+    check_span(t0, t1)
     if n_steps < 1:
-        raise ValueError("need n_steps >= 1")
+        raise ConfigError(f"need n_steps >= 1, got {n_steps}")
     if advance_embedded and not method.has_embedded:
         raise ValueError(f"{method.name} has no embedded solution")
     action = problem.action
@@ -306,17 +313,13 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     traj, y = _start(problem, y0, t0)
     totals = traj.totals
     rows = [y]
-    carry = None
     try:
         for i in range(1, n_steps + 1):
-            res = cf_step(method, action, f, y, h, carried_f=carry,
+            res = cf_step(method, action, f, y, h,
                           with_embedded=advance_embedded)
             totals.n_exp += res.n_exp
             totals.n_feval += res.n_feval
-            if advance_embedded:
-                y = res.yhat1_list
-            else:
-                y, carry = res.y1_list, res.f_last
+            y = res.yhat1_list if advance_embedded else res.y1_list
             _check_finite(y, traj)
             totals.n_accepted += 1
             t = t1 if i == n_steps else t0 + i * h

@@ -20,6 +20,7 @@ import numpy as np
 
 from .actions import (DomainError, Gl2PlaneAction, GroupAction,
                       Se3CoadjointAction, So3SphereAction, _entries)
+from .controller import ConfigError
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,21 @@ PROBLEM_BUILDERS = {
 
 
 def build_problem(name: str, params: dict | None = None) -> Problem:
-    """Look up a problem by id and apply parameter overrides."""
+    """Look up a problem by id and apply parameter overrides.
+
+    A parameter the problem does not take, or a value its builder rejects,
+    raises ConfigError naming the problem and the parameter.
+    """
     try:
         builder = PROBLEM_BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; available: "
                        + ", ".join(sorted(PROBLEM_BUILDERS))) from None
-    return builder(**(params or {}))
+    params = params or {}
+    for key, value in params.items():
+        try:
+            builder(**{key: value})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"problem {name!r} rejects parameter "
+                              f"{key}={value!r}: {exc}") from None
+    return builder(**params)

@@ -4,37 +4,30 @@ A step composes exponentials of "frozen" algebra elements: each tableau row
 contributes exp(h * sum_k row[k] * f_k), applied to the base point with row
 1 innermost (first).
 
-A step runs a kernel compiled from the tableau: straight-line Python
-source, generated and compiled the first time the tableau is stepped with
-an algebra element of a given length and cached on the tableau, one kernel
-per length, use_reuse and with_embedded.  The generator walks the stage,
-update and embedded rows in order, drops zero rows, and gives the rows of
-each reuse group one exponential slot, numbered by first use; so reuse is
-resolved once per kernel, never per step.  The kernel unpacks each f value
-into local floats once and writes each row sum out per component as
-x0*a0_i + x1*a1_i + ... with x_j = h * c_j, summed left to right: numpy's
-order of operations for (h*c0)*f0 + (h*c1)*f1 + ..., so the row sums are
-bit-identical to the array expression.  With use_reuse, each point is
-formed once: the generator keys every point by the sequence of slots
-applied to the base point, and a row sequence whose prefix is already
-formed starts from that point without another act (cf43 makes 7 act
-calls per embedded step, not 8).  It calls the exp, act and f it is
-handed, so a wrapper around any of them sees every call.  Only integer
-indices and the repr of finite Python floats enter the source.  The
-kernel's n_exp and n_feval are static, the exponentials and f evaluations
-its source contains; they are the step's cost and count_budget's.
+A step runs straight-line Python compiled from the tableau the first time
+it is stepped with an algebra element of a given length, and cached on the
+tableau: one kernel per length and embedded flag, one per length for a
+tableau without embedded rows.  The generator walks the stage, update and
+embedded rows in order, drops zero rows and gives each reuse group one
+exponential slot, numbered by first use, so reuse is resolved when the
+kernel is compiled, never per step.  Reuse off is a tableau with no reuse
+map: every row gets its own slot.  Each point is formed once: a row
+sequence whose prefix of slots an earlier one applied to the base point
+starts from that point (cf43 makes 7 act calls per embedded step, not 8).
+Each row sum is written out per component as x0*a0_i + x1*a1_i + ...
+with x_j = h * c_j, numpy's order of operations for
+(h*c0)*f0 + (h*c1)*f1 + ..., so it is bit-identical to the array
+expression.  Only integer indices and the repr of finite Python floats
+enter the source.  The kernel calls the exp, act and f it is handed, so a
+wrapper around any of them sees every call; its n_exp and n_feval, the
+exponentials and f evaluations in its source, are the step's cost and
+count_budget's.
 
-Everything inside the kernel is Python floats.  f takes the point as a
-flat list of floats and returns the algebra element as one (see
-problems.py), and exp and act (see actions.py) take and return lists, so
-the kernel hands f each point as act returned it and unpacks f's list
-after a length check.  The base point and f(y) go in as lists, and y1,
-yhat1 and f(y1) come out as lists, so the drivers carry the state, the
-FSAL value and the error measure's inputs between attempts without numpy.
-The kernel builds no array; StepResult makes its y1 and yhat1 arrays only
-when they are read.  GroupAction.algebra_zero and algebra_axpy are not called
-here; they remain only because the benchmark's tracing proxy forwards
-them by name.
+Everything inside the kernel is Python floats: f takes and returns flat
+lists (see problems.py), as exp and act do (see actions.py).  The base
+point and f(y) go in as lists, every f value is length-checked and
+unpacked into local floats once, and y1, yhat1 and f(y1) come out as
+lists; StepResult makes its y1 and yhat1 arrays only when they are read.
 """
 
 from __future__ import annotations
@@ -82,22 +75,18 @@ class StepResult:
 
 
 def cf_step(tableau: CFTableau, action, f, y, h: float,
-            carried_f=None, *, with_embedded: bool = True,
-            use_reuse: bool = True) -> StepResult:
+            carried_f=None, *, with_embedded: bool = True) -> StepResult:
     """Advance one step of size h from the point y.
 
     y is a flat list of Python floats or a numpy array, which is converted
-    once; f is called on lists only.  The kernel cached on the tableau is
-    looked up here directly; step_kernel compiles it on the first step.
-    carried_f, if given, must equal f(y)
+    once; f is called on lists only.  carried_f, if given, must equal f(y)
     (the FSAL carry), a flat list as f returns it.  With
     with_embedded=False the embedded rows are skipped entirely: no yhat1,
-    no f(y1) evaluation, and their exponentials are not counted.
-    use_reuse=False computes every row's exponential, declared reuse
-    included (for cost accounting experiments); results change only at
-    roundoff level.  A FieldLengthError (a ValueError) is raised if f
-    returns a different number of entries within the step than at its
-    start.
+    no f(y1) evaluation, and their exponentials are not counted.  To
+    compute every row's exponential, declared reuse included, step
+    dataclasses.replace(tableau, reuse_map=()); the outputs keep their
+    bits.  A FieldLengthError (a ValueError) is raised if f returns a
+    different number of entries within the step than at its start.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
@@ -107,10 +96,9 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     if carried_f is None:
         carried_f = f(y)
         n_feval = 1
-    kernel = tableau._kernels.get((len(carried_f), use_reuse, with_embedded))
+    kernel = tableau._kernels.get((len(carried_f), with_embedded))
     if kernel is None:
-        kernel = step_kernel(tableau, len(carried_f), use_reuse,
-                             with_embedded)
+        kernel = step_kernel(tableau, len(carried_f), with_embedded)
     return StepResult(*kernel(action.exp, action.act, f, y, float(h),
                               carried_f), kernel.n_exp,
                       n_feval + kernel.n_feval)
@@ -124,12 +112,11 @@ def count_budget(tableau: CFTableau):
     length.  With the FSAL carry f(y) is free, but the embedded update then
     spends f(y1); without it the step evaluates f(y) itself.
     """
-    kernel = step_kernel(tableau, 1, True, True)
+    kernel = step_kernel(tableau, 1, True)
     return kernel.n_exp, kernel.n_feval + (not tableau.fsal)
 
 
-def step_kernel(tableau: CFTableau, n: int, use_reuse: bool,
-                with_embedded: bool):
+def step_kernel(tableau: CFTableau, n: int, with_embedded: bool):
     """The compiled step of tableau for algebra elements of n entries.
 
     kernel(exp, act, f, base, h, f0), with the base point y and f0 = f(y)
@@ -137,12 +124,16 @@ def step_kernel(tableau: CFTableau, n: int, use_reuse: bool,
     lists and f_last = f(y1) as f returned it, with None where the step
     skips the embedded update or the tableau is not FSAL.
     kernel.n_exp and kernel.n_feval count the exponentials and the f
-    evaluations after f0, and kernel.source is the generated code.
+    evaluations after f0, and kernel.source is the generated code.  A
+    tableau without embedded rows compiles one kernel, cached under both
+    embedded flags.
     """
-    key = (n, bool(use_reuse), bool(with_embedded))
-    kernel = tableau._kernels.get(key)
+    kernel = tableau._kernels.get((n, with_embedded))
     if kernel is None:
-        kernel = tableau._kernels[key] = _compile(tableau, *key)
+        kernel = _compile(tableau, n, with_embedded and tableau.has_embedded)
+        tableau._kernels[n, with_embedded] = kernel
+        if not tableau.has_embedded:  # both flags run this step
+            tableau._kernels[n, not with_embedded] = kernel
     return kernel
 
 
@@ -151,9 +142,7 @@ def _length_error(n: int, v: list) -> FieldLengthError:
                             f"expected {n} as at its start")
 
 
-def _compile(tableau: CFTableau, n: int, use_reuse: bool,
-             with_embedded: bool):
-    embedded = with_embedded and tableau.has_embedded
+def _compile(tableau: CFTableau, n: int, embedded: bool):
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -161,11 +150,10 @@ def _compile(tableau: CFTableau, n: int, use_reuse: bool,
     slots = {}  # reuse group (or the key of an unshared row) -> slot
     coeffs = {}  # coefficient -> local holding h * coefficient
     # the slots applied to the base point, in order -> the local holding
-    # the point they form; reused only with use_reuse, where equal slots
-    # hold the same exponential
+    # the point they form
     points = {}
     body = []
-    n_exp = n_feval = n_act = 0
+    n_feval = 0
 
     def unpack(k, values):
         # the list values into the locals f{k}_0 ... f{k}_{n-1}
@@ -181,16 +169,15 @@ def _compile(tableau: CFTableau, n: int, use_reuse: bool,
     def apply_rows(kind, rows):
         # the nonzero rows, keyed (*kind, j), applied to the base point;
         # returns the new point's local
-        nonlocal n_exp, n_act
         point, prefix = "base", ()
         for j, row in enumerate(rows):
             terms = [(k, float(c)) for k, c in enumerate(row) if c != 0.0]
             if not terms:
                 continue
             group = group_of.get((*kind, j), (*kind, j))
-            reused = group in slots
-            slot = slots.setdefault(group, len(slots))
-            if not (reused and use_reuse):
+            slot = slots.get(group)
+            if slot is None:
+                slot = slots[group] = len(slots)
                 for _, c in terms:
                     if not math.isfinite(c):
                         raise ValueError(f"tableau coefficient {c!r} is not "
@@ -199,12 +186,10 @@ def _compile(tableau: CFTableau, n: int, use_reuse: bool,
                 entries = (" + ".join(f"{coeffs[c]} * f{k}_{i}"
                                       for k, c in terms) for i in range(n))
                 body.append(f"g{slot} = exp([{', '.join(entries)}])")
-                n_exp += 1
             prefix += (slot,)
-            if not (use_reuse and prefix in points):
-                points[prefix] = f"p{n_act}"
-                body.append(f"p{n_act} = act(g{slot}, {point})")
-                n_act += 1
+            if prefix not in points:
+                points[prefix] = f"p{len(points)}"
+                body.append(f"{points[prefix]} = act(g{slot}, {point})")
             point = points[prefix]
         return point
 
@@ -227,5 +212,5 @@ def _compile(tableau: CFTableau, n: int, use_reuse: bool,
     namespace = {"_length_error": _length_error}
     exec(compile(source, f"<cf_step kernel n={n}>", "exec"), namespace)
     kernel = namespace["kernel"]
-    kernel.source, kernel.n_exp, kernel.n_feval = source, n_exp, n_feval
+    kernel.source, kernel.n_exp, kernel.n_feval = source, len(slots), n_feval
     return kernel

@@ -6,6 +6,7 @@ Run with -s (or read captured output on failure) to see the lines."""
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -125,8 +126,9 @@ def test_criterion_3_exponential_budgets():
         notes.append(f"{name} {traj.totals.n_exp}/{attempts} attempts")
 
         tab = get_tableau(name)
-        on = cf_step(tab, prob.action, prob.f, y0, 0.01, use_reuse=True)
-        off = cf_step(tab, prob.action, prob.f, y0, 0.01, use_reuse=False)
+        on = cf_step(tab, prob.action, prob.f, y0, 0.01)
+        off = cf_step(replace(tab, reuse_map=()), prob.action, prob.f, y0,
+                      0.01)
         ok = ok and off.n_exp - on.n_exp == extra
         ok = ok and np.array_equal(on.y1, off.y1) \
             and np.array_equal(on.yhat1, off.yhat1)

@@ -15,7 +15,7 @@ from cfrk.bench import (ExperimentConfig, build_experiment, reference_endpoint,
                         run_convergence, run_needle, run_tableau_check,
                         run_work_precision, write_output)
 from cfrk.catalog import get_tableau
-from cfrk.controller import integrate_fixed
+from cfrk.controller import ConfigError, integrate_fixed
 from cfrk.order_conditions import certify_pair
 from cfrk.problems import rigid_body
 from cfrk.tableaux import CFTableau, save_tableau
@@ -96,6 +96,21 @@ def test_reference_endpoint_needs_an_ambient_field():
     prob = dataclasses.replace(rigid_body(), ambient_field=None)
     with pytest.raises(ValueError, match="'rigid-body' has no ambient_field"):
         reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan),
+                                   (-math.inf, 1.0)])
+def test_reference_endpoint_rejects_a_bad_span(t0, t1):
+    prob = rigid_body()
+    with pytest.raises(ConfigError, match=f"got t0 = {t0}, t1 = {t1}"):
+        reference_endpoint(prob, prob.default_y0, t0, t1)
+
+
+@pytest.mark.parametrize("fields", [dict(t1=0.0), dict(t0=1.0, t1=math.inf),
+                                    dict(steps=(20, 0)), dict(fmt="xml")])
+def test_experiment_config_rejects_a_run_that_cannot_start(fields):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**fields)
 
 
 def test_reference_endpoint_rejects_non_finite_derivative():

@@ -90,16 +90,54 @@ def test_bad_tableau_is_a_one_line_usage_error(tmp_path, capsys, command):
         assert captured.err.startswith("cfrk: ") and message in captured.err
 
 
+SPAN = "need finite t0, t1 with t1 > t0, got "
+
+
 @pytest.mark.parametrize("argv,message", [
     (["needle", "--h0", "0"], "h0 must be positive, got 0.0"),
     (["needle", "--tol", "-1"], "atol must be positive"),
     (["integrate", "--h0", "-0.1"], "h0 must be positive, got -0.1"),
     (["integrate", "--h0", "nan"], "h0 must be positive, got nan"),
     (["integrate", "--atol", "0"], "atol must be positive"),
+    (["convergence", "--steps", "0"], "need step counts >= 1, got 0"),
+    (["convergence", "--steps", "40", "--steps", "-3"],
+     "need step counts >= 1, got -3"),
+    (["work-precision", "--tol", "1e-3", "--steps", "0"],
+     "need step counts >= 1, got 0"),
+    (["integrate", "--t1", "nan"], SPAN + "t0 = 0.0, t1 = nan"),
+    (["integrate", "--t0", "1", "--t1", "1"], SPAN + "t0 = 1.0, t1 = 1.0"),
+    (["convergence", "--t1", "-1"], SPAN + "t0 = 0.0, t1 = -1.0"),
+    (["work-precision", "--t1", "0"], SPAN + "t0 = 0.0, t1 = 0.0"),
+    (["integrate", "--param", "foo=1"],
+     "problem 'rigid-body' rejects parameter foo=1: rigid_body() got an "
+     "unexpected keyword argument 'foo'"),
+    (["integrate", "--problem", "van-der-pol", "--param", "mu=abc"],
+     "problem 'van-der-pol' rejects parameter mu='abc': could not convert "
+     "string to float: 'abc'"),
+    (["integrate", "--param", "inertia=[1,2]"],
+     "problem 'rigid-body' rejects parameter inertia=[1, 2]: not enough "
+     "values to unpack (expected 3, got 2)"),
 ], ids=["needle-h0", "needle-tol", "integrate-h0", "integrate-h0-nan",
-        "integrate-atol"])
-def test_invalid_controller_config_is_a_one_line_usage_error(capsys, argv,
+        "integrate-atol", "convergence-steps-0", "convergence-steps-negative",
+        "work-precision-steps-0", "integrate-t1-nan", "integrate-empty-span",
+        "convergence-backward-span", "work-precision-empty-span",
+        "integrate-unknown-param", "integrate-param-not-a-float",
+        "integrate-param-too-short"])
+def test_invalid_controller_config_is_a_one_line_usage_error(monkeypatch,
+                                                              capsys, argv,
                                                               message):
+    # bad tolerances, step sizes, spans, step counts and problem parameters
+    # are all rejected before any reference is solved or any run starts
+    import cfrk.bench as bench_mod
+    import cfrk.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("a reference or a run started")
+    for module, name in ((bench_mod, "reference_endpoint"),
+                         (bench_mod, "integrate_adaptive"),
+                         (bench_mod, "integrate_fixed"),
+                         (cli_mod, "integrate_adaptive")):
+        monkeypatch.setattr(module, name, never)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from cfrk.actions import (DomainError, Gl2PlaneAction, Se3CoadjointAction,
                           So3SphereAction, gl2_exp)
 from cfrk.catalog import get_tableau
-from cfrk.controller import integrate_fixed
+from cfrk.controller import ConfigError, integrate_fixed
 from cfrk.problems import (PROBLEM_BUILDERS, build_problem, conserved,
                            heavy_top, rigid_body, van_der_pol)
 
@@ -28,6 +28,19 @@ def test_build_problem_forwards_params():
     prob = build_problem("van-der-pol", {"mu": 5.0})
     assert prob.params.mu == 5.0
     assert build_problem("rigid-body", {"seed": 3}).default_y0 is not None
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("rigid-body", {"seed": 3, "foo": 1}, "rejects parameter foo=1"),
+    ("van-der-pol", {"mu": "abc"}, "rejects parameter mu='abc'"),
+    ("rigid-body", {"inertia": [1, 2]}, r"rejects parameter inertia=\[1, 2\]"),
+    ("heavy-top", {"chi": [1, 1, 0]}, "chi must be a unit vector"),
+    ("heavy-top", {"inertia": [1, -1, 1]}, "inertia entries must be positive"),
+])
+def test_build_problem_names_a_rejected_parameter(name, params, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        build_problem(name, params)
+    assert str(info.value).startswith(f"problem {name!r} rejects parameter ")
 
 
 @pytest.mark.parametrize("prob", [

@@ -8,7 +8,7 @@ recorded values are regenerated by running this file as a script:
     PYTHONPATH=src python tests/test_regression.py
 
 which rewrites tests/data/adaptive_counts.json and prints the fixed-step
-digest to paste into FIXED_DIGEST.
+digests to paste into FIXED_DIGEST and EMBEDDED_FIXED_DIGEST.
 """
 
 import hashlib
@@ -33,6 +33,9 @@ FIXED_STEPS = (50, 400)
 # catalog tableaux and np.exp may differ in their last bits on other builds.
 FIXED_DIGEST = ("b679b846c22591445e01ce28c8aa152d"
                 "d92fbb036a37e0ad82ee6f455c6c181f")
+# the same over the embedded pairs with advance_embedded=True
+EMBEDDED_FIXED_DIGEST = ("959d4f410e5889f79ac42dbc66e4aae9"
+                         "828967b6b1e9a97674b8895f128f599e")
 
 
 def adaptive_runs():
@@ -58,19 +61,22 @@ def adaptive_runs():
     return runs
 
 
-def fixed_runs_digest() -> str:
+def fixed_runs_digest(advance_embedded: bool = False) -> str:
     """One SHA-256 over the outcome, times, points, attempts and totals of
-    integrate_fixed at each step count, for every catalog tableau on every
-    problem; a run that fails contributes its error type and partial
-    trajectory."""
+    integrate_fixed at each step count, for every catalog tableau (every
+    embedded pair when advance_embedded is set) on every problem; a run
+    that fails contributes its error type and partial trajectory."""
     digest = hashlib.sha256()
     for tableau in catalog():
+        if advance_embedded and not tableau.has_embedded:
+            continue
         for build, t1 in SPANS.values():
             prob = build()
             for n in FIXED_STEPS:
                 try:
-                    traj = integrate_fixed(tableau, prob, prob.default_y0,
-                                           0.0, t1, n)
+                    traj = integrate_fixed(
+                        tableau, prob, prob.default_y0, 0.0, t1, n,
+                        advance_embedded=advance_embedded)
                     outcome = "ok"
                 except IntegrationError as exc:
                     traj, outcome = exc.trajectory, type(exc).__name__
@@ -110,6 +116,11 @@ def test_fixed_step_trajectories_are_bit_identical_to_the_record():
     assert fixed_runs_digest() == FIXED_DIGEST
 
 
+def test_embedded_fixed_step_trajectories_are_bit_identical_to_the_record():
+    assert fixed_runs_digest(advance_embedded=True) == EMBEDDED_FIXED_DIGEST
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps(adaptive_runs(), indent=1) + "\n")
     print(fixed_runs_digest())
+    print(fixed_runs_digest(advance_embedded=True))

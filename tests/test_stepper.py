@@ -1,6 +1,7 @@
 """Single-step semantics: row application order, FSAL carry, declared
 row reuse, static versus dynamic cost accounting, and the compiled step
-kernel against an interpreter of the tableau's rows."""
+kernel against an interpreter of the tableau's rows.  A step with reuse off
+is a step of the tableau with no reuse map (see unshared)."""
 
 import ast
 import dataclasses
@@ -54,7 +55,7 @@ def step_rows(tableau, with_embedded):
 
 
 def reference_step(tableau, action, f, y, h, carried_f=None, *,
-                   with_embedded=True, use_reuse=True):
+                   with_embedded=True):
     """cf_step as an interpreter of step_rows: the rows of each stage and
     update are walked one by one, each row sum built as a list per term,
     and f called on each point as a list."""
@@ -75,7 +76,7 @@ def reference_step(tableau, action, f, y, h, carried_f=None, *,
         nonlocal n_exp
         point = base
         for terms, slot, reused in rows:
-            if reused and use_reuse:
+            if reused:
                 g = slots[slot]
             else:
                 k, coeff = terms[0]
@@ -118,6 +119,17 @@ def bits(v):
 def fresh(name):
     """A new copy of a catalog tableau, with no kernel compiled yet."""
     return tableau_from_json(get_tableau(name).to_json())
+
+
+def unshared(tableau):
+    """tableau with no reuse map: every row computes its own exponential."""
+    return dataclasses.replace(tableau, reuse_map=())
+
+
+def with_reuse(name, reuse):
+    """The catalog tableau, or its unshared copy when reuse is off."""
+    t = get_tableau(name)
+    return t if reuse else unshared(t)
 
 
 def sphere_setup():
@@ -258,7 +270,7 @@ def test_disabling_reuse_only_changes_counts(name, extra):
     h = 0.03
     carried = f(y0) if t.fsal else None
     on = cf_step(t, SPHERE, f, y0, h, carried_f=carried)
-    off = cf_step(t, SPHERE, f, y0, h, carried_f=carried, use_reuse=False)
+    off = cf_step(unshared(t), SPHERE, f, y0, h, carried_f=carried)
     # identical rows produce bitwise-identical exponentials, so disabling
     # the cache cannot change any output
     assert np.array_equal(on.y1, off.y1)
@@ -337,18 +349,18 @@ def test_row_sums_match_numpy_bitwise(build, name):
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
-@pytest.mark.parametrize("use_reuse", [True, False], ids=["reuse", "noreuse"])
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "noreuse"])
 @pytest.mark.parametrize("with_embedded", [True, False],
                          ids=["embedded", "principal"])
 @pytest.mark.parametrize("build", PROBLEMS, ids=lambda build: build.__name__)
 @pytest.mark.parametrize("name", [t.name for t in catalog()])
 def test_kernel_matches_plan_interpreter_bitwise(name, build, with_embedded,
-                                                 use_reuse, carried):
-    t = get_tableau(name)
+                                                 reuse, carried):
+    t = with_reuse(name, reuse)
     prob = build()
     y0 = prob.default_y0
     carried_f = prob.f(y0) if carried else None
-    opts = dict(with_embedded=with_embedded, use_reuse=use_reuse)
+    opts = dict(with_embedded=with_embedded)
     got = cf_step(t, prob.action, prob.f, y0, 0.01, carried_f, **opts)
     ref = reference_step(t, prob.action, prob.f, y0, 0.01, carried_f, **opts)
     for field in ("y1", "yhat1", "f_last"):
@@ -408,24 +420,38 @@ def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
     compiled = []
     compile_kernel = cfrk.stepper._compile
 
-    def counting(tableau, n, use_reuse, with_embedded):
-        compiled.append((n, use_reuse, with_embedded))
-        return compile_kernel(tableau, n, use_reuse, with_embedded)
+    def counting(tableau, n, embedded):
+        compiled.append((tableau.name, n, embedded))
+        return compile_kernel(tableau, n, embedded)
     monkeypatch.setattr(cfrk.stepper, "_compile", counting)
     t = fresh("cf43")
     assert t._kernels == {}
     _, f, y0 = sphere_setup()
     first = cf_step(t, SPHERE, f, y0, 0.05)
     second = cf_step(t, SPHERE, f, first.y1, 0.05, carried_f=first.f_last)
-    assert compiled == [(3, True, True)]
+    assert compiled == [("cf43", 3, True)]
     assert second.n_exp == first.n_exp
-    cf_step(t, SPHERE, f, y0, 0.05, use_reuse=False)
+    off = unshared(t)
+    assert off._kernels == {}
+    cf_step(off, SPHERE, f, y0, 0.05)
     cf_step(t, SPHERE, f, y0, 0.05, with_embedded=False)
     prob = heavy_top()
     cf_step(t, prob.action, prob.f, prob.default_y0, 0.05)
-    assert compiled == [(3, True, True), (3, False, True), (3, True, False),
-                        (6, True, True)]
-    assert step_kernel(t, 3, True, True) is t._kernels[(3, True, True)]
+    assert compiled == [("cf43", 3, True), ("cf43", 3, True),
+                        ("cf43", 3, False), ("cf43", 6, True)]
+    assert step_kernel(t, 3, True) is t._kernels[(3, True)]
+    assert sorted(t._kernels) == [(3, False), (3, True), (6, True)]
+    # a tableau without embedded rows compiles one kernel per length,
+    # whichever flag steps it first
+    for first in (True, False):
+        compiled.clear()
+        t = fresh("cf4")
+        a = cf_step(t, SPHERE, f, y0, 0.05, with_embedded=first)
+        b = cf_step(t, SPHERE, f, y0, 0.05, with_embedded=not first)
+        assert compiled == [("cf4", 3, False)]
+        assert step_kernel(t, 3, True) is step_kernel(t, 3, False)
+        assert bits(a.y1) == bits(b.y1)
+        assert (a.n_exp, a.n_feval) == (b.n_exp, b.n_feval)
 
 
 def literal_values(source):
@@ -448,15 +474,15 @@ def literal_values(source):
     return found
 
 
-@pytest.mark.parametrize("use_reuse", [True, False])
+@pytest.mark.parametrize("reuse", [True, False])
 @pytest.mark.parametrize("name", [t.name for t in catalog()])
-def test_kernel_literals_round_trip_to_plan_coefficients(name, use_reuse):
-    t = get_tableau(name)
+def test_kernel_literals_round_trip_to_plan_coefficients(name, reuse):
+    t = with_reuse(name, reuse)
     for with_embedded in (True, False):
         step = step_rows(t, with_embedded)
         coeffs = {c for rows in (*step.stages, step.y, step.yhat)
                   for terms, _, _ in rows for _, c in terms}
-        source = step_kernel(t, 3, use_reuse, with_embedded).source
+        source = step_kernel(t, 3, with_embedded).source
         floats = [(v, text) for v, text in literal_values(source)
                   if type(v) is float]
         assert floats
@@ -470,7 +496,7 @@ def test_kernel_counts_are_the_plan_slots(name):
     t = get_tableau(name)
     for with_embedded in (True, False):
         step = step_rows(t, with_embedded)
-        kernel = step_kernel(t, 3, True, with_embedded)
+        kernel = step_kernel(t, 3, with_embedded)
         assert kernel.n_exp == step.n_exp
         assert kernel.n_feval == t.s - 1 + step.fsal
         assert kernel.source.count("exp(") == kernel.n_exp
@@ -485,14 +511,15 @@ def slot_prefixes(step):
             for i in range(1, len(rows) + 1)}
 
 
-@pytest.mark.parametrize("use_reuse", [True, False], ids=["reuse", "noreuse"])
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "noreuse"])
 @pytest.mark.parametrize("with_embedded", [True, False],
                          ids=["embedded", "principal"])
 @pytest.mark.parametrize("name", [t.name for t in catalog()])
-def test_each_point_is_formed_once(name, with_embedded, use_reuse):
-    # with reuse, a row sequence whose prefix an earlier one formed starts
-    # from that point: one act per distinct prefix; without it, one per row
-    t = get_tableau(name)
+def test_each_point_is_formed_once(name, with_embedded, reuse):
+    # a row sequence whose prefix an earlier one formed starts from that
+    # point: one act per distinct prefix; with no reuse map every row has
+    # its own slot, so one per row
+    t = with_reuse(name, reuse)
     prob = rigid_body()
     calls = []
 
@@ -509,16 +536,17 @@ def test_each_point_is_formed_once(name, with_embedded, use_reuse):
         calls.append("f")
         return prob.f(y)
     res = cf_step(t, Counting(), f, prob.default_y0, 0.01,
-                  with_embedded=with_embedded, use_reuse=use_reuse)
+                  with_embedded=with_embedded)
     step = step_rows(t, with_embedded)
     n_rows = sum(len(rows) for rows in (*step.stages, step.y, step.yhat))
-    n_act = len(slot_prefixes(step)) if use_reuse else n_rows
-    n_exp = step.n_exp if use_reuse else n_rows
+    n_act = len(slot_prefixes(step))
     assert calls.count("act") == n_act
-    assert calls.count("exp") == res.n_exp == n_exp
+    assert calls.count("exp") == res.n_exp == step.n_exp
     assert calls.count("f") == res.n_feval == t.s + step.fsal
-    if name == "cf43" and with_embedded and use_reuse:
-        assert (n_act, n_rows, n_exp) == (7, 8, 6)
+    if not reuse:
+        assert n_act == step.n_exp == n_rows
+    if name == "cf43" and with_embedded and reuse:
+        assert (n_act, n_rows, step.n_exp) == (7, 8, 6)
 
 
 @pytest.mark.parametrize("name", [t.name for t in catalog()])
@@ -526,8 +554,8 @@ def test_kernel_returns_lists_and_step_result_makes_the_arrays(name):
     t = get_tableau(name)
     prob = heavy_top()
     for with_embedded in (True, False):
-        for use_reuse in (True, False):
-            kernel = step_kernel(t, 6, use_reuse, with_embedded)
+        for tableau in (t, unshared(t)):
+            kernel = step_kernel(tableau, 6, with_embedded)
             assert "array(" not in kernel.source
         res = cf_step(t, prob.action, prob.f, prob.default_y0.tolist(), 0.01,
                       with_embedded=with_embedded)
@@ -596,4 +624,4 @@ def test_kernel_takes_only_finite_float_coefficients(coeff):
                   beta_hat=(), order_p=1, order_phat=0, fsal=False)
     object.__setattr__(t, "beta", (np.array([coeff]),))
     with pytest.raises(ValueError, match="not a finite float"):
-        step_kernel(t, 3, True, True)
+        step_kernel(t, 3, True)
