@@ -53,24 +53,6 @@ class DomainError(ValueError):
 
 # ------------------------------------------------------------ so(3) basics
 
-def hat(v) -> np.ndarray:
-    """Skew matrix of a 3-vector: hat(v) @ w == cross(v, w)."""
-    v = np.asarray(v, float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
-def vee(M) -> np.ndarray:
-    """Inverse of hat.  Rejects matrices that are not skew within 1e-12."""
-    M = np.asarray(M, float)
-    if M.shape != (3, 3) or np.max(np.abs(M + M.T)) > 1e-12:
-        raise DomainError("vee expects an antisymmetric 3x3 matrix")
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
 def _floats(v, *shape: int) -> list:
     """v's entries as a flat row-major list of Python floats; ValueError
     naming the shape of v unless it is exactly `shape`."""
@@ -87,7 +69,7 @@ def _entries(p) -> list:
 
 def _so3_exp(v) -> list:
     """so3_exp on a list of 3 floats (or a 3-vector array), as a list of
-    the 9 entries of I + A hat(v) + B hat(v)^2, hat(v)^2 = v v^T - |v|^2 I.
+    the 9 entries of I + A K + B K^2, K w = v x w, K^2 = v v^T - |v|^2 I.
 
     A = sin t / t and B = (1 - cos t) / t^2 at t = |v|.  Below theta = 1e-4
     both switch to short Taylor expansions; the closed forms lose digits to
@@ -127,8 +109,8 @@ def _so3_act(g, p) -> list:
 
 
 def so3_exp(v) -> np.ndarray:
-    """Rotation matrix exp(hat(v)) by the Rodrigues formula
-    I + (sin t / t) hat(v) + ((1 - cos t) / t^2) hat(v)^2, t = |v|.
+    """Rotation matrix exp(K), K the skew matrix of v (K w = v x w), by the
+    Rodrigues formula I + (sin t / t) K + ((1 - cos t) / t^2) K^2, t = |v|.
 
     Below theta = 1e-4 the two trigonometric quotients switch to short
     Taylor expansions; the closed forms lose digits to cancellation there.
@@ -226,29 +208,9 @@ class Se3Element:
         return Se3Element(self.rot @ other.rot,
                           self.rot @ other.trans + self.trans)
 
-    def inverse(self) -> "Se3Element":
-        return Se3Element(self.rot.T, -(self.rot.T @ self.trans))
-
     @staticmethod
     def identity() -> "Se3Element":
         return Se3Element(np.eye(3), np.zeros(3))
-
-
-def se3_bracket(a, b) -> np.ndarray:
-    """Algebra bracket [(xi,u),(eta,v)] = (xi x eta, xi x v - eta x u).
-
-    The cross products are written out on floats, with the same products
-    and differences as numpy's cross.  Raises ValueError unless a and b have
-    exactly 6 components.
-    """
-    x1, x2, x3, u1, u2, u3 = _floats(a, 6)
-    e1, e2, e3, v1, v2, v3 = _floats(b, 6)
-    return np.array([x2 * e3 - x3 * e2,
-                     x3 * e1 - x1 * e3,
-                     x1 * e2 - x2 * e1,
-                     (x2 * v3 - x3 * v2) - (e2 * u3 - e3 * u2),
-                     (x3 * v1 - x1 * v3) - (e3 * u1 - e1 * u3),
-                     (x1 * v2 - x2 * v1) - (e1 * u2 - e2 * u1)])
 
 
 def _se3_exp(a) -> list:
@@ -286,7 +248,7 @@ def _se3_exp(a) -> list:
 
 def se3_exp(a) -> Se3Element:
     """Exponential of (xi, u): rotation so3_exp(xi) and translation V(xi) u
-    with V the convergent series sum_m hat(xi)^m / (m+1)!, evaluated as
+    with V = sum_m K^m / (m+1)!, K the skew matrix of xi, evaluated as
     u + B xi x u + C xi x (xi x u) with B = (1 - cos t) / t^2 and
     C = (t - sin t) / t^3, t = |xi|.
 

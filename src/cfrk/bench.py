@@ -352,19 +352,21 @@ def render_csv(columns, rows, config_dict: dict, summary: dict | None = None) ->
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(v):
+    """v with every non-finite float in it, at any depth, as None (null)."""
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def render_json(columns, rows, config_dict: dict, summary: dict | None = None) -> str:
-    def clean(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return None
-        return v
-    doc = {
-        "config": config_dict,
-        "columns": list(columns),
-        "rows": [[clean(v) for v in row] for row in rows],
-    }
+    doc = {"config": config_dict, "columns": columns, "rows": rows}
     if summary is not None:
         doc["summary"] = summary
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_finite_or_null(doc), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_output(text: str, out: str | None) -> None:

@@ -31,7 +31,7 @@ def _parse_params(pairs) -> dict:
     out = {}
     for item in pairs or ():
         if "=" not in item:
-            raise SystemExit(f"--param expects key=value, got {item!r}")
+            raise ConfigError(f"--param expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         try:
             out[key] = json.loads(value)

@@ -155,16 +155,6 @@ def split_residuals(rows, a, c, up_to: int = 4) -> dict:
             for label, w, k, target in _through(_SPLIT, up_to)}
 
 
-def check_nonclassical(tableau: CFTableau) -> dict:
-    """Non-classical residuals of the principal update (two rows required)."""
-    if len(tableau.beta) != 2:
-        raise UnsupportedShapeError(
-            f"{tableau.name}: principal update has {len(tableau.beta)} rows, "
-            "the non-classical conditions apply to exactly 2")
-    red = reduce(tableau)
-    return split_residuals(tableau.beta, red.a, red.c)
-
-
 def certify(tableau: CFTableau, which: str = "principal",
             tol: float = 1e-9) -> OrderReport:
     """Evaluate all conditions for one side of the tableau and certify the
@@ -172,18 +162,16 @@ def certify(tableau: CFTableau, which: str = "principal",
     if which == "principal":
         red = reduce(tableau)
         rows = tableau.beta
-        a, c = red.a, red.c
     elif which == "embedded":
         red = reduce_embedded(tableau)
         rows = tableau.beta_hat
-        a, c = red.a, red.c
     else:
         raise ValueError(f"which must be 'principal' or 'embedded', got {which!r}")
 
     report = OrderReport(name=tableau.name, which=which, tolerance=tol)
     report.classical_residuals = check_classical(red, up_to=4)
     if len(rows) <= 2:
-        report.nonclassical_residuals = split_residuals(rows, a, c)
+        report.nonclassical_residuals = split_residuals(rows, red.a, red.c)
         if len(rows) == 1:
             report.notes.append(
                 "single-row update: non-classical conditions evaluated with b2 = 0")
@@ -209,10 +197,9 @@ def certify_pair(tableau: CFTableau, tol: float = 1e-9) -> dict:
     return out
 
 
-def is_genuine_pair(tableau: CFTableau, tol: float = 1e-9,
-                    fail_threshold: float = 1e-3) -> tuple:
+def is_genuine_pair(tableau: CFTableau, tol: float = 1e-9) -> tuple:
     """Check that the embedded weights certify order p-1 but genuinely fail
-    order p (at least one condition residual above fail_threshold).
+    order p (at least one condition residual above 1e-3, far above roundoff).
 
     Returns (ok, details) where details names the orders found and the
     largest failing residual.
@@ -221,7 +208,7 @@ def is_genuine_pair(tableau: CFTableau, tol: float = 1e-9,
         return False, {"reason": "no embedded rows"}
     rep = certify(tableau, "embedded", tol)
     target = tableau.order_phat
-    failing = rep.failed(target + 1, threshold=fail_threshold)
+    failing = rep.failed(target + 1, threshold=1e-3)
     ok = (rep.certified_algebraic_order == target) and len(failing) > 0
     return ok, {
         "certified": rep.certified_algebraic_order,

@@ -14,7 +14,7 @@ can call action.infinitesimal(f(y), y) on their own arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,12 +23,20 @@ from .actions import (DomainError, Gl2PlaneAction, GroupAction,
 from .controller import ConfigError
 
 
+def _require_finite(params) -> None:
+    """ValueError naming the first field of params with a non-finite entry."""
+    for name, value in asdict(params).items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RigidBodyParams:
     inertia: tuple = (1.0, 2.0, 5.0)
     m: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.inertia) <= 0.0:
             raise ValueError("inertia entries must be positive")
 
@@ -36,6 +44,9 @@ class RigidBodyParams:
 @dataclass(frozen=True)
 class VdpParams:
     mu: float = 60.0
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,7 @@ class HeavyTopParams:
     chi: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.inertia) <= 0.0:
             raise ValueError("inertia entries must be positive")
         if abs(np.linalg.norm(self.chi) - 1.0) > 1e-12:

@@ -235,22 +235,17 @@ class ReducedCoefficients:
     """Classical Butcher data recovered from a commutator-free tableau.
 
     a[r, k] = sum_j alpha^k_{r,j} and b[k] = sum_j beta^k_j collapse the row
-    structure; c holds the stage abscissae (row sums of a).  c_hat extends c
-    with the abscissa 1 for the f(y1) slot that FSAL beta_hat rows may
-    reference, so b_hat and c_hat always have matching length.
+    structure; c holds the stage abscissae (row sums of a).  The embedded
+    method has its own ReducedCoefficients, from reduce_embedded.
     """
 
     a: np.ndarray
     b: np.ndarray
-    b_hat: np.ndarray | None
     c: np.ndarray
-    c_hat: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b", "b_hat", "c", "c_hat"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _freeze(val))
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 def _row_sum(rows, width):
@@ -272,12 +267,7 @@ def reduce(tableau: CFTableau) -> ReducedCoefficients:
         a[r - 1] = _row_sum(tableau.alpha[r - 2], s)
     b = _row_sum(tableau.beta, s)
     c = a.sum(axis=1)
-    if tableau.has_embedded:
-        b_hat = _row_sum(tableau.beta_hat, tableau.hat_width)
-    else:
-        b_hat = None
-    c_hat = np.concatenate([c, [1.0]]) if tableau.hat_width == s + 1 else c.copy()
-    return ReducedCoefficients(a=a, b=b, b_hat=b_hat, c=c, c_hat=c_hat)
+    return ReducedCoefficients(a=a, b=b, c=c)
 
 
 def reduce_embedded(tableau: CFTableau) -> ReducedCoefficients:
@@ -292,15 +282,15 @@ def reduce_embedded(tableau: CFTableau) -> ReducedCoefficients:
     if not tableau.has_embedded:
         raise TableauError(f"{tableau.name} has no embedded update rows")
     red = reduce(tableau)
+    b_hat = _row_sum(tableau.beta_hat, tableau.hat_width)
     s = tableau.s
     if tableau.hat_width == s + 1:
         a_ext = np.zeros((s + 1, s + 1))
         a_ext[:s, :s] = red.a
         a_ext[s, :s] = red.b
-        return ReducedCoefficients(a=a_ext, b=red.b_hat, b_hat=None,
-                                   c=red.c_hat, c_hat=red.c_hat)
-    return ReducedCoefficients(a=red.a, b=red.b_hat, b_hat=None,
-                               c=red.c, c_hat=red.c)
+        return ReducedCoefficients(a=a_ext, b=b_hat,
+                                   c=np.concatenate([red.c, [1.0]]))
+    return ReducedCoefficients(a=red.a, b=b_hat, c=red.c)
 
 
 # ----------------------------------------------------------- reuse structure
@@ -329,8 +319,8 @@ def reuse_groups(tableau: CFTableau, include_embedded: bool = True) -> list:
     return [g for g in groups if len(g) > 1]
 
 
-def scan_identical_rows(tableau: CFTableau, tol: float = REUSE_EQ_TOL) -> list:
-    """Exhaustive scan for elementwise-identical row pairs.
+def scan_identical_rows(tableau: CFTableau) -> list:
+    """Exhaustive scan for row pairs equal within REUSE_EQ_TOL.
 
     Returns the partition of keys into equality classes of size > 1.  Used
     to verify that the declared reuse map is maximal: the scan and the
@@ -341,7 +331,7 @@ def scan_identical_rows(tableau: CFTableau, tol: float = REUSE_EQ_TOL) -> list:
     for key in keys:
         row = tableau.row_padded(key)
         for cls in classes:
-            if np.max(np.abs(row - cls[0])) <= tol:
+            if np.max(np.abs(row - cls[0])) <= REUSE_EQ_TOL:
                 cls[1].add(key)
                 break
         else:

@@ -265,12 +265,25 @@ def test_csv_rendering_format():
 
 
 def test_json_rendering_replaces_non_finite_values():
+    def strict(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
     rows = [(1.0, float("nan")), (float("inf"), 2.0)]
-    doc = json.loads(render_json(("x", "y"), rows, {"seed": 7}, None))
+    doc = json.loads(render_json(("x", "y"), rows, {"seed": 7}, None),
+                     parse_constant=strict)
     assert doc["rows"] == [[1.0, None], [None, 2.0]]
     assert doc["columns"] == ["x", "y"]
     assert doc["config"] == {"seed": 7}
     assert "summary" not in doc
+    # config and summary values are cleaned too, floats inside lists as well
+    config = {"seed": 7, "hmax": float("inf"), "tols": [1e-3, -math.inf]}
+    summary = {"min_h_in_window": float("nan"), "n_exp": 3,
+               "y_end": [0.5, float("nan")]}
+    doc = json.loads(render_json(("x",), [], config, summary),
+                     parse_constant=strict)
+    assert doc["config"] == {"seed": 7, "hmax": None, "tols": [1e-3, None]}
+    assert doc["summary"] == {"min_h_in_window": None, "n_exp": 3,
+                              "y_end": [0.5, None]}
 
 
 def test_write_output_file_and_stdout(tmp_path, capsys):

@@ -117,12 +117,27 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
     (["integrate", "--param", "inertia=[1,2]"],
      "problem 'rigid-body' rejects parameter inertia=[1, 2]: not enough "
      "values to unpack (expected 3, got 2)"),
+    (["integrate", "--problem", "van-der-pol", "--param", "mu=NaN"],
+     "problem 'van-der-pol' rejects parameter mu=nan: mu must be finite, "
+     "got nan"),
+    (["integrate", "--problem", "heavy-top", "--param", "g=Infinity"],
+     "problem 'heavy-top' rejects parameter g=inf: g must be finite, got inf"),
+    (["convergence", "--param", "m=NaN", "--steps", "10"],
+     "problem 'rigid-body' rejects parameter m=nan: m must be finite, "
+     "got nan"),
+    (["integrate", "--param", "inertia=[1,2,NaN]"],
+     "problem 'rigid-body' rejects parameter inertia=[1, 2, nan]: inertia "
+     "must be finite, got (1.0, 2.0, nan)"),
+    (["integrate", "--param", "foo"],
+     "--param expects key=value, got 'foo'"),
 ], ids=["needle-h0", "needle-tol", "integrate-h0", "integrate-h0-nan",
         "integrate-atol", "convergence-steps-0", "convergence-steps-negative",
         "work-precision-steps-0", "integrate-t1-nan", "integrate-empty-span",
         "convergence-backward-span", "work-precision-empty-span",
         "integrate-unknown-param", "integrate-param-not-a-float",
-        "integrate-param-too-short"])
+        "integrate-param-too-short", "integrate-vdp-mu-nan",
+        "integrate-heavy-top-g-inf", "convergence-m-nan",
+        "integrate-inertia-nan", "integrate-param-without-equals"])
 def test_invalid_controller_config_is_a_one_line_usage_error(monkeypatch,
                                                               capsys, argv,
                                                               message):
@@ -249,10 +264,11 @@ def test_invalid_problem_is_a_usage_error():
     assert info.value.code == 2
 
 
-def test_malformed_param_is_rejected():
-    with pytest.raises(SystemExit):
-        main(["integrate", "--problem", "van-der-pol", "--param", "mu:5",
-              "--t1", "0.5"])
+def test_malformed_param_is_rejected(capsys):
+    assert main(["integrate", "--problem", "van-der-pol", "--param", "mu:5",
+                 "--t1", "0.5"]) == 2
+    assert capsys.readouterr().err == \
+        "cfrk: --param expects key=value, got 'mu:5'\n"
 
 
 def test_missing_subcommand_is_a_usage_error():

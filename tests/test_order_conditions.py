@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from cfrk.catalog import catalog, get_tableau
 from cfrk.order_conditions import (CONDITION_4_NOTE, UnsupportedShapeError,
                                    certify, certify_pair, check_classical,
-                                   check_nonclassical, is_genuine_pair,
-                                   linear_conditions, split_residuals)
+                                   is_genuine_pair, linear_conditions,
+                                   split_residuals)
 from cfrk.tableaux import CFTableau, ReducedCoefficients, reduce
 
 
@@ -34,12 +34,12 @@ def test_classical_known_weights_certify_order_two_only_when_extended():
 
 
 def test_cf4_split_conditions_vanish():
-    res = check_nonclassical(get_tableau("cf4"))
+    t = get_tableau("cf4")
+    red = reduce(t)
+    res = split_residuals(t.beta, red.a, red.c)
     assert len(res) == 4
     assert max(abs(v) for v in res.values()) < 1e-14
     # spot check of the order-3 identity: 1/12 + (1/2)(1/2) = 1/3
-    t = get_tableau("cf4")
-    red = reduce(t)
     b1, b2 = t.beta
     assert b1 @ red.c == pytest.approx(1 / 12)
     assert b2.sum() == pytest.approx(0.5)
@@ -59,13 +59,6 @@ def test_split_residuals_reject_three_rows():
     rows = [red.b, red.b, red.b]
     with pytest.raises(UnsupportedShapeError):
         split_residuals(rows, red.a, red.c)
-
-
-def test_check_nonclassical_needs_two_rows():
-    euler = CFTableau(name="euler", s=1, alpha=(), beta=((1.0,),),
-                      beta_hat=(), order_p=1, order_phat=0, fsal=False)
-    with pytest.raises(UnsupportedShapeError):
-        check_nonclassical(euler)
 
 
 def test_check_classical_up_to_validation():
@@ -181,7 +174,7 @@ def test_linear_conditions_match_table_residuals(unknown_first, pinned):
         free = [j for j in range(n) if j not in (pinned or {})]
         M, d = linear_conditions(a, c, known, unknown_first, pinned=pinned)
         rows = (u, known) if unknown_first else (known, u)
-        red = ReducedCoefficients(a=a, b=known + u, b_hat=None, c=c, c_hat=c)
+        red = ReducedCoefficients(a=a, b=known + u, c=c)
         expected = list(check_classical(red, up_to=3).values()) \
             + list(split_residuals(rows, a, c, up_to=3).values())
         assert M.shape == (len(expected), len(free))

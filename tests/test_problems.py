@@ -1,6 +1,8 @@
 """Benchmark problem definitions: field formulas, parameter validation,
 default states, and the invariants each geometry is supposed to keep."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -36,6 +38,11 @@ def test_build_problem_forwards_params():
     ("rigid-body", {"inertia": [1, 2]}, r"rejects parameter inertia=\[1, 2\]"),
     ("heavy-top", {"chi": [1, 1, 0]}, "chi must be a unit vector"),
     ("heavy-top", {"inertia": [1, -1, 1]}, "inertia entries must be positive"),
+    # a NaN would otherwise slip past the positivity and unit-norm checks
+    ("heavy-top", {"chi": [math.nan, 0, 0]}, "chi must be finite"),
+    ("heavy-top", {"inertia": [2, 2, math.inf]}, "inertia must be finite"),
+    ("heavy-top", {"m": -math.inf}, "m must be finite"),
+    ("van-der-pol", {"mu": math.inf}, "mu must be finite"),
 ])
 def test_build_problem_names_a_rejected_parameter(name, params, message):
     with pytest.raises(ConfigError, match=message) as info:

@@ -126,17 +126,18 @@ def test_reduce_cf4_recovers_classical_rk4():
     assert_allclose(red.a[1], [0.5, 0, 0, 0], atol=0)
     assert_allclose(red.a[2], [0.0, 0.5, 0, 0], atol=0)
     assert_allclose(red.a[3], [0.0, 0.0, 1.0, 0], atol=1e-16)
-    assert red.b_hat is None
 
 
 def test_reduce_cf32a():
-    red = reduce(get_tableau("cf32a"))
+    t = get_tableau("cf32a")
+    red = reduce(t)
     assert_allclose(red.c, [0.0, 1 / 3, 1.0], atol=1e-16)
     assert_allclose(red.b, [0.0, 3 / 4, 1 / 4], atol=1e-16)
-    # the embedded rows reference f at the accepted point, so c_hat gains
-    # the abscissa 1
-    assert_allclose(red.b_hat, [0.0, 3 / 4, 0.0, 1 / 4], atol=0)
-    assert_allclose(red.c_hat, [0.0, 1 / 3, 1.0, 1.0], atol=1e-16)
+    # the embedded rows reference f at the accepted point, so the embedded
+    # method's c gains the abscissa 1
+    ext = reduce_embedded(t)
+    assert_allclose(ext.b, [0.0, 3 / 4, 0.0, 1 / 4], atol=0)
+    assert_allclose(ext.c, [0.0, 1 / 3, 1.0, 1.0], atol=1e-16)
 
 
 def test_reduce_embedded_extends_fsal_system():
@@ -147,7 +148,7 @@ def test_reduce_embedded_extends_fsal_system():
     assert_allclose(ext.a[:3, :3], red.a, atol=0)
     assert_allclose(ext.a[3, :3], red.b, atol=0)
     assert ext.a[3, 3] == 0.0
-    assert_allclose(ext.b, red.b_hat, atol=0)
+    assert_allclose(ext.b, sum(t.beta_hat), atol=0)
     assert_allclose(ext.c, [0.0, 1 / 3, 1.0, 1.0], atol=1e-16)
 
 
