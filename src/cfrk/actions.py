@@ -21,26 +21,29 @@ by the translation.  act takes such an element and a point given as a
 list of floats, writes each product out as multiply-adds, and returns the
 new point as a list.
 
-Each geometry's exp and act are module-level float bodies bound as static
-methods, so a call from the step kernel runs one Python frame: the
-Rodrigues coefficients, rotation entries and coadjoint product are
-written inline.  The only guard in a body is
+Each formula is written once, as a Block: straight-line source over
+named float locals.  At import each geometry's exp and act are compiled
+from their blocks into module-level float bodies bound as static methods,
+so a call runs one Python frame.  The only guard in a body is
 `x if type(x) is list else _floats(x, ...)`: a list is unpacked as it is,
 and one of the wrong length raises the unpacking's ValueError; numpy
 input is checked for shape (a ValueError naming the shape it got) and
 converted once: an algebra element or point as an array, and for act a
 rotation or 2x2 matrix as an array or an SE(3) element as an Se3Element.
-_se3_exp repeats _so3_exp's Rodrigues block with the same operations, so
-its rotation has so3_exp's bits.  The public kernels so3_exp, gl2_exp,
-se3_exp and coadjoint_act check their input, call the same bodies and
-return numpy matrices, an Se3Element or a numpy vector; each formula is
-written once per geometry.  ambient_norm and ambient_distance likewise
-use a list as it is and convert anything else once.
+se(3)'s exp runs so(3)'s Rodrigues source, so its rotation has so3_exp's
+bits.  The public kernels so3_exp, gl2_exp, se3_exp and coadjoint_act
+check their input, call the same bodies and return numpy matrices, an
+Se3Element or a numpy vector.  A step of an action whose exp and act are
+these bodies runs their blocks inline (INLINE; see stepper.py).
+ambient_norm and ambient_distance use a list as it is and convert
+anything else once.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -51,7 +54,7 @@ class DomainError(ValueError):
     """Input outside the operation's mathematical domain."""
 
 
-# ------------------------------------------------------------ so(3) basics
+# ---------------------------------------------------------- float inputs
 
 def _floats(v, *shape: int) -> list:
     """v's entries as a flat row-major list of Python floats; ValueError
@@ -67,45 +70,102 @@ def _entries(p) -> list:
     return np.asarray(p, float).ravel().tolist()
 
 
-def _so3_exp(v) -> list:
-    """so3_exp on a list of 3 floats (or a 3-vector array), as a list of
-    the 9 entries of I + A K + B K^2, K w = v x w, K^2 = v v^T - |v|^2 I.
+# ----------------------------------------------------------- formula blocks
 
-    A = sin t / t and B = (1 - cos t) / t^2 at t = |v|.  Below theta = 1e-4
-    both switch to short Taylor expansions; the closed forms lose digits to
-    cancellation there.  An infinite or NaN t^2 (an algebra element that
-    overflowed) gives NaN coefficients, so the state turns non-finite
-    instead of math.sin raising a domain error.  _se3_exp repeats this
-    block for its rotation, with the same operations.
+class Block:
+    """One formula as straight-line source over named float locals.
+
+    params holds one tuple of input names per argument (one for exp; for
+    act the group element's entries, then the point's), and results names
+    the outputs.  The source may branch, but every branch assigns every
+    result and none returns, so the block can run inside a larger
+    function.  It reads no global but those in BLOCK_GLOBALS.
     """
-    x, y, z = v if type(v) is list else _floats(v, 3)
-    xx, yy, zz = x * x, y * y, z * z
-    t2 = xx + yy + zz
-    if t2 < 1e-8:  # theta < 1e-4
-        A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
-        B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
-    elif t2 < math.inf:
-        t = math.sqrt(t2)
-        A = math.sin(t) / t
-        B = (1.0 - math.cos(t)) / t2
-    else:
-        A = B = math.nan
-    bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
-    ax, ay, az = A * x, A * y, A * z
-    return [1.0 - B * (yy + zz), bxy - az, bxz + ay,
-            bxy + az, 1.0 - B * (xx + zz), byz - ax,
-            bxz - ay, byz + ax, 1.0 - B * (xx + yy)]
+
+    def __init__(self, params, results: str, source: str):
+        self.params = tuple(tuple(names.split()) for names in params)
+        self.results = tuple(results.split())
+        self.source = source.strip()
+        stored = {node.id for node in ast.walk(ast.parse(self.source))
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)}
+        self.temps = stored - set(self.results)
+
+    def inline(self, args, results) -> list:
+        """The block's lines with its inputs read from the locals args (one
+        sequence of names per argument), its results written to the locals
+        results, and every other local it assigns prefixed with '_'."""
+        names = {p: a for ps, xs in zip(self.params, args)
+                 for p, a in zip(ps, xs, strict=True)}
+        names.update(zip(self.results, results, strict=True))
+        names.update((t, "_" + t) for t in self.temps)
+        code = re.sub(r"[ \t]*#.*", "", self.source)
+        return re.sub(r"(?<![\w.])[A-Za-z_]\w*",
+                      lambda m: names.get(m[0], m[0]), code).splitlines()
 
 
-def _so3_act(g, p) -> list:
-    """The rotation g (9 entries, row-major, or a 3x3 array) applied to the
-    point p (3 floats or a 3-vector array)."""
-    r11, r12, r13, r21, r22, r23, r31, r32, r33 = (
-        g if type(g) is list else _floats(g, 3, 3))
-    p1, p2, p3 = p if type(p) is list else _floats(p, 3)
-    return [r11 * p1 + r12 * p2 + r13 * p3,
-            r21 * p1 + r22 * p2 + r23 * p3,
-            r31 * p1 + r32 * p2 + r33 * p3]
+def _body(name: str, block: Block, **convert: str):
+    """block compiled as the float body name(arg, ...): each argument, a
+    list unpacked as it is or anything else converted by its expression in
+    convert, then the results as a list."""
+    lines = [f"def {name}({', '.join(convert)}):"]
+    for (arg, conversion), params in zip(convert.items(), block.params):
+        lines.append(f"    {', '.join(params)} = ("
+                     f"{arg} if type({arg}) is list else {conversion})")
+    lines += ["    " + line for line in block.source.splitlines()]
+    lines.append(f"    return [{', '.join(block.results)}]")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<cfrk.actions {name}>", "exec"),
+         globals(), namespace)
+    return namespace[name]
+
+
+# --------------------------------------------------------------- so(3)
+
+_ROTATION = "r11 r12 r13 r21 r22 r23 r31 r32 r33"
+
+# The 9 entries of I + A K + B K^2, K w = v x w, K^2 = v v^T - |v|^2 I, at
+# v = (x, y, z).  A = sin t / t and B = (1 - cos t) / t^2 at t = |v|.
+# Below theta = 1e-4 both switch to short Taylor expansions; the closed
+# forms lose digits to cancellation there.  An infinite or NaN t^2 (an
+# algebra element that overflowed) gives NaN coefficients, so the state
+# turns non-finite instead of math.sin raising a domain error.
+_RODRIGUES = """
+xx, yy, zz = x * x, y * y, z * z
+t2 = xx + yy + zz
+if t2 < 1e-8:  # theta < 1e-4
+    A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
+    B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
+elif t2 < math.inf:
+    t = math.sqrt(t2)
+    A = math.sin(t) / t
+    B = (1.0 - math.cos(t)) / t2
+else:
+    A = B = math.nan
+bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
+ax, ay, az = A * x, A * y, A * z
+r11 = 1.0 - B * (yy + zz)
+r12 = bxy - az
+r13 = bxz + ay
+r21 = bxy + az
+r22 = 1.0 - B * (xx + zz)
+r23 = byz - ax
+r31 = bxz - ay
+r32 = byz + ax
+r33 = 1.0 - B * (xx + yy)
+"""
+_SO3_EXP = Block(["x y z"], _ROTATION, _RODRIGUES)
+
+# The rotation (row-major) applied to the point (p1, p2, p3).
+_SO3_ACT = Block([_ROTATION, "p1 p2 p3"], "q1 q2 q3", """
+q1 = r11 * p1 + r12 * p2 + r13 * p3
+q2 = r21 * p1 + r22 * p2 + r23 * p3
+q3 = r31 * p1 + r32 * p2 + r33 * p3
+""")
+
+_so3_exp = _body("_so3_exp", _SO3_EXP, v="_floats(v, 3)")
+_so3_act = _body("_so3_act", _SO3_ACT, g="_floats(g, 3, 3)",
+                 p="_floats(p, 3)")
 
 
 def so3_exp(v) -> np.ndarray:
@@ -119,15 +179,15 @@ def so3_exp(v) -> np.ndarray:
     return np.array(_so3_exp(_floats(v, 3))).reshape(3, 3)
 
 
-# ------------------------------------------------------------- gl(2) basics
+# --------------------------------------------------------------- gl(2)
 
 def _np_exp(x: float) -> float:
     """float(np.exp(x)), silent when it overflows to inf.
 
     np.exp rather than math.exp, whose last bit differs on a few percent
     of inputs; the errstate context costs more than the exponential, so it
-    is entered only where np.exp can overflow (_gl2_exp makes the common
-    call itself).
+    is entered only where np.exp can overflow (the gl(2) block makes the
+    common call itself).
     """
     if x >= 709.0:
         with np.errstate(over="ignore"):
@@ -135,25 +195,29 @@ def _np_exp(x: float) -> float:
     return float(np.exp(x))
 
 
-def _gl2_exp(A) -> list:
-    """gl2_exp on the 4 entries of A, row-major (or a 2x2 array), as 4
-    entries."""
-    a, b, c, d = A if type(A) is list else _floats(A, 2, 2)
-    mu = 0.5 * (a + d)
-    D = mu * mu - (a * d - b * c)
+# gl2_exp on the entries of A = [[a, b], [c, d]]; see gl2_exp.  s > 0
+# exactly when D > 0 outside the series; a strongly hyperbolic A takes the
+# rearranged branch, where C * 0.0 is the off-diagonal of C*I: NaN once C
+# overflows.
+_GL2_EXP = Block(["a b c d"], "g11 g12 g21 g22", """
+mu = 0.5 * (a + d)
+D = mu * mu - (a * d - b * c)
+s = math.sqrt(D) if D >= 1e-6 else 0.0
+if s > 30.0 or (s > 0.0 and mu + s > 700.0):
+    ep = _np_exp(mu + s)
+    em = _np_exp(mu - s)
+    C = 0.5 * (ep + em)
+    S = 0.5 * (ep - em) / s
+    z = C * 0.0
+    g11 = C + S * (a - mu)
+    g12 = z + S * b
+    g21 = z + S * c
+    g22 = C + S * (d - mu)
+else:
     if abs(D) < 1e-6:
         C = 1.0 + D / 2.0 + D * D / 24.0 + D ** 3 / 720.0 + D ** 4 / 40320.0
         S = 1.0 + D / 6.0 + D * D / 120.0 + D ** 3 / 5040.0 + D ** 4 / 362880.0
-    elif D > 0.0:
-        s = math.sqrt(D)
-        if s > 30.0 or mu + s > 700.0:
-            ep = _np_exp(mu + s)
-            em = _np_exp(mu - s)
-            C = 0.5 * (ep + em)
-            S = 0.5 * (ep - em) / s
-            # C * 0.0 is the off-diagonal of C*I: NaN once C overflows
-            z = C * 0.0
-            return [C + S * (a - mu), z + S * b, z + S * c, C + S * (d - mu)]
+    elif s > 0.0:
         C = math.cosh(s)
         S = math.sinh(s) / s
     elif D > -math.inf:
@@ -163,8 +227,21 @@ def _gl2_exp(A) -> list:
     else:  # D = -inf or NaN: non-finite entries, not a math domain error
         C = S = math.nan
     E = float(np.exp(mu)) if mu < 709.0 else _np_exp(mu)
-    return [E * (C + S * (a - mu)), E * (S * b),
-            E * (S * c), E * (C + S * (d - mu))]
+    g11 = E * (C + S * (a - mu))
+    g12 = E * (S * b)
+    g21 = E * (S * c)
+    g22 = E * (C + S * (d - mu))
+""")
+
+# The 2x2 matrix (row-major) applied to the point (x, y).
+_GL2_ACT = Block(["g11 g12 g21 g22", "x y"], "q1 q2", """
+q1 = g11 * x + g12 * y
+q2 = g21 * x + g22 * y
+""")
+
+_gl2_exp = _body("_gl2_exp", _GL2_EXP, A="_floats(A, 2, 2)")
+_gl2_act = _body("_gl2_act", _GL2_ACT, g="_floats(g, 2, 2)",
+                 p="_floats(p, 2)")
 
 
 def gl2_exp(A) -> np.ndarray:
@@ -185,15 +262,7 @@ def gl2_exp(A) -> np.ndarray:
     return np.array(_gl2_exp(_floats(A, 2, 2))).reshape(2, 2)
 
 
-def _gl2_act(g, p) -> list:
-    """The 2x2 matrix g (4 entries, row-major, or a 2x2 array) applied to
-    the point p (2 floats or a 2-vector array)."""
-    g11, g12, g21, g22 = g if type(g) is list else _floats(g, 2, 2)
-    x, y = p if type(p) is list else _floats(p, 2)
-    return [g11 * x + g12 * y, g21 * x + g22 * y]
-
-
-# ------------------------------------------------------------- se(3) basics
+# --------------------------------------------------------------- se(3)
 
 @dataclass(frozen=True)
 class Se3Element:
@@ -213,37 +282,46 @@ class Se3Element:
         return Se3Element(np.eye(3), np.zeros(3))
 
 
-def _se3_exp(a) -> list:
-    """se3_exp on a list of 6 floats (or a 6-vector array), as the 9
-    rotation entries followed by the translation.
+# se3_exp on (xi, u) = (x, y, z, u1, u2, u3): the so(3) rotation of xi,
+# then the translation with C = (t - sin t) / t^3 beside its A and B.
+_SE3_EXP = Block(["x y z u1 u2 u3"], _ROTATION + " v1 v2 v3",
+                 _RODRIGUES + """
+if t2 < 1e-8:
+    C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
+elif t2 < math.inf:
+    C = (t - math.sin(t)) / (t2 * t)
+else:
+    C = math.nan
+w1, w2, w3 = y * u3 - z * u2, z * u1 - x * u3, x * u2 - y * u1
+v1 = u1 + B * w1 + C * (y * w3 - z * w2)
+v2 = u2 + B * w2 + C * (z * w1 - x * w3)
+v3 = u3 + B * w3 + C * (x * w2 - y * w1)
+""")
 
-    The rotation and its coefficients A, B are _so3_exp's, written out again
-    with the same operations; C = (t - sin t) / t^3 joins them.
-    """
-    x, y, z, u1, u2, u3 = a if type(a) is list else _floats(a, 6)
-    xx, yy, zz = x * x, y * y, z * z
-    t2 = xx + yy + zz
-    if t2 < 1e-8:  # theta < 1e-4
-        A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
-        B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
-        C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
-    elif t2 < math.inf:
-        t = math.sqrt(t2)
-        s = math.sin(t)
-        A = s / t
-        B = (1.0 - math.cos(t)) / t2
-        C = (t - s) / (t2 * t)
-    else:
-        A = B = C = math.nan
-    bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
-    ax, ay, az = A * x, A * y, A * z
-    w1, w2, w3 = y * u3 - z * u2, z * u1 - x * u3, x * u2 - y * u1
-    return [1.0 - B * (yy + zz), bxy - az, bxz + ay,
-            bxy + az, 1.0 - B * (xx + zz), byz - ax,
-            bxz - ay, byz + ax, 1.0 - B * (xx + yy),
-            u1 + B * w1 + C * (y * w3 - z * w2),
-            u2 + B * w2 + C * (z * w1 - x * w3),
-            u3 + B * w3 + C * (x * w2 - y * w1)]
+# The coadjoint action of (g, u), g row-major, on (mu, beta):
+# g^T w and g^T beta with w = mu - u x beta.
+_SE3_ACT = Block([_ROTATION + " u1 u2 u3", "m1 m2 m3 b1 b2 b3"],
+                 "q1 q2 q3 q4 q5 q6", """
+w1 = m1 - (u2 * b3 - u3 * b2)
+w2 = m2 - (u3 * b1 - u1 * b3)
+w3 = m3 - (u1 * b2 - u2 * b1)
+q1 = w1 * r11 + w2 * r21 + w3 * r31
+q2 = w1 * r12 + w2 * r22 + w3 * r32
+q3 = w1 * r13 + w2 * r23 + w3 * r33
+q4 = b1 * r11 + b2 * r21 + b3 * r31
+q5 = b1 * r12 + b2 * r22 + b3 * r32
+q6 = b1 * r13 + b2 * r23 + b3 * r33
+""")
+
+
+def _se3_floats(ge: Se3Element) -> list:
+    """The rotation entries, row-major, then the translation of ge."""
+    return _floats(ge.rot, 3, 3) + _floats(ge.trans, 3)
+
+
+_se3_exp = _body("_se3_exp", _SE3_EXP, a="_floats(a, 6)")
+_se3_act = _body("_se3_act", _SE3_ACT, g="_se3_floats(g)",
+                 m="_floats(m, 6)")
 
 
 def se3_exp(a) -> Se3Element:
@@ -260,28 +338,6 @@ def se3_exp(a) -> Se3Element:
     return Se3Element(np.array(g[:9]).reshape(3, 3), np.array(g[9:]))
 
 
-def _se3_floats(ge: Se3Element) -> list:
-    """The rotation entries, row-major, then the translation of ge."""
-    return _floats(ge.rot, 3, 3) + _floats(ge.trans, 3)
-
-
-def _se3_act(g, m) -> list:
-    """coadjoint_act on the 12 floats of _se3_exp (or an Se3Element) and 6
-    floats (or a 6-vector array)."""
-    r11, r12, r13, r21, r22, r23, r31, r32, r33, u1, u2, u3 = (
-        g if type(g) is list else _se3_floats(g))
-    m1, m2, m3, b1, b2, b3 = m if type(m) is list else _floats(m, 6)
-    w1 = m1 - (u2 * b3 - u3 * b2)
-    w2 = m2 - (u3 * b1 - u1 * b3)
-    w3 = m3 - (u1 * b2 - u2 * b1)
-    return [w1 * r11 + w2 * r21 + w3 * r31,
-            w1 * r12 + w2 * r22 + w3 * r32,
-            w1 * r13 + w2 * r23 + w3 * r33,
-            b1 * r11 + b2 * r21 + b3 * r31,
-            b1 * r12 + b2 * r22 + b3 * r32,
-            b1 * r13 + b2 * r23 + b3 * r33]
-
-
 def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
     """Coadjoint action of (g, u) on (mu, beta):
     (g^T (mu - u x beta), g^T beta).
@@ -291,6 +347,17 @@ def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
     exactly 6 components.
     """
     return np.array(_se3_act(_se3_floats(ge), _floats(m, 6)))
+
+
+# What the blocks read besides their own locals.
+BLOCK_GLOBALS = {"math": math, "np": np, "_np_exp": _np_exp}
+
+# Algebra length -> (exp body, act body, exp block, act block) of the
+# geometry with that length: a step kernel whose action's exp and act are
+# these bodies runs their blocks inline (see stepper.py).
+INLINE = {3: (_so3_exp, _so3_act, _SO3_EXP, _SO3_ACT),
+          4: (_gl2_exp, _gl2_act, _GL2_EXP, _GL2_ACT),
+          6: (_se3_exp, _se3_act, _SE3_EXP, _SE3_ACT)}
 
 
 # ----------------------------------------------------------- action contract

@@ -341,11 +341,13 @@ def _fmt_value(v) -> str:
 
 
 def render_csv(columns, rows, config_dict: dict, summary: dict | None = None) -> str:
-    lines = ["# " + json.dumps(config_dict, sort_keys=True,
-                               separators=(",", ":"))]
+    def comment(doc):
+        # strict JSON, as render_json writes: a non-finite float is null
+        return json.dumps(_finite_or_null(doc), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
+    lines = ["# " + comment(config_dict)]
     if summary is not None:
-        lines.append("# summary: " + json.dumps(summary, sort_keys=True,
-                                                separators=(",", ":")))
+        lines.append("# summary: " + comment(summary))
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt_value(v) for v in row))

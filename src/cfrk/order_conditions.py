@@ -197,16 +197,17 @@ def certify_pair(tableau: CFTableau, tol: float = 1e-9) -> dict:
     return out
 
 
-def is_genuine_pair(tableau: CFTableau, tol: float = 1e-9) -> tuple:
-    """Check that the embedded weights certify order p-1 but genuinely fail
-    order p (at least one condition residual above 1e-3, far above roundoff).
+def is_genuine_pair(tableau: CFTableau) -> tuple:
+    """Check that the embedded weights certify order p-1 at certify's
+    default tolerance but genuinely fail order p (at least one condition
+    residual above 1e-3, far above roundoff).
 
     Returns (ok, details) where details names the orders found and the
     largest failing residual.
     """
     if not tableau.has_embedded:
         return False, {"reason": "no embedded rows"}
-    rep = certify(tableau, "embedded", tol)
+    rep = certify(tableau, "embedded")
     target = tableau.order_phat
     failing = rep.failed(target + 1, threshold=1e-3)
     ok = (rep.certified_algebraic_order == target) and len(failing) > 0

@@ -6,22 +6,29 @@ contributes exp(h * sum_k row[k] * f_k), applied to the base point with row
 
 A step runs straight-line Python compiled from the tableau the first time
 it is stepped with an algebra element of a given length, and cached on the
-tableau: one kernel per length and embedded flag, one per length for a
-tableau without embedded rows.  The generator walks the stage, update and
-embedded rows in order, drops zero rows and gives each reuse group one
-exponential slot, numbered by first use, so reuse is resolved when the
-kernel is compiled, never per step.  Reuse off is a tableau with no reuse
-map: every row gets its own slot.  Each point is formed once: a row
-sequence whose prefix of slots an earlier one applied to the base point
-starts from that point (cf43 makes 7 act calls per embedded step, not 8).
+tableau: one kernel per form, length and embedded flag, one per form and
+length for a tableau without embedded rows.  The generator walks the
+stage, update and embedded rows in order, drops zero rows and gives each
+reuse group one exponential slot, numbered by first use, so reuse is
+resolved when the kernel is compiled, never per step.  Reuse off is a
+tableau with no reuse map: every row gets its own slot.  Each point is
+formed once: a row sequence whose prefix of slots an earlier one applied
+to the base point starts from that point (cf43 makes 7 acts per embedded
+step, not 8).
 Each row sum is written out per component as x0*a0_i + x1*a1_i + ...
 with x_j = h * c_j, numpy's order of operations for
 (h*c0)*f0 + (h*c1)*f1 + ..., so it is bit-identical to the array
 expression.  Only integer indices and the repr of finite Python floats
-enter the source.  The kernel calls the exp, act and f it is handed, so a
-wrapper around any of them sees every call; its n_exp and n_feval, the
-exponentials and f evaluations in its source, are the step's cost and
-count_budget's.
+enter the source.  A kernel has one of two forms, chosen from the action:
+when its exp and act are a built-in geometry's float bodies
+(actions.INLINE) and f(y) has that geometry's length, the kernel runs the
+geometry's exp and act blocks inline on float locals, and builds a list
+only for each f call and for y1 and yhat1.  Any other action (an override
+in a subclass, an instance attribute, a wrapper that records calls) gets
+the calling form, which calls the exp and act it is handed, so a wrapper
+sees every call.  Both forms have the same slots, points and output bits;
+n_exp and n_feval, the exponentials and f evaluations in the source, are
+the step's cost and count_budget's.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -36,6 +43,7 @@ import math
 
 import numpy as np
 
+from .actions import BLOCK_GLOBALS, INLINE
 from .tableaux import CFTableau, reuse_groups
 
 
@@ -96,12 +104,16 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     if carried_f is None:
         carried_f = f(y)
         n_feval = 1
-    kernel = tableau._kernels.get((len(carried_f), with_embedded))
+    exp, act = action.exp, action.act
+    n = len(carried_f)
+    geometry = INLINE.get(n)
+    inline = (geometry is not None and geometry[0] is exp
+              and geometry[1] is act)
+    kernel = tableau._kernels.get((n, with_embedded, inline))
     if kernel is None:
-        kernel = step_kernel(tableau, len(carried_f), with_embedded)
-    return StepResult(*kernel(action.exp, action.act, f, y, float(h),
-                              carried_f), kernel.n_exp,
-                      n_feval + kernel.n_feval)
+        kernel = step_kernel(tableau, n, with_embedded, inline)
+    return StepResult(*kernel(exp, act, f, y, float(h), carried_f),
+                      kernel.n_exp, n_feval + kernel.n_feval)
 
 
 def count_budget(tableau: CFTableau):
@@ -116,24 +128,26 @@ def count_budget(tableau: CFTableau):
     return kernel.n_exp, kernel.n_feval + (not tableau.fsal)
 
 
-def step_kernel(tableau: CFTableau, n: int, with_embedded: bool):
+def step_kernel(tableau: CFTableau, n: int, with_embedded: bool,
+                inline: bool = False):
     """The compiled step of tableau for algebra elements of n entries.
 
     kernel(exp, act, f, base, h, f0), with the base point y and f0 = f(y)
     as flat lists of floats, returns (y1, yhat1, f_last): y1 and yhat1 as
     lists and f_last = f(y1) as f returned it, with None where the step
-    skips the embedded update or the tableau is not FSAL.
-    kernel.n_exp and kernel.n_feval count the exponentials and the f
-    evaluations after f0, and kernel.source is the generated code.  A
-    tableau without embedded rows compiles one kernel, cached under both
-    embedded flags.
+    skips the embedded update or the tableau is not FSAL.  The inline form
+    runs INLINE[n]'s blocks in place of exp and act.  kernel.n_exp and
+    kernel.n_feval count the exponentials and the f evaluations after f0,
+    and kernel.source is the generated code.  A tableau without embedded
+    rows compiles one kernel of each form, cached under both flags.
     """
-    kernel = tableau._kernels.get((n, with_embedded))
+    kernel = tableau._kernels.get((n, with_embedded, inline))
     if kernel is None:
-        kernel = _compile(tableau, n, with_embedded and tableau.has_embedded)
-        tableau._kernels[n, with_embedded] = kernel
+        kernel = _compile(tableau, n, with_embedded and tableau.has_embedded,
+                          INLINE[n][2:] if inline else None)
+        tableau._kernels[n, with_embedded, inline] = kernel
         if not tableau.has_embedded:  # both flags run this step
-            tableau._kernels[n, not with_embedded] = kernel
+            tableau._kernels[n, not with_embedded, inline] = kernel
     return kernel
 
 
@@ -142,7 +156,12 @@ def _length_error(n: int, v: list) -> FieldLengthError:
                             f"expected {n} as at its start")
 
 
-def _compile(tableau: CFTableau, n: int, embedded: bool):
+def _names(prefix: str, count: int) -> list:
+    return [f"{prefix}_{i}" for i in range(count)]
+
+
+def _compile(tableau: CFTableau, n: int, embedded: bool, blocks):
+    # blocks is None for the calling form, else the (exp, act) blocks
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -152,12 +171,18 @@ def _compile(tableau: CFTableau, n: int, embedded: bool):
     # the slots applied to the base point, in order -> the local holding
     # the point they form
     points = {}
+    lists = {"base"}  # the points the inline form holds as a list
     body = []
     n_feval = 0
+    if blocks is not None:
+        exp_block, act_block = blocks
+        # the entries of a group element and of a point
+        n_g, n_p = (len(params) for params in act_block.params)
+        body.append(f"[{', '.join(_names('base', n_p))}] = base")
 
     def unpack(k, values):
         # the list values into the locals f{k}_0 ... f{k}_{n-1}
-        body.append(f"[{', '.join(f'f{k}_{i}' for i in range(n))}] = {values}")
+        body.append(f"[{', '.join(_names(f'f{k}', n))}] = {values}")
 
     def listed(k, values, value):
         # the f value as the list values, checked for length n, unpacked
@@ -165,6 +190,29 @@ def _compile(tableau: CFTableau, n: int, embedded: bool):
         body.append(f"if len({values}) != {n}: "
                     f"raise _length_error({n}, {values})")
         unpack(k, values)
+
+    def as_list(point):
+        # the local holding point as a list, built once in the inline form
+        if blocks is not None and point not in lists:
+            lists.add(point)
+            body.append(f"{point} = [{', '.join(_names(point, n_p))}]")
+        return point
+
+    def exp(slot, entries):
+        if blocks is None:
+            body.append(f"g{slot} = exp([{', '.join(entries)}])")
+        else:
+            args = _names(f"a{slot}", n)
+            body.extend(f"{a} = {e}" for a, e in zip(args, entries))
+            body.extend(exp_block.inline([args], _names(f"g{slot}", n_g)))
+
+    def act(slot, point, new):
+        if blocks is None:
+            body.append(f"{new} = act(g{slot}, {point})")
+        else:
+            body.extend(act_block.inline(
+                [_names(f"g{slot}", n_g), _names(point, n_p)],
+                _names(new, n_p)))
 
     def apply_rows(kind, rows):
         # the nonzero rows, keyed (*kind, j), applied to the base point;
@@ -183,25 +231,25 @@ def _compile(tableau: CFTableau, n: int, embedded: bool):
                         raise ValueError(f"tableau coefficient {c!r} is not "
                                          f"a finite float")
                     coeffs.setdefault(c, f"x{len(coeffs)}")
-                entries = (" + ".join(f"{coeffs[c]} * f{k}_{i}"
-                                      for k, c in terms) for i in range(n))
-                body.append(f"g{slot} = exp([{', '.join(entries)}])")
+                exp(slot, [" + ".join(f"{coeffs[c]} * f{k}_{i}"
+                                      for k, c in terms) for i in range(n)])
             prefix += (slot,)
             if prefix not in points:
                 points[prefix] = f"p{len(points)}"
-                body.append(f"{points[prefix]} = act(g{slot}, {point})")
+                act(slot, point, points[prefix])
             point = points[prefix]
         return point
 
     unpack(0, "f0")
     for r, rows in enumerate(tableau.alpha, 2):
-        listed(r - 1, "v", f"f({apply_rows(('stage', r), rows)})")
+        listed(r - 1, "v", f"f({as_list(apply_rows(('stage', r), rows))})")
         n_feval += 1
-    y1 = apply_rows(("y",), tableau.beta)
+    y1 = as_list(apply_rows(("y",), tableau.beta))
     if fsal:
         listed(tableau.s, "f_last", f"f({y1})")
         n_feval += 1
-    yhat1 = apply_rows(("yhat",), tableau.beta_hat) if embedded else "None"
+    yhat1 = (as_list(apply_rows(("yhat",), tableau.beta_hat)) if embedded
+             else "None")
     f_last = "f_last" if fsal else "None"
     body.append(f"return {y1}, {yhat1}, {f_last}")
 
@@ -209,8 +257,10 @@ def _compile(tableau: CFTableau, n: int, embedded: bool):
         "def kernel(exp, act, f, base, h, f0):",
         *(f"{x} = h * {c!r}" for c, x in coeffs.items()),
         *body]) + "\n"
-    namespace = {"_length_error": _length_error}
-    exec(compile(source, f"<cf_step kernel n={n}>", "exec"), namespace)
+    namespace = {"_length_error": _length_error, **BLOCK_GLOBALS}
+    form = "calling" if blocks is None else "inline"
+    exec(compile(source, f"<cf_step {form} kernel n={n}>", "exec"),
+         namespace)
     kernel = namespace["kernel"]
     kernel.source, kernel.n_exp, kernel.n_feval = source, len(slots), n_feval
     return kernel

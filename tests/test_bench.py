@@ -264,6 +264,27 @@ def test_csv_rendering_format():
     assert text.endswith("\n")
 
 
+def no_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def test_csv_comment_lines_are_strict_json():
+    # cfrk needle --t1 1.0 --hmax inf: an infinite hmax in the config, and
+    # no step in the needle window, so a NaN min_h_in_window
+    cfg = ExperimentConfig(problem="van-der-pol", tableau="cf32a",
+                           mode="needle", t1=1.0, hmax=math.inf)
+    rows, summary = run_needle(cfg)
+    assert math.isnan(summary["min_h_in_window"])
+    lines = render_csv(("t", "h", "accepted", "y1", "y2", "err"), rows,
+                       resolved_config(cfg), summary).splitlines()
+    config = json.loads(lines[0].removeprefix("# "), parse_constant=no_constant)
+    doc = json.loads(lines[1].removeprefix("# summary: "),
+                     parse_constant=no_constant)
+    assert config["hmax"] is None and config["t1"] == 1.0
+    assert doc["min_h_in_window"] is None
+    assert doc["n_accepted"] == summary["n_accepted"]
+
+
 def test_json_rendering_replaces_non_finite_values():
     def strict(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

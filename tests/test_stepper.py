@@ -416,20 +416,38 @@ def test_f_is_called_on_lists_only(name, build):
     assert res.n_feval == t.s + t.fsal
 
 
+def calling(action, seen=None):
+    """An action whose exp and act override action's with a call to
+    super(), so its steps run the calling kernel; seen, if given, collects
+    every exp input."""
+    class Calling(type(action)):
+        def exp(self, v):
+            if seen is not None:
+                seen.append(v)
+            return super().exp(v)
+
+        def act(self, g, p):
+            return super().act(g, p)
+    return Calling()
+
+
 def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
+    # keyed (length, embedded flag, inline form): the built-in geometries
+    # get the inline kernel, a subclass overriding exp and act the calling
+    # one
     compiled = []
     compile_kernel = cfrk.stepper._compile
 
-    def counting(tableau, n, embedded):
-        compiled.append((tableau.name, n, embedded))
-        return compile_kernel(tableau, n, embedded)
+    def counting(tableau, n, embedded, blocks):
+        compiled.append((tableau.name, n, embedded, blocks is not None))
+        return compile_kernel(tableau, n, embedded, blocks)
     monkeypatch.setattr(cfrk.stepper, "_compile", counting)
     t = fresh("cf43")
     assert t._kernels == {}
     _, f, y0 = sphere_setup()
     first = cf_step(t, SPHERE, f, y0, 0.05)
     second = cf_step(t, SPHERE, f, first.y1, 0.05, carried_f=first.f_last)
-    assert compiled == [("cf43", 3, True)]
+    assert compiled == [("cf43", 3, True, True)]
     assert second.n_exp == first.n_exp
     off = unshared(t)
     assert off._kernels == {}
@@ -437,21 +455,108 @@ def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
     cf_step(t, SPHERE, f, y0, 0.05, with_embedded=False)
     prob = heavy_top()
     cf_step(t, prob.action, prob.f, prob.default_y0, 0.05)
-    assert compiled == [("cf43", 3, True), ("cf43", 3, True),
-                        ("cf43", 3, False), ("cf43", 6, True)]
-    assert step_kernel(t, 3, True) is t._kernels[(3, True)]
-    assert sorted(t._kernels) == [(3, False), (3, True), (6, True)]
-    # a tableau without embedded rows compiles one kernel per length,
-    # whichever flag steps it first
+    # an instance attribute wrapping exp, as the benchmark's tracer sets
+    wrapped = So3SphereAction()
+    wrapped.exp = lambda v: SPHERE.exp(v)
+    for action in (calling(SPHERE), wrapped):
+        cf_step(t, action, f, y0, 0.05)
+    assert compiled == [("cf43", 3, True, True), ("cf43", 3, True, True),
+                        ("cf43", 3, False, True), ("cf43", 6, True, True),
+                        ("cf43", 3, True, False)]
+    assert step_kernel(t, 3, True, True) is t._kernels[(3, True, True)]
+    assert step_kernel(t, 3, True) is t._kernels[(3, True, False)]
+    assert sorted(t._kernels) == [(3, False, True), (3, True, False),
+                                  (3, True, True), (6, True, True)]
+    # a tableau without embedded rows compiles one kernel per length and
+    # form, whichever flag steps it first
     for first in (True, False):
         compiled.clear()
         t = fresh("cf4")
-        a = cf_step(t, SPHERE, f, y0, 0.05, with_embedded=first)
-        b = cf_step(t, SPHERE, f, y0, 0.05, with_embedded=not first)
-        assert compiled == [("cf4", 3, False)]
-        assert step_kernel(t, 3, True) is step_kernel(t, 3, False)
-        assert bits(a.y1) == bits(b.y1)
-        assert (a.n_exp, a.n_feval) == (b.n_exp, b.n_feval)
+        for action in (SPHERE, calling(SPHERE)):
+            a = cf_step(t, action, f, y0, 0.05, with_embedded=first)
+            b = cf_step(t, action, f, y0, 0.05, with_embedded=not first)
+            assert bits(a.y1) == bits(b.y1)
+            assert (a.n_exp, a.n_feval) == (b.n_exp, b.n_feval)
+        assert compiled == [("cf4", 3, False, True), ("cf4", 3, False, False)]
+        for inline in (True, False):
+            assert (step_kernel(t, 3, True, inline)
+                    is step_kernel(t, 3, False, inline))
+        assert len(t._kernels) == 4
+
+
+def _so3_branch(v):
+    t2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    return ("series" if t2 < 1e-8 else "closed" if t2 < np.inf
+            else "non-finite")
+
+
+def _gl2_branch(v):
+    a, b, c, d = v
+    mu = 0.5 * (a + d)
+    D = mu * mu - (a * d - b * c)
+    if abs(D) < 1e-6:
+        return "series"
+    if D > 0.0:
+        s = np.sqrt(D)
+        return "rearranged" if s > 30.0 or mu + s > 700.0 else "hyperbolic"
+    return "elliptic" if D > -np.inf else "non-finite"
+
+
+# per geometry: its problem, the branch of an exp input, and per branch
+# of its exp block (h, V) with the field f(y) = V * (1 + y_0 / 100),
+# scaled to reach that branch
+BRANCH_CASES = [
+    (rigid_body, _so3_branch, {
+        "series": (1e-6, [0.3, -0.5, 0.8]),
+        "closed": (1.0, [0.3, -0.5, 0.8]),
+        "non-finite": (1.0, [1e200, 0.5, 0.0])}),
+    (heavy_top, _so3_branch, {
+        "series": (1e-6, [0.3, -0.5, 0.8, 0.1, 0.2, -0.3]),
+        "closed": (1.0, [0.3, -0.5, 0.8, 0.1, 0.2, -0.3]),
+        "non-finite": (1.0, [0.3, np.nan, 0.8, 0.1, 0.2, -0.3])}),
+    (van_der_pol, _gl2_branch, {
+        "series": (0.1, [0.0, 1.0, 0.0, 0.0]),
+        "hyperbolic": (0.5, [1.0, 0.5, 0.2, -1.0]),
+        "rearranged": (1.0, [80.0, 0.0, 0.0, -80.0]),
+        "elliptic": (0.5, [0.0, 1.0, -1.0, 0.0]),
+        "non-finite": (0.5, [np.nan, 1.0, -1.0, 0.0])}),
+]
+
+
+@pytest.mark.parametrize("build,branch,cases", [
+    pytest.param(*case, id=case[0].__name__) for case in BRANCH_CASES])
+def test_inline_and_calling_kernels_agree_bitwise(build, branch, cases):
+    # every catalog tableau, embedded flag and reuse setting, on inputs
+    # that reach every branch of the geometry's exp block
+    prob = build()
+    n = len(next(iter(cases.values()))[1])
+    seen = []
+    action = calling(prob.action, seen)
+    for t in catalog():
+        for tableau in (t, unshared(t)):
+            for with_embedded in (True, False):
+                for h, V in cases.values():
+                    def f(y):
+                        return [v * (1.0 + y[0] / 100.0) for v in V]
+                    args = (f, prob.default_y0, h)
+                    got = cf_step(tableau, prob.action, *args,
+                                  with_embedded=with_embedded)
+                    ref = cf_step(tableau, action, *args,
+                                  with_embedded=with_embedded)
+                    for field in ("y1_list", "yhat1_list", "f_last"):
+                        a, b = getattr(got, field), getattr(ref, field)
+                        assert (a is None) == (b is None), field
+                        if a is not None:
+                            assert bits(a) == bits(b), field
+                    assert ((got.n_exp, got.n_feval)
+                            == (ref.n_exp, ref.n_feval))
+                inline = tableau._kernels[n, with_embedded, True].source
+                called = {node.func.id for node in ast.walk(ast.parse(inline))
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)}
+                assert not called & {"exp", "act"}
+                assert "exp(" in tableau._kernels[n, with_embedded, False].source
+    assert {branch(v) for v in seen} == set(cases)
 
 
 def literal_values(source):
