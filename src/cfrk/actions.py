@@ -79,7 +79,8 @@ class Block:
     act the group element's entries, then the point's), and results names
     the outputs.  The source may branch, but every branch assigns every
     result and none returns, so the block can run inside a larger
-    function.  It reads no global but those in BLOCK_GLOBALS.
+    function.  It reads no global but builtins and what the code it is
+    compiled into provides (BLOCK_GLOBALS for the geometries' blocks).
     """
 
     def __init__(self, params, results: str, source: str):
@@ -366,6 +367,8 @@ class GroupAction(ABC):
     """Contract a geometry implements for the commutator-free stepper."""
 
     name: str = "abstract"
+    # The length of every f value; None where the geometry does not fix it.
+    algebra_length: int | None = None
 
     @abstractmethod
     def algebra_zero(self):
@@ -423,6 +426,7 @@ class So3SphereAction(GroupAction):
     """Rotations acting on vectors in R^3 (restricting to the sphere)."""
 
     name = "so3-sphere"
+    algebra_length = 3
 
     def algebra_zero(self):
         return np.zeros(3)
@@ -443,6 +447,7 @@ class Gl2PlaneAction(GroupAction):
     """Invertible 2x2 matrices acting on the punctured plane."""
 
     name = "gl2-plane"
+    algebra_length = 4
 
     def algebra_zero(self):
         return np.zeros((2, 2))
@@ -468,6 +473,7 @@ class Se3CoadjointAction(GroupAction):
     """
 
     name = "se3-coadjoint"
+    algebra_length = 6
 
     def algebra_zero(self):
         return np.zeros(6)

@@ -215,14 +215,12 @@ def run_work_precision(config: ExperimentConfig):
 
 def attempt_rows(traj) -> list:
     """One needle row (t, h, accepted, y1, y2, err) per attempted step;
-    y1 and y2 are the first two components of the candidate end state."""
-    rows = []
-    for at in traj.h_history:
-        y = np.asarray(at.y, float).ravel()
-        y1 = float(y[0]) if y.size > 0 else float("nan")
-        y2 = float(y[1]) if y.size > 1 else float("nan")
-        rows.append((at.t, at.h, at.accepted, y1, y2, at.err))
-    return rows
+    y1 and y2 are the first two entries of the candidate end state, the
+    list the step returned."""
+    nan = math.nan
+    return [(t, h, accepted, y[0] if y else nan,
+             y[1] if len(y) > 1 else nan, err)
+            for t, h, accepted, err, y in traj.events]
 
 
 def run_needle(config: ExperimentConfig):
@@ -245,10 +243,10 @@ def run_needle(config: ExperimentConfig):
     rows = attempt_rows(traj)
 
     lo, hi = NEEDLE_WINDOW
-    accepted_h = [at.h for at in traj.h_history if at.accepted]
-    window_h = [at.h for at in traj.h_history
-                if at.accepted and lo <= at.t <= hi]
-    n_att = len(traj.h_history)
+    accepted_h = [h for _, h, accepted, *_ in rows if accepted]
+    window_h = [h for t, h, accepted, *_ in rows
+                if accepted and lo <= t <= hi]
+    n_att = len(rows)
     summary = {
         "needle_window": [lo, hi],
         "min_h_in_window": min(window_h) if window_h else float("nan"),

@@ -5,29 +5,34 @@ extrapolation: the error is measured between the two members, but the
 trajectory always advances with the higher-order one.  A fixed-step driver
 without error estimation is provided for convergence and cost comparisons.
 
-Between attempts both drivers hold the state and the step's y1/yhat1, and
-the adaptive driver the FSAL value, as flat lists of Python floats, which
-cf_step takes and returns (the FSAL value is the list f returned at y1);
-the finite check and the error measure (math.dist and math.hypot through
-the action) run on those lists.  f sees only lists, the starting rate
-estimate included, and each StepAttempt.y is the list the step
-returned.  numpy appears only at the edges: y0 as given (copied once), and
-Trajectory.points, built once per run from the accepted lists as one array,
-in a finally clause so that a failed run's partial trajectory holds it too;
-a rejected attempt allocates no array.  A DomainError from f or the action
-and a FieldLengthError from the step end the run as an IntegrationError
+Both drivers hold the state, y1 and yhat1 as flat lists of Python floats,
+as f and cf_step take and return them, and the adaptive driver the FSAL
+value as the list f returned at y1.  Each attempt is one event, the tuple
+(t, h, accepted, err, y) with y the list the step returned;
+Trajectory.h_history makes StepAttempts of them when first read.
+Trajectory.points is built once per run from the accepted lists as one
+array, in a finally clause, so a failed run's partial trajectory holds it
+too.  A DomainError or FieldLengthError ends a run as an IntegrationError
 carrying the partial trajectory.
+
+The adaptive attempt is written once, as the source _LOOP, and compiled
+per pair on first use, like the step kernels: an action with a built-in
+geometry's exp, act and metrics gets the inline form, which holds the
+inline step kernel, so a run is one Python frame besides f; any other
+action gets the calling form, which calls cf_step once per attempt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .actions import DomainError
-from .stepper import FieldLengthError, cf_step
+from .actions import INLINE, Block, DomainError, GroupAction
+from .stepper import (KERNEL_GLOBALS, FieldLengthError, cf_step,
+                      check_length, kernel_lines)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -98,11 +103,18 @@ class Totals:
 @dataclass
 class Trajectory:
     """The accepted times, and the points at them as the rows of one array
-    of shape (len(times), *y0.shape); every attempt in h_history."""
+    of shape (len(times), *y0.shape); one event per attempt, the tuple
+    (t, h, accepted, err, y) of a StepAttempt's fields."""
     times: list = field(default_factory=list)
     points: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    h_history: list = field(default_factory=list)
+    events: list = field(default_factory=list)
     totals: Totals = field(default_factory=Totals)
+
+    @cached_property
+    def h_history(self) -> list:
+        """Every attempt as a StepAttempt, built from the events when first
+        read."""
+        return [StepAttempt(*event) for event in self.events]
 
     @property
     def t_end(self) -> float:
@@ -133,27 +145,56 @@ class NonFiniteError(IntegrationError):
     pass
 
 
+# The controller's formulas, each written once: the adaptive loop runs
+# them inline, and error_measure and next_step_size call them compiled.
+# `b if b > a else a` is max(a, b), and `b if b < a else a` is min(a, b),
+# for any two floats, NaN included.
+_ERROR = Block(["y0 y1 yhat1 atol rtol norm dist"], "err", """
+sc = atol
+if rtol != 0.0:  # with rtol 0 the norms would only be scaled by 0
+    n0, n1 = norm(y0), norm(y1)
+    sc += (n1 if n1 > n0 else n0) * rtol
+err = dist(y1, yhat1) / sc
+""")
+_STEP_SIZE = Block(["h err fmax fac facmin hmin hmax expo"], "h_new", """
+factor = fac * (_EPS if err <= 0.0 else err) ** expo  # expo = -1/p
+factor = factor if factor > facmin else facmin
+factor = factor if factor < fmax else fmax
+h_new = h * factor
+h_new = h_new if h_new > hmin else hmin
+h_new = h_new if h_new < hmax else hmax
+""")
+
+
+def _function(block: Block):
+    """block compiled as a function of its inputs returning its result."""
+    source = "\n    ".join([f"def f({', '.join(block.params[0])}):",
+                           *block.source.splitlines(),
+                           f"return {block.results[0]}"])
+    namespace = {}
+    exec(compile(source, "<cfrk.controller>", "exec"), globals(), namespace)
+    return namespace["f"]
+
+
+_error, _step_size = _function(_ERROR), _function(_STEP_SIZE)
+
+
 def error_measure(y0, y1, yhat1, cfg: ControllerConfig, action) -> float:
     """Scaled error: distance(y1, yhat1) / (atol + max(|y0|,|y1|) rtol),
     with the action's ambient metric; the points are flat lists of floats
     or arrays."""
     if yhat1 is None:
         raise ValueError("error_measure needs an embedded solution")
-    sc = cfg.atol
-    if cfg.rtol != 0.0:  # with rtol 0 the norms would only be scaled by 0
-        sc += max(action.ambient_norm(y0), action.ambient_norm(y1)) * cfg.rtol
-    return action.ambient_distance(y1, yhat1) / sc
+    return _error(y0, y1, yhat1, cfg.atol, cfg.rtol, action.ambient_norm,
+                  action.ambient_distance)
 
 
 def next_step_size(h: float, err: float, p: int,
                    cfg: ControllerConfig, *, facmax: float | None = None) -> float:
     """h * min(facmax, max(facmin, fac * err^(-1/p))), clamped to
     [hmin, hmax].  err = 0 is treated as machine epsilon."""
-    if err <= 0.0:
-        err = _EPS
-    fmax = cfg.facmax if facmax is None else facmax
-    factor = min(fmax, max(cfg.facmin, cfg.fac * err ** (-1.0 / p)))
-    return min(cfg.hmax, max(cfg.hmin, h * factor))
+    return _step_size(h, err, cfg.facmax if facmax is None else facmax,
+                      cfg.fac, cfg.facmin, cfg.hmin, cfg.hmax, -1.0 / p)
 
 
 def initial_step(problem, y0, cfg: ControllerConfig, p: int,
@@ -165,7 +206,9 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
     if cfg.h0 is not None:
         return cfg.h0
     action = problem.action
-    rate = action.ambient_norm(action.infinitesimal(problem.f(y0), y0))
+    v = problem.f(y0)
+    check_length(action, v)
+    rate = action.ambient_norm(action.infinitesimal(v, y0))
     h0 = 0.01 * cfg.atol ** (1.0 / p) / max(rate, _EPS)
     h0 = min(cfg.hmax, max(cfg.hmin, h0))
     return min(h0, (t1 - t0) / 10.0)
@@ -217,6 +260,130 @@ def _set_points(traj: Trajectory, rows: list) -> None:
     traj.points = np.array(rows).reshape(-1, *traj.points.shape[1:])
 
 
+# One adaptive run from (t, base) with the first proposed step h_try.
+# STEP takes the step of size h from base, leaving y1, yhat1 and f_last
+# and adding its counts; ERROR, GROW and SHRINK are the formula blocks.
+_LOOP = """
+def loop(pair, action, f, base, t, t1, h_try, traj, rows, atol, rtol, fac,
+         facmin, facmax, hmin, hmax, max_rejects, expo, norm, dist):
+    events, times, carry = traj.events, traj.times, None
+    n_exp = n_feval = n_accepted = n_rejected = rejects = 0
+    try:
+        while t < t1:
+            truncated = t + h_try >= t1
+            h = t1 - t if truncated else h_try
+            STEP
+            ERROR
+            if not math.isfinite(err):
+                if not all(map(math.isfinite, y1)):
+                    raise NonFiniteError("state became non-finite", traj)
+                raise NonFiniteError("error measure became non-finite", traj)
+            accepted = err <= 1.0
+            events.append((t, h, accepted, err, y1))
+            if accepted:
+                n_accepted += 1
+                rejects = 0
+                t = t1 if truncated else t + h
+                base, carry = y1, f_last
+                times.append(t)
+                rows.append(y1)
+                if truncated:
+                    break
+                GROW
+            else:
+                n_rejected += 1
+                rejects += 1
+                if rejects > max_rejects:
+                    raise TooManyRejectsError(
+                        f"{rejects} consecutive rejected steps at t = {t}",
+                        traj)
+                if h <= hmin * (1.0 + 1e-12):
+                    raise StepSizeUnderflowError(
+                        f"step size underflow at t = {t} (h = {h})", traj)
+                SHRINK
+    finally:
+        traj.totals = Totals(n_exp, n_feval, n_accepted, n_rejected)
+"""
+# The calling form checks y1 at once: an action's own ambient_distance
+# need not turn a non-finite y1 into a non-finite err.
+_CALLING_STEP = """
+res = cf_step(pair, action, f, base, h, carry)
+n_exp += res.n_exp
+n_feval += res.n_feval
+y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
+if not all(map(math.isfinite, y1)):
+    raise NonFiniteError("state became non-finite", traj)
+"""
+# The inline form: the inline step kernel's lines, between cf_step's checks
+# and the counts.
+_INLINE_STEP = """
+if h == 0.0:
+    raise ValueError("step size must be nonzero")
+f0 = f(base) if carry is None else carry
+if len(f0) != {n}:
+    check_length(action, f0)
+KERNEL
+y1, yhat1, f_last = {result}
+n_exp += {n_exp}
+n_feval += {n_feval} + (carry is None)
+"""
+_METRICS = [GroupAction.ambient_norm, GroupAction.ambient_distance]
+
+
+def _inline_length(action):
+    """The algebra length n of a built-in geometry when action's exp and
+    act are INLINE[n]'s bodies and its metrics GroupAction's, else None.
+    With math.dist a finite err implies a finite y1, so the inline loop
+    checks y1 only when err is not finite."""
+    n = getattr(action, "algebra_length", None)
+    found = [getattr(m, "__func__", m) for m in (
+        action.exp, action.act, action.ambient_norm, action.ambient_distance)]
+    return n if found == [*INLINE.get(n, ())[:2], *_METRICS] else None
+
+
+def _fill(template: str, **sections) -> list:
+    """The lines of template, each line that holds only a key of sections
+    replaced by that section's lines at its indentation."""
+    lines = []
+    for line in template.strip().splitlines():
+        key = line.strip()
+        lines += ([line[:line.index(key)] + s for s in sections[key]]
+                  if key in sections else [line])
+    return lines
+
+
+def _adaptive_loop(pair, n):
+    """pair's adaptive loop, compiled on first use and cached with its step
+    kernels under ("loop", n): the inline form for the built-in geometry
+    of algebra length n, the calling form for n = None."""
+    loop = pair._kernels.get(("loop", n))
+    if loop is None:
+        if n is None:
+            step = _CALLING_STEP.strip().splitlines()
+        else:
+            lines, result, n_exp, n_feval = kernel_lines(pair, n, True,
+                                                         INLINE[n][2:])
+            step = _fill(_INLINE_STEP.format(
+                n=n, result=result, n_exp=n_exp, n_feval=n_feval),
+                KERNEL=lines)
+        grow, shrink = (_STEP_SIZE.inline(
+            [f"h err {fmax} fac facmin hmin hmax expo".split()], ["h_try"])
+            for fmax in ("facmax", "1.0"))
+        error = _ERROR.inline(["base y1 yhat1 atol rtol norm dist".split()],
+                              ["err"])
+        source = "\n".join(_fill(_LOOP, STEP=step, ERROR=error, GROW=grow,
+                                 SHRINK=shrink)) + "\n"
+        # The calling form runs in this module's namespace, so it looks
+        # cf_step up here at every attempt, where a wrapper may replace it.
+        namespace = globals() if n is None else {**globals(), **KERNEL_GLOBALS}
+        local = {}
+        exec(compile(source, f"<adaptive loop n={n}>", "exec"), namespace,
+             local)
+        loop = pair._kernels["loop", n] = local["loop"]
+        loop.source = source
+    return loop
+
+
 def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
                        cfg: ControllerConfig) -> Trajectory:
     """Adaptive integration of problem over [t0, t1] with an embedded pair.
@@ -224,7 +391,8 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     Steps with err <= 1 are accepted and the trajectory advances with the
     higher-order solution; rejected steps are retried with the shrunken
     step (growth is disabled on the retry).  The final step is truncated
-    to land exactly on t1.
+    to land exactly on t1.  The attempts run in pair's compiled loop (see
+    _adaptive_loop), inline for an action of a built-in geometry.
     """
     check_span(t0, t1)
     if not pair.has_embedded:
@@ -233,58 +401,18 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
         raise ValueError(
             f"{pair.name}: expected an embedded pair of order p(p-1)")
     action = problem.action
-    f = problem.f
+    n = _inline_length(action)
+    loop = _adaptive_loop(pair, n)
     p = pair.order_p
-    cfg_err = cfg if problem.use_rtol else replace(cfg, rtol=0.0)
-
     traj, y = _start(problem, y0, t0)
-    totals = traj.totals
     rows = [y]
-    t = t0
-    carry = None
-    rejects_in_a_row = 0
-
     try:
         h = initial_step(problem, y, cfg, p, t0, t1)
-        h = min(h, t1 - t0)
-        while t < t1:
-            truncated = t + h >= t1
-            h_step = t1 - t if truncated else h
-            res = cf_step(pair, action, f, y, h_step, carried_f=carry,
-                          with_embedded=True)
-            totals.n_exp += res.n_exp
-            totals.n_feval += res.n_feval
-            y1 = res.y1_list
-            _check_finite(y1, traj)
-            err = error_measure(y, y1, res.yhat1_list, cfg_err, action)
-            if not math.isfinite(err):
-                raise NonFiniteError("error measure became non-finite", traj)
-            accepted = err <= 1.0
-            traj.h_history.append(StepAttempt(t, h_step, accepted, err, y1))
-
-            if accepted:
-                totals.n_accepted += 1
-                rejects_in_a_row = 0
-                t = t1 if truncated else t + h_step
-                y = y1
-                carry = res.f_last
-                traj.times.append(t)
-                rows.append(y1)
-                if truncated:
-                    break
-                h = next_step_size(h_step, err, p, cfg)
-            else:
-                totals.n_rejected += 1
-                rejects_in_a_row += 1
-                if rejects_in_a_row > cfg.max_consecutive_rejects:
-                    raise TooManyRejectsError(
-                        f"{rejects_in_a_row} consecutive rejected steps at "
-                        f"t = {t}", traj)
-                if h_step <= cfg.hmin * (1.0 + 1e-12):
-                    raise StepSizeUnderflowError(
-                        f"step size underflow at t = {t} (h = {h_step})",
-                        traj)
-                h = next_step_size(h_step, err, p, cfg, facmax=1.0)
+        loop(pair, action, problem.f, y, t0, t1, min(h, t1 - t0), traj, rows,
+             cfg.atol, cfg.rtol if problem.use_rtol else 0.0, cfg.fac,
+             cfg.facmin, cfg.facmax, cfg.hmin, cfg.hmax,
+             cfg.max_consecutive_rejects, -1.0 / p, action.ambient_norm,
+             action.ambient_distance if n is None else math.dist)
     except (DomainError, FieldLengthError) as exc:
         raise _failure(exc, traj) from exc
     finally:
@@ -323,8 +451,7 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
             _check_finite(y, traj)
             totals.n_accepted += 1
             t = t1 if i == n_steps else t0 + i * h
-            traj.h_history.append(StepAttempt(t0 + (i - 1) * h, h, True,
-                                              float("nan"), y))
+            traj.events.append((t0 + (i - 1) * h, h, True, math.nan, y))
             traj.times.append(t)
             rows.append(y)
     except (DomainError, FieldLengthError) as exc:

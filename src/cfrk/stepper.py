@@ -28,7 +28,8 @@ in a subclass, an instance attribute, a wrapper that records calls) gets
 the calling form, which calls the exp and act it is handed, so a wrapper
 sees every call.  Both forms have the same slots, points and output bits;
 n_exp and n_feval, the exponentials and f evaluations in the source, are
-the step's cost and count_budget's.
+the step's cost and count_budget's.  The adaptive loop (controller.py)
+runs the inline form's lines, from kernel_lines, without a kernel call.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -49,7 +50,16 @@ from .tableaux import CFTableau, reuse_groups
 
 class FieldLengthError(ValueError):
     """f returned a different number of entries within a step than at its
-    start."""
+    start, or at its start other than its action's algebra_length."""
+
+
+def check_length(action, v) -> None:
+    """FieldLengthError unless v, a value of f, has as many entries as the
+    action's algebra_length; any length passes where it is None."""
+    n = getattr(action, "algebra_length", None)
+    if n is not None and len(v) != n:
+        raise FieldLengthError(f"f returned {len(v)} entries, expected "
+                               f"{n} for the action's algebra")
 
 
 class StepResult:
@@ -94,7 +104,8 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     compute every row's exponential, declared reuse included, step
     dataclasses.replace(tableau, reuse_map=()); the outputs keep their
     bits.  A FieldLengthError (a ValueError) is raised if f returns a
-    different number of entries within the step than at its start.
+    different number of entries within the step than at its start, or at
+    its start other than the action's algebra_length.
     """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
@@ -109,6 +120,8 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     geometry = INLINE.get(n)
     inline = (geometry is not None and geometry[0] is exp
               and geometry[1] is act)
+    if not inline:
+        check_length(action, carried_f)
     kernel = tableau._kernels.get((n, with_embedded, inline))
     if kernel is None:
         kernel = step_kernel(tableau, n, with_embedded, inline)
@@ -156,12 +169,18 @@ def _length_error(n: int, v: list) -> FieldLengthError:
                             f"expected {n} as at its start")
 
 
+# What kernel lines read besides their own locals.
+KERNEL_GLOBALS = {"_length_error": _length_error, **BLOCK_GLOBALS}
+
+
 def _names(prefix: str, count: int) -> list:
     return [f"{prefix}_{i}" for i in range(count)]
 
 
-def _compile(tableau: CFTableau, n: int, embedded: bool, blocks):
-    # blocks is None for the calling form, else the (exp, act) blocks
+def kernel_lines(tableau: CFTableau, n: int, embedded: bool, blocks):
+    """The lines of step_kernel's body but its return, over its arguments;
+    the returned expression; n_exp; n_feval.  blocks is None for the
+    calling form, else the inline form's (exp, act) blocks."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -202,7 +221,7 @@ def _compile(tableau: CFTableau, n: int, embedded: bool, blocks):
         if blocks is None:
             body.append(f"g{slot} = exp([{', '.join(entries)}])")
         else:
-            args = _names(f"a{slot}", n)
+            args = _names("a", n)  # read at once, so shared by all slots
             body.extend(f"{a} = {e}" for a, e in zip(args, entries))
             body.extend(exp_block.inline([args], _names(f"g{slot}", n_g)))
 
@@ -251,16 +270,19 @@ def _compile(tableau: CFTableau, n: int, embedded: bool, blocks):
     yhat1 = (as_list(apply_rows(("yhat",), tableau.beta_hat)) if embedded
              else "None")
     f_last = "f_last" if fsal else "None"
-    body.append(f"return {y1}, {yhat1}, {f_last}")
+    coefficients = [f"{x} = h * {c!r}" for c, x in coeffs.items()]
+    return (coefficients + body, f"{y1}, {yhat1}, {f_last}", len(slots),
+            n_feval)
 
-    source = "\n    ".join([
-        "def kernel(exp, act, f, base, h, f0):",
-        *(f"{x} = h * {c!r}" for c, x in coeffs.items()),
-        *body]) + "\n"
-    namespace = {"_length_error": _length_error, **BLOCK_GLOBALS}
+
+def _compile(tableau: CFTableau, n: int, embedded: bool, blocks):
+    lines, result, n_exp, n_feval = kernel_lines(tableau, n, embedded, blocks)
+    source = "\n    ".join(["def kernel(exp, act, f, base, h, f0):", *lines,
+                             f"return {result}"]) + "\n"
+    namespace = dict(KERNEL_GLOBALS)
     form = "calling" if blocks is None else "inline"
     exec(compile(source, f"<cf_step {form} kernel n={n}>", "exec"),
          namespace)
     kernel = namespace["kernel"]
-    kernel.source, kernel.n_exp, kernel.n_feval = source, len(slots), n_feval
+    kernel.source, kernel.n_exp, kernel.n_feval = source, n_exp, n_feval
     return kernel

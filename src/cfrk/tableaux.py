@@ -70,6 +70,7 @@ class CFTableau:
                            tuple((tuple(k1), tuple(k2)) for k1, k2 in self.reuse_map))
         # _rows and _kernels are not dataclass fields, so equality, repr and
         # JSON ignore them; _kernels caches the step kernels (see stepper.py)
+        # and the adaptive loops (controller.py)
         rows = {("stage", r, j): row for r, stage in enumerate(self.alpha, 2)
                 for j, row in enumerate(stage)}
         rows.update({("y", j): row for j, row in enumerate(self.beta)})

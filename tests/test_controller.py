@@ -4,6 +4,7 @@ its clamps, typed failure modes, and both integration drivers."""
 import dataclasses
 import math
 import re
+import struct
 import time
 
 import numpy as np
@@ -672,7 +673,7 @@ def test_fixed_embedded_mode_follows_lower_order_solution():
 
 # Inputs from the user or the vector field, each a change to y0, to the
 # adaptive ControllerConfig, or to f ("f-nan": NaN from its eleventh call
-# on).
+# on; "f-wrong-length": one entry too many from its first call).
 MATRIX_Y0 = {
     "y0-nan": lambda y0: np.append(y0[:-1], math.nan),
     "y0-inf": lambda y0: np.append(y0[:-1], math.inf),
@@ -695,8 +696,11 @@ def run_failure_case(driver, name, build, case):
     prob = build()
     if case == "f-nan":
         prob = nan_field_after(prob, 10)
+    elif case == "f-wrong-length":
+        prob = dataclasses.replace(prob, f=lambda y, f=prob.f: [*f(y), 0.0])
     prob, calls = counted(prob)
     y0 = MATRIX_Y0.get(case, lambda y0: y0)(prob.default_y0)
+    error = None
     start = time.perf_counter()
     try:
         if driver == "adaptive":
@@ -706,18 +710,22 @@ def run_failure_case(driver, name, build, case):
         else:
             traj = integrate_fixed(get_tableau(name), prob, y0, 0.0, 1.0, 20)
     except IntegrationError as exc:
-        traj = exc.trajectory
+        error, traj = exc, exc.trajectory
     except ValueError:
         assert calls == []
         traj = None
     assert time.perf_counter() - start < 1.0
+    if case == "f-wrong-length":  # caught at f's first value
+        assert type(error.__cause__) is FieldLengthError
+        assert traj.times == [0.0] and traj.events == []
     if traj is not None:
         accepted = sum(a.accepted for a in traj.h_history)
         assert len(traj.points) == len(traj.times) == accepted + 1
         assert traj.totals.n_accepted == accepted
 
 
-@pytest.mark.parametrize("case", [*MATRIX_Y0, *MATRIX_CFG, "f-nan"])
+@pytest.mark.parametrize("case", [*MATRIX_Y0, *MATRIX_CFG, "f-nan",
+                                  "f-wrong-length"])
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
                          ids=lambda build: build.__name__)
 @pytest.mark.parametrize("name", EMBEDDED)
@@ -725,9 +733,118 @@ def test_adaptive_failure_matrix(name, build, case):
     run_failure_case("adaptive", name, build, case)
 
 
-@pytest.mark.parametrize("case", [*MATRIX_Y0, "f-nan"])
+@pytest.mark.parametrize("case", [*MATRIX_Y0, "f-nan", "f-wrong-length"])
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
                          ids=lambda build: build.__name__)
 @pytest.mark.parametrize("name", ["cf4", "cf43"])
 def test_fixed_failure_matrix(name, build, case):
     run_failure_case("fixed", name, build, case)
+
+
+# ------------------------------------------------------- the two loop forms
+
+def calling(action):
+    """An action whose exp and act override action's with a call to
+    super(), so integrate_adaptive runs the calling loop."""
+    class Calling(type(action)):
+        def exp(self, v):
+            return super().exp(v)
+
+        def act(self, g, p):
+            return super().act(g, p)
+    return Calling()
+
+
+def outcome(pair, prob, cfg):
+    """The run's error type and message (None, None on success) and its
+    trajectory."""
+    try:
+        return None, None, integrate_adaptive(pair, prob, prob.default_y0,
+                                              0.0, 1.0, cfg)
+    except IntegrationError as exc:
+        return type(exc), str(exc), exc.trajectory
+
+
+def float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_inline_and_calling_loops_agree_bitwise(name, build):
+    # a built-in action runs the inline loop, a subclass overriding exp and
+    # act the calling one; both give the same outcome, bit for bit
+    prob = build()
+    other = dataclasses.replace(prob, action=calling(prob.action))
+    pair = get_tableau(name)
+    configs = [dict(atol=tol, rtol=tol) for tol in (1e-4, 1e-8)]
+    for kw in [*configs, *MATRIX_CFG.values()]:
+        cfg = ControllerConfig(**kw)
+        kind, message, traj = outcome(pair, prob, cfg)
+        ref_kind, ref_message, ref = outcome(pair, other, cfg)
+        assert (kind, message) == (ref_kind, ref_message)
+        assert float_bits(traj.times) == float_bits(ref.times)
+        assert traj.points.tobytes() == ref.points.tobytes()
+        assert traj.totals == ref.totals
+        assert len(traj.h_history) == len(ref.h_history)
+        for a, b in zip(traj.h_history, ref.h_history):
+            assert float_bits([a.t, a.h, a.err, *a.y]) == \
+                float_bits([b.t, b.h, b.err, *b.y])
+            assert a.accepted == b.accepted
+    assert ("loop", len(prob.f(prob.default_y0))) in pair._kernels
+    assert ("loop", None) in pair._kernels
+
+
+def test_calling_loop_steps_through_the_module_global(monkeypatch):
+    # the calling loop looks cf_step up in cfrk.controller at every attempt,
+    # where a wrapper such as the benchmark's tracer replaces it; the
+    # inline loop never calls it
+    import cfrk.controller
+    calls = []
+    step = cfrk.controller.cf_step
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+    monkeypatch.setattr(cfrk.controller, "cf_step", counting)
+    prob = van_der_pol()
+    cfg = ControllerConfig(atol=1e-4, rtol=1e-4)
+    for action, expected in ((prob.action, 0), (calling(prob.action), None)):
+        calls.clear()
+        traj = integrate_adaptive(get_tableau("cf43"),
+                                  dataclasses.replace(prob, action=action),
+                                  prob.default_y0, 0.0, 3.0, cfg)
+        attempts = traj.totals.n_accepted + traj.totals.n_rejected
+        assert traj.totals.n_rejected > 0
+        assert len(calls) == (attempts if expected is None else expected)
+
+
+@pytest.mark.parametrize("form", ["inline", "calling"])
+@pytest.mark.parametrize("h0", [None, 0.01])
+@pytest.mark.parametrize("length", [2, 4, 6])
+def test_wrong_length_field_at_the_start_is_a_field_length_error(
+        form, h0, length):
+    # the rigid body's algebra has 3 entries; the first f value decides,
+    # in initial_step when it estimates h0, else in the first step
+    prob = rigid_body()
+    if form == "calling":
+        prob = dataclasses.replace(prob, action=calling(prob.action))
+    prob = dataclasses.replace(prob, f=lambda y: [0.5] * length)
+    for run in (lambda: integrate_adaptive(
+                    get_tableau("cf43"), prob, prob.default_y0, 0.0, 1.0,
+                    ControllerConfig(h0=h0)),
+                lambda: integrate_fixed(get_tableau("cf4"), prob,
+                                        prob.default_y0, 0.0, 1.0, 10)):
+        with pytest.raises(IntegrationError,
+                           match=f"f returned {length} entries, expected 3"):
+            run()
+
+
+def test_h_history_is_built_from_the_events_once():
+    prob = rigid_body()
+    traj = integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                              0.0, 1.0, ControllerConfig())
+    assert all(type(e) is tuple for e in traj.events)
+    assert traj.h_history is traj.h_history
+    assert [dataclasses.astuple(a) for a in traj.h_history] == traj.events
