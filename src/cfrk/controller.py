@@ -275,8 +275,7 @@ def loop(pair, action, f, base, t, t1, h_try, traj, rows, atol, rtol, fac,
             STEP
             ERROR
             if not math.isfinite(err):
-                if not all(map(math.isfinite, y1)):
-                    raise NonFiniteError("state became non-finite", traj)
+                _check_finite(y1, traj)
                 raise NonFiniteError("error measure became non-finite", traj)
             accepted = err <= 1.0
             events.append((t, h, accepted, err, y1))
@@ -311,8 +310,7 @@ res = cf_step(pair, action, f, base, h, carry)
 n_exp += res.n_exp
 n_feval += res.n_feval
 y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
-if not all(map(math.isfinite, y1)):
-    raise NonFiniteError("state became non-finite", traj)
+_check_finite(y1, traj)
 """
 # The inline form: the inline step kernel's lines, between cf_step's checks
 # and the counts.
