@@ -105,20 +105,29 @@ class Block:
                       lambda m: names.get(m[0], m[0]), code).splitlines()
 
 
+def compile_function(name: str, params: str, lines, result, namespace):
+    """The function `def name(params): lines; return result`, compiled
+    with namespace as its globals, with its source as .source; without a
+    return line when result is None."""
+    lines = [f"def {name}({params}):", *lines]
+    if result is not None:
+        lines.append(f"return {result}")
+    source = "\n    ".join(lines) + "\n"
+    local = {}
+    exec(compile(source, f"<cfrk {name}>", "exec"), namespace, local)
+    local[name].source = source
+    return local[name]
+
+
 def _body(name: str, block: Block, **convert: str):
     """block compiled as the float body name(arg, ...): each argument, a
     list unpacked as it is or anything else converted by its expression in
     convert, then the results as a list."""
-    lines = [f"def {name}({', '.join(convert)}):"]
-    for (arg, conversion), params in zip(convert.items(), block.params):
-        lines.append(f"    {', '.join(params)} = ("
-                     f"{arg} if type({arg}) is list else {conversion})")
-    lines += ["    " + line for line in block.source.splitlines()]
-    lines.append(f"    return [{', '.join(block.results)}]")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<cfrk.actions {name}>", "exec"),
-         globals(), namespace)
-    return namespace[name]
+    lines = [f"{', '.join(ps)} = ({arg} if type({arg}) is list else {conv})"
+             for (arg, conv), ps in zip(convert.items(), block.params)]
+    return compile_function(name, ", ".join(convert),
+                            lines + block.source.splitlines(),
+                            f"[{', '.join(block.results)}]", globals())
 
 
 # --------------------------------------------------------------- so(3)
@@ -273,14 +282,6 @@ class Se3Element:
     """
     rot: np.ndarray
     trans: np.ndarray
-
-    def compose(self, other: "Se3Element") -> "Se3Element":
-        return Se3Element(self.rot @ other.rot,
-                          self.rot @ other.trans + self.trans)
-
-    @staticmethod
-    def identity() -> "Se3Element":
-        return Se3Element(np.eye(3), np.zeros(3))
 
 
 # se3_exp on (xi, u) = (x, y, z, u1, u2, u3): the so(3) rotation of xi,
@@ -466,8 +467,8 @@ class Gl2PlaneAction(GroupAction):
 class Se3CoadjointAction(GroupAction):
     """SE(3) acting on (mu, beta) pairs by the coadjoint action.
 
-    This is a right action: act(a.compose(b), m) equals
-    act(b, act(a, m)).  Applying group elements in evaluation order
+    This is a right action: act(ab, m) equals act(b, act(a, m)) for the
+    product ab of Se3Element.  Applying group elements in evaluation order
     therefore composes their flows in the same order as for the matrix
     geometries.
     """

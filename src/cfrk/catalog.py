@@ -89,7 +89,7 @@ def _cf32_variant_data(a: float, variant: str):
             "c2": a,
             "stage3": lambda w: ((6 * a * w - 3 * w - a) / (3 * a), w / a),
             "reused_index": 1,
-            "reused_row": "stage3",
+            "reused_stage": 3,
         }
     if variant == "row1-of-update":
         if a == 0.0:
@@ -100,7 +100,7 @@ def _cf32_variant_data(a: float, variant: str):
             "c2": a,
             "stage3": lambda w: ((6 * a * w - 3 * w + a) / (3 * a), w / a),
             "reused_index": 0,
-            "reused_row": "stage3",
+            "reused_stage": 3,
         }
     if variant == "stage2-in-row1":
         return {
@@ -109,7 +109,7 @@ def _cf32_variant_data(a: float, variant: str):
             "c2": 1 / 3,
             "stage3": lambda g: (a, 1 / (2 * g)),
             "reused_index": 0,
-            "reused_row": "stage2",
+            "reused_stage": 2,
         }
     if variant == "stage2-in-row2":
         return {
@@ -118,7 +118,7 @@ def _cf32_variant_data(a: float, variant: str):
             "c2": -1 / 3,
             "stage3": lambda d: (-2 * a * d / 3 - 2 * a, a),
             "reused_index": 1,
-            "reused_row": "stage2",
+            "reused_stage": 2,
         }
     raise ValueError(f"unknown variant {variant!r}; expected one of {_CF32_VARIANTS}")
 
@@ -139,6 +139,24 @@ def _poly_roots(coeffs, poly_text: str, a: float):
     sq = math.sqrt(disc)
     roots = sorted([(-B - sq) / (2 * A), (-B + sq) / (2 * A)], key=abs)
     return roots
+
+
+def _layout32(name: str, stage2, stage3, beta, beta_hat, reused_stage: int,
+              reused_index: int) -> CFTableau:
+    """The 3-stage FSAL 3(2) layout: one row per stage, the two update rows
+    beta and the embedded row beta_hat; update row reused_index repeats the
+    row of stage reused_stage."""
+    return CFTableau(
+        name=name,
+        s=3,
+        alpha=((stage2,), (stage3,)),
+        beta=beta,
+        beta_hat=(beta_hat,),
+        order_p=3,
+        order_phat=2,
+        fsal=True,
+        reuse_map=((("stage", reused_stage, 0), ("y", reused_index)),),
+    )
 
 
 def instantiate_cf32_family(a: float, variant: str,
@@ -174,7 +192,7 @@ def instantiate_cf32_family(a: float, variant: str,
     A[1] = stage2
     A[2] = stage3
 
-    reused = stage3 if data["reused_row"] == "stage3" else stage2
+    reused = stage3 if data["reused_stage"] == 3 else stage2
     ri = data["reused_index"]
 
     # Solve the non-reused update row u from the order-3 conditions; the
@@ -202,48 +220,20 @@ def instantiate_cf32_family(a: float, variant: str,
     rhs2 = 0.5 - h3 * c3
     bh2 = (rhs1 - rhs2) / (1.0 - c2)
     bh4 = rhs1 - bh2
-    beta_hat = (np.array([h1, bh2, h3, bh4]),)
-
-    reused_key = ("stage", 3, 0) if data["reused_row"] == "stage3" else ("stage", 2, 0)
-    return CFTableau(
-        name=f"cf32[{variant},a={a:g},{root}]",
-        s=3,
-        alpha=((tuple(stage2),), (tuple(stage3),)),
-        beta=tuple(tuple(r) for r in beta),
-        beta_hat=(tuple(beta_hat[0]),),
-        order_p=3,
-        order_phat=2,
-        fsal=True,
-        reuse_map=((reused_key, ("y", ri)),),
-    )
+    return _layout32(f"cf32[{variant},a={a:g},{root}]", stage2, stage3, beta,
+                     np.array([h1, bh2, h3, bh4]), data["reused_stage"], ri)
 
 
 def _build_cf32a() -> CFTableau:
-    return CFTableau(
-        name="cf32a",
-        s=3,
-        alpha=(((1 / 3, 0.0, 0.0),), ((-1.0, 2.0, 0.0),)),
-        beta=((1.0, -5 / 4, 1 / 4), (-1.0, 2.0, 0.0)),
-        beta_hat=((0.0, 3 / 4, 0.0, 1 / 4),),
-        order_p=3,
-        order_phat=2,
-        fsal=True,
-        reuse_map=((("stage", 3, 0), ("y", 1)),),
-    )
+    return _layout32("cf32a", (1 / 3, 0.0, 0.0), (-1.0, 2.0, 0.0),
+                     ((1.0, -5 / 4, 1 / 4), (-1.0, 2.0, 0.0)),
+                     (0.0, 3 / 4, 0.0, 1 / 4), 3, 1)
 
 
 def _build_cf32b() -> CFTableau:
-    return CFTableau(
-        name="cf32b",
-        s=3,
-        alpha=(((1 / 3, 0.0, 0.0),), ((-5 / 12, 1 / 4, 0.0),)),
-        beta=((-37 / 12, 9 / 4, 2.0), (-5 / 12, 1 / 4, 0.0)),
-        beta_hat=((0.0, 3 / 4, 0.0, 1 / 4),),
-        order_p=3,
-        order_phat=2,
-        fsal=True,
-        reuse_map=((("stage", 3, 0), ("y", 1)),),
-    )
+    return _layout32("cf32b", (1 / 3, 0.0, 0.0), (-5 / 12, 1 / 4, 0.0),
+                     ((-37 / 12, 9 / 4, 2.0), (-5 / 12, 1 / 4, 0.0)),
+                     (0.0, 3 / 4, 0.0, 1 / 4), 3, 1)
 
 
 # --------------------------------------------------------------- cf43 exact
@@ -288,45 +278,45 @@ def _cf43_coeff_polys(w: float) -> dict:
     }
 
 
-def _assemble_5fsal(name: str, x, pin: float, reused_hat_first: bool) -> CFTableau:
-    """Common 4-stage FSAL 4(3) layout.
+def _layout43(name: str, x, beta_hat, hat_reuse, fsal: bool) -> CFTableau:
+    """The 4-stage 4(3) layout.
 
     x packs the free scalars: [a21, a31, a32, b41, b42, b43, y1 (4), y2 (4),
-    free-hat-row slots (4)], where the free embedded row has its third slot
-    pinned to ``pin``.  Stage 4 starts by repeating the stage-3 row; the
-    second embedded row repeats the second stage-4 row.  ``reused_hat_first``
-    picks whether the repeated row is applied first or second in the
-    embedded update.
+    free embedded entries (4)].  Stage 4 starts by repeating the stage-3
+    row; beta_hat holds the embedded rows, and hat_reuse is the pair of
+    row keys through which one of them repeats an earlier row.
     """
-    a21 = x[0]
     a31, a32 = x[1], x[2]
-    b41, b42, b43 = x[3], x[4], x[5]
-    y1 = tuple(x[6:10])
-    y2 = tuple(x[10:14])
-    free_hat = (x[14], x[15], pin, x[16], x[17])
-    reused_hat = (b41, b42, b43, 0.0, 0.0)
-    if reused_hat_first:
-        beta_hat = (reused_hat, free_hat)
-        hat_key = ("yhat", 0)
-    else:
-        beta_hat = (free_hat, reused_hat)
-        hat_key = ("yhat", 1)
     return CFTableau(
         name=name,
         s=4,
         alpha=(
-            ((a21, 0.0, 0.0, 0.0),),
+            ((x[0], 0.0, 0.0, 0.0),),
             ((a31, a32, 0.0, 0.0),),
-            ((a31, a32, 0.0, 0.0), (b41, b42, b43, 0.0)),
+            ((a31, a32, 0.0, 0.0), (x[3], x[4], x[5], 0.0)),
         ),
-        beta=(y1, y2),
+        beta=(x[6:10], x[10:14]),
         beta_hat=beta_hat,
         order_p=4,
         order_phat=3,
-        fsal=True,
-        reuse_map=((("stage", 3, 0), ("stage", 4, 0)),
-                   (("stage", 4, 1), hat_key)),
+        fsal=fsal,
+        reuse_map=((("stage", 3, 0), ("stage", 4, 0)), hat_reuse),
     )
+
+
+def _assemble_5fsal(name: str, x, pin: float, reused_hat_first: bool) -> CFTableau:
+    """The FSAL 4(3) layout, whose free embedded row has its third slot
+    pinned to ``pin``; the other embedded row repeats the second stage-4
+    row.  ``reused_hat_first`` picks whether the repeated row is applied
+    first or second in the embedded update.
+    """
+    free_hat = (x[14], x[15], pin, x[16], x[17])
+    reused_hat = (x[3], x[4], x[5], 0.0, 0.0)
+    if reused_hat_first:
+        beta_hat, hat_key = (reused_hat, free_hat), ("yhat", 0)
+    else:
+        beta_hat, hat_key = (free_hat, reused_hat), ("yhat", 1)
+    return _layout43(name, x, beta_hat, (("stage", 4, 1), hat_key), True)
 
 
 def instantiate_cf43(family_param: float = 0.0) -> CFTableau:
@@ -430,26 +420,10 @@ _CF43_4STAGE_PROJECTED = (
 
 
 def _build_cf43_4stage() -> CFTableau:
+    # non-FSAL: the first embedded row repeats the stage-3 row
     x = _CF43_4STAGE_PROJECTED
-    a21 = x[0]
-    a31, a32 = x[1], x[2]
-    b41, b42, b43 = x[3], x[4], x[5]
-    return CFTableau(
-        name="cf43_4stage",
-        s=4,
-        alpha=(
-            ((a21, 0.0, 0.0, 0.0),),
-            ((a31, a32, 0.0, 0.0),),
-            ((a31, a32, 0.0, 0.0), (b41, b42, b43, 0.0)),
-        ),
-        beta=(tuple(x[6:10]), tuple(x[10:14])),
-        beta_hat=((a31, a32, 0.0, 0.0), tuple(x[14:18])),
-        order_p=4,
-        order_phat=3,
-        fsal=False,
-        reuse_map=((("stage", 3, 0), ("stage", 4, 0)),
-                   (("stage", 3, 0), ("yhat", 0))),
-    )
+    return _layout43("cf43_4stage", x, ((x[1], x[2], 0.0, 0.0), x[14:18]),
+                     (("stage", 3, 0), ("yhat", 0)), False)
 
 
 # ----------------------------------------------------------------- catalog

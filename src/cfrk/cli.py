@@ -157,12 +157,8 @@ def _cmd_integrate(args) -> int:
     problem, tableau = build_experiment(config)
     cfg = ControllerConfig(atol=args.atol, rtol=args.rtol, h0=args.h0,
                            hmax=args.hmax if args.hmax is not None else math.inf)
-    try:
-        traj = integrate_adaptive(tableau, problem, problem.default_y0,
-                                  args.t0, args.t1, cfg)
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 1
+    traj = integrate_adaptive(tableau, problem, problem.default_y0, args.t0,
+                              args.t1, cfg)
     summary = {
         "t_end": traj.t_end,
         "y_end": np.asarray(traj.y_end, float).tolist(),
@@ -210,6 +206,9 @@ def main(argv=None) -> int:
         # size is a usage error: one line, argparse's exit code
         print(f"cfrk: {exc}", file=sys.stderr)
         return 2
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

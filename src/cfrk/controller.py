@@ -10,10 +10,10 @@ as f and cf_step take and return them, and the adaptive driver the FSAL
 value as the list f returned at y1.  Each attempt is one event, the tuple
 (t, h, accepted, err, y) with y the list the step returned;
 Trajectory.h_history makes StepAttempts of them when first read.
-Trajectory.points is built once per run from the accepted lists as one
-array, in a finally clause, so a failed run's partial trajectory holds it
-too.  A DomainError or FieldLengthError ends a run as an IntegrationError
-carrying the partial trajectory.
+Trajectory.points is built once per run from y0 and the accepted events'
+lists as one array, in a finally clause, so a failed run's partial
+trajectory holds it too.  A DomainError or FieldLengthError ends a run as
+an IntegrationError carrying the partial trajectory.
 
 The adaptive attempt is written once, as the source _LOOP, and compiled
 per pair on first use, like the step kernels: an action with a built-in
@@ -30,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import INLINE, Block, DomainError, GroupAction
+from .actions import (INLINE, Block, DomainError, GroupAction,
+                      compile_function)
 from .stepper import (KERNEL_GLOBALS, FieldLengthError, cf_step,
                       check_length, kernel_lines)
 
@@ -72,8 +73,8 @@ class ControllerConfig:
             raise ControllerConfigError("atol must be positive")
         if not self.rtol >= 0.0:
             raise ControllerConfigError("rtol must be nonnegative")
-        if not self.hmin < self.hmax:
-            raise ControllerConfigError("need hmin < hmax")
+        if not 0.0 < self.hmin < self.hmax:
+            raise ControllerConfigError("hmin must be in (0, hmax)")
         if self.max_consecutive_rejects < 1:
             raise ControllerConfigError("max_consecutive_rejects must be >= 1")
         if self.h0 is not None and not self.h0 > 0.0:
@@ -103,8 +104,9 @@ class Totals:
 @dataclass
 class Trajectory:
     """The accepted times, and the points at them as the rows of one array
-    of shape (len(times), *y0.shape); one event per attempt, the tuple
-    (t, h, accepted, err, y) of a StepAttempt's fields."""
+    of shape (len(times), *y0.shape), built from y0 and the accepted
+    events; one event per attempt, the tuple (t, h, accepted, err, y) of a
+    StepAttempt's fields."""
     times: list = field(default_factory=list)
     points: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     events: list = field(default_factory=list)
@@ -166,17 +168,10 @@ h_new = h_new if h_new < hmax else hmax
 """)
 
 
-def _function(block: Block):
-    """block compiled as a function of its inputs returning its result."""
-    source = "\n    ".join([f"def f({', '.join(block.params[0])}):",
-                           *block.source.splitlines(),
-                           f"return {block.results[0]}"])
-    namespace = {}
-    exec(compile(source, "<cfrk.controller>", "exec"), globals(), namespace)
-    return namespace["f"]
-
-
-_error, _step_size = _function(_ERROR), _function(_STEP_SIZE)
+_error, _step_size = (
+    compile_function(name, ", ".join(block.params[0]),
+                     block.source.splitlines(), block.results[0], globals())
+    for name, block in (("error", _ERROR), ("step_size", _STEP_SIZE)))
 
 
 def error_measure(y0, y1, yhat1, cfg: ControllerConfig, action) -> float:
@@ -255,53 +250,55 @@ def _start(problem, y0, t0: float) -> tuple:
     return traj, y
 
 
-def _set_points(traj: Trajectory, rows: list) -> None:
-    """traj.points as one new array of the rows, each shaped like y0."""
-    traj.points = np.array(rows).reshape(-1, *traj.points.shape[1:])
+def _set_points(traj: Trajectory, y0: list) -> None:
+    """traj.points as one new array of y0 and the accepted events' points,
+    each shaped like y0."""
+    points = [y0, *[event[4] for event in traj.events if event[2]]]
+    traj.points = np.array(points).reshape(-1, *traj.points.shape[1:])
 
 
-# One adaptive run from (t, base) with the first proposed step h_try.
+# The body of loop(_LOOP_PARAMS): one adaptive run from (t, base) with the
+# first proposed step h_try.
+_LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, atol, rtol, fac, "
+                "facmin, facmax, hmin, hmax, max_rejects, expo, norm, dist")
 # STEP takes the step of size h from base, leaving y1, yhat1 and f_last
 # and adding its counts; ERROR, GROW and SHRINK are the formula blocks.
 _LOOP = """
-def loop(pair, action, f, base, t, t1, h_try, traj, rows, atol, rtol, fac,
-         facmin, facmax, hmin, hmax, max_rejects, expo, norm, dist):
-    events, times, carry = traj.events, traj.times, None
-    n_exp = n_feval = n_accepted = n_rejected = rejects = 0
-    try:
-        while t < t1:
-            truncated = t + h_try >= t1
-            h = t1 - t if truncated else h_try
-            STEP
-            ERROR
-            if not math.isfinite(err):
-                _check_finite(y1, traj)
-                raise NonFiniteError("error measure became non-finite", traj)
-            accepted = err <= 1.0
-            events.append((t, h, accepted, err, y1))
-            if accepted:
-                n_accepted += 1
-                rejects = 0
-                t = t1 if truncated else t + h
-                base, carry = y1, f_last
-                times.append(t)
-                rows.append(y1)
-                if truncated:
-                    break
-                GROW
-            else:
-                n_rejected += 1
-                rejects += 1
-                if rejects > max_rejects:
-                    raise TooManyRejectsError(
-                        f"{rejects} consecutive rejected steps at t = {t}",
-                        traj)
-                if h <= hmin * (1.0 + 1e-12):
-                    raise StepSizeUnderflowError(
-                        f"step size underflow at t = {t} (h = {h})", traj)
-                SHRINK
-    finally:
-        traj.totals = Totals(n_exp, n_feval, n_accepted, n_rejected)
+events, times, carry = traj.events, traj.times, None
+n_exp = n_feval = n_accepted = n_rejected = rejects = 0
+try:
+    while t < t1:
+        truncated = t + h_try >= t1
+        h = t1 - t if truncated else h_try
+        STEP
+        ERROR
+        if not math.isfinite(err):
+            _check_finite(y1, traj)
+            raise NonFiniteError("error measure became non-finite", traj)
+        accepted = err <= 1.0
+        events.append((t, h, accepted, err, y1))
+        if accepted:
+            n_accepted += 1
+            rejects = 0
+            t = t1 if truncated else t + h
+            base, carry = y1, f_last
+            times.append(t)
+            if truncated:
+                break
+            GROW
+        else:
+            n_rejected += 1
+            rejects += 1
+            if rejects > max_rejects:
+                raise TooManyRejectsError(
+                    f"{rejects} consecutive rejected steps at t = {t}",
+                    traj)
+            if h <= hmin * (1.0 + 1e-12):
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t = {t} (h = {h})", traj)
+            SHRINK
+finally:
+    traj.totals = Totals(n_exp, n_feval, n_accepted, n_rejected)
 """
 # The calling form checks y1 at once: an action's own ambient_distance
 # need not turn a non-finite y1 into a non-finite err.
@@ -369,16 +366,12 @@ def _adaptive_loop(pair, n):
             for fmax in ("facmax", "1.0"))
         error = _ERROR.inline(["base y1 yhat1 atol rtol norm dist".split()],
                               ["err"])
-        source = "\n".join(_fill(_LOOP, STEP=step, ERROR=error, GROW=grow,
-                                 SHRINK=shrink)) + "\n"
+        lines = _fill(_LOOP, STEP=step, ERROR=error, GROW=grow, SHRINK=shrink)
         # The calling form runs in this module's namespace, so it looks
         # cf_step up here at every attempt, where a wrapper may replace it.
         namespace = globals() if n is None else {**globals(), **KERNEL_GLOBALS}
-        local = {}
-        exec(compile(source, f"<adaptive loop n={n}>", "exec"), namespace,
-             local)
-        loop = pair._kernels["loop", n] = local["loop"]
-        loop.source = source
+        loop = pair._kernels["loop", n] = compile_function(
+            "loop", _LOOP_PARAMS, lines, None, namespace)
     return loop
 
 
@@ -403,10 +396,9 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     loop = _adaptive_loop(pair, n)
     p = pair.order_p
     traj, y = _start(problem, y0, t0)
-    rows = [y]
     try:
         h = initial_step(problem, y, cfg, p, t0, t1)
-        loop(pair, action, problem.f, y, t0, t1, min(h, t1 - t0), traj, rows,
+        loop(pair, action, problem.f, y, t0, t1, min(h, t1 - t0), traj,
              cfg.atol, cfg.rtol if problem.use_rtol else 0.0, cfg.fac,
              cfg.facmin, cfg.facmax, cfg.hmin, cfg.hmax,
              cfg.max_consecutive_rejects, -1.0 / p, action.ambient_norm,
@@ -414,7 +406,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     except (DomainError, FieldLengthError) as exc:
         raise _failure(exc, traj) from exc
     finally:
-        _set_points(traj, rows)
+        _set_points(traj, y)
     return traj
 
 
@@ -436,9 +428,8 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     f = problem.f
     h = (t1 - t0) / n_steps
 
-    traj, y = _start(problem, y0, t0)
-    totals = traj.totals
-    rows = [y]
+    traj, start = _start(problem, y0, t0)
+    y, totals = start, traj.totals
     try:
         for i in range(1, n_steps + 1):
             res = cf_step(method, action, f, y, h,
@@ -451,9 +442,8 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
             t = t1 if i == n_steps else t0 + i * h
             traj.events.append((t0 + (i - 1) * h, h, True, math.nan, y))
             traj.times.append(t)
-            rows.append(y)
     except (DomainError, FieldLengthError) as exc:
         raise _failure(exc, traj) from exc
     finally:
-        _set_points(traj, rows)
+        _set_points(traj, start)
     return traj

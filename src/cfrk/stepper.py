@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .actions import BLOCK_GLOBALS, INLINE
+from .actions import BLOCK_GLOBALS, INLINE, compile_function
 from .tableaux import CFTableau, reuse_groups
 
 
@@ -277,12 +277,7 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, blocks):
 
 def _compile(tableau: CFTableau, n: int, embedded: bool, blocks):
     lines, result, n_exp, n_feval = kernel_lines(tableau, n, embedded, blocks)
-    source = "\n    ".join(["def kernel(exp, act, f, base, h, f0):", *lines,
-                             f"return {result}"]) + "\n"
-    namespace = dict(KERNEL_GLOBALS)
-    form = "calling" if blocks is None else "inline"
-    exec(compile(source, f"<cf_step {form} kernel n={n}>", "exec"),
-         namespace)
-    kernel = namespace["kernel"]
-    kernel.source, kernel.n_exp, kernel.n_feval = source, n_exp, n_feval
+    kernel = compile_function("kernel", "exp, act, f, base, h, f0", lines,
+                              result, KERNEL_GLOBALS)
+    kernel.n_exp, kernel.n_feval = n_exp, n_feval
     return kernel

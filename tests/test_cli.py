@@ -180,14 +180,21 @@ def test_integrate_param_override(tmp_path):
     assert config["problem_params"] == {"mu": 5}
 
 
-def test_integrate_failure_exit_code(capsys):
-    # extreme stiffness drives a stage into the expansive band and the
-    # resulting overflow is reported as a failed run, not a traceback
-    code = main(["integrate", "--problem", "van-der-pol", "--param", "mu=1e9",
-                 "--tableau", "cf32a", "--t1", "2.0"])
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--problem", "van-der-pol", "--param", "mu=1e9",
+     "--tableau", "cf32a", "--t1", "2.0"],
+    ["needle", "--t1", "2", "--tol", "1e-3", "--param", "mu=1e6"],
+    ["convergence", "--problem", "van-der-pol", "--t1", "2", "--steps", "2"],
+], ids=["integrate", "needle", "convergence"])
+def test_integrate_failure_exit_code(argv, capsys):
+    # extreme stiffness or a step far too long for the problem overflows
+    # the state, which every command reports as a failed run in one line,
+    # not a traceback
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert "integration failed" in captured.err
+    assert captured.err.startswith("integration failed: ")
+    assert "Traceback" not in captured.err
 
 
 def test_convergence_sweep(tmp_path):

@@ -54,7 +54,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("h0", 0.0), ("h0", -0.1), ("h0", math.nan), ("h0", -math.inf),
-    ("atol", math.nan), ("rtol", math.nan)])
+    ("atol", math.nan), ("rtol", math.nan), ("hmin", 0.0), ("hmin", -1.0)])
 def test_config_rejects_invalid_h0_and_nan_tolerances(field, value):
     # caught at construction, before a run could take a zero, backward or
     # NaN first step
