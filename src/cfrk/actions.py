@@ -21,22 +21,23 @@ by the translation.  act takes such an element and a point given as a
 list of floats, writes each product out as multiply-adds, and returns the
 new point as a list.
 
-Each formula is written once, as a Block: straight-line source over
-named float locals.  At import each geometry's exp and act are compiled
-from their blocks into module-level float bodies bound as static methods,
-so a call runs one Python frame.  The only guard in a body is
+Each formula is written once, as a Block: straight-line source over named
+float locals.  At import each geometry's exp and act are compiled from
+their blocks into module-level float bodies bound as static methods, so a
+call runs one Python frame.  The only guard in a body is
 `x if type(x) is list else _floats(x, ...)`: a list is unpacked as it is,
-and one of the wrong length raises the unpacking's ValueError; numpy
-input is checked for shape (a ValueError naming the shape it got) and
-converted once: an algebra element or point as an array, and for act a
-rotation or 2x2 matrix as an array or an SE(3) element as an Se3Element.
-se(3)'s exp runs so(3)'s Rodrigues source, so its rotation has so3_exp's
-bits.  The public kernels so3_exp, gl2_exp, se3_exp and coadjoint_act
-check their input, call the same bodies and return numpy matrices, an
-Se3Element or a numpy vector.  A step of an action whose exp and act are
-these bodies runs their blocks inline (INLINE; see stepper.py).
-ambient_norm and ambient_distance use a list as it is and convert
-anything else once.
+and one of the wrong length raises the unpacking's ValueError; numpy input
+is checked for shape (a ValueError naming the shape it got) and converted
+once: an algebra element or point as an array, and for act a rotation or
+2x2 matrix as an array or an SE(3) element as an Se3Element.  se(3)'s exp
+runs so(3)'s Rodrigues source, so its rotation has so3_exp's bits; gl(2)'s
+takes e^x from math.exp through _exp, inf where math.exp would overflow,
+so no body needs numpy.  The public kernels so3_exp, gl2_exp, se3_exp and
+coadjoint_act check their input, call the same bodies and return numpy
+matrices, an Se3Element or a numpy vector.  A step of an action whose exp
+and act are these bodies runs their blocks inline (INLINE; see
+stepper.inline_length).  ambient_norm and ambient_distance use a list as
+it is and convert anything else once.
 """
 
 from __future__ import annotations
@@ -191,18 +192,10 @@ def so3_exp(v) -> np.ndarray:
 
 # --------------------------------------------------------------- gl(2)
 
-def _np_exp(x: float) -> float:
-    """float(np.exp(x)), silent when it overflows to inf.
-
-    np.exp rather than math.exp, whose last bit differs on a few percent
-    of inputs; the errstate context costs more than the exponential, so it
-    is entered only where np.exp can overflow (the gl(2) block makes the
-    common call itself).
-    """
-    if x >= 709.0:
-        with np.errstate(over="ignore"):
-            return float(np.exp(x))
-    return float(np.exp(x))
+def _exp(x: float) -> float:
+    """math.exp(x), inf where it would overflow; NaN stays NaN.  709.78...
+    is log of the largest float, so math.exp never raises OverflowError."""
+    return math.inf if x > 709.782712893384 else math.exp(x)
 
 
 # gl2_exp on the entries of A = [[a, b], [c, d]]; see gl2_exp.  s > 0
@@ -214,8 +207,8 @@ mu = 0.5 * (a + d)
 D = mu * mu - (a * d - b * c)
 s = math.sqrt(D) if D >= 1e-6 else 0.0
 if s > 30.0 or (s > 0.0 and mu + s > 700.0):
-    ep = _np_exp(mu + s)
-    em = _np_exp(mu - s)
+    ep = _exp(mu + s)
+    em = _exp(mu - s)
     C = 0.5 * (ep + em)
     S = 0.5 * (ep - em) / s
     z = C * 0.0
@@ -236,7 +229,7 @@ else:
         S = math.sin(s) / s
     else:  # D = -inf or NaN: non-finite entries, not a math domain error
         C = S = math.nan
-    E = float(np.exp(mu)) if mu < 709.0 else _np_exp(mu)
+    E = _exp(mu)
     g11 = E * (C + S * (a - mu))
     g12 = E * (S * b)
     g21 = E * (S * c)
@@ -352,7 +345,7 @@ def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
 
 
 # What the blocks read besides their own locals.
-BLOCK_GLOBALS = {"math": math, "np": np, "_np_exp": _np_exp}
+BLOCK_GLOBALS = {"math": math, "_exp": _exp}
 
 # Algebra length -> (exp body, act body, exp block, act block) of the
 # geometry with that length: a step kernel whose action's exp and act are

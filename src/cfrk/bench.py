@@ -21,7 +21,8 @@ import numpy as np
 
 from .catalog import get_tableau
 from .controller import (ConfigError, ControllerConfig, IntegrationError,
-                         check_span, integrate_adaptive, integrate_fixed)
+                         check_method, check_span, integrate_adaptive,
+                         integrate_fixed)
 from .order_conditions import certify_pair, is_genuine_pair
 from .problems import build_problem
 from .stepper import count_budget
@@ -78,12 +79,15 @@ def _resolve_tableau(name: str):
         raise TableauError(exc.args[0]) from None
 
 
-def build_experiment(config: ExperimentConfig):
+def build_experiment(config: ExperimentConfig, adaptive: bool = False):
+    """config's problem and tableau, the latter passed by check_method."""
     params = dict(config.problem_params)
     if config.problem == "rigid-body" and "seed" not in params:
         params["seed"] = config.seed
     problem = build_problem(config.problem, params)
-    return problem, _resolve_tableau(config.tableau)
+    tableau = _resolve_tableau(config.tableau)
+    check_method(tableau, adaptive, config.advance_embedded)
+    return problem, tableau
 
 
 def resolved_config(config: ExperimentConfig) -> dict:
@@ -151,31 +155,32 @@ def run_convergence(config: ExperimentConfig):
 
     Rows are (h, global_error, local_slope); the slope on each row is
     measured against the previous (coarser) row and the first row carries
-    NaN.
+    NaN.  A failed step count is recorded with global_error = NaN and
+    listed in the summary instead of aborting the sweep.
     """
     problem, tableau = build_experiment(config)
     steps = config.steps or (40, 80, 160, 320)
-    y0 = problem.default_y0
-    ref = reference_endpoint(problem, y0, config.t0, config.t1)
+    t0, t1, y0 = config.t0, config.t1, problem.default_y0
+    ref = reference_endpoint(problem, y0, t0, t1)
     action = problem.action
 
-    rows = []
-    prev = None
+    rows, failures = [], []
     for n in steps:
-        traj = integrate_fixed(tableau, problem, y0, config.t0, config.t1,
-                               int(n), advance_embedded=config.advance_embedded)
-        h = (config.t1 - config.t0) / n
-        err = action.ambient_distance(traj.y_end, ref)
-        slope = float("nan")
-        if prev is not None:
-            h_prev, e_prev = prev
-            if err > 0.0 and e_prev > 0.0 and h_prev != h:
-                slope = math.log(e_prev / err) / math.log(h_prev / h)
+        try:
+            traj = integrate_fixed(tableau, problem, y0, t0, t1, int(n),
+                                   advance_embedded=config.advance_embedded)
+            err = action.ambient_distance(traj.y_end, ref)
+        except IntegrationError as exc:
+            failures.append(f"steps={n}: {exc}")
+            err = math.nan
+        h = (t1 - t0) / n
+        h_prev, e_prev, _ = rows[-1] if rows else (h, math.nan, None)
+        slope = (math.log(e_prev / err) / math.log(h_prev / h)
+                 if err > 0.0 and e_prev > 0.0 and h_prev != h else math.nan)
         rows.append((h, err, slope))
-        prev = (h, err)
-    summary = {"reference_norm": float(np.linalg.norm(ref)),
-               "advance_embedded": config.advance_embedded}
-    return rows, summary
+    return rows, {"reference_norm": float(np.linalg.norm(ref)),
+                  "advance_embedded": config.advance_embedded,
+                  "failures": failures}
 
 
 def run_work_precision(config: ExperimentConfig):
@@ -187,13 +192,14 @@ def run_work_precision(config: ExperimentConfig):
     sweep.  Every tolerance's ControllerConfig is built first, so a bad
     tolerance raises ControllerConfigError before the reference is solved.
     """
-    problem, tableau = build_experiment(config)
+    problem, tableau = build_experiment(config, adaptive=True)
     tols = config.tols or (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
     t0, t1, y0 = config.t0, config.t1, problem.default_y0
     runs = [(tol, f"tol={tol:g}", partial(
         integrate_adaptive, tableau, problem, y0, t0, t1,
         ControllerConfig(atol=tol, rtol=tol, h0=config.h0,
-                         hmax=config.hmax or math.inf))) for tol in tols]
+                         hmax=math.inf if config.hmax is None
+                         else config.hmax))) for tol in tols]
     runs += [(math.nan, f"steps={n}", partial(
         integrate_fixed, tableau, problem, y0, t0, t1, int(n)))
         for n in config.steps]
@@ -229,9 +235,11 @@ def run_needle(config: ExperimentConfig):
 
     Rows are (t, h, accepted, y1, y2, err) for every attempt, rejected ones
     included; t is the time at the start of the attempt and y the candidate
-    end state.
+    end state.  It takes at most one tolerance, else ConfigError.
     """
-    problem, tableau = build_experiment(config)
+    if len(config.tols) > 1:
+        raise ConfigError(f"needle takes one tolerance, got {config.tols}")
+    problem, tableau = build_experiment(config, adaptive=True)
     tol = config.tols[0] if config.tols else config.atol
     # Default max step of a tenth of the span (the usual ODE-suite choice)
     # keeps the slow-branch part of the trace resolved.

@@ -16,26 +16,28 @@ trajectory holds it too.  A DomainError or FieldLengthError ends a run as
 an IntegrationError carrying the partial trajectory.
 
 The adaptive attempt is written once, as the source _LOOP, and compiled
-per pair on first use, like the step kernels: an action with a built-in
-geometry's exp, act and metrics gets the inline form, which holds the
-inline step kernel, so a run is one Python frame besides f; any other
-action gets the calling form, which calls cf_step once per attempt.
+per pair on first use, like the step kernels; it runs the step-size rule
+once per attempt, capped at facmax after an accept and at 1 after a
+reject.  An action that steps inline (stepper.inline_length) and keeps
+GroupAction's metrics gets the inline form, which holds the inline step
+kernel, so a run is one Python frame besides f; any other action gets the
+calling form, which calls cf_step once per attempt.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .actions import (INLINE, Block, DomainError, GroupAction,
-                      compile_function)
+from .actions import Block, DomainError, GroupAction, compile_function
 from .stepper import (KERNEL_GLOBALS, FieldLengthError, cf_step,
-                      check_length, kernel_lines)
+                      check_length, inline_length, kernel_lines)
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class ConfigError(ValueError):
@@ -147,14 +149,14 @@ class NonFiniteError(IntegrationError):
     pass
 
 
-# The controller's formulas, each written once: the adaptive loop runs
-# them inline, and error_measure and next_step_size call them compiled.
-# `b if b > a else a` is max(a, b), and `b if b < a else a` is min(a, b),
-# for any two floats, NaN included.
-_ERROR = Block(["y0 y1 yhat1 atol rtol norm dist"], "err", """
+# The controller's formulas, each written once: the adaptive loop runs them
+# inline on its locals of the same names, error_measure and next_step_size
+# compiled.  `b if b > a else a` is max(a, b), and `b if b < a else a` is
+# min(a, b), for any two floats, NaN included.
+_ERROR = Block(["base y1 yhat1 atol rtol norm dist"], "err", """
 sc = atol
 if rtol != 0.0:  # with rtol 0 the norms would only be scaled by 0
-    n0, n1 = norm(y0), norm(y1)
+    n0, n1 = norm(base), norm(y1)
     sc += (n1 if n1 > n0 else n0) * rtol
 err = dist(y1, yhat1) / sc
 """)
@@ -231,6 +233,16 @@ def check_span(t0: float, t1: float) -> None:
                           f"t1 = {t1}")
 
 
+def check_method(method, adaptive: bool, advance_embedded: bool = False):
+    """ConfigError unless method can run the mode: adaptive needs an
+    embedded pair of order p(p-1), advance_embedded embedded rows."""
+    if (adaptive or advance_embedded) and not method.has_embedded:
+        raise ConfigError(f"{method.name} has no embedded solution")
+    if adaptive and method.order_phat != method.order_p - 1:
+        raise ConfigError(
+            f"{method.name}: expected an embedded pair of order p(p-1)")
+
+
 def _start(problem, y0, t0: float) -> tuple:
     """The one-point trajectory at (t0, y0), with its own copy of y0, and
     y0 as a flat list of floats.
@@ -262,7 +274,7 @@ def _set_points(traj: Trajectory, y0: list) -> None:
 _LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, atol, rtol, fac, "
                 "facmin, facmax, hmin, hmax, max_rejects, expo, norm, dist")
 # STEP takes the step of size h from base, leaving y1, yhat1 and f_last
-# and adding its counts; ERROR, GROW and SHRINK are the formula blocks.
+# and adding its counts; ERROR and STEP_SIZE are the formula blocks.
 _LOOP = """
 events, times, carry = traj.events, traj.times, None
 n_exp = n_feval = n_accepted = n_rejected = rejects = 0
@@ -285,7 +297,7 @@ try:
             times.append(t)
             if truncated:
                 break
-            GROW
+            fmax = facmax
         else:
             n_rejected += 1
             rejects += 1
@@ -296,7 +308,8 @@ try:
             if h <= hmin * (1.0 + 1e-12):
                 raise StepSizeUnderflowError(
                     f"step size underflow at t = {t} (h = {h})", traj)
-            SHRINK
+            fmax = 1.0
+        STEP_SIZE
 finally:
     traj.totals = Totals(n_exp, n_feval, n_accepted, n_rejected)
 """
@@ -309,11 +322,9 @@ n_feval += res.n_feval
 y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
 _check_finite(y1, traj)
 """
-# The inline form: the inline step kernel's lines, between cf_step's checks
-# and the counts.
+# The inline form: the inline step kernel's lines, between cf_step's length
+# check and the counts.  h is never 0 here: t < t1 and h_try >= hmin > 0.
 _INLINE_STEP = """
-if h == 0.0:
-    raise ValueError("step size must be nonzero")
 f0 = f(base) if carry is None else carry
 if len(f0) != {n}:
     check_length(action, f0)
@@ -323,17 +334,6 @@ n_exp += {n_exp}
 n_feval += {n_feval} + (carry is None)
 """
 _METRICS = [GroupAction.ambient_norm, GroupAction.ambient_distance]
-
-
-def _inline_length(action):
-    """The algebra length n of a built-in geometry when action's exp and
-    act are INLINE[n]'s bodies and its metrics GroupAction's, else None.
-    With math.dist a finite err implies a finite y1, so the inline loop
-    checks y1 only when err is not finite."""
-    n = getattr(action, "algebra_length", None)
-    found = [getattr(m, "__func__", m) for m in (
-        action.exp, action.act, action.ambient_norm, action.ambient_distance)]
-    return n if found == [*INLINE.get(n, ())[:2], *_METRICS] else None
 
 
 def _fill(template: str, **sections) -> list:
@@ -356,17 +356,13 @@ def _adaptive_loop(pair, n):
         if n is None:
             step = _CALLING_STEP.strip().splitlines()
         else:
-            lines, result, n_exp, n_feval = kernel_lines(pair, n, True,
-                                                         INLINE[n][2:])
+            lines, result, n_exp, n_feval = kernel_lines(pair, n, True, True)
             step = _fill(_INLINE_STEP.format(
                 n=n, result=result, n_exp=n_exp, n_feval=n_feval),
                 KERNEL=lines)
-        grow, shrink = (_STEP_SIZE.inline(
-            [f"h err {fmax} fac facmin hmin hmax expo".split()], ["h_try"])
-            for fmax in ("facmax", "1.0"))
-        error = _ERROR.inline(["base y1 yhat1 atol rtol norm dist".split()],
-                              ["err"])
-        lines = _fill(_LOOP, STEP=step, ERROR=error, GROW=grow, SHRINK=shrink)
+        lines = _fill(_LOOP, STEP=step,
+                      ERROR=_ERROR.inline(_ERROR.params, ["err"]),
+                      STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))
         # The calling form runs in this module's namespace, so it looks
         # cf_step up here at every attempt, where a wrapper may replace it.
         namespace = globals() if n is None else {**globals(), **KERNEL_GLOBALS}
@@ -386,13 +382,13 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     _adaptive_loop), inline for an action of a built-in geometry.
     """
     check_span(t0, t1)
-    if not pair.has_embedded:
-        raise ValueError(f"{pair.name} has no embedded solution")
-    if pair.order_phat != pair.order_p - 1:
-        raise ValueError(
-            f"{pair.name}: expected an embedded pair of order p(p-1)")
+    check_method(pair, True)
     action = problem.action
-    n = _inline_length(action)
+    # the inline loop also needs GroupAction's metrics: with math.dist a
+    # finite err implies a finite y1, so it checks y1 only when err is not
+    metrics = [getattr(m, "__func__", m)
+               for m in (action.ambient_norm, action.ambient_distance)]
+    n = inline_length(action) if metrics == _METRICS else None
     loop = _adaptive_loop(pair, n)
     p = pair.order_p
     traj, y = _start(problem, y0, t0)
@@ -422,8 +418,7 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     check_span(t0, t1)
     if n_steps < 1:
         raise ConfigError(f"need n_steps >= 1, got {n_steps}")
-    if advance_embedded and not method.has_embedded:
-        raise ValueError(f"{method.name} has no embedded solution")
+    check_method(method, False, advance_embedded)
     action = problem.action
     f = problem.f
     h = (t1 - t0) / n_steps

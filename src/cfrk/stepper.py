@@ -19,17 +19,17 @@ Each row sum is written out per component as x0*a0_i + x1*a1_i + ...
 with x_j = h * c_j, numpy's order of operations for
 (h*c0)*f0 + (h*c1)*f1 + ..., so it is bit-identical to the array
 expression.  Only integer indices and the repr of finite Python floats
-enter the source.  A kernel has one of two forms, chosen from the action:
-when its exp and act are a built-in geometry's float bodies
-(actions.INLINE) and f(y) has that geometry's length, the kernel runs the
-geometry's exp and act blocks inline on float locals, and builds a list
-only for each f call and for y1 and yhat1.  Any other action (an override
-in a subclass, an instance attribute, a wrapper that records calls) gets
-the calling form, which calls the exp and act it is handed, so a wrapper
-sees every call.  Both forms have the same slots, points and output bits;
-n_exp and n_feval, the exponentials and f evaluations in the source, are
-the step's cost and count_budget's.  The adaptive loop (controller.py)
-runs the inline form's lines, from kernel_lines, without a kernel call.
+enter the source.  A kernel has one of two forms, chosen from the action
+by inline_length: when its exp and act are a built-in geometry's float
+bodies (actions.INLINE) and f(y) has that geometry's length, the kernel
+runs the geometry's exp and act blocks inline on float locals, and builds
+a list only for each f call and for y1 and yhat1.  Any other action (an
+override in a subclass, an instance attribute, a wrapper that records
+calls) gets the calling form, which calls the exp and act it is handed,
+so a wrapper sees every call.  Both forms have the same slots, points
+and output bits; n_exp and n_feval, the exponentials and f evaluations in
+the source, are the step's cost and count_budget's.  The adaptive loop
+(controller.py) runs the inline form's kernel_lines in its own frame.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -115,18 +115,21 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     if carried_f is None:
         carried_f = f(y)
         n_feval = 1
-    exp, act = action.exp, action.act
     n = len(carried_f)
-    geometry = INLINE.get(n)
-    inline = (geometry is not None and geometry[0] is exp
-              and geometry[1] is act)
+    inline = n == inline_length(action)
     if not inline:
         check_length(action, carried_f)
-    kernel = tableau._kernels.get((n, with_embedded, inline))
-    if kernel is None:
-        kernel = step_kernel(tableau, n, with_embedded, inline)
-    return StepResult(*kernel(exp, act, f, y, float(h), carried_f),
+    kernel = step_kernel(tableau, n, with_embedded, inline)
+    return StepResult(*kernel(action.exp, action.act, f, y, float(h),
+                              carried_f),
                       kernel.n_exp, n_feval + kernel.n_feval)
+
+
+def inline_length(action):
+    """The length n at which action steps with the inline form: its
+    algebra_length when its exp and act are INLINE[n]'s bodies, else None."""
+    n = getattr(action, "algebra_length", None)
+    return n if INLINE.get(n, ())[:2] == (action.exp, action.act) else None
 
 
 def count_budget(tableau: CFTableau):
@@ -157,7 +160,7 @@ def step_kernel(tableau: CFTableau, n: int, with_embedded: bool,
     kernel = tableau._kernels.get((n, with_embedded, inline))
     if kernel is None:
         kernel = _compile(tableau, n, with_embedded and tableau.has_embedded,
-                          INLINE[n][2:] if inline else None)
+                          inline)
         tableau._kernels[n, with_embedded, inline] = kernel
         if not tableau.has_embedded:  # both flags run this step
             tableau._kernels[n, not with_embedded, inline] = kernel
@@ -177,10 +180,10 @@ def _names(prefix: str, count: int) -> list:
     return [f"{prefix}_{i}" for i in range(count)]
 
 
-def kernel_lines(tableau: CFTableau, n: int, embedded: bool, blocks):
+def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool):
     """The lines of step_kernel's body but its return, over its arguments;
-    the returned expression; n_exp; n_feval.  blocks is None for the
-    calling form, else the inline form's (exp, act) blocks."""
+    the returned expression; n_exp; n_feval.  The inline form runs
+    INLINE[n]'s exp and act blocks, the calling form calls exp and act."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -193,8 +196,8 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, blocks):
     lists = {"base"}  # the points the inline form holds as a list
     body = []
     n_feval = 0
-    if blocks is not None:
-        exp_block, act_block = blocks
+    if inline:
+        exp_block, act_block = INLINE[n][2:]
         # the entries of a group element and of a point
         n_g, n_p = (len(params) for params in act_block.params)
         body.append(f"[{', '.join(_names('base', n_p))}] = base")
@@ -212,13 +215,13 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, blocks):
 
     def as_list(point):
         # the local holding point as a list, built once in the inline form
-        if blocks is not None and point not in lists:
+        if inline and point not in lists:
             lists.add(point)
             body.append(f"{point} = [{', '.join(_names(point, n_p))}]")
         return point
 
     def exp(slot, entries):
-        if blocks is None:
+        if not inline:
             body.append(f"g{slot} = exp([{', '.join(entries)}])")
         else:
             args = _names("a", n)  # read at once, so shared by all slots
@@ -226,7 +229,7 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, blocks):
             body.extend(exp_block.inline([args], _names(f"g{slot}", n_g)))
 
     def act(slot, point, new):
-        if blocks is None:
+        if not inline:
             body.append(f"{new} = act(g{slot}, {point})")
         else:
             body.extend(act_block.inline(
@@ -275,8 +278,8 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, blocks):
             n_feval)
 
 
-def _compile(tableau: CFTableau, n: int, embedded: bool, blocks):
-    lines, result, n_exp, n_feval = kernel_lines(tableau, n, embedded, blocks)
+def _compile(tableau: CFTableau, n: int, embedded: bool, inline: bool):
+    lines, result, n_exp, n_feval = kernel_lines(tableau, n, embedded, inline)
     kernel = compile_function("kernel", "exp, act, f, base, h, f0", lines,
                               result, KERNEL_GLOBALS)
     kernel.n_exp, kernel.n_feval = n_exp, n_feval

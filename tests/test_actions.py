@@ -1,6 +1,7 @@
 """Geometry tests: exponentials against power-series oracles, action
 axioms, and the infinitesimal maps against finite differences."""
 
+import math
 import struct
 import warnings
 from decimal import Decimal, localcontext
@@ -163,6 +164,20 @@ def test_gl2_exp_divergent_input_yields_non_finite_entries():
     expect = np.array([[np.inf, np.nan], [np.nan, np.nan]])
     for A in ([[800.0, 1.0], [2.0, 700.0]], [[1e3, 0.0], [0.0, -1e3]]):
         assert np.array_equal(gl2_exp(A), expect, equal_nan=True)
+
+
+def test_gl2_exponential_helper_is_overflow_safe():
+    # math.exp raises OverflowError past log(max float); the helper the
+    # gl(2) block calls returns inf there and keeps NaN as NaN
+    from cfrk.actions import _exp
+    top = 709.782712893384
+    assert math.isnan(_exp(math.nan))
+    assert _exp(-math.inf) == 0.0
+    assert math.isfinite(_exp(top)) and _exp(top) == math.exp(top)
+    assert _exp(math.nextafter(top, math.inf)) == math.inf
+    assert _exp(math.inf) == math.inf
+    for x in (-745.2, -1.5, 0.0, 1e-300, 2.5, 700.0):
+        assert _exp(x) == math.exp(x)
 
 
 # -------------------------------------------------------- se(3) exponential

@@ -130,6 +130,15 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
      "must be finite, got (1.0, 2.0, nan)"),
     (["integrate", "--param", "foo"],
      "--param expects key=value, got 'foo'"),
+    (["work-precision", "--tableau", "cf4", "--t1", "1", "--tol", "1e-3"],
+     "cf4 has no embedded solution"),
+    (["integrate", "--tableau", "cf4"], "cf4 has no embedded solution"),
+    (["needle", "--tableau", "cf4"], "cf4 has no embedded solution"),
+    (["convergence", "--tableau", "cf4", "--embedded"],
+     "cf4 has no embedded solution"),
+    (["work-precision", "--hmax", "0"], "hmin must be in (0, hmax)"),
+    (["needle", "--t1", "1", "--tol", "1e-3", "--tol", "1e-5"],
+     "needle takes one tolerance, got (0.001, 1e-05)"),
 ], ids=["needle-h0", "needle-tol", "integrate-h0", "integrate-h0-nan",
         "integrate-atol", "convergence-steps-0", "convergence-steps-negative",
         "work-precision-steps-0", "integrate-t1-nan", "integrate-empty-span",
@@ -137,12 +146,16 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
         "integrate-unknown-param", "integrate-param-not-a-float",
         "integrate-param-too-short", "integrate-vdp-mu-nan",
         "integrate-heavy-top-g-inf", "convergence-m-nan",
-        "integrate-inertia-nan", "integrate-param-without-equals"])
+        "integrate-inertia-nan", "integrate-param-without-equals",
+        "work-precision-no-pair", "integrate-no-pair", "needle-no-pair",
+        "convergence-embedded-without-rows", "work-precision-hmax-0",
+        "needle-two-tolerances"])
 def test_invalid_controller_config_is_a_one_line_usage_error(monkeypatch,
                                                               capsys, argv,
                                                               message):
-    # bad tolerances, step sizes, spans, step counts and problem parameters
-    # are all rejected before any reference is solved or any run starts
+    # bad tolerances, step sizes, spans, step counts, problem parameters
+    # and tableaux that cannot run the mode are all rejected before any
+    # reference is solved or any run starts
     import cfrk.bench as bench_mod
     import cfrk.cli as cli_mod
 
@@ -184,17 +197,31 @@ def test_integrate_param_override(tmp_path):
     ["integrate", "--problem", "van-der-pol", "--param", "mu=1e9",
      "--tableau", "cf32a", "--t1", "2.0"],
     ["needle", "--t1", "2", "--tol", "1e-3", "--param", "mu=1e6"],
-    ["convergence", "--problem", "van-der-pol", "--t1", "2", "--steps", "2"],
-], ids=["integrate", "needle", "convergence"])
+], ids=["integrate", "needle"])
 def test_integrate_failure_exit_code(argv, capsys):
-    # extreme stiffness or a step far too long for the problem overflows
-    # the state, which every command reports as a failed run in one line,
-    # not a traceback
+    # extreme stiffness overflows the state, which a single-run command
+    # reports as a failed run in one line, not a traceback
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("integration failed: ")
     assert "Traceback" not in captured.err
+
+
+def test_convergence_records_a_failed_step_count(capsys):
+    # a step far too long for the problem overflows the state: that step
+    # count is a NaN row and a failures entry, the sweep goes on, and the
+    # command exits 1, as work-precision does
+    assert main(["convergence", "--problem", "van-der-pol", "--t1", "2",
+                 "--steps", "2", "--steps", "400", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["summary"]["failures"] == ["steps=2: state became non-finite"]
+    failed, finest = doc["rows"]
+    assert failed == [1.0, None, None]  # NaN is written as null
+    assert finest[0] == 2.0 / 400 and 0.0 < finest[1] < 1e-3
+    assert finest[2] is None
 
 
 def test_convergence_sweep(tmp_path):

@@ -1,6 +1,7 @@
 """Step-size controller: the accept/reject rule, the growth formula with
 its clamps, typed failure modes, and both integration drivers."""
 
+import ast
 import dataclasses
 import math
 import re
@@ -794,6 +795,36 @@ def test_inline_and_calling_loops_agree_bitwise(name, build):
             assert a.accepted == b.accepted
     assert ("loop", len(prob.f(prob.default_y0))) in pair._kernels
     assert ("loop", None) in pair._kernels
+
+
+def test_compiled_sources_name_no_numpy_and_write_the_step_size_once():
+    # every float body, step kernel and adaptive loop reads math and the
+    # overflow-safe exp, never numpy; each loop runs the step-size rule
+    # once, after the accept/reject branch
+    import cfrk.actions
+    import cfrk.controller
+    from cfrk.stepper import step_kernel
+    sources = [body.source for bodies in cfrk.actions.INLINE.values()
+               for body in bodies[:2]]
+    loops = []
+    for t in catalog():
+        for n in cfrk.actions.INLINE:
+            sources += [step_kernel(t, n, embedded, inline).source
+                        for embedded in (True, False)
+                        for inline in (True, False)]
+        if t.name in EMBEDDED:
+            loops += [cfrk.controller._adaptive_loop(t, n).source
+                      for n in (None, *cfrk.actions.INLINE)]
+    for source in sources + loops:
+        names = {node.id for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Name)}
+        assert not names & {"np", "numpy", "_np_exp"}
+    step_size = cfrk.controller._STEP_SIZE
+    rule = [line.strip()
+            for line in step_size.inline(step_size.params, ["h_try"])]
+    for source in loops:
+        lines = [line.strip() for line in source.splitlines()]
+        assert [lines.count(line) for line in rule] == [1] * len(rule)
 
 
 def test_calling_loop_steps_through_the_module_global(monkeypatch):

@@ -438,9 +438,9 @@ def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
     compiled = []
     compile_kernel = cfrk.stepper._compile
 
-    def counting(tableau, n, embedded, blocks):
-        compiled.append((tableau.name, n, embedded, blocks is not None))
-        return compile_kernel(tableau, n, embedded, blocks)
+    def counting(tableau, n, embedded, inline):
+        compiled.append((tableau.name, n, embedded, inline))
+        return compile_kernel(tableau, n, embedded, inline)
     monkeypatch.setattr(cfrk.stepper, "_compile", counting)
     t = fresh("cf43")
     assert t._kernels == {}
