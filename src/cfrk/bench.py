@@ -79,15 +79,12 @@ def _resolve_tableau(name: str):
         raise TableauError(exc.args[0]) from None
 
 
-def build_experiment(config: ExperimentConfig, adaptive: bool = False):
-    """config's problem and tableau, the latter passed by check_method."""
+def build_experiment(config: ExperimentConfig):
     params = dict(config.problem_params)
     if config.problem == "rigid-body" and "seed" not in params:
         params["seed"] = config.seed
     problem = build_problem(config.problem, params)
-    tableau = _resolve_tableau(config.tableau)
-    check_method(tableau, adaptive, config.advance_embedded)
-    return problem, tableau
+    return problem, _resolve_tableau(config.tableau)
 
 
 def resolved_config(config: ExperimentConfig) -> dict:
@@ -155,10 +152,10 @@ def run_convergence(config: ExperimentConfig):
 
     Rows are (h, global_error, local_slope); the slope on each row is
     measured against the previous (coarser) row and the first row carries
-    NaN.  A failed step count is recorded with global_error = NaN and
-    listed in the summary instead of aborting the sweep.
+    NaN.  A step count that fails gives a NaN row and a failures entry.
     """
     problem, tableau = build_experiment(config)
+    check_method(tableau, False, config.advance_embedded)
     steps = config.steps or (40, 80, 160, 320)
     t0, t1, y0 = config.t0, config.t1, problem.default_y0
     ref = reference_endpoint(problem, y0, t0, t1)
@@ -192,7 +189,8 @@ def run_work_precision(config: ExperimentConfig):
     sweep.  Every tolerance's ControllerConfig is built first, so a bad
     tolerance raises ControllerConfigError before the reference is solved.
     """
-    problem, tableau = build_experiment(config, adaptive=True)
+    problem, tableau = build_experiment(config)
+    check_method(tableau, True)
     tols = config.tols or (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
     t0, t1, y0 = config.t0, config.t1, problem.default_y0
     runs = [(tol, f"tol={tol:g}", partial(
@@ -239,7 +237,7 @@ def run_needle(config: ExperimentConfig):
     """
     if len(config.tols) > 1:
         raise ConfigError(f"needle takes one tolerance, got {config.tols}")
-    problem, tableau = build_experiment(config, adaptive=True)
+    problem, tableau = build_experiment(config)
     tol = config.tols[0] if config.tols else config.atol
     # Default max step of a tenth of the span (the usual ODE-suite choice)
     # keeps the slow-branch part of the trace resolved.

@@ -154,7 +154,7 @@ def _cmd_tableaux_check(args) -> int:
 
 def _cmd_integrate(args) -> int:
     config = _config_from(args, "adaptive", atol=args.atol, rtol=args.rtol)
-    problem, tableau = build_experiment(config, adaptive=True)
+    problem, tableau = build_experiment(config)
     cfg = ControllerConfig(atol=args.atol, rtol=args.rtol, h0=args.h0,
                            hmax=args.hmax if args.hmax is not None else math.inf)
     traj = integrate_adaptive(tableau, problem, problem.default_y0, args.t0,

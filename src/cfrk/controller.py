@@ -208,7 +208,7 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
     rate = action.ambient_norm(action.infinitesimal(v, y0))
     h0 = 0.01 * cfg.atol ** (1.0 / p) / max(rate, _EPS)
     h0 = min(cfg.hmax, max(cfg.hmin, h0))
-    return min(h0, (t1 - t0) / 10.0)
+    return min(h0, (t1 - t0) / 10.0) or t1 - t0  # a tenth may underflow
 
 
 def _failure(exc: Exception, trajectory) -> IntegrationError:
@@ -323,7 +323,7 @@ y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
 _check_finite(y1, traj)
 """
 # The inline form: the inline step kernel's lines, between cf_step's length
-# check and the counts.  h is never 0 here: t < t1 and h_try >= hmin > 0.
+# check and the counts; h > 0 as t < t1 and initial_step never returns 0.
 _INLINE_STEP = """
 f0 = f(base) if carry is None else carry
 if len(f0) != {n}:
@@ -384,8 +384,8 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     check_span(t0, t1)
     check_method(pair, True)
     action = problem.action
-    # the inline loop also needs GroupAction's metrics: with math.dist a
-    # finite err implies a finite y1, so it checks y1 only when err is not
+    # the inline loop needs GroupAction's metrics too: as math.dist gives a
+    # finite err only for a finite y1, it checks y1 only on a non-finite err
     metrics = [getattr(m, "__func__", m)
                for m in (action.ambient_norm, action.ambient_distance)]
     n = inline_length(action) if metrics == _METRICS else None
@@ -434,9 +434,8 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
             y = res.yhat1_list if advance_embedded else res.y1_list
             _check_finite(y, traj)
             totals.n_accepted += 1
-            t = t1 if i == n_steps else t0 + i * h
             traj.events.append((t0 + (i - 1) * h, h, True, math.nan, y))
-            traj.times.append(t)
+            traj.times.append(t1 if i == n_steps else t0 + i * h)
     except (DomainError, FieldLengthError) as exc:
         raise _failure(exc, traj) from exc
     finally:

@@ -119,7 +119,8 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     inline = n == inline_length(action)
     if not inline:
         check_length(action, carried_f)
-    kernel = step_kernel(tableau, n, with_embedded, inline)
+    kernel = (tableau._kernels.get((n, with_embedded, inline))
+              or step_kernel(tableau, n, with_embedded, inline))
     return StepResult(*kernel(action.exp, action.act, f, y, float(h),
                               carried_f),
                       kernel.n_exp, n_feval + kernel.n_feval)
@@ -129,7 +130,9 @@ def inline_length(action):
     """The length n at which action steps with the inline form: its
     algebra_length when its exp and act are INLINE[n]'s bodies, else None."""
     n = getattr(action, "algebra_length", None)
-    return n if INLINE.get(n, ())[:2] == (action.exp, action.act) else None
+    geometry = INLINE.get(n)
+    return (n if geometry and geometry[0] is action.exp
+            and geometry[1] is action.act else None)
 
 
 def count_budget(tableau: CFTableau):

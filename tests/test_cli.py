@@ -132,8 +132,6 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
      "--param expects key=value, got 'foo'"),
     (["work-precision", "--tableau", "cf4", "--t1", "1", "--tol", "1e-3"],
      "cf4 has no embedded solution"),
-    (["integrate", "--tableau", "cf4"], "cf4 has no embedded solution"),
-    (["needle", "--tableau", "cf4"], "cf4 has no embedded solution"),
     (["convergence", "--tableau", "cf4", "--embedded"],
      "cf4 has no embedded solution"),
     (["work-precision", "--hmax", "0"], "hmin must be in (0, hmax)"),
@@ -147,7 +145,7 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
         "integrate-param-too-short", "integrate-vdp-mu-nan",
         "integrate-heavy-top-g-inf", "convergence-m-nan",
         "integrate-inertia-nan", "integrate-param-without-equals",
-        "work-precision-no-pair", "integrate-no-pair", "needle-no-pair",
+        "work-precision-no-pair",
         "convergence-embedded-without-rows", "work-precision-hmax-0",
         "needle-two-tolerances"])
 def test_invalid_controller_config_is_a_one_line_usage_error(monkeypatch,
@@ -170,6 +168,16 @@ def test_invalid_controller_config_is_a_one_line_usage_error(monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cfrk: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["integrate", "needle"])
+def test_a_tableau_without_a_pair_cannot_run_adaptive(capsys, command):
+    # these commands solve no reference: integrate_adaptive rejects the
+    # tableau before its first step, as a one-line usage error
+    assert main([command, "--tableau", "cf4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cfrk: cf4 has no embedded solution\n"
 
 
 def test_integrate_writes_trace(tmp_path):

@@ -187,6 +187,15 @@ def test_initial_step_zero_field_falls_back_to_span():
     assert h0 == pytest.approx(0.2)
 
 
+def test_initial_step_is_the_span_when_its_tenth_underflows():
+    prob = rigid_body()
+    y0 = prob.default_y0.tolist()
+    assert initial_step(prob, y0, ControllerConfig(), 3, 0.0, 1e-323) == 1e-323
+    traj = integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                              0.0, 1e-323, ControllerConfig())
+    assert traj.times == [0.0, 1e-323]
+
+
 # -------------------------------------------------------- adaptive driver
 
 def test_adaptive_validates_inputs():
@@ -756,12 +765,12 @@ def calling(action):
     return Calling()
 
 
-def outcome(pair, prob, cfg):
+def outcome(pair, prob, cfg, t1=1.0):
     """The run's error type and message (None, None on success) and its
     trajectory."""
     try:
         return None, None, integrate_adaptive(pair, prob, prob.default_y0,
-                                              0.0, 1.0, cfg)
+                                              0.0, t1, cfg)
     except IntegrationError as exc:
         return type(exc), str(exc), exc.trajectory
 
@@ -775,15 +784,17 @@ def float_bits(values):
 @pytest.mark.parametrize("name", EMBEDDED)
 def test_inline_and_calling_loops_agree_bitwise(name, build):
     # a built-in action runs the inline loop, a subclass overriding exp and
-    # act the calling one; both give the same outcome, bit for bit
+    # act the calling one; both give the same outcome, bit for bit, on a
+    # span whose tenth underflows to 0 too
     prob = build()
     other = dataclasses.replace(prob, action=calling(prob.action))
     pair = get_tableau(name)
     configs = [dict(atol=tol, rtol=tol) for tol in (1e-4, 1e-8)]
-    for kw in [*configs, *MATRIX_CFG.values()]:
-        cfg = ControllerConfig(**kw)
-        kind, message, traj = outcome(pair, prob, cfg)
-        ref_kind, ref_message, ref = outcome(pair, other, cfg)
+    runs = [(ControllerConfig(**kw), 1.0)
+            for kw in [*configs, *MATRIX_CFG.values()]]
+    for cfg, t1 in [*runs, (ControllerConfig(), 1e-323)]:
+        kind, message, traj = outcome(pair, prob, cfg, t1)
+        ref_kind, ref_message, ref = outcome(pair, other, cfg, t1)
         assert (kind, message) == (ref_kind, ref_message)
         assert float_bits(traj.times) == float_bits(ref.times)
         assert traj.points.tobytes() == ref.points.tobytes()
