@@ -8,10 +8,10 @@ Three concrete geometries are provided:
 * SE(3) acting on the dual of its algebra by the coadjoint action (heavy
   top).
 
-Each geometry packages the same small contract: linear operations on
-algebra elements, the group exponential, the action on points, the
-infinitesimal action (the vector field generated by an algebra element),
-and an ambient Euclidean metric.
+Each geometry packages the same small contract, GroupAction: the group
+exponential, the action on points and the infinitesimal action (the vector
+field an algebra element generates), with an ambient Euclidean metric by
+default; the step combines algebra elements itself, on lists.
 
 exp and act work on Python floats.  exp takes the algebra element as a
 flat list of floats (a 2x2 gl(2) element row-major) and returns the group
@@ -358,29 +358,15 @@ INLINE = {3: (_so3_exp, _so3_act, _SO3_EXP, _SO3_ACT),
 # ----------------------------------------------------------- action contract
 
 class GroupAction(ABC):
-    """Contract a geometry implements for the commutator-free stepper."""
+    """Contract a geometry implements for the commutator-free stepper:
+    exp, act and infinitesimal; the ambient metric has defaults."""
 
     name: str = "abstract"
     # The length of every f value; None where the geometry does not fix it.
     algebra_length: int | None = None
 
-    @abstractmethod
-    def algebra_zero(self):
-        """Zero element of the Lie algebra as a numpy array (2x2 for
-        gl(2)), not the flat list f returns.
-
-        cfrk itself does not call this; it remains only because the
-        benchmark's tracing proxy forwards it by name.
-        """
-
-    def algebra_axpy(self, coeff: float, v, acc):
-        """acc + coeff * v on numpy arrays; the flat lists f returns do not
-        support it.
-
-        cf_step forms this sum inline; the method remains only because the
-        benchmark's tracing proxy forwards it by name.
-        """
-        return acc + coeff * v
+    # No step calls these; benchmark/tracer.py's TracedAction forwards them.
+    algebra_zero = algebra_axpy = None
 
     @abstractmethod
     def exp(self, v):
@@ -422,9 +408,6 @@ class So3SphereAction(GroupAction):
     name = "so3-sphere"
     algebra_length = 3
 
-    def algebra_zero(self):
-        return np.zeros(3)
-
     exp = staticmethod(_so3_exp)
     act = staticmethod(_so3_act)
 
@@ -442,9 +425,6 @@ class Gl2PlaneAction(GroupAction):
 
     name = "gl2-plane"
     algebra_length = 4
-
-    def algebra_zero(self):
-        return np.zeros((2, 2))
 
     exp = staticmethod(_gl2_exp)
     act = staticmethod(_gl2_act)
@@ -468,9 +448,6 @@ class Se3CoadjointAction(GroupAction):
 
     name = "se3-coadjoint"
     algebra_length = 6
-
-    def algebra_zero(self):
-        return np.zeros(6)
 
     exp = staticmethod(_se3_exp)
     act = staticmethod(_se3_act)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -55,8 +56,17 @@ def _add_common(sp, *, tableau_default=None):
                     choices=("csv", "json"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser (subparsers too) reading -1e308 as a value, as -1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfrk",
         description="Adaptive commutator-free Lie group integrators")
     sub = parser.add_subparsers(dest="command", required=True)

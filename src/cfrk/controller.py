@@ -9,11 +9,10 @@ Both drivers hold the state, y1 and yhat1 as flat lists of Python floats,
 as f and cf_step take and return them, and the adaptive driver the FSAL
 value as the list f returned at y1.  Each attempt is one event, the tuple
 (t, h, accepted, err, y) with y the list the step returned;
-Trajectory.h_history makes StepAttempts of them when first read.
-Trajectory.points is built once per run from y0 and the accepted events'
-lists as one array, in a finally clause, so a failed run's partial
-trajectory holds it too.  A DomainError or FieldLengthError ends a run as
-an IntegrationError carrying the partial trajectory.
+Trajectory.h_history and Trajectory.points are built from them when first
+read.  Both drivers run through _run, which turns any exception raised once
+the run has started into an IntegrationError carrying the partial
+trajectory; an error raised before that keeps its type.
 
 The adaptive attempt is written once, as the source _LOOP, and compiled
 per pair on first use, like the step kernels; it runs the step-size rule
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,12 +105,11 @@ class Totals:
 
 @dataclass
 class Trajectory:
-    """The accepted times, and the points at them as the rows of one array
-    of shape (len(times), *y0.shape), built from y0 and the accepted
-    events; one event per attempt, the tuple (t, h, accepted, err, y) of a
-    StepAttempt's fields."""
+    """The run's own copy of y0, the accepted times and one event per
+    attempt, the tuple (t, h, accepted, err, y) of a StepAttempt's
+    fields."""
+    y0: np.ndarray = field(default_factory=lambda: np.empty(0))
     times: list = field(default_factory=list)
-    points: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     events: list = field(default_factory=list)
     totals: Totals = field(default_factory=Totals)
 
@@ -119,6 +118,14 @@ class Trajectory:
         """Every attempt as a StepAttempt, built from the events when first
         read."""
         return [StepAttempt(*event) for event in self.events]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """y0 and the accepted events' points as the rows of one new array,
+        shape (len(times), *y0.shape), built when first read."""
+        rows = [event[4] for event in self.events if event[2]]
+        return np.array([self.y0.ravel().tolist(), *rows]).reshape(
+            -1, *self.y0.shape)
 
     @property
     def t_end(self) -> float:
@@ -211,14 +218,6 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
     return min(h0, (t1 - t0) / 10.0) or t1 - t0  # a tenth may underflow
 
 
-def _failure(exc: Exception, trajectory) -> IntegrationError:
-    """A DomainError or FieldLengthError as an IntegrationError carrying
-    the partial trajectory."""
-    if isinstance(exc, DomainError):
-        return IntegrationError(f"left the domain: {exc}", trajectory)
-    return IntegrationError(str(exc), trajectory)
-
-
 def _check_finite(y: list, trajectory):
     """NonFiniteError carrying trajectory unless every float of y is
     finite."""
@@ -227,9 +226,12 @@ def _check_finite(y: list, trajectory):
 
 
 def check_span(t0: float, t1: float) -> None:
-    """ConfigError unless t0 and t1 are finite with t1 > t0."""
+    """ConfigError unless t0 < t1, both finite, and t1 - t0 is finite."""
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ConfigError(f"need finite t0, t1 with t1 > t0, got t0 = {t0}, "
+                          f"t1 = {t1}")
+    if t1 - t0 == math.inf:
+        raise ConfigError(f"need a finite span t1 - t0, got t0 = {t0}, "
                           f"t1 = {t1}")
 
 
@@ -243,30 +245,34 @@ def check_method(method, adaptive: bool, advance_embedded: bool = False):
             f"{method.name}: expected an embedded pair of order p(p-1)")
 
 
-def _start(problem, y0, t0: float) -> tuple:
-    """The one-point trajectory at (t0, y0), with its own copy of y0, and
-    y0 as a flat list of floats.
+@contextmanager
+def _run(problem, y0, t0: float):
+    """Start a run: yield the one-point trajectory at (t0, y0), owning its
+    copy of y0, and y0 as a flat list of floats.
 
-    Raises ValueError unless y0 has the shape of problem.default_y0, and
-    NonFiniteError carrying the trajectory unless every entry is finite;
-    both before any f or exp call.
+    A y0 not shaped like problem.default_y0 raises ValueError, a non-finite
+    one NonFiniteError.  Any later exception but an IntegrationError is
+    re-raised as one carrying the trajectory, from the original: "left the
+    domain: ..." for a DomainError, a FieldLengthError's own message, else
+    the type's name and the message.
     """
     y = np.array(y0, float)
     expected = np.shape(problem.default_y0)
     if y.shape != expected:
         raise ValueError(f"y0 must have shape {expected}, got shape "
                          f"{y.shape}")
-    traj = Trajectory(times=[t0], points=y[np.newaxis])
+    traj = Trajectory(y, times=[t0])
     y = y.ravel().tolist()
     _check_finite(y, traj)
-    return traj, y
-
-
-def _set_points(traj: Trajectory, y0: list) -> None:
-    """traj.points as one new array of y0 and the accepted events' points,
-    each shaped like y0."""
-    points = [y0, *[event[4] for event in traj.events if event[2]]]
-    traj.points = np.array(points).reshape(-1, *traj.points.shape[1:])
+    try:
+        yield traj, y
+    except IntegrationError:
+        raise
+    except Exception as exc:
+        message = (f"left the domain: {exc}" if isinstance(exc, DomainError)
+                   else str(exc) if isinstance(exc, FieldLengthError)
+                   else f"{type(exc).__name__}: {exc}")
+        raise IntegrationError(message, traj) from exc
 
 
 # The body of loop(_LOOP_PARAMS): one adaptive run from (t, base) with the
@@ -391,18 +397,13 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     n = inline_length(action) if metrics == _METRICS else None
     loop = _adaptive_loop(pair, n)
     p = pair.order_p
-    traj, y = _start(problem, y0, t0)
-    try:
+    with _run(problem, y0, t0) as (traj, y):
         h = initial_step(problem, y, cfg, p, t0, t1)
         loop(pair, action, problem.f, y, t0, t1, min(h, t1 - t0), traj,
              cfg.atol, cfg.rtol if problem.use_rtol else 0.0, cfg.fac,
              cfg.facmin, cfg.facmax, cfg.hmin, cfg.hmax,
              cfg.max_consecutive_rejects, -1.0 / p, action.ambient_norm,
              action.ambient_distance if n is None else math.dist)
-    except (DomainError, FieldLengthError) as exc:
-        raise _failure(exc, traj) from exc
-    finally:
-        _set_points(traj, y)
     return traj
 
 
@@ -419,13 +420,13 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     if n_steps < 1:
         raise ConfigError(f"need n_steps >= 1, got {n_steps}")
     check_method(method, False, advance_embedded)
-    action = problem.action
-    f = problem.f
+    action, f = problem.action, problem.f
     h = (t1 - t0) / n_steps
-
-    traj, start = _start(problem, y0, t0)
-    y, totals = start, traj.totals
-    try:
+    if h == 0.0:
+        raise ConfigError(f"the step (t1 - t0) / n_steps underflows to 0 for "
+                          f"t0 = {t0}, t1 = {t1}, n_steps = {n_steps}")
+    with _run(problem, y0, t0) as (traj, y):
+        totals = traj.totals
         for i in range(1, n_steps + 1):
             res = cf_step(method, action, f, y, h,
                           with_embedded=advance_embedded)
@@ -436,8 +437,4 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
             totals.n_accepted += 1
             traj.events.append((t0 + (i - 1) * h, h, True, math.nan, y))
             traj.times.append(t1 if i == n_steps else t0 + i * h)
-    except (DomainError, FieldLengthError) as exc:
-        raise _failure(exc, traj) from exc
-    finally:
-        _set_points(traj, start)
     return traj

@@ -1,19 +1,21 @@
 """Geometry tests: exponentials against power-series oracles, action
 axioms, and the infinitesimal maps against finite differences."""
 
+import ast
 import math
 import struct
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.actions import (Gl2PlaneAction, Se3CoadjointAction, Se3Element,
-                          So3SphereAction, coadjoint_act, gl2_exp, se3_exp,
-                          so3_exp)
+from cfrk.actions import (Gl2PlaneAction, GroupAction, Se3CoadjointAction,
+                          Se3Element, So3SphereAction, coadjoint_act, gl2_exp,
+                          se3_exp, so3_exp)
 
 
 def series_expm(M, terms=40):
@@ -587,9 +589,15 @@ def test_ambient_metric_does_not_overflow_on_finite_points(scale):
     assert act.ambient_distance(p, -p) == 10.0 * scale
 
 
-def test_algebra_linear_ops():
-    act = Se3CoadjointAction()
-    z = act.algebra_zero()
-    assert z.shape == (6,)
-    v = np.arange(6.0)
-    assert_allclose(act.algebra_axpy(2.0, v, z), 2.0 * v, atol=0)
+def test_group_action_has_every_name_the_benchmark_tracer_forwards():
+    # benchmark/tracer.py's TracedAction forwards each key of its _LAYER_OF
+    # from the action it wraps; GroupAction keeps algebra_zero and
+    # algebra_axpy, which no step calls, as None for it alone
+    tracer = Path(__file__).parents[1] / "benchmark" / "tracer.py"
+    forwarded = [ast.literal_eval(node.value).keys()
+                 for node in ast.walk(ast.parse(tracer.read_text()))
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_LAYER_OF"]
+    assert len(forwarded) == 1
+    for name in forwarded[0]:
+        assert hasattr(GroupAction, name)

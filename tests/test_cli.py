@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfrk.catalog import get_tableau
-from cfrk.cli import main
+from cfrk.cli import build_parser, main
 from cfrk.tableaux import CFTableau, save_tableau
 
 
@@ -168,6 +168,25 @@ def test_invalid_controller_config_is_a_one_line_usage_error(monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cfrk: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["integrate", "convergence",
+                                     "work-precision", "needle"])
+def test_negative_time_in_exponent_form_is_a_separate_value(capsys, command):
+    # argparse reads -1 and -1.5 as values by itself, -1e308 only here
+    args = build_parser().parse_args(
+        [command, "--t0", "-1e308", "--t1", "-2.5E-1"])
+    assert (args.t0, args.t1) == (-1e308, -0.25)
+    assert main([command, "--t0", "-1e308", "--t1", "1e308"]) == 2
+    assert capsys.readouterr().err == (
+        "cfrk: need a finite span t1 - t0, got t0 = -1e+308, t1 = 1e+308\n")
+
+
+def test_integrate_runs_from_a_negative_time_in_exponent_form(capsys):
+    assert main(["integrate", "--t0", "-2.5e-1", "--t1", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0][2:])["t0"] == -0.25
+    assert lines[3].startswith("-0.25,")
 
 
 @pytest.mark.parametrize("command", ["integrate", "needle"])

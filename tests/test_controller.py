@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.actions import DomainError, So3SphereAction
+from cfrk.actions import DomainError, GroupAction, So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
-from cfrk.controller import (ControllerConfig, ControllerConfigError,
+from cfrk.controller import (ConfigError, ControllerConfig,
+                             ControllerConfigError,
                              IntegrationError, NonFiniteError,
                              StepSizeUnderflowError,
                              TooManyRejectsError, Trajectory, _check_finite,
@@ -355,7 +356,8 @@ def vdp_failing_after(n_calls):
                                  0.0, 1.0, 100),
 ], ids=["adaptive", "fixed"])
 def test_domain_error_from_f_is_an_integration_error(run):
-    with pytest.raises(IntegrationError) as info:
+    with pytest.raises(IntegrationError, match="^left the domain: synthetic "
+                                               "domain failure$") as info:
         run(vdp_failing_after(40))
     assert len(info.value.trajectory.points) > 1
     assert isinstance(info.value.__cause__, DomainError)
@@ -401,6 +403,66 @@ def test_start_outside_the_domain_is_an_integration_error():
     assert isinstance(info.value.__cause__, DomainError)
 
 
+def raising_after(prob, n_calls):
+    """prob with f raising ZeroDivisionError from call n_calls + 1 on."""
+    calls = []
+
+    def f(y):
+        calls.append(None)
+        if len(calls) > n_calls:
+            return [y[0] / 0.0]
+        return prob.f(y)
+    return dataclasses.replace(prob, f=f)
+
+
+@pytest.mark.parametrize("form", ["inline", "calling"])
+@pytest.mark.parametrize("driver", ["adaptive", "fixed"])
+def test_any_exception_inside_a_run_is_an_integration_error(driver, form):
+    # an exception of any type, not only a DomainError, ends the run as an
+    # IntegrationError named by its type, with the partial trajectory
+    prob = raising_after(van_der_pol(), 20)
+    if form == "calling":
+        prob = dataclasses.replace(prob, action=calling(prob.action))
+    with pytest.raises(IntegrationError, match="^ZeroDivisionError: float "
+                                               "division by zero$") as info:
+        if driver == "adaptive":
+            integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                               0.0, 1.0, ControllerConfig(atol=1e-6))
+        else:
+            integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
+                            1.0, 100)
+    assert type(info.value) is IntegrationError
+    assert type(info.value.__cause__) is ZeroDivisionError
+    traj = info.value.trajectory
+    accepted = [event[4] for event in traj.events if event[2]]
+    assert len(accepted) == traj.totals.n_accepted > 1
+    assert traj.points.tolist() == [prob.default_y0.tolist(), *accepted]
+    assert len(traj.times) == len(accepted) + 1
+    assert 0 < traj.totals.n_feval <= 20
+
+
+def test_exp_overflow_in_the_calling_loop_is_an_integration_error():
+    # an action of its own that overrides exp runs the calling loop; an
+    # OverflowError there ends the run like one from f
+    calls = []
+
+    class Overflowing(So3SphereAction):
+        def exp(self, v):
+            calls.append(None)
+            if len(calls) > 30:
+                raise OverflowError("math range error")
+            return super().exp(v)
+    prob = dataclasses.replace(rigid_body(), action=Overflowing())
+    with pytest.raises(IntegrationError,
+                       match="^OverflowError: math range error$") as info:
+        integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0, 0.0,
+                           1.0, ControllerConfig(atol=1e-6))
+    assert type(info.value.__cause__) is OverflowError
+    traj = info.value.trajectory
+    assert traj.totals.n_exp == 30  # the five attempts before it, 6 each
+    assert len(traj.points) == traj.totals.n_accepted + 1 > 1
+
+
 # ---------------------------------------------------------- driver boundary
 
 def counted(prob):
@@ -436,9 +498,9 @@ BOUNDARY_PROBLEMS = [rigid_body, heavy_top, van_der_pol]
                          ids=lambda build: build.__name__)
 @pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (0.0, math.nan),
                                    (-math.inf, 1.0), (math.nan, 1.0),
-                                   (1.0, 1.0), (1.0, 0.0)],
+                                   (1.0, 1.0), (1.0, 0.0), (-1e308, 1e308)],
                          ids=["t1-inf", "t1-nan", "t0-inf", "t0-nan",
-                              "empty", "reversed"])
+                              "empty", "reversed", "span-overflows"])
 def test_bad_time_span_is_rejected(driver, build, t0, t1):
     prob, calls = counted(build())
     start = time.perf_counter()
@@ -634,6 +696,7 @@ def test_partial_trajectory_points_are_arrays_of_the_accepted_states(
             integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
                             1.0, 100)
     traj = info.value.trajectory
+    assert "points" not in vars(traj)  # built when first read
     accepted = [a for a in traj.h_history if a.accepted]
     assert len(accepted) > 1
     assert len(traj.points) == len(accepted) + 1 == len(traj.times)
@@ -661,10 +724,15 @@ def test_fixed_step_grid():
 
 
 def test_fixed_step_validates_count():
-    prob = rigid_body()
+    prob, calls = counted(rigid_body())
     with pytest.raises(ValueError):
         integrate_fixed(get_tableau("cf4"), prob, prob.default_y0,
                         0.0, 1.0, 0)
+    # a step that underflows to 0 is a bad config, not a failed run
+    with pytest.raises(ConfigError, match="underflows to 0"):
+        integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
+                        5e-324, 2)
+    assert calls == []
 
 
 def test_fixed_embedded_mode_follows_lower_order_solution():
@@ -683,7 +751,8 @@ def test_fixed_embedded_mode_follows_lower_order_solution():
 
 # Inputs from the user or the vector field, each a change to y0, to the
 # adaptive ControllerConfig, or to f ("f-nan": NaN from its eleventh call
-# on; "f-wrong-length": one entry too many from its first call).
+# on; "f-raises": ZeroDivisionError at its eleventh call;
+# "f-wrong-length": one entry too many from its first call).
 MATRIX_Y0 = {
     "y0-nan": lambda y0: np.append(y0[:-1], math.nan),
     "y0-inf": lambda y0: np.append(y0[:-1], math.inf),
@@ -706,6 +775,8 @@ def run_failure_case(driver, name, build, case):
     prob = build()
     if case == "f-nan":
         prob = nan_field_after(prob, 10)
+    elif case == "f-raises":
+        prob = raising_after(prob, 10)
     elif case == "f-wrong-length":
         prob = dataclasses.replace(prob, f=lambda y, f=prob.f: [*f(y), 0.0])
     prob, calls = counted(prob)
@@ -728,6 +799,11 @@ def run_failure_case(driver, name, build, case):
     if case == "f-wrong-length":  # caught at f's first value
         assert type(error.__cause__) is FieldLengthError
         assert traj.times == [0.0] and traj.events == []
+    if case == "f-raises":  # f's eleventh call raises within a step
+        assert type(error) is IntegrationError
+        assert type(error.__cause__) is ZeroDivisionError
+        assert calls.count("f") == 11
+        assert 0 < traj.totals.n_feval <= 10
     if traj is not None:
         accepted = sum(a.accepted for a in traj.h_history)
         assert len(traj.points) == len(traj.times) == accepted + 1
@@ -735,7 +811,7 @@ def run_failure_case(driver, name, build, case):
 
 
 @pytest.mark.parametrize("case", [*MATRIX_Y0, *MATRIX_CFG, "f-nan",
-                                  "f-wrong-length"])
+                                  "f-raises", "f-wrong-length"])
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
                          ids=lambda build: build.__name__)
 @pytest.mark.parametrize("name", EMBEDDED)
@@ -743,7 +819,8 @@ def test_adaptive_failure_matrix(name, build, case):
     run_failure_case("adaptive", name, build, case)
 
 
-@pytest.mark.parametrize("case", [*MATRIX_Y0, "f-nan", "f-wrong-length"])
+@pytest.mark.parametrize("case", [*MATRIX_Y0, "f-nan", "f-raises",
+                                  "f-wrong-length"])
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
                          ids=lambda build: build.__name__)
 @pytest.mark.parametrize("name", ["cf4", "cf43"])
@@ -890,3 +967,40 @@ def test_h_history_is_built_from_the_events_once():
     assert all(type(e) is tuple for e in traj.events)
     assert traj.h_history is traj.h_history
     assert [dataclasses.astuple(a) for a in traj.h_history] == traj.events
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_points_are_built_once_when_first_read(driver):
+    prob = rigid_body()
+    traj = DRIVERS[driver](prob, prob.default_y0, 0.0, 1.0)
+    assert "points" not in vars(traj)
+    points = traj.points
+    assert vars(traj)["points"] is points is traj.points
+    accepted = [e[4] for e in traj.events if e[2]]
+    assert points.tolist() == [prob.default_y0.tolist(), *accepted]
+
+
+class MinimalRotations(GroupAction):
+    """Rotations of R^3 defining only GroupAction's abstract methods."""
+
+    def exp(self, v):
+        return so3_exp(v).ravel().tolist()
+
+    def act(self, g, p):
+        return (np.reshape(g, (3, 3)) @ np.asarray(p, float)).tolist()
+
+    def infinitesimal(self, v, p):
+        return np.cross(v, p)
+
+
+def test_group_action_contract_is_exp_act_and_infinitesimal():
+    # a geometry of its own needs only the three abstract methods to run
+    # both drivers; it takes the calling forms, with roundoff from BLAS
+    assert GroupAction.__abstractmethods__ == {"exp", "act", "infinitesimal"}
+    prob = rigid_body()
+    own = dataclasses.replace(prob, action=MinimalRotations())
+    for driver in DRIVERS.values():
+        ref = driver(prob, prob.default_y0, 0.0, 1.0)
+        traj = driver(own, prob.default_y0, 0.0, 1.0)
+        assert traj.t_end == 1.0
+        assert_allclose(traj.y_end, ref.y_end, rtol=0, atol=1e-12)
