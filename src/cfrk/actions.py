@@ -15,11 +15,12 @@ default; the step combines algebra elements itself, on lists.
 
 exp and act work on Python floats.  exp takes the algebra element as a
 flat list of floats (a 2x2 gl(2) element row-major) and returns the group
-element as a flat list too: the nine entries of a rotation, the four
-entries of a 2x2 matrix, or for SE(3) the nine rotation entries followed
-by the translation.  act takes such an element and a point given as a
-list of floats, writes each product out as multiply-adds, and returns the
-new point as a list.
+element as a flat list too: for so(3) the action-only (x, y, z, A, B),
+a vector and the Rodrigues coefficients of the rotation about it, never
+the rotation's entries; the four entries of a 2x2 matrix; or for SE(3)
+the nine rotation entries followed by the translation.  act takes such
+an element and a point given as a list of floats, writes each product
+out as multiply-adds, and returns the new point as a list.
 
 Each formula is written once, as a Block: straight-line source over named
 float locals.  At import each geometry's exp and act are compiled from
@@ -28,13 +29,14 @@ call runs one Python frame.  The only guard in a body is
 `x if type(x) is list else _floats(x, ...)`: a list is unpacked as it is,
 and one of the wrong length raises the unpacking's ValueError; numpy input
 is checked for shape (a ValueError naming the shape it got) and converted
-once: an algebra element or point as an array, and for act a rotation or
-2x2 matrix as an array or an SE(3) element as an Se3Element.  se(3)'s exp
-runs so(3)'s Rodrigues source, so its rotation has so3_exp's bits; gl(2)'s
-takes e^x from math.exp through _exp, inf where math.exp would overflow,
-so no body needs numpy.  The public kernels so3_exp, gl2_exp, se3_exp and
-coadjoint_act check their input, call the same bodies and return numpy
-matrices, an Se3Element or a numpy vector.  A step of an action whose exp
+once: an algebra element or point as an array, and for act an so(3)
+element of five entries or a 2x2 matrix as an array or an SE(3) element
+as an Se3Element.  se(3)'s exp and so3_exp run one Rodrigues source, so
+their rotations have the same bits; gl(2)'s exp takes e^x from math.exp
+through _exp, inf where math.exp would overflow, so no body needs numpy.
+The public kernels so3_exp, gl2_exp, se3_exp and coadjoint_act check
+their input, call bodies of the same blocks and return numpy matrices,
+an Se3Element or a numpy vector.  A step of an action whose exp
 and act are these bodies runs their blocks inline (INLINE; see
 stepper.inline_length).  ambient_norm and ambient_distance use a list as
 it is and convert anything else once.
@@ -80,8 +82,9 @@ class Block:
     act the group element's entries, then the point's), and results names
     the outputs.  The source may branch, but every branch assigns every
     result and none returns, so the block can run inside a larger
-    function.  It reads no global but builtins and what the code it is
-    compiled into provides (BLOCK_GLOBALS for the geometries' blocks).
+    function; a result named as an input passes that input through, and
+    inline then needs one local for both.  It reads no global but builtins
+    and what the code it is compiled into provides (BLOCK_GLOBALS).
     """
 
     def __init__(self, params, results: str, source: str):
@@ -165,18 +168,41 @@ r31 = bxz - ay
 r32 = byz + ax
 r33 = 1.0 - B * (xx + yy)
 """
-_SO3_EXP = Block(["x y z"], _ROTATION, _RODRIGUES)
 
-# The rotation (row-major) applied to the point (p1, p2, p3).
-_SO3_ACT = Block([_ROTATION, "p1 p2 p3"], "q1 q2 q3", """
-q1 = r11 * p1 + r12 * p2 + r13 * p3
-q2 = r21 * p1 + r22 * p2 + r23 * p3
-q3 = r31 * p1 + r32 * p2 + r33 * p3
+# A step's so(3) element is action-only: the five floats (x, y, z, A, B)
+# of the rotation I + A K + B K^2, K w = (x, y, z) x w, never its nine
+# entries.  Below theta = 1e-4, (x, y, z) is v itself with _RODRIGUES'
+# series for A and B; above it, the unit axis v / t with A = sin t and
+# B = 1 - cos t, so that act's products stay within 2 |p|.
+_SO3_EXP = Block(["x y z"], "x y z A B", """
+t2 = x * x + y * y + z * z
+if t2 < 1e-8:  # theta < 1e-4
+    A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
+    B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
+elif t2 < math.inf:
+    t = math.sqrt(t2)
+    A, B = math.sin(t), 1.0 - math.cos(t)
+    x, y, z = x / t, y / t, z / t
+else:
+    A = B = math.nan
+""")
+
+# The element applied to the point p = (p1, p2, p3): with w = (x, y, z),
+# p + A w x p + B w x (w x p), the rotation's product without its entries.
+_SO3_ACT = Block(["x y z A B", "p1 p2 p3"], "q1 q2 q3", """
+c1 = y * p3 - z * p2
+c2 = z * p1 - x * p3
+c3 = x * p2 - y * p1
+q1 = p1 + A * c1 + B * (y * c3 - z * c2)
+q2 = p2 + A * c2 + B * (z * c1 - x * c3)
+q3 = p3 + A * c3 + B * (x * c2 - y * c1)
 """)
 
 _so3_exp = _body("_so3_exp", _SO3_EXP, v="_floats(v, 3)")
-_so3_act = _body("_so3_act", _SO3_ACT, g="_floats(g, 3, 3)",
+_so3_act = _body("_so3_act", _SO3_ACT, g="_floats(g, 5)",
                  p="_floats(p, 3)")
+_so3_rotation = _body("_so3_rotation", Block(["x y z"], _ROTATION, _RODRIGUES),
+                      v="_floats(v, 3)")
 
 
 def so3_exp(v) -> np.ndarray:
@@ -187,7 +213,7 @@ def so3_exp(v) -> np.ndarray:
     Taylor expansions; the closed forms lose digits to cancellation there.
     Raises ValueError unless v has exactly 3 components.
     """
-    return np.array(_so3_exp(_floats(v, 3))).reshape(3, 3)
+    return np.array(_so3_rotation(_floats(v, 3))).reshape(3, 3)
 
 
 # --------------------------------------------------------------- gl(2)
@@ -345,7 +371,7 @@ def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
 
 
 # What the blocks read besides their own locals.
-BLOCK_GLOBALS = {"math": math, "_exp": _exp}
+BLOCK_GLOBALS = {"math": math, "_exp": _exp, "DomainError": DomainError}
 
 # Algebra length -> (exp body, act body, exp block, act block) of the
 # geometry with that length: a step kernel whose action's exp and act are
@@ -371,14 +397,21 @@ class GroupAction(ABC):
     @abstractmethod
     def exp(self, v):
         """Group exponential of an algebra element, returned as a flat list
-        of Python floats.  v is a flat list of floats (what f returns and
-        cf_step passes) or a numpy array, 2x2 for gl(2)."""
+        of Python floats in the layout act reads: for so(3) the five
+        floats (x, y, z, A, B) of the rotation I + A K + B K^2, K the skew
+        matrix of w = (x, y, z): w = v with A = sin t / t and
+        B = (1 - cos t) / t^2 below t = |v| = 1e-4, else w = v / t with
+        A = sin t and B = 1 - cos t; for gl(2) the 2x2 matrix row-major;
+        for se(3) the rotation row-major, then the translation.  v is a
+        flat list of floats (what f returns and cf_step passes) or a numpy
+        array, 2x2 for gl(2)."""
 
     @abstractmethod
     def act(self, g, p):
         """Apply a group element to a point; the new point is returned as a
-        list of Python floats.  g is what exp returns or the public
-        kernel's numpy form; p is a list of floats or a numpy array."""
+        list of Python floats.  g is what exp returns, or the same entries
+        as a numpy array (a 2x2 matrix for gl(2)) or, for se(3), an
+        Se3Element; p is a list of floats or a numpy array."""
 
     @abstractmethod
     def infinitesimal(self, v, p):

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -127,11 +128,18 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
                                f"derivative at t={t!r}")
         return dy
 
+    # LSODA's own first step is 1 / sqrt(1 / (rtol w^2) + ...), w the larger
+    # of |t0| and |t1|: 0 once 1 / (rtol w^2) overflows (w below ~7e-149),
+    # and it then never advances.  Its error control cannot see a span that
+    # short, so it takes the whole span as its first step.
+    w = max(abs(t0), abs(t1))
+    tiny = 1e-12 * w * w < 1.0 / sys.float_info.max
     ends = []
-    for method, rtol, atol in (("DOP853", 1e-13, 1e-14),
-                               ("LSODA", 1e-12, 1e-14)):
+    for method, rtol, atol, first in (
+            ("DOP853", 1e-13, 1e-14, None),
+            ("LSODA", 1e-12, 1e-14, t1 - t0 if tiny else None)):
         sol = solve_ivp(rhs, (t0, t1), np.asarray(y0, float), method=method,
-                        rtol=rtol, atol=atol, t_eval=[t1])
+                        rtol=rtol, atol=atol, t_eval=[t1], first_step=first)
         if not sol.success:
             raise RuntimeError(f"reference {method} solve failed for "
                                f"{problem.name}: {sol.message}")

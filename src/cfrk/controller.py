@@ -20,7 +20,10 @@ once per attempt, capped at facmax after an accept and at 1 after a
 reject.  An action that steps inline (stepper.inline_length) and keeps
 GroupAction's metrics gets the inline form, which holds the inline step
 kernel, so a run is one Python frame besides f; any other action gets the
-calling form, which calls cf_step once per attempt.
+calling form, which calls cf_step once per attempt.  Where problem.f is a
+packaged field (stepper.inline_field), the inline form runs its block in
+place of every f call, with the field's parameters as loop arguments, so
+one loop per pair, geometry and field serves every parameter value.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .actions import Block, DomainError, GroupAction, compile_function
 from .stepper import (KERNEL_GLOBALS, FieldLengthError, cf_step,
-                      check_length, inline_length, kernel_lines)
+                      check_length, inline_field, inline_length, kernel_lines)
 
 _EPS = sys.float_info.epsilon
 
@@ -132,8 +135,12 @@ class Trajectory:
         return self.times[-1]
 
     @property
-    def y_end(self):
-        return self.points[-1]
+    def y_end(self) -> np.ndarray:
+        """The last accepted event's point, or y0, as a new array of y0's
+        shape; points is not built."""
+        last = next((e[4] for e in reversed(self.events) if e[2]), None)
+        return (self.y0.copy() if last is None
+                else np.array(last).reshape(self.y0.shape))
 
 
 class IntegrationError(RuntimeError):
@@ -329,11 +336,9 @@ y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
 _check_finite(y1, traj)
 """
 # The inline form: the inline step kernel's lines, between cf_step's length
-# check and the counts; h > 0 as t < t1 and initial_step never returns 0.
+# check (F0) and the counts; h > 0 as t < t1 and initial_step never returns 0.
 _INLINE_STEP = """
-f0 = f(base) if carry is None else carry
-if len(f0) != {n}:
-    check_length(action, f0)
+F0
 KERNEL
 y1, yhat1, f_last = {result}
 n_exp += {n_exp}
@@ -353,18 +358,24 @@ def _fill(template: str, **sections) -> list:
     return lines
 
 
-def _adaptive_loop(pair, n):
+def _adaptive_loop(pair, n, field=None):
     """pair's adaptive loop, compiled on first use and cached with its step
-    kernels under ("loop", n): the inline form for the built-in geometry
-    of algebra length n, the calling form for n = None."""
-    loop = pair._kernels.get(("loop", n))
+    kernels under ("loop", n, field): the inline form for the built-in
+    geometry of algebra length n, with a field Block's parameters as its
+    last arguments, the calling form for n = None."""
+    key = ("loop", n, field)
+    loop = pair._kernels.get(key)
     if loop is None:
         if n is None:
             step = _CALLING_STEP.strip().splitlines()
         else:
-            lines, result, n_exp, n_feval = kernel_lines(pair, n, True, True)
+            lines, result, n_exp, n_feval = kernel_lines(pair, n, True, True,
+                                                         field)
             step = _fill(_INLINE_STEP.format(
-                n=n, result=result, n_exp=n_exp, n_feval=n_feval),
+                result=result, n_exp=n_exp, n_feval=n_feval),
+                F0=["f0 = carry"] if field else [  # the block forms f(base)
+                    "f0 = f(base) if carry is None else carry",
+                    f"if len(f0) != {n}: check_length(action, f0)"],
                 KERNEL=lines)
         lines = _fill(_LOOP, STEP=step,
                       ERROR=_ERROR.inline(_ERROR.params, ["err"]),
@@ -372,8 +383,9 @@ def _adaptive_loop(pair, n):
         # The calling form runs in this module's namespace, so it looks
         # cf_step up here at every attempt, where a wrapper may replace it.
         namespace = globals() if n is None else {**globals(), **KERNEL_GLOBALS}
-        loop = pair._kernels["loop", n] = compile_function(
-            "loop", _LOOP_PARAMS, lines, None, namespace)
+        loop = pair._kernels[key] = compile_function(
+            "loop", ", ".join([_LOOP_PARAMS, *field.params[1]] if field
+                              else [_LOOP_PARAMS]), lines, None, namespace)
     return loop
 
 
@@ -395,7 +407,8 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     metrics = [getattr(m, "__func__", m)
                for m in (action.ambient_norm, action.ambient_distance)]
     n = inline_length(action) if metrics == _METRICS else None
-    loop = _adaptive_loop(pair, n)
+    field, params = inline_field(problem.f, n)
+    loop = _adaptive_loop(pair, n, field)
     p = pair.order_p
     with _run(problem, y0, t0) as (traj, y):
         h = initial_step(problem, y, cfg, p, t0, t1)
@@ -403,7 +416,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
              cfg.atol, cfg.rtol if problem.use_rtol else 0.0, cfg.fac,
              cfg.facmin, cfg.facmax, cfg.hmin, cfg.hmax,
              cfg.max_consecutive_rejects, -1.0 / p, action.ambient_norm,
-             action.ambient_distance if n is None else math.dist)
+             action.ambient_distance if n is None else math.dist, *params)
     return traj
 
 

@@ -10,6 +10,9 @@ element as a flat list of Python floats, in the layout the action's exp
 takes: the gl(2) element row-major [a, b, c, d].  It also accepts the
 point as a numpy array, which it converts once, so that scipy's solvers
 can call action.infinitesimal(f(y), y) on their own arrays.
+
+Each f is a Block over the point's entries and the parameters, compiled
+once by stepper.field_body, which the adaptive loop runs in place of f.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .actions import (DomainError, Gl2PlaneAction, GroupAction,
-                      Se3CoadjointAction, So3SphereAction, _entries)
+from .actions import (Block, Gl2PlaneAction, GroupAction,
+                      Se3CoadjointAction, So3SphereAction)
 from .controller import ConfigError
+from .stepper import field_body
 
 
 def _require_finite(params) -> None:
@@ -86,6 +90,24 @@ def conserved(problem: Problem, point) -> dict:
     return problem.invariants(np.asarray(point, float))
 
 
+# Each field written once, over the point's entries and the parameters.
+_RIGID_BODY = field_body(Block(["y1 y2 y3", "i1 i2 i3 mass"], "v1 v2 v3", """
+v1, v2, v3 = -mass * (i1 * y1), -mass * (i2 * y2), -mass * (i3 * y3)
+"""))
+# x * x on a Python float: a huge state squares to inf without the overflow
+# warning of numpy's ** 2
+_VAN_DER_POL = field_body(Block(["x v", "mu"], "a b c d", """
+if x == 0.0 and v == 0.0:
+    raise DomainError("Van der Pol state reached the origin, which is "
+                      "outside the GL(2) orbit")
+a, b, c, d = 0.0, 1.0, -1.0, mu * (1.0 - x * x)
+"""))
+_HEAVY_TOP = field_body(Block(["m1 m2 m3 b1 b2 b3", "i1 i2 i3 c1 c2 c3"],
+                              "v1 v2 v3 v4 v5 v6", """
+v1, v2, v3, v4, v5, v6 = i1 * m1, i2 * m2, i3 * m3, c1, c2, c3
+"""))
+
+
 def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
                seed: int = 7) -> Problem:
     """Free rigid body: the momentum direction evolves on the unit sphere.
@@ -96,14 +118,8 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
     disabled since the state norm is constant at 1.
     """
     p = RigidBodyParams(tuple(float(v) for v in inertia), float(m))
-    inv_inertia = 1.0 / np.asarray(p.inertia, float)
+    i1, i2, i3 = (1.0 / np.asarray(p.inertia, float)).tolist()
     mass = p.m
-
-    i1, i2, i3 = inv_inertia.tolist()
-
-    def f(y):
-        y1, y2, y3 = y if type(y) is list else _entries(y)
-        return [-mass * (i1 * y1), -mass * (i2 * y2), -mass * (i3 * y3)]
 
     def ambient_field(y):
         y1, y2, y3 = y.tolist()
@@ -119,7 +135,7 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
     return Problem(
         name="rigid-body",
         action=So3SphereAction(),
-        f=f,
+        f=_RIGID_BODY(i1, i2, i3, mass),
         ambient_field=ambient_field,
         default_y0=y0,
         use_rtol=False,
@@ -136,21 +152,10 @@ def van_der_pol(mu: float = 60.0) -> Problem:
     the action's domain: f raises DomainError there.
     """
     p = VdpParams(float(mu))
-    mu = p.mu
-
-    def f(y):
-        x, v = y if type(y) is list else _entries(y)
-        if x == 0.0 and v == 0.0:
-            raise DomainError("Van der Pol state reached the origin, "
-                              "which is outside the GL(2) orbit")
-        # x * x on a Python float: a huge state squares to inf without the
-        # overflow warning of numpy's ** 2
-        return [0.0, 1.0, -1.0, mu * (1.0 - x * x)]
-
     return Problem(
         name="van-der-pol",
         action=Gl2PlaneAction(),
-        f=f,
+        f=_VAN_DER_POL(p.mu),
         ambient_field=lambda y: np.array(
             [y[1], p.mu * (1.0 - y[0] ** 2) * y[1] - y[0]]),
         default_y0=np.array([1.0, 1.0]),
@@ -173,15 +178,8 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
     """
     p = HeavyTopParams(tuple(float(v) for v in inertia), float(m), float(g),
                        tuple(float(v) for v in chi))
-    inv_inertia = 1.0 / np.asarray(p.inertia, float)
-    mg_chi = p.m * p.g * np.asarray(p.chi, float)
-
-    i1, i2, i3 = inv_inertia.tolist()
-    c1, c2, c3 = mg_chi.tolist()
-
-    def f(y):
-        m1, m2, m3, _, _, _ = y if type(y) is list else _entries(y)
-        return [i1 * m1, i2 * m2, i3 * m3, c1, c2, c3]
+    i1, i2, i3 = (1.0 / np.asarray(p.inertia, float)).tolist()
+    c1, c2, c3 = (p.m * p.g * np.asarray(p.chi, float)).tolist()
 
     def ambient_field(y):
         m1, m2, m3, b1, b2, b3 = y.tolist()
@@ -200,7 +198,7 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
     return Problem(
         name="heavy-top",
         action=Se3CoadjointAction(),
-        f=f,
+        f=_HEAVY_TOP(i1, i2, i3, c1, c2, c3),
         ambient_field=ambient_field,
         default_y0=np.array([0.1, 0.2, 0.3, 0.0, 0.0, 1.0]),
         use_rtol=False,

@@ -29,7 +29,8 @@ calls) gets the calling form, which calls the exp and act it is handed,
 so a wrapper sees every call.  Both forms have the same slots, points
 and output bits; n_exp and n_feval, the exponentials and f evaluations in
 the source, are the step's cost and count_budget's.  The adaptive loop
-(controller.py) runs the inline form's kernel_lines in its own frame.
+(controller.py) runs the inline form's kernel_lines in its own frame,
+with a packaged field's block (field_body, inline_field) in place of f.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -41,10 +42,11 @@ lists; StepResult makes its y1 and yhat1 arrays only when they are read.
 from __future__ import annotations
 
 import math
+from types import FunctionType
 
 import numpy as np
 
-from .actions import BLOCK_GLOBALS, INLINE, compile_function
+from .actions import BLOCK_GLOBALS, INLINE, _entries, compile_function
 from .tableaux import CFTableau, reuse_groups
 
 
@@ -135,6 +137,35 @@ def inline_length(action):
             and geometry[1] is action.act else None)
 
 
+_FIELDS = {}  # the code of each body field_body compiled -> its Block
+
+
+def field_body(block):
+    """Compile block, over a point's names and then its parameters', once as
+    a field body, and return make(*params): the field f(y), the body with
+    params as its argument defaults, so a call runs one frame.  f takes a
+    list as it is and converts anything else once, and returns as a list
+    the values that block's last line assigns to all its results."""
+    point, params = block.params
+    *lines, last = block.source.splitlines()
+    values = last.split(" = ")[1]
+    body = compile_function("f", ", ".join(("y", *params)), [
+        f"{', '.join(point)} = y if type(y) is list else _entries(y)",
+        *lines], f"[{values}]", {**BLOCK_GLOBALS, "_entries": _entries})
+    _FIELDS[body.__code__] = block
+    return lambda *args: FunctionType(body.__code__, body.__globals__, "f",
+                                      args)
+
+
+def inline_field(f, n):
+    """(block, params) when the inline form of length n runs f's Block in
+    place of calls to f, with the parameter values params: f is made by
+    field_body, with n entries.  Else (None, ())."""
+    block = _FIELDS.get(getattr(f, "__code__", None))
+    return ((block, f.__defaults__) if block and len(block.results) == n
+            else (None, ()))
+
+
 def count_budget(tableau: CFTableau):
     """Static (exp, feval) cost per step, assuming FSAL carry and all
     declared reuse hits; embedded rows are included when present.
@@ -183,10 +214,14 @@ def _names(prefix: str, count: int) -> list:
     return [f"{prefix}_{i}" for i in range(count)]
 
 
-def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool):
+def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
+                 field=None):
     """The lines of step_kernel's body but its return, over its arguments;
-    the returned expression; n_exp; n_feval.  The inline form runs
-    INLINE[n]'s exp and act blocks, the calling form calls exp and act."""
+    the returned expression; n_exp; n_feval.  The calling form calls exp
+    and act, the inline form runs INLINE[n]'s blocks.  With field, a field
+    Block (see inline_field), the inline form runs it in place of every f
+    call, on parameters in locals of their own names, and forms f0 where
+    f0 is None."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -207,14 +242,17 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool):
 
     def unpack(k, values):
         # the list values into the locals f{k}_0 ... f{k}_{n-1}
-        body.append(f"[{', '.join(_names(f'f{k}', n))}] = {values}")
+        return f"[{', '.join(_names(f'f{k}', n))}] = {values}"
 
-    def listed(k, values, value):
-        # the f value as the list values, checked for length n, unpacked
-        body.append(f"{values} = {value}")
-        body.append(f"if len({values}) != {n}: "
-                    f"raise _length_error({n}, {values})")
-        unpack(k, values)
+    def evaluate(k, point, values="v"):
+        # f at point into the locals f{k}_0 ...: the field block, else a
+        # call whose list values is checked for length n and unpacked
+        if field is not None:
+            return field.inline([_names(point, n_p), field.params[1]],
+                                _names(f"f{k}", n))
+        return [f"{values} = f({as_list(point)})",
+                f"if len({values}) != {n}: raise _length_error({n}, {values})",
+                unpack(k, values)]
 
     def as_list(point):
         # the local holding point as a list, built once in the inline form
@@ -227,9 +265,14 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool):
         if not inline:
             body.append(f"g{slot} = exp([{', '.join(entries)}])")
         else:
-            args = _names("a", n)  # read at once, so shared by all slots
+            g = _names(f"g{slot}", n_g)
+            # the entries, read at once: into the element's own locals
+            # where exp passes them through, else into locals shared by all
+            # slots
+            args = (g[:n] if exp_block.results[:n] == exp_block.params[0]
+                    else _names("a", n))
             body.extend(f"{a} = {e}" for a, e in zip(args, entries))
-            body.extend(exp_block.inline([args], _names(f"g{slot}", n_g)))
+            body.extend(exp_block.inline([args], g))
 
     def act(slot, point, new):
         if not inline:
@@ -265,13 +308,17 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool):
             point = points[prefix]
         return point
 
-    unpack(0, "f0")
+    body += [unpack(0, "f0")] if field is None else [
+        "if f0 is None:", *("    " + line for line in evaluate(0, "base")),
+        "else:", "    " + unpack(0, "f0")]
     for r, rows in enumerate(tableau.alpha, 2):
-        listed(r - 1, "v", f"f({as_list(apply_rows(('stage', r), rows))})")
+        body += evaluate(r - 1, apply_rows(("stage", r), rows))
         n_feval += 1
     y1 = as_list(apply_rows(("y",), tableau.beta))
     if fsal:
-        listed(tableau.s, "f_last", f"f({y1})")
+        body += evaluate(tableau.s, y1, "f_last")
+        if field is not None:
+            body.append(f"f_last = [{', '.join(_names(f'f{tableau.s}', n))}]")
         n_feval += 1
     yhat1 = (as_list(apply_rows(("yhat",), tableau.beta_hat)) if embedded
              else "None")

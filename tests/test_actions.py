@@ -266,11 +266,11 @@ def float_bits(values) -> bytes:
 
 
 def test_se3_rotation_is_so3_exp_bitwise():
-    # _se3_exp writes out _so3_exp's Rodrigues block again; both copies
+    # _se3_exp and so3_exp write out the same Rodrigues block; both copies
     # must give the same bits on either side of the series switch at
     # theta = 1e-4 and on overflowed input
     rng = np.random.default_rng(62)
-    so3, se3 = So3SphereAction(), Se3CoadjointAction()
+    se3 = Se3CoadjointAction()
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     vs = [_scaled(rng, 3, -7, 1.5).tolist() for _ in range(1000)]
@@ -281,7 +281,8 @@ def test_se3_rotation_is_so3_exp_bitwise():
            [0.0, -np.inf, 1.0], [np.nan, 0.0, 0.0], [1.0, np.nan, np.inf]]
     for v in vs:
         u = rng.standard_normal(3).tolist()
-        assert float_bits(se3.exp(v + u)[:9]) == float_bits(so3.exp(v))
+        assert float_bits(se3.exp(v + u)[:9]) == float_bits(
+            so3_exp(v).ravel().tolist())
         assert se3_exp(v + u).rot.tobytes() == so3_exp(v).tobytes()
 
 
@@ -344,6 +345,9 @@ def _float_exp_act(action, v, p):
 
 
 def test_so3_float_act_matches_numpy_kernel():
+    # the element is (w, A, B), w = v below theta = 1e-4 and the unit axis
+    # above, and p + A w x p + B w x (w x p) is the rotation's product R p
+    # to a few ulps of |p|
     rng = np.random.default_rng(60)
     action = So3SphereAction()
     series = 0
@@ -353,10 +357,25 @@ def test_so3_float_act_matches_numpy_kernel():
         p = _scaled(rng, 3, -3, 3)
         R = so3_exp(v)
         g, q = _float_exp_act(action, v, p)
-        assert g == R.ravel().tolist()
-        assert np.all(np.abs(np.array(q) - R @ p) <= _act_bound(R, p))
-        assert action.act(R, p) == action.act(g, p)
+        t = np.linalg.norm(v)
+        w = v if t < 1e-4 else v / t
+        assert np.all(np.abs(np.array(g[:3]) - w) <= 4 * EPS * np.abs(w))
+        assert np.all(np.abs(np.array(q) - R @ p)
+                      <= 8 * EPS * np.linalg.norm(p))
+        assert action.act(np.array(g), p) == q
     assert series > 2000
+
+
+@pytest.mark.parametrize("v,p", [
+    ([1e100, 0.0, 0.0], [0.0, 1e150, 3e149]),
+    ([0.0, -3e148, 4e148], [1e160, -1e159, 0.0]),
+])
+def test_so3_act_is_finite_where_the_rotation_is(v, p):
+    # |v|^2 |p| and |v| |p| pass 1e308: with the unit axis in the element,
+    # every intermediate stays within 2 |p|
+    action = So3SphereAction()
+    q = np.array(action.act(action.exp(v), p))
+    assert np.all(np.abs(q - so3_exp(v) @ p) <= 8 * EPS * math.hypot(*p))
 
 
 def test_se3_float_act_matches_numpy_kernel():
@@ -452,14 +471,15 @@ def test_float_kernels_give_nan_for_overflowed_input():
 # ---------------------------------------------------------- action contract
 
 def test_sphere_action_composes_left_to_right():
+    # acting with exp(v2), then exp(v1), is acting with their rotations'
+    # product so3_exp(v1) so3_exp(v2)
     act = So3SphereAction()
     rng = np.random.default_rng(51)
     for _ in range(50):
-        g1 = so3_exp(rng.standard_normal(3))
-        g2 = so3_exp(rng.standard_normal(3))
+        v1, v2 = rng.standard_normal(3), rng.standard_normal(3)
         p = random_ball(rng, 3, 1.0)
-        assert_allclose(act.act(g1 @ g2, p),
-                        act.act(g1, act.act(g2, p)), atol=1e-13)
+        assert_allclose(act.act(act.exp(v1), act.act(act.exp(v2), p)),
+                        so3_exp(v1) @ so3_exp(v2) @ p, atol=1e-13)
 
 
 def test_sphere_action_preserves_norm():
@@ -468,7 +488,7 @@ def test_sphere_action_preserves_norm():
     for _ in range(100):
         p = rng.standard_normal(3)
         p /= np.linalg.norm(p)
-        q = act.act(so3_exp(rng.standard_normal(3)), p)
+        q = act.act(act.exp(rng.standard_normal(3)), p)
         assert abs(np.linalg.norm(q) - 1.0) < 1e-13
 
 

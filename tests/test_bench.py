@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from cfrk.bench import (ExperimentConfig, build_experiment, reference_endpoint,
                         render_csv, render_json, resolved_config,
@@ -17,7 +18,7 @@ from cfrk.bench import (ExperimentConfig, build_experiment, reference_endpoint,
 from cfrk.catalog import get_tableau
 from cfrk.controller import ConfigError, integrate_fixed
 from cfrk.order_conditions import certify_pair
-from cfrk.problems import rigid_body
+from cfrk.problems import heavy_top, rigid_body
 from cfrk.tableaux import CFTableau, save_tableau
 
 
@@ -111,6 +112,29 @@ def test_reference_endpoint_rejects_a_bad_span(t0, t1):
 def test_experiment_config_rejects_a_run_that_cannot_start(fields):
     with pytest.raises(ConfigError):
         ExperimentConfig(**fields)
+
+
+def counted_field(prob):
+    """prob with an ambient field that fails the test, instead of hanging
+    it, once a solve has called it 1,000 times."""
+    calls = []
+
+    def field(y):
+        calls.append(None)
+        assert len(calls) < 1000, "the reference solve does not advance"
+        return prob.ambient_field(y)
+    return dataclasses.replace(prob, ambient_field=field)
+
+
+@pytest.mark.parametrize("t1", [1e-148, 7e-149, 1e-300, 5e-324])
+def test_reference_endpoint_returns_on_a_tiny_span(t1):
+    # LSODA's own first step is 0 for spans below ~7e-149 from 0, where it
+    # never advanced; the reference is then y0 + t1 F(y0) to roundoff
+    prob = heavy_top()
+    y0 = prob.default_y0
+    ref = reference_endpoint(counted_field(prob), y0, 0.0, t1)
+    assert_allclose(ref, y0 + t1 * prob.ambient_field(y0), rtol=1e-14,
+                    atol=0.0)
 
 
 def test_reference_endpoint_rejects_non_finite_derivative():

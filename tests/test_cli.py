@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, argument handling, and the file
 formats it emits."""
 
+import dataclasses
 import json
 import math
 
@@ -249,6 +250,29 @@ def test_convergence_records_a_failed_step_count(capsys):
     assert failed == [1.0, None, None]  # NaN is written as null
     assert finest[0] == 2.0 / 400 and 0.0 < finest[1] < 1e-3
     assert finest[2] is None
+
+
+def test_convergence_whose_step_underflows_is_a_usage_error(monkeypatch,
+                                                            capsys):
+    # the reference solve returns on a span this short, where LSODA never
+    # advanced, and (t1 - t0) / 2 then underflows to 0; an ambient field
+    # that counts its calls fails the test instead of hanging it
+    from cfrk import bench
+    build, calls = bench.build_problem, []
+
+    def counted(*args):
+        prob = build(*args)
+
+        def field(y):
+            calls.append(None)
+            assert len(calls) < 1000, "the reference solve does not advance"
+            return prob.ambient_field(y)
+        return dataclasses.replace(prob, ambient_field=field)
+    monkeypatch.setattr(bench, "build_problem", counted)
+    assert main(["convergence", "--t1", "5e-324", "--steps", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "cfrk: the step (t1 - t0) / n_steps underflows to 0 for t0 = 0.0, "
+        "t1 = 5e-324, n_steps = 2\n")
 
 
 def test_convergence_sweep(tmp_path):

@@ -22,7 +22,7 @@ from cfrk.controller import (ConfigError, ControllerConfig,
                              error_measure, initial_step, integrate_adaptive,
                              integrate_fixed, next_step_size)
 from cfrk.problems import Problem, heavy_top, rigid_body, van_der_pol
-from cfrk.stepper import FieldLengthError
+from cfrk.stepper import FieldLengthError, inline_field
 from cfrk.tableaux import CFTableau
 
 EPS = np.finfo(float).eps
@@ -881,17 +881,97 @@ def test_inline_and_calling_loops_agree_bitwise(name, build):
             assert float_bits([a.t, a.h, a.err, *a.y]) == \
                 float_bits([b.t, b.h, b.err, *b.y])
             assert a.accepted == b.accepted
-    assert ("loop", len(prob.f(prob.default_y0))) in pair._kernels
-    assert ("loop", None) in pair._kernels
+    n = len(prob.f(prob.default_y0))
+    assert ("loop", n, inline_field(prob.f, n)[0]) in pair._kernels
+    assert ("loop", None, None) in pair._kernels
+
+
+def test_one_field_loop_serves_every_parameter_value():
+    # inline_field takes a packaged field only, at its own length; two rigid
+    # bodies share one compiled loop, their parameters passed in per run
+    prob, other = rigid_body(), rigid_body(inertia=(3.0, 1.0, 4.0), m=2.0)
+    block, params = inline_field(prob.f, 3)
+    assert params == (1.0, 0.5, 0.2, 1.0)
+    assert inline_field(other.f, 3) == (block, (1 / 3.0, 1.0, 0.25, 2.0))
+    for f, n in ((lambda y: prob.f(y), 3), (prob.f, 4), (prob.f, None)):
+        assert inline_field(f, n) == (None, ())
+    pair = dataclasses.replace(get_tableau("cf43"))
+    for p in (prob, other):
+        called = dataclasses.replace(p, f=lambda y, f=p.f: f(y))
+        assert_same_run(outcome(pair, p, ControllerConfig()),
+                        outcome(pair, called, ControllerConfig()))
+    assert [key for key in pair._kernels if key[0] == "loop"] == [
+        ("loop", 3, block), ("loop", 3, None)]
+
+
+def assert_same_run(a, b):
+    """Two outcome() results agree: error type and message, times, every
+    event's bits and the totals."""
+    (kind, message, traj), (ref_kind, ref_message, ref) = a, b
+    assert (kind, message) == (ref_kind, ref_message)
+    assert float_bits(traj.times) == float_bits(ref.times)
+    assert traj.totals == ref.totals
+    assert len(traj.events) == len(ref.events)
+    for (t, h, accepted, err, y), (rt, rh, raccepted, rerr, ry) in zip(
+            traj.events, ref.events):
+        assert float_bits([t, h, err, *y]) == float_bits([rt, rh, rerr, *ry])
+        assert accepted == raccepted
+
+
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_inline_and_called_fields_agree_bitwise(name, build):
+    # a built-in field runs inline in the adaptive loop, a replacement
+    # that calls it is called; both give the same outcome, bit for bit,
+    # on the failure matrix's configurations and states too, and the
+    # replacement sees every f evaluation Totals counts, plus initial_step's
+    # where h0 is unset and the one that raised
+    prob = build()
+    calls = []
+
+    def called(y):
+        calls.append(None)
+        return prob.f(y)
+    pair = get_tableau(name)
+    assert inline_field(prob.f, len(prob.f(prob.default_y0)))[0]
+    runs = [(ControllerConfig(**kw), prob.default_y0)
+            for kw in [dict(atol=1e-4, rtol=1e-4), dict(atol=1e-8, rtol=1e-8),
+                       *MATRIX_CFG.values()]]
+    runs += [(ControllerConfig(), MATRIX_Y0[case](prob.default_y0))
+             for case in ("y0-nan", "y0-inf", "y0-huge")]
+    if build is van_der_pol:  # the origin: DomainError from f(y0)
+        runs.append((ControllerConfig(h0=0.1), np.zeros(2)))
+    for cfg, y0 in runs:
+        start = dataclasses.replace(prob, default_y0=y0)
+        calls.clear()
+        inline = outcome(pair, start, cfg)
+        assert_same_run(inline, outcome(
+            pair, dataclasses.replace(start, f=called), cfg))
+        finite = bool(np.all(np.isfinite(y0)))
+        raised = inline[0] is IntegrationError  # the f call that raised
+        assert len(calls) == inline[2].totals.n_feval + (
+            finite and (cfg.h0 is None or raised))
+
+
+def names_in(source) -> set:
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name)}
 
 
 def test_compiled_sources_name_no_numpy_and_write_the_step_size_once():
     # every float body, step kernel and adaptive loop reads math and the
     # overflow-safe exp, never numpy; each loop runs the step-size rule
-    # once, after the accept/reject branch
+    # once, after the accept/reject branch; a loop that runs a built-in
+    # field never calls f, and the field's parameters, locals of their own
+    # names there, are no name of the loop without it
     import cfrk.actions
     import cfrk.controller
     from cfrk.stepper import step_kernel
+    loop = cfrk.controller._adaptive_loop
+    fields = [(len(prob.f(prob.default_y0)), prob.f)
+              for prob in (build() for build in BOUNDARY_PROBLEMS)]
+    fields = [(n, inline_field(f, n)[0]) for n, f in fields]
     sources = [body.source for bodies in cfrk.actions.INLINE.values()
                for body in bodies[:2]]
     loops = []
@@ -901,12 +981,18 @@ def test_compiled_sources_name_no_numpy_and_write_the_step_size_once():
                         for embedded in (True, False)
                         for inline in (True, False)]
         if t.name in EMBEDDED:
-            loops += [cfrk.controller._adaptive_loop(t, n).source
+            loops += [loop(t, n).source
                       for n in (None, *cfrk.actions.INLINE)]
+            for n, field in fields:
+                source = loop(t, n, field).source
+                loops.append(source)
+                assert not any(isinstance(node, ast.Call)
+                               and getattr(node.func, "id", None) == "f"
+                               for node in ast.walk(ast.parse(source)))
+                assert not names_in(loop(t, n).source) & set(field.params[1])
+    assert len(loops) == 7 * len(EMBEDDED)
     for source in sources + loops:
-        names = {node.id for node in ast.walk(ast.parse(source))
-                 if isinstance(node, ast.Name)}
-        assert not names & {"np", "numpy", "_np_exp"}
+        assert not names_in(source) & {"np", "numpy", "_np_exp"}
     step_size = cfrk.controller._STEP_SIZE
     rule = [line.strip()
             for line in step_size.inline(step_size.params, ["h_try"])]
@@ -978,6 +1064,29 @@ def test_points_are_built_once_when_first_read(driver):
     assert vars(traj)["points"] is points is traj.points
     accepted = [e[4] for e in traj.events if e[2]]
     assert points.tolist() == [prob.default_y0.tolist(), *accepted]
+
+
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+def test_y_end_is_the_last_point_and_builds_no_points(build):
+    # y_end reads the last accepted event, or y0: points[-1]'s bytes in
+    # y0's shape, with points left unbuilt, also for a failed run that
+    # accepted nothing
+    prob = build()
+    trajs = [run(prob, prob.default_y0, 0.0, 1.0) for run in DRIVERS.values()]
+    with pytest.raises(IntegrationError) as info:
+        integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0, 0.0,
+                           1.0, ControllerConfig(atol=1e-12, h0=1.0,
+                                                 max_consecutive_rejects=1))
+    trajs.append(info.value.trajectory)
+    for traj in trajs:
+        y_end = traj.y_end
+        assert "points" not in vars(traj)
+        assert type(y_end) is np.ndarray
+        assert y_end.shape == prob.default_y0.shape
+        assert y_end.tobytes() == traj.points[-1].tobytes()
+    assert trajs[-1].y_end.tolist() == prob.default_y0.tolist()
+    assert trajs[-1].y_end is not trajs[-1].y0
 
 
 class MinimalRotations(GroupAction):
