@@ -23,23 +23,26 @@ an element and a point given as a list of floats, writes each product
 out as multiply-adds, and returns the new point as a list.
 
 Each formula is written once, as a Block: straight-line source over named
-float locals.  At import each geometry's exp and act are compiled from
-their blocks into module-level float bodies bound as static methods, so a
-call runs one Python frame.  The only guard in a body is
-`x if type(x) is list else _floats(x, ...)`: a list is unpacked as it is,
-and one of the wrong length raises the unpacking's ValueError; numpy input
-is checked for shape (a ValueError naming the shape it got) and converted
-once: an algebra element or point as an array, and for act an so(3)
-element of five entries or a 2x2 matrix as an array or an SE(3) element
-as an Se3Element.  se(3)'s exp and so3_exp run one Rodrigues source, so
+float locals, which may reassign its inputs.  One compiler, _body, turns a
+Block into a float function: at import each geometry's exp and act become
+module-level float bodies bound as static methods, so a call runs one
+Python frame (it compiles the packaged fields and the controller's
+formulas too).  The only guard in a body is `x if type(x) is list else
+_floats(x, ...)`: a list is unpacked as it is, and one of the wrong length
+raises the unpacking's ValueError; numpy input is checked for shape (a
+ValueError naming the shape it got) and converted once: an algebra element
+or point as an array, and for act an so(3) element of five entries or a
+2x2 matrix as an array or an SE(3) element as an Se3Element.  There is one
+so(3) exponential, _SO3_EXP's element (w, A, B): so3_exp and se(3)'s exp
+continue its source to the rotation's entries I + A K_w + B K_w^2, so
 their rotations have the same bits; gl(2)'s exp takes e^x from math.exp
 through _exp, inf where math.exp would overflow, so no body needs numpy.
-The public kernels so3_exp, gl2_exp, se3_exp and coadjoint_act check
-their input, call bodies of the same blocks and return numpy matrices,
-an Se3Element or a numpy vector.  A step of an action whose exp
-and act are these bodies runs their blocks inline (INLINE; see
-stepper.inline_length).  ambient_norm and ambient_distance use a list as
-it is and convert anything else once.
+The public kernels so3_exp, gl2_exp, se3_exp and coadjoint_act check their
+input, call bodies of the same blocks and return numpy matrices, an
+Se3Element or a numpy vector.  A step of an action whose exp and act are
+these bodies runs their blocks inline (INLINE; see stepper.inline_length).
+ambient_norm and ambient_distance use a list as it is and convert anything
+else once.
 """
 
 from __future__ import annotations
@@ -83,8 +86,10 @@ class Block:
     the outputs.  The source may branch, but every branch assigns every
     result and none returns, so the block can run inside a larger
     function; a result named as an input passes that input through, and
-    inline then needs one local for both.  It reads no global but builtins
-    and what the code it is compiled into provides (BLOCK_GLOBALS).
+    inline then needs one local for both.  A block may reassign an input:
+    inlined, it then writes to that argument's own local.  It reads no
+    global but builtins and what the code it is compiled into provides
+    (BLOCK_GLOBALS).  temps names the other locals it assigns.
     """
 
     def __init__(self, params, results: str, source: str):
@@ -94,12 +99,12 @@ class Block:
         stored = {node.id for node in ast.walk(ast.parse(self.source))
                   if isinstance(node, ast.Name)
                   and isinstance(node.ctx, ast.Store)}
-        self.temps = stored - set(self.results)
+        self.temps = stored.difference(self.results, *self.params)
 
     def inline(self, args, results) -> list:
-        """The block's lines with its inputs read from the locals args (one
-        sequence of names per argument), its results written to the locals
-        results, and every other local it assigns prefixed with '_'."""
+        """The block's lines with its inputs read from (and reassigned in)
+        the locals args, one sequence of names per argument, its results
+        written to the locals results, and every temp prefixed with '_'."""
         names = {p: a for ps, xs in zip(self.params, args)
                  for p, a in zip(ps, xs, strict=True)}
         names.update(zip(self.results, results, strict=True))
@@ -123,57 +128,34 @@ def compile_function(name: str, params: str, lines, result, namespace):
     return local[name]
 
 
-def _body(name: str, block: Block, **convert: str):
-    """block compiled as the float body name(arg, ...): each argument, a
-    list unpacked as it is or anything else converted by its expression in
-    convert, then the results as a list."""
+def _body(name: str, block: Block, namespace=None, **convert: str):
+    """block compiled as the float body name(arg, ..., *rest) returning
+    its results as a list, with namespace (this module's by default) as its
+    globals.  Each arg in convert is one input tuple, a list unpacked as it
+    is or anything else converted by its expression; rest are the inputs
+    of the remaining tuples."""
     lines = [f"{', '.join(ps)} = ({arg} if type({arg}) is list else {conv})"
              for (arg, conv), ps in zip(convert.items(), block.params)]
-    return compile_function(name, ", ".join(convert),
+    rest = [p for ps in block.params[len(convert):] for p in ps]
+    return compile_function(name, ", ".join([*convert, *rest]),
                             lines + block.source.splitlines(),
-                            f"[{', '.join(block.results)}]", globals())
+                            f"[{', '.join(block.results)}]",
+                            globals() if namespace is None else namespace)
 
 
 # --------------------------------------------------------------- so(3)
 
 _ROTATION = "r11 r12 r13 r21 r22 r23 r31 r32 r33"
 
-# The 9 entries of I + A K + B K^2, K w = v x w, K^2 = v v^T - |v|^2 I, at
-# v = (x, y, z).  A = sin t / t and B = (1 - cos t) / t^2 at t = |v|.
-# Below theta = 1e-4 both switch to short Taylor expansions; the closed
-# forms lose digits to cancellation there.  An infinite or NaN t^2 (an
-# algebra element that overflowed) gives NaN coefficients, so the state
-# turns non-finite instead of math.sin raising a domain error.
-_RODRIGUES = """
-xx, yy, zz = x * x, y * y, z * z
-t2 = xx + yy + zz
-if t2 < 1e-8:  # theta < 1e-4
-    A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 ** 3 / 5040.0
-    B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 ** 3 / 40320.0
-elif t2 < math.inf:
-    t = math.sqrt(t2)
-    A = math.sin(t) / t
-    B = (1.0 - math.cos(t)) / t2
-else:
-    A = B = math.nan
-bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
-ax, ay, az = A * x, A * y, A * z
-r11 = 1.0 - B * (yy + zz)
-r12 = bxy - az
-r13 = bxz + ay
-r21 = bxy + az
-r22 = 1.0 - B * (xx + zz)
-r23 = byz - ax
-r31 = bxz - ay
-r32 = byz + ax
-r33 = 1.0 - B * (xx + yy)
-"""
-
 # A step's so(3) element is action-only: the five floats (x, y, z, A, B)
 # of the rotation I + A K + B K^2, K w = (x, y, z) x w, never its nine
-# entries.  Below theta = 1e-4, (x, y, z) is v itself with _RODRIGUES'
-# series for A and B; above it, the unit axis v / t with A = sin t and
-# B = 1 - cos t, so that act's products stay within 2 |p|.
+# entries.  Below theta = |v| = 1e-4, (x, y, z) is v itself with
+# A = sin t / t and B = (1 - cos t) / t^2 as short Taylor expansions (the
+# closed forms lose digits to cancellation there); above it, the unit axis
+# v / t with A = sin t and B = 1 - cos t, so that act's products stay
+# within 2 |p|.  An infinite or NaN t^2 (an algebra element that
+# overflowed) gives NaN coefficients, so the state turns non-finite instead
+# of math.sin raising a domain error.
 _SO3_EXP = Block(["x y z"], "x y z A B", """
 t2 = x * x + y * y + z * z
 if t2 < 1e-8:  # theta < 1e-4
@@ -201,17 +183,32 @@ q3 = p3 + A * c3 + B * (x * c2 - y * c1)
 _so3_exp = _body("_so3_exp", _SO3_EXP, v="_floats(v, 3)")
 _so3_act = _body("_so3_act", _SO3_ACT, g="_floats(g, 5)",
                  p="_floats(p, 3)")
-_so3_rotation = _body("_so3_rotation", Block(["x y z"], _ROTATION, _RODRIGUES),
-                      v="_floats(v, 3)")
+# The 9 entries of that rotation, I + A K + B K^2 with
+# K^2 = w w^T - |w|^2 I: the one so(3) exponential, continued.
+_SO3_ROTATION = Block(["x y z"], _ROTATION, _SO3_EXP.source + """
+xx, yy, zz = x * x, y * y, z * z
+bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
+ax, ay, az = A * x, A * y, A * z
+r11 = 1.0 - B * (yy + zz)
+r12 = bxy - az
+r13 = bxz + ay
+r21 = bxy + az
+r22 = 1.0 - B * (xx + zz)
+r23 = byz - ax
+r31 = bxz - ay
+r32 = byz + ax
+r33 = 1.0 - B * (xx + yy)
+""")
+_so3_rotation = _body("_so3_rotation", _SO3_ROTATION, v="_floats(v, 3)")
 
 
 def so3_exp(v) -> np.ndarray:
     """Rotation matrix exp(K), K the skew matrix of v (K w = v x w), by the
     Rodrigues formula I + (sin t / t) K + ((1 - cos t) / t^2) K^2, t = |v|.
 
-    Below theta = 1e-4 the two trigonometric quotients switch to short
-    Taylor expansions; the closed forms lose digits to cancellation there.
-    Raises ValueError unless v has exactly 3 components.
+    Its entries are I + A K_w + B K_w^2 from the one so(3) element
+    (w, A, B) that a step's exp returns (see _SO3_EXP), series below
+    theta = 1e-4.  Raises ValueError unless v has exactly 3 components.
     """
     return np.array(_so3_rotation(_floats(v, 3))).reshape(3, 3)
 
@@ -304,13 +301,17 @@ class Se3Element:
 
 
 # se3_exp on (xi, u) = (x, y, z, u1, u2, u3): the so(3) rotation of xi,
-# then the translation with C = (t - sin t) / t^3 beside its A and B.
+# then the translation V u = u + P w x u + Q w x (w x u) on the same w:
+# P = B and the series of Q = (t - sin t) / t^3 below theta = 1e-4, else
+# P = (1 - cos t) / t = B / t and Q = (t - sin t) / t = 1 - A / t.  The
+# block reassigns its inputs x, y, z (w = v / t), so inlined it writes to
+# the locals it reads them from.
 _SE3_EXP = Block(["x y z u1 u2 u3"], _ROTATION + " v1 v2 v3",
-                 _RODRIGUES + """
+                 _SO3_ROTATION.source + """
 if t2 < 1e-8:
     C = 1 / 6 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 ** 3 / 362880.0
 elif t2 < math.inf:
-    C = (t - math.sin(t)) / (t2 * t)
+    B, C = B / t, 1.0 - A / t
 else:
     C = math.nan
 w1, w2, w3 = y * u3 - z * u2, z * u1 - x * u3, x * u2 - y * u1
@@ -335,25 +336,24 @@ q6 = b1 * r13 + b2 * r23 + b3 * r33
 """)
 
 
-def _se3_floats(ge: Se3Element) -> list:
-    """The rotation entries, row-major, then the translation of ge."""
-    return _floats(ge.rot, 3, 3) + _floats(ge.trans, 3)
-
-
+# An Se3Element is read as its rotation entries, then its translation.
 _se3_exp = _body("_se3_exp", _SE3_EXP, a="_floats(a, 6)")
-_se3_act = _body("_se3_act", _SE3_ACT, g="_se3_floats(g)",
+_se3_act = _body("_se3_act", _SE3_ACT,
+                 g="_floats(g.rot, 3, 3) + _floats(g.trans, 3)",
                  m="_floats(m, 6)")
 
 
 def se3_exp(a) -> Se3Element:
     """Exponential of (xi, u): rotation so3_exp(xi) and translation V(xi) u
-    with V = sum_m K^m / (m+1)!, K the skew matrix of xi, evaluated as
-    u + B xi x u + C xi x (xi x u) with B = (1 - cos t) / t^2 and
-    C = (t - sin t) / t^3, t = |xi|.
+    with V = sum_m K^m / (m+1)!, K the skew matrix of xi, that is
+    u + ((1 - cos t) / t^2) xi x u + ((t - sin t) / t^3) xi x (xi x u),
+    t = |xi|.
 
-    Below theta = 1e-4 the trigonometric quotients switch to short Taylor
-    expansions, as in so3_exp.  Raises ValueError unless a has exactly 6
-    components.
+    Both continue the so(3) element (w, A, B) of xi (see so3_exp and
+    _SE3_EXP): the rotation's entries are I + A K_w + B K_w^2, and the
+    translation's coefficients are B and the series of (t - sin t) / t^3
+    below theta = 1e-4 (w = xi), else B / t and 1 - A / t (w = xi / t).
+    Raises ValueError unless a has exactly 6 components.
     """
     g = _se3_exp(_floats(a, 6))
     return Se3Element(np.array(g[:9]).reshape(3, 3), np.array(g[9:]))
@@ -367,7 +367,7 @@ def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
     as three products summed left to right.  Raises ValueError unless m has
     exactly 6 components.
     """
-    return np.array(_se3_act(_se3_floats(ge), _floats(m, 6)))
+    return np.array(_se3_act(ge, _floats(m, 6)))
 
 
 # What the blocks read besides their own locals.

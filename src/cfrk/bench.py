@@ -101,6 +101,10 @@ def resolved_config(config: ExperimentConfig) -> dict:
 
 # ------------------------------------------------------- reference solutions
 
+class ReferenceSolveError(RuntimeError):
+    """A reference solve failed, or its two integrators disagree."""
+
+
 def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
     """High-accuracy solution at t1 from an integrator independent of cfrk.
 
@@ -108,10 +112,10 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
     action, with scipy's DOP853 at rtol 1e-13, atol 1e-14, cross-checked
     against LSODA (Adams/BDF multistep, a different method family) at
     rtol 1e-12, atol 1e-14.  A failed solve, a non-finite derivative or a
-    cross-check gap above 1e-9 raises RuntimeError rather than returning a
-    silently bad reference; a problem without an ambient field raises
-    ValueError, and a span that is not finite with t1 > t0 ConfigError
-    (a ValueError).
+    cross-check gap above 1e-9 raises ReferenceSolveError (a RuntimeError)
+    rather than returning a silently bad reference; a problem without an
+    ambient field raises ValueError, and a span that is not finite with
+    t1 > t0 ConfigError (a ValueError).
     """
     check_span(t0, t1)
     field = problem.ambient_field
@@ -124,16 +128,17 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
     def rhs(t, y):
         dy = field(y)
         if not np.all(np.isfinite(dy)):
-            raise RuntimeError(f"reference for {problem.name}: non-finite "
-                               f"derivative at t={t!r}")
+            raise ReferenceSolveError(f"reference for {problem.name}: "
+                                      f"non-finite derivative at t={t!r}")
         return dy
 
-    # LSODA's own first step is 1 / sqrt(1 / (rtol w^2) + ...), w the larger
-    # of |t0| and |t1|: 0 once 1 / (rtol w^2) overflows (w below ~7e-149),
-    # and it then never advances.  Its error control cannot see a span that
-    # short, so it takes the whole span as its first step.
+    # With w the larger of |t0| and |t1|, LSODA refuses to start on a span
+    # below 2 eps w, and its own first step is 0 once 1 / (rtol w^2)
+    # overflows (w below ~7e-149).  Its error control cannot see a span that
+    # short, so it takes the whole span (below twice 2 eps w) as one step.
     w = max(abs(t0), abs(t1))
-    tiny = 1e-12 * w * w < 1.0 / sys.float_info.max
+    tiny = (t1 - t0 < 4.0 * sys.float_info.epsilon * w
+            or 1e-12 * w * w < 1.0 / sys.float_info.max)
     ends = []
     for method, rtol, atol, first in (
             ("DOP853", 1e-13, 1e-14, None),
@@ -141,19 +146,36 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
         sol = solve_ivp(rhs, (t0, t1), np.asarray(y0, float), method=method,
                         rtol=rtol, atol=atol, t_eval=[t1], first_step=first)
         if not sol.success:
-            raise RuntimeError(f"reference {method} solve failed for "
-                               f"{problem.name}: {sol.message}")
+            raise ReferenceSolveError(f"reference {method} solve failed "
+                                      f"for {problem.name}: {sol.message}")
         ends.append(sol.y[:, -1])
     ref, check = ends
     agreement = float(np.linalg.norm(ref - check))
     if agreement > 1e-9:
-        raise RuntimeError(
+        raise ReferenceSolveError(
             f"reference cross-check failed for {problem.name}: DOP853 and "
             f"LSODA differ by {agreement:.2e}")
     return ref
 
 
 # ------------------------------------------------------------------- runners
+
+def _sweep(problem, ref, runs):
+    """(key, trajectory, error) for each entry (key, label, run) of runs,
+    the error of the run's endpoint against ref in problem's metric, and
+    the failures: an IntegrationError gives its partial trajectory, error
+    NaN and a failures entry "label: message", and the sweep goes on."""
+    results, failures = [], []
+    for key, label, run in runs:
+        try:
+            traj = run()
+            err = problem.action.ambient_distance(traj.y_end, ref)
+        except IntegrationError as exc:
+            failures.append(f"{label}: {exc}")
+            traj, err = exc.trajectory, math.nan
+        results.append((key, traj, err))
+    return results, failures
+
 
 def run_convergence(config: ExperimentConfig):
     """Fixed-step global errors against the reference, with local slopes.
@@ -167,17 +189,11 @@ def run_convergence(config: ExperimentConfig):
     steps = config.steps or (40, 80, 160, 320)
     t0, t1, y0 = config.t0, config.t1, problem.default_y0
     ref = reference_endpoint(problem, y0, t0, t1)
-    action = problem.action
-
-    rows, failures = [], []
-    for n in steps:
-        try:
-            traj = integrate_fixed(tableau, problem, y0, t0, t1, int(n),
-                                   advance_embedded=config.advance_embedded)
-            err = action.ambient_distance(traj.y_end, ref)
-        except IntegrationError as exc:
-            failures.append(f"steps={n}: {exc}")
-            err = math.nan
+    results, failures = _sweep(problem, ref, [(n, f"steps={n}", partial(
+        integrate_fixed, tableau, problem, y0, t0, t1, int(n),
+        advance_embedded=config.advance_embedded)) for n in steps])
+    rows = []
+    for n, _, err in results:
         h = (t1 - t0) / n
         h_prev, e_prev, _ = rows[-1] if rows else (h, math.nan, None)
         slope = (math.log(e_prev / err) / math.log(h_prev / h)
@@ -209,20 +225,11 @@ def run_work_precision(config: ExperimentConfig):
     runs += [(math.nan, f"steps={n}", partial(
         integrate_fixed, tableau, problem, y0, t0, t1, int(n)))
         for n in config.steps]
-    ref = reference_endpoint(problem, y0, t0, t1)
-
-    rows, failures = [], []
-    for tol, label, run in runs:
-        try:
-            traj = run()
-            err = problem.action.ambient_distance(traj.y_end, ref)
-        except IntegrationError as exc:
-            failures.append(f"{label}: {exc}")
-            traj, err = exc.trajectory, math.nan
-        tt = traj.totals
-        rows.append((tol, err, tt.n_exp, tt.n_feval, tt.n_accepted,
-                     tt.n_rejected))
-    return rows, {"failures": failures}
+    results, failures = _sweep(
+        problem, reference_endpoint(problem, y0, t0, t1), runs)
+    # Totals is (n_exp, n_feval, n_accepted, n_rejected)
+    return ([(tol, err, *dataclasses.astuple(traj.totals))
+             for tol, traj, err in results], {"failures": failures})
 
 
 def attempt_rows(traj) -> list:
@@ -235,6 +242,26 @@ def attempt_rows(traj) -> list:
             for t, h, accepted, err, y in traj.events]
 
 
+def _trace(config: ExperimentConfig, atol: float, rtol: float, hmax: float):
+    """One adaptive run of config's problem and tableau from its default
+    y0 over [t0, t1], with these tolerances and hmax: one attempt_rows row
+    per attempt, and the run's end point and totals as the summary."""
+    problem, tableau = build_experiment(config)
+    cfg = ControllerConfig(atol=atol, rtol=rtol, h0=config.h0, hmax=hmax)
+    traj = integrate_adaptive(tableau, problem, problem.default_y0,
+                              config.t0, config.t1, cfg)
+    return attempt_rows(traj), {"t_end": traj.t_end,
+                                "y_end": traj.y_end.tolist(),
+                                **dataclasses.asdict(traj.totals)}
+
+
+def run_integrate(config: ExperimentConfig):
+    """One adaptive run at config's atol and rtol: the needle rows of every
+    attempt, and its end point and totals as the summary."""
+    return _trace(config, config.atol, config.rtol,
+                  math.inf if config.hmax is None else config.hmax)
+
+
 def run_needle(config: ExperimentConfig):
     """Per-attempt step trace of an adaptive run, with a step-size summary
     over the spike window t in [1.4, 1.56] (the Van der Pol needle).
@@ -245,33 +272,25 @@ def run_needle(config: ExperimentConfig):
     """
     if len(config.tols) > 1:
         raise ConfigError(f"needle takes one tolerance, got {config.tols}")
-    problem, tableau = build_experiment(config)
     tol = config.tols[0] if config.tols else config.atol
     # Default max step of a tenth of the span (the usual ODE-suite choice)
     # keeps the slow-branch part of the trace resolved.
     hmax = config.hmax if config.hmax is not None \
         else (config.t1 - config.t0) / 10.0
-    cfg = ControllerConfig(atol=tol, rtol=tol, h0=config.h0, hmax=hmax)
-    y0 = problem.default_y0
-    traj = integrate_adaptive(tableau, problem, y0, config.t0, config.t1, cfg)
-    rows = attempt_rows(traj)
+    rows, summary = _trace(config, tol, tol, hmax)
+    del summary["n_feval"]  # the needle summary counts exponentials only
 
     lo, hi = NEEDLE_WINDOW
     accepted_h = [h for _, h, accepted, *_ in rows if accepted]
     window_h = [h for t, h, accepted, *_ in rows
                 if accepted and lo <= t <= hi]
     n_att = len(rows)
-    summary = {
+    summary.update({
         "needle_window": [lo, hi],
         "min_h_in_window": min(window_h) if window_h else float("nan"),
         "median_h": float(np.median(accepted_h)) if accepted_h else float("nan"),
-        "n_accepted": traj.totals.n_accepted,
-        "n_rejected": traj.totals.n_rejected,
-        "reject_fraction": traj.totals.n_rejected / n_att if n_att else 0.0,
-        "t_end": traj.t_end,
-        "y_end": np.asarray(traj.y_end, float).tolist(),
-        "n_exp": traj.totals.n_exp,
-    }
+        "reject_fraction": summary["n_rejected"] / n_att if n_att else 0.0,
+    })
     return rows, summary
 
 

@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
-import numpy as np
-
-from .bench import (CSV_COLUMNS, ExperimentConfig, attempt_rows,
-                    build_experiment, render_csv, render_json, resolved_config,
-                    run_convergence, run_needle, run_tableau_check,
+from .bench import (CSV_COLUMNS, ExperimentConfig, ReferenceSolveError,
+                    render_csv, render_json, resolved_config, run_convergence,
+                    run_integrate, run_needle, run_tableau_check,
                     run_work_precision, write_output)
 from .catalog import catalog
-from .controller import (ConfigError, ControllerConfig, IntegrationError,
-                         integrate_adaptive)
+from .controller import ConfigError, IntegrationError
 from .stepper import count_budget
 from .tableaux import TableauError
 
@@ -92,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--steps", action="append", type=int,
                         help="step count (repeatable)")
     p_conv.add_argument("--embedded", action="store_true",
+                        dest="advance_embedded",
                         help="advance with the embedded solution instead")
 
     p_wp = sub.add_parser("work-precision",
@@ -114,30 +111,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args, mode: str, **extra) -> ExperimentConfig:
+# Each run command -> its ExperimentConfig mode, the name of its runner in
+# this module (looked up when it runs, so a replaced runner is the one
+# called) and its CSV columns.
+_RUNS = {"integrate": ("adaptive", "run_integrate", "needle"),
+         "convergence": ("convergence", "run_convergence", "convergence"),
+         "work-precision": ("work-precision", "run_work_precision",
+                            "work-precision"),
+         "needle": ("needle", "run_needle", "needle")}
+
+
+def _config_from(args, mode: str) -> ExperimentConfig:
+    # the options only some commands take: ExperimentConfig's defaults
+    # where a command has none
+    given = {name: getattr(args, name) for name in
+             ("atol", "rtol", "h0", "hmax", "advance_embedded")
+             if hasattr(args, name)}
     return ExperimentConfig(
         problem=args.problem,
-        problem_params=_parse_params(getattr(args, "param", None)),
+        problem_params=_parse_params(args.param),
         tableau=args.tableau,
         mode=mode,
         tols=tuple(getattr(args, "tol", None) or ()),
         steps=tuple(getattr(args, "steps", None) or ()),
         t0=args.t0,
         t1=args.t1,
-        h0=getattr(args, "h0", None),
-        hmax=getattr(args, "hmax", None),
         seed=args.seed,
         out=args.out,
         fmt=args.fmt,
-        **extra,
+        **given,
     )
-
-
-def _emit(kind: str, rows, summary, config: ExperimentConfig) -> None:
-    cols = CSV_COLUMNS[kind]
-    cfg_dict = resolved_config(config)
-    render = render_csv if config.fmt == "csv" else render_json
-    write_output(render(cols, rows, cfg_dict, summary), config.out)
 
 
 def _cmd_tableaux_list() -> int:
@@ -162,49 +165,18 @@ def _cmd_tableaux_check(args) -> int:
     return 0 if payload["ok"] else 1
 
 
-def _cmd_integrate(args) -> int:
-    config = _config_from(args, "adaptive", atol=args.atol, rtol=args.rtol)
-    problem, tableau = build_experiment(config)
-    cfg = ControllerConfig(atol=args.atol, rtol=args.rtol, h0=args.h0,
-                           hmax=args.hmax if args.hmax is not None else math.inf)
-    traj = integrate_adaptive(tableau, problem, problem.default_y0, args.t0,
-                              args.t1, cfg)
-    summary = {
-        "t_end": traj.t_end,
-        "y_end": np.asarray(traj.y_end, float).tolist(),
-        "n_accepted": traj.totals.n_accepted,
-        "n_rejected": traj.totals.n_rejected,
-        "n_exp": traj.totals.n_exp,
-        "n_feval": traj.totals.n_feval,
-    }
-    _emit("needle", attempt_rows(traj), summary, config)
-    return 0
-
-
-def _run_sweep(kind: str, runner, config: ExperimentConfig) -> int:
-    rows, summary = runner(config)
-    _emit(kind, rows, summary, config)
-    return 1 if summary.get("failures") else 0
-
-
 def _dispatch(args) -> int:
     if args.command == "tableaux":
         if args.tableaux_command == "list":
             return _cmd_tableaux_list()
         return _cmd_tableaux_check(args)
-    if args.command == "integrate":
-        return _cmd_integrate(args)
-    if args.command == "convergence":
-        config = _config_from(args, "convergence",
-                              advance_embedded=args.embedded)
-        return _run_sweep("convergence", run_convergence, config)
-    if args.command == "work-precision":
-        config = _config_from(args, "work-precision")
-        return _run_sweep("work-precision", run_work_precision, config)
-    if args.command == "needle":
-        config = _config_from(args, "needle")
-        return _run_sweep("needle", run_needle, config)
-    raise AssertionError(f"unhandled command {args.command}")
+    mode, runner, kind = _RUNS[args.command]
+    config = _config_from(args, mode)
+    rows, summary = globals()[runner](config)
+    render = render_csv if config.fmt == "csv" else render_json
+    write_output(render(CSV_COLUMNS[kind], rows, resolved_config(config),
+                        summary), config.out)
+    return 1 if summary.get("failures") else 0
 
 
 def main(argv=None) -> int:
@@ -218,6 +190,9 @@ def main(argv=None) -> int:
         return 2
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
+        return 1
+    except ReferenceSolveError as exc:
+        print(f"cfrk: {exc}", file=sys.stderr)
         return 1
 
 

@@ -36,7 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import Block, DomainError, GroupAction, compile_function
+from .actions import (Block, DomainError, GroupAction, _body,
+                      compile_function)
 from .stepper import (KERNEL_GLOBALS, FieldLengthError, cf_step,
                       check_length, inline_field, inline_length, kernel_lines)
 
@@ -164,9 +165,10 @@ class NonFiniteError(IntegrationError):
 
 
 # The controller's formulas, each written once: the adaptive loop runs them
-# inline on its locals of the same names, error_measure and next_step_size
-# compiled.  `b if b > a else a` is max(a, b), and `b if b < a else a` is
-# min(a, b), for any two floats, NaN included.
+# inline on its locals of the same names, and error_measure and
+# next_step_size call their bodies (actions._body).  `b if b > a else a` is
+# max(a, b), and `b if b < a else a` is min(a, b), for any two floats, NaN
+# included.
 _ERROR = Block(["base y1 yhat1 atol rtol norm dist"], "err", """
 sc = atol
 if rtol != 0.0:  # with rtol 0 the norms would only be scaled by 0
@@ -184,10 +186,8 @@ h_new = h_new if h_new < hmax else hmax
 """)
 
 
-_error, _step_size = (
-    compile_function(name, ", ".join(block.params[0]),
-                     block.source.splitlines(), block.results[0], globals())
-    for name, block in (("error", _ERROR), ("step_size", _STEP_SIZE)))
+_error = _body("error", _ERROR, globals())
+_step_size = _body("step_size", _STEP_SIZE, globals())
 
 
 def error_measure(y0, y1, yhat1, cfg: ControllerConfig, action) -> float:
@@ -197,7 +197,7 @@ def error_measure(y0, y1, yhat1, cfg: ControllerConfig, action) -> float:
     if yhat1 is None:
         raise ValueError("error_measure needs an embedded solution")
     return _error(y0, y1, yhat1, cfg.atol, cfg.rtol, action.ambient_norm,
-                  action.ambient_distance)
+                  action.ambient_distance)[0]
 
 
 def next_step_size(h: float, err: float, p: int,
@@ -205,7 +205,7 @@ def next_step_size(h: float, err: float, p: int,
     """h * min(facmax, max(facmin, fac * err^(-1/p))), clamped to
     [hmin, hmax].  err = 0 is treated as machine epsilon."""
     return _step_size(h, err, cfg.facmax if facmax is None else facmax,
-                      cfg.fac, cfg.facmin, cfg.hmin, cfg.hmax, -1.0 / p)
+                      cfg.fac, cfg.facmin, cfg.hmin, cfg.hmax, -1.0 / p)[0]
 
 
 def initial_step(problem, y0, cfg: ControllerConfig, p: int,
@@ -286,6 +286,7 @@ def _run(problem, y0, t0: float):
 # first proposed step h_try.
 _LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, atol, rtol, fac, "
                 "facmin, facmax, hmin, hmax, max_rejects, expo, norm, dist")
+# Each of STEP, ERROR and STEP_SIZE stands for a list of lines (_fill):
 # STEP takes the step of size h from base, leaving y1, yhat1 and f_last
 # and adding its counts; ERROR and STEP_SIZE are the formula blocks.
 _LOOP = """
@@ -335,15 +336,6 @@ n_feval += res.n_feval
 y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
 _check_finite(y1, traj)
 """
-# The inline form: the inline step kernel's lines, between cf_step's length
-# check (F0) and the counts; h > 0 as t < t1 and initial_step never returns 0.
-_INLINE_STEP = """
-F0
-KERNEL
-y1, yhat1, f_last = {result}
-n_exp += {n_exp}
-n_feval += {n_feval} + (carry is None)
-"""
 _METRICS = [GroupAction.ambient_norm, GroupAction.ambient_distance]
 
 
@@ -369,14 +361,16 @@ def _adaptive_loop(pair, n, field=None):
         if n is None:
             step = _CALLING_STEP.strip().splitlines()
         else:
+            # the inline step kernel's lines, between cf_step's length check
+            # and the counts; h > 0 as t < t1 and initial_step never
+            # returns 0
             lines, result, n_exp, n_feval = kernel_lines(pair, n, True, True,
                                                          field)
-            step = _fill(_INLINE_STEP.format(
-                result=result, n_exp=n_exp, n_feval=n_feval),
-                F0=["f0 = carry"] if field else [  # the block forms f(base)
-                    "f0 = f(base) if carry is None else carry",
-                    f"if len(f0) != {n}: check_length(action, f0)"],
-                KERNEL=lines)
+            step = (["f0 = carry"] if field else [  # the block forms f(base)
+                "f0 = f(base) if carry is None else carry",
+                f"if len(f0) != {n}: check_length(action, f0)"]) + lines + [
+                f"y1, yhat1, f_last = {result}", f"n_exp += {n_exp}",
+                f"n_feval += {n_feval} + (carry is None)"]
         lines = _fill(_LOOP, STEP=step,
                       ERROR=_ERROR.inline(_ERROR.params, ["err"]),
                       STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))

@@ -46,7 +46,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .actions import BLOCK_GLOBALS, INLINE, _entries, compile_function
+from .actions import BLOCK_GLOBALS, INLINE, _body, compile_function
 from .tableaux import CFTableau, reuse_groups
 
 
@@ -142,16 +142,11 @@ _FIELDS = {}  # the code of each body field_body compiled -> its Block
 
 def field_body(block):
     """Compile block, over a point's names and then its parameters', once as
-    a field body, and return make(*params): the field f(y), the body with
-    params as its argument defaults, so a call runs one frame.  f takes a
-    list as it is and converts anything else once, and returns as a list
-    the values that block's last line assigns to all its results."""
-    point, params = block.params
-    *lines, last = block.source.splitlines()
-    values = last.split(" = ")[1]
-    body = compile_function("f", ", ".join(("y", *params)), [
-        f"{', '.join(point)} = y if type(y) is list else _entries(y)",
-        *lines], f"[{values}]", {**BLOCK_GLOBALS, "_entries": _entries})
+    a field body (actions._body), and return make(*params): the field f(y),
+    the body with params as its argument defaults, so a call runs one
+    frame.  f takes a list as it is and converts anything else once, and
+    returns its results as a list."""
+    body = _body("f", block, y="_entries(y)")
     _FIELDS[body.__code__] = block
     return lambda *args: FunctionType(body.__code__, body.__globals__, "f",
                                       args)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.actions import (Gl2PlaneAction, GroupAction, Se3CoadjointAction,
-                          Se3Element, So3SphereAction, coadjoint_act, gl2_exp,
+from cfrk.actions import (Block, Gl2PlaneAction, GroupAction,
+                          Se3CoadjointAction, Se3Element, So3SphereAction,
+                          _body, coadjoint_act, compile_function, gl2_exp,
                           se3_exp, so3_exp)
 
 
@@ -621,3 +622,29 @@ def test_group_action_has_every_name_the_benchmark_tracer_forwards():
     assert len(forwarded) == 1
     for name in forwarded[0]:
         assert hasattr(GroupAction, name)
+
+
+# ----------------------------------------------------------- formula blocks
+
+def test_a_block_that_reassigns_an_input_inlines_as_it_compiles():
+    # a block may reassign an input: inlined, it writes to that argument's
+    # own local, so the reads before the write see the input; its temps are
+    # the other locals it assigns
+    block = Block(["x y", "s"], "p q", """
+t = x * s
+x, y = y / t, x - t
+p = x * y + t
+q = y - s
+""")
+    assert block.temps == {"t"}
+    assert block.inline([["a", "b"], ["k"]], ["r1", "r2"]) == [
+        "_t = a * k", "a, b = b / _t, a - _t", "r1 = a * b + _t", "r2 = b - k"]
+    compiled = _body("compiled", block, v="list(v)")
+    inlined = compile_function("inlined", "a, b, k", block.inline(
+        [["a", "b"], ["k"]], ["r1", "r2"]), "[r1, r2]", {})
+    rng = np.random.default_rng(23)
+    for a, b, k in rng.standard_normal((200, 3)).tolist():
+        assert float_bits(compiled([a, b], k)) == float_bits(inlined(a, b, k))
+        t = a * k
+        x, y = b / t, a - t
+        assert compiled(np.array([a, b]), k) == [x * y + t, y - k]

@@ -18,7 +18,7 @@ from cfrk.bench import (ExperimentConfig, build_experiment, reference_endpoint,
 from cfrk.catalog import get_tableau
 from cfrk.controller import ConfigError, integrate_fixed
 from cfrk.order_conditions import certify_pair
-from cfrk.problems import heavy_top, rigid_body
+from cfrk.problems import heavy_top, rigid_body, van_der_pol
 from cfrk.tableaux import CFTableau, save_tableau
 
 
@@ -135,6 +135,23 @@ def test_reference_endpoint_returns_on_a_tiny_span(t1):
     ref = reference_endpoint(counted_field(prob), y0, 0.0, t1)
     assert_allclose(ref, y0 + t1 * prob.ambient_field(y0), rtol=1e-14,
                     atol=0.0)
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+@pytest.mark.parametrize("t0", [1.0, -3.0, 7.5, 1e6])
+def test_reference_endpoint_returns_on_a_span_of_a_few_ulps(t0, ulps):
+    # LSODA refuses to start on a span below 2 eps max(|t0|, |t1|), 2-3
+    # ulps at these t0; the reference is then y0 + (t1 - t0) F(y0) to
+    # roundoff on every problem
+    t1 = t0
+    for _ in range(ulps):
+        t1 = math.nextafter(t1, math.inf)
+    for build in (rigid_body, van_der_pol, heavy_top):
+        prob = build()
+        y0 = prob.default_y0
+        ref = reference_endpoint(counted_field(prob), y0, t0, t1)
+        assert_allclose(ref, y0 + (t1 - t0) * prob.ambient_field(y0),
+                        rtol=1e-15, atol=1e-15)
 
 
 def test_reference_endpoint_rejects_non_finite_derivative():

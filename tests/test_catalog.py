@@ -312,15 +312,25 @@ FAMILY_MEMBERS = Path(__file__).parent / "data" / "family_members.json"
 
 def test_literal_catalog_tableaux_are_pinned_bit_for_bit():
     # SHA-256 of the JSON (shortest round-trip decimals) of the catalog
-    # tableaux built from float literals and exact quotients, which no
-    # BLAS or LAPACK build can move; moving any coefficient by one bit
-    # changes the digest
-    names = ("cf4", "cf32a", "cf32b", "cf43_decimal", "cf43_v2",
+    # tableaux, every one built from float literals and exact quotients,
+    # which no BLAS or LAPACK build can move; moving any coefficient by one
+    # bit changes the digest
+    names = ("cf4", "cf32a", "cf32b", "cf43", "cf43_decimal", "cf43_v2",
              "cf43_4stage")
     text = "\n".join(get_tableau(name).to_json() for name in names)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "704177374249007c862f19cee7376f41125bc9f2ac4939af32d1f31b32211f6a")
-    assert get_tableau("cf43").to_json() == instantiate_cf43(0.0).to_json()
+        "312c16e5f6dbd56076ecf51608f6b5fabf73e7b40c050f99f87fe637872db92c")
+
+
+def test_catalog_cf43_literals_are_the_solved_pair():
+    # the catalog's cf43 freezes instantiate_cf43(0.0), which LAPACK solves
+    # and whose last bits depend on the build, to 1e-12 of max(1, |x|)
+    rest, values = _split_coefficients(
+        json.loads(get_tableau("cf43").to_json()))
+    solved_rest, solved = _split_coefficients(
+        json.loads(instantiate_cf43(0.0).to_json()))
+    assert rest == solved_rest
+    assert_allclose(values, solved, rtol=1e-12, atol=1e-12)
 
 
 def _split_coefficients(doc):

@@ -156,15 +156,12 @@ def test_invalid_controller_config_is_a_one_line_usage_error(monkeypatch,
     # and tableaux that cannot run the mode are all rejected before any
     # reference is solved or any run starts
     import cfrk.bench as bench_mod
-    import cfrk.cli as cli_mod
 
     def never(*args, **kwargs):
         raise AssertionError("a reference or a run started")
-    for module, name in ((bench_mod, "reference_endpoint"),
-                         (bench_mod, "integrate_adaptive"),
-                         (bench_mod, "integrate_fixed"),
-                         (cli_mod, "integrate_adaptive")):
-        monkeypatch.setattr(module, name, never)
+    for name in ("reference_endpoint", "integrate_adaptive",
+                 "integrate_fixed"):
+        monkeypatch.setattr(bench_mod, name, never)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -275,6 +272,31 @@ def test_convergence_whose_step_underflows_is_a_usage_error(monkeypatch,
         "t1 = 5e-324, n_steps = 2\n")
 
 
+def test_convergence_over_a_span_of_one_ulp(capsys):
+    # LSODA alone refuses to start on a span this short
+    assert main(["convergence", "--t0", "1", "--t1", "1.0000000000000002",
+                 "--steps", "2", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (row,) = json.loads(captured.out)["rows"]
+    assert row[0] == 2.0 ** -53 and 0.0 <= row[1] < 1e-17
+
+
+def test_a_failed_reference_solve_is_one_line(monkeypatch, capsys):
+    from cfrk import bench
+    build = bench.build_problem
+
+    def broken(*args):
+        return dataclasses.replace(build(*args),
+                                   ambient_field=lambda y: np.full(3, np.nan))
+    monkeypatch.setattr(bench, "build_problem", broken)
+    assert main(["convergence", "--steps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cfrk: reference for rigid-body: non-finite "
+                            "derivative at t=0.0\n")
+
+
 def test_convergence_sweep(tmp_path):
     out = tmp_path / "conv.csv"
     assert main(["convergence", "--problem", "rigid-body", "--tableau", "cf4",
@@ -320,15 +342,26 @@ def test_work_precision_rejects_a_bad_tolerance_before_any_run(monkeypatch,
     assert calls == []
 
 
-def test_work_precision_failure_exit_code(monkeypatch, capsys):
+@pytest.mark.parametrize("command,runner,row", [
+    ("integrate", "run_integrate", (0.0, 0.1, True, 1.0, 0.0, 0.5)),
+    ("convergence", "run_convergence", (0.1, math.nan, math.nan)),
+    ("work-precision", "run_work_precision", (1e-3, math.nan, 0, 0, 0, 0)),
+    ("needle", "run_needle", (0.0, 0.1, True, 1.0, 0.0, 0.5)),
+], ids=["integrate", "convergence", "work-precision", "needle"])
+def test_work_precision_failure_exit_code(monkeypatch, capsys, command,
+                                          runner, row):
+    # each run command calls the runner of its name in cfrk.cli, looked up
+    # when it runs, and exits 1 when its summary lists failures
     import cfrk.cli as cli_mod
+    calls = []
 
     def broken(config):
-        return [(1e-3, math.nan, 0, 0, 0, 0)], {"failures": ["tol=0.001: x"]}
+        calls.append(config.mode)
+        return [row], {"failures": ["x: y"]}
 
-    monkeypatch.setattr(cli_mod, "run_work_precision", broken)
-    assert main(["work-precision", "--tableau", "cf32a",
-                 "--tol", "1e-3"]) == 1
+    monkeypatch.setattr(cli_mod, runner, broken)
+    assert main([command, "--tableau", "cf32a"]) == 1
+    assert calls == [{"integrate": "adaptive"}.get(command, command)]
     assert "failures" in capsys.readouterr().out
 
 
