@@ -103,8 +103,9 @@ class Block:
 
     def inline(self, args, results) -> list:
         """The block's lines with its inputs read from (and reassigned in)
-        the locals args, one sequence of names per argument, its results
-        written to the locals results, and every temp prefixed with '_'."""
+        the locals args, one sequence of names per argument (an input it
+        only reads may be any expression), its results written to the
+        locals results, and every temp prefixed with '_'."""
         names = {p: a for ps, xs in zip(self.params, args)
                  for p, a in zip(ps, xs, strict=True)}
         names.update(zip(self.results, results, strict=True))

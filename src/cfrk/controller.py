@@ -5,14 +5,14 @@ extrapolation: the error is measured between the two members, but the
 trajectory always advances with the higher-order one.  A fixed-step driver
 without error estimation is provided for convergence and cost comparisons.
 
-Both drivers hold the state, y1 and yhat1 as flat lists of Python floats,
-as f and cf_step take and return them, and the adaptive driver the FSAL
-value as the list f returned at y1.  Each attempt is one event, the tuple
-(t, h, accepted, err, y) with y the list the step returned;
-Trajectory.h_history and Trajectory.points are built from them when first
-read.  Both drivers run through _run, which turns any exception raised once
-the run has started into an IntegrationError carrying the partial
-trajectory; an error raised before that keeps its type.
+The fixed driver and the calling form hold points as flat lists of
+Python floats, as f and cf_step take and return them; the inline form
+holds the state and the FSAL value in float locals.  Each attempt is one
+row (t, h, accepted, err, *y) of Trajectory.record, one array('d'), with
+y the candidate end point; events, h_history, points and y_end are built
+from it when read.  Both drivers run through _run, which turns any
+exception raised once the run has started into an IntegrationError
+carrying the partial trajectory; an error raised before that keeps its type.
 
 The adaptive attempt is written once, as the source _LOOP, and compiled
 per pair on first use, like the step kernels; it runs the step-size rule
@@ -29,7 +29,9 @@ one loop per pair, geometry and field serves every parameter value.
 from __future__ import annotations
 
 import math
+import struct
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,8 +40,9 @@ import numpy as np
 
 from .actions import (Block, DomainError, GroupAction, _body,
                       compile_function)
-from .stepper import (KERNEL_GLOBALS, FieldLengthError, cf_step,
-                      check_length, inline_field, inline_length, kernel_lines)
+from .stepper import (KERNEL_GLOBALS, FieldLengthError, _list, _names,
+                      cf_step, check_length, inline_field, inline_length,
+                      kernel_lines)
 
 _EPS = sys.float_info.epsilon
 
@@ -109,13 +112,25 @@ class Totals:
 
 @dataclass
 class Trajectory:
-    """The run's own copy of y0, the accepted times and one event per
-    attempt, the tuple (t, h, accepted, err, y) of a StepAttempt's
-    fields."""
+    """The run's own copy of y0, the accepted times and its record: one row
+    of 4 + y0.size floats per attempt, (t, h, accepted, err, *y) with
+    accepted 1.0 or 0.0, packed into one array('d').  events, h_history,
+    points and y_end are built from the record when read."""
     y0: np.ndarray = field(default_factory=lambda: np.empty(0))
     times: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+    record: array = field(default_factory=lambda: array("d"))
     totals: Totals = field(default_factory=Totals)
+
+    def _rows(self) -> np.ndarray:  # a copy of the record, a row an attempt
+        return np.array(self.record).reshape(-1, 4 + self.y0.size)
+
+    @cached_property
+    def events(self) -> list:
+        """Every attempt as the tuple (t, h, accepted, err, y) of a
+        StepAttempt's fields, y a list, built when first read."""
+        rows = self._rows()
+        return [(t, h, accepted != 0.0, err, y) for (t, h, accepted, err), y
+                in zip(rows[:, :4].tolist(), rows[:, 4:].tolist())]
 
     @cached_property
     def h_history(self) -> list:
@@ -125,10 +140,11 @@ class Trajectory:
 
     @cached_property
     def points(self) -> np.ndarray:
-        """y0 and the accepted events' points as the rows of one new array,
-        shape (len(times), *y0.shape), built when first read."""
-        rows = [event[4] for event in self.events if event[2]]
-        return np.array([self.y0.ravel().tolist(), *rows]).reshape(
+        """y0 and the accepted attempts' points as the rows of one new
+        array, shape (len(times), *y0.shape), built when first read."""
+        rows = self._rows()
+        return np.concatenate([self.y0.reshape(1, -1),
+                               rows[rows[:, 2] != 0.0, 4:]]).reshape(
             -1, *self.y0.shape)
 
     @property
@@ -137,11 +153,13 @@ class Trajectory:
 
     @property
     def y_end(self) -> np.ndarray:
-        """The last accepted event's point, or y0, as a new array of y0's
+        """The last accepted attempt's point, or y0, as a new array of y0's
         shape; points is not built."""
-        last = next((e[4] for e in reversed(self.events) if e[2]), None)
-        return (self.y0.copy() if last is None
-                else np.array(last).reshape(self.y0.shape))
+        record, w = self.record, 4 + self.y0.size
+        last = next((i for i in range(len(record) - w, -1, -w)
+                     if record[i + 2]), None)
+        return (self.y0.copy() if last is None else
+                np.array(record[last + 4:last + w]).reshape(self.y0.shape))
 
 
 class IntegrationError(RuntimeError):
@@ -165,16 +183,16 @@ class NonFiniteError(IntegrationError):
 
 
 # The controller's formulas, each written once: the adaptive loop runs them
-# inline on its locals of the same names, and error_measure and
-# next_step_size call their bodies (actions._body).  `b if b > a else a` is
+# inline, and error_measure and next_step_size call their bodies
+# (actions._body); d is y1's distance to yhat1.  `b if b > a else a` is
 # max(a, b), and `b if b < a else a` is min(a, b), for any two floats, NaN
 # included.
-_ERROR = Block(["base y1 yhat1 atol rtol norm dist"], "err", """
+_ERROR = Block(["d base y1 atol rtol norm"], "err", """
 sc = atol
 if rtol != 0.0:  # with rtol 0 the norms would only be scaled by 0
     n0, n1 = norm(base), norm(y1)
     sc += (n1 if n1 > n0 else n0) * rtol
-err = dist(y1, yhat1) / sc
+err = d / sc
 """)
 _STEP_SIZE = Block(["h err fmax fac facmin hmin hmax expo"], "h_new", """
 factor = fac * (_EPS if err <= 0.0 else err) ** expo  # expo = -1/p
@@ -196,8 +214,8 @@ def error_measure(y0, y1, yhat1, cfg: ControllerConfig, action) -> float:
     or arrays."""
     if yhat1 is None:
         raise ValueError("error_measure needs an embedded solution")
-    return _error(y0, y1, yhat1, cfg.atol, cfg.rtol, action.ambient_norm,
-                  action.ambient_distance)[0]
+    return _error(action.ambient_distance(y1, yhat1), y0, y1, cfg.atol,
+                  cfg.rtol, action.ambient_norm)[0]
 
 
 def next_step_size(h: float, err: float, p: int,
@@ -221,13 +239,17 @@ def initial_step(problem, y0, cfg: ControllerConfig, p: int,
     check_length(action, v)
     rate = action.ambient_norm(action.infinitesimal(v, y0))
     h0 = 0.01 * cfg.atol ** (1.0 / p) / max(rate, _EPS)
-    h0 = min(cfg.hmax, max(cfg.hmin, h0))
-    return min(h0, (t1 - t0) / 10.0) or t1 - t0  # a tenth may underflow
+    h0 = min(cfg.hmax, max(cfg.hmin, h0), (t1 - t0) / 10.0)
+    # a tenth may underflow, or fall below half an ulp of t0
+    return h0 if t0 + h0 > t0 else t1 - t0
 
 
-def _check_finite(y: list, trajectory):
+def _check_finite(y: list, trajectory, n=None):
     """NonFiniteError carrying trajectory unless every float of y is
-    finite."""
+    finite; first, given y0's length n, IntegrationError unless y has n."""
+    if n is not None and len(y) != n:
+        raise IntegrationError(f"the step returned a point of {len(y)} "
+                               f"entries, y0 has {n}", trajectory)
     if not all(map(math.isfinite, y)):
         raise NonFiniteError("state became non-finite", trajectory)
 
@@ -255,7 +277,7 @@ def check_method(method, adaptive: bool, advance_embedded: bool = False):
 @contextmanager
 def _run(problem, y0, t0: float):
     """Start a run: yield the one-point trajectory at (t0, y0), owning its
-    copy of y0, and y0 as a flat list of floats.
+    copy of y0, y0 as a flat list of floats and the packer of a record row.
 
     A y0 not shaped like problem.default_y0 raises ValueError, a non-finite
     one NonFiniteError.  Any later exception but an IntegrationError is
@@ -272,7 +294,7 @@ def _run(problem, y0, t0: float):
     y = y.ravel().tolist()
     _check_finite(y, traj)
     try:
-        yield traj, y
+        yield traj, y, struct.Struct(f"{4 + len(y)}d").pack
     except IntegrationError:
         raise
     except Exception as exc:
@@ -283,31 +305,38 @@ def _run(problem, y0, t0: float):
 
 
 # The body of loop(_LOOP_PARAMS): one adaptive run from (t, base) with the
-# first proposed step h_try.
-_LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, atol, rtol, fac, "
-                "facmin, facmax, hmin, hmax, max_rejects, expo, norm, dist")
-# Each of STEP, ERROR and STEP_SIZE stands for a list of lines (_fill):
-# STEP takes the step of size h from base, leaving y1, yhat1 and f_last
-# and adding its counts; ERROR and STEP_SIZE are the formula blocks.
+# first proposed step h_try, each attempt packed into traj.record.
+_LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, pack, atol, "
+                "rtol, fac, facmin, facmax, hmin, hmax, max_rejects, expo, "
+                "norm, dist")
+# START, STEP, ERROR, ACCEPT and STEP_SIZE each stand for lines (_fill), Y1
+# for y1's entries.  START sets k_exp and k_feval, one step's counts after
+# f0; STEP forms f0 = f(base) unless have_f0 (counted in n_fresh), then
+# steps, leaving y1 and its distance d to yhat1; ACCEPT moves y1 to base,
+# and f(y1) to f0 if FSAL.
 _LOOP = """
-events, times, carry = traj.events, traj.times, None
-n_exp = n_feval = n_accepted = n_rejected = rejects = 0
+times, rec, have_f0 = traj.times, traj.record.frombytes, False
+n_steps = n_fresh = n_rejected = rejects = 0
+START
 try:
     while t < t1:
-        truncated = t + h_try >= t1
+        t_next = t + h_try
+        truncated = t_next >= t1
         h = t1 - t if truncated else h_try
+        if t_next == t:  # below half an ulp of t, h_try would not move t
+            raise StepSizeUnderflowError(
+                f"step size underflow at t = {t} (h = {h})", traj)
         STEP
         ERROR
         if not math.isfinite(err):
-            _check_finite(y1, traj)
+            _check_finite([Y1], traj)
             raise NonFiniteError("error measure became non-finite", traj)
         accepted = err <= 1.0
-        events.append((t, h, accepted, err, y1))
+        rec(pack(t, h, accepted, err, Y1))
         if accepted:
-            n_accepted += 1
             rejects = 0
-            t = t1 if truncated else t + h
-            base, carry = y1, f_last
+            t = t1 if truncated else t_next
+            ACCEPT
             times.append(t)
             if truncated:
                 break
@@ -325,16 +354,18 @@ try:
             fmax = 1.0
         STEP_SIZE
 finally:
-    traj.totals = Totals(n_exp, n_feval, n_accepted, n_rejected)
+    traj.totals = Totals(k_exp * n_steps, k_feval * n_steps + (
+        n_fresh if have_f0 else n_steps), len(times) - 1, n_rejected)
 """
 # The calling form checks y1 at once: an action's own ambient_distance
 # need not turn a non-finite y1 into a non-finite err.
 _CALLING_STEP = """
-res = cf_step(pair, action, f, base, h, carry)
-n_exp += res.n_exp
-n_feval += res.n_feval
+n_fresh += f0 is None
+res = cf_step(pair, action, f, base, h, f0)
+n_steps += 1
 y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
-_check_finite(y1, traj)
+_check_finite(y1, traj, len(base))
+d = dist(y1, yhat1)
 """
 _METRICS = [GroupAction.ambient_norm, GroupAction.ambient_distance]
 
@@ -354,25 +385,38 @@ def _adaptive_loop(pair, n, field=None):
     """pair's adaptive loop, compiled on first use and cached with its step
     kernels under ("loop", n, field): the inline form for the built-in
     geometry of algebra length n, with a field Block's parameters as its
-    last arguments, the calling form for n = None."""
+    last arguments, the calling form for n = None.  The inline form keeps
+    points and f values in float locals and measures with math.hypot."""
     key = ("loop", n, field)
     loop = pair._kernels.get(key)
     if loop is None:
+        # the calling form takes only the counts; h > 0 as t + h > t
+        lines, y1, yhat1, *counts = kernel_lines(pair, n or 1, True,
+                                                 n is not None, field)
         if n is None:
-            step = _CALLING_STEP.strip().splitlines()
+            start, step = ["f0 = None"], _CALLING_STEP.strip().splitlines()
+            error, y1 = _ERROR.params[0], "*y1"
+            moves = [("base", "y1")], [("f0", "f_last")]
         else:
-            # the inline step kernel's lines, between cf_step's length check
-            # and the counts; h > 0 as t < t1 and initial_step never
-            # returns 0
-            lines, result, n_exp, n_feval = kernel_lines(pair, n, True, True,
-                                                         field)
-            step = (["f0 = carry"] if field else [  # the block forms f(base)
-                "f0 = f(base) if carry is None else carry",
-                f"if len(f0) != {n}: check_length(action, f0)"]) + lines + [
-                f"y1, yhat1, f_last = {result}", f"n_exp += {n_exp}",
-                f"n_feval += {n_feval} + (carry is None)"]
-        lines = _fill(_LOOP, STEP=step,
-                      ERROR=_ERROR.inline(_ERROR.params, ["err"]),
+            base, f0 = _names("base", len(y1)), _names("f0", n)
+            fresh = field.inline([base, field.params[1]], f0) if field else [
+                f"f0 = f({_list(base)})",
+                f"if len(f0) != {n}: check_length(action, f0)",
+                f"{_list(f0)} = f0"]
+            start, step = [f"{_list(base)} = base"], [
+                "if not have_f0:", *("    " + s for s in fresh),
+                "    n_fresh += 1", *lines, "n_steps += 1",
+                f"d = math.hypot({', '.join(map(' - '.join, zip(y1, yhat1)))})"]
+            # norm(base) and norm(y1) become math.hypot of their entries
+            error = ["d", ", ".join(base), ", ".join(y1), "atol", "rtol",
+                     "math.hypot"]
+            moves = [*zip(base, y1)], [*zip(f0, _names(f"f{pair.s}", n))]
+            y1 = ", ".join(y1)
+        moves = moves[0] + (moves[1] + [("have_f0", "True")]) * pair.fsal
+        lines = _fill(_LOOP.replace("Y1", y1),
+                      START=["k_exp, k_feval = %d, %d" % tuple(counts), *start],
+                      STEP=step, ACCEPT=[f"{a} = {b}" for a, b in moves],
+                      ERROR=_ERROR.inline([error], ["err"]),
                       STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))
         # The calling form runs in this module's namespace, so it looks
         # cf_step up here at every attempt, where a wrapper may replace it.
@@ -396,7 +440,7 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     check_span(t0, t1)
     check_method(pair, True)
     action = problem.action
-    # the inline loop needs GroupAction's metrics too: as math.dist gives a
+    # the inline loop needs GroupAction's metrics too: as math.hypot gives a
     # finite err only for a finite y1, it checks y1 only on a non-finite err
     metrics = [getattr(m, "__func__", m)
                for m in (action.ambient_norm, action.ambient_distance)]
@@ -404,13 +448,13 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     field, params = inline_field(problem.f, n)
     loop = _adaptive_loop(pair, n, field)
     p = pair.order_p
-    with _run(problem, y0, t0) as (traj, y):
+    with _run(problem, y0, t0) as (traj, y, pack):
         h = initial_step(problem, y, cfg, p, t0, t1)
         loop(pair, action, problem.f, y, t0, t1, min(h, t1 - t0), traj,
-             cfg.atol, cfg.rtol if problem.use_rtol else 0.0, cfg.fac,
-             cfg.facmin, cfg.facmax, cfg.hmin, cfg.hmax,
+             pack, cfg.atol, cfg.rtol if problem.use_rtol else 0.0,
+             cfg.fac, cfg.facmin, cfg.facmax, cfg.hmin, cfg.hmax,
              cfg.max_consecutive_rejects, -1.0 / p, action.ambient_norm,
-             action.ambient_distance if n is None else math.dist, *params)
+             action.ambient_distance, *params)
     return traj
 
 
@@ -432,16 +476,16 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     if h == 0.0:
         raise ConfigError(f"the step (t1 - t0) / n_steps underflows to 0 for "
                           f"t0 = {t0}, t1 = {t1}, n_steps = {n_steps}")
-    with _run(problem, y0, t0) as (traj, y):
-        totals = traj.totals
+    with _run(problem, y0, t0) as (traj, y, pack):
+        totals, rec, n = traj.totals, traj.record.frombytes, len(y)
         for i in range(1, n_steps + 1):
             res = cf_step(method, action, f, y, h,
                           with_embedded=advance_embedded)
             totals.n_exp += res.n_exp
             totals.n_feval += res.n_feval
             y = res.yhat1_list if advance_embedded else res.y1_list
-            _check_finite(y, traj)
+            _check_finite(y, traj, n)
             totals.n_accepted += 1
-            traj.events.append((t0 + (i - 1) * h, h, True, math.nan, y))
+            rec(pack(t0 + (i - 1) * h, h, True, math.nan, *y))
             traj.times.append(t1 if i == n_steps else t0 + i * h)
     return traj

@@ -23,10 +23,10 @@ enter the source.  A kernel has one of two forms, chosen from the action
 by inline_length: when its exp and act are a built-in geometry's float
 bodies (actions.INLINE) and f(y) has that geometry's length, the kernel
 runs the geometry's exp and act blocks inline on float locals, and builds
-a list only for each f call and for y1 and yhat1.  Any other action (an
-override in a subclass, an instance attribute, a wrapper that records
-calls) gets the calling form, which calls the exp and act it is handed,
-so a wrapper sees every call.  Both forms have the same slots, points
+a list only for each f call and to return y1 and yhat1.  Any other
+action (an override in a subclass, an instance attribute, a wrapper that
+records calls) gets the calling form, which calls the exp and act it is
+handed, so a wrapper sees every call.  Both forms have the same slots, points
 and output bits; n_exp and n_feval, the exponentials and f evaluations in
 the source, are the step's cost and count_budget's.  The adaptive loop
 (controller.py) runs the inline form's kernel_lines in its own frame,
@@ -209,14 +209,22 @@ def _names(prefix: str, count: int) -> list:
     return [f"{prefix}_{i}" for i in range(count)]
 
 
+def _list(point) -> str:
+    """A list expression of point: the name of a list, or its entries."""
+    return point if type(point) is str else f"[{', '.join(point)}]"
+
+
 def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                  field=None):
-    """The lines of step_kernel's body but its return, over its arguments;
-    the returned expression; n_exp; n_feval.  The calling form calls exp
-    and act, the inline form runs INLINE[n]'s blocks.  With field, a field
+    """The lines of a step from base (a list in the calling form, the
+    locals base_0 ... in the inline form) and f0 = f(base) in f0_0 ...;
+    y1 and yhat1 (or None), as their list's local or their entries'
+    locals alike; n_exp; n_feval.  A FSAL step leaves f(y1) in f{s}_0 ...
+    (s = tableau.s), and in the list f_last unless with field.  The
+    calling form calls exp and act, the inline form runs INLINE[n]'s
+    blocks and builds lists only as arguments of f.  With field, a field
     Block (see inline_field), the inline form runs it in place of every f
-    call, on parameters in locals of their own names, and forms f0 where
-    f0 is None."""
+    call, on parameters in locals of their own names."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -226,18 +234,12 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
     # the slots applied to the base point, in order -> the local holding
     # the point they form
     points = {}
-    lists = {"base"}  # the points the inline form holds as a list
     body = []
     n_feval = 0
     if inline:
         exp_block, act_block = INLINE[n][2:]
         # the entries of a group element and of a point
         n_g, n_p = (len(params) for params in act_block.params)
-        body.append(f"[{', '.join(_names('base', n_p))}] = base")
-
-    def unpack(k, values):
-        # the list values into the locals f{k}_0 ... f{k}_{n-1}
-        return f"[{', '.join(_names(f'f{k}', n))}] = {values}"
 
     def evaluate(k, point, values="v"):
         # f at point into the locals f{k}_0 ...: the field block, else a
@@ -245,16 +247,10 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         if field is not None:
             return field.inline([_names(point, n_p), field.params[1]],
                                 _names(f"f{k}", n))
-        return [f"{values} = f({as_list(point)})",
+        arg = _list(_names(point, n_p)) if inline else point
+        return [f"{values} = f({arg})",
                 f"if len({values}) != {n}: raise _length_error({n}, {values})",
-                unpack(k, values)]
-
-    def as_list(point):
-        # the local holding point as a list, built once in the inline form
-        if inline and point not in lists:
-            lists.add(point)
-            body.append(f"{point} = [{', '.join(_names(point, n_p))}]")
-        return point
+                f"{_list(_names(f'f{k}', n))} = {values}"]
 
     def exp(slot, entries):
         if not inline:
@@ -303,29 +299,28 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
             point = points[prefix]
         return point
 
-    body += [unpack(0, "f0")] if field is None else [
-        "if f0 is None:", *("    " + line for line in evaluate(0, "base")),
-        "else:", "    " + unpack(0, "f0")]
     for r, rows in enumerate(tableau.alpha, 2):
         body += evaluate(r - 1, apply_rows(("stage", r), rows))
         n_feval += 1
-    y1 = as_list(apply_rows(("y",), tableau.beta))
+    y1 = apply_rows(("y",), tableau.beta)
     if fsal:
         body += evaluate(tableau.s, y1, "f_last")
-        if field is not None:
-            body.append(f"f_last = [{', '.join(_names(f'f{tableau.s}', n))}]")
         n_feval += 1
-    yhat1 = (as_list(apply_rows(("yhat",), tableau.beta_hat)) if embedded
-             else "None")
-    f_last = "f_last" if fsal else "None"
+    yhat1 = apply_rows(("yhat",), tableau.beta_hat) if embedded else None
+    if inline:  # the locals of their entries
+        y1, yhat1 = _names(y1, n_p), yhat1 and _names(yhat1, n_p)
     coefficients = [f"{x} = h * {c!r}" for c, x in coeffs.items()]
-    return (coefficients + body, f"{y1}, {yhat1}, {f_last}", len(slots),
-            n_feval)
+    return coefficients + body, y1, yhat1, len(slots), n_feval
 
 
 def _compile(tableau: CFTableau, n: int, embedded: bool, inline: bool):
-    lines, result, n_exp, n_feval = kernel_lines(tableau, n, embedded, inline)
-    kernel = compile_function("kernel", "exp, act, f, base, h, f0", lines,
-                              result, KERNEL_GLOBALS)
+    lines, y1, yhat1, n_exp, n_feval = kernel_lines(tableau, n, embedded,
+                                                    inline)
+    start = [f"{_list(_names('base', len(y1)))} = base"] * inline + [
+        f"{_list(_names('f0', n))} = f0"]
+    kernel = compile_function(
+        "kernel", "exp, act, f, base, h, f0", start + lines, f"{_list(y1)}, "
+        f"{yhat1 and _list(yhat1)}, "
+        f"{'f_last' if embedded and tableau.fsal else None}", KERNEL_GLOBALS)
     kernel.n_exp, kernel.n_feval = n_exp, n_feval
     return kernel

@@ -197,6 +197,56 @@ def test_initial_step_is_the_span_when_its_tenth_underflows():
     assert traj.times == [0.0, 1e-323]
 
 
+def test_a_span_whose_tenth_is_below_an_ulp_is_stepped_at_once():
+    # a tenth of this span of two ulps at 1e6 would not move t0:
+    # initial_step returns the span, and the run ends at t1 with strictly
+    # increasing times, the accepted steps summing to the span
+    prob = heavy_top()
+    t0, t1 = 1e6, 1000000.0000000002
+    cfg = ControllerConfig(atol=1e-3, rtol=1e-3)
+    y0 = prob.default_y0.tolist()
+    assert initial_step(prob, y0, cfg, 4, t0, t1) == t1 - t0
+    for action in (prob.action, calling(prob.action)):
+        traj = integrate_adaptive(get_tableau("cf43"), dataclasses.replace(
+            prob, action=action), prob.default_y0, t0, t1, cfg)
+        assert traj.times[0] == t0 and traj.t_end == t1
+        assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
+        assert sum(a.h for a in traj.h_history if a.accepted) == t1 - t0
+
+
+@pytest.mark.parametrize("form", ["inline", "calling"])
+def test_a_step_below_half_an_ulp_of_t_is_an_underflow(form):
+    # at t = 1e15 an ulp is 0.125: from h0 = 1 two rejects shrink h by
+    # facmin = 0.2 to 0.04, which would not move t, so the third attempt
+    # raises before stepping; a starting step below half an ulp raises at
+    # once.  f raises after 1000 calls, so that a loop whose accepted
+    # steps do not move t ends.
+    prob, calls = rigid_body(), []
+
+    def f(y, f=prob.f):
+        calls.append(None)
+        if len(calls) > 1000:
+            raise RuntimeError("t does not move")
+        return f(y)
+    prob = dataclasses.replace(prob, f=f)
+    if form == "calling":
+        prob = dataclasses.replace(prob, action=calling(prob.action))
+    t0 = 1e15
+    for h0, rejected in ((1.0, 2), (0.03, 0)):
+        cfg = ControllerConfig(atol=1e-14, h0=h0)
+        with pytest.raises(StepSizeUnderflowError, match=re.escape(
+                f"step size underflow at t = {t0} (h = ")) as info:
+            integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                               t0, t0 + 1.0, cfg)
+        traj = info.value.trajectory
+        assert traj.times == [t0]
+        assert [(a.t, a.accepted) for a in traj.h_history] == \
+            [(t0, False)] * rejected
+        assert traj.totals.n_rejected == rejected
+        assert traj.totals.n_exp == 6 * rejected  # the last one never ran
+        assert all(t0 + a.h > t0 for a in traj.h_history)
+
+
 # -------------------------------------------------------- adaptive driver
 
 def test_adaptive_validates_inputs():
@@ -1113,3 +1163,183 @@ def test_group_action_contract_is_exp_act_and_infinitesimal():
         traj = driver(own, prob.default_y0, 0.0, 1.0)
         assert traj.t_end == 1.0
         assert_allclose(traj.y_end, ref.y_end, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- the record
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_hypot_of_differences_is_math_dist_and_ambient_norm(n):
+    # the inline loop measures with math.hypot on its locals; it must give
+    # the bits of math.dist and of GroupAction.ambient_norm (the default
+    # metrics the calling form calls) on any floats
+    rng = np.random.default_rng(n)
+    special = [math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1e308, -1.7e308, 0.0, -0.0]
+    pairs = [(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+              rng.standard_normal(n)) for _ in range(300)]
+    pairs += [(rng.choice(special, n), rng.choice(special, n))
+              for _ in range(300)]
+    pairs += [(np.full(n, 1e308), np.full(n, -1e308)),
+              (np.full(n, 5e-324), np.zeros(n))]
+    action = So3SphereAction()
+    for a, b in pairs:
+        a, b = a.tolist(), b.tolist()
+        assert float_bits([math.hypot(*(x - y for x, y in zip(a, b)))]) == \
+            float_bits([math.dist(a, b)]) == \
+            float_bits([action.ambient_distance(a, b)])
+        assert float_bits([math.hypot(*a)]) == \
+            float_bits([action.ambient_norm(a)])
+
+
+def attempt_calls(loop):
+    """The called functions, the lists built and the arguments of f calls
+    in the attempt of a compiled loop: its while body, less the failure
+    branches, each an if without else whose body raises or calls
+    check_length (which raises there)."""
+    (tree,) = ast.parse(loop.source).body
+    (while_node,) = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.While)]
+    nodes, todo = [], list(while_node.body)
+    while todo:
+        node = todo.pop()
+        if (isinstance(node, ast.If) and not node.orelse
+                and (isinstance(node.body[-1], ast.Raise)
+                     or "check_length(" in ast.unparse(node.body[-1]))):
+            continue
+        nodes.append(node)
+        todo.extend(ast.iter_child_nodes(node))
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    return ({ast.unparse(call.func) for call in calls},
+            [node for node in nodes if isinstance(node, ast.List)
+             and isinstance(node.ctx, ast.Load)],
+            [arg for call in calls if ast.unparse(call.func) == "f"
+             for arg in call.args])
+
+
+def test_inline_loops_build_no_list_and_call_no_python_function():
+    # the attempt of every inline loop, field inlined or called, calls only
+    # math's and the record's C functions, abs, gl(2)'s overflow-safe _exp
+    # (part of its exp formula) and f, where f is not inlined; it builds a
+    # list only as the argument of such an f call
+    import cfrk.actions
+    import cfrk.controller
+    fields = {n: inline_field(prob.f, n)[0]
+              for prob in (build() for build in BOUNDARY_PROBLEMS)
+              for n in [len(prob.f(prob.default_y0))]}
+    loops = 0
+    for pair in (t for t in catalog() if t.name in EMBEDDED):
+        for n in cfrk.actions.INLINE:
+            for field in (fields[n], None):
+                loop = cfrk.controller._adaptive_loop(pair, n, field)
+                calls, lists, args = attempt_calls(loop)
+                others = {c for c in calls if not c.startswith("math.")}
+                assert others <= {"rec", "pack", "times.append", "abs",
+                                  "_exp", *([] if field else ["f"])}
+                assert "math.hypot" in calls
+                assert all(any(lst is arg for arg in args) for lst in lists)
+                assert not (field and lists)
+                loops += 1
+    assert loops == 36
+
+
+def assert_views_match_the_record(traj):
+    """events, h_history, points and y_end, read from a fresh trajectory,
+    agree with its record bit for bit."""
+    width = 4 + traj.y0.size
+    record = traj.record.tolist()
+    rows = [record[i:i + width] for i in range(0, len(record), width)]
+    assert len(record) == width * len(rows)
+    assert [float_bits(row) for row in rows] == [
+        float_bits([t, h, float(accepted), err, *y])
+        for t, h, accepted, err, y in traj.events]
+    assert all(type(e[2]) is bool and type(e[4]) is list
+               for e in traj.events)
+    assert [dataclasses.astuple(a) for a in traj.h_history] == traj.events
+    assert all(row[2] in (0.0, 1.0) for row in rows)
+    accepted = [row[4:] for row in rows if row[2] == 1.0]
+    assert len(traj.times) == len(accepted) + 1
+    assert traj.points.tobytes() == np.array(
+        [traj.y0.ravel().tolist(), *accepted]).tobytes()
+    view = np.frombuffer(traj.record)
+    assert not np.shares_memory(traj.points, view)  # points owns its data
+    del view  # the record can grow again
+    assert traj.y_end.tobytes() == traj.points[-1].tobytes()
+
+
+@pytest.mark.parametrize("form", ["inline", "calling"])
+@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
+                         ids=lambda build: build.__name__)
+def test_the_record_holds_one_row_per_attempt(build, form):
+    # both drivers, both forms, and the partial trajectories of failed
+    # runs: one row of 4 + y0.size floats per attempt, whose views are
+    # events, h_history, points and y_end
+    prob = build()
+    if form == "calling":
+        prob = dataclasses.replace(prob, action=calling(prob.action))
+    runs = [lambda: integrate_fixed(get_tableau("cf4"), prob,
+                                    prob.default_y0, 0.0, 1.0, 13),
+            lambda: integrate_fixed(get_tableau("cf43"), prob,
+                                    prob.default_y0, 0.0, 1.0, 7,
+                                    advance_embedded=True),
+            lambda: integrate_adaptive(get_tableau("cf43_4stage"), prob,
+                                       prob.default_y0, 0.0, 1.0,
+                                       ControllerConfig())]
+    runs += [lambda cfg=cfg: integrate_adaptive(
+        get_tableau("cf32a"), prob, prob.default_y0, 0.0, 3.0,
+        ControllerConfig(**cfg)) for cfg in [
+            dict(atol=1e-6, rtol=1e-6), *MATRIX_CFG.values(),
+            dict(atol=1e-12, h0=1.0, max_consecutive_rejects=1)]]
+    failed = 0
+    for run in runs:
+        try:
+            traj = run()
+        except IntegrationError as exc:
+            traj, failed = exc.trajectory, failed + 1
+        attempts = traj.totals.n_accepted + traj.totals.n_rejected
+        assert len(traj.record) == (4 + prob.default_y0.size) * attempts
+        assert_views_match_the_record(traj)
+    assert failed >= 2
+
+
+@pytest.mark.parametrize("driver,ending", [
+    *(("adaptive", ending) for ending in ENDINGS),
+    ("fixed", "non-finite"), ("fixed", "domain"), ("fixed", "field-length")])
+def test_a_failed_run_records_its_completed_attempts(driver, ending):
+    build, error, cfg = ENDINGS[ending]
+    prob = build()
+    with pytest.raises(error) as info:
+        if driver == "adaptive":
+            integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                               0.0, 1.0, cfg)
+        else:
+            integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
+                            1.0, 100)
+    traj = info.value.trajectory
+    attempts = traj.totals.n_accepted + traj.totals.n_rejected
+    assert attempts > 1
+    assert len(traj.record) == (4 + prob.default_y0.size) * attempts
+    assert_views_match_the_record(traj)
+
+
+def test_a_step_that_changes_the_points_length_is_an_integration_error():
+    # an action whose act returns two of the three entries makes a y1
+    # shorter than y0: the run ends as an IntegrationError naming both
+    # lengths, before the attempt is recorded
+    class Dropping(So3SphereAction):
+        def act(self, g, p):
+            return super().act(g, [*p, 0.0][:3])[:2]
+
+    prob = dataclasses.replace(rigid_body(), action=Dropping(),
+                               f=lambda y: [0.1, 0.2, 0.3])
+    for run in (lambda: integrate_adaptive(
+                    get_tableau("cf43"), prob, prob.default_y0, 0.0, 1.0,
+                    ControllerConfig()),
+                lambda: integrate_fixed(get_tableau("cf4"), prob,
+                                        prob.default_y0, 0.0, 1.0, 10)):
+        with pytest.raises(IntegrationError) as info:
+            run()
+        assert type(info.value) is IntegrationError
+        assert str(info.value) == \
+            "the step returned a point of 2 entries, y0 has 3"
+        traj = info.value.trajectory
+        assert traj.times == [0.0] and len(traj.record) == 0
