@@ -35,14 +35,17 @@ or point as an array, and for act an so(3) element of five entries or a
 2x2 matrix as an array or an SE(3) element as an Se3Element.  There is one
 so(3) exponential, _SO3_EXP's element (w, A, B): so3_exp and se(3)'s exp
 continue its source to the rotation's entries I + A K_w + B K_w^2, so
-their rotations have the same bits; gl(2)'s exp takes e^x from math.exp
-through _exp, inf where math.exp would overflow, so no body needs numpy.
-The public kernels so3_exp, gl2_exp, se3_exp and coadjoint_act check their
-input, call bodies of the same blocks and return numpy matrices, an
-Se3Element or a numpy vector.  A step of an action whose exp and act are
-these bodies runs their blocks inline (INLINE; see stepper.inline_length).
-ambient_norm and ambient_distance use a list as it is and convert anything
-else once.
+their rotations have the same bits; gl(2)'s exp takes each e^x from
+math.exp behind a guard written in its block, `x = math.inf if x >
+709.782712893384 else math.exp(x)` (inf where math.exp would raise
+OverflowError, NaN kept), and tests its series branch as -1e-6 < D <
+1e-6, so no body needs numpy and an inlined exponential calls no
+Python-level function.  The public kernels so3_exp, gl2_exp, se3_exp and
+coadjoint_act check their input, call bodies of the same blocks and
+return numpy matrices, an Se3Element or a numpy vector.  A step of an
+action whose exp and act are these bodies runs their blocks inline
+(INLINE; see stepper.inline_length).  ambient_norm and ambient_distance
+use a list as it is and convert anything else once.
 """
 
 from __future__ import annotations
@@ -216,23 +219,20 @@ def so3_exp(v) -> np.ndarray:
 
 # --------------------------------------------------------------- gl(2)
 
-def _exp(x: float) -> float:
-    """math.exp(x), inf where it would overflow; NaN stays NaN.  709.78...
-    is log of the largest float, so math.exp never raises OverflowError."""
-    return math.inf if x > 709.782712893384 else math.exp(x)
-
-
 # gl2_exp on the entries of A = [[a, b], [c, d]]; see gl2_exp.  s > 0
 # exactly when D > 0 outside the series; a strongly hyperbolic A takes the
 # rearranged branch, where C * 0.0 is the off-diagonal of C*I: NaN once C
-# overflows.
+# overflows.  Each e^x is guarded in place, with no helper call: inf above
+# 709.78..., the log of the largest float, so math.exp never raises
+# OverflowError; NaN stays NaN.
 _GL2_EXP = Block(["a b c d"], "g11 g12 g21 g22", """
 mu = 0.5 * (a + d)
 D = mu * mu - (a * d - b * c)
 s = math.sqrt(D) if D >= 1e-6 else 0.0
 if s > 30.0 or (s > 0.0 and mu + s > 700.0):
-    ep = _exp(mu + s)
-    em = _exp(mu - s)
+    ep, em = mu + s, mu - s
+    ep = math.inf if ep > 709.782712893384 else math.exp(ep)
+    em = math.inf if em > 709.782712893384 else math.exp(em)
     C = 0.5 * (ep + em)
     S = 0.5 * (ep - em) / s
     z = C * 0.0
@@ -241,7 +241,7 @@ if s > 30.0 or (s > 0.0 and mu + s > 700.0):
     g21 = z + S * c
     g22 = C + S * (d - mu)
 else:
-    if abs(D) < 1e-6:
+    if -1e-6 < D < 1e-6:  # abs(D) < 1e-6, false for NaN too
         C = 1.0 + D / 2.0 + D * D / 24.0 + D ** 3 / 720.0 + D ** 4 / 40320.0
         S = 1.0 + D / 6.0 + D * D / 120.0 + D ** 3 / 5040.0 + D ** 4 / 362880.0
     elif s > 0.0:
@@ -253,7 +253,7 @@ else:
         S = math.sin(s) / s
     else:  # D = -inf or NaN: non-finite entries, not a math domain error
         C = S = math.nan
-    E = _exp(mu)
+    E = math.inf if mu > 709.782712893384 else math.exp(mu)
     g11 = E * (C + S * (a - mu))
     g12 = E * (S * b)
     g21 = E * (S * c)
@@ -372,7 +372,7 @@ def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
 
 
 # What the blocks read besides their own locals.
-BLOCK_GLOBALS = {"math": math, "_exp": _exp, "DomainError": DomainError}
+BLOCK_GLOBALS = {"math": math, "DomainError": DomainError}
 
 # Algebra length -> (exp body, act body, exp block, act block) of the
 # geometry with that length: a step kernel whose action's exp and act are

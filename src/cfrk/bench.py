@@ -127,9 +127,9 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
 
     def rhs(t, y):
         dy = field(y)
-        if not np.all(np.isfinite(dy)):
+        if not np.isfinite(dy).all():
             raise ReferenceSolveError(f"reference for {problem.name}: "
-                                      f"non-finite derivative at t={t!r}")
+                                      f"non-finite derivative at t={float(t)}")
         return dy
 
     # With w the larger of |t0| and |t1|, LSODA refuses to start on a span
@@ -366,9 +366,7 @@ def run_tableau_check(config: ExperimentConfig):
 def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return str(v)  # a float's str is its repr
 
 
 def render_csv(columns, rows, config_dict: dict, summary: dict | None = None) -> str:

@@ -138,8 +138,7 @@ def _poly_roots(coeffs, poly_text: str, a: float):
             f"discriminant {disc} of {poly_text} at a = {a} is negative; "
             "no real root exists")
     sq = math.sqrt(disc)
-    roots = sorted([(-B - sq) / (2 * A), (-B + sq) / (2 * A)], key=abs)
-    return roots
+    return sorted([(-B - sq) / (2 * A), (-B + sq) / (2 * A)], key=abs)
 
 
 def _layout32(name: str, stage2, stage3, beta, beta_hat, reused_stage: int,

@@ -157,11 +157,8 @@ def _cmd_tableaux_check(args) -> int:
     config = ExperimentConfig(tableau=args.tableau, mode="tableau-check",
                               out=args.out, fmt=args.fmt)
     text, payload = run_tableau_check(config)
-    if args.fmt == "json":
-        write_output(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                     args.out)
-    else:
-        write_output(text + "\n", args.out)
+    write_output((json.dumps(payload, sort_keys=True, indent=2)
+                  if args.fmt == "json" else text) + "\n", args.out)
     return 0 if payload["ok"] else 1
 
 

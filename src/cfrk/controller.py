@@ -23,12 +23,20 @@ kernel, so a run is one Python frame besides f; any other action gets the
 calling form, which calls cf_step once per attempt.  Where problem.f is a
 packaged field (stepper.inline_field), the inline form runs its block in
 place of every f call, with the field's parameters as loop arguments, so
-one loop per pair, geometry and field serves every parameter value.
+one loop per pair, geometry and field serves every parameter value.  The
+inline form reads each math function and constant from a local bound
+once before its while (math_sqrt for math.sqrt), so an attempt looks up
+no module attribute; with the blocks' inline overflow guards and at most
+three targets per assignment, it calls no Python-level function but a
+called f and builds no tuple.  Both forms evaluate f(base) once per base
+point and keep it across rejected attempts: n_feval is k_feval steps'
+worth plus the fresh f(base) evaluations.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 import sys
 from array import array
@@ -309,11 +317,11 @@ def _run(problem, y0, t0: float):
 _LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, pack, atol, "
                 "rtol, fac, facmin, facmax, hmin, hmax, max_rejects, expo, "
                 "norm, dist")
-# START, STEP, ERROR, ACCEPT and STEP_SIZE each stand for lines (_fill), Y1
-# for y1's entries.  START sets k_exp and k_feval, one step's counts after
-# f0; STEP forms f0 = f(base) unless have_f0 (counted in n_fresh), then
+# START, FRESH, STEP, ERROR, ACCEPT and STEP_SIZE each stand for lines
+# (_fill), Y1 for y1's entries.  START sets k_exp and k_feval, one step's
+# counts after f0; FRESH forms f0 = f(base), once per base point; STEP
 # steps, leaving y1 and its distance d to yhat1; ACCEPT moves y1 to base,
-# and f(y1) to f0 if FSAL.
+# and f(y1) to f0 if FSAL, else clears have_f0.
 _LOOP = """
 times, rec, have_f0 = traj.times, traj.record.frombytes, False
 n_steps = n_fresh = n_rejected = rejects = 0
@@ -326,6 +334,10 @@ try:
         if t_next == t:  # below half an ulp of t, h_try would not move t
             raise StepSizeUnderflowError(
                 f"step size underflow at t = {t} (h = {h})", traj)
+        if not have_f0:
+            FRESH
+            n_fresh += 1
+            have_f0 = True
         STEP
         ERROR
         if not math.isfinite(err):
@@ -354,19 +366,18 @@ try:
             fmax = 1.0
         STEP_SIZE
 finally:
-    traj.totals = Totals(k_exp * n_steps, k_feval * n_steps + (
-        n_fresh if have_f0 else n_steps), len(times) - 1, n_rejected)
+    traj.totals = Totals(k_exp * n_steps, k_feval * n_steps + n_fresh,
+                         len(times) - 1, n_rejected)
 """
 # The calling form checks y1 at once: an action's own ambient_distance
 # need not turn a non-finite y1 into a non-finite err.
 _CALLING_STEP = """
-n_fresh += f0 is None
 res = cf_step(pair, action, f, base, h, f0)
 n_steps += 1
 y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
 _check_finite(y1, traj, len(base))
 d = dist(y1, yhat1)
-"""
+""".strip().splitlines()
 _METRICS = [GroupAction.ambient_norm, GroupAction.ambient_distance]
 
 
@@ -386,7 +397,9 @@ def _adaptive_loop(pair, n, field=None):
     kernels under ("loop", n, field): the inline form for the built-in
     geometry of algebra length n, with a field Block's parameters as its
     last arguments, the calling form for n = None.  The inline form keeps
-    points and f values in float locals and measures with math.hypot."""
+    points and f values in float locals, measures with math.hypot and
+    reads each math name it uses from a local math_<name>, bound once
+    before the while, so an attempt looks up no module attribute."""
     key = ("loop", n, field)
     loop = pair._kernels.get(key)
     if loop is None:
@@ -394,7 +407,7 @@ def _adaptive_loop(pair, n, field=None):
         lines, y1, yhat1, *counts = kernel_lines(pair, n or 1, True,
                                                  n is not None, field)
         if n is None:
-            start, step = ["f0 = None"], _CALLING_STEP.strip().splitlines()
+            start, fresh, step = [], ["f0 = f(base)"], _CALLING_STEP
             error, y1 = _ERROR.params[0], "*y1"
             moves = [("base", "y1")], [("f0", "f_last")]
         else:
@@ -404,20 +417,23 @@ def _adaptive_loop(pair, n, field=None):
                 f"if len(f0) != {n}: check_length(action, f0)",
                 f"{_list(f0)} = f0"]
             start, step = [f"{_list(base)} = base"], [
-                "if not have_f0:", *("    " + s for s in fresh),
-                "    n_fresh += 1", *lines, "n_steps += 1",
+                *lines, "n_steps += 1",
                 f"d = math.hypot({', '.join(map(' - '.join, zip(y1, yhat1)))})"]
             # norm(base) and norm(y1) become math.hypot of their entries
             error = ["d", ", ".join(base), ", ".join(y1), "atol", "rtol",
                      "math.hypot"]
             moves = [*zip(base, y1)], [*zip(f0, _names(f"f{pair.s}", n))]
             y1 = ", ".join(y1)
-        moves = moves[0] + (moves[1] + [("have_f0", "True")]) * pair.fsal
-        lines = _fill(_LOOP.replace("Y1", y1),
+        moves = moves[0] + (moves[1] if pair.fsal else [("have_f0", "False")])
+        lines = _fill(_LOOP.replace("Y1", y1), FRESH=fresh, STEP=step,
                       START=["k_exp, k_feval = %d, %d" % tuple(counts), *start],
-                      STEP=step, ACCEPT=[f"{a} = {b}" for a, b in moves],
+                      ACCEPT=[f"{a} = {b}" for a, b in moves],
                       ERROR=_ERROR.inline([error], ["err"]),
                       STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))
+        if n is not None:  # math's names as locals, bound before the while
+            names = set(re.findall(r"math\.(\w+)", "\n".join(lines)))
+            lines = [f"math_{x} = math.{x}" for x in sorted(names)] + [
+                s.replace("math.", "math_") for s in lines]
         # The calling form runs in this module's namespace, so it looks
         # cf_step up here at every attempt, where a wrapper may replace it.
         namespace = globals() if n is None else {**globals(), **KERNEL_GLOBALS}

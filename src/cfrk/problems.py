@@ -13,6 +13,12 @@ can call action.infinitesimal(f(y), y) on their own arrays.
 
 Each f is a Block over the point's entries and the parameters, compiled
 once by stepper.field_body, which the adaptive loop runs in place of f.
+A block assigns at most three results per statement: CPython builds and
+unpacks a tuple for an assignment to more than three targets, which the
+adaptive loop would pay at every inlined f, and stores three or fewer
+straight from the stack, so an inlined field builds no tuple.  No
+statement assigns only constants to more than one target, which CPython
+would fold into a constant tuple to unpack.
 """
 
 from __future__ import annotations
@@ -90,7 +96,8 @@ def conserved(problem: Problem, point) -> dict:
     return problem.invariants(np.asarray(point, float))
 
 
-# Each field written once, over the point's entries and the parameters.
+# Each field written once, over the point's entries and the parameters,
+# at most three results to an assignment (see the module docstring).
 _RIGID_BODY = field_body(Block(["y1 y2 y3", "i1 i2 i3 mass"], "v1 v2 v3", """
 v1, v2, v3 = -mass * (i1 * y1), -mass * (i2 * y2), -mass * (i3 * y3)
 """))
@@ -100,11 +107,13 @@ _VAN_DER_POL = field_body(Block(["x v", "mu"], "a b c d", """
 if x == 0.0 and v == 0.0:
     raise DomainError("Van der Pol state reached the origin, which is "
                       "outside the GL(2) orbit")
-a, b, c, d = 0.0, 1.0, -1.0, mu * (1.0 - x * x)
+c = -1.0
+a, b, d = 0.0, 1.0, mu * (1.0 - x * x)
 """))
 _HEAVY_TOP = field_body(Block(["m1 m2 m3 b1 b2 b3", "i1 i2 i3 c1 c2 c3"],
                               "v1 v2 v3 v4 v5 v6", """
-v1, v2, v3, v4, v5, v6 = i1 * m1, i2 * m2, i3 * m3, c1, c2, c3
+v1, v2, v3 = i1 * m1, i2 * m2, i3 * m3
+v4, v5, v6 = c1, c2, c3
 """))
 
 

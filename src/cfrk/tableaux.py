@@ -130,9 +130,7 @@ class CFTableau:
             self._check_row(f"y row {j}", row, self.s)
         for j, row in enumerate(self.beta_hat):
             self._check_row(f"yhat row {j}", row, self.hat_width)
-        b = np.zeros(self.s)
-        for row in self.beta:
-            b = b + row
+        b = _row_sum(self.beta, self.s)
         if abs(b.sum() - 1.0) > CONSISTENCY_TOL:
             raise TableauError(
                 f"{self.name}: update weights sum to {b.sum()!r}, expected 1")

@@ -169,18 +169,33 @@ def test_gl2_exp_divergent_input_yields_non_finite_entries():
         assert np.array_equal(gl2_exp(A), expect, equal_nan=True)
 
 
-def test_gl2_exponential_helper_is_overflow_safe():
-    # math.exp raises OverflowError past log(max float); the helper the
-    # gl(2) block calls returns inf there and keeps NaN as NaN
-    from cfrk.actions import _exp
-    top = 709.782712893384
-    assert math.isnan(_exp(math.nan))
-    assert _exp(-math.inf) == 0.0
-    assert math.isfinite(_exp(top)) and _exp(top) == math.exp(top)
-    assert _exp(math.nextafter(top, math.inf)) == math.inf
-    assert _exp(math.inf) == math.inf
-    for x in (-745.2, -1.5, 0.0, 1e-300, 2.5, 700.0):
-        assert _exp(x) == math.exp(x)
+_TOP = 709.782712893384  # log of the largest float, rounded down
+_MAX = 1.7976931348622732e+308  # math.exp(_TOP)
+_NAN4 = [math.nan] * 4
+
+
+@pytest.mark.parametrize("x,expect", [
+    # diag(x, x) reaches the guard on e^mu, diag(x, -x) the one on
+    # e^(mu + s) and diag(x + 2, x) the one on e^(mu - s)
+    (_TOP, [[_MAX, 0.0, 0.0, _MAX], [_MAX, 0.0, 0.0, 0.0],
+            [math.inf, math.nan, math.nan, math.nan]]),
+    (math.nextafter(_TOP, math.inf),
+     [[math.inf, math.nan, math.nan, math.inf],
+      [math.inf, math.nan, math.nan, math.nan], _NAN4]),
+    (math.inf, [_NAN4] * 3),
+    (-math.inf, [_NAN4] * 3),
+    (math.nan, [_NAN4] * 3),
+], ids=["top", "top+ulp", "inf", "-inf", "nan"])
+def test_gl2_exp_overflow_guard(x, expect):
+    # math.exp raises OverflowError past log(max float); each e^x of the
+    # gl(2) exponential is inf there instead, and NaN stays NaN: the
+    # entries, not an exception, on the guards' boundary and beyond
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [gl2_exp(A).ravel() for A in ([[x, 0.0], [0.0, x]],
+                                            [[x, 0.0], [0.0, -x]],
+                                            [[x + 2.0, 0.0], [0.0, x]])]
+    assert np.array_equal(got, expect, equal_nan=True)
 
 
 # -------------------------------------------------------- se(3) exponential

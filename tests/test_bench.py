@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.bench import (ExperimentConfig, build_experiment, reference_endpoint,
-                        render_csv, render_json, resolved_config,
-                        run_convergence, run_needle, run_tableau_check,
-                        run_work_precision, write_output)
+from cfrk.bench import (ExperimentConfig, ReferenceSolveError,
+                        build_experiment, reference_endpoint, render_csv,
+                        render_json, resolved_config, run_convergence,
+                        run_needle, run_tableau_check, run_work_precision,
+                        write_output)
 from cfrk.catalog import get_tableau
 from cfrk.controller import ConfigError, integrate_fixed
 from cfrk.order_conditions import certify_pair
@@ -157,9 +158,33 @@ def test_reference_endpoint_returns_on_a_span_of_a_few_ulps(t0, ulps):
 def test_reference_endpoint_rejects_non_finite_derivative():
     prob = dataclasses.replace(rigid_body(),
                                ambient_field=lambda y: np.full(3, np.nan))
-    with pytest.raises(RuntimeError, match=r"rigid-body: non-finite "
-                                           r"derivative at t=0\.0"):
+    with pytest.raises(ReferenceSolveError, match=r"rigid-body: non-finite "
+                                                  r"derivative at t=0\.0"):
         reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("first_bad_call", [1, 20])
+def test_reference_endpoint_rejects_one_non_finite_entry(bad, first_bad_call):
+    # one non-finite entry of the derivative, at the solve's first call or
+    # within it, stops the solve with ReferenceSolveError
+    base = heavy_top()
+    calls = []
+
+    def field(y):
+        calls.append(None)
+        dy = base.ambient_field(y)
+        if len(calls) >= first_bad_call:
+            dy[4] = bad
+        return dy
+    prob = dataclasses.replace(base, ambient_field=field)
+    with pytest.raises(ReferenceSolveError, match=r"heavy-top: non-finite "
+                                                  r"derivative at t=") as err:
+        reference_endpoint(prob, prob.default_y0, 0.0, 2.0)
+    # t is the time of the failing call, a plain float
+    t = float(str(err.value).rsplit("t=", 1)[1])
+    assert t == 0.0 if first_bad_call == 1 else 0.0 < t < 2.0
+    assert len(calls) == first_bad_call
 
 
 # ---------------------------------------------------------------- convergence

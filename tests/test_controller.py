@@ -1004,17 +1004,40 @@ def test_inline_and_called_fields_agree_bitwise(name, build):
             finite and (cfg.h0 is None or raised))
 
 
+@pytest.mark.parametrize("form", ["inline", "calling"])
+@pytest.mark.parametrize("name", ["cf43", "cf43_4stage"])
+def test_a_retry_does_not_evaluate_f_again_at_its_base_point(name, form):
+    # f(base) is formed once per base point and kept across rejected
+    # attempts: FSAL cf43's first attempts (h0 far too large) and every
+    # retry of the non-FSAL cf43_4stage evaluate f at no point twice, and
+    # Totals counts each call (h0 is set, so initial_step calls no f)
+    prob = van_der_pol()
+    field, points = prob.f, []
+
+    def f(y):
+        points.append(tuple(y))
+        return field(y)
+    prob = dataclasses.replace(prob, f=f)
+    if form == "calling":
+        prob = dataclasses.replace(prob, action=calling(prob.action))
+    traj = integrate_adaptive(get_tableau(name), prob, prob.default_y0, 0.0,
+                              3.0, ControllerConfig(atol=1e-4, rtol=1e-4,
+                                                    h0=0.2))
+    assert not traj.events[0][2] and traj.totals.n_rejected > 10
+    assert len(set(points)) == len(points) == traj.totals.n_feval
+
+
 def names_in(source) -> set:
     return {node.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Name)}
 
 
 def test_compiled_sources_name_no_numpy_and_write_the_step_size_once():
-    # every float body, step kernel and adaptive loop reads math and the
-    # overflow-safe exp, never numpy; each loop runs the step-size rule
-    # once, after the accept/reject branch; a loop that runs a built-in
-    # field never calls f, and the field's parameters, locals of their own
-    # names there, are no name of the loop without it
+    # every float body, step kernel and adaptive loop reads math, never
+    # numpy; each loop runs the step-size rule once, after the
+    # accept/reject branch; a loop that runs a built-in field never calls
+    # f, and the field's parameters, locals of their own names there, are
+    # no name of the loop without it
     import cfrk.actions
     import cfrk.controller
     from cfrk.stepper import step_kernel
@@ -1218,9 +1241,12 @@ def attempt_calls(loop):
 
 def test_inline_loops_build_no_list_and_call_no_python_function():
     # the attempt of every inline loop, field inlined or called, calls only
-    # math's and the record's C functions, abs, gl(2)'s overflow-safe _exp
-    # (part of its exp formula) and f, where f is not inlined; it builds a
-    # list only as the argument of such an f call
+    # math's and the record's C functions and f, where f is not inlined;
+    # math's functions are locals bound once before the while.  It builds
+    # a list only as the argument of such an f call, and its while body
+    # reads no math attribute and packs no tuple of more than three values
+    # (CPython builds and unpacks one there; three or fewer are plain loads
+    # and stores)
     import cfrk.actions
     import cfrk.controller
     fields = {n: inline_field(prob.f, n)[0]
@@ -1232,12 +1258,24 @@ def test_inline_loops_build_no_list_and_call_no_python_function():
             for field in (fields[n], None):
                 loop = cfrk.controller._adaptive_loop(pair, n, field)
                 calls, lists, args = attempt_calls(loop)
-                others = {c for c in calls if not c.startswith("math.")}
-                assert others <= {"rec", "pack", "times.append", "abs",
-                                  "_exp", *([] if field else ["f"])}
-                assert "math.hypot" in calls
+                bound = {c for c in calls if c.startswith("math_")}
+                assert calls - bound <= {"rec", "pack", "times.append",
+                                         *([] if field else ["f"])}
+                assert "math_hypot" in bound
+                for name in bound:
+                    assert f"{name} = math.{name[5:]}" in loop.source
+                    assert type(getattr(math, name[5:])) is type(math.exp)
                 assert all(any(lst is arg for arg in args) for lst in lists)
                 assert not (field and lists)
+                (while_node,) = [node for node in ast.walk(
+                    ast.parse(loop.source)) if isinstance(node, ast.While)]
+                body = [node for stmt in while_node.body
+                        for node in ast.walk(stmt)]
+                assert not [node for node in body
+                            if isinstance(node, ast.Attribute)
+                            and ast.unparse(node.value) == "math"]
+                assert all(len(node.elts) <= 3 for node in body
+                           if isinstance(node, ast.Tuple))
                 loops += 1
     assert loops == 36
 
