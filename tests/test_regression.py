@@ -1,9 +1,10 @@
 """Trajectories pinned against recorded values.
 
-Adaptive runs must keep their exp, f, accept and reject counts exactly and
-their endpoints to roundoff (the error measure may move in its last bits);
-fixed-step runs have no error measure and must stay bit-identical.  The
-recorded values are regenerated by running this file as a script:
+Every run must stay bit-identical.  Each adaptive run is recorded with its
+counts, its endpoint and a SHA-256 of its record, times and totals, so a
+change that moves one names the runs it moved; the fixed-step runs are
+pinned by two digests over all of them.  The recorded values are
+regenerated by running this file as a script:
 
     PYTHONPATH=src python tests/test_regression.py
 
@@ -38,8 +39,9 @@ EMBEDDED_FIXED_DIGEST = ("b2286fa5e604c554fb80381df8a4603f"
 
 
 def adaptive_runs():
-    """Counts and endpoint of every embedded pair on every problem at each
-    tolerance (atol = rtol = tol)."""
+    """Counts, endpoint and digest of every embedded pair on every problem
+    at each tolerance (atol = rtol = tol): the digest is a SHA-256 over the
+    packed record, the packed times and the totals."""
     runs = []
     for tableau in catalog():
         if not tableau.has_embedded:
@@ -51,12 +53,18 @@ def adaptive_runs():
                     tableau, prob, prob.default_y0, 0.0, t1,
                     ControllerConfig(atol=tol, rtol=tol))
                 t = traj.totals
+                digest = hashlib.sha256(traj.record.tobytes())
+                digest.update(struct.pack(f"{len(traj.times)}d",
+                                          *traj.times))
+                digest.update(struct.pack("4q", t.n_exp, t.n_feval,
+                                          t.n_accepted, t.n_rejected))
                 runs.append({"tableau": tableau.name, "problem": name,
                              "tol": tol, "n_exp": t.n_exp,
                              "n_feval": t.n_feval,
                              "n_accepted": t.n_accepted,
                              "n_rejected": t.n_rejected,
-                             "y_end": traj.y_end.tolist()})
+                             "y_end": traj.y_end.tolist(),
+                             "sha256": digest.hexdigest()})
     return runs
 
 
@@ -109,6 +117,7 @@ def test_adaptive_counts_and_endpoints_match_the_record(recorded):
             assert run[count] == want[count], (key, count)
         for a, b in zip(run["y_end"], want["y_end"], strict=True):
             assert abs(a - b) <= 1e-11 * max(1.0, abs(b)), key
+        assert run["sha256"] == want["sha256"], key
 
 
 def test_fixed_step_trajectories_are_bit_identical_to_the_record():
