@@ -42,10 +42,10 @@ OverflowError, NaN kept), and tests its series branch as -1e-6 < D <
 1e-6, so no body needs numpy and an inlined exponential calls no
 Python-level function.  The public kernels so3_exp, gl2_exp, se3_exp and
 coadjoint_act check their input, call bodies of the same blocks and
-return numpy matrices, an Se3Element or a numpy vector.  A step of an
-action whose exp and act are these bodies runs their blocks inline
-(INLINE; see stepper.inline_length).  ambient_norm and ambient_distance
-use a list as it is and convert anything else once.
+return numpy matrices, an Se3Element or a numpy vector.  The compiled
+loops of an action whose exp and act are these bodies run their blocks
+inline (INLINE; see stepper.inline_length).  ambient_norm and
+ambient_distance use a list as it is and convert anything else once.
 """
 
 from __future__ import annotations
@@ -375,8 +375,8 @@ def coadjoint_act(ge: Se3Element, m) -> np.ndarray:
 BLOCK_GLOBALS = {"math": math, "DomainError": DomainError}
 
 # Algebra length -> (exp body, act body, exp block, act block) of the
-# geometry with that length: a step kernel whose action's exp and act are
-# these bodies runs their blocks inline (see stepper.py).
+# geometry with that length: a compiled loop whose action's exp and act
+# are these bodies runs their blocks inline (see stepper.inline_length).
 INLINE = {3: (_so3_exp, _so3_act, _SO3_EXP, _SO3_ACT),
           4: (_gl2_exp, _gl2_act, _GL2_EXP, _GL2_ACT),
           6: (_se3_exp, _se3_act, _SE3_EXP, _SE3_ACT)}

@@ -22,8 +22,8 @@ import numpy as np
 
 from .catalog import get_tableau
 from .controller import (ConfigError, ControllerConfig, IntegrationError,
-                         check_method, check_span, integrate_adaptive,
-                         integrate_fixed)
+                         check_method, check_span, check_steps,
+                         integrate_adaptive, integrate_fixed)
 from .order_conditions import certify_pair, is_genuine_pair
 from .problems import build_problem
 from .stepper import count_budget
@@ -65,8 +65,7 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         check_span(self.t0, self.t1)
         for n in self.steps:
-            if n < 1:
-                raise ConfigError(f"need step counts >= 1, got {n}")
+            check_steps(n)
 
 
 def _resolve_tableau(name: str):
@@ -190,7 +189,7 @@ def run_convergence(config: ExperimentConfig):
     t0, t1, y0 = config.t0, config.t1, problem.default_y0
     ref = reference_endpoint(problem, y0, t0, t1)
     results, failures = _sweep(problem, ref, [(n, f"steps={n}", partial(
-        integrate_fixed, tableau, problem, y0, t0, t1, int(n),
+        integrate_fixed, tableau, problem, y0, t0, t1, n,
         advance_embedded=config.advance_embedded)) for n in steps])
     rows = []
     for n, _, err in results:
@@ -223,7 +222,7 @@ def run_work_precision(config: ExperimentConfig):
                          hmax=math.inf if config.hmax is None
                          else config.hmax))) for tol in tols]
     runs += [(math.nan, f"steps={n}", partial(
-        integrate_fixed, tableau, problem, y0, t0, t1, int(n)))
+        integrate_fixed, tableau, problem, y0, t0, t1, n))
         for n in config.steps]
     results, failures = _sweep(
         problem, reference_endpoint(problem, y0, t0, t1), runs)

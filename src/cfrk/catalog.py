@@ -188,9 +188,7 @@ def instantiate_cf32_family(a: float, variant: str,
     stage2 = np.array([c2, 0.0, 0.0])
     stage3 = np.array([t1, t2, 0.0])
     c = np.array([0.0, c2, t1 + t2])
-    A = np.zeros((3, 3))
-    A[1] = stage2
-    A[2] = stage3
+    A = np.array([np.zeros(3), stage2, stage3])
 
     reused = stage3 if data["reused_stage"] == 3 else stage2
     ri = data["reused_index"]
@@ -211,13 +209,11 @@ def instantiate_cf32_family(a: float, variant: str,
     # Embedded row: two order-2 conditions on (bh1..bh4) with abscissae
     # (0, c2, c3, 1); hat_params pins bh1 and bh3.
     h1, h3 = hat_params
-    c3 = c[2]
-    det = c2 - 1.0
-    if abs(det) < 1e-12:
+    if abs(c2 - 1.0) < 1e-12:
         raise SingularParameterError(
             f"{variant} at a = {a}: embedded system is singular (c2 = 1)")
     rhs1 = 1.0 - h1 - h3
-    rhs2 = 0.5 - h3 * c3
+    rhs2 = 0.5 - h3 * c[2]
     bh2 = (rhs1 - rhs2) / (1.0 - c2)
     bh4 = rhs1 - bh2
     return _layout32(f"cf32[{variant},a={a:g},{root}]", stage2, stage3, beta,

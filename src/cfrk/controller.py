@@ -5,37 +5,43 @@ extrapolation: the error is measured between the two members, but the
 trajectory always advances with the higher-order one.  A fixed-step driver
 without error estimation is provided for convergence and cost comparisons.
 
-The fixed driver and the calling form hold points as flat lists of
-Python floats, as f and cf_step take and return them; the inline form
-holds the state and the FSAL value in float locals.  Each attempt is one
-row (t, h, accepted, err, *y) of Trajectory.record, one array('d'), with
-y the candidate end point; events, h_history, points and y_end are built
-from it when read.  Both drivers run through _run, which turns any
-exception raised once the run has started into an IntegrationError
-carrying the partial trajectory; an error raised before that keeps its type.
+The calling form holds points as flat lists of Python floats, as f and
+cf_step take and return them; the inline form holds the state and the f
+values in float locals.  Each attempt is one row (t, h, accepted, err,
+*y) of Trajectory.record, one array('d'), with y the candidate end point;
+events, h_history, points and y_end are built from it when read.  Both
+drivers run through _run, which turns any exception raised once the run
+has started into an IntegrationError carrying the partial trajectory; an
+error raised before that keeps its type.
 
-The adaptive attempt is written once, as the source _LOOP, and compiled
-per pair on first use, like the step kernels; it runs the step-size rule
-once per attempt, capped at facmax after an accept and at 1 after a
-reject.  An action that steps inline (stepper.inline_length) and keeps
-GroupAction's metrics gets the inline form, which holds the inline step
-kernel, so a run is one Python frame besides f; any other action gets the
-calling form, which calls cf_step once per attempt.  Where problem.f is a
-packaged field (stepper.inline_field), the inline form runs its block in
-place of every f call, with the field's parameters as loop arguments, so
-one loop per pair, geometry and field serves every parameter value.  The
-inline form reads each math function and constant from a local bound
-once before its while (math_sqrt for math.sqrt), so an attempt looks up
-no module attribute; with the blocks' inline overflow guards and at most
-three targets per assignment, it calls no Python-level function but a
-called f and builds no tuple.  Both forms evaluate f(base) once per base
-point and keep it across rejected attempts: n_feval is k_feval steps'
-worth plus the fresh f(base) evaluations.
+Both drivers run a compiled loop (_loop): one prologue and Totals
+epilogue (_RUN) around the adaptive loop (_LOOP) or the fixed-step loop
+(_FIXED), each compiled per pair on first use and cached with the step
+kernels.  The adaptive loop runs the step-size rule once per attempt,
+capped at facmax after an accept and at 1 after a reject; the fixed-step
+loop takes count equal steps, the last landing on t1.  An action that
+steps inline (stepper.inline_length) gets the inline form, which holds
+the step's kernel_lines, so a run is one Python frame besides f; the
+adaptive loop asks the action to keep GroupAction's metrics too.  Any
+other action gets the calling form, which calls cf_step once per attempt
+or step.  Where problem.f is a packaged field (stepper.inline_field), the
+inline form runs its block in place of every f call, with the field's
+parameters as loop arguments, so one loop per pair, geometry and field
+serves every parameter value.  The inline form reads each math function
+and constant from a local bound once before its loop (math_sqrt for
+math.sqrt), so a step looks up no module attribute; with the blocks'
+inline overflow guards and at most three targets per assignment, it calls
+no Python-level function but a called f and builds no tuple.  The
+adaptive loop evaluates f(base) once per base point and keeps it across
+rejected attempts: n_feval is k_feval steps' worth plus the fresh f(base)
+evaluations.  The fixed-step loop carries no f value, and counts f(base)
+in each step's k_feval.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 import sys
@@ -179,15 +185,15 @@ class IntegrationError(RuntimeError):
 
 
 class StepSizeUnderflowError(IntegrationError):
-    pass
+    """A rejected attempt at h = hmin, or a step too small to move t."""
 
 
 class TooManyRejectsError(IntegrationError):
-    pass
+    """More consecutive rejected attempts than max_consecutive_rejects."""
 
 
 class NonFiniteError(IntegrationError):
-    pass
+    """A non-finite state (y0 or a step's point) or error measure."""
 
 
 # The controller's formulas, each written once: the adaptive loop runs them
@@ -272,6 +278,18 @@ def check_span(t0: float, t1: float) -> None:
                           f"t1 = {t1}")
 
 
+def check_steps(n) -> int:
+    """The step count n as an int; ConfigError unless it is an integer (an
+    int or a numpy integer, as operator.index takes) of at least 1."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise ConfigError(f"need integer step counts, got {n!r}") from None
+    if count < 1:
+        raise ConfigError(f"need step counts >= 1, got {count}")
+    return count
+
+
 def check_method(method, adaptive: bool, advance_embedded: bool = False):
     """ConfigError unless method can run the mode: adaptive needs an
     embedded pair of order p(p-1), advance_embedded embedded rows."""
@@ -312,72 +330,78 @@ def _run(problem, y0, t0: float):
         raise IntegrationError(message, traj) from exc
 
 
-# The body of loop(_LOOP_PARAMS): one adaptive run from (t, base) with the
-# first proposed step h_try, each attempt packed into traj.record.
-_LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, pack, atol, "
-                "rtol, fac, facmin, facmax, hmin, hmax, max_rejects, expo, "
-                "norm, dist")
-# START, FRESH, STEP, ERROR, ACCEPT and STEP_SIZE each stand for lines
-# (_fill), Y1 for y1's entries.  START sets k_exp and k_feval, one step's
-# counts after f0; FRESH forms f0 = f(base), once per base point; STEP
-# steps, leaving y1 and its distance d to yhat1; ACCEPT moves y1 to base,
-# and f(y1) to f0 if FSAL, else clears have_f0.
-_LOOP = """
+# A compiled run: START, LOOP and the sections named below each stand for
+# lines (_fill), Y1 for the entries of the point the run follows.  START
+# sets k_exp and k_feval, one step's counts after f0; LOOP is _LOOP or
+# _FIXED; FRESH forms f0 = f(base); STEP steps, leaving y1 (and yhat1);
+# ACCEPT moves the point followed to base, and in the adaptive loop f(y1)
+# to f0 if FSAL, else clears have_f0.
+_RUN = """
 times, rec, have_f0 = traj.times, traj.record.frombytes, False
 n_steps = n_fresh = n_rejected = rejects = 0
 START
 try:
-    while t < t1:
-        t_next = t + h_try
-        truncated = t_next >= t1
-        h = t1 - t if truncated else h_try
-        if t_next == t:  # below half an ulp of t, h_try would not move t
-            raise StepSizeUnderflowError(
-                f"step size underflow at t = {t} (h = {h})", traj)
-        if not have_f0:
-            FRESH
-            n_fresh += 1
-            have_f0 = True
-        STEP
-        ERROR
-        if not math.isfinite(err):
-            _check_finite([Y1], traj)
-            raise NonFiniteError("error measure became non-finite", traj)
-        accepted = err <= 1.0
-        rec(pack(t, h, accepted, err, Y1))
-        if accepted:
-            rejects = 0
-            t = t1 if truncated else t_next
-            ACCEPT
-            times.append(t)
-            if truncated:
-                break
-            fmax = facmax
-        else:
-            n_rejected += 1
-            rejects += 1
-            if rejects > max_rejects:
-                raise TooManyRejectsError(
-                    f"{rejects} consecutive rejected steps at t = {t}",
-                    traj)
-            if h <= hmin * (1.0 + 1e-12):
-                raise StepSizeUnderflowError(
-                    f"step size underflow at t = {t} (h = {h})", traj)
-            fmax = 1.0
-        STEP_SIZE
+    LOOP
 finally:
     traj.totals = Totals(k_exp * n_steps, k_feval * n_steps + n_fresh,
                          len(times) - 1, n_rejected)
 """
-# The calling form checks y1 at once: an action's own ambient_distance
-# need not turn a non-finite y1 into a non-finite err.
-_CALLING_STEP = """
-res = cf_step(pair, action, f, base, h, f0)
-n_steps += 1
-y1, yhat1, f_last = res.y1_list, res.yhat1_list, res.f_last
-_check_finite(y1, traj, len(base))
-d = dist(y1, yhat1)
-""".strip().splitlines()
+# One adaptive run from (t, base) with the first proposed step h_try: f0
+# is formed once per base point, and ERROR leaves y1's error measure.
+_LOOP_PARAMS = ("pair, action, f, base, t, t1, h_try, traj, pack, atol, "
+                "rtol, fac, facmin, facmax, hmin, hmax, max_rejects, expo, "
+                "norm, dist")
+_LOOP = """
+while t < t1:
+    t_next = t + h_try
+    truncated = t_next >= t1
+    h = t1 - t if truncated else h_try
+    if t_next == t:  # below half an ulp of t, h_try would not move t
+        raise StepSizeUnderflowError(
+            f"step size underflow at t = {t} (h = {h})", traj)
+    if not have_f0:
+        FRESH
+        n_fresh += 1
+        have_f0 = True
+    STEP
+    ERROR
+    if not math.isfinite(err):
+        _check_finite([Y1], traj)
+        raise NonFiniteError("error measure became non-finite", traj)
+    accepted = err <= 1.0
+    rec(pack(t, h, accepted, err, Y1))
+    if accepted:
+        rejects = 0
+        t = t1 if truncated else t_next
+        ACCEPT
+        times.append(t)
+        if truncated:
+            break
+        fmax = facmax
+    else:
+        n_rejected += 1
+        rejects += 1
+        if rejects > max_rejects:
+            raise TooManyRejectsError(
+                f"{rejects} consecutive rejected steps at t = {t}",
+                traj)
+        if h <= hmin * (1.0 + 1e-12):
+            raise StepSizeUnderflowError(
+                f"step size underflow at t = {t} (h = {h})", traj)
+        fmax = 1.0
+    STEP_SIZE
+"""
+# count steps of size h from (t, base), the last one landing on t1; STEP
+# checks the point followed before its row is packed.
+_FIXED_PARAMS = "pair, action, f, base, t, t1, h, traj, pack, count"
+_FIXED = """
+for i in range(1, count + 1):
+    FRESH
+    STEP
+    rec(pack(t + (i - 1) * h, h, True, math.nan, Y1))
+    ACCEPT
+    times.append(t1 if i == count else t + i * h)
+"""
 _METRICS = [GroupAction.ambient_norm, GroupAction.ambient_distance]
 
 
@@ -392,55 +416,88 @@ def _fill(template: str, **sections) -> list:
     return lines
 
 
-def _adaptive_loop(pair, n, field=None):
-    """pair's adaptive loop, compiled on first use and cached with its step
-    kernels under ("loop", n, field): the inline form for the built-in
-    geometry of algebra length n, with a field Block's parameters as its
-    last arguments, the calling form for n = None.  The inline form keeps
-    points and f values in float locals, measures with math.hypot and
-    reads each math name it uses from a local math_<name>, bound once
-    before the while, so an attempt looks up no module attribute."""
-    key = ("loop", n, field)
+def _loop(pair, problem, advance_embedded=None):
+    """pair's compiled loop for problem and the field parameters it takes:
+    the adaptive loop for advance_embedded None, else the fixed-step loop,
+    which follows yhat1 if advance_embedded.  A loop is compiled on first
+    use and cached with pair's step kernels under ("loop", n, field,
+    advance_embedded).  It is the inline form for the built-in geometry of
+    algebra length n, where the action steps inline (stepper.inline_length)
+    and, for the adaptive loop, keeps GroupAction's metrics, as math.hypot
+    gives a finite err only for a finite y1 and the loop checks y1 only on
+    a non-finite err; else the calling form, n = None.  Where problem.f is
+    a packaged field, field is its Block (stepper.inline_field), run in
+    place of f with its parameters as the loop's last arguments.  The
+    inline form keeps points and f values in float locals, measures with
+    math.hypot, probes each point the fixed loop follows with one
+    math.isfinite of its entries' sum, and reads each math name it uses
+    from a local math_<name>, bound once before the loop, so a step looks
+    up no module attribute."""
+    action = problem.action
+    adaptive = advance_embedded is None
+    metrics = [getattr(m, "__func__", m)
+               for m in (action.ambient_norm, action.ambient_distance)]
+    n = inline_length(action) if metrics == _METRICS or not adaptive else None
+    field, params = inline_field(problem.f, n)
+    key = ("loop", n, field, advance_embedded)
     loop = pair._kernels.get(key)
     if loop is None:
         # the calling form takes only the counts; h > 0 as t + h > t
-        lines, y1, yhat1, *counts = kernel_lines(pair, n or 1, True,
-                                                 n is not None, field)
+        embedded = adaptive or advance_embedded
+        lines, y1, yhat1, k_exp, k_feval = kernel_lines(
+            pair, n or 1, embedded, n is not None, field)
         if n is None:
-            start, fresh, step = [], ["f0 = f(base)"], _CALLING_STEP
-            error, y1 = _ERROR.params[0], "*y1"
-            moves = [("base", "y1")], [("f0", "f_last")]
+            followed = "yhat1" if advance_embedded else "y1"
+            start, fresh = [], ["f0 = f(base)"]
+            # y1 is checked at once: an action's own ambient_distance need
+            # not turn a non-finite y1 into a non-finite err
+            step = [f"res = cf_step(pair, action, f, base, h, f0, "
+                    f"with_embedded={embedded})", "n_steps += 1",
+                    "y1, yhat1, f_last = res.y1_list, res.yhat1_list, "
+                    "res.f_last", f"_check_finite({followed}, traj, len(base))"]
+            step += ["d = dist(y1, yhat1)"] * adaptive
+            error, point = _ERROR.params[0], "*" + followed
+            moves = [("base", followed)], [("f0", "f_last")]
         else:
             base, f0 = _names("base", len(y1)), _names("f0", n)
             fresh = field.inline([base, field.params[1]], f0) if field else [
                 f"f0 = f({_list(base)})",
                 f"if len(f0) != {n}: check_length(action, f0)",
                 f"{_list(f0)} = f0"]
-            start, step = [f"{_list(base)} = base"], [
-                *lines, "n_steps += 1",
-                f"d = math.hypot({', '.join(map(' - '.join, zip(y1, yhat1)))})"]
+            followed = yhat1 if advance_embedded else y1
+            point = ", ".join(followed)
+            start, step = [f"{_list(base)} = base"], [*lines, "n_steps += 1"]
+            step += ([f"d = math.hypot("
+                      f"{', '.join(map(' - '.join, zip(y1, yhat1)))})"]
+                     if adaptive else
+                     [f"if not math.isfinite({' + '.join(followed)}):",
+                      f"    _check_finite([{point}], traj)"])
             # norm(base) and norm(y1) become math.hypot of their entries
             error = ["d", ", ".join(base), ", ".join(y1), "atol", "rtol",
                      "math.hypot"]
-            moves = [*zip(base, y1)], [*zip(f0, _names(f"f{pair.s}", n))]
-            y1 = ", ".join(y1)
-        moves = moves[0] + (moves[1] if pair.fsal else [("have_f0", "False")])
-        lines = _fill(_LOOP.replace("Y1", y1), FRESH=fresh, STEP=step,
-                      START=["k_exp, k_feval = %d, %d" % tuple(counts), *start],
-                      ACCEPT=[f"{a} = {b}" for a, b in moves],
-                      ERROR=_ERROR.inline([error], ["err"]),
-                      STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))
-        if n is not None:  # math's names as locals, bound before the while
+            moves = [*zip(base, followed)], [*zip(f0, _names(f"f{pair.s}", n))]
+        if adaptive:
+            moves[0].extend(moves[1] if pair.fsal else [("have_f0", "False")])
+        body = _fill((_LOOP if adaptive else _FIXED).replace("Y1", point),
+                     FRESH=fresh, STEP=step,
+                     ACCEPT=[f"{a} = {b}" for a, b in moves[0]],
+                     ERROR=_ERROR.inline([error], ["err"]),
+                     STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))
+        # the fixed loop counts f0 in k_feval, as it forms f0 every step
+        lines = _fill(_RUN, LOOP=body, START=[
+            f"k_exp, k_feval = {k_exp}, {k_feval + (not adaptive)}", *start])
+        if n is not None:  # math's names as locals, bound before the loop
             names = set(re.findall(r"math\.(\w+)", "\n".join(lines)))
             lines = [f"math_{x} = math.{x}" for x in sorted(names)] + [
                 s.replace("math.", "math_") for s in lines]
         # The calling form runs in this module's namespace, so it looks
-        # cf_step up here at every attempt, where a wrapper may replace it.
+        # cf_step up here at every step, where a wrapper may replace it.
         namespace = globals() if n is None else {**globals(), **KERNEL_GLOBALS}
+        signature = _LOOP_PARAMS if adaptive else _FIXED_PARAMS
         loop = pair._kernels[key] = compile_function(
-            "loop", ", ".join([_LOOP_PARAMS, *field.params[1]] if field
-                              else [_LOOP_PARAMS]), lines, None, namespace)
-    return loop
+            "loop", ", ".join([signature, *field.params[1]] if field
+                              else [signature]), lines, None, namespace)
+    return loop, params
 
 
 def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
@@ -451,18 +508,12 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     higher-order solution; rejected steps are retried with the shrunken
     step (growth is disabled on the retry).  The final step is truncated
     to land exactly on t1.  The attempts run in pair's compiled loop (see
-    _adaptive_loop), inline for an action of a built-in geometry.
+    _loop), inline for an action of a built-in geometry.
     """
     check_span(t0, t1)
     check_method(pair, True)
+    loop, params = _loop(pair, problem)
     action = problem.action
-    # the inline loop needs GroupAction's metrics too: as math.hypot gives a
-    # finite err only for a finite y1, it checks y1 only on a non-finite err
-    metrics = [getattr(m, "__func__", m)
-               for m in (action.ambient_norm, action.ambient_distance)]
-    n = inline_length(action) if metrics == _METRICS else None
-    field, params = inline_field(problem.f, n)
-    loop = _adaptive_loop(pair, n, field)
     p = pair.order_p
     with _run(problem, y0, t0) as (traj, y, pack):
         h = initial_step(problem, y, cfg, p, t0, t1)
@@ -482,26 +533,18 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     which case the trajectory follows the embedded (lower-order) solution.
     No f value is carried: f(y1), when a step forms it, is not at the point
     the trajectory follows, so each step evaluates f at its base point.
+    The steps run in method's compiled fixed-step loop (see _loop), inline
+    for an action of a built-in geometry.
     """
     check_span(t0, t1)
-    if n_steps < 1:
-        raise ConfigError(f"need n_steps >= 1, got {n_steps}")
+    n_steps = check_steps(n_steps)
     check_method(method, False, advance_embedded)
-    action, f = problem.action, problem.f
     h = (t1 - t0) / n_steps
     if h == 0.0:
         raise ConfigError(f"the step (t1 - t0) / n_steps underflows to 0 for "
                           f"t0 = {t0}, t1 = {t1}, n_steps = {n_steps}")
+    loop, params = _loop(method, problem, advance_embedded)
     with _run(problem, y0, t0) as (traj, y, pack):
-        totals, rec, n = traj.totals, traj.record.frombytes, len(y)
-        for i in range(1, n_steps + 1):
-            res = cf_step(method, action, f, y, h,
-                          with_embedded=advance_embedded)
-            totals.n_exp += res.n_exp
-            totals.n_feval += res.n_feval
-            y = res.yhat1_list if advance_embedded else res.y1_list
-            _check_finite(y, traj, n)
-            totals.n_accepted += 1
-            rec(pack(t0 + (i - 1) * h, h, True, math.nan, *y))
-            traj.times.append(t1 if i == n_steps else t0 + i * h)
+        loop(method, problem.action, problem.f, y, t0, t1, h, traj, pack,
+             n_steps, *params)
     return traj

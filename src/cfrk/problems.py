@@ -12,10 +12,10 @@ point as a numpy array, which it converts once, so that scipy's solvers
 can call action.infinitesimal(f(y), y) on their own arrays.
 
 Each f is a Block over the point's entries and the parameters, compiled
-once by stepper.field_body, which the adaptive loop runs in place of f.
+once by stepper.field_body, which the compiled loops run in place of f.
 A block assigns at most three results per statement: CPython builds and
 unpacks a tuple for an assignment to more than three targets, which the
-adaptive loop would pay at every inlined f, and stores three or fewer
+compiled loops would pay at every inlined f, and stores three or fewer
 straight from the stack, so an inlined field builds no tuple.  No
 statement assigns only constants to more than one target, which CPython
 would fold into a constant tuple to unpack.

@@ -6,8 +6,8 @@ contributes exp(h * sum_k row[k] * f_k), applied to the base point with row
 
 A step runs straight-line Python compiled from the tableau the first time
 it is stepped with an algebra element of a given length, and cached on the
-tableau: one kernel per form, length and embedded flag, one per form and
-length for a tableau without embedded rows.  The generator walks the
+tableau: one kernel per length and embedded flag, one per length for a
+tableau without embedded rows.  The generator (kernel_lines) walks the
 stage, update and embedded rows in order, drops zero rows and gives each
 reuse group one exponential slot, numbered by first use, so reuse is
 resolved when the kernel is compiled, never per step.  Reuse off is a
@@ -19,18 +19,16 @@ Each row sum is written out per component as x0*a0_i + x1*a1_i + ...
 with x_j = h * c_j, numpy's order of operations for
 (h*c0)*f0 + (h*c1)*f1 + ..., so it is bit-identical to the array
 expression.  Only integer indices and the repr of finite Python floats
-enter the source.  A kernel has one of two forms, chosen from the action
-by inline_length: when its exp and act are a built-in geometry's float
-bodies (actions.INLINE) and f(y) has that geometry's length, the kernel
-runs the geometry's exp and act blocks inline on float locals, and builds
-a list only for each f call and to return y1 and yhat1.  Any other
-action (an override in a subclass, an instance attribute, a wrapper that
-records calls) gets the calling form, which calls the exp and act it is
-handed, so a wrapper sees every call.  Both forms have the same slots, points
-and output bits; n_exp and n_feval, the exponentials and f evaluations in
-the source, are the step's cost and count_budget's.  The adaptive loop
-(controller.py) runs the inline form's kernel_lines in its own frame,
-with a packaged field's block (field_body, inline_field) in place of f.
+enter the source.  cf_step's kernel calls the exp and act it is handed,
+so a wrapper (an override in a subclass, an instance attribute, a
+recorder) sees every call; n_exp and n_feval, the exponentials and f
+evaluations in the source, are the step's cost and count_budget's.  The
+compiled loops (controller.py) run the same kernel_lines in their own
+frame in a second form, chosen by inline_length: when the action's exp
+and act are a built-in geometry's float bodies (actions.INLINE), its exp
+and act blocks run inline on float locals, with a packaged field's block
+(field_body, inline_field) in place of f; that form has the same slots,
+points and output bits.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -42,6 +40,7 @@ lists; StepResult makes its y1 and yhat1 arrays only when they are read.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import FunctionType
 
 import numpy as np
@@ -64,6 +63,7 @@ def check_length(action, v) -> None:
                                f"{n} for the action's algebra")
 
 
+@dataclass(slots=True)
 class StepResult:
     """Outcome of one step.
 
@@ -74,16 +74,11 @@ class StepResult:
     tableau is FSAL and the embedded update ran, else None; callers pass it
     back as carried_f on the next step.
     """
-
-    __slots__ = ("y1_list", "yhat1_list", "f_last", "n_exp", "n_feval")
-
-    def __init__(self, y1_list: list, yhat1_list, f_last,
-                 n_exp: int, n_feval: int):
-        self.y1_list = y1_list
-        self.yhat1_list = yhat1_list
-        self.f_last = f_last
-        self.n_exp = n_exp
-        self.n_feval = n_feval
+    y1_list: list
+    yhat1_list: list | None
+    f_last: list | None
+    n_exp: int
+    n_feval: int
 
     @property
     def y1(self):
@@ -117,12 +112,8 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     if carried_f is None:
         carried_f = f(y)
         n_feval = 1
-    n = len(carried_f)
-    inline = n == inline_length(action)
-    if not inline:
-        check_length(action, carried_f)
-    kernel = (tableau._kernels.get((n, with_embedded, inline))
-              or step_kernel(tableau, n, with_embedded, inline))
+    check_length(action, carried_f)
+    kernel = step_kernel(tableau, len(carried_f), with_embedded)
     return StepResult(*kernel(action.exp, action.act, f, y, float(h),
                               carried_f),
                       kernel.n_exp, n_feval + kernel.n_feval)
@@ -173,26 +164,32 @@ def count_budget(tableau: CFTableau):
     return kernel.n_exp, kernel.n_feval + (not tableau.fsal)
 
 
-def step_kernel(tableau: CFTableau, n: int, with_embedded: bool,
-                inline: bool = False):
+def step_kernel(tableau: CFTableau, n: int, with_embedded: bool):
     """The compiled step of tableau for algebra elements of n entries.
 
     kernel(exp, act, f, base, h, f0), with the base point y and f0 = f(y)
     as flat lists of floats, returns (y1, yhat1, f_last): y1 and yhat1 as
     lists and f_last = f(y1) as f returned it, with None where the step
-    skips the embedded update or the tableau is not FSAL.  The inline form
-    runs INLINE[n]'s blocks in place of exp and act.  kernel.n_exp and
-    kernel.n_feval count the exponentials and the f evaluations after f0,
-    and kernel.source is the generated code.  A tableau without embedded
-    rows compiles one kernel of each form, cached under both flags.
+    skips the embedded update or the tableau is not FSAL.  It calls the
+    exp and act it is handed.  kernel.n_exp and kernel.n_feval count the
+    exponentials and the f evaluations after f0, and kernel.source is the
+    generated code.  A tableau without embedded rows compiles one kernel,
+    cached under both flags.
     """
-    kernel = tableau._kernels.get((n, with_embedded, inline))
+    kernel = tableau._kernels.get((n, with_embedded))
     if kernel is None:
-        kernel = _compile(tableau, n, with_embedded and tableau.has_embedded,
-                          inline)
-        tableau._kernels[n, with_embedded, inline] = kernel
+        embedded = with_embedded and tableau.has_embedded
+        lines, y1, yhat1, n_exp, n_feval = kernel_lines(tableau, n, embedded,
+                                                        False)
+        kernel = compile_function(
+            "kernel", "exp, act, f, base, h, f0",
+            [f"{_list(_names('f0', n))} = f0", *lines],
+            f"{y1}, {yhat1}, {'f_last' if embedded and tableau.fsal else None}",
+            KERNEL_GLOBALS)
+        kernel.n_exp, kernel.n_feval = n_exp, n_feval
+        tableau._kernels[n, with_embedded] = kernel
         if not tableau.has_embedded:  # both flags run this step
-            tableau._kernels[n, not with_embedded, inline] = kernel
+            tableau._kernels[n, not with_embedded] = kernel
     return kernel
 
 
@@ -311,16 +308,3 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         y1, yhat1 = _names(y1, n_p), yhat1 and _names(yhat1, n_p)
     coefficients = [f"{x} = h * {c!r}" for c, x in coeffs.items()]
     return coefficients + body, y1, yhat1, len(slots), n_feval
-
-
-def _compile(tableau: CFTableau, n: int, embedded: bool, inline: bool):
-    lines, y1, yhat1, n_exp, n_feval = kernel_lines(tableau, n, embedded,
-                                                    inline)
-    start = [f"{_list(_names('base', len(y1)))} = base"] * inline + [
-        f"{_list(_names('f0', n))} = f0"]
-    kernel = compile_function(
-        "kernel", "exp, act, f, base, h, f0", start + lines, f"{_list(y1)}, "
-        f"{yhat1 and _list(yhat1)}, "
-        f"{'f_last' if embedded and tableau.fsal else None}", KERNEL_GLOBALS)
-    kernel.n_exp, kernel.n_feval = n_exp, n_feval
-    return kernel

@@ -70,7 +70,7 @@ class CFTableau:
                            tuple((tuple(k1), tuple(k2)) for k1, k2 in self.reuse_map))
         # _rows and _kernels are not dataclass fields, so equality, repr and
         # JSON ignore them; _kernels caches the step kernels (see stepper.py)
-        # and the adaptive loops (controller.py)
+        # and the compiled loops (controller.py)
         rows = {("stage", r, j): row for r, stage in enumerate(self.alpha, 2)
                 for j, row in enumerate(stage)}
         rows.update({("y", j): row for j, row in enumerate(self.beta)})
@@ -97,10 +97,9 @@ class CFTableau:
             raise TableauError(f"{self.name}: no row {key!r}") from None
 
     def row_padded(self, key: RowKey) -> np.ndarray:
-        """Row extended with zeros to length s+1, for cross-kind comparison."""
+        """Row extended with zeros to length s+1, for cross-kind comparison,
+        as a new array."""
         r = self.row(key)
-        if len(r) == self.s + 1:
-            return r
         return np.concatenate([r, np.zeros(self.s + 1 - len(r))])
 
     def all_row_keys(self) -> list:
@@ -209,8 +208,7 @@ def tableau_from_json(text: str) -> CFTableau:
 
 def save_tableau(tableau: CFTableau, path) -> None:
     with open(path, "w") as fh:
-        fh.write(tableau.to_json())
-        fh.write("\n")
+        fh.write(tableau.to_json() + "\n")
 
 
 def load_tableau(path) -> CFTableau:

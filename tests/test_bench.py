@@ -109,7 +109,8 @@ def test_reference_endpoint_rejects_a_bad_span(t0, t1):
 
 
 @pytest.mark.parametrize("fields", [dict(t1=0.0), dict(t0=1.0, t1=math.inf),
-                                    dict(steps=(20, 0)), dict(fmt="xml")])
+                                    dict(steps=(20, 0)), dict(steps=(10.0,)),
+                                    dict(steps=(20, 2.5)), dict(fmt="xml")])
 def test_experiment_config_rejects_a_run_that_cannot_start(fields):
     with pytest.raises(ConfigError):
         ExperimentConfig(**fields)

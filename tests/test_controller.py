@@ -22,7 +22,7 @@ from cfrk.controller import (ConfigError, ControllerConfig,
                              error_measure, initial_step, integrate_adaptive,
                              integrate_fixed, next_step_size)
 from cfrk.problems import Problem, heavy_top, rigid_body, van_der_pol
-from cfrk.stepper import FieldLengthError, inline_field
+from cfrk.stepper import FieldLengthError, inline_field, step_kernel
 from cfrk.tableaux import CFTableau
 
 EPS = np.finfo(float).eps
@@ -773,16 +773,29 @@ def test_fixed_step_grid():
     assert traj.totals.n_exp == 7 * 5
 
 
-def test_fixed_step_validates_count():
+@pytest.mark.parametrize("n_steps", [0, -3, 10.0, 2.5, "10"])
+def test_fixed_step_validates_count(n_steps):
+    # a count below 1 or not an integer is a bad config before the run,
+    # not a failed run
     prob, calls = counted(rigid_body())
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="step counts"):
         integrate_fixed(get_tableau("cf4"), prob, prob.default_y0,
-                        0.0, 1.0, 0)
+                        0.0, 1.0, n_steps)
     # a step that underflows to 0 is a bad config, not a failed run
     with pytest.raises(ConfigError, match="underflows to 0"):
         integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
                         5e-324, 2)
     assert calls == []
+
+
+def test_fixed_step_takes_a_numpy_integer_count():
+    prob = rigid_body()
+    runs = [integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
+                            1.0, n) for n in (7, np.int64(7), np.uint8(7))]
+    for traj in runs:
+        assert traj.totals == runs[0].totals
+        assert traj.record.tobytes() == runs[0].record.tobytes()
+        assert float_bits(traj.times) == float_bits(runs[0].times)
 
 
 def test_fixed_embedded_mode_follows_lower_order_solution():
@@ -902,6 +915,16 @@ def outcome(pair, prob, cfg, t1=1.0):
         return type(exc), str(exc), exc.trajectory
 
 
+def fixed_outcome(method, prob, n_steps, advance_embedded=False):
+    """outcome() of integrate_fixed over [0, 1] in n_steps steps."""
+    try:
+        return None, None, integrate_fixed(
+            method, prob, prob.default_y0, 0.0, 1.0, n_steps,
+            advance_embedded=advance_embedded)
+    except IntegrationError as exc:
+        return type(exc), str(exc), exc.trajectory
+
+
 def float_bits(values):
     return [struct.pack("<d", v) for v in values]
 
@@ -910,9 +933,10 @@ def float_bits(values):
                          ids=lambda build: build.__name__)
 @pytest.mark.parametrize("name", EMBEDDED)
 def test_inline_and_calling_loops_agree_bitwise(name, build):
-    # a built-in action runs the inline loop, a subclass overriding exp and
-    # act the calling one; both give the same outcome, bit for bit, on a
-    # span whose tenth underflows to 0 too
+    # a built-in action runs the inline loops, a subclass overriding exp and
+    # act the calling ones; both give the same outcome, bit for bit, on a
+    # span whose tenth underflows to 0 too, adaptive and fixed-step, on
+    # the higher-order and the embedded solution
     prob = build()
     other = dataclasses.replace(prob, action=calling(prob.action))
     pair = get_tableau(name)
@@ -920,20 +944,17 @@ def test_inline_and_calling_loops_agree_bitwise(name, build):
     runs = [(ControllerConfig(**kw), 1.0)
             for kw in [*configs, *MATRIX_CFG.values()]]
     for cfg, t1 in [*runs, (ControllerConfig(), 1e-323)]:
-        kind, message, traj = outcome(pair, prob, cfg, t1)
-        ref_kind, ref_message, ref = outcome(pair, other, cfg, t1)
-        assert (kind, message) == (ref_kind, ref_message)
-        assert float_bits(traj.times) == float_bits(ref.times)
-        assert traj.points.tobytes() == ref.points.tobytes()
-        assert traj.totals == ref.totals
-        assert len(traj.h_history) == len(ref.h_history)
-        for a, b in zip(traj.h_history, ref.h_history):
-            assert float_bits([a.t, a.h, a.err, *a.y]) == \
-                float_bits([b.t, b.h, b.err, *b.y])
-            assert a.accepted == b.accepted
+        assert_same_run(outcome(pair, prob, cfg, t1),
+                        outcome(pair, other, cfg, t1))
+    for steps, advance_embedded in [(1, False), (7, True), (60, False),
+                                    (60, True)]:
+        assert_same_run(*(fixed_outcome(pair, p, steps, advance_embedded)
+                          for p in (prob, other)))
     n = len(prob.f(prob.default_y0))
-    assert ("loop", n, inline_field(prob.f, n)[0]) in pair._kernels
-    assert ("loop", None, None) in pair._kernels
+    field = inline_field(prob.f, n)[0]
+    for mode in (None, False, True):
+        assert ("loop", n, field, mode) in pair._kernels
+        assert ("loop", None, None, mode) in pair._kernels
 
 
 def test_one_field_loop_serves_every_parameter_value():
@@ -951,7 +972,7 @@ def test_one_field_loop_serves_every_parameter_value():
         assert_same_run(outcome(pair, p, ControllerConfig()),
                         outcome(pair, called, ControllerConfig()))
     assert [key for key in pair._kernels if key[0] == "loop"] == [
-        ("loop", 3, block), ("loop", 3, None)]
+        ("loop", 3, block, None), ("loop", 3, None, None)]
 
 
 def assert_same_run(a, b):
@@ -1027,57 +1048,10 @@ def test_a_retry_does_not_evaluate_f_again_at_its_base_point(name, form):
     assert len(set(points)) == len(points) == traj.totals.n_feval
 
 
-def names_in(source) -> set:
-    return {node.id for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Name)}
-
-
-def test_compiled_sources_name_no_numpy_and_write_the_step_size_once():
-    # every float body, step kernel and adaptive loop reads math, never
-    # numpy; each loop runs the step-size rule once, after the
-    # accept/reject branch; a loop that runs a built-in field never calls
-    # f, and the field's parameters, locals of their own names there, are
-    # no name of the loop without it
-    import cfrk.actions
-    import cfrk.controller
-    from cfrk.stepper import step_kernel
-    loop = cfrk.controller._adaptive_loop
-    fields = [(len(prob.f(prob.default_y0)), prob.f)
-              for prob in (build() for build in BOUNDARY_PROBLEMS)]
-    fields = [(n, inline_field(f, n)[0]) for n, f in fields]
-    sources = [body.source for bodies in cfrk.actions.INLINE.values()
-               for body in bodies[:2]]
-    loops = []
-    for t in catalog():
-        for n in cfrk.actions.INLINE:
-            sources += [step_kernel(t, n, embedded, inline).source
-                        for embedded in (True, False)
-                        for inline in (True, False)]
-        if t.name in EMBEDDED:
-            loops += [loop(t, n).source
-                      for n in (None, *cfrk.actions.INLINE)]
-            for n, field in fields:
-                source = loop(t, n, field).source
-                loops.append(source)
-                assert not any(isinstance(node, ast.Call)
-                               and getattr(node.func, "id", None) == "f"
-                               for node in ast.walk(ast.parse(source)))
-                assert not names_in(loop(t, n).source) & set(field.params[1])
-    assert len(loops) == 7 * len(EMBEDDED)
-    for source in sources + loops:
-        assert not names_in(source) & {"np", "numpy", "_np_exp"}
-    step_size = cfrk.controller._STEP_SIZE
-    rule = [line.strip()
-            for line in step_size.inline(step_size.params, ["h_try"])]
-    for source in loops:
-        lines = [line.strip() for line in source.splitlines()]
-        assert [lines.count(line) for line in rule] == [1] * len(rule)
-
-
 def test_calling_loop_steps_through_the_module_global(monkeypatch):
-    # the calling loop looks cf_step up in cfrk.controller at every attempt,
-    # where a wrapper such as the benchmark's tracer replaces it; the
-    # inline loop never calls it
+    # the calling loops look cf_step up in cfrk.controller at every attempt
+    # or fixed step, where a wrapper such as the benchmark's tracer replaces
+    # it; the inline loops never call it
     import cfrk.controller
     calls = []
     step = cfrk.controller.cf_step
@@ -1088,14 +1062,22 @@ def test_calling_loop_steps_through_the_module_global(monkeypatch):
     monkeypatch.setattr(cfrk.controller, "cf_step", counting)
     prob = van_der_pol()
     cfg = ControllerConfig(atol=1e-4, rtol=1e-4)
-    for action, expected in ((prob.action, 0), (calling(prob.action), None)):
+    for action, inline in ((prob.action, True), (calling(prob.action), False)):
         calls.clear()
         traj = integrate_adaptive(get_tableau("cf43"),
                                   dataclasses.replace(prob, action=action),
                                   prob.default_y0, 0.0, 3.0, cfg)
         attempts = traj.totals.n_accepted + traj.totals.n_rejected
         assert traj.totals.n_rejected > 0
-        assert len(calls) == (attempts if expected is None else expected)
+        assert len(calls) == (0 if inline else attempts)
+        for advance_embedded in (False, True):
+            calls.clear()
+            traj = integrate_fixed(get_tableau("cf43"),
+                                   dataclasses.replace(prob, action=action),
+                                   prob.default_y0, 0.0, 1.0, 40,
+                                   advance_embedded=advance_embedded)
+            assert traj.totals.n_accepted == 40
+            assert len(calls) == (0 if inline else 40)
 
 
 @pytest.mark.parametrize("form", ["inline", "calling"])
@@ -1214,70 +1196,158 @@ def test_hypot_of_differences_is_math_dist_and_ambient_norm(n):
             float_bits([action.ambient_norm(a)])
 
 
-def attempt_calls(loop):
-    """The called functions, the lists built and the arguments of f calls
-    in the attempt of a compiled loop: its while body, less the failure
-    branches, each an if without else whose body raises or calls
-    check_length (which raises there)."""
-    (tree,) = ast.parse(loop.source).body
-    (while_node,) = [node for node in ast.walk(tree)
-                     if isinstance(node, ast.While)]
-    nodes, todo = [], list(while_node.body)
+def step_nodes(loop):
+    """The nodes of one step of a compiled loop, its while or for node:
+    the loop's body less the bodies of the failure branches, each an if
+    without else whose body raises or calls check_length or _check_finite
+    (which raise there, but for a point whose finite entries overflow a
+    sum); their tests stay."""
+    nodes, todo = [], list(loop.body)
     while todo:
         node = todo.pop()
         if (isinstance(node, ast.If) and not node.orelse
                 and (isinstance(node.body[-1], ast.Raise)
-                     or "check_length(" in ast.unparse(node.body[-1]))):
-            continue
+                     or re.search(r"\b(check_length|_check_finite)\(",
+                                  ast.unparse(node.body[-1])))):
+            node = node.test
         nodes.append(node)
         todo.extend(ast.iter_child_nodes(node))
-    calls = [node for node in nodes if isinstance(node, ast.Call)]
-    return ({ast.unparse(call.func) for call in calls},
-            [node for node in nodes if isinstance(node, ast.List)
-             and isinstance(node.ctx, ast.Load)],
-            [arg for call in calls if ast.unparse(call.func) == "f"
-             for arg in call.args])
+    return nodes
 
 
-def test_inline_loops_build_no_list_and_call_no_python_function():
-    # the attempt of every inline loop, field inlined or called, calls only
-    # math's and the record's C functions and f, where f is not inlined;
-    # math's functions are locals bound once before the while.  It builds
-    # a list only as the argument of such an f call, and its while body
-    # reads no math attribute and packs no tuple of more than three values
-    # (CPython builds and unpacks one there; three or fewer are plain loads
-    # and stores)
+def names_in(nodes) -> set:
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+def name_of(call) -> str:
+    """The name or dotted name a call calls."""
+    return (call.func.id if isinstance(call.func, ast.Name)
+            else ast.unparse(call.func))
+
+
+def is_failure_branch(node) -> bool:
+    """node is an if without else whose last statement raises or calls
+    check_length or _check_finite."""
+    if not isinstance(node, ast.If) or node.orelse:
+        return False
+    last = node.body[-1]
+    return isinstance(last, ast.Raise) or (
+        isinstance(last, ast.Expr) and isinstance(last.value, ast.Call)
+        and name_of(last.value) in ("check_length", "_check_finite"))
+
+
+def loop_nodes(tree):
+    """A compiled loop's nodes in three lists, from one walk of its tree:
+    outside its one while or for, in one step (the loop's body and while
+    test, less the bodies of its failure branches, whose tests stay), and
+    in those bodies.  check_length and _check_finite raise in a failure
+    branch (the latter but for a point whose finite entries overflow the
+    probe's sum)."""
+    found = {"outside": [], "step": [], "failure": []}
+    todo = [(tree, "outside")]
+    while todo:
+        node, where = todo.pop()
+        found[where].append(node)
+        if isinstance(node, (ast.While, ast.For)):
+            todo += [(child, "step") for child in node.body]
+            todo += ([(node.test, "step")] if isinstance(node, ast.While)
+                     else [(node.target, where), (node.iter, where)])
+        elif where == "step" and is_failure_branch(node):
+            todo.append((node.test, "step"))
+            todo += [(child, "failure") for child in node.body]
+        else:
+            todo += [(child, where) for child in ast.iter_child_nodes(node)]
+    return found["outside"], found["step"], found["failure"]
+
+
+def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
+    # one walk over every float body, step kernel and compiled loop, each
+    # loop compiled once:
+    # - no source names numpy;
+    # - a loop that runs a built-in field never calls f, and the loops
+    #   without a field name none of the fields' parameters (locals of
+    #   their own names where a field is inlined);
+    # - each adaptive loop runs the step-size rule once, after the
+    #   accept/reject branch;
+    # - the step of every inline loop, adaptive or fixed, field inlined or
+    #   called, calls only math's C functions, bound once as locals
+    #   math_X = math.X before the loop, the record's C functions, and f
+    #   and len where f is not inlined; it builds a list only as the
+    #   argument of such an f call, reads no math attribute and packs no
+    #   tuple of more than three values (CPython builds and unpacks one
+    #   there; three or fewer are plain loads and stores).  The adaptive
+    #   loop measures with math_hypot, the fixed loop probes each point
+    #   with math_isfinite.
     import cfrk.actions
     import cfrk.controller
-    fields = {n: inline_field(prob.f, n)[0]
-              for prob in (build() for build in BOUNDARY_PROBLEMS)
-              for n in [len(prob.f(prob.default_y0))]}
-    loops = 0
-    for pair in (t for t in catalog() if t.name in EMBEDDED):
-        for n in cfrk.actions.INLINE:
-            for field in (fields[n], None):
-                loop = cfrk.controller._adaptive_loop(pair, n, field)
-                calls, lists, args = attempt_calls(loop)
-                bound = {c for c in calls if c.startswith("math_")}
-                assert calls - bound <= {"rec", "pack", "times.append",
-                                         *([] if field else ["f"])}
-                assert "math_hypot" in bound
-                for name in bound:
-                    assert f"{name} = math.{name[5:]}" in loop.source
-                    assert type(getattr(math, name[5:])) is type(math.exp)
-                assert all(any(lst is arg for arg in args) for lst in lists)
-                assert not (field and lists)
-                (while_node,) = [node for node in ast.walk(
-                    ast.parse(loop.source)) if isinstance(node, ast.While)]
-                body = [node for stmt in while_node.body
-                        for node in ast.walk(stmt)]
-                assert not [node for node in body
-                            if isinstance(node, ast.Attribute)
-                            and ast.unparse(node.value) == "math"]
-                assert all(len(node.elts) <= 3 for node in body
-                           if isinstance(node, ast.Tuple))
-                loops += 1
-    assert loops == 36
+    from cfrk.stepper import inline_length
+    for source in [body.source for bodies in cfrk.actions.INLINE.values()
+                   for body in bodies[:2]] + [
+            step_kernel(t, n, embedded).source for t in catalog()
+            for n in cfrk.actions.INLINE for embedded in (True, False)]:
+        assert not names_in(ast.walk(ast.parse(source))) & {
+            "np", "numpy", "_np_exp"}
+    # each built-in problem with its field inlined and called, and one
+    # whose action runs the calling form
+    problems = [build() for build in BOUNDARY_PROBLEMS]
+    field_params = {p for prob in problems
+                    for p in inline_field(prob.f, inline_length(
+                        prob.action))[0].params[1]}
+    problems += [dataclasses.replace(prob, f=lambda y, f=prob.f: f(y))
+                 for prob in problems]
+    problems.append(dataclasses.replace(
+        problems[0], action=calling(problems[0].action)))
+    step_size = cfrk.controller._STEP_SIZE
+    rule = [line.strip()
+            for line in step_size.inline(step_size.params, ["h_try"])]
+    loops = []
+    for pair, advance_embedded, prob in [
+            (pair, mode, prob) for pair in catalog()
+            for mode in ([None, False, True] if pair.has_embedded
+                         else [False])
+            for prob in problems]:
+        loops.append(cfrk.controller._loop(pair, prob, advance_embedded)[0])
+        n = inline_length(prob.action)
+        field = inline_field(prob.f, n)[0]
+        source = loops[-1].source
+        outside, step, failure = loop_nodes(ast.parse(source))
+        nodes = outside + step + failure
+        assert not names_in(nodes) & {"np", "numpy", "_np_exp"}
+        if field:
+            assert "f" not in {name_of(node) for node in nodes
+                               if isinstance(node, ast.Call)}
+        else:
+            assert not names_in(nodes) & field_params
+        if advance_embedded is None:
+            lines = [line.strip() for line in source.splitlines()]
+            assert [lines.count(line) for line in rule] == [1] * len(rule)
+        if n is None:
+            continue
+        calls = [node for node in step if isinstance(node, ast.Call)]
+        called = {name_of(call) for call in calls}
+        bound = {c for c in called if c.startswith("math_")}
+        assert called - bound <= {"rec", "pack", "times.append",
+                                  *([] if field else ["f", "len"])}
+        assert ("math_hypot" if advance_embedded is None
+                else "math_isfinite") in bound
+        for name in bound:
+            assert f"{name} = math.{name[5:]}" in source
+            assert type(getattr(math, name[5:])) is type(math.exp)
+        args = [arg for call in calls if name_of(call) == "f"
+                for arg in call.args]
+        lists = [node for node in step if isinstance(node, ast.List)
+                 and isinstance(node.ctx, ast.Load)]
+        assert all(any(lst is arg for arg in args) for lst in lists)
+        assert not (field and lists)
+        assert not [node for node in step + failure
+                    if isinstance(node, ast.Attribute)
+                    and ast.unparse(node.value) == "math"]
+        assert all(len(node.elts) <= 3 for node in step + failure
+                   if isinstance(node, ast.Tuple))
+    # 7 forms (calling; inline per length, field called or inlined) per
+    # mode: adaptive, fixed and fixed on the embedded solution
+    assert len(loops) == 7 * (3 * len(EMBEDDED) + 1)
+    assert len(set(map(id, loops))) == len(loops)
 
 
 def assert_views_match_the_record(traj):

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 import cfrk.stepper
 from cfrk.actions import DomainError, So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
+from cfrk.controller import IntegrationError, integrate_fixed
 from cfrk.problems import heavy_top, rigid_body, van_der_pol
 from cfrk.stepper import FieldLengthError, cf_step, count_budget, step_kernel
 from cfrk.tableaux import CFTableau, reuse_groups, tableau_from_json
@@ -418,8 +419,8 @@ def test_f_is_called_on_lists_only(name, build):
 
 def calling(action, seen=None):
     """An action whose exp and act override action's with a call to
-    super(), so its steps run the calling kernel; seen, if given, collects
-    every exp input."""
+    super(), so integrate_fixed steps it through cf_step; seen, if given,
+    collects every exp input."""
     class Calling(type(action)):
         def exp(self, v):
             if seen is not None:
@@ -432,22 +433,23 @@ def calling(action, seen=None):
 
 
 def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
-    # keyed (length, embedded flag, inline form): the built-in geometries
-    # get the inline kernel, a subclass overriding exp and act the calling
-    # one
+    # keyed (length, embedded flag): every action, a built-in geometry's,
+    # a subclass overriding exp and act or an instance attribute wrapping
+    # exp, steps with the one kernel, which calls the exp and act it is
+    # handed
     compiled = []
-    compile_kernel = cfrk.stepper._compile
+    lines = cfrk.stepper.kernel_lines
 
     def counting(tableau, n, embedded, inline):
         compiled.append((tableau.name, n, embedded, inline))
-        return compile_kernel(tableau, n, embedded, inline)
-    monkeypatch.setattr(cfrk.stepper, "_compile", counting)
+        return lines(tableau, n, embedded, inline)
+    monkeypatch.setattr(cfrk.stepper, "kernel_lines", counting)
     t = fresh("cf43")
     assert t._kernels == {}
     _, f, y0 = sphere_setup()
     first = cf_step(t, SPHERE, f, y0, 0.05)
     second = cf_step(t, SPHERE, f, first.y1, 0.05, carried_f=first.f_last)
-    assert compiled == [("cf43", 3, True, True)]
+    assert compiled == [("cf43", 3, True, False)]
     assert second.n_exp == first.n_exp
     off = unshared(t)
     assert off._kernels == {}
@@ -460,15 +462,12 @@ def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
     wrapped.exp = lambda v: SPHERE.exp(v)
     for action in (calling(SPHERE), wrapped):
         cf_step(t, action, f, y0, 0.05)
-    assert compiled == [("cf43", 3, True, True), ("cf43", 3, True, True),
-                        ("cf43", 3, False, True), ("cf43", 6, True, True),
-                        ("cf43", 3, True, False)]
-    assert step_kernel(t, 3, True, True) is t._kernels[(3, True, True)]
-    assert step_kernel(t, 3, True) is t._kernels[(3, True, False)]
-    assert sorted(t._kernels) == [(3, False, True), (3, True, False),
-                                  (3, True, True), (6, True, True)]
-    # a tableau without embedded rows compiles one kernel per length and
-    # form, whichever flag steps it first
+    assert compiled == [("cf43", 3, True, False), ("cf43", 3, True, False),
+                        ("cf43", 3, False, False), ("cf43", 6, True, False)]
+    assert step_kernel(t, 3, True) is t._kernels[(3, True)]
+    assert sorted(t._kernels) == [(3, False), (3, True), (6, True)]
+    # a tableau without embedded rows compiles one kernel per length,
+    # whichever flag steps it first
     for first in (True, False):
         compiled.clear()
         t = fresh("cf4")
@@ -477,11 +476,9 @@ def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
             b = cf_step(t, action, f, y0, 0.05, with_embedded=not first)
             assert bits(a.y1) == bits(b.y1)
             assert (a.n_exp, a.n_feval) == (b.n_exp, b.n_feval)
-        assert compiled == [("cf4", 3, False, True), ("cf4", 3, False, False)]
-        for inline in (True, False):
-            assert (step_kernel(t, 3, True, inline)
-                    is step_kernel(t, 3, False, inline))
-        assert len(t._kernels) == 4
+        assert compiled == [("cf4", 3, False, False)]
+        assert step_kernel(t, 3, True) is step_kernel(t, 3, False)
+        assert len(t._kernels) == 2
 
 
 def _so3_branch(v):
@@ -523,39 +520,48 @@ BRANCH_CASES = [
 ]
 
 
+def one_step(tableau, prob, h, advance_embedded):
+    """One fixed step of size h from prob.default_y0: the error type and
+    message (None on success), the record's bytes, the times' bytes and
+    the totals."""
+    try:
+        traj = integrate_fixed(tableau, prob, prob.default_y0, 0.0, h, 1,
+                               advance_embedded=advance_embedded)
+        error = None
+    except IntegrationError as exc:
+        traj, error = exc.trajectory, (type(exc), str(exc))
+    return error, traj.record.tobytes(), bits(traj.times), traj.totals
+
+
 @pytest.mark.parametrize("build,branch,cases", [
     pytest.param(*case, id=case[0].__name__) for case in BRANCH_CASES])
 def test_inline_and_calling_kernels_agree_bitwise(build, branch, cases):
-    # every catalog tableau, embedded flag and reuse setting, on inputs
-    # that reach every branch of the geometry's exp block
+    # one fixed step of every catalog tableau, reuse setting and followed
+    # solution, on inputs that reach every branch of the geometry's exp
+    # block: the built-in action runs its blocks inline in the fixed-step
+    # loop, a subclass overriding exp and act calls them through cf_step
     prob = build()
     n = len(next(iter(cases.values()))[1])
     seen = []
-    action = calling(prob.action, seen)
+    other = dataclasses.replace(prob, action=calling(prob.action, seen))
     for t in catalog():
         for tableau in (t, unshared(t)):
-            for with_embedded in (True, False):
+            for advance_embedded in {False, t.has_embedded}:
                 for h, V in cases.values():
                     def f(y):
                         return [v * (1.0 + y[0] / 100.0) for v in V]
-                    args = (f, prob.default_y0, h)
-                    got = cf_step(tableau, prob.action, *args,
-                                  with_embedded=with_embedded)
-                    ref = cf_step(tableau, action, *args,
-                                  with_embedded=with_embedded)
-                    for field in ("y1_list", "yhat1_list", "f_last"):
-                        a, b = getattr(got, field), getattr(ref, field)
-                        assert (a is None) == (b is None), field
-                        if a is not None:
-                            assert bits(a) == bits(b), field
-                    assert ((got.n_exp, got.n_feval)
-                            == (ref.n_exp, ref.n_feval))
-                inline = tableau._kernels[n, with_embedded, True].source
+                    got, ref = (one_step(tableau, dataclasses.replace(p, f=f),
+                                         h, advance_embedded)
+                                for p in (prob, other))
+                    assert got == ref
+                inline = tableau._kernels["loop", n, None,
+                                          advance_embedded].source
                 called = {node.func.id for node in ast.walk(ast.parse(inline))
                           if isinstance(node, ast.Call)
                           and isinstance(node.func, ast.Name)}
-                assert not called & {"exp", "act"}
-                assert "exp(" in tableau._kernels[n, with_embedded, False].source
+                assert not called & {"exp", "act", "cf_step"}
+                assert "cf_step(" in tableau._kernels[
+                    "loop", None, None, advance_embedded].source
     assert {branch(v) for v in seen} == set(cases)
 
 
