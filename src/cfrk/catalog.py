@@ -209,11 +209,13 @@ def instantiate_cf32_family(a: float, variant: str,
     # Embedded row: two order-2 conditions on (bh1..bh4) with abscissae
     # (0, c2, c3, 1); hat_params pins bh1 and bh3.
     h1, h3 = hat_params
-    if abs(c2 - 1.0) < 1e-12:
+    c3 = c[2]
+    det = c2 - 1.0
+    if abs(det) < 1e-12:
         raise SingularParameterError(
             f"{variant} at a = {a}: embedded system is singular (c2 = 1)")
     rhs1 = 1.0 - h1 - h3
-    rhs2 = 0.5 - h3 * c[2]
+    rhs2 = 0.5 - h3 * c3
     bh2 = (rhs1 - rhs2) / (1.0 - c2)
     bh4 = rhs1 - bh2
     return _layout32(f"cf32[{variant},a={a:g},{root}]", stage2, stage3, beta,

@@ -54,7 +54,7 @@ import numpy as np
 
 from .actions import (Block, DomainError, GroupAction, _body,
                       compile_function)
-from .stepper import (KERNEL_GLOBALS, FieldLengthError, _list, _names,
+from .stepper import (FieldLengthError, _length_error, _list, _names,
                       cf_step, check_length, inline_field, inline_length,
                       kernel_lines)
 
@@ -490,13 +490,14 @@ def _loop(pair, problem, advance_embedded=None):
             names = set(re.findall(r"math\.(\w+)", "\n".join(lines)))
             lines = [f"math_{x} = math.{x}" for x in sorted(names)] + [
                 s.replace("math.", "math_") for s in lines]
-        # The calling form runs in this module's namespace, so it looks
-        # cf_step up here at every step, where a wrapper may replace it.
-        namespace = globals() if n is None else {**globals(), **KERNEL_GLOBALS}
+        # Every loop runs in this module's namespace, which holds what the
+        # inline blocks read (stepper.KERNEL_GLOBALS); the calling form
+        # looks cf_step up here at every step, where a wrapper may replace
+        # it.
         signature = _LOOP_PARAMS if adaptive else _FIXED_PARAMS
         loop = pair._kernels[key] = compile_function(
             "loop", ", ".join([signature, *field.params[1]] if field
-                              else [signature]), lines, None, namespace)
+                              else [signature]), lines, None, globals())
     return loop, params
 
 
@@ -514,14 +515,13 @@ def integrate_adaptive(pair, problem, y0, t0: float, t1: float,
     check_method(pair, True)
     loop, params = _loop(pair, problem)
     action = problem.action
-    p = pair.order_p
     with _run(problem, y0, t0) as (traj, y, pack):
-        h = initial_step(problem, y, cfg, p, t0, t1)
+        h = initial_step(problem, y, cfg, pair.order_p, t0, t1)
         loop(pair, action, problem.f, y, t0, t1, min(h, t1 - t0), traj,
              pack, cfg.atol, cfg.rtol if problem.use_rtol else 0.0,
              cfg.fac, cfg.facmin, cfg.facmax, cfg.hmin, cfg.hmax,
-             cfg.max_consecutive_rejects, -1.0 / p, action.ambient_norm,
-             action.ambient_distance, *params)
+             cfg.max_consecutive_rejects, -1.0 / pair.order_p,
+             action.ambient_norm, action.ambient_distance, *params)
     return traj
 
 

@@ -108,15 +108,14 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
         raise ValueError("step size must be nonzero")
     if type(y) is not list:
         y = np.asarray(y, float).ravel().tolist()
-    n_feval = 0
-    if carried_f is None:
+    fresh = carried_f is None  # f(y) is evaluated here and counted
+    if fresh:
         carried_f = f(y)
-        n_feval = 1
     check_length(action, carried_f)
     kernel = step_kernel(tableau, len(carried_f), with_embedded)
     return StepResult(*kernel(action.exp, action.act, f, y, float(h),
                               carried_f),
-                      kernel.n_exp, n_feval + kernel.n_feval)
+                      kernel.n_exp, fresh + kernel.n_feval)
 
 
 def inline_length(action):

@@ -208,7 +208,8 @@ def tableau_from_json(text: str) -> CFTableau:
 
 def save_tableau(tableau: CFTableau, path) -> None:
     with open(path, "w") as fh:
-        fh.write(tableau.to_json() + "\n")
+        fh.write(tableau.to_json())
+        fh.write("\n")
 
 
 def load_tableau(path) -> CFTableau:
