@@ -119,8 +119,9 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
 
 
 def inline_length(action):
-    """The length n at which action steps with the inline form: its
-    algebra_length when its exp and act are INLINE[n]'s bodies, else None."""
+    """The length n at which the compiled loops step action with the inline
+    form: its algebra_length when its exp and act are INLINE[n]'s bodies,
+    else None."""
     n = getattr(action, "algebra_length", None)
     geometry = INLINE.get(n)
     return (n if geometry and geometry[0] is action.exp

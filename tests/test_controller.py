@@ -788,6 +788,22 @@ def test_fixed_step_validates_count(n_steps):
     assert calls == []
 
 
+def test_fixed_step_keeps_a_finite_point_whose_entries_overflow_a_sum():
+    # the inline fixed loop probes a point with math.isfinite of its
+    # entries' sum and calls _check_finite only when that fails; a finite
+    # point whose sum overflows passes that check, in both forms
+    prob = rigid_body()
+    prob = dataclasses.replace(prob, f=lambda y: [0.0, 0.0, 0.0],
+                               default_y0=np.array([1.7e308, 1.7e308, 0.0]))
+    for action in (prob.action, calling(prob.action)):
+        traj = integrate_fixed(get_tableau("cf4"),
+                               dataclasses.replace(prob, action=action),
+                               prob.default_y0, 0.0, 1.0, 3)
+        assert traj.totals.n_accepted == 3
+        assert traj.points.tobytes() == np.tile(prob.default_y0,
+                                                (4, 1)).tobytes()
+
+
 def test_fixed_step_takes_a_numpy_integer_count():
     prob = rigid_body()
     runs = [integrate_fixed(get_tableau("cf4"), prob, prob.default_y0, 0.0,
