@@ -1212,25 +1212,6 @@ def test_hypot_of_differences_is_math_dist_and_ambient_norm(n):
             float_bits([action.ambient_norm(a)])
 
 
-def step_nodes(loop):
-    """The nodes of one step of a compiled loop, its while or for node:
-    the loop's body less the bodies of the failure branches, each an if
-    without else whose body raises or calls check_length or _check_finite
-    (which raise there, but for a point whose finite entries overflow a
-    sum); their tests stay."""
-    nodes, todo = [], list(loop.body)
-    while todo:
-        node = todo.pop()
-        if (isinstance(node, ast.If) and not node.orelse
-                and (isinstance(node.body[-1], ast.Raise)
-                     or re.search(r"\b(check_length|_check_finite)\(",
-                                  ast.unparse(node.body[-1])))):
-            node = node.test
-        nodes.append(node)
-        todo.extend(ast.iter_child_nodes(node))
-    return nodes
-
-
 def names_in(nodes) -> set:
     return {node.id for node in nodes if isinstance(node, ast.Name)}
 
