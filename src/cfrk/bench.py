@@ -65,7 +65,7 @@ class ExperimentConfig:
             raise ConfigError("format must be csv or json")
         check_span(self.t0, self.t1)
         for n in self.steps:
-            check_steps(n)
+            check_steps(n, self.t0, self.t1)
 
 
 def _resolve_tableau(name: str):

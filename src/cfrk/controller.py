@@ -33,9 +33,15 @@ math.sqrt), so a step looks up no module attribute; with the blocks'
 inline overflow guards and at most three targets per assignment, it calls
 no Python-level function but a called f and builds no tuple.  The
 adaptive loop evaluates f(base) once per base point and keeps it across
-rejected attempts: n_feval is k_feval steps' worth plus the fresh f(base)
-evaluations.  The fixed-step loop carries no f value, and counts f(base)
-in each step's k_feval.
+rejected attempts; the fixed-step loop carries no f value and evaluates
+f(base) every step.  In both, n_feval is k_feval (the calls after f0)
+per completed step plus the f(base) evaluations that returned, counted
+as each returns (n_fresh).  The fixed-step loop forms each coefficient
+product h * c_j once, before its steps, as h is fixed for the run.  A
+packaged field's run-constant results (actions.Block.constants) are
+constants of the inline form: the inlined field does not assign them,
+ACCEPT does not move them, and the rows are written from them
+(stepper.row_sum).
 """
 
 from __future__ import annotations
@@ -118,6 +124,10 @@ class StepAttempt:
 
 @dataclass
 class Totals:
+    """A run's counts.  n_feval counts every f call of each completed
+    attempt (a step stepped to its point) and every f(base) that
+    returned, in both drivers, so a run that fails inside a step counts
+    its fresh f(base) but not the stage calls of that step."""
     n_exp: int = 0
     n_feval: int = 0
     n_accepted: int = 0
@@ -278,16 +288,21 @@ def check_span(t0: float, t1: float) -> None:
                           f"t1 = {t1}")
 
 
-def check_steps(n) -> int:
-    """The step count n as an int; ConfigError unless it is an integer (an
-    int or a numpy integer, as operator.index takes) of at least 1."""
+def check_steps(n, t0: float, t1: float) -> tuple:
+    """The step count n as an int and the step (t1 - t0) / n over a
+    checked span; ConfigError unless n is an integer (an int or a numpy
+    integer, as operator.index takes) of at least 1 whose step does not
+    underflow to 0."""
     try:
         count = operator.index(n)
     except TypeError:
         raise ConfigError(f"need integer step counts, got {n!r}") from None
     if count < 1:
         raise ConfigError(f"need step counts >= 1, got {count}")
-    return count
+    if (h := (t1 - t0) / count) == 0.0:
+        raise ConfigError(f"the step (t1 - t0) / n_steps underflows to 0 for "
+                          f"t0 = {t0}, t1 = {t1}, n_steps = {count}")
+    return count, h
 
 
 def check_method(method, adaptive: bool, advance_embedded: bool = False):
@@ -333,7 +348,8 @@ def _run(problem, y0, t0: float):
 # A compiled run: START, LOOP and the sections named below each stand for
 # lines (_fill), Y1 for the entries of the point the run follows.  START
 # sets k_exp and k_feval, one step's counts after f0; LOOP is _LOOP or
-# _FIXED; FRESH forms f0 = f(base); STEP steps, leaving y1 (and yhat1);
+# _FIXED; FRESH forms f0 = f(base) and counts it in n_fresh once it
+# returned; STEP steps, leaving y1 (and yhat1);
 # ACCEPT moves the point followed to base, and in the adaptive loop f(y1)
 # to f0 if FSAL, else clears have_f0.
 _RUN = """
@@ -361,7 +377,6 @@ while t < t1:
             f"step size underflow at t = {t} (h = {h})", traj)
     if not have_f0:
         FRESH
-        n_fresh += 1
         have_f0 = True
     STEP
     ERROR
@@ -444,7 +459,7 @@ def _loop(pair, problem, advance_embedded=None):
     if loop is None:
         # the calling form takes only the counts; h > 0 as t + h > t
         embedded = adaptive or advance_embedded
-        lines, y1, yhat1, k_exp, k_feval = kernel_lines(
+        coefficients, lines, y1, yhat1, k_exp, k_feval = kernel_lines(
             pair, n or 1, embedded, n is not None, field)
         if n is None:
             followed = "yhat1" if advance_embedded else "y1"
@@ -460,13 +475,16 @@ def _loop(pair, problem, advance_embedded=None):
             moves = [("base", followed)], [("f0", "f_last")]
         else:
             base, f0 = _names("base", len(y1)), _names("f0", n)
-            fresh = field.inline([base, field.params[1]], f0) if field else [
+            fresh = field.inline([base, field.params[1]], f0,
+                                 fold=True) if field else [
                 f"f0 = f({_list(base)})",
                 f"if len(f0) != {n}: check_length(action, f0)",
                 f"{_list(f0)} = f0"]
             followed = yhat1 if advance_embedded else y1
             point = ", ".join(followed)
-            start, step = [f"{_list(base)} = base"], [*lines, "n_steps += 1"]
+            # h is fixed for a fixed-step run: its h * c_j are formed once
+            start = [f"{_list(base)} = base", *coefficients * (not adaptive)]
+            step = [*coefficients * adaptive, *lines, "n_steps += 1"]
             step += ([f"d = math.hypot("
                       f"{', '.join(map(' - '.join, zip(y1, yhat1)))})"]
                      if adaptive else
@@ -475,17 +493,19 @@ def _loop(pair, problem, advance_embedded=None):
             # norm(base) and norm(y1) become math.hypot of their entries
             error = ["d", ", ".join(base), ", ".join(y1), "atol", "rtol",
                      "math.hypot"]
-            moves = [*zip(base, followed)], [*zip(f0, _names(f"f{pair.s}", n))]
+            # a run-constant result of the field is in no local to move
+            moves = [*zip(base, followed)], [
+                (f"f0_{i}", f"f{pair.s}_{i}") for i in range(n)
+                if not field or field.results[i] not in field.constants]
         if adaptive:
             moves[0].extend(moves[1] if pair.fsal else [("have_f0", "False")])
         body = _fill((_LOOP if adaptive else _FIXED).replace("Y1", point),
-                     FRESH=fresh, STEP=step,
+                     FRESH=[*fresh, "n_fresh += 1"], STEP=step,
                      ACCEPT=[f"{a} = {b}" for a, b in moves[0]],
                      ERROR=_ERROR.inline([error], ["err"]),
                      STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))
-        # the fixed loop counts f0 in k_feval, as it forms f0 every step
         lines = _fill(_RUN, LOOP=body, START=[
-            f"k_exp, k_feval = {k_exp}, {k_feval + (not adaptive)}", *start])
+            f"k_exp, k_feval = {k_exp}, {k_feval}", *start])
         if n is not None:  # math's names as locals, bound before the loop
             names = set(re.findall(r"math\.(\w+)", "\n".join(lines)))
             lines = [f"math_{x} = math.{x}" for x in sorted(names)] + [
@@ -537,12 +557,8 @@ def integrate_fixed(method, problem, y0, t0: float, t1: float,
     for an action of a built-in geometry.
     """
     check_span(t0, t1)
-    n_steps = check_steps(n_steps)
+    n_steps, h = check_steps(n_steps, t0, t1)
     check_method(method, False, advance_embedded)
-    h = (t1 - t0) / n_steps
-    if h == 0.0:
-        raise ConfigError(f"the step (t1 - t0) / n_steps underflows to 0 for "
-                          f"t0 = {t0}, t1 = {t1}, n_steps = {n_steps}")
     loop, params = _loop(method, problem, advance_embedded)
     with _run(problem, y0, t0) as (traj, y, pack):
         loop(method, problem.action, problem.f, y, t0, t1, h, traj, pack,

@@ -28,7 +28,13 @@ frame in a second form, chosen by inline_length: when the action's exp
 and act are a built-in geometry's float bodies (actions.INLINE), its exp
 and act blocks run inline on float locals, with a packaged field's block
 (field_body, inline_field) in place of f; that form has the same slots,
-points and output bits.
+points and output bits.  A field's run-constant results (a float literal
+or a parameter its Block assigns by a statement of its own, see
+actions.Block.constants) are facts of that form's source: the inlined
+field does not assign them, and each row sum over one is written from
+the constant (row_sum): x0 + x1 for 1.0, -x0 - x1 for -1.0, one x_m * 0.0
+for 0.0, a parameter's own local in place of f's entry, with the same
+bits.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -179,11 +185,11 @@ def step_kernel(tableau: CFTableau, n: int, with_embedded: bool):
     kernel = tableau._kernels.get((n, with_embedded))
     if kernel is None:
         embedded = with_embedded and tableau.has_embedded
-        lines, y1, yhat1, n_exp, n_feval = kernel_lines(tableau, n, embedded,
-                                                        False)
+        coefficients, lines, y1, yhat1, n_exp, n_feval = kernel_lines(
+            tableau, n, embedded, False)
         kernel = compile_function(
             "kernel", "exp, act, f, base, h, f0",
-            [f"{_list(_names('f0', n))} = f0", *lines],
+            [f"{_list(_names('f0', n))} = f0", *coefficients, *lines],
             f"{y1}, {yhat1}, {'f_last' if embedded and tableau.fsal else None}",
             KERNEL_GLOBALS)
         kernel.n_exp, kernel.n_feval = n_exp, n_feval
@@ -214,20 +220,26 @@ def _list(point) -> str:
 def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                  field=None):
     """The lines of a step from base (a list in the calling form, the
-    locals base_0 ... in the inline form) and f0 = f(base) in f0_0 ...;
+    locals base_0 ... in the inline form) and f0 = f(base) in f0_0 ...:
+    the coefficient lines x_j = h * c_j, which read only h, and the rest;
     y1 and yhat1 (or None), as their list's local or their entries'
     locals alike; n_exp; n_feval.  A FSAL step leaves f(y1) in f{s}_0 ...
     (s = tableau.s), and in the list f_last unless with field.  The
     calling form calls exp and act, the inline form runs INLINE[n]'s
     blocks and builds lists only as arguments of f.  With field, a field
     Block (see inline_field), the inline form runs it in place of every f
-    call, on parameters in locals of their own names."""
+    call, on parameters in locals of their own names, leaving out its
+    run-constant results (field.constants): their f{k}_i are never
+    assigned, and each row sum over one is written from its constant
+    (row_sum)."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
                 for key in group}
     slots = {}  # reuse group (or the key of an unshared row) -> slot
     coeffs = {}  # coefficient -> local holding h * coefficient
+    fixed = ([field.constants.get(r) for r in field.results] if field
+             else [None] * n)  # each entry's run-constant value, if any
     # the slots applied to the base point, in order -> the local holding
     # the point they form
     points = {}
@@ -243,7 +255,7 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         # call whose list values is checked for length n and unpacked
         if field is not None:
             return field.inline([_names(point, n_p), field.params[1]],
-                                _names(f"f{k}", n))
+                                _names(f"f{k}", n), fold=True)
         arg = _list(_names(point, n_p)) if inline else point
         return [f"{values} = f({arg})",
                 f"if len({values}) != {n}: raise _length_error({n}, {values})",
@@ -287,8 +299,9 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                         raise ValueError(f"tableau coefficient {c!r} is not "
                                          f"a finite float")
                     coeffs.setdefault(c, f"x{len(coeffs)}")
-                exp(slot, [" + ".join(f"{coeffs[c]} * f{k}_{i}"
-                                      for k, c in terms) for i in range(n)])
+                exp(slot, [row_sum([(coeffs[c], c, f"f{k}_{i}")
+                                    for k, c in terms], fixed[i])
+                           for i in range(n)])
             prefix += (slot,)
             if prefix not in points:
                 points[prefix] = f"p{len(points)}"
@@ -307,4 +320,26 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
     if inline:  # the locals of their entries
         y1, yhat1 = _names(y1, n_p), yhat1 and _names(yhat1, n_p)
     coefficients = [f"{x} = h * {c!r}" for c, x in coeffs.items()]
-    return coefficients + body, y1, yhat1, len(slots), n_feval
+    return coefficients, body, y1, yhat1, len(slots), n_feval
+
+
+def row_sum(terms, constant=None) -> str:
+    """The source of one entry of a row's element, sum_j x_j * f_j in
+    numpy's order of operations, for terms (x_j, c_j, f_j): x_j holds
+    h * c_j, f_j the entry of an f value.  With constant, the source of a
+    run-constant entry (actions.Block.constants), every f_j is that
+    constant, and the sum is written from it with the same bits for any h
+    but NaN: for 1.0 and -1.0 as x_a + x_b + ... and -x_a - x_b - ...;
+    for 0.0 as x_m * 0.0, x_m of the largest |c|, which overflows to inf
+    (and gives NaN) where any h * c_j does, plus 0.0 where the signs of
+    the c_j differ, as a sum of zeros is -0.0 only where every one is;
+    else as the same products, over the constant."""
+    if constant == "1.0":
+        return " + ".join(x for x, _, _ in terms)
+    if constant == "-1.0":
+        return "-" + " - ".join(x for x, _, _ in terms)
+    if constant == "0.0":
+        x = max(terms, key=lambda term: abs(term[1]))[0]
+        signs = {c > 0.0 for _, c, _ in terms}
+        return f"{x} * 0.0" + " + 0.0" * (len(signs) > 1)
+    return " + ".join(f"{x} * {constant or f}" for x, _, f in terms)

@@ -663,3 +663,29 @@ q = y - s
         t = a * k
         x, y = b / t, a - t
         assert compiled(np.array([a, b]), k) == [x * y + t, y - k]
+
+
+def test_a_block_records_its_run_constant_results():
+    # a result assigned once, by a line of its own, a finite float literal
+    # or a parameter the block never reassigns; inlined with fold, its line
+    # is left out and nothing else changes
+    block = Block(["x y", "s k"], "a b c d e f g h", """
+a = 0.0  # a comment
+b = -1.0
+c = s
+d = x
+e = 1e999
+f, g = 1.0, k
+h = 2.0; k = h
+if x > 0.0:
+    x = 3.0
+""")
+    assert block.constants == {"a": "0.0", "b": "-1.0", "c": "s"}
+    names = [["x", "y"], ["s", "k"]], list("ABCDEFGH")
+    assert block.inline(*names, fold=True) == [
+        line for line in block.inline(*names)
+        if not line.startswith(("A =", "B =", "C ="))]
+    assert len(block.inline(*names)) == 9
+    again = Block(["x", "s"], "a b", "a = s\nb = 1.0\nif x > 0.0:\n"
+                                       "    b = 2.0\n    s = x")
+    assert again.constants == {}

@@ -251,9 +251,10 @@ def test_convergence_records_a_failed_step_count(capsys):
 
 def test_convergence_whose_step_underflows_is_a_usage_error(monkeypatch,
                                                             capsys):
-    # the reference solve returns on a span this short, where LSODA never
-    # advanced, and (t1 - t0) / 2 then underflows to 0; an ambient field
-    # that counts its calls fails the test instead of hanging it
+    # (t1 - t0) / 2 underflows to 0: the configuration is refused before
+    # the reference solve, so the ambient field, which counts its calls
+    # (failing the test instead of hanging it, should the solve run on a
+    # span where LSODA never advances), is never called
     from cfrk import bench
     build, calls = bench.build_problem, []
 
@@ -270,6 +271,7 @@ def test_convergence_whose_step_underflows_is_a_usage_error(monkeypatch,
     assert capsys.readouterr().err == (
         "cfrk: the step (t1 - t0) / n_steps underflows to 0 for t0 = 0.0, "
         "t1 = 5e-324, n_steps = 2\n")
+    assert calls == []
 
 
 def test_convergence_over_a_span_of_one_ulp(capsys):

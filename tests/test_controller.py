@@ -931,11 +931,11 @@ def outcome(pair, prob, cfg, t1=1.0):
         return type(exc), str(exc), exc.trajectory
 
 
-def fixed_outcome(method, prob, n_steps, advance_embedded=False):
-    """outcome() of integrate_fixed over [0, 1] in n_steps steps."""
+def fixed_outcome(method, prob, n_steps, advance_embedded=False, t1=1.0):
+    """outcome() of integrate_fixed over [0, t1] in n_steps steps."""
     try:
         return None, None, integrate_fixed(
-            method, prob, prob.default_y0, 0.0, 1.0, n_steps,
+            method, prob, prob.default_y0, 0.0, t1, n_steps,
             advance_embedded=advance_embedded)
     except IntegrationError as exc:
         return type(exc), str(exc), exc.trajectory
@@ -971,6 +971,59 @@ def test_inline_and_calling_loops_agree_bitwise(name, build):
     for mode in (None, False, True):
         assert ("loop", n, field, mode) in pair._kernels
         assert ("loop", None, None, mode) in pair._kernels
+
+
+@pytest.mark.parametrize("name", ["cf4", "cf43"])
+def test_folded_van_der_pol_rows_agree_where_h_times_c_overflows(name):
+    # over [0, 1.7e308] h * c_j overflows to inf: the inline loop's rows,
+    # written from Van der Pol's run-constant 0, 1 and -1, fail the run as
+    # the calling loop's unfolded sums do, with the same record bytes and
+    # totals; over [0, 1e300] the state overflows, over [0, 0.01] the run
+    # ends at t1
+    prob = van_der_pol()
+    other = dataclasses.replace(prob, action=calling(prob.action))
+    pair = get_tableau(name)
+    modes = [False, True] if pair.has_embedded else [False]
+    for t1, steps, mode in [(t1, steps, mode) for t1 in (1.7e308, 1e300, 0.01)
+                            for steps in (1, 3) for mode in modes]:
+        inline, called = (fixed_outcome(pair, p, steps, mode, t1)
+                          for p in (prob, other))
+        assert_same_run(inline, called)
+        assert inline[2].record.tobytes() == called[2].record.tobytes()
+        assert inline[0] is (NonFiniteError if t1 > 1.0 else None)
+
+
+@pytest.mark.parametrize("form", ["inline", "calling"])
+@pytest.mark.parametrize("driver, name", [("fixed", "cf4"), ("fixed", "cf43"),
+                                          ("adaptive", "cf43_4stage")])
+def test_a_run_that_fails_inside_a_step_counts_f_alike_in_both_drivers(
+        driver, name, form):
+    # with f raising at its k-th call, Totals.n_feval counts every call of
+    # each completed step and each f(base) that returned: a run of m calls
+    # a step, f(base) first, reports m * (k - 1) // m plus one for a
+    # returned f(base) of the failed step (no rejects; h0 is set, so
+    # initial_step calls no f)
+    prob = rigid_body()
+    if form == "calling":
+        prob = dataclasses.replace(prob, action=calling(prob.action))
+    pair = get_tableau(name)
+    cfg = ControllerConfig(atol=1.0, h0=0.05, hmax=0.05)
+
+    def run(p):
+        if driver == "fixed":
+            return integrate_fixed(pair, p, p.default_y0, 0.0, 1.0, 20)
+        return integrate_adaptive(pair, p, p.default_y0, 0.0, 1.0, cfg)
+    clean = run(prob).totals
+    m = clean.n_feval // 20
+    assert (clean.n_accepted, clean.n_rejected, clean.n_feval) == (
+        20, 0, 20 * m)
+    for k in range(1, 3 * m + 2):
+        with pytest.raises(IntegrationError) as info:
+            run(raising_after(prob, k - 1))
+        assert type(info.value.__cause__) is ZeroDivisionError
+        returned = k - 1
+        assert info.value.trajectory.totals.n_feval == (
+            m * (returned // m) + min(returned % m, 1))
 
 
 def test_one_field_loop_serves_every_parameter_value():
@@ -1216,6 +1269,11 @@ def names_in(nodes) -> set:
     return {node.id for node in nodes if isinstance(node, ast.Name)}
 
 
+def stored_in(nodes) -> set:
+    return {node.id for node in nodes if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)}
+
+
 def name_of(call) -> str:
     """The name or dotted name a call calls."""
     return (call.func.id if isinstance(call.func, ast.Name)
@@ -1266,6 +1324,9 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
     #   their own names where a field is inlined);
     # - each adaptive loop runs the step-size rule once, after the
     #   accept/reject branch;
+    # - no row sum multiplies by 1.0 or -1.0, a loop that runs a field
+    #   inline never assigns the locals of its run-constant results, and
+    #   no fixed-step loop forms a product h * c inside its for;
     # - the step of every inline loop, adaptive or fixed, field inlined or
     #   called, calls only math's C functions, bound once as locals
     #   math_X = math.X before the loop, the record's C functions, and f
@@ -1297,7 +1358,7 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
     step_size = cfrk.controller._STEP_SIZE
     rule = [line.strip()
             for line in step_size.inline(step_size.params, ["h_try"])]
-    loops = []
+    loops, constant_locals = [], 0
     for pair, advance_embedded, prob in [
             (pair, mode, prob) for pair in catalog()
             for mode in ([None, False, True] if pair.has_embedded
@@ -1310,9 +1371,21 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
         outside, step, failure = loop_nodes(ast.parse(source))
         nodes = outside + step + failure
         assert not names_in(nodes) & {"np", "numpy", "_np_exp"}
+        products = [(ast.unparse(node.left), ast.unparse(node.right))
+                    for node in step if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mult)]
+        assert not {x for left, right in products if left != "h"
+                    for x in (left, right)} & {"1.0", "-1.0"}
+        if advance_embedded is not None:
+            assert "h" not in {left for left, _ in products}
         if field:
             assert "f" not in {name_of(node) for node in nodes
                                if isinstance(node, ast.Call)}
+            folded = {f"f{k}_{i}" for k in range(pair.s + 1)
+                      for i, r in enumerate(field.results)
+                      if r in field.constants}
+            assert not stored_in(nodes) & folded
+            constant_locals += len(folded)
         else:
             assert not names_in(nodes) & field_params
         if advance_embedded is None:
@@ -1345,6 +1418,7 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
     # mode: adaptive, fixed and fixed on the embedded solution
     assert len(loops) == 7 * (3 * len(EMBEDDED) + 1)
     assert len(set(map(id, loops))) == len(loops)
+    assert constant_locals > 0
 
 
 def assert_views_match_the_record(traj):
