@@ -238,8 +238,8 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                 for key in group}
     slots = {}  # reuse group (or the key of an unshared row) -> slot
     coeffs = {}  # coefficient -> local holding h * coefficient
-    fixed = ([field.constants.get(r) for r in field.results] if field
-             else [None] * n)  # each entry's run-constant value, if any
+    constants = ([field.constants.get(r) for r in field.results] if field
+                 else [None] * n)  # each entry's run-constant value, if any
     # the slots applied to the base point, in order -> the local holding
     # the point they form
     points = {}
@@ -300,7 +300,7 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                                          f"a finite float")
                     coeffs.setdefault(c, f"x{len(coeffs)}")
                 exp(slot, [row_sum([(coeffs[c], c, f"f{k}_{i}")
-                                    for k, c in terms], fixed[i])
+                                    for k, c in terms], constants[i])
                            for i in range(n)])
             prefix += (slot,)
             if prefix not in points:

@@ -1269,6 +1269,13 @@ def names_in(nodes) -> set:
     return {node.id for node in nodes if isinstance(node, ast.Name)}
 
 
+def is_unit(node) -> bool:
+    """node is the literal 1.0 or -1.0."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and node.value == 1.0
+
+
 def stored_in(nodes) -> set:
     return {node.id for node in nodes if isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Store)}
@@ -1371,13 +1378,14 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
         outside, step, failure = loop_nodes(ast.parse(source))
         nodes = outside + step + failure
         assert not names_in(nodes) & {"np", "numpy", "_np_exp"}
-        products = [(ast.unparse(node.left), ast.unparse(node.right))
-                    for node in step if isinstance(node, ast.BinOp)
+        products = [node for node in step if isinstance(node, ast.BinOp)
                     and isinstance(node.op, ast.Mult)]
-        assert not {x for left, right in products if left != "h"
-                    for x in (left, right)} & {"1.0", "-1.0"}
+        by_h = [node for node in products
+                if getattr(node.left, "id", None) == "h"]
+        assert not [node for node in products if node not in by_h
+                    and (is_unit(node.left) or is_unit(node.right))]
         if advance_embedded is not None:
-            assert "h" not in {left for left, _ in products}
+            assert not by_h
         if field:
             assert "f" not in {name_of(node) for node in nodes
                                if isinstance(node, ast.Call)}
