@@ -95,10 +95,9 @@ class Block:
     (BLOCK_GLOBALS).  temps names the other locals it assigns.
 
     constants maps each run-constant result to the source of its value: a
-    result the block assigns once, by a statement that is a whole line,
-    `name = value`, with value a float literal written with a point (as
-    -1.0 or 2.5e-3) or a parameter, an input of a later argument that the
-    block never reassigns.
+    result the block assigns by a statement that is a whole line, `name =
+    value`, with value a float literal written with a point (as -1.0 or
+    2.5e-3), and names nowhere else.
     """
 
     def __init__(self, params, results: str, source: str):
@@ -106,36 +105,34 @@ class Block:
         self.results = tuple(results.split())
         self.source = source.strip()
         tree = ast.parse(self.source)
-        stored = [node.id for node in ast.walk(tree)
-                  if isinstance(node, ast.Name)
-                  and isinstance(node.ctx, ast.Store)]
-        self.temps = set(stored).difference(self.results, *self.params)
+        nodes = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        self.temps = {node.id for node in nodes
+                      if isinstance(node.ctx, ast.Store)}.difference(
+                          self.results, *self.params)
         self._code = re.sub(r"[ \t]*#.*", "", self.source).splitlines()
         whole = {ast.get_source_segment(self.source, s) for s in tree.body}
+        named = [node.id for node in nodes]
         self.constants = {  # from the statements that are whole lines
             name: value for name, _, value in
             (line.partition(" = ") for line in self._code if line in whole)
-            if name in self.results and stored.count(name) == 1
-            and (re.fullmatch(r"-?\d+\.\d+(e[-+]?\d+)?", value)
-                 or value not in stored
-                 and any(value in ps for ps in self.params[1:]))}
+            if name in self.results and named.count(name) == 1
+            and re.fullmatch(r"-?\d+\.\d+(e[-+]?\d+)?", value)}
 
-    def inline(self, args, results, fold: bool = False) -> list:
+    def inline(self, args, results) -> list:
         """The block's lines with its inputs read from (and reassigned in)
         the locals args, one sequence of names per argument (an input it
         only reads may be any expression), its results written to the
-        locals results, and every temp prefixed with '_'.  With fold, the
-        lines of the constants are left out: those results are not
-        assigned."""
+        locals results, and every temp prefixed with '_'.  The lines of
+        the constants are left out: those results are not assigned."""
         names = {p: a for ps, xs in zip(self.params, args)
                  for p, a in zip(ps, xs, strict=True)}
         names.update(zip(self.results, results, strict=True))
         names.update((t, "_" + t) for t in self.temps)
-        # a constant's name starts only its own line: it is assigned once
+        # a constant's name is on its own line only
         return [re.sub(r"(?<![\w.])[A-Za-z_]\w*",
                        lambda m: names.get(m[0], m[0]), line)
                 for line in self._code
-                if not (fold and line.partition(" = ")[0] in self.constants)]
+                if line.partition(" = ")[0] not in self.constants]
 
 
 def compile_function(name: str, params: str, lines, result, namespace):

@@ -475,8 +475,7 @@ def _loop(pair, problem, advance_embedded=None):
             moves = [("base", followed)], [("f0", "f_last")]
         else:
             base, f0 = _names("base", len(y1)), _names("f0", n)
-            fresh = field.inline([base, field.params[1]], f0,
-                                 fold=True) if field else [
+            fresh = field.inline([base, field.params[1]], f0) if field else [
                 f"f0 = f({_list(base)})",
                 f"if len(f0) != {n}: check_length(action, f0)",
                 f"{_list(f0)} = f0"]

@@ -17,11 +17,11 @@ A block assigns at most three results per statement: CPython builds and
 unpacks a tuple for an assignment to more than three targets, which the
 compiled loops would pay at every inlined f, and stores three or fewer
 straight from the stack, so an inlined field builds no tuple.  A result
-that never changes in a run, a float literal or a parameter, is assigned
-by a statement of its own, one line, so that it is a run-constant result
+that is a float literal is assigned by a statement of its own, one line,
+and read nowhere in the block, so that it is a run-constant result
 (Block.constants): the compiled loops neither store nor move it and
 write each row sum over it from the constant (stepper.row_sum).  Van der
-Pol's 0, 1 and -1 and the heavy top's m g chi are such results.
+Pol's 0, 1 and -1 are such results.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def conserved(problem: Problem, point) -> dict:
 
 
 # Each field written once, over the point's entries and the parameters,
-# at most three results to an assignment and each run-constant result by
-# a statement of its own (see the module docstring).
+# at most three results to an assignment and each literal result by a
+# statement of its own (see the module docstring).
 _RIGID_BODY = field_body(Block(["y1 y2 y3", "i1 i2 i3 mass"], "v1 v2 v3", """
 v1, v2, v3 = -mass * (i1 * y1), -mass * (i2 * y2), -mass * (i3 * y3)
 """))
@@ -119,9 +119,7 @@ d = mu * (1.0 - x * x)
 _HEAVY_TOP = field_body(Block(["m1 m2 m3 b1 b2 b3", "i1 i2 i3 c1 c2 c3"],
                               "v1 v2 v3 v4 v5 v6", """
 v1, v2, v3 = i1 * m1, i2 * m2, i3 * m3
-v4 = c1
-v5 = c2
-v6 = c3
+v4, v5, v6 = c1, c2, c3
 """))
 
 

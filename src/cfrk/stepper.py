@@ -29,12 +29,11 @@ and act are a built-in geometry's float bodies (actions.INLINE), its exp
 and act blocks run inline on float locals, with a packaged field's block
 (field_body, inline_field) in place of f; that form has the same slots,
 points and output bits.  A field's run-constant results (a float literal
-or a parameter its Block assigns by a statement of its own, see
-actions.Block.constants) are facts of that form's source: the inlined
-field does not assign them, and each row sum over one is written from
-the constant (row_sum): x0 + x1 for 1.0, -x0 - x1 for -1.0, one x_m * 0.0
-for 0.0, a parameter's own local in place of f's entry, with the same
-bits.
+its Block assigns by a statement of its own, see actions.Block.constants)
+are facts of that form's source: the inlined field does not assign them,
+and each row sum over one is written from the constant (row_sum): x0 + x1
+for 1.0, -x0 - x1 for -1.0, one x_m * 0.0 for 0.0, the literal in place
+of f's entry for any other, with the same bits.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -255,7 +254,7 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         # call whose list values is checked for length n and unpacked
         if field is not None:
             return field.inline([_names(point, n_p), field.params[1]],
-                                _names(f"f{k}", n), fold=True)
+                                _names(f"f{k}", n))
         arg = _list(_names(point, n_p)) if inline else point
         return [f"{values} = f({arg})",
                 f"if len({values}) != {n}: raise _length_error({n}, {values})",
@@ -333,7 +332,7 @@ def row_sum(terms, constant=None) -> str:
     for 0.0 as x_m * 0.0, x_m of the largest |c|, which overflows to inf
     (and gives NaN) where any h * c_j does, plus 0.0 where the signs of
     the c_j differ, as a sum of zeros is -0.0 only where every one is;
-    else as the same products, over the constant."""
+    else as the same products, over the literal."""
     if constant == "1.0":
         return " + ".join(x for x, _, _ in terms)
     if constant == "-1.0":

@@ -666,10 +666,10 @@ q = y - s
 
 
 def test_a_block_records_its_run_constant_results():
-    # a result assigned once, by a line of its own, a finite float literal
-    # or a parameter the block never reassigns; inlined with fold, its line
-    # is left out and nothing else changes
-    block = Block(["x y", "s k"], "a b c d e f g h", """
+    # a result assigned by a line of its own, a finite float literal, and
+    # named nowhere else in the block; inlined, its line is left out and
+    # nothing else changes
+    block = Block(["x y", "s k"], "a b c d e f g h i", """
 a = 0.0  # a comment
 b = -1.0
 c = s
@@ -677,15 +677,15 @@ d = x
 e = 1e999
 f, g = 1.0, k
 h = 2.0; k = h
+i = 2.5e-3
+y = i * x
 if x > 0.0:
     x = 3.0
 """)
-    assert block.constants == {"a": "0.0", "b": "-1.0", "c": "s"}
-    names = [["x", "y"], ["s", "k"]], list("ABCDEFGH")
-    assert block.inline(*names, fold=True) == [
-        line for line in block.inline(*names)
-        if not line.startswith(("A =", "B =", "C ="))]
-    assert len(block.inline(*names)) == 9
-    again = Block(["x", "s"], "a b", "a = s\nb = 1.0\nif x > 0.0:\n"
+    assert block.constants == {"a": "0.0", "b": "-1.0"}
+    assert block.inline([["x", "y"], ["s", "k"]], list("ABCDEFGHI")) == [
+        "C = s", "D = x", "E = 1e999", "F, G = 1.0, k", "H = 2.0; k = H",
+        "I = 2.5e-3", "y = I * x", "if x > 0.0:", "    x = 3.0"]
+    again = Block(["x", "s"], "a b", "a = 1.0\nb = 1.0\nif x > 0.0:\n"
                                        "    b = 2.0\n    s = x")
-    assert again.constants == {}
+    assert again.constants == {"a": "1.0"}

@@ -743,11 +743,11 @@ def test_kernel_takes_only_finite_float_coefficients(coeff):
 
 def test_folded_row_sums_keep_every_bit():
     # row_sum writes a row's entry over a run-constant value from the
-    # constant: for 1.0, -1.0, 0.0, another literal and a parameter it has
-    # the bits of the unfolded sum x_0 * v + x_1 * v + ..., x_j = h * c_j,
-    # for h from the smallest subnormal to the largest float, of either
-    # sign and infinite: signed zeros, underflow, overflow to inf and the
-    # NaN of inf * 0.0 or inf - inf included
+    # constant: for 1.0, -1.0, 0.0 and another literal it has the bits of
+    # the unfolded sum x_0 * v + x_1 * v + ..., x_j = h * c_j, for h from
+    # the smallest subnormal to the largest float, of either sign and
+    # infinite: signed zeros, underflow, overflow to inf and the NaN of
+    # inf * 0.0 or inf - inf included
     rng = np.random.default_rng(28)
     rows = [rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 0.7, k)
             for k in rng.integers(1, 6, 150)]
@@ -757,31 +757,27 @@ def test_folded_row_sums_keep_every_bit():
     hs = [5e-324, 1e-320, 1e-310, 1e-300, 1e-8, 0.1, 1.0, 1e300, 3.7e307,
           1.7e308, math.inf, *rng.uniform(0.0, 2.0, 10).tolist()]
     hs += [-h for h in hs]
-    params = [0.0, -0.0, 1.0, -1.0, 3.25, 5e-324, 1e308, math.inf,
-              -math.inf, math.nan]
     seen = set()
     for row in rows:
         xs = [f"x{j}" for j in range(len(row))]
         terms = [(x, c, "v") for x, c in zip(xs, row.tolist())]
         unfolded = eval(f"lambda {', '.join(xs)}, v: {row_sum(terms)}")
-        for constant in ("1.0", "-1.0", "0.0", "2.5", "p"):
-            folded = eval(f"lambda {', '.join(xs)}, p: "
+        for constant in ("1.0", "-1.0", "0.0", "2.5"):
+            folded = eval(f"lambda {', '.join(xs)}: "
                           f"{row_sum(terms, constant)}")
             for h in hs:
                 x = [h * c for c in row.tolist()]
-                for v in (params if constant == "p" else [float(constant)]):
-                    want = unfolded(*x, v)
-                    assert struct.pack("<d", folded(*x, v)) == struct.pack(
-                        "<d", want), (row, constant, h, v)
-                    seen.add("nan" if math.isnan(want)
-                             else math.copysign(1.0, want) if want == 0.0
-                             else "inf" if math.isinf(want) else "finite")
+                want = unfolded(*x, float(constant))
+                assert struct.pack("<d", folded(*x)) == struct.pack(
+                    "<d", want), (row, constant, h)
+                seen.add("nan" if math.isnan(want)
+                         else math.copysign(1.0, want) if want == 0.0
+                         else "inf" if math.isinf(want) else "finite")
     assert seen == {"nan", 1.0, -1.0, "inf", "finite"}
     # one multiply by 0.0 stands for the row; no multiply by 1.0 or -1.0
     terms = [("x0", 0.5, "f0_1"), ("x1", -2.0, "f1_1"), ("x2", 1.0, "f2_1")]
-    constants = ("1.0", "-1.0", "0.0", "2.5", "mu")
-    assert [row_sum(terms, c) for c in constants] == [
+    assert [row_sum(terms, c) for c in ("1.0", "-1.0", "0.0", "2.5")] == [
         "x0 + x1 + x2", "-x0 - x1 - x2", "x1 * 0.0 + 0.0",
-        "x0 * 2.5 + x1 * 2.5 + x2 * 2.5", "x0 * mu + x1 * mu + x2 * mu"]
+        "x0 * 2.5 + x1 * 2.5 + x2 * 2.5"]
     assert row_sum(terms) == "x0 * f0_1 + x1 * f1_1 + x2 * f2_1"
     assert row_sum(terms[1:2], "0.0") == "x1 * 0.0"
