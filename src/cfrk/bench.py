@@ -232,13 +232,12 @@ def run_work_precision(config: ExperimentConfig):
 
 
 def attempt_rows(traj) -> list:
-    """One needle row (t, h, accepted, y1, y2, err) per attempted step;
-    y1 and y2 are the first two entries of the candidate end state, the
-    list the step returned."""
+    """One needle row (t, h, accepted, y1, y2, err) per attempt of
+    traj.h_history; y1 and y2 are the first two entries of the candidate
+    end state."""
     nan = math.nan
-    return [(t, h, accepted, y[0] if y else nan,
-             y[1] if len(y) > 1 else nan, err)
-            for t, h, accepted, err, y in traj.events]
+    return [(a.t, a.h, a.accepted, a.y[0] if a.y else nan,
+             a.y[1] if len(a.y) > 1 else nan, a.err) for a in traj.h_history]
 
 
 def _trace(config: ExperimentConfig, atol: float, rtol: float, hmax: float):

@@ -9,7 +9,7 @@ The calling form holds points as flat lists of Python floats, as f and
 cf_step take and return them; the inline form holds the state and the f
 values in float locals.  Each attempt is one row (t, h, accepted, err,
 *y) of Trajectory.record, one array('d'), with y the candidate end point;
-events, h_history, points and y_end are built from it when read.  Both
+h_history, points and y_end are built from it when read.  Both
 drivers run through _run, which turns any exception raised once the run
 has started into an IntegrationError carrying the partial trajectory; an
 error raised before that keeps its type.
@@ -60,7 +60,7 @@ import numpy as np
 
 from .actions import (Block, DomainError, GroupAction, _body,
                       compile_function)
-from .stepper import (FieldLengthError, _length_error, _list, _names,
+from .stepper import (FieldLengthError, _length_error, _list,
                       cf_step, check_length, inline_field, inline_length,
                       kernel_lines)
 
@@ -138,8 +138,8 @@ class Totals:
 class Trajectory:
     """The run's own copy of y0, the accepted times and its record: one row
     of 4 + y0.size floats per attempt, (t, h, accepted, err, *y) with
-    accepted 1.0 or 0.0, packed into one array('d').  events, h_history,
-    points and y_end are built from the record when read."""
+    accepted 1.0 or 0.0, packed into one array('d').  h_history, points
+    and y_end are built from the record when read."""
     y0: np.ndarray = field(default_factory=lambda: np.empty(0))
     times: list = field(default_factory=list)
     record: array = field(default_factory=lambda: array("d"))
@@ -149,18 +149,13 @@ class Trajectory:
         return np.array(self.record).reshape(-1, 4 + self.y0.size)
 
     @cached_property
-    def events(self) -> list:
-        """Every attempt as the tuple (t, h, accepted, err, y) of a
-        StepAttempt's fields, y a list, built when first read."""
-        rows = self._rows()
-        return [(t, h, accepted != 0.0, err, y) for (t, h, accepted, err), y
-                in zip(rows[:, :4].tolist(), rows[:, 4:].tolist())]
-
-    @cached_property
     def h_history(self) -> list:
-        """Every attempt as a StepAttempt, built from the events when first
-        read."""
-        return [StepAttempt(*event) for event in self.events]
+        """Every attempt as a StepAttempt, y a list, built from the record
+        when first read."""
+        rows = self._rows()
+        return [StepAttempt(t, h, accepted != 0.0, err, y)
+                for (t, h, accepted, err), y
+                in zip(rows[:, :4].tolist(), rows[:, 4:].tolist())]
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -459,11 +454,11 @@ def _loop(pair, problem, advance_embedded=None):
     if loop is None:
         # the calling form takes only the counts; h > 0 as t + h > t
         embedded = adaptive or advance_embedded
-        coefficients, lines, y1, yhat1, k_exp, k_feval = kernel_lines(
-            pair, n or 1, embedded, n is not None, field)
+        (coefficients, lines, y1, yhat1, k_exp, k_feval, base, fresh,
+         carry) = kernel_lines(pair, n or 1, embedded, n is not None, field)
         if n is None:
             followed = "yhat1" if advance_embedded else "y1"
-            start, fresh = [], ["f0 = f(base)"]
+            start = []
             # y1 is checked at once: an action's own ambient_distance need
             # not turn a non-finite y1 into a non-finite err
             step = [f"res = cf_step(pair, action, f, base, h, f0, "
@@ -472,13 +467,8 @@ def _loop(pair, problem, advance_embedded=None):
                     "res.f_last", f"_check_finite({followed}, traj, len(base))"]
             step += ["d = dist(y1, yhat1)"] * adaptive
             error, point = _ERROR.params[0], "*" + followed
-            moves = [("base", followed)], [("f0", "f_last")]
+            moves = [(base, followed)]
         else:
-            base, f0 = _names("base", len(y1)), _names("f0", n)
-            fresh = field.inline([base, field.params[1]], f0) if field else [
-                f"f0 = f({_list(base)})",
-                f"if len(f0) != {n}: check_length(action, f0)",
-                f"{_list(f0)} = f0"]
             followed = yhat1 if advance_embedded else y1
             point = ", ".join(followed)
             # h is fixed for a fixed-step run: its h * c_j are formed once
@@ -492,15 +482,12 @@ def _loop(pair, problem, advance_embedded=None):
             # norm(base) and norm(y1) become math.hypot of their entries
             error = ["d", ", ".join(base), ", ".join(y1), "atol", "rtol",
                      "math.hypot"]
-            # a run-constant result of the field is in no local to move
-            moves = [*zip(base, followed)], [
-                (f"f0_{i}", f"f{pair.s}_{i}") for i in range(n)
-                if not field or field.results[i] not in field.constants]
+            moves = [*zip(base, followed)]
         if adaptive:
-            moves[0].extend(moves[1] if pair.fsal else [("have_f0", "False")])
+            moves += [("have_f0", "False")] if carry is None else carry
         body = _fill((_LOOP if adaptive else _FIXED).replace("Y1", point),
                      FRESH=[*fresh, "n_fresh += 1"], STEP=step,
-                     ACCEPT=[f"{a} = {b}" for a, b in moves[0]],
+                     ACCEPT=[f"{a} = {b}" for a, b in moves],
                      ERROR=_ERROR.inline([error], ["err"]),
                      STEP_SIZE=_STEP_SIZE.inline(_STEP_SIZE.params, ["h_try"]))
         lines = _fill(_RUN, LOOP=body, START=[

@@ -184,7 +184,7 @@ def step_kernel(tableau: CFTableau, n: int, with_embedded: bool):
     kernel = tableau._kernels.get((n, with_embedded))
     if kernel is None:
         embedded = with_embedded and tableau.has_embedded
-        coefficients, lines, y1, yhat1, n_exp, n_feval = kernel_lines(
+        coefficients, lines, y1, yhat1, n_exp, n_feval, *_ = kernel_lines(
             tableau, n, embedded, False)
         kernel = compile_function(
             "kernel", "exp, act, f, base, h, f0",
@@ -222,15 +222,19 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
     locals base_0 ... in the inline form) and f0 = f(base) in f0_0 ...:
     the coefficient lines x_j = h * c_j, which read only h, and the rest;
     y1 and yhat1 (or None), as their list's local or their entries'
-    locals alike; n_exp; n_feval.  A FSAL step leaves f(y1) in f{s}_0 ...
-    (s = tableau.s), and in the list f_last unless with field.  The
-    calling form calls exp and act, the inline form runs INLINE[n]'s
-    blocks and builds lists only as arguments of f.  With field, a field
-    Block (see inline_field), the inline form runs it in place of every f
-    call, on parameters in locals of their own names, leaving out its
-    run-constant results (field.constants): their f{k}_i are never
-    assigned, and each row sum over one is written from its constant
-    (row_sum)."""
+    locals alike; n_exp; n_feval; then, for a loop that steps from base
+    again, base, the FRESH lines that put f(base) into f0 (in the inline
+    form into f0_0 ..., a wrong-length value raising check_length's
+    FieldLengthError; cf_step checks the calling form's list), and the
+    FSAL carry, the moves (f0_i, f{s}_i) (s = tableau.s; the list's
+    (f0, f_last) in the calling form) that make f(y1) the next step's
+    f0, or None for a step that does not form f(y1).  The calling form
+    calls exp and act, the inline form runs
+    INLINE[n]'s blocks and builds lists only as arguments of f.  With
+    field, a field Block (see inline_field), the inline form runs it in
+    place of every f call, on parameters in locals of their own names;
+    its run-constant results (actions.Block.constants) are neither
+    assigned nor carried."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -249,7 +253,7 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         # the entries of a group element and of a point
         n_g, n_p = (len(params) for params in act_block.params)
 
-    def evaluate(k, point, values="v"):
+    def evaluate(k, point, values="v", error="raise _length_error({n}, {v})"):
         # f at point into the locals f{k}_0 ...: the field block, else a
         # call whose list values is checked for length n and unpacked
         if field is not None:
@@ -257,7 +261,7 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                                 _names(f"f{k}", n))
         arg = _list(_names(point, n_p)) if inline else point
         return [f"{values} = f({arg})",
-                f"if len({values}) != {n}: raise _length_error({n}, {values})",
+                f"if len({values}) != {n}: " + error.format(n=n, v=values),
                 f"{_list(_names(f'f{k}', n))} = {values}"]
 
     def exp(slot, entries):
@@ -316,10 +320,17 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         body += evaluate(tableau.s, y1, "f_last")
         n_feval += 1
     yhat1 = apply_rows(("yhat",), tableau.beta_hat) if embedded else None
+    # the calling form holds f(base) and f(y1) as the lists f0 and f_last
+    base, fresh, carry = "base", ["f0 = f(base)"], [("f0", "f_last")]
     if inline:  # the locals of their entries
-        y1, yhat1 = _names(y1, n_p), yhat1 and _names(yhat1, n_p)
+        base, y1 = _names(base, n_p), _names(y1, n_p)
+        yhat1 = yhat1 and _names(yhat1, n_p)
+        fresh = evaluate(0, "base", "f0", "check_length(action, {v})")
+        carry = [(f"f0_{i}", f"f{tableau.s}_{i}") for i in range(n)
+                 if constants[i] is None]
     coefficients = [f"{x} = h * {c!r}" for c, x in coeffs.items()]
-    return coefficients, body, y1, yhat1, len(slots), n_feval
+    return (coefficients, body, y1, yhat1, len(slots), n_feval, base, fresh,
+            carry if fsal else None)
 
 
 def row_sum(terms, constant=None) -> str:

@@ -17,7 +17,7 @@ from cfrk.catalog import catalog, get_tableau
 from cfrk.controller import (ConfigError, ControllerConfig,
                              ControllerConfigError,
                              IntegrationError, NonFiniteError,
-                             StepSizeUnderflowError,
+                             StepAttempt, StepSizeUnderflowError,
                              TooManyRejectsError, Trajectory, _check_finite,
                              error_measure, initial_step, integrate_adaptive,
                              integrate_fixed, next_step_size)
@@ -484,7 +484,7 @@ def test_any_exception_inside_a_run_is_an_integration_error(driver, form):
     assert type(info.value) is IntegrationError
     assert type(info.value.__cause__) is ZeroDivisionError
     traj = info.value.trajectory
-    accepted = [event[4] for event in traj.events if event[2]]
+    accepted = [a.y for a in traj.h_history if a.accepted]
     assert len(accepted) == traj.totals.n_accepted > 1
     assert traj.points.tolist() == [prob.default_y0.tolist(), *accepted]
     assert len(traj.times) == len(accepted) + 1
@@ -877,7 +877,7 @@ def run_failure_case(driver, name, build, case):
     assert time.perf_counter() - start < 1.0
     if case == "f-wrong-length":  # caught at f's first value
         assert type(error.__cause__) is FieldLengthError
-        assert traj.times == [0.0] and traj.events == []
+        assert traj.times == [0.0] and traj.h_history == []
     if case == "f-raises":  # f's eleventh call raises within a step
         assert type(error) is IntegrationError
         assert type(error.__cause__) is ZeroDivisionError
@@ -1051,11 +1051,11 @@ def assert_same_run(a, b):
     assert (kind, message) == (ref_kind, ref_message)
     assert float_bits(traj.times) == float_bits(ref.times)
     assert traj.totals == ref.totals
-    assert len(traj.events) == len(ref.events)
-    for (t, h, accepted, err, y), (rt, rh, raccepted, rerr, ry) in zip(
-            traj.events, ref.events):
-        assert float_bits([t, h, err, *y]) == float_bits([rt, rh, rerr, *ry])
-        assert accepted == raccepted
+    assert len(traj.h_history) == len(ref.h_history)
+    for a, r in zip(traj.h_history, ref.h_history):
+        assert float_bits([a.t, a.h, a.err, *a.y]) == float_bits(
+            [r.t, r.h, r.err, *r.y])
+        assert a.accepted == r.accepted
 
 
 @pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
@@ -1113,7 +1113,7 @@ def test_a_retry_does_not_evaluate_f_again_at_its_base_point(name, form):
     traj = integrate_adaptive(get_tableau(name), prob, prob.default_y0, 0.0,
                               3.0, ControllerConfig(atol=1e-4, rtol=1e-4,
                                                     h0=0.2))
-    assert not traj.events[0][2] and traj.totals.n_rejected > 10
+    assert not traj.h_history[0].accepted and traj.totals.n_rejected > 10
     assert len(set(points)) == len(points) == traj.totals.n_feval
 
 
@@ -1170,13 +1170,17 @@ def test_wrong_length_field_at_the_start_is_a_field_length_error(
             run()
 
 
-def test_h_history_is_built_from_the_events_once():
+def test_h_history_is_built_from_the_record_once():
     prob = rigid_body()
     traj = integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
                               0.0, 1.0, ControllerConfig())
-    assert all(type(e) is tuple for e in traj.events)
+    assert all(type(a) is StepAttempt for a in traj.h_history)
     assert traj.h_history is traj.h_history
-    assert [dataclasses.astuple(a) for a in traj.h_history] == traj.events
+    width = 4 + traj.y0.size
+    record = traj.record.tolist()
+    assert [dataclasses.astuple(a) for a in traj.h_history] == [
+        (t, h, accepted != 0.0, err, y) for t, h, accepted, err, *y
+        in (record[i:i + width] for i in range(0, len(record), width))]
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
@@ -1186,7 +1190,7 @@ def test_points_are_built_once_when_first_read(driver):
     assert "points" not in vars(traj)
     points = traj.points
     assert vars(traj)["points"] is points is traj.points
-    accepted = [e[4] for e in traj.events if e[2]]
+    accepted = [a.y for a in traj.h_history if a.accepted]
     assert points.tolist() == [prob.default_y0.tolist(), *accepted]
 
 
@@ -1430,18 +1434,17 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
 
 
 def assert_views_match_the_record(traj):
-    """events, h_history, points and y_end, read from a fresh trajectory,
+    """h_history, points and y_end, read from a fresh trajectory,
     agree with its record bit for bit."""
     width = 4 + traj.y0.size
     record = traj.record.tolist()
     rows = [record[i:i + width] for i in range(0, len(record), width)]
     assert len(record) == width * len(rows)
     assert [float_bits(row) for row in rows] == [
-        float_bits([t, h, float(accepted), err, *y])
-        for t, h, accepted, err, y in traj.events]
-    assert all(type(e[2]) is bool and type(e[4]) is list
-               for e in traj.events)
-    assert [dataclasses.astuple(a) for a in traj.h_history] == traj.events
+        float_bits([a.t, a.h, float(a.accepted), a.err, *a.y])
+        for a in traj.h_history]
+    assert all(type(a.accepted) is bool and type(a.y) is list
+               for a in traj.h_history)
     assert all(row[2] in (0.0, 1.0) for row in rows)
     accepted = [row[4:] for row in rows if row[2] == 1.0]
     assert len(traj.times) == len(accepted) + 1
@@ -1459,7 +1462,7 @@ def assert_views_match_the_record(traj):
 def test_the_record_holds_one_row_per_attempt(build, form):
     # both drivers, both forms, and the partial trajectories of failed
     # runs: one row of 4 + y0.size floats per attempt, whose views are
-    # events, h_history, points and y_end
+    # h_history, points and y_end
     prob = build()
     if form == "calling":
         prob = dataclasses.replace(prob, action=calling(prob.action))
