@@ -297,8 +297,9 @@ def run_tableau_check(config: ExperimentConfig):
     certified orders, reuse census, and static cost budget.
 
     Returns (text_report, payload).  The boolean payload["ok"] is true when
-    the certified orders match the claimed ones and all declared reuse is
-    sound and maximal.
+    each certified order reaches the claimed one, no condition of the
+    claimed order is violated, an embedded pair is genuine and all
+    declared reuse is sound and maximal.
     """
     tableau = _resolve_tableau(config.tableau)
     reports = certify_pair(tableau)
@@ -341,7 +342,10 @@ def run_tableau_check(config: ExperimentConfig):
     lines.append(f"  budget per step (fsal carry, reuse on): "
                  f"{n_exp} exponentials, {n_feval} f evaluations")
 
-    ok = (not bad) and maximal and pair_ok
+    claimed = {"principal": tableau.order_p, "embedded": tableau.order_phat}
+    reached = all(report.certified_algebraic_order >= claimed[which]
+                  for which, report in reports.items())
+    ok = (not bad) and reached and maximal and pair_ok
     payload = {
         "name": tableau.name,
         "ok": bool(ok),

@@ -158,7 +158,9 @@ def split_residuals(rows, a, c, up_to: int = 4) -> dict:
 def certify(tableau: CFTableau, which: str = "principal",
             tol: float = 1e-9) -> OrderReport:
     """Evaluate all conditions for one side of the tableau and certify the
-    largest order (up to 4) whose conditions all hold within tol."""
+    largest order (up to 4) whose conditions all hold within tol.  An
+    update of more than two rows, whose non-classical conditions are not
+    evaluated, is certified to at most order 2."""
     if which == "principal":
         red = reduce(tableau)
         rows = tableau.beta
@@ -170,18 +172,22 @@ def certify(tableau: CFTableau, which: str = "principal",
 
     report = OrderReport(name=tableau.name, which=which, tolerance=tol)
     report.classical_residuals = check_classical(red, up_to=4)
+    top = 4  # the highest order the evaluated conditions can certify
     if len(rows) <= 2:
         report.nonclassical_residuals = split_residuals(rows, red.a, red.c)
         if len(rows) == 1:
             report.notes.append(
                 "single-row update: non-classical conditions evaluated with b2 = 0")
     else:
+        # the non-classical conditions start at order 3
+        top = 2
         report.notes.append(
-            f"{len(rows)}-row update: non-classical conditions not evaluated")
+            f"{len(rows)}-row update: non-classical conditions not evaluated, "
+            f"so no order above 2 is certified")
     report.notes.append(CONDITION_4_NOTE)
 
     certified = 0
-    for order in (1, 2, 3, 4):
+    for order in range(1, top + 1):
         if not report.residuals_at(order) or report.failed(order):
             break
         certified = order

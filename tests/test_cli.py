@@ -10,6 +10,9 @@ import pytest
 
 from cfrk.catalog import get_tableau
 from cfrk.cli import build_parser, main
+from cfrk.controller import ControllerConfig, integrate_adaptive
+from cfrk.order_conditions import certify
+from cfrk.problems import van_der_pol
 from cfrk.tableaux import CFTableau, save_tableau
 
 
@@ -67,6 +70,32 @@ def test_tableaux_check_fails_on_broken_file(tmp_path, capsys):
     save_tableau(bent, path)
     assert main(["tableaux", "check", "--tableau", str(path)]) == 1
     assert "VIOLATED" in capsys.readouterr().out
+
+
+def test_tableaux_check_fails_a_three_row_update(tmp_path, capsys):
+    # cf4 with its second update row split into equal halves around the
+    # first converges at order 2 (slope 2.0 on the rigid body, 40 -> 320
+    # steps); its split conditions are not evaluated, so no order above 2
+    # is certified and the claimed 4 is not reached
+    base = get_tableau("cf4")
+    b1, b2 = base.beta
+    half = tuple(x / 2 for x in b2)
+    split = CFTableau(name="split", s=4, alpha=base.alpha,
+                      beta=(half, b1, half), beta_hat=(), order_p=4,
+                      order_phat=0, fsal=False, reuse_map=(
+                          (("stage", 2, 0), ("stage", 4, 0)),
+                          (("y", 0), ("y", 2))))
+    report = certify(split)
+    assert report.certified_algebraic_order == 2
+    assert ("3-row update: non-classical conditions not evaluated, so no "
+            "order above 2 is certified") in report.notes
+    path = tmp_path / "split.json"
+    save_tableau(split, path)
+    assert main(["tableaux", "check", "--tableau", str(path),
+                 "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certified_order"] == 2 and payload["ok"] is False
+    assert payload["violated"] == [] and payload["reuse_maximal"] is True
 
 
 def _bad_tableau_files(tmp_path):
@@ -208,6 +237,23 @@ def test_integrate_writes_trace(tmp_path):
     assert summary["t_end"] == 1.0
     assert summary["n_accepted"] == sum(r[2] == "true" for r in rows)
     assert len(summary["y_end"]) == 3
+
+
+def test_integrate_csv_rows_are_the_h_history_attempts(tmp_path):
+    # the CLI trace is built from h_history: each row reads back as its
+    # attempt, field for field, rejected attempts included
+    out = tmp_path / "run.csv"
+    assert main(["integrate", "--problem", "van-der-pol", "--tableau", "cf43",
+                 "--t1", "3", "--atol", "1e-3", "--rtol", "1e-3",
+                 "--out", str(out)]) == 0
+    _, summary, _, rows = read_csv_table(out)
+    prob = van_der_pol()
+    traj = integrate_adaptive(get_tableau("cf43"), prob, prob.default_y0,
+                              0.0, 3.0, ControllerConfig(atol=1e-3, rtol=1e-3))
+    assert summary["n_rejected"] == traj.totals.n_rejected > 0
+    assert [(float(t), float(h), accepted == "true", float(y1), float(y2),
+             float(err)) for t, h, accepted, y1, y2, err in rows] == [
+        (a.t, a.h, a.accepted, *a.y, a.err) for a in traj.h_history]
 
 
 def test_integrate_param_override(tmp_path):
