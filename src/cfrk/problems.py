@@ -36,11 +36,17 @@ from .controller import ConfigError
 from .stepper import field_body
 
 
-def _require_finite(params) -> None:
-    """ValueError naming the first field of params with a non-finite entry."""
-    for name, value in asdict(params).items():
+def _require_finite(params, *vectors) -> None:
+    """ValueError naming the first field of params with a non-finite entry,
+    then the first of the fields named in vectors without 3 entries."""
+    fields = asdict(params)
+    for name, value in fields.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    for name in vectors:
+        if np.shape(fields[name]) != (3,):
+            raise ValueError(f"{name} must have 3 entries, got "
+                             f"{fields[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class RigidBodyParams:
     m: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(self, "inertia")
         if min(self.inertia) <= 0.0:
             raise ValueError("inertia entries must be positive")
 
@@ -70,7 +76,7 @@ class HeavyTopParams:
     chi: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(self, "inertia", "chi")
         if min(self.inertia) <= 0.0:
             raise ValueError("inertia entries must be positive")
         if abs(np.linalg.norm(self.chi) - 1.0) > 1e-12:

@@ -43,6 +43,13 @@ def test_build_problem_forwards_params():
     ("heavy-top", {"inertia": [2, 2, math.inf]}, "inertia must be finite"),
     ("heavy-top", {"m": -math.inf}, "m must be finite"),
     ("van-der-pol", {"mu": math.inf}, "mu must be finite"),
+    # a vector of the wrong length is named, not left to fail unpacking
+    ("rigid-body", {"inertia": (1.0, 2.0)},
+     r"inertia must have 3 entries, got \(1.0, 2.0\)"),
+    ("heavy-top", {"chi": (1.0, 0.0)},
+     r"chi must have 3 entries, got \(1.0, 0.0\)"),
+    ("heavy-top", {"inertia": (2.0, 2.0, 1.0, 1.0)},
+     "inertia must have 3 entries"),
 ])
 def test_build_problem_names_a_rejected_parameter(name, params, message):
     with pytest.raises(ConfigError, match=message) as info:
