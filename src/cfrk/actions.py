@@ -97,7 +97,10 @@ class Block:
     constants maps each run-constant result to the source of its value: a
     result the block assigns by a statement that is a whole line, `name =
     value`, with value a float literal written with a point (as -1.0 or
-    2.5e-3), and names nowhere else.
+    2.5e-3), and names nowhere else.  This is the one statement of the
+    rule: inline leaves those lines out, so a compiled loop that runs the
+    block in place of f neither stores nor carries such a result, and
+    writes each row sum over it from the constant (stepper.row_sum).
     """
 
     def __init__(self, params, results: str, source: str):

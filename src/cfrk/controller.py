@@ -38,10 +38,8 @@ f(base) every step.  In both, n_feval is k_feval (the calls after f0)
 per completed step plus the f(base) evaluations that returned, counted
 as each returns (n_fresh).  The fixed-step loop forms each coefficient
 product h * c_j once, before its steps, as h is fixed for the run.  A
-packaged field's run-constant results (actions.Block.constants) are
-constants of the inline form: the inlined field does not assign them,
-ACCEPT does not move them, and the rows are written from them
-(stepper.row_sum).
+packaged field's run-constant results are constants of the inline form
+(actions.Block.constants).
 """
 
 from __future__ import annotations

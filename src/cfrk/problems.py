@@ -16,12 +16,9 @@ once by stepper.field_body, which the compiled loops run in place of f.
 A block assigns at most three results per statement: CPython builds and
 unpacks a tuple for an assignment to more than three targets, which the
 compiled loops would pay at every inlined f, and stores three or fewer
-straight from the stack, so an inlined field builds no tuple.  A result
-that is a float literal is assigned by a statement of its own, one line,
-and read nowhere in the block, so that it is a run-constant result
-(Block.constants): the compiled loops neither store nor move it and
-write each row sum over it from the constant (stepper.row_sum).  Van der
-Pol's 0, 1 and -1 are such results.
+straight from the stack, so an inlined field builds no tuple.  Van der
+Pol's 0, 1 and -1 are written as run-constant results
+(actions.Block.constants).
 """
 
 from __future__ import annotations
@@ -106,8 +103,8 @@ def conserved(problem: Problem, point) -> dict:
 
 
 # Each field written once, over the point's entries and the parameters,
-# at most three results to an assignment and each literal result by a
-# statement of its own (see the module docstring).
+# at most three results to an assignment (see the module docstring) and
+# each literal result as Block.constants reads one.
 _RIGID_BODY = field_body(Block(["y1 y2 y3", "i1 i2 i3 mass"], "v1 v2 v3", """
 v1, v2, v3 = -mass * (i1 * y1), -mass * (i2 * y2), -mass * (i3 * y3)
 """))

@@ -28,12 +28,8 @@ frame in a second form, chosen by inline_length: when the action's exp
 and act are a built-in geometry's float bodies (actions.INLINE), its exp
 and act blocks run inline on float locals, with a packaged field's block
 (field_body, inline_field) in place of f; that form has the same slots,
-points and output bits.  A field's run-constant results (a float literal
-its Block assigns by a statement of its own, see actions.Block.constants)
-are facts of that form's source: the inlined field does not assign them,
-and each row sum over one is written from the constant (row_sum): x0 + x1
-for 1.0, -x0 - x1 for -1.0, one x_m * 0.0 for 0.0, the literal in place
-of f's entry for any other, with the same bits.
+points and output bits, with the field's run-constant results as
+constants of its source (actions.Block.constants).
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base

@@ -145,8 +145,8 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
      "problem 'van-der-pol' rejects parameter mu='abc': could not convert "
      "string to float: 'abc'"),
     (["integrate", "--param", "inertia=[1,2]"],
-     "problem 'rigid-body' rejects parameter inertia=[1, 2]: not enough "
-     "values to unpack (expected 3, got 2)"),
+     "problem 'rigid-body' rejects parameter inertia=[1, 2]: inertia must "
+     "have 3 entries, got (1.0, 2.0)"),
     (["integrate", "--problem", "van-der-pol", "--param", "mu=NaN"],
      "problem 'van-der-pol' rejects parameter mu=nan: mu must be finite, "
      "got nan"),
