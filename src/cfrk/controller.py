@@ -450,7 +450,8 @@ def _loop(pair, problem, advance_embedded=None):
     key = ("loop", n, field, advance_embedded)
     loop = pair._kernels.get(key)
     if loop is None:
-        # the calling form takes only the counts; h > 0 as t + h > t
+        # the calling form takes the counts, base, FRESH and carry of
+        # kernel_lines; h > 0 as t + h > t
         embedded = adaptive or advance_embedded
         (coefficients, lines, y1, yhat1, k_exp, k_feval, base, fresh,
          carry) = kernel_lines(pair, n or 1, embedded, n is not None, field)

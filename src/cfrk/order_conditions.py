@@ -172,22 +172,20 @@ def certify(tableau: CFTableau, which: str = "principal",
 
     report = OrderReport(name=tableau.name, which=which, tolerance=tol)
     report.classical_residuals = check_classical(red, up_to=4)
-    top = 4  # the highest order the evaluated conditions can certify
     if len(rows) <= 2:
         report.nonclassical_residuals = split_residuals(rows, red.a, red.c)
         if len(rows) == 1:
             report.notes.append(
                 "single-row update: non-classical conditions evaluated with b2 = 0")
     else:
-        # the non-classical conditions start at order 3
-        top = 2
         report.notes.append(
             f"{len(rows)}-row update: non-classical conditions not evaluated, "
             f"so no order above 2 is certified")
     report.notes.append(CONDITION_4_NOTE)
 
     certified = 0
-    for order in range(1, top + 1):
+    # unevaluated non-classical conditions (from order 3) certify nothing
+    for order in (1, 2, 3, 4)[:4 if len(rows) <= 2 else 2]:
         if not report.residuals_at(order) or report.failed(order):
             break
         certified = order

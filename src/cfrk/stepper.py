@@ -222,15 +222,14 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
     again, base, the FRESH lines that put f(base) into f0 (in the inline
     form into f0_0 ..., a wrong-length value raising check_length's
     FieldLengthError; cf_step checks the calling form's list), and the
-    FSAL carry, the moves (f0_i, f{s}_i) (s = tableau.s; the list's
+    FSAL carry, the moves (f0_i, f{s}_i) (s = tableau.s; the lists'
     (f0, f_last) in the calling form) that make f(y1) the next step's
     f0, or None for a step that does not form f(y1).  The calling form
-    calls exp and act, the inline form runs
-    INLINE[n]'s blocks and builds lists only as arguments of f.  With
-    field, a field Block (see inline_field), the inline form runs it in
-    place of every f call, on parameters in locals of their own names;
-    its run-constant results (actions.Block.constants) are neither
-    assigned nor carried."""
+    calls exp and act, the inline form runs INLINE[n]'s blocks and
+    builds lists only as arguments of f.  With field, a field Block (see
+    inline_field), the inline form runs it in place of every f call, on
+    parameters in locals of their own names; its run-constant results
+    (actions.Block.constants) are neither assigned nor carried."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
