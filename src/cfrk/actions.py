@@ -35,17 +35,18 @@ or point as an array, and for act an so(3) element of five entries or a
 2x2 matrix as an array or an SE(3) element as an Se3Element.  There is one
 so(3) exponential, _SO3_EXP's element (w, A, B): so3_exp and se(3)'s exp
 continue its source to the rotation's entries I + A K_w + B K_w^2, so
-their rotations have the same bits; gl(2)'s exp takes each e^x from
-math.exp behind a guard written in its block, `x = math.inf if x >
-709.782712893384 else math.exp(x)` (inf where math.exp would raise
-OverflowError, NaN kept), and tests its series branch as -1e-6 < D <
-1e-6, so no body needs numpy and an inlined exponential calls no
-Python-level function.  The public kernels so3_exp, gl2_exp, se3_exp and
-coadjoint_act check their input, call bodies of the same blocks and
-return numpy matrices, an Se3Element or a numpy vector.  The compiled
-loops of an action whose exp and act are these bodies run their blocks
-inline (INLINE; see stepper.inline_length).  ambient_norm and
-ambient_distance use a list as it is and convert anything else once.
+their rotations have the same bits; gl(2)'s exp picks its branch by one
+test on D and takes each e^x from math.exp, behind a guard written in
+its block, `x = math.inf if x > 709.782712893384 else math.exp(x)` (inf
+where math.exp would raise OverflowError, NaN kept), wherever x can
+overflow (e^mu of the cosh/sinh branch cannot), so no body needs numpy
+and an inlined exponential calls no Python-level function.  The public
+kernels so3_exp, gl2_exp, se3_exp and coadjoint_act check their input,
+call bodies of the same blocks and return numpy matrices, an Se3Element
+or a numpy vector.  The compiled loops of an action whose exp and act
+are these bodies run their blocks inline (INLINE; see
+stepper.inline_length).  ambient_norm and ambient_distance use a list as
+it is and convert anything else once.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ class Block:
                       if isinstance(node.ctx, ast.Store)}.difference(
                           self.results, *self.params)
         self._code = re.sub(r"[ \t]*#.*", "", self.source).splitlines()
-        whole = {ast.get_source_segment(self.source, s) for s in tree.body}
+        lines = self.source.encode().splitlines()  # offsets count bytes
+        whole = {lines[s.lineno - 1][s.col_offset:s.end_col_offset].decode()
+                 for s in tree.body if s.lineno == s.end_lineno}
         named = [node.id for node in nodes]
         self.constants = {  # from the statements that are whole lines
             name: value for name, _, value in
@@ -239,34 +242,44 @@ def so3_exp(v) -> np.ndarray:
 
 # --------------------------------------------------------------- gl(2)
 
-# gl2_exp on the entries of A = [[a, b], [c, d]]; see gl2_exp.  s > 0
-# exactly when D > 0 outside the series; a strongly hyperbolic A takes the
-# rearranged branch, where C * 0.0 is the off-diagonal of C*I: NaN once C
-# overflows.  Each e^x is guarded in place, with no helper call: inf above
+# gl2_exp on the entries of A = [[a, b], [c, d]]; see gl2_exp.  One test
+# on D picks the branch.  From D >= 1e-6, s = sqrt(D) > 0: a strongly
+# hyperbolic A takes the rearranged branch, where C * 0.0 is the
+# off-diagonal of C*I: NaN once C overflows; any other takes cosh/sinh,
+# where mu <= 700 - s (and mu is finite, as D is), so e^mu cannot
+# overflow and is taken unguarded.  Below 1e-6 come the series, the
+# trigonometric branch and, for D = -inf or NaN, NaN entries.  Every
+# other e^x is guarded in place, with no helper call: inf above
 # 709.78..., the log of the largest float, so math.exp never raises
 # OverflowError; NaN stays NaN.
 _GL2_EXP = Block(["a b c d"], "g11 g12 g21 g22", """
 mu = 0.5 * (a + d)
 D = mu * mu - (a * d - b * c)
-s = math.sqrt(D) if D >= 1e-6 else 0.0
-if s > 30.0 or (s > 0.0 and mu + s > 700.0):
-    ep, em = mu + s, mu - s
-    ep = math.inf if ep > 709.782712893384 else math.exp(ep)
-    em = math.inf if em > 709.782712893384 else math.exp(em)
-    C = 0.5 * (ep + em)
-    S = 0.5 * (ep - em) / s
-    z = C * 0.0
-    g11 = C + S * (a - mu)
-    g12 = z + S * b
-    g21 = z + S * c
-    g22 = C + S * (d - mu)
-else:
-    if -1e-6 < D < 1e-6:  # abs(D) < 1e-6, false for NaN too
-        C = 1.0 + D / 2.0 + D * D / 24.0 + D ** 3 / 720.0 + D ** 4 / 40320.0
-        S = 1.0 + D / 6.0 + D * D / 120.0 + D ** 3 / 5040.0 + D ** 4 / 362880.0
-    elif s > 0.0:
+if D >= 1e-6:
+    s = math.sqrt(D)
+    if s > 30.0 or mu + s > 700.0:
+        ep, em = mu + s, mu - s
+        ep = math.inf if ep > 709.782712893384 else math.exp(ep)
+        em = math.inf if em > 709.782712893384 else math.exp(em)
+        C = 0.5 * (ep + em)
+        S = 0.5 * (ep - em) / s
+        z = C * 0.0
+        g11 = C + S * (a - mu)
+        g12 = z + S * b
+        g21 = z + S * c
+        g22 = C + S * (d - mu)
+    else:
         C = math.cosh(s)
         S = math.sinh(s) / s
+        E = math.exp(mu)
+        g11 = E * (C + S * (a - mu))
+        g12 = E * (S * b)
+        g21 = E * (S * c)
+        g22 = E * (C + S * (d - mu))
+else:
+    if D > -1e-6:
+        C = 1.0 + D / 2.0 + D * D / 24.0 + D ** 3 / 720.0 + D ** 4 / 40320.0
+        S = 1.0 + D / 6.0 + D * D / 120.0 + D ** 3 / 5040.0 + D ** 4 / 362880.0
     elif D > -math.inf:
         s = math.sqrt(-D)
         C = math.cos(s)

@@ -33,8 +33,9 @@ math.sqrt), so a step looks up no module attribute; with the blocks'
 inline overflow guards and at most three targets per assignment, it calls
 no Python-level function but a called f and builds no tuple.  The
 adaptive loop evaluates f(base) once per base point and keeps it across
-rejected attempts; the fixed-step loop carries no f value and evaluates
-f(base) every step.  In both, n_feval is k_feval (the calls after f0)
+rejected attempts, and its inline form forms the rtol norm of the base
+once per base point too, from y1's norm on an accept; the fixed-step
+loop carries no f value and evaluates f(base) every step.  In both, n_feval is k_feval (the calls after f0)
 per completed step plus the f(base) evaluations that returned, counted
 as each returns (n_fresh).  The fixed-step loop forms each coefficient
 product h * c_j once, before its steps, as h is fixed for the run.  A
@@ -478,10 +479,17 @@ def _loop(pair, problem, advance_embedded=None):
                      if adaptive else
                      [f"if not math.isfinite({' + '.join(followed)}):",
                       f"    _check_finite([{point}], traj)"])
-            # norm(base) and norm(y1) become math.hypot of their entries
-            error = ["d", ", ".join(base), ", ".join(y1), "atol", "rtol",
-                     "math.hypot"]
+            # norm(x) becomes (x): y1's norm is math.hypot of its entries,
+            # and base's is norm_base, formed once per base point, before
+            # the loop and on each accept from ERROR's norm of y1, its temp
+            # n1 (bound before the loop too, as ERROR forms it only where
+            # rtol != 0)
+            error = ["d", "norm_base", f"math.hypot({', '.join(y1)})", "atol",
+                     "rtol", ""]
             moves = [*zip(base, followed)]
+            if adaptive:
+                start.append(f"norm_base = _n1 = math.hypot({', '.join(base)})")
+                moves.append(("norm_base", "_n1"))
         if adaptive:
             moves += [("have_f0", "False")] if carry is None else carry
         body = _fill((_LOOP if adaptive else _FIXED).replace("Y1", point),

@@ -46,6 +46,15 @@ def _require_finite(params, *vectors) -> None:
                              f"{fields[name]!r}")
 
 
+def _vector(name: str, value) -> tuple:
+    """value's entries as a tuple of floats; ValueError naming the
+    parameter for a str, which would be read one character an entry."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a sequence of numbers, got the "
+                         f"string {value!r}")
+    return tuple(float(v) for v in value)
+
+
 @dataclass(frozen=True)
 class RigidBodyParams:
     inertia: tuple = (1.0, 2.0, 5.0)
@@ -135,7 +144,7 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
     initial state is a seeded random unit vector; relative error control is
     disabled since the state norm is constant at 1.
     """
-    p = RigidBodyParams(tuple(float(v) for v in inertia), float(m))
+    p = RigidBodyParams(_vector("inertia", inertia), float(m))
     i1, i2, i3 = (1.0 / np.asarray(p.inertia, float)).tolist()
     mass = p.m
 
@@ -194,8 +203,8 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
     give a Kovalevskaya configuration (inertia ratio 2:2:1, center of mass
     along the first axis) with mu0 = (0.1, 0.2, 0.3), beta0 = e3.
     """
-    p = HeavyTopParams(tuple(float(v) for v in inertia), float(m), float(g),
-                       tuple(float(v) for v in chi))
+    p = HeavyTopParams(_vector("inertia", inertia), float(m), float(g),
+                       _vector("chi", chi))
     i1, i2, i3 = (1.0 / np.asarray(p.inertia, float)).tolist()
     c1, c2, c3 = (p.m * p.g * np.asarray(p.chi, float)).tolist()
 

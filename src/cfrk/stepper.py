@@ -235,9 +235,14 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                 for i, group in enumerate(reuse_groups(tableau, embedded))
                 for key in group}
     slots = {}  # reuse group (or the key of an unshared row) -> slot
-    coeffs = {}  # coefficient -> local holding h * coefficient
+    coeffs = {}  # coefficient -> local holding h * coefficient (h for 1.0)
     constants = ([field.constants.get(r) for r in field.results] if field
                  else [None] * n)  # each entry's run-constant value, if any
+    # each 1.0 or -1.0 entry -> an earlier entry over the opposite constant,
+    # which sums the same terms (see row_sum)
+    opposite = {"1.0": "-1.0", "-1.0": "1.0"}
+    twins = {i: constants.index(opposite[c]) for i, c in enumerate(constants)
+             if c in opposite and opposite[c] in constants[:i]}
     # the slots applied to the base point, in order -> the local holding
     # the point they form
     points = {}
@@ -259,9 +264,13 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                 f"if len({values}) != {n}: " + error.format(n=n, v=values),
                 f"{_list(_names(f'f{k}', n))} = {values}"]
 
-    def exp(slot, entries):
+    def exp(slot, terms):
+        # the element sum_k h c_k f_k of the row's terms (k, c_k), each
+        # entry a row_sum, into slot
+        sums = [[(coeffs[c], c, f"f{k}_{i}") for k, c in terms]
+                for i in range(n)]
         if not inline:
-            body.append(f"g{slot} = exp([{', '.join(entries)}])")
+            body.append(f"g{slot} = exp([{', '.join(map(row_sum, sums))}])")
         else:
             g = _names(f"g{slot}", n_g)
             # the entries, read at once: into the element's own locals
@@ -269,7 +278,8 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
             # slots
             args = (g[:n] if exp_block.results[:n] == exp_block.params[0]
                     else _names("a", n))
-            body.extend(f"{a} = {e}" for a, e in zip(args, entries))
+            body.extend(f"{a} = " + row_sum(sums[i], constants[i], args[
+                twins[i]] if i in twins else None) for i, a in enumerate(args))
             body.extend(exp_block.inline([args], g))
 
     def act(slot, point, new):
@@ -296,10 +306,9 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
                     if not math.isfinite(c):
                         raise ValueError(f"tableau coefficient {c!r} is not "
                                          f"a finite float")
-                    coeffs.setdefault(c, f"x{len(coeffs)}")
-                exp(slot, [row_sum([(coeffs[c], c, f"f{k}_{i}")
-                                    for k, c in terms], constants[i])
-                           for i in range(n)])
+                    coeffs.setdefault(c, "h" if c == 1.0 else
+                                      f"x{len(coeffs) - (1.0 in coeffs)}")
+                exp(slot, terms)
             prefix += (slot,)
             if prefix not in points:
                 points[prefix] = f"p{len(points)}"
@@ -323,12 +332,14 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         fresh = evaluate(0, "base", "f0", "check_length(action, {v})")
         carry = [(f"f0_{i}", f"f{tableau.s}_{i}") for i in range(n)
                  if constants[i] is None]
-    coefficients = [f"{x} = h * {c!r}" for c, x in coeffs.items()]
+    # h * -1.0 is -h, for any h but NaN
+    coefficients = [f"{x} = " + ("-h" if c == -1.0 else f"h * {c!r}")
+                    for c, x in coeffs.items() if c != 1.0]
     return (coefficients, body, y1, yhat1, len(slots), n_feval, base, fresh,
             carry if fsal else None)
 
 
-def row_sum(terms, constant=None) -> str:
+def row_sum(terms, constant=None, twin=None) -> str:
     """The source of one entry of a row's element, sum_j x_j * f_j in
     numpy's order of operations, for terms (x_j, c_j, f_j): x_j holds
     h * c_j, f_j the entry of an f value.  With constant, the source of a
@@ -338,13 +349,23 @@ def row_sum(terms, constant=None) -> str:
     for 0.0 as x_m * 0.0, x_m of the largest |c|, which overflows to inf
     (and gives NaN) where any h * c_j does, plus 0.0 where the signs of
     the c_j differ, as a sum of zeros is -0.0 only where every one is;
-    else as the same products, over the literal."""
+    else as the same products, over the literal.  With twin, the local of
+    an entry of the same terms over the opposite constant (-1.0 for 1.0,
+    1.0 for -1.0), a 1.0 or -1.0 entry is written from it, with the bits
+    of its written sum for any h but NaN: round-to-nearest is symmetric in
+    sign, so the two sums are each other's negation but where they are
+    zero, and a zero sum is 0.0 unless every term is a zero of one sign.
+    Where the c_j share one sign, as -twin; where they differ, as
+    0.0 - twin, which is 0.0 for a zero twin and keeps a NaN's sign (the
+    inf - inf of terms that overflowed both ways)."""
+    signs = {c > 0.0 for _, c, _ in terms}
+    if twin:
+        return f"-{twin}" if len(signs) == 1 else f"0.0 - {twin}"
     if constant == "1.0":
         return " + ".join(x for x, _, _ in terms)
     if constant == "-1.0":
         return "-" + " - ".join(x for x, _, _ in terms)
     if constant == "0.0":
         x = max(terms, key=lambda term: abs(term[1]))[0]
-        signs = {c > 0.0 for _, c, _ in terms}
         return f"{x} * 0.0" + " + 0.0" * (len(signs) > 1)
     return " + ".join(f"{x} * {constant or f}" for x, _, f in terms)

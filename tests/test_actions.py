@@ -15,8 +15,8 @@ from numpy.testing import assert_allclose
 
 from cfrk.actions import (Block, Gl2PlaneAction, GroupAction,
                           Se3CoadjointAction, Se3Element, So3SphereAction,
-                          _body, coadjoint_act, compile_function, gl2_exp,
-                          se3_exp, so3_exp)
+                          _body, _gl2_exp, coadjoint_act, compile_function,
+                          gl2_exp, se3_exp, so3_exp)
 
 
 def series_expm(M, terms=40):
@@ -199,6 +199,87 @@ def test_gl2_exp_overflow_guard(x, expect):
 
 
 # -------------------------------------------------------- se(3) exponential
+
+# The gl(2) exponential as it was written before one test on D picked its
+# branch, kept as the reference for the bits of every input.
+_GL2_EXP_REFERENCE = _body("reference", Block(["a b c d"],
+                                             "g11 g12 g21 g22", """
+mu = 0.5 * (a + d)
+D = mu * mu - (a * d - b * c)
+s = math.sqrt(D) if D >= 1e-6 else 0.0
+if s > 30.0 or (s > 0.0 and mu + s > 700.0):
+    ep, em = mu + s, mu - s
+    ep = math.inf if ep > 709.782712893384 else math.exp(ep)
+    em = math.inf if em > 709.782712893384 else math.exp(em)
+    C = 0.5 * (ep + em)
+    S = 0.5 * (ep - em) / s
+    z = C * 0.0
+    g11 = C + S * (a - mu)
+    g12 = z + S * b
+    g21 = z + S * c
+    g22 = C + S * (d - mu)
+else:
+    if -1e-6 < D < 1e-6:  # abs(D) < 1e-6, false for NaN too
+        C = 1.0 + D / 2.0 + D * D / 24.0 + D ** 3 / 720.0 + D ** 4 / 40320.0
+        S = 1.0 + D / 6.0 + D * D / 120.0 + D ** 3 / 5040.0 + D ** 4 / 362880.0
+    elif s > 0.0:
+        C = math.cosh(s)
+        S = math.sinh(s) / s
+    elif D > -math.inf:
+        s = math.sqrt(-D)
+        C = math.cos(s)
+        S = math.sin(s) / s
+    else:  # D = -inf or NaN: non-finite entries, not a math domain error
+        C = S = math.nan
+    E = math.inf if mu > 709.782712893384 else math.exp(mu)
+    g11 = E * (C + S * (a - mu))
+    g12 = E * (S * b)
+    g21 = E * (S * c)
+    g22 = E * (C + S * (d - mu))
+"""))
+
+
+def _around(x: float) -> list:
+    """x and the floats one ulp either side."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def test_gl2_exp_keeps_the_bits_of_the_reference_block():
+    # gl2_exp and the _gl2_exp body give the reference's bits at and one
+    # ulp either side of each decision, on non-finite entries, the zero
+    # matrix and random matrices of every scale
+    inputs = [[0.0] * 4]
+    # [[0, 1], [D, 0]] has exactly that D: the series test at D = +-1e-6,
+    # and through D = s * s, sqrt(D) = s around s = 30
+    inputs += [[0.0, 1.0, D, 0.0] for D in _around(1e-6) + _around(-1e-6)]
+    inputs += [[0.0, 1.0, s * s, 0.0] for s in _around(30.0)]
+    # diag(a, 680): mu + s = 0.5 * (a + 680) + 0.5 * (a - 680) around 700
+    sums = []
+    for k in range(-3, 4):
+        a = 700.0 + k * math.ulp(700.0)
+        inputs.append([a, 0.0, 0.0, 680.0])
+        mu = 0.5 * (a + 680.0)
+        sums.append(mu + math.sqrt(mu * mu - a * 680.0))
+    assert min(sums) < 700.0 < max(sums) and 700.0 in sums
+    # the guarded e^mu at its bound, in the series and the trigonometric
+    # branch, and the guarded e^(mu + s) and e^(mu - s)
+    for x in _around(709.782712893384):
+        inputs += [[x, 0.0, 0.0, x], [x, 1.0, -1.0, x], [x, 0.0, 0.0, -x],
+                   [x + 2.0, 0.0, 0.0, x]]
+    for base in ([0.0] * 4, [0.3, -1.2, 0.7, 0.1], [-2.0, 1.0, -45.0, 3.0]):
+        for i in range(4):
+            for x in (math.inf, -math.inf, math.nan):
+                inputs.append(base[:i] + [x] + base[i + 1:])
+    rng = np.random.default_rng(30)
+    for scale in (1e-4, 1e-2, 1.0, 10.0, 1e2, 1e3):
+        inputs += (scale * rng.standard_normal((40, 4))).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in inputs:
+            want = float_bits(_GL2_EXP_REFERENCE(*v))
+            assert float_bits(_gl2_exp(v)) == want, v
+            assert gl2_exp(np.reshape(v, (2, 2))).tobytes() == want, v
+
 
 def test_se3_exp_matches_homogeneous_series():
     rng = np.random.default_rng(47)

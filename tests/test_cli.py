@@ -147,6 +147,12 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
     (["integrate", "--param", "inertia=[1,2]"],
      "problem 'rigid-body' rejects parameter inertia=[1, 2]: inertia must "
      "have 3 entries, got (1.0, 2.0)"),
+    (["integrate", "--param", 'inertia="125"'],
+     "problem 'rigid-body' rejects parameter inertia='125': inertia must "
+     "be a sequence of numbers, got the string '125'"),
+    (["integrate", "--problem", "heavy-top", "--param", "chi=0100"],
+     "problem 'heavy-top' rejects parameter chi='0100': chi must be a "
+     "sequence of numbers, got the string '0100'"),
     (["integrate", "--problem", "van-der-pol", "--param", "mu=NaN"],
      "problem 'van-der-pol' rejects parameter mu=nan: mu must be finite, "
      "got nan"),
@@ -172,7 +178,8 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
         "work-precision-steps-0", "integrate-t1-nan", "integrate-empty-span",
         "convergence-backward-span", "work-precision-empty-span",
         "integrate-unknown-param", "integrate-param-not-a-float",
-        "integrate-param-too-short", "integrate-vdp-mu-nan",
+        "integrate-param-too-short", "integrate-param-string",
+        "integrate-param-not-json", "integrate-vdp-mu-nan",
         "integrate-heavy-top-g-inf", "convergence-m-nan",
         "integrate-inertia-nan", "integrate-param-without-equals",
         "work-precision-no-pair",

@@ -1335,9 +1335,10 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
     #   their own names where a field is inlined);
     # - each adaptive loop runs the step-size rule once, after the
     #   accept/reject branch;
-    # - no row sum multiplies by 1.0 or -1.0, a loop that runs a field
-    #   inline never assigns the locals of its run-constant results, and
-    #   no fixed-step loop forms a product h * c inside its for;
+    # - no product multiplies by 1.0 or -1.0 (the coefficient 1.0 is h
+    #   itself, -1.0 is -h), a loop that runs a field inline never assigns
+    #   the locals of its run-constant results, and no fixed-step loop
+    #   forms a coefficient x_j (h * c_j, or -h) inside its for;
     # - the step of every inline loop, adaptive or fixed, field inlined or
     #   called, calls only math's C functions, bound once as locals
     #   math_X = math.X before the loop, the record's C functions, and f
@@ -1345,8 +1346,9 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
     #   argument of such an f call, reads no math attribute and packs no
     #   tuple of more than three values (CPython builds and unpacks one
     #   there; three or fewer are plain loads and stores).  The adaptive
-    #   loop measures with math_hypot, the fixed loop probes each point
-    #   with math_isfinite.
+    #   loop measures with math_hypot, but never of the base point, whose
+    #   norm it carries; the fixed loop probes each point with
+    #   math_isfinite.
     import cfrk.actions
     import cfrk.controller
     from cfrk.stepper import inline_length
@@ -1382,14 +1384,11 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
         outside, step, failure = loop_nodes(ast.parse(source))
         nodes = outside + step + failure
         assert not names_in(nodes) & {"np", "numpy", "_np_exp"}
-        products = [node for node in step if isinstance(node, ast.BinOp)
-                    and isinstance(node.op, ast.Mult)]
-        by_h = [node for node in products
-                if getattr(node.left, "id", None) == "h"]
-        assert not [node for node in products if node not in by_h
+        assert not [node for node in nodes if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mult)
                     and (is_unit(node.left) or is_unit(node.right))]
-        if advance_embedded is not None:
-            assert not by_h
+        if advance_embedded is not None:  # no x_j = h * c_j in the for
+            assert not [x for x in stored_in(step) if re.fullmatch(r"x\d+", x)]
         if field:
             assert "f" not in {name_of(node) for node in nodes
                                if isinstance(node, ast.Call)}
@@ -1412,6 +1411,9 @@ def test_compiled_sources_read_no_numpy_and_step_without_python_calls():
                                   *([] if field else ["f", "len"])}
         assert ("math_hypot" if advance_embedded is None
                 else "math_isfinite") in bound
+        assert not [call for call in calls if name_of(call) == "math_hypot"
+                    and {ast.unparse(arg) for arg in call.args}
+                    == {f"base_{i}" for i in range(len(call.args))}]
         for name in bound:
             assert f"{name} = math.{name[5:]}" in source
             assert type(getattr(math, name[5:])) is type(math.exp)

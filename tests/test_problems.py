@@ -50,6 +50,12 @@ def test_build_problem_forwards_params():
      r"chi must have 3 entries, got \(1.0, 0.0\)"),
     ("heavy-top", {"inertia": (2.0, 2.0, 1.0, 1.0)},
      "inertia must have 3 entries"),
+    # a string is not read one character an entry
+    ("rigid-body", {"inertia": "125"},
+     "inertia must be a sequence of numbers, got the string '125'"),
+    ("heavy-top", {"chi": "100"},
+     "chi must be a sequence of numbers, got the string '100'"),
+    ("heavy-top", {"inertia": "221"}, "inertia must be a sequence"),
 ])
 def test_build_problem_names_a_rejected_parameter(name, params, message):
     with pytest.raises(ConfigError, match=message) as info:

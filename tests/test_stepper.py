@@ -747,7 +747,8 @@ def test_folded_row_sums_keep_every_bit():
     # the unfolded sum x_0 * v + x_1 * v + ..., x_j = h * c_j, for h from
     # the smallest subnormal to the largest float, of either sign and
     # infinite: signed zeros, underflow, overflow to inf and the NaN of
-    # inf * 0.0 or inf - inf included
+    # inf * 0.0 or inf - inf included; and so does a 1.0 or -1.0 entry
+    # written from its twin, the entry over the opposite constant
     rng = np.random.default_rng(28)
     rows = [rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 0.7, k)
             for k in rng.integers(1, 6, 150)]
@@ -765,11 +766,19 @@ def test_folded_row_sums_keep_every_bit():
         for constant in ("1.0", "-1.0", "0.0", "2.5"):
             folded = eval(f"lambda {', '.join(xs)}: "
                           f"{row_sum(terms, constant)}")
+            twin = {"1.0": "-1.0", "-1.0": "1.0"}.get(constant)
+            if twin:
+                twin = eval(f"lambda {', '.join(xs)}: "
+                            f"{row_sum(terms, twin)}")
+                from_twin = eval(f"lambda t: {row_sum(terms, constant, 't')}")
             for h in hs:
                 x = [h * c for c in row.tolist()]
                 want = unfolded(*x, float(constant))
                 assert struct.pack("<d", folded(*x)) == struct.pack(
                     "<d", want), (row, constant, h)
+                if twin:
+                    assert struct.pack("<d", from_twin(twin(*x))) == \
+                        struct.pack("<d", want), (row, constant, h)
                 seen.add("nan" if math.isnan(want)
                          else math.copysign(1.0, want) if want == 0.0
                          else "inf" if math.isinf(want) else "finite")
@@ -780,4 +789,6 @@ def test_folded_row_sums_keep_every_bit():
         "x0 + x1 + x2", "-x0 - x1 - x2", "x1 * 0.0 + 0.0",
         "x0 * 2.5 + x1 * 2.5 + x2 * 2.5"]
     assert row_sum(terms) == "x0 * f0_1 + x1 * f1_1 + x2 * f2_1"
+    assert [row_sum(terms, "-1.0", "a_1"), row_sum(terms[:1], "1.0", "a_2")
+            ] == ["0.0 - a_1", "-a_2"]
     assert row_sum(terms[1:2], "0.0") == "x1 * 0.0"

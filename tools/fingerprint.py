@@ -13,6 +13,12 @@ where the tableau has embedded rows; the kernels are step_kernel of every
 catalog tableau at algebra lengths 3, 4 and 6, with and without the
 embedded rows.
 
+bytecode per attempt: the bytecode instructions the compiled adaptive
+loop's own frame executes in a run, over the run's attempts, for the runs
+in ATTEMPT_RUNS; a loop runs a built-in field inline, so its frame holds
+the whole attempt.  The count is exact (sys.settrace with f_trace_opcodes
+counts each instruction executed), so it repeats on a given CPython.
+
 Run from the repository root: python3 tools/fingerprint.py
 """
 
@@ -29,8 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cfrk.catalog import catalog  # noqa: E402
-from cfrk.controller import _loop  # noqa: E402
+from cfrk.catalog import catalog, get_tableau  # noqa: E402
+from cfrk.controller import (ControllerConfig, _loop,  # noqa: E402
+                             integrate_adaptive)
 from cfrk.problems import PROBLEM_BUILDERS  # noqa: E402
 from cfrk.stepper import step_kernel  # noqa: E402
 
@@ -78,6 +85,43 @@ def compiled_sources():
                 yield step_kernel(tableau, n, with_embedded).source
 
 
+# (problem, tableau, t1, tolerance as atol = rtol), each run from the
+# problem's default initial state over [0, t1]
+ATTEMPT_RUNS = [("van-der-pol", "cf43", 60.0, 1e-6),
+                ("van-der-pol", "cf32a", 60.0, 1e-6),
+                ("rigid-body", "cf43", 20.0, 1e-8),
+                ("heavy-top", "cf43", 20.0, 1e-8)]
+
+
+def bytecode_per_attempt(problem, tableau, t1, tol) -> tuple:
+    """(instructions per attempt, attempts) of the adaptive run of tableau
+    on problem over [0, t1] at atol = rtol = tol, counted in the frame of
+    the compiled loop."""
+    code = _loop(tableau, problem)[0].__code__
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return opcode
+
+    def call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_opcodes = True
+        return opcode
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        traj = integrate_adaptive(tableau, problem, problem.default_y0, 0.0,
+                                  t1, ControllerConfig(atol=tol, rtol=tol))
+    finally:
+        sys.settrace(previous)
+    attempts = len(traj.h_history)
+    return count / attempts, attempts
+
+
 def main() -> None:
     lines = sum(code_lines(path.read_text())
                 for path in sorted((ROOT / "src" / "cfrk").glob("*.py")))
@@ -87,6 +131,11 @@ def main() -> None:
         count += 1
     print(f"src/cfrk code lines: {lines}")
     print(f"compiled sha256: {digest.hexdigest()} ({count} sources)")
+    for name, tableau, t1, tol in ATTEMPT_RUNS:
+        per, attempts = bytecode_per_attempt(PROBLEM_BUILDERS[name](),
+                                             get_tableau(tableau), t1, tol)
+        print(f"bytecode per attempt: {name} {tableau} [0, {t1:g}] "
+              f"tol {tol:g}: {per:.1f} ({attempts} attempts)")
 
 
 if __name__ == "__main__":
