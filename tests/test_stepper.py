@@ -766,17 +766,17 @@ def test_folded_row_sums_keep_every_bit():
         for constant in ("1.0", "-1.0", "0.0", "2.5"):
             folded = eval(f"lambda {', '.join(xs)}: "
                           f"{row_sum(terms, constant)}")
-            twin = {"1.0": "-1.0", "-1.0": "1.0"}.get(constant)
-            if twin:
+            opposite = {"1.0": "-1.0", "-1.0": "1.0"}.get(constant)
+            if opposite:  # the entry over it, and this one written from it
                 twin = eval(f"lambda {', '.join(xs)}: "
-                            f"{row_sum(terms, twin)}")
+                            f"{row_sum(terms, opposite)}")
                 from_twin = eval(f"lambda t: {row_sum(terms, constant, 't')}")
             for h in hs:
                 x = [h * c for c in row.tolist()]
                 want = unfolded(*x, float(constant))
                 assert struct.pack("<d", folded(*x)) == struct.pack(
                     "<d", want), (row, constant, h)
-                if twin:
+                if opposite:
                     assert struct.pack("<d", from_twin(twin(*x))) == \
                         struct.pack("<d", want), (row, constant, h)
                 seen.add("nan" if math.isnan(want)
