@@ -33,9 +33,10 @@ math.sqrt), so a step looks up no module attribute; with the blocks'
 inline overflow guards and at most three targets per assignment, it calls
 no Python-level function but a called f and builds no tuple.  The
 adaptive loop evaluates f(base) once per base point and keeps it across
-rejected attempts, and its inline form forms the rtol norm of the base
-once per base point too, from y1's norm on an accept; the fixed-step
-loop carries no f value and evaluates f(base) every step.  In both, n_feval is k_feval (the calls after f0)
+rejected attempts, and forms the rtol norm of the base once per base
+point too, before its first attempt and from y1's norm on an accept, in
+both forms; the fixed-step loop carries no f value and evaluates f(base)
+every step.  In both, n_feval is k_feval (the calls after f0)
 per completed step plus the f(base) evaluations that returned, counted
 as each returns (n_fresh).  The fixed-step loop forms each coefficient
 product h * c_j once, before its steps, as h is fixed for the run.  A
@@ -436,12 +437,16 @@ def _loop(pair, problem, advance_embedded=None):
     gives a finite err only for a finite y1 and the loop checks y1 only on
     a non-finite err; else the calling form, n = None.  Where problem.f is
     a packaged field, field is its Block (stepper.inline_field), run in
-    place of f with its parameters as the loop's last arguments.  The
-    inline form keeps points and f values in float locals, measures with
-    math.hypot, probes each point the fixed loop follows with one
-    math.isfinite of its entries' sum, and reads each math name it uses
-    from a local math_<name>, bound once before the loop, so a step looks
-    up no module attribute."""
+    place of f with its parameters as the loop's last arguments.  Both
+    adaptive forms keep the base point's norm in the local norm_base,
+    formed before the loop and carried from y1's on an accept; they
+    differ only in the step, the distance and the norm (dist and norm,
+    or math.hypot) and the point's spelling (one list, or its entries'
+    locals).  The inline form keeps points and f values in float locals,
+    measures with math.hypot, probes each point the fixed loop follows
+    with one math.isfinite of its entries' sum, and reads each math name
+    it uses from a local math_<name>, bound once before the loop, so a
+    step looks up no module attribute."""
     action = problem.action
     adaptive = advance_embedded is None
     metrics = [getattr(m, "__func__", m)
@@ -466,8 +471,8 @@ def _loop(pair, problem, advance_embedded=None):
                     "y1, yhat1, f_last = res.y1_list, res.yhat1_list, "
                     "res.f_last", f"_check_finite({followed}, traj, len(base))"]
             step += ["d = dist(y1, yhat1)"] * adaptive
-            error, point = _ERROR.params[0], "*" + followed
-            moves = [(base, followed)]
+            point, moves = "*" + followed, [(base, followed)]
+            norm_base, norm_y1 = "norm(base)", "norm(y1)"
         else:
             followed = yhat1 if advance_embedded else y1
             point = ", ".join(followed)
@@ -479,19 +484,19 @@ def _loop(pair, problem, advance_embedded=None):
                      if adaptive else
                      [f"if not math.isfinite({' + '.join(followed)}):",
                       f"    _check_finite([{point}], traj)"])
-            # norm(x) becomes (x): y1's norm is math.hypot of its entries,
-            # and base's is norm_base, formed once per base point, before
-            # the loop and on each accept from ERROR's norm of y1, its temp
-            # n1 (bound before the loop too, as ERROR forms it only where
-            # rtol != 0)
-            error = ["d", "norm_base", f"math.hypot({', '.join(y1)})", "atol",
-                     "rtol", ""]
             moves = [*zip(base, followed)]
-            if adaptive:
-                start.append(f"norm_base = _n1 = math.hypot({', '.join(base)})")
-                moves.append(("norm_base", "_n1"))
+            norm_base, norm_y1 = (f"math.hypot({', '.join(x)})"
+                                  for x in (base, y1))
         if adaptive:
+            # norm(x) becomes (x): y1's norm is norm_y1, and base's is the
+            # local norm_base, formed once per base point, before the loop
+            # and on each accept from ERROR's norm of y1, its temp n1
+            # (bound before the loop too, as ERROR forms it only where
+            # rtol != 0)
+            start.append(f"norm_base = _n1 = {norm_base}")
+            moves.append(("norm_base", "_n1"))
             moves += [("have_f0", "False")] if carry is None else carry
+        error = ["d", "norm_base", norm_y1, "atol", "rtol", ""]
         body = _fill((_LOOP if adaptive else _FIXED).replace("Y1", point),
                      FRESH=[*fresh, "n_fresh += 1"], STEP=step,
                      ACCEPT=[f"{a} = {b}" for a, b in moves],

@@ -105,8 +105,8 @@ def cf_step(tableau: CFTableau, action, f, y, h: float,
     different number of entries within the step than at its start, or at
     its start other than the action's algebra_length.
     """
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
+    if h == 0.0 or h - h != 0.0:  # zero, NaN or infinite
+        raise ValueError(f"step size must be finite and nonzero, got {h}")
     if type(y) is not list:
         y = np.asarray(y, float).ravel().tolist()
     fresh = carried_f is None  # f(y) is evaluated here and counted

@@ -24,6 +24,7 @@ from cfrk.controller import (ConfigError, ControllerConfig,
 from cfrk.problems import Problem, heavy_top, rigid_body, van_der_pol
 from cfrk.stepper import FieldLengthError, inline_field, step_kernel
 from cfrk.tableaux import CFTableau
+from test_stepper import calling
 
 EPS = np.finfo(float).eps
 
@@ -909,18 +910,6 @@ def test_fixed_failure_matrix(name, build, case):
 
 # ------------------------------------------------------- the two loop forms
 
-def calling(action):
-    """An action whose exp and act override action's with a call to
-    super(), so integrate_adaptive runs the calling loop."""
-    class Calling(type(action)):
-        def exp(self, v):
-            return super().exp(v)
-
-        def act(self, g, p):
-            return super().act(g, p)
-    return Calling()
-
-
 def outcome(pair, prob, cfg, t1=1.0):
     """The run's error type and message (None, None on success) and its
     trajectory."""
@@ -1147,6 +1136,35 @@ def test_calling_loop_steps_through_the_module_global(monkeypatch):
                                    advance_embedded=advance_embedded)
             assert traj.totals.n_accepted == 40
             assert len(calls) == (0 if inline else 40)
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 0.0])
+def test_calling_loop_forms_the_base_norm_once_per_base_point(rtol):
+    # an action with its own ambient_norm runs the calling loop, which
+    # calls it on y1 once per attempt where rtol != 0, and on base once
+    # per run, before its first attempt; y1's norm becomes the next base
+    # point's on an accept.  h0 is unset, so initial_step adds its one
+    # call, on f(y0)'s tangent vector.  The run keeps the inline run's
+    # bits.
+    prob = van_der_pol()
+    norms = []
+
+    class Counting(type(prob.action)):
+        def ambient_norm(self, p):
+            norms.append(list(p))
+            return super().ambient_norm(p)
+    cfg = ControllerConfig(atol=1e-3, rtol=rtol)
+    pair = get_tableau("cf43")
+    counted = dataclasses.replace(prob, action=Counting())
+    run = outcome(pair, counted, cfg, 3.0)
+    assert_same_run(run, outcome(pair, prob, cfg, 3.0))
+    attempts = len(run[2].h_history)
+    assert run[2].totals.n_rejected > 0
+    assert len(norms) == 2 + attempts * (rtol != 0.0)
+    assert norms[1] == prob.default_y0.tolist()  # after initial_step's
+    if rtol != 0.0:
+        assert attempts == 79 and len(norms) == 81
+        assert norms[2:] == [a.y for a in run[2].h_history]
 
 
 @pytest.mark.parametrize("form", ["inline", "calling"])

@@ -142,9 +142,11 @@ def sphere_setup():
 
 
 def test_step_rejects_zero_h():
+    # and a NaN or infinite h, which would step to a NaN point
     _, f, y0 = sphere_setup()
-    with pytest.raises(ValueError):
-        cf_step(get_tableau("cf4"), SPHERE, f, y0, 0.0)
+    for h in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            cf_step(get_tableau("cf4"), SPHERE, f, y0, h)
 
 
 def test_lie_euler_step():
@@ -422,8 +424,8 @@ def test_f_is_called_on_lists_only(name, build):
 
 def calling(action, seen=None):
     """An action whose exp and act override action's with a call to
-    super(), so integrate_fixed steps it through cf_step; seen, if given,
-    collects every exp input."""
+    super(), so both drivers run their calling loops, which step it
+    through cf_step; seen, if given, collects every exp input."""
     class Calling(type(action)):
         def exp(self, v):
             if seen is not None:

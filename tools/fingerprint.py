@@ -1,4 +1,4 @@
-"""Print two fingerprints of the cfrk source tree.
+"""Print fingerprints of the cfrk source tree.
 
 code lines: the non-blank lines of src/cfrk outside comments and
 docstrings, the code size every change reports.
@@ -11,7 +11,9 @@ action subclass that overrides exp (the calling form) x the adaptive loop,
 the fixed-step loop and the fixed-step loop on the embedded solution,
 where the tableau has embedded rows; the kernels are step_kernel of every
 catalog tableau at algebra lengths 3, 4 and 6, with and without the
-embedded rows.
+embedded rows.  A second SHA-256 covers the same sources but the
+calling-form loops (the inline loops and the step kernels), so a change
+confined to the calling form can show that the rest did not move.
 
 bytecode per attempt: the bytecode instructions the compiled adaptive
 loop's own frame executes in a run, over the run's attempts, for the runs
@@ -70,19 +72,22 @@ def calling(action):
 
 
 def compiled_sources():
-    """The source of every compiled loop and step kernel, in order."""
+    """(calling, source) of every compiled loop and step kernel, in order,
+    calling true for a calling-form loop."""
     for tableau in catalog():
         modes = [False] + [None, True] * tableau.has_embedded
         for build in PROBLEM_BUILDERS.values():
             problem = build()
-            for variant in (problem,
-                            replace(problem, f=lambda y, f=problem.f: f(y)),
-                            replace(problem, action=calling(problem.action))):
+            for variant, calling_form in (
+                    (problem, False),
+                    (replace(problem, f=lambda y, f=problem.f: f(y)), False),
+                    (replace(problem, action=calling(problem.action)), True)):
                 for advance_embedded in modes:
-                    yield _loop(tableau, variant, advance_embedded)[0].source
+                    yield calling_form, _loop(tableau, variant,
+                                              advance_embedded)[0].source
         for n in (3, 4, 6):
             for with_embedded in (False, True):
-                yield step_kernel(tableau, n, with_embedded).source
+                yield False, step_kernel(tableau, n, with_embedded).source
 
 
 # (problem, tableau, t1, tolerance as atol = rtol), each run from the
@@ -125,12 +130,17 @@ def bytecode_per_attempt(problem, tableau, t1, tol) -> tuple:
 def main() -> None:
     lines = sum(code_lines(path.read_text())
                 for path in sorted((ROOT / "src" / "cfrk").glob("*.py")))
-    digest, count = hashlib.sha256(), 0
-    for source in compiled_sources():
+    digest, inline, count, n_inline = hashlib.sha256(), hashlib.sha256(), 0, 0
+    for calling_form, source in compiled_sources():
         digest.update(source.encode())
         count += 1
+        if not calling_form:
+            inline.update(source.encode())
+            n_inline += 1
     print(f"src/cfrk code lines: {lines}")
     print(f"compiled sha256: {digest.hexdigest()} ({count} sources)")
+    print(f"inline loops and step kernels sha256: {inline.hexdigest()} "
+          f"({n_inline} sources)")
     for name, tableau, t1, tol in ATTEMPT_RUNS:
         per, attempts = bytecode_per_attempt(PROBLEM_BUILDERS[name](),
                                              get_tableau(tableau), t1, tol)
