@@ -45,8 +45,11 @@ kernels so3_exp, gl2_exp, se3_exp and coadjoint_act check their input,
 call bodies of the same blocks and return numpy matrices, an Se3Element
 or a numpy vector.  The compiled loops of an action whose exp and act
 are these bodies run their blocks inline (INLINE; see
-stepper.inline_length).  ambient_norm and ambient_distance use a list as
-it is and convert anything else once.
+stepper.inline_length); where the packaged field's entry a is the run
+constant 0.0 (Van der Pol), the inlined gl(2) exponential takes the 0.0
+form it declares for a (Block.zero), so that entry is never formed.
+ambient_norm and ambient_distance use a list as it is and convert
+anything else once.
 """
 
 from __future__ import annotations
@@ -102,9 +105,16 @@ class Block:
     rule: inline leaves those lines out, so a compiled loop that runs the
     block in place of f neither stores nor carries such a result, and
     writes each row sum over it from the constant (stepper.row_sum).
+
+    zero maps an input to its 0.0 form: each fragment of the source to
+    what it becomes where that input is the run constant 0.0, with the
+    same results (ValueError when the block is built if a fragment is not
+    in its code).  A compiled loop whose field makes that input the
+    constant 0.0 then forms no entry for it: inline rewrites the lines,
+    and the input is read nowhere.
     """
 
-    def __init__(self, params, results: str, source: str):
+    def __init__(self, params, results: str, source: str, zero=None):
         self.params = tuple(tuple(names.split()) for names in params)
         self.results = tuple(results.split())
         self.source = source.strip()
@@ -123,21 +133,34 @@ class Block:
             (line.partition(" = ") for line in self._code if line in whole)
             if name in self.results and named.count(name) == 1
             and re.fullmatch(r"-?\d+\.\d+(e[-+]?\d+)?", value)}
+        self.zero = zero or {}
+        missing = [old for rewrites in self.zero.values() for old in rewrites
+                   if old not in "\n".join(self._code)]
+        if missing:
+            raise ValueError(f"the block has no {missing[0]!r} to rewrite")
 
-    def inline(self, args, results) -> list:
+    def inline(self, args, results, zero=()) -> list:
         """The block's lines with its inputs read from (and reassigned in)
         the locals args, one sequence of names per argument (an input it
         only reads may be any expression), its results written to the
         locals results, and every temp prefixed with '_'.  The lines of
-        the constants are left out: those results are not assigned."""
+        the constants are left out: those results are not assigned.  The
+        inputs named in zero are 0.0: the lines take their 0.0 forms, and
+        a ValueError is raised if one of them is still read."""
         names = {p: a for ps, xs in zip(self.params, args)
                  for p, a in zip(ps, xs, strict=True)}
         names.update(zip(self.results, results, strict=True))
         names.update((t, "_" + t) for t in self.temps)
+        code = self._code
+        for p in zero:
+            for old, new in self.zero[p].items():
+                code = [line.replace(old, new) for line in code]
+            if any(re.search(rf"(?<![\w.]){p}\b", line) for line in code):
+                raise ValueError(f"{p} is still read in its 0.0 form")
         # a constant's name is on its own line only
         return [re.sub(r"(?<![\w.])[A-Za-z_]\w*",
                        lambda m: names.get(m[0], m[0]), line)
-                for line in self._code
+                for line in code
                 if line.partition(" = ")[0] not in self.constants]
 
 
@@ -251,7 +274,10 @@ def so3_exp(v) -> np.ndarray:
 # trigonometric branch and, for D = -inf or NaN, NaN entries.  Every
 # other e^x is guarded in place, with no helper call: inf above
 # 709.78..., the log of the largest float, so math.exp never raises
-# OverflowError; NaN stays NaN.
+# OverflowError; NaN stays NaN.  The 0.0 form of a (Block.zero; Van der
+# Pol's a is 0.0) has the same results: for finite d, a * d is a zero and
+# a + d is d but for the sign of a zero d, and no result reads mu's sign
+# of zero; for infinite d, every entry is NaN either way.
 _GL2_EXP = Block(["a b c d"], "g11 g12 g21 g22", """
 mu = 0.5 * (a + d)
 D = mu * mu - (a * d - b * c)
@@ -291,7 +317,9 @@ else:
     g12 = E * (S * b)
     g21 = E * (S * c)
     g22 = E * (C + S * (d - mu))
-""")
+""", zero={"a": {"0.5 * (a + d)": "0.5 * d",
+                 "mu * mu - (a * d - b * c)": "mu * mu + b * c",
+                 "C + S * (a - mu)": "C - S * mu"}})
 
 # The 2x2 matrix (row-major) applied to the point (x, y).
 _GL2_ACT = Block(["g11 g12 g21 g22", "x y"], "q1 q2", """

@@ -191,6 +191,10 @@ def main(argv=None) -> int:
     except ReferenceSolveError as exc:
         print(f"cfrk: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # write_output's; a tableau file's is TableauError
+        out = getattr(args, "out", None) or "stdout"
+        print(f"cfrk: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

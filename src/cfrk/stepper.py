@@ -29,7 +29,8 @@ and act are a built-in geometry's float bodies (actions.INLINE), its exp
 and act blocks run inline on float locals, with a packaged field's block
 (field_body, inline_field) in place of f; that form has the same slots,
 points and output bits, with the field's run-constant results as
-constants of its source (actions.Block.constants).
+constants of its source (actions.Block.constants), and a 0.0 entry that
+the exponential reads in its 0.0 form (actions.Block.zero) not formed.
 
 Everything inside the kernel is Python floats: f takes and returns flat
 lists (see problems.py), as exp and act do (see actions.py).  The base
@@ -229,7 +230,10 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
     builds lists only as arguments of f.  With field, a field Block (see
     inline_field), the inline form runs it in place of every f call, on
     parameters in locals of their own names; its run-constant results
-    (actions.Block.constants) are neither assigned nor carried."""
+    (actions.Block.constants) are neither assigned nor carried, and an
+    entry that is the constant 0.0 where the exponential declares a 0.0
+    form for that input (actions.Block.zero) is not formed at all: the
+    exponential runs that form, which reads it nowhere."""
     fsal = embedded and tableau.fsal
     group_of = {key: i
                 for i, group in enumerate(reuse_groups(tableau, embedded))
@@ -252,6 +256,9 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
         exp_block, act_block = INLINE[n][2:]
         # the entries of a group element and of a point
         n_g, n_p = (len(params) for params in act_block.params)
+        # the inputs over 0.0 that exp reads in its 0.0 form: no row line
+        zero = [p for p, c in zip(exp_block.params[0], constants)
+                if c == "0.0" and p in exp_block.zero]
 
     def evaluate(k, point, values="v", error="raise _length_error({n}, {v})"):
         # f at point into the locals f{k}_0 ...: the field block, else a
@@ -279,8 +286,9 @@ def kernel_lines(tableau: CFTableau, n: int, embedded: bool, inline: bool,
             args = (g[:n] if exp_block.results[:n] == exp_block.params[0]
                     else _names("a", n))
             body.extend(f"{a} = " + row_sum(sums[i], constants[i], args[
-                twins[i]] if i in twins else None) for i, a in enumerate(args))
-            body.extend(exp_block.inline([args], g))
+                twins[i]] if i in twins else None) for i, a in enumerate(args)
+                if exp_block.params[0][i] not in zero)
+            body.extend(exp_block.inline([args], g, zero))
 
     def act(slot, point, new):
         if not inline:
@@ -348,7 +356,9 @@ def row_sum(terms, constant=None, twin=None) -> str:
     but NaN: for 1.0 and -1.0 as x_a + x_b + ... and -x_a - x_b - ...;
     for 0.0 as x_m * 0.0, x_m of the largest |c|, which overflows to inf
     (and gives NaN) where any h * c_j does, plus 0.0 where the signs of
-    the c_j differ, as a sum of zeros is -0.0 only where every one is;
+    the c_j differ, as a sum of zeros is -0.0 only where every one is (a
+    0.0 entry that the exponential reads in its 0.0 form, as gl(2)'s a,
+    is not written at all; see kernel_lines);
     else as the same products, over the literal.  With twin, the local of
     an entry of the same terms over the opposite constant (-1.0 for 1.0,
     1.0 for -1.0), a 1.0 or -1.0 entry is written from it, with the bits

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.actions import (Block, Gl2PlaneAction, GroupAction,
-                          Se3CoadjointAction, Se3Element, So3SphereAction,
-                          _body, _gl2_exp, coadjoint_act, compile_function,
-                          gl2_exp, se3_exp, so3_exp)
+from cfrk.actions import (_GL2_EXP, BLOCK_GLOBALS, Block, Gl2PlaneAction,
+                          GroupAction, Se3CoadjointAction, Se3Element,
+                          So3SphereAction, _body, _gl2_exp, coadjoint_act,
+                          compile_function, gl2_exp, se3_exp, so3_exp)
 
 
 def series_expm(M, terms=40):
@@ -279,6 +279,50 @@ def test_gl2_exp_keeps_the_bits_of_the_reference_block():
             want = float_bits(_GL2_EXP_REFERENCE(*v))
             assert float_bits(_gl2_exp(v)) == want, v
             assert gl2_exp(np.reshape(v, (2, 2))).tobytes() == want, v
+
+
+def _gl2_branch(b, c, d):
+    """The branch of _GL2_EXP that a = 0.0 takes."""
+    mu = 0.5 * d
+    D = mu * mu + b * c
+    if D >= 1e-6:
+        s = math.sqrt(D)
+        return ("s > 30" if s > 30.0 else "mu + s > 700" if mu + s > 700.0
+                else "cosh/sinh")
+    return ("series" if D > -1e-6 else "trigonometric" if D > -math.inf
+            else "NaN")
+
+
+def test_gl2_exp_zero_form_of_a_keeps_the_results():
+    # the lines of _GL2_EXP with a = 0.0 rewritten out, as the inline Van
+    # der Pol loops run them, against the block on a = 0.0 and -0.0 over
+    # a grid that reaches every branch, overflow, infinite d and NaN: the
+    # same bits where every entry is finite, else the same non-finite
+    # entries
+    g = ["g11", "g12", "g21", "g22"]
+    zero = compile_function("zero", "a, b, c, d", _GL2_EXP.inline(
+        [["a", "b", "c", "d"]], g, ["a"]), f"[{', '.join(g)}]", BLOCK_GLOBALS)
+    grid = [0.0, -0.0, 1e-4, -1e-4, 0.5, -1.0, 1.0, 3.0, -100.0, 1000.0,
+            -475.9, 1380.0, 1500.0, 1e200, -1e200, math.inf, -math.inf,
+            math.nan]
+    branches, overflowed = set(), False
+    for b in grid:
+        for c in grid:
+            for d in grid:
+                branches.add(_gl2_branch(b, c, d))
+                for a in (0.0, -0.0):
+                    want, got = _gl2_exp([a, b, c, d]), zero(a, b, c, d)
+                    finite = [math.isfinite(x) for x in want]
+                    assert [math.isfinite(x) for x in got] == finite
+                    if all(finite):
+                        assert float_bits(got) == float_bits(want)
+                    overflowed |= (math.inf in want
+                                   and math.isfinite(b + c + d))
+    # [[0, 1000], [-475.9, 1380]]: mu = 690, s = sqrt(200) < 30
+    assert _gl2_branch(1000.0, -475.9, 1380.0) == "mu + s > 700"
+    assert branches == {"s > 30", "mu + s > 700", "cosh/sinh", "series",
+                        "trigonometric", "NaN"}
+    assert overflowed
 
 
 def test_se3_exp_matches_homogeneous_series():
@@ -770,3 +814,23 @@ if x > 0.0:
     again = Block(["x", "s"], "a b", "a = 1.0\nb = 1.0\nif x > 0.0:\n"
                                        "    b = 2.0\n    s = x")
     assert again.constants == {"a": "1.0"}
+
+
+def test_a_block_rewrites_an_input_that_is_zero():
+    # zero rewrites the fragments of an input's 0.0 form; a fragment not in
+    # the block's code fails when the block is built, and a 0.0 form that
+    # still reads its input fails when it is inlined
+    block = Block(["a b"], "p q", "p = b - a  # b - a\nq = a * b + b",
+                  zero={"a": {"b - a": "b", "a * b + b": "b"}})
+    assert block.inline([["x", "y"]], ["r", "s"], ["a"]) == [
+        "r = y", "s = y"]
+    assert block.inline([["x", "y"]], ["r", "s"]) == [
+        "r = y - x", "s = x * y + y"]
+    with pytest.raises(ValueError, match="no 'a \\+ b' to rewrite"):
+        Block(["a b"], "p", "p = b - a", zero={"a": {"a + b": "b"}})
+    with pytest.raises(ValueError, match="no '# b - a' to rewrite"):
+        Block(["a b"], "p", "p = b  # b - a", zero={"a": {"# b - a": ""}})
+    partial = Block(["a b"], "p q", "p = b - a\nq = a * b",
+                    zero={"a": {"b - a": "b"}})
+    with pytest.raises(ValueError, match="a is still read"):
+        partial.inline([["x", "y"]], ["r", "s"], ["a"])

@@ -431,6 +431,19 @@ def test_needle_trace(tmp_path):
     assert len(rows) == summary["n_accepted"] + summary["n_rejected"]
 
 
+@pytest.mark.parametrize("out,reason", [
+    ("", "Is a directory"), ("missing/x.csv", "No such file or directory")])
+def test_an_out_path_that_cannot_be_written_is_one_line(tmp_path, capsys,
+                                                         out, reason):
+    # the run completes, and the write fails with one line, not a traceback
+    path = tmp_path / out
+    assert main(["integrate", "--problem", "van-der-pol", "--t1", "0.5",
+                 "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cfrk: cannot write {path}: {reason}\n"
+
+
 def test_invalid_problem_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["integrate", "--problem", "lorenz"])

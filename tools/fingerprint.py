@@ -13,7 +13,10 @@ where the tableau has embedded rows; the kernels are step_kernel of every
 catalog tableau at algebra lengths 3, 4 and 6, with and without the
 embedded rows.  A second SHA-256 covers the same sources but the
 calling-form loops (the inline loops and the step kernels), so a change
-confined to the calling form can show that the rest did not move.
+confined to the calling form can show that the rest did not move.  One
+more SHA-256 per geometry (so(3), gl(2), se(3)) covers the inline loops
+of the problem on it, so a change confined to one geometry's inline
+loops can show that the other geometries' did not move.
 
 bytecode per attempt: the bytecode instructions the compiled adaptive
 loop's own frame executes in a run, over the run's attempts, for the runs
@@ -71,23 +74,31 @@ def calling(action):
     return Calling()
 
 
+# the geometry of each algebra length
+GEOMETRIES = {3: "so(3)", 4: "gl(2)", 6: "se(3)"}
+
+
 def compiled_sources():
-    """(calling, source) of every compiled loop and step kernel, in order,
-    calling true for a calling-form loop."""
+    """(kind, source) of every compiled loop and step kernel, in order:
+    kind is "calling" for a calling-form loop, "kernel" for a step kernel
+    and the geometry (a value of GEOMETRIES) for an inline loop."""
     for tableau in catalog():
         modes = [False] + [None, True] * tableau.has_embedded
         for build in PROBLEM_BUILDERS.values():
             problem = build()
-            for variant, calling_form in (
-                    (problem, False),
-                    (replace(problem, f=lambda y, f=problem.f: f(y)), False),
-                    (replace(problem, action=calling(problem.action)), True)):
+            geometry = GEOMETRIES[problem.action.algebra_length]
+            for variant, kind in (
+                    (problem, geometry),
+                    (replace(problem, f=lambda y, f=problem.f: f(y)),
+                     geometry),
+                    (replace(problem, action=calling(problem.action)),
+                     "calling")):
                 for advance_embedded in modes:
-                    yield calling_form, _loop(tableau, variant,
-                                              advance_embedded)[0].source
-        for n in (3, 4, 6):
+                    yield kind, _loop(tableau, variant,
+                                      advance_embedded)[0].source
+        for n in GEOMETRIES:
             for with_embedded in (False, True):
-                yield False, step_kernel(tableau, n, with_embedded).source
+                yield "kernel", step_kernel(tableau, n, with_embedded).source
 
 
 # (problem, tableau, t1, tolerance as atol = rtol), each run from the
@@ -130,17 +141,16 @@ def bytecode_per_attempt(problem, tableau, t1, tol) -> tuple:
 def main() -> None:
     lines = sum(code_lines(path.read_text())
                 for path in sorted((ROOT / "src" / "cfrk").glob("*.py")))
-    digest, inline, count, n_inline = hashlib.sha256(), hashlib.sha256(), 0, 0
-    for calling_form, source in compiled_sources():
-        digest.update(source.encode())
-        count += 1
-        if not calling_form:
-            inline.update(source.encode())
-            n_inline += 1
+    sources = list(compiled_sources())
+    every = {kind for kind, _ in sources}
     print(f"src/cfrk code lines: {lines}")
-    print(f"compiled sha256: {digest.hexdigest()} ({count} sources)")
-    print(f"inline loops and step kernels sha256: {inline.hexdigest()} "
-          f"({n_inline} sources)")
+    for label, kinds in [("compiled", every),
+                         ("inline loops and step kernels", every - {"calling"}),
+                         *((f"{g} inline loops", {g})
+                           for g in GEOMETRIES.values())]:
+        chosen = [source for kind, source in sources if kind in kinds]
+        digest = hashlib.sha256("".join(chosen).encode()).hexdigest()
+        print(f"{label} sha256: {digest} ({len(chosen)} sources)")
     for name, tableau, t1, tol in ATTEMPT_RUNS:
         per, attempts = bytecode_per_attempt(PROBLEM_BUILDERS[name](),
                                              get_tableau(tableau), t1, tol)
