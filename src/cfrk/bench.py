@@ -10,6 +10,7 @@ measured against an integrator that shares no code with them.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -402,9 +403,14 @@ def render_json(columns, rows, config_dict: dict, summary: dict | None = None) -
                       allow_nan=False) + "\n"
 
 
-def write_output(text: str, out: str | None) -> None:
+def open_output(out: str | None):
+    """The file out, opened for writing, or stdout where out is None, as a
+    context manager."""
     if out is None:
-        print(text, end="")
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", newline="\n")
+
+
+def write_output(text: str, out: str | None) -> None:
+    with open_output(out) as fh:
+        fh.write(text)

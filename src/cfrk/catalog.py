@@ -20,9 +20,13 @@ stored as exact float literals.  The test suite holds their residuals
 below 1e-13 and their drift from the published literals within the
 rounding.
 
-The exact constructors solve for their unknown update rows from the
-linear systems that order_conditions.linear_conditions reads off the
-condition tables, so no condition is written out here.
+The exact constructors solve every free row, update or embedded, from
+the linear systems that order_conditions.linear_conditions reads off the
+condition tables, through one least-squares solve and residual check.
+An embedded row is solved over tableaux.reduce_embedded of the tableau
+built with that row's free entries at zero; the 3(2) family's update row,
+which no tableau can hold at zero (its update must sum to 1), over the
+stage rows.  So no condition and no sum of rows is written out here.
 
 Beyond the fixed catalog, one-parameter families of 3(2) pairs can be
 instantiated for any admissible value of the free parameter, in four reuse
@@ -37,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .order_conditions import linear_conditions
-from .tableaux import CFTableau
+from .tableaux import CFTableau, reduce_embedded
 
 
 class RootSelectionError(ValueError):
@@ -141,22 +145,35 @@ def _poly_roots(coeffs, poly_text: str, a: float):
     return sorted([(-B - sq) / (2 * A), (-B + sq) / (2 * A)], key=abs)
 
 
-def _layout32(name: str, stage2, stage3, beta, beta_hat, reused_stage: int,
+def _layout32(name: str, stage2, stage3, u, beta_hat, reused_stage: int,
               reused_index: int) -> CFTableau:
     """The 3-stage FSAL 3(2) layout: one row per stage, the two update rows
-    beta and the embedded row beta_hat; update row reused_index repeats the
-    row of stage reused_stage."""
+    and the embedded row beta_hat.  Update row reused_index repeats the row
+    of stage reused_stage; the other update row is u."""
+    reused = (stage2, stage3)[reused_stage - 2]
     return CFTableau(
         name=name,
         s=3,
         alpha=((stage2,), (stage3,)),
-        beta=beta,
+        beta=(reused, u) if reused_index == 0 else (u, reused),
         beta_hat=(beta_hat,),
         order_p=3,
         order_phat=2,
         fsal=True,
         reuse_map=((("stage", reused_stage, 0), ("y", reused_index)),),
     )
+
+
+def _solve(system, tol: float = math.inf, fail=None):
+    """The least-squares solution u of a system (M, d) from
+    linear_conditions; raises fail(residual) where max |M u - d| exceeds
+    tol, as the conditions then admit no such row."""
+    M, d = system
+    u = np.linalg.lstsq(M, d, rcond=None)[0]
+    resid = np.max(np.abs(M @ u - d))
+    if resid > tol:
+        raise fail(resid)
+    return u
 
 
 def instantiate_cf32_family(a: float, variant: str,
@@ -185,53 +202,44 @@ def instantiate_cf32_family(a: float, variant: str,
     except ZeroDivisionError as exc:
         raise SingularParameterError(
             f"{variant}: stage-3 row singular at a = {a}, root {w}") from exc
-    stage2 = np.array([c2, 0.0, 0.0])
-    stage3 = np.array([t1, t2, 0.0])
-    c = np.array([0.0, c2, t1 + t2])
-    A = np.array([np.zeros(3), stage2, stage3])
+    stage2, stage3 = (c2, 0.0, 0.0), (t1, t2, 0.0)
+    rs, ri = data["reused_stage"], data["reused_index"]
 
-    reused = stage3 if data["reused_stage"] == 3 else stage2
-    ri = data["reused_index"]
+    # The update row u beside the reused stage row, from the order-3
+    # conditions over the stage rows: no tableau can hold u at zero, as
+    # CFTableau rejects an update that does not sum to 1.
+    stages = np.array([np.zeros(3), stage2, stage3])
+    u = _solve(linear_conditions(stages, stages.sum(axis=1),
+                                 (stage2, stage3)[rs - 2], ri == 1),
+               1e-9, lambda resid: SingularParameterError(
+                   f"{variant} at a = {a}, root {w}: order conditions are "
+                   f"inconsistent (residual {resid:.2e}); this root does not "
+                   "admit an order-3 method"))
 
-    # Solve the non-reused update row u from the order-3 conditions; the
-    # update rows are (v, u) or (u, v) with v the reused row.
-    M, d = linear_conditions(A, c, reused, unknown_first=(ri == 1))
-    u, _, _, _ = np.linalg.lstsq(M, d, rcond=None)
-    resid = np.max(np.abs(M @ u - d))
-    if resid > 1e-9:
-        raise SingularParameterError(
-            f"{variant} at a = {a}, root {w}: order conditions are "
-            f"inconsistent (residual {resid:.2e}); this root does not admit "
-            "an order-3 method")
-
-    beta = (reused, u) if ri == 0 else (u, reused)
-
-    # Embedded row: two order-2 conditions on (bh1..bh4) with abscissae
-    # (0, c2, c3, 1); hat_params pins bh1 and bh3.
-    h1, h3 = hat_params
-    c3 = c[2]
-    det = c2 - 1.0
-    if abs(det) < 1e-12:
+    # The embedded row, a stage longer (f(y1) is its fourth stage), from
+    # the order-2 conditions with hat_params in slots 1 and 3.  Its other
+    # two columns are (1, 1) and (c2, 1): a square system, singular only
+    # at c2 = 1, so its residual is roundoff and is not bounded.
+    if abs(c2 - 1.0) < 1e-12:
         raise SingularParameterError(
             f"{variant} at a = {a}: embedded system is singular (c2 = 1)")
-    rhs1 = 1.0 - h1 - h3
-    rhs2 = 0.5 - h3 * c3
-    bh2 = (rhs1 - rhs2) / (1.0 - c2)
-    bh4 = rhs1 - bh2
-    return _layout32(f"cf32[{variant},a={a:g},{root}]", stage2, stage3, beta,
-                     np.array([h1, bh2, h3, bh4]), data["reused_stage"], ri)
+    h1, h3 = hat_params
+    name = f"cf32[{variant},a={a:g},{root}]"
+    red = reduce_embedded(_layout32(name, stage2, stage3, u,
+                                    (h1, 0.0, h3, 0.0), rs, ri))
+    bh2, bh4 = _solve(linear_conditions(red.a, red.c, np.zeros(4), False,
+                                        {0: h1, 2: h3}, order=2))
+    return _layout32(name, stage2, stage3, u, (h1, bh2, h3, bh4), rs, ri)
 
 
 def _build_cf32a() -> CFTableau:
     return _layout32("cf32a", (1 / 3, 0.0, 0.0), (-1.0, 2.0, 0.0),
-                     ((1.0, -5 / 4, 1 / 4), (-1.0, 2.0, 0.0)),
-                     (0.0, 3 / 4, 0.0, 1 / 4), 3, 1)
+                     (1.0, -5 / 4, 1 / 4), (0.0, 3 / 4, 0.0, 1 / 4), 3, 1)
 
 
 def _build_cf32b() -> CFTableau:
     return _layout32("cf32b", (1 / 3, 0.0, 0.0), (-5 / 12, 1 / 4, 0.0),
-                     ((-37 / 12, 9 / 4, 2.0), (-5 / 12, 1 / 4, 0.0)),
-                     (0.0, 3 / 4, 0.0, 1 / 4), 3, 1)
+                     (-37 / 12, 9 / 4, 2.0), (0.0, 3 / 4, 0.0, 1 / 4), 3, 1)
 
 
 # --------------------------------------------------------------- cf43 exact
@@ -327,37 +335,22 @@ def instantiate_cf43(family_param: float = 0.0) -> CFTableau:
     """
     w = cf43_root()
     p = _cf43_coeff_polys(w)
+    x = [p["c2"], p["a31"], p["a32"], p["b41"], p["b42"], p["b43"],
+         p["y11"], p["y12"], p["y13"], w / 2,
+         -p["y11"] / 3, p["y22"], p["y23"], -1.5 * w]
 
-    A = np.zeros((4, 4))
-    A[1, 0] = p["c2"]
-    A[2, :2] = (p["a31"], p["a32"])
-    A[3, :3] = (p["a31"] + p["b41"], p["a32"] + p["b42"], p["b43"])
-    b = np.array([p["y11"] - p["y11"] / 3, p["y12"] + p["y22"],
-                  p["y13"] + p["y23"], w / 2 - 1.5 * w])
-    c = A.sum(axis=1)
-
-    # Embedded weights: first row repeats the second stage-4 row; the free
-    # second row is solved from the order-3 conditions with its third slot
-    # pinned.
-    a_ext = np.zeros((5, 5))
-    a_ext[1:4, :4] = A[1:4]
-    a_ext[4, :4] = b
-    bh1 = np.array([p["b41"], p["b42"], p["b43"], 0.0, 0.0])
-    M, d = linear_conditions(a_ext, np.append(c, 1.0), bh1,
-                             unknown_first=False, pinned={2: family_param})
-    v, _, _, _ = np.linalg.lstsq(M, d, rcond=None)
-    resid = np.max(np.abs(M @ v - d))
-    if resid > 1e-12:
-        raise RuntimeError(
-            f"cf43 embedded-row solve inconsistent (residual {resid:.2e})")
-
-    x = np.array([
-        p["c2"], p["a31"], p["a32"], p["b41"], p["b42"], p["b43"],
-        p["y11"], p["y12"], p["y13"], w / 2,
-        -p["y11"] / 3, p["y22"], p["y23"], -1.5 * w,
-        v[0], v[1], v[2], v[3],
-    ])
-    return _assemble_5fsal("cf43", x, pin=family_param, reused_hat_first=True)
+    def build(free_hat):
+        return _assemble_5fsal("cf43", x + list(free_hat), pin=family_param,
+                               reused_hat_first=True)
+    # the free embedded row, applied after the one that repeats the second
+    # stage-4 row, solved over the tableau with its free entries at zero
+    shell = build([0.0] * 4)
+    red = reduce_embedded(shell)
+    return build(_solve(
+        linear_conditions(red.a, red.c, shell.beta_hat[0], False,
+                          {2: family_param}),
+        1e-12, lambda resid: RuntimeError(
+            f"cf43 embedded-row solve inconsistent (residual {resid:.2e})")))
 
 
 # instantiate_cf43(0.0)'s free scalars, packed as _layout43 reads them and

@@ -15,9 +15,9 @@ import re
 import sys
 
 from .bench import (CSV_COLUMNS, ExperimentConfig, ReferenceSolveError,
-                    render_csv, render_json, resolved_config, run_convergence,
-                    run_integrate, run_needle, run_tableau_check,
-                    run_work_precision, write_output)
+                    open_output, render_csv, render_json, resolved_config,
+                    run_convergence, run_integrate, run_needle,
+                    run_tableau_check, run_work_precision, write_output)
 from .catalog import catalog
 from .controller import ConfigError, IntegrationError
 from .stepper import count_budget
@@ -169,10 +169,13 @@ def _dispatch(args) -> int:
         return _cmd_tableaux_check(args)
     mode, runner, kind = _RUNS[args.command]
     config = _config_from(args, mode)
-    rows, summary = globals()[runner](config)
-    render = render_csv if config.fmt == "csv" else render_json
-    write_output(render(CSV_COLUMNS[kind], rows, resolved_config(config),
-                        summary), config.out)
+    # --out is opened before the run, so that a path that cannot be
+    # written ends the command before any solve
+    with open_output(config.out) as out:
+        rows, summary = globals()[runner](config)
+        render = render_csv if config.fmt == "csv" else render_json
+        out.write(render(CSV_COLUMNS[kind], rows, resolved_config(config),
+                         summary))
     return 1 if summary.get("failures") else 0
 
 
@@ -191,7 +194,7 @@ def main(argv=None) -> int:
     except ReferenceSolveError as exc:
         print(f"cfrk: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # write_output's; a tableau file's is TableauError
+    except OSError as exc:  # --out's; a tableau file's is TableauError
         out = getattr(args, "out", None) or "stdout"
         print(f"cfrk: cannot write {out}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -59,15 +59,16 @@ def _through(table: dict, up_to: int) -> list:
             for cond in table[order]]
 
 
-def linear_conditions(a, c, known, unknown_first: bool, pinned=None):
-    """The conditions through order 3 as a system M u = d in the free
+def linear_conditions(a, c, known, unknown_first: bool, pinned=None,
+                      order: int = 3):
+    """The conditions through order 2 or 3 as a system M u = d in the free
     entries of one unknown update row u.
 
     The update's weights are known + u, with u applied first when
     unknown_first is set.  pinned maps entries of u to fixed values; the
     other entries are solved for, and M has one column for each, in
     order.  Rows follow the tables: classical conditions first, then the
-    split one.
+    split one (order 3 only).
     """
     a, c, known = (np.asarray(x, float) for x in (a, c, known))
     pinned = pinned or {}
@@ -76,11 +77,11 @@ def linear_conditions(a, c, known, unknown_first: bool, pinned=None):
         fixed[col] = value
     cols = [j for j in range(len(c)) if j not in pinned]
     M, d = [], []
-    for _, w, target in _through(_CLASSICAL, 3):
+    for _, w, target in _through(_CLASSICAL, order):
         w = w(a, c)
         M.append(w[cols])
         d.append(target - known @ w - fixed @ w)
-    for _, w, k, target in _through(_SPLIT, 3):
+    for _, w, k, target in _through(_SPLIT, order):
         w = w(a, c)
         if unknown_first:
             M.append(w[cols])

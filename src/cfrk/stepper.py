@@ -353,29 +353,20 @@ def row_sum(terms, constant=None, twin=None) -> str:
     h * c_j, f_j the entry of an f value.  With constant, the source of a
     run-constant entry (actions.Block.constants), every f_j is that
     constant, and the sum is written from it with the same bits for any h
-    but NaN: for 1.0 and -1.0 as x_a + x_b + ... and -x_a - x_b - ...;
-    for 0.0 as x_m * 0.0, x_m of the largest |c|, which overflows to inf
-    (and gives NaN) where any h * c_j does, plus 0.0 where the signs of
-    the c_j differ, as a sum of zeros is -0.0 only where every one is (a
-    0.0 entry that the exponential reads in its 0.0 form, as gl(2)'s a,
-    is not written at all; see kernel_lines);
-    else as the same products, over the literal.  With twin, the local of
-    an entry of the same terms over the opposite constant (-1.0 for 1.0,
-    1.0 for -1.0), a 1.0 or -1.0 entry is written from it, with the bits
-    of its written sum for any h but NaN: round-to-nearest is symmetric in
-    sign, so the two sums are each other's negation but where they are
-    zero, and a zero sum is 0.0 unless every term is a zero of one sign.
-    Where the c_j share one sign, as -twin; where they differ, as
-    0.0 - twin, which is 0.0 for a zero twin and keeps a NaN's sign (the
-    inf - inf of terms that overflowed both ways)."""
-    signs = {c > 0.0 for _, c, _ in terms}
+    but NaN: for 1.0 as x_a + x_b + ...; else as the same products, over
+    the literal (a 0.0 entry that the exponential reads in its 0.0 form,
+    as gl(2)'s a, is not written at all; see kernel_lines).  With twin,
+    the local of an entry of the same terms over the opposite constant
+    (-1.0 for 1.0, 1.0 for -1.0), a 1.0 or -1.0 entry is written from it,
+    with the bits of its written sum for any h but NaN: round-to-nearest
+    is symmetric in sign, so the two sums are each other's negation but
+    where they are zero, and a zero sum is 0.0 unless every term is a
+    zero of one sign.  Where the c_j share one sign, as -twin; where they
+    differ, as 0.0 - twin, which is 0.0 for a zero twin and keeps a NaN's
+    sign (the inf - inf of terms that overflowed both ways)."""
     if twin:
+        signs = {c > 0.0 for _, c, _ in terms}
         return f"-{twin}" if len(signs) == 1 else f"0.0 - {twin}"
     if constant == "1.0":
         return " + ".join(x for x, _, _ in terms)
-    if constant == "-1.0":
-        return "-" + " - ".join(x for x, _, _ in terms)
-    if constant == "0.0":
-        x = max(terms, key=lambda term: abs(term[1]))[0]
-        return f"{x} * 0.0" + " + 0.0" * (len(signs) > 1)
     return " + ".join(f"{x} * {constant or f}" for x, _, f in terms)

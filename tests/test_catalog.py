@@ -19,7 +19,7 @@ from cfrk.catalog import (RootSelectionError, SingularParameterError,
                           catalog, cf43_root, get_tableau,
                           instantiate_cf32_family, instantiate_cf43)
 from cfrk.order_conditions import certify
-from cfrk.tableaux import TableauError, reduce
+from cfrk.tableaux import TableauError, reduce, reduce_embedded
 
 catalog_module = sys.modules["cfrk.catalog"]
 
@@ -213,6 +213,19 @@ def test_family_reuse_pattern_follows_variant():
     in_row2 = instantiate_cf32_family(0.02, "stage2-in-row2")
     assert in_row1.reuse_map == ((("stage", 2, 0), ("y", 0)),)
     assert in_row2.reuse_map == ((("stage", 2, 0), ("y", 1)),)
+
+
+def test_family_embedded_rows_meet_the_order_2_conditions():
+    # every cf32 member built from the stored inputs: its embedded row,
+    # over the abscissae (0, c2, c3, 1), has sum 1 and first moment 1/2
+    for entry in json.loads(FAMILY_MEMBERS.read_text()):
+        if "tableau" not in entry or "cf32" not in entry:
+            continue
+        variant, a, root, hat_params = entry["cf32"]
+        red = reduce_embedded(instantiate_cf32_family(
+            a, variant, hat_params=tuple(hat_params), root=root))
+        assert abs(red.b.sum() - 1.0) <= 1e-14, entry["cf32"]
+        assert abs(red.b @ red.c - 0.5) <= 1e-14, entry["cf32"]
 
 
 def test_family_hat_params_are_pinned():

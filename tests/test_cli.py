@@ -435,13 +435,45 @@ def test_needle_trace(tmp_path):
     ("", "Is a directory"), ("missing/x.csv", "No such file or directory")])
 def test_an_out_path_that_cannot_be_written_is_one_line(tmp_path, capsys,
                                                          out, reason):
-    # the run completes, and the write fails with one line, not a traceback
+    # the open fails with one line, not a traceback
     path = tmp_path / out
     assert main(["integrate", "--problem", "van-der-pol", "--t1", "0.5",
                  "--out", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cfrk: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("integrate", "run_integrate"), ("convergence", "run_convergence"),
+    ("work-precision", "run_work_precision"), ("needle", "run_needle")])
+def test_an_out_path_that_cannot_be_written_stops_before_the_run(
+        monkeypatch, tmp_path, capsys, command, runner):
+    # --out is opened before the runner is called, so no solve is spent on
+    # a run whose output cannot be written
+    import cfrk.cli as cli_mod
+    calls = []
+    monkeypatch.setattr(cli_mod, runner, lambda config: calls.append(config))
+    path = tmp_path / "missing" / "x.csv"
+    assert main([command, "--tableau", "cf32a", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"cfrk: cannot write {path}: No such file or directory\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--problem", "van-der-pol", "--param", "mu=1e9",
+     "--tableau", "cf32a", "--t1", "2.0"],
+    ["needle", "--t1", "2", "--tol", "1e-3", "--param", "mu=1e6"],
+], ids=["integrate", "needle"])
+def test_a_failed_run_leaves_the_opened_out_file_empty(tmp_path, capsys,
+                                                       argv):
+    path = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("integration failed: ")
+    assert path.read_text() == ""
 
 
 def test_invalid_problem_is_a_usage_error():

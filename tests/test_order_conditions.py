@@ -161,21 +161,27 @@ def test_certify_rejects_unknown_side():
 @pytest.mark.parametrize("pinned", [None, {2: 0.3}, {0: -0.7, 3: 1.1}])
 def test_linear_conditions_match_table_residuals(unknown_first, pinned):
     # for any rows, M u - d over the free entries equals the residuals the
-    # tables give for the assembled update, classical then split
+    # tables give for the assembled update through the order, classical
+    # then split: five rows at order 3, the two classical rows at order 2
     rng = np.random.default_rng(20)
-    for _ in range(20):
-        n = 5
-        a = np.tril(rng.normal(size=(n, n)), -1)
-        c = rng.normal(size=n)
-        known = rng.normal(size=n)
-        u = rng.normal(size=n)
-        for col, value in (pinned or {}).items():
-            u[col] = value
-        free = [j for j in range(n) if j not in (pinned or {})]
-        M, d = linear_conditions(a, c, known, unknown_first, pinned=pinned)
-        rows = (u, known) if unknown_first else (known, u)
-        red = ReducedCoefficients(a=a, b=known + u, c=c)
-        expected = list(check_classical(red, up_to=3).values()) \
-            + list(split_residuals(rows, a, c, up_to=3).values())
-        assert M.shape == (len(expected), len(free))
-        assert_allclose(M @ u[free] - d, expected, rtol=0, atol=1e-14)
+    for order in (3, 2):
+        for _ in range(20):
+            n = 5
+            a = np.tril(rng.normal(size=(n, n)), -1)
+            c = rng.normal(size=n)
+            known = rng.normal(size=n)
+            u = rng.normal(size=n)
+            for col, value in (pinned or {}).items():
+                u[col] = value
+            free = [j for j in range(n) if j not in (pinned or {})]
+            M, d = linear_conditions(a, c, known, unknown_first,
+                                     pinned=pinned, order=order)
+            rows = (u, known) if unknown_first else (known, u)
+            red = ReducedCoefficients(a=a, b=known + u, c=c)
+            classical = list(check_classical(red, up_to=order).values())
+            split = list(split_residuals(rows, a, c, up_to=order).values())
+            assert (len(classical), len(split)) == {2: (2, 0),
+                                                    3: (4, 1)}[order]
+            expected = classical + split
+            assert M.shape == (len(expected), len(free))
+            assert_allclose(M @ u[free] - d, expected, rtol=0, atol=1e-14)

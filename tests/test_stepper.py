@@ -785,10 +785,11 @@ def test_folded_row_sums_keep_every_bit():
                          else math.copysign(1.0, want) if want == 0.0
                          else "inf" if math.isinf(want) else "finite")
     assert seen == {"nan", 1.0, -1.0, "inf", "finite"}
-    # one multiply by 0.0 stands for the row; no multiply by 1.0 or -1.0
+    # no multiply by 1.0; any other constant keeps the products
     terms = [("x0", 0.5, "f0_1"), ("x1", -2.0, "f1_1"), ("x2", 1.0, "f2_1")]
     assert [row_sum(terms, c) for c in ("1.0", "-1.0", "0.0", "2.5")] == [
-        "x0 + x1 + x2", "-x0 - x1 - x2", "x1 * 0.0 + 0.0",
+        "x0 + x1 + x2", "x0 * -1.0 + x1 * -1.0 + x2 * -1.0",
+        "x0 * 0.0 + x1 * 0.0 + x2 * 0.0",
         "x0 * 2.5 + x1 * 2.5 + x2 * 2.5"]
     assert row_sum(terms) == "x0 * f0_1 + x1 * f1_1 + x2 * f2_1"
     assert [row_sum(terms, "-1.0", "a_1"), row_sum(terms[:1], "1.0", "a_2")
