@@ -219,8 +219,11 @@ def instantiate_cf32_family(a: float, variant: str,
     # The embedded row, a stage longer (f(y1) is its fourth stage), from
     # the order-2 conditions with hat_params in slots 1 and 3.  Its other
     # two columns are (1, 1) and (c2, 1): a square system, singular only
-    # at c2 = 1, so its residual is roundoff and is not bounded.
-    if abs(c2 - 1.0) < 1e-12:
+    # at c2 = 1, so its residual is roundoff and is not bounded.  Its
+    # condition number is about 4 / |1 - c2|; above 1e8 (|1 - c2| below
+    # ~4e-8) the solved entries exceed ~1e7 and keep fewer than half of
+    # their 16 digits, so such a member is refused as singular.
+    if np.linalg.cond(((1.0, 1.0), (c2, 1.0))) > 1e8:
         raise SingularParameterError(
             f"{variant} at a = {a}: embedded system is singular (c2 = 1)")
     h1, h3 = hat_params

@@ -188,6 +188,63 @@ def test_reference_endpoint_rejects_one_non_finite_entry(bad, first_bad_call):
     assert len(calls) == first_bad_call
 
 
+@pytest.mark.parametrize("first_bad_call", [1, 20])
+def test_reference_endpoint_raises_the_fields_own_exception(first_bad_call):
+    # the compiled solvers call on past an exception in their callback: the
+    # field is called no more once it has raised, and its exception, not a
+    # hang or a solver error, comes out
+    base = heavy_top()
+    calls = []
+
+    def field(y):
+        calls.append(None)
+        if len(calls) >= first_bad_call:
+            raise ZeroDivisionError("field failed")
+        return base.ambient_field(y)
+    prob = dataclasses.replace(base, ambient_field=field)
+    with pytest.raises(ZeroDivisionError, match="field failed"):
+        reference_endpoint(prob, prob.default_y0, 0.0, 2.0)
+    assert len(calls) == first_bad_call
+
+
+def test_reference_endpoint_reports_the_time_from_t0():
+    # the solvers run from 0; the message gives the time of the bad call
+    # within [t0, t1]
+    base = heavy_top()
+    calls = []
+
+    def field(y):
+        calls.append(None)
+        return base.ambient_field(y) * (math.nan if len(calls) >= 20 else 1)
+    prob = dataclasses.replace(base, ambient_field=field)
+    with pytest.raises(ReferenceSolveError, match="non-finite") as err:
+        reference_endpoint(prob, prob.default_y0, 5.0, 7.0)
+    assert 5.0 < float(str(err.value).rsplit("t=", 1)[1]) < 7.0
+
+
+@pytest.mark.parametrize("t1", [2.0, 10.0])
+@pytest.mark.parametrize("build", [rigid_body, van_der_pol, heavy_top])
+def test_reference_endpoint_agrees_with_solve_ivp(build, t1):
+    # scipy's interpreted DOP853 at the same tolerances lands on the same
+    # endpoint to roundoff
+    from scipy.integrate import solve_ivp
+    prob = build()
+    y0 = prob.default_y0
+    ref = reference_endpoint(prob, y0, 0.0, t1)
+    old = solve_ivp(lambda t, y: prob.ambient_field(y), (0.0, t1), y0,
+                    method="DOP853", rtol=1e-13, atol=1e-14).y[:, -1]
+    assert np.linalg.norm(ref - old) <= 1e-13 * np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("t0", [-7.5, 3.0, 1e3])
+def test_reference_endpoint_depends_only_on_the_span(t0):
+    # the fields read no t, so [t0, t0 + 2] is solved as [0, 2]
+    prob = heavy_top()
+    y0 = prob.default_y0
+    assert np.array_equal(reference_endpoint(prob, y0, t0, t0 + 2.0),
+                          reference_endpoint(prob, y0, 0.0, 2.0))
+
+
 # ---------------------------------------------------------------- convergence
 
 def test_convergence_rows_and_slopes():

@@ -274,12 +274,20 @@ def test_family_singular_parameters_raise():
     # polynomial collapses to a constant
     with pytest.raises(SingularParameterError, match="degenerates"):
         instantiate_cf32_family(1 / 3, "stage2-in-row1")
-    # c2 = 1 makes the embedded 2x2 system singular
-    with pytest.raises(SingularParameterError, match="c2 = 1"):
-        instantiate_cf32_family(1.0, "row1-of-update")
+    # c2 = 1 makes the embedded 2x2 system singular; c2 within ~4e-8 of 1
+    # gives it a condition number above 1e8 and entries of ~1e7 and more
+    for a in (1.0, 1 + 1e-10, 1 - 1e-10, 1 + 3e-8):
+        with pytest.raises(SingularParameterError, match="c2 = 1"):
+            instantiate_cf32_family(a, "row1-of-update")
     # the zero root at a = -1/3 collides the abscissae
     with pytest.raises(SingularParameterError, match="does not admit"):
         instantiate_cf32_family(-1 / 3, "row2-of-update", root="small")
+
+
+def test_family_builds_an_embedded_row_well_clear_of_c2_1():
+    # at |1 - c2| = 1e-6 the condition number is ~4e6, under the bound
+    tableau = instantiate_cf32_family(1 + 1e-6, "row1-of-update")
+    assert 1e5 < np.abs(tableau.beta_hat).max() < 1e7
 
 
 def test_family_rejects_non_finite_parameter(capfd):
