@@ -7,7 +7,8 @@ file alone.  Reference solutions come from scipy's compiled DOP853,
 cross-checked with its compiled LSODA, on each problem's ambient field,
 so the errors of cfrk's own integrators are measured against integrators
 that share no code with them.  Both run on the span shifted to start at
-0 and stop at the field's first failure.
+0, call the field at no time beyond its end, and stop at the field's
+first failure.
 """
 
 from __future__ import annotations
@@ -114,19 +115,20 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
     Integrates problem.ambient_field, which uses neither f nor the group
     action, with scipy's compiled DOP853 (Hairer's code, through
     scipy.integrate.ode) at rtol 1e-13, atol 1e-14, cross-checked against
-    the compiled LSODA (Adams/BDF multistep, a different method family) at
-    rtol 1e-12, atol 1e-14.  The ambient fields read no t, so both solve
-    over [0, t1 - t0]; messages give times as t0 + t.  Neither has a step
-    limit.  The first failure in the field, a non-finite derivative or any
-    exception it raises, stops the solve: the field is not called again
-    and the failure is raised unchanged once the solver returns.  A
-    non-finite derivative, a failed solve or a cross-check gap above 1e-9
-    raises ReferenceSolveError (a RuntimeError) rather than returning a
-    silently bad reference; a problem without an ambient field raises
-    ValueError, and a span that is not finite with t1 > t0 ConfigError (a
-    ValueError).  One call over [0, 2] takes about 1 ms on the heavy top,
-    0.4 ms on the rigid body and 14 ms on Van der Pol (shared 2-vCPU host;
-    see README).
+    the compiled LSODA (Adams/BDF multistep, a different method family,
+    through scipy.integrate.odeint with t1 as its critical time) at rtol
+    1e-12, atol 1e-14.  The ambient fields read no t, so both solve over
+    [0, t1 - t0]; messages give times as t0 + t.  Neither has a step limit,
+    and neither calls the field beyond t1.  The first failure in the
+    field, a non-finite derivative or any exception it raises, stops the
+    solve: the field is not called again and the failure is raised
+    unchanged once the solver returns.  A non-finite derivative, a failed
+    solve or a cross-check gap above 1e-9 raises ReferenceSolveError (a
+    RuntimeError) rather than returning a silently bad reference; a
+    problem without an ambient field raises ValueError, and a span that
+    is not finite with t1 > t0 ConfigError (a ValueError).  One call over
+    [0, 2] takes about 1 ms on the heavy top, 0.4 ms on the rigid body and
+    14 ms on Van der Pol (shared 2-vCPU host; see README).
     """
     check_span(t0, t1)
     field = problem.ambient_field
@@ -134,7 +136,7 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
         raise ValueError(f"problem {problem.name!r} has no ambient_field "
                          "to compute a reference from")
     # scipy.integrate takes most of a second to import; only this needs it.
-    from scipy.integrate import ode
+    from scipy.integrate import ode, odeint
 
     y0 = np.asarray(y0, float)
     zero, failure = np.zeros_like(y0), []
@@ -169,21 +171,38 @@ def reference_endpoint(problem, y0, t0: float, t1: float) -> np.ndarray:
     # which it cuts to the span.
     span = t1 - t0
     tiny = 1e-12 * span * span < 1.0 / sys.float_info.max
-    ends = []
-    for method, rtol, first in (("dop853", 1e-13, 1.0 if tiny else 0.0),
-                                ("lsoda", 1e-12, span if tiny else 0.0)):
-        solver = ode(rhs).set_integrator(method, rtol=rtol, atol=1e-14,
-                                         first_step=first, nsteps=2**31 - 1)
+
+    def dop853():
+        solver = ode(rhs).set_integrator("dop853", rtol=1e-13, atol=1e-14,
+                                         first_step=1.0 if tiny else 0.0,
+                                         nsteps=2**31 - 1)
         solver.set_initial_value(y0, 0.0)
+        end = solver.integrate(span)
+        return (end, solver.successful(),
+                f"return code {solver.get_return_code()}")
+
+    def lsoda():
+        # odeint, not ode: only odeint passes tcrit, which keeps LSODA from
+        # stepping past the span and interpolating back, so the field is
+        # never called beyond t1
+        ys, info = odeint(rhs, y0, [0.0, span], rtol=1e-12, atol=1e-14,
+                          tcrit=[span], h0=span if tiny else 0.0,
+                          mxstep=2**31 - 1, full_output=True, tfirst=True)
+        return (ys[-1], info["message"] == "Integration successful.",
+                info["message"])
+
+    ends = []
+    for method, solve in (("DOP853", dop853), ("LSODA", lsoda)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the failure is raised below
-            ends.append(solver.integrate(span))
+            end, successful, message = solve()
         if failure:
             raise failure[0]
-        if not solver.successful():
+        if not successful:
             raise ReferenceSolveError(
-                f"reference {method.upper()} solve failed for "
-                f"{problem.name}: return code {solver.get_return_code()}")
+                f"reference {method} solve failed for {problem.name}: "
+                f"{message}")
+        ends.append(end)
     ref, check = ends
     agreement = float(np.linalg.norm(ref - check))
     if agreement > 1e-9:

@@ -5,7 +5,6 @@ reference solutions, and CSV/JSON rendering."""
 import dataclasses
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -205,6 +204,25 @@ def test_reference_endpoint_raises_the_fields_own_exception(first_bad_call):
     with pytest.raises(ZeroDivisionError, match="field failed"):
         reference_endpoint(prob, prob.default_y0, 0.0, 2.0)
     assert len(calls) == first_bad_call
+
+
+@pytest.mark.parametrize("build", [rigid_body, van_der_pol, heavy_top])
+def test_reference_endpoint_calls_the_field_up_to_t1_only(build):
+    # a clock entry appended to the state reads the time: a field that
+    # raises once the clock passes its value at t1 still gives the
+    # reference, as neither solver steps past t1 (LSODA through ode did,
+    # to t = 2.004-2.03, and interpolated back); LSODA's corrector
+    # iterates may move the clock off t by a few 1e-8
+    base = build()
+
+    def field(y):
+        if y[-1] > 2.0 + 1e-6:
+            raise ZeroDivisionError(f"field called at clock {y[-1]}")
+        return np.append(base.ambient_field(y[:-1]), 1.0)
+    prob = dataclasses.replace(base, ambient_field=field)
+    ref = reference_endpoint(prob, np.append(base.default_y0, 0.0), 0.0, 2.0)
+    assert_allclose(ref[:-1], reference_endpoint(base, base.default_y0, 0.0,
+                                                 2.0), rtol=1e-14, atol=1e-14)
 
 
 def test_reference_endpoint_reports_the_time_from_t0():

@@ -3,6 +3,7 @@ its clamps, typed failure modes, and both integration drivers."""
 
 import ast
 import dataclasses
+import itertools
 import math
 import re
 import struct
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfrk.actions import DomainError, GroupAction, So3SphereAction, so3_exp
+from cfrk.actions import (Block, DomainError, GroupAction, So3SphereAction,
+                          so3_exp)
 from cfrk.catalog import catalog, get_tableau
 from cfrk.controller import (ConfigError, ControllerConfig,
                              ControllerConfigError,
@@ -22,11 +24,10 @@ from cfrk.controller import (ConfigError, ControllerConfig,
                              error_measure, initial_step, integrate_adaptive,
                              integrate_fixed, next_step_size)
 from cfrk.problems import Problem, heavy_top, rigid_body, van_der_pol
-from cfrk.stepper import FieldLengthError, inline_field, step_kernel
+from cfrk.stepper import (FieldLengthError, field_body, inline_field,
+                          step_kernel)
 from cfrk.tableaux import CFTableau
-from test_stepper import calling
-
-EPS = np.finfo(float).eps
+from test_stepper import calling, unshared
 
 
 def zero_field_problem():
@@ -910,76 +911,31 @@ def test_fixed_failure_matrix(name, build, case):
 
 # ------------------------------------------------------- the two loop forms
 
-def outcome(pair, prob, cfg, t1=1.0):
+def outcome(pair, prob, how, t1=1.0, y0=None, mode=None):
     """The run's error type and message (None, None on success) and its
-    trajectory."""
+    trajectory: the adaptive run with the config how (mode None), else how
+    fixed steps following yhat1 if mode, over [0, t1] from y0
+    (prob.default_y0 for None)."""
+    y0 = prob.default_y0 if y0 is None else y0
     try:
-        return None, None, integrate_adaptive(pair, prob, prob.default_y0,
-                                              0.0, t1, cfg)
+        return None, None, (
+            integrate_adaptive(pair, prob, y0, 0.0, t1, how) if mode is None
+            else integrate_fixed(pair, prob, y0, 0.0, t1, how,
+                                 advance_embedded=mode))
     except IntegrationError as exc:
         return type(exc), str(exc), exc.trajectory
 
 
-def fixed_outcome(method, prob, n_steps, advance_embedded=False, t1=1.0):
-    """outcome() of integrate_fixed over [0, t1] in n_steps steps."""
-    try:
-        return None, None, integrate_fixed(
-            method, prob, prob.default_y0, 0.0, t1, n_steps,
-            advance_embedded=advance_embedded)
-    except IntegrationError as exc:
-        return type(exc), str(exc), exc.trajectory
+def run_bits(kind, message, traj):
+    """An outcome() as its error type and message, the bytes of its
+    record (each attempt's t, h, accepted, err and y), the bits of its
+    times and its totals: two runs agree bit for bit where these do."""
+    return (kind, message, traj.record.tobytes(), float_bits(traj.times),
+            traj.totals)
 
 
 def float_bits(values):
     return [struct.pack("<d", v) for v in values]
-
-
-@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
-                         ids=lambda build: build.__name__)
-@pytest.mark.parametrize("name", EMBEDDED)
-def test_inline_and_calling_loops_agree_bitwise(name, build):
-    # a built-in action runs the inline loops, a subclass overriding exp and
-    # act the calling ones; both give the same outcome, bit for bit, on a
-    # span whose tenth underflows to 0 too, adaptive and fixed-step, on
-    # the higher-order and the embedded solution
-    prob = build()
-    other = dataclasses.replace(prob, action=calling(prob.action))
-    pair = get_tableau(name)
-    configs = [dict(atol=tol, rtol=tol) for tol in (1e-4, 1e-8)]
-    runs = [(ControllerConfig(**kw), 1.0)
-            for kw in [*configs, *MATRIX_CFG.values()]]
-    for cfg, t1 in [*runs, (ControllerConfig(), 1e-323)]:
-        assert_same_run(outcome(pair, prob, cfg, t1),
-                        outcome(pair, other, cfg, t1))
-    for steps, advance_embedded in [(1, False), (7, True), (60, False),
-                                    (60, True)]:
-        assert_same_run(*(fixed_outcome(pair, p, steps, advance_embedded)
-                          for p in (prob, other)))
-    n = len(prob.f(prob.default_y0))
-    field = inline_field(prob.f, n)[0]
-    for mode in (None, False, True):
-        assert ("loop", n, field, mode) in pair._kernels
-        assert ("loop", None, None, mode) in pair._kernels
-
-
-@pytest.mark.parametrize("name", ["cf4", "cf43"])
-def test_folded_van_der_pol_rows_agree_where_h_times_c_overflows(name):
-    # over [0, 1.7e308] h * c_j overflows to inf: the inline loop's rows,
-    # written from Van der Pol's run-constant 0, 1 and -1, fail the run as
-    # the calling loop's unfolded sums do, with the same record bytes and
-    # totals; over [0, 1e300] the state overflows, over [0, 0.01] the run
-    # ends at t1
-    prob = van_der_pol()
-    other = dataclasses.replace(prob, action=calling(prob.action))
-    pair = get_tableau(name)
-    modes = [False, True] if pair.has_embedded else [False]
-    for t1, steps, mode in [(t1, steps, mode) for t1 in (1.7e308, 1e300, 0.01)
-                            for steps in (1, 3) for mode in modes]:
-        inline, called = (fixed_outcome(pair, p, steps, mode, t1)
-                          for p in (prob, other))
-        assert_same_run(inline, called)
-        assert inline[2].record.tobytes() == called[2].record.tobytes()
-        assert inline[0] is (NonFiniteError if t1 > 1.0 else None)
 
 
 @pytest.mark.parametrize("form", ["inline", "calling"])
@@ -1034,53 +990,182 @@ def test_one_field_loop_serves_every_parameter_value():
 
 
 def assert_same_run(a, b):
-    """Two outcome() results agree: error type and message, times, every
-    event's bits and the totals."""
-    (kind, message, traj), (ref_kind, ref_message, ref) = a, b
-    assert (kind, message) == (ref_kind, ref_message)
-    assert float_bits(traj.times) == float_bits(ref.times)
-    assert traj.totals == ref.totals
-    assert len(traj.h_history) == len(ref.h_history)
-    for a, r in zip(traj.h_history, ref.h_history):
-        assert float_bits([a.t, a.h, a.err, *a.y]) == float_bits(
-            [r.t, r.h, r.err, *r.y])
-        assert a.accepted == r.accepted
+    """Two outcome() results agree bit for bit (run_bits)."""
+    assert run_bits(*a) == run_bits(*b)
 
 
-@pytest.mark.parametrize("build", BOUNDARY_PROBLEMS,
-                         ids=lambda build: build.__name__)
-@pytest.mark.parametrize("name", EMBEDDED)
-def test_inline_and_called_fields_agree_bitwise(name, build):
-    # a built-in field runs inline in the adaptive loop, a replacement
-    # that calls it is called; both give the same outcome, bit for bit,
-    # on the failure matrix's configurations and states too, and the
-    # replacement sees every f evaluation Totals counts, plus initial_step's
-    # where h0 is unset and the one that raised
-    prob = build()
-    calls = []
+# ------------------------------------------ one oracle for the compiled forms
 
-    def called(y):
-        calls.append(None)
-        return prob.f(y)
-    pair = get_tableau(name)
-    assert inline_field(prob.f, len(prob.f(prob.default_y0)))[0]
-    runs = [(ControllerConfig(**kw), prob.default_y0)
-            for kw in [dict(atol=1e-4, rtol=1e-4), dict(atol=1e-8, rtol=1e-8),
-                       *MATRIX_CFG.values()]]
-    runs += [(ControllerConfig(), MATRIX_Y0[case](prob.default_y0))
-             for case in ("y0-nan", "y0-inf", "y0-huge")]
-    if build is van_der_pol:  # the origin: DomainError from f(y0)
-        runs.append((ControllerConfig(h0=0.1), np.zeros(2)))
-    for cfg, y0 in runs:
-        start = dataclasses.replace(prob, default_y0=y0)
-        calls.clear()
-        inline = outcome(pair, start, cfg)
-        assert_same_run(inline, outcome(
-            pair, dataclasses.replace(start, f=called), cfg))
-        finite = bool(np.all(np.isfinite(y0)))
-        raised = inline[0] is IntegrationError  # the f call that raised
-        assert len(calls) == inline[2].totals.n_feval + (
-            finite and (cfg.h0 is None or raised))
+def _so3_branch(v):
+    t2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    return ("series" if t2 < 1e-8 else "closed" if t2 < np.inf
+            else "non-finite")
+
+
+def _gl2_branch(v):
+    a, b, c, d = v
+    mu = 0.5 * (a + d)
+    D = mu * mu - (a * d - b * c)
+    if abs(D) < 1e-6:
+        return "series"
+    if D > 0.0:
+        s = np.sqrt(D)
+        return "rearranged" if s > 30.0 or mu + s > 700.0 else "hyperbolic"
+    return "elliptic" if D > -np.inf else "non-finite"
+
+
+# per geometry, its problem, the branch of its exp block that an exp input
+# takes, and per branch (h, V): one fixed step of size h of the field
+# V (1 + y1 / 100) reaches that branch
+BRANCH_CASES = [
+    (rigid_body, _so3_branch, {
+        "series": (1e-6, [0.3, -0.5, 0.8]),
+        "closed": (1.0, [0.3, -0.5, 0.8]),
+        "non-finite": (1.0, [1e200, 0.5, 0.0])}),
+    (heavy_top, _so3_branch, {
+        "series": (1e-6, [0.3, -0.5, 0.8, 0.1, 0.2, -0.3]),
+        "closed": (1.0, [0.3, -0.5, 0.8, 0.1, 0.2, -0.3]),
+        "non-finite": (1.0, [0.3, np.nan, 0.8, 0.1, 0.2, -0.3])}),
+    (van_der_pol, _gl2_branch, {
+        "series": (0.1, [0.0, 1.0, 0.0, 0.0]),
+        "hyperbolic": (0.5, [1.0, 0.5, 0.2, -1.0]),
+        "rearranged": (1.0, [80.0, 0.0, 0.0, -80.0]),
+        "elliptic": (0.5, [0.0, 1.0, -1.0, 0.0]),
+        "non-finite": (0.5, [np.nan, 1.0, -1.0, 0.0])}),
+]
+# a random field's literal results, each a run constant
+# (actions.Block.constants)
+LITERALS = ["0.0", "-0.0", "1.0", "-1.0", "2.5", "-0.5", "1.0e-300"]
+RANDOM_FIELDS = 3  # per geometry
+# gl(2) fields run from (-0.0, -0.0): the action keeps a point of zeros,
+# whose signs are those of the element's entries b and c applied to it,
+# so a run shows the sign of a zero sum (a 1.0, -1.0 twin pair over
+# cf32a's rows, a -0.0, a stage point's zero carried into c by f)
+SIGNED_ZERO_FIELDS = [["1.0", "-1.0", "-0.0", "2.5"],
+                      ["1.0", "-1.0", "y1 * y2", "2.5"]]
+# the runs over [0, t1]: adaptive with a ControllerConfig, or in a count
+# of fixed steps; no adaptive run spans more, as a field that holds err
+# near 1 there takes ~1e308 attempts
+RUNS = [*((ControllerConfig(atol=tol, rtol=tol), t1) for tol in (1e-3, 1e-7)
+          for t1 in (1.0, 1e-320)),
+        *((steps, t1) for steps in (5, 13)
+          for t1 in (1.0, 1e-320, 1e300, 1.7e308))]
+# a call of exp, act or cf_step in a loop's source
+STEP_CALL = re.compile(r"(?<![\w.])(exp|act|cf_step)\(")
+
+
+def field_of(n_point, results):
+    """A field made by stepper.field_body over the point y1 ... of n_point
+    entries and the parameter k, with the expressions results as its
+    results."""
+    return field_body(Block(
+        [" ".join(f"y{j}" for j in range(1, n_point + 1)), "k"],
+        " ".join(f"v{i}" for i in range(len(results))),
+        "\n".join(f"v{i} = {r}" for i, r in enumerate(results))))
+
+
+def random_result(rng, n_point):
+    """A literal of LITERALS with probability 0.6, else a short expression
+    of the state and the parameter k."""
+    if rng.random() < 0.6:
+        return LITERALS[rng.integers(len(LITERALS))]
+    a, b = rng.integers(1, n_point + 1, 2)
+    return [f"{rng.uniform(-2.0, 2.0):.2f} * y{a}", f"y{a} * y{b}",
+            f"k - y{a}"][rng.integers(3)]
+
+
+def oracle_entries(rng):
+    """The oracle's entries (problem, tableaux, runs (how, y0, t1), a list
+    collecting the calling form's exp inputs or None), per geometry: its
+    packaged problem, on the failure matrix's configurations and states
+    too; per BRANCH_CASES case one step of its field, a plain function
+    that every form calls, with reuse on and off; on gl(2),
+    SIGNED_ZERO_FIELDS; and RANDOM_FIELDS random fields.  With them, per
+    geometry (branch, its branches, that list)."""
+    tableaux, entries, reached = catalog(), [], []
+    both = [*tableaux, *map(unshared, tableaux)]
+    for build, branch, cases in BRANCH_CASES:
+        prob = build()
+        y0, n = prob.default_y0, prob.action.algebra_length
+        runs = [(how, y0, t1) for how, t1 in RUNS]
+        hand = [(ControllerConfig(**kw), y0, 1.0) for kw in [
+            dict(atol=1e-4, rtol=1e-4), dict(atol=1e-8, rtol=1e-8),
+            *MATRIX_CFG.values()]] + [(steps, y0, 1.0) for steps in (1, 7, 60)]
+        hand += [(ControllerConfig(), y0, 1e-323), *(
+            (ControllerConfig(), MATRIX_Y0[case](y0), 1.0)
+            for case in ("y0-nan", "y0-inf", "y0-huge"))]
+        if build is van_der_pol:  # DomainError from f(y0); h * c_j overflows
+            hand += [(ControllerConfig(h0=0.1), np.zeros(2), 1.0), *(
+                (steps, y0, t1) for steps in (1, 3)
+                for t1 in (1.7e308, 1e300, 0.01))]
+            zero = [(steps, np.array([-0.0, -0.0]), t1) for steps, t1 in
+                    [(5, 1.0), (5, 1e-320), (13, 1e300), (1, 5e-324)]]
+            entries += [(dataclasses.replace(prob, f=field_of(2, results)(
+                0.5)), tableaux, zero, None) for results in SIGNED_ZERO_FIELDS]
+        entries.append((prob, tableaux, runs + hand, None))
+        reached.append((branch, set(cases), []))
+        entries += [(dataclasses.replace(prob, f=lambda y, V=V: [
+            v * (1.0 + y[0] / 100.0) for v in V]), both, [(1, y0, h)],
+                     reached[-1][2]) for h, V in cases.values()]
+        entries += [(dataclasses.replace(prob, f=field_of(len(y0), [
+            random_result(rng, len(y0)) for _ in range(n)])(
+                float(rng.uniform(-1.0, 1.0)))), tableaux, runs, None)
+            for _ in range(RANDOM_FIELDS)]
+    return entries, reached
+
+
+def test_compiled_forms_agree_bitwise_on_random_and_hand_picked_fields():
+    # A differential oracle.  The inline loops run a built-in geometry's exp
+    # and act blocks, and a packaged field's block in place of f, with forms
+    # written for particular constants: run-constant results folded into
+    # the row sums, a 1.0 or -1.0 entry written from its twin, gl(2)'s 0.0
+    # form of a, +-h for a coefficient +-1.0 and fixed-step coefficients
+    # formed once.  Every run of every entry (oracle_entries) and tableau
+    # has the same error type and message, record bytes, times and totals
+    # in that form, in the calling form (an action overriding exp and act,
+    # stepped through cf_step) and in the inline form calling the field.
+    # A mismatch is a defect of a compiled form, not a seed to change.
+    entries, reached = oracle_entries(np.random.default_rng(2017))
+    vdp, stepped = inline_field(van_der_pol().f, 4)[0], {}
+    for prob, tableaux, runs, seen in entries:
+        n = prob.action.algebra_length
+        block, calls = inline_field(prob.f, n)[0], []
+        assert (block is None) == (seen is not None)  # f is called there
+
+        def called(y, f=prob.f):
+            calls.append(None)
+            return f(y)
+        forms = [prob, dataclasses.replace(prob, action=calling(
+            prob.action, seen)), dataclasses.replace(prob, f=called)]
+        for t, (how, y0, t1) in itertools.product(tableaux, runs):
+            adaptive, stepped[id(t)] = isinstance(how, ControllerConfig), t
+            for mode in ([None] * t.has_embedded if adaptive
+                         else {False, t.has_embedded}):
+                calls.clear()
+                inline, *others = (run_bits(*outcome(t, p, how, t1, y0, mode))
+                                   for p in forms)
+                assert others == [inline, inline], (
+                    t.name, how, y0, t1, mode, block and block.source)
+                # the called field sees every f evaluation Totals counts,
+                # plus initial_step's where h0 is unset and the one that
+                # raised
+                initial = adaptive and how.h0 is None and all(np.isfinite(y0))
+                assert len(calls) == inline[-1].n_feval + initial + (
+                    inline[0] is IntegrationError)
+                if block is vdp and not adaptive and t1 != 1.0:
+                    # folded rows where h * c_j overflows, and a short span
+                    assert inline[0] is (NonFiniteError if t1 > 1.0 else None)
+                # each form's loop is cached under its own key
+                assert {("loop", n, block, mode), ("loop", n, None, mode),
+                        ("loop", None, None, mode)} <= t._kernels.keys()
+    for branch, cases, seen in reached:
+        assert {branch(v) for v in seen} == cases
+    # the inline loops call no exp, act or cf_step; the calling loops
+    # step through cf_step
+    for t in stepped.values():
+        for key in [key for key in t._kernels if key[0] == "loop"]:
+            assert set(STEP_CALL.findall(t._kernels[key].source)) == (
+                {"cf_step"} if key[1] is None else set())
 
 
 @pytest.mark.parametrize("form", ["inline", "calling"])

@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 import cfrk.stepper
 from cfrk.actions import DomainError, So3SphereAction, so3_exp
 from cfrk.catalog import catalog, get_tableau
-from cfrk.controller import IntegrationError, integrate_fixed
 from cfrk.problems import heavy_top, rigid_body, van_der_pol
 from cfrk.stepper import (FieldLengthError, cf_step, count_budget, row_sum,
                           step_kernel)
@@ -484,90 +483,6 @@ def test_kernel_is_compiled_once_per_plan_length_and_reuse(monkeypatch):
         assert compiled == [("cf4", 3, False, False)]
         assert step_kernel(t, 3, True) is step_kernel(t, 3, False)
         assert len(t._kernels) == 2
-
-
-def _so3_branch(v):
-    t2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return ("series" if t2 < 1e-8 else "closed" if t2 < np.inf
-            else "non-finite")
-
-
-def _gl2_branch(v):
-    a, b, c, d = v
-    mu = 0.5 * (a + d)
-    D = mu * mu - (a * d - b * c)
-    if abs(D) < 1e-6:
-        return "series"
-    if D > 0.0:
-        s = np.sqrt(D)
-        return "rearranged" if s > 30.0 or mu + s > 700.0 else "hyperbolic"
-    return "elliptic" if D > -np.inf else "non-finite"
-
-
-# per geometry: its problem, the branch of an exp input, and per branch
-# of its exp block (h, V) with the field f(y) = V * (1 + y_0 / 100),
-# scaled to reach that branch
-BRANCH_CASES = [
-    (rigid_body, _so3_branch, {
-        "series": (1e-6, [0.3, -0.5, 0.8]),
-        "closed": (1.0, [0.3, -0.5, 0.8]),
-        "non-finite": (1.0, [1e200, 0.5, 0.0])}),
-    (heavy_top, _so3_branch, {
-        "series": (1e-6, [0.3, -0.5, 0.8, 0.1, 0.2, -0.3]),
-        "closed": (1.0, [0.3, -0.5, 0.8, 0.1, 0.2, -0.3]),
-        "non-finite": (1.0, [0.3, np.nan, 0.8, 0.1, 0.2, -0.3])}),
-    (van_der_pol, _gl2_branch, {
-        "series": (0.1, [0.0, 1.0, 0.0, 0.0]),
-        "hyperbolic": (0.5, [1.0, 0.5, 0.2, -1.0]),
-        "rearranged": (1.0, [80.0, 0.0, 0.0, -80.0]),
-        "elliptic": (0.5, [0.0, 1.0, -1.0, 0.0]),
-        "non-finite": (0.5, [np.nan, 1.0, -1.0, 0.0])}),
-]
-
-
-def one_step(tableau, prob, h, advance_embedded):
-    """One fixed step of size h from prob.default_y0: the error type and
-    message (None on success), the record's bytes, the times' bytes and
-    the totals."""
-    try:
-        traj = integrate_fixed(tableau, prob, prob.default_y0, 0.0, h, 1,
-                               advance_embedded=advance_embedded)
-        error = None
-    except IntegrationError as exc:
-        traj, error = exc.trajectory, (type(exc), str(exc))
-    return error, traj.record.tobytes(), bits(traj.times), traj.totals
-
-
-@pytest.mark.parametrize("build,branch,cases", [
-    pytest.param(*case, id=case[0].__name__) for case in BRANCH_CASES])
-def test_inline_and_calling_kernels_agree_bitwise(build, branch, cases):
-    # one fixed step of every catalog tableau, reuse setting and followed
-    # solution, on inputs that reach every branch of the geometry's exp
-    # block: the built-in action runs its blocks inline in the fixed-step
-    # loop, a subclass overriding exp and act calls them through cf_step
-    prob = build()
-    n = len(next(iter(cases.values()))[1])
-    seen = []
-    other = dataclasses.replace(prob, action=calling(prob.action, seen))
-    for t in catalog():
-        for tableau in (t, unshared(t)):
-            for advance_embedded in {False, t.has_embedded}:
-                for h, V in cases.values():
-                    def f(y):
-                        return [v * (1.0 + y[0] / 100.0) for v in V]
-                    got, ref = (one_step(tableau, dataclasses.replace(p, f=f),
-                                         h, advance_embedded)
-                                for p in (prob, other))
-                    assert got == ref
-                inline = tableau._kernels["loop", n, None,
-                                          advance_embedded].source
-                called = {node.func.id for node in ast.walk(ast.parse(inline))
-                          if isinstance(node, ast.Call)
-                          and isinstance(node.func, ast.Name)}
-                assert not called & {"exp", "act", "cf_step"}
-                assert "cf_step(" in tableau._kernels[
-                    "loop", None, None, advance_embedded].source
-    assert {branch(v) for v in seen} == set(cases)
 
 
 def literal_values(source):

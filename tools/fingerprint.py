@@ -1,7 +1,8 @@
 """Print fingerprints of the cfrk source tree.
 
-code lines: the non-blank lines of src/cfrk outside comments and
-docstrings, the code size every change reports, in total and per module.
+code lines: the non-blank lines outside comments and docstrings, the
+code size every change reports, in total and per module, of src/cfrk and
+of tests.
 
 compiled sha256: one SHA-256 over the source of every compiled loop and
 step kernel, in a fixed order, so a refactor that must leave the compiled
@@ -139,13 +140,14 @@ def bytecode_per_attempt(problem, tableau, t1, tol) -> tuple:
 
 
 def main() -> None:
-    lines = {path.name: code_lines(path.read_text())
-             for path in sorted((ROOT / "src" / "cfrk").glob("*.py"))}
+    for tree in ("src/cfrk", "tests"):
+        lines = {path.name: code_lines(path.read_text())
+                 for path in sorted((ROOT / tree).glob("*.py"))}
+        print(f"{tree} code lines: {sum(lines.values())}")
+        for name, count in lines.items():
+            print(f"  {name}: {count}")
     sources = list(compiled_sources())
     every = {kind for kind, _ in sources}
-    print(f"src/cfrk code lines: {sum(lines.values())}")
-    for name, count in lines.items():
-        print(f"  {name}: {count}")
     for label, kinds in [("compiled", every),
                          ("inline loops and step kernels", every - {"calling"}),
                          *((f"{g} inline loops", {g})
