@@ -3,6 +3,7 @@ its clamps, typed failure modes, and both integration drivers."""
 
 import ast
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -983,15 +984,10 @@ def test_one_field_loop_serves_every_parameter_value():
     pair = dataclasses.replace(get_tableau("cf43"))
     for p in (prob, other):
         called = dataclasses.replace(p, f=lambda y, f=p.f: f(y))
-        assert_same_run(outcome(pair, p, ControllerConfig()),
-                        outcome(pair, called, ControllerConfig()))
+        assert run_bits(*outcome(pair, p, ControllerConfig())) == run_bits(
+            *outcome(pair, called, ControllerConfig()))
     assert [key for key in pair._kernels if key[0] == "loop"] == [
         ("loop", 3, block, None), ("loop", 3, None, None)]
-
-
-def assert_same_run(a, b):
-    """Two outcome() results agree bit for bit (run_bits)."""
-    assert run_bits(*a) == run_bits(*b)
 
 
 # ------------------------------------------ one oracle for the compiled forms
@@ -1074,20 +1070,27 @@ def random_result(rng, n_point):
             f"k - y{a}"][rng.integers(3)]
 
 
-def oracle_entries(rng):
-    """The oracle's entries (problem, tableaux, runs (how, y0, t1), a list
-    collecting the calling form's exp inputs or None), per geometry: its
-    packaged problem, on the failure matrix's configurations and states
-    too; per BRANCH_CASES case one step of its field, a plain function
-    that every form calls, with reuse on and off; on gl(2),
-    SIGNED_ZERO_FIELDS; and RANDOM_FIELDS random fields.  With them, per
-    geometry (branch, its branches, that list)."""
-    tableaux, entries, reached = catalog(), [], []
-    both = [*tableaux, *map(unshared, tableaux)]
-    for build, branch, cases in BRANCH_CASES:
+@functools.lru_cache(maxsize=1)
+def oracle_entries():
+    """Per geometry's problem name, the oracle's entries (problem,
+    whether it is a one-step entry, its runs (how, y0, t1)): per
+    BRANCH_CASES case one step of its field, a plain function that every
+    form calls, with reuse on and off and the calling form collecting its
+    exp inputs; RANDOM_FIELDS random fields drawn from one seeded
+    generator; on gl(2), SIGNED_ZERO_FIELDS; and its packaged problem, on
+    the failure matrix's configurations and states too."""
+    rng, entries = np.random.default_rng(2017), {}
+    for build, _, cases in BRANCH_CASES:
         prob = build()
         y0, n = prob.default_y0, prob.action.algebra_length
         runs = [(how, y0, t1) for how, t1 in RUNS]
+        own = entries[build.__name__] = [(dataclasses.replace(
+            prob, f=lambda y, V=V: [v * (1.0 + y[0] / 100.0) for v in V]),
+            True, [(1, y0, h)]) for h, V in cases.values()]
+        own += [(dataclasses.replace(prob, f=field_of(len(y0), [
+            random_result(rng, len(y0)) for _ in range(n)])(
+                float(rng.uniform(-1.0, 1.0)))), False, runs)
+            for _ in range(RANDOM_FIELDS)]
         hand = [(ControllerConfig(**kw), y0, 1.0) for kw in [
             dict(atol=1e-4, rtol=1e-4), dict(atol=1e-8, rtol=1e-8),
             *MATRIX_CFG.values()]] + [(steps, y0, 1.0) for steps in (1, 7, 60)]
@@ -1096,76 +1099,75 @@ def oracle_entries(rng):
             for case in ("y0-nan", "y0-inf", "y0-huge"))]
         if build is van_der_pol:  # DomainError from f(y0); h * c_j overflows
             hand += [(ControllerConfig(h0=0.1), np.zeros(2), 1.0), *(
-                (steps, y0, t1) for steps in (1, 3)
-                for t1 in (1.7e308, 1e300, 0.01))]
+                (s, y0, t1) for s in (1, 3) for t1 in (1.7e308, 1e300, 0.01))]
             zero = [(steps, np.array([-0.0, -0.0]), t1) for steps, t1 in
                     [(5, 1.0), (5, 1e-320), (13, 1e300), (1, 5e-324)]]
-            entries += [(dataclasses.replace(prob, f=field_of(2, results)(
-                0.5)), tableaux, zero, None) for results in SIGNED_ZERO_FIELDS]
-        entries.append((prob, tableaux, runs + hand, None))
-        reached.append((branch, set(cases), []))
-        entries += [(dataclasses.replace(prob, f=lambda y, V=V: [
-            v * (1.0 + y[0] / 100.0) for v in V]), both, [(1, y0, h)],
-                     reached[-1][2]) for h, V in cases.values()]
-        entries += [(dataclasses.replace(prob, f=field_of(len(y0), [
-            random_result(rng, len(y0)) for _ in range(n)])(
-                float(rng.uniform(-1.0, 1.0)))), tableaux, runs, None)
-            for _ in range(RANDOM_FIELDS)]
-    return entries, reached
+            own += [(dataclasses.replace(prob, f=field_of(2, results)(0.5)),
+                     False, zero) for results in SIGNED_ZERO_FIELDS]
+        own.append((prob, False, runs + hand))
+    return entries
 
 
-def test_compiled_forms_agree_bitwise_on_random_and_hand_picked_fields():
-    # A differential oracle.  The inline loops run a built-in geometry's exp
-    # and act blocks, and a packaged field's block in place of f, with forms
-    # written for particular constants: run-constant results folded into
-    # the row sums, a 1.0 or -1.0 entry written from its twin, gl(2)'s 0.0
-    # form of a, +-h for a coefficient +-1.0 and fixed-step coefficients
-    # formed once.  Every run of every entry (oracle_entries) and tableau
-    # has the same error type and message, record bytes, times and totals
-    # in that form, in the calling form (an action overriding exp and act,
-    # stepped through cf_step) and in the inline form calling the field.
-    # A mismatch is a defect of a compiled form, not a seed to change.
-    entries, reached = oracle_entries(np.random.default_rng(2017))
-    vdp, stepped = inline_field(van_der_pol().f, 4)[0], {}
-    for prob, tableaux, runs, seen in entries:
-        n = prob.action.algebra_length
-        block, calls = inline_field(prob.f, n)[0], []
-        assert (block is None) == (seen is not None)  # f is called there
+# the compiled loop that a run follows: fixed steps on the higher-order or
+# the embedded solution, or the adaptive loop
+LOOPS = {"fixed": False, "fixed-embedded": True, "adaptive": None}
 
-        def called(y, f=prob.f):
+
+@pytest.mark.parametrize("build, name, loop", [
+    (case[0].__name__, t.name, loop) for case in BRANCH_CASES
+    for t in catalog() for loop in [*LOOPS][:1 + 2 * t.has_embedded]])
+def test_compiled_forms_agree_bitwise(build, name, loop):
+    # A differential oracle, one case per geometry, tableau and loop.  The
+    # inline loops run a built-in geometry's exp and act blocks, and a
+    # packaged field's block in place of f, with forms written for
+    # particular constants: run-constant results folded into the row sums,
+    # a 1.0 or -1.0 entry written from its twin, gl(2)'s 0.0 form of a,
+    # +-h for a coefficient +-1.0 and fixed-step coefficients formed once.
+    # Every run of the geometry's entries (oracle_entries) that the loop
+    # serves has the same error type and message, record bytes, times and
+    # totals in that form, in the calling form (an action overriding exp
+    # and act, stepped through cf_step) and in the inline form calling the
+    # field.  A mismatch is a defect of a compiled form, not a seed to
+    # change.
+    vdp, t, seen = inline_field(van_der_pol().f, 4)[0], get_tableau(name), []
+    mode, tableaux, calls = LOOPS[loop], [t, unshared(t)], []
+    for prob, one_step, runs in oracle_entries()[build]:
+        block = inline_field(prob.f, n := prob.action.algebra_length)[0]
+        assert (block is None) == one_step  # f is called there
+
+        def field(y, f=prob.f):
             calls.append(None)
             return f(y)
-        forms = [prob, dataclasses.replace(prob, action=calling(
-            prob.action, seen)), dataclasses.replace(prob, f=called)]
-        for t, (how, y0, t1) in itertools.product(tableaux, runs):
-            adaptive, stepped[id(t)] = isinstance(how, ControllerConfig), t
-            for mode in ([None] * t.has_embedded if adaptive
-                         else {False, t.has_embedded}):
-                calls.clear()
-                inline, *others = (run_bits(*outcome(t, p, how, t1, y0, mode))
-                                   for p in forms)
-                assert others == [inline, inline], (
-                    t.name, how, y0, t1, mode, block and block.source)
-                # the called field sees every f evaluation Totals counts,
-                # plus initial_step's where h0 is unset and the one that
-                # raised
-                initial = adaptive and how.h0 is None and all(np.isfinite(y0))
-                assert len(calls) == inline[-1].n_feval + initial + (
-                    inline[0] is IntegrationError)
-                if block is vdp and not adaptive and t1 != 1.0:
-                    # folded rows where h * c_j overflows, and a short span
-                    assert inline[0] is (NonFiniteError if t1 > 1.0 else None)
-                # each form's loop is cached under its own key
-                assert {("loop", n, block, mode), ("loop", n, None, mode),
-                        ("loop", None, None, mode)} <= t._kernels.keys()
-    for branch, cases, seen in reached:
-        assert {branch(v) for v in seen} == cases
+        forms = [prob, dataclasses.replace(prob, f=field), dataclasses.replace(
+            prob, action=calling(prob.action, seen if one_step else None))]
+        for tab, (how, y0, t1) in itertools.product(tableaux[:1 + one_step],
+                                                    runs):
+            if isinstance(how, ControllerConfig) != (mode is None):
+                continue
+            calls.clear()
+            inline, *others = [run_bits(*outcome(tab, p, how, t1, y0, mode))
+                               for p in forms]
+            assert others == [inline, inline], (how, y0, t1, block and
+                                                block.source)
+            # the called field sees every f evaluation Totals counts, plus
+            # initial_step's where h0 is unset and the one that raised
+            initial = mode is None and how.h0 is None and all(np.isfinite(y0))
+            assert len(calls) == inline[-1].n_feval + initial + (
+                inline[0] is IntegrationError)
+            if block is vdp and mode is not None and t1 != 1.0:
+                # folded rows where h * c_j overflows, and a short span
+                assert inline[0] is (NonFiniteError if t1 > 1.0 else None)
+            # each form's loop is cached under its own key
+            assert {("loop", n, block, mode), ("loop", n, None, mode),
+                    ("loop", None, None, mode)} <= tab._kernels.keys()
+    if mode is not None:  # the one-step entries reach every branch of exp
+        branch, cases = {b.__name__: c for b, *c in BRANCH_CASES}[build]
+        assert {branch(v) for v in seen} == set(cases)
     # the inline loops call no exp, act or cf_step; the calling loops
     # step through cf_step
-    for t in stepped.values():
-        for key in [key for key in t._kernels if key[0] == "loop"]:
-            assert set(STEP_CALL.findall(t._kernels[key].source)) == (
-                {"cf_step"} if key[1] is None else set())
+    for key, kernel in [*t._kernels.items(), *tableaux[1]._kernels.items()]:
+        assert key[0] != "loop" or set(STEP_CALL.findall(kernel.source)) == (
+            {"cf_step"} if key[1] is None else set())
 
 
 @pytest.mark.parametrize("form", ["inline", "calling"])
@@ -1242,7 +1244,7 @@ def test_calling_loop_forms_the_base_norm_once_per_base_point(rtol):
     pair = get_tableau("cf43")
     counted = dataclasses.replace(prob, action=Counting())
     run = outcome(pair, counted, cfg, 3.0)
-    assert_same_run(run, outcome(pair, prob, cfg, 3.0))
+    assert run_bits(*run) == run_bits(*outcome(pair, prob, cfg, 3.0))
     attempts = len(run[2].h_history)
     assert run[2].totals.n_rejected > 0
     assert len(norms) == 2 + attempts * (rtol != 0.0)
