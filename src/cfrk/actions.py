@@ -11,7 +11,10 @@ Three concrete geometries are provided:
 Each geometry packages the same small contract, GroupAction: the group
 exponential, the action on points and the infinitesimal action (the vector
 field an algebra element generates), with an ambient Euclidean metric by
-default; the step combines algebra elements itself, on lists.
+default; the step combines algebra elements itself, on lists.  Every
+exponential is closed-form (Rodrigues for so(3), the eigenvalue form for
+gl(2), the screw form for se(3)): no general matrix exponential is called
+on the integration path.
 
 exp and act work on Python floats.  exp takes the algebra element as a
 flat list of floats (a 2x2 gl(2) element row-major) and returns the group
@@ -20,7 +23,10 @@ a vector and the Rodrigues coefficients of the rotation about it, never
 the rotation's entries; the four entries of a 2x2 matrix; or for SE(3)
 the nine rotation entries followed by the translation.  act takes such
 an element and a point given as a list of floats, writes each product
-out as multiply-adds, and returns the new point as a list.
+out as multiply-adds, and returns the new point as a list.  The sums run
+left to right with no fused multiply-add, so against BLAS's dgemv, which
+fuses, the gl(2) and se(3) products differ in the last bit on many inputs,
+within n eps (|G| @ |p|) for an n-term product.
 
 Each formula is written once, as a Block: straight-line source over named
 float locals, which may reassign its inputs.  One compiler, _body, turns a
@@ -36,7 +42,8 @@ or point as an array, and for act an so(3) element of five entries or a
 so(3) exponential, _SO3_EXP's element (w, A, B): so3_exp and se(3)'s exp
 continue its source to the rotation's entries I + A K_w + B K_w^2, so
 their rotations have the same bits; gl(2)'s exp picks its branch by one
-test on D and takes each e^x from math.exp, behind a guard written in
+test on D and takes each e^x from math.exp (not np.exp, whose float64
+loop numpy picks by CPU), behind a guard written in
 its block, `x = math.inf if x > 709.782712893384 else math.exp(x)` (inf
 where math.exp would raise OverflowError, NaN kept), wherever x can
 overflow (e^mu of the cosh/sinh branch cannot), so no body needs numpy
@@ -203,9 +210,10 @@ _ROTATION = "r11 r12 r13 r21 r22 r23 r31 r32 r33"
 # A = sin t / t and B = (1 - cos t) / t^2 as short Taylor expansions (the
 # closed forms lose digits to cancellation there); above it, the unit axis
 # v / t with A = sin t and B = 1 - cos t, so that act's products stay
-# within 2 |p|.  An infinite or NaN t^2 (an algebra element that
-# overflowed) gives NaN coefficients, so the state turns non-finite instead
-# of math.sin raising a domain error.
+# within 2 |p| (with w = v, v x (v x p) would overflow once |v|^2 |p|
+# passes 1e308, where the rotation stays finite).  An infinite or NaN t^2
+# (an algebra element that overflowed) gives NaN coefficients, so the
+# state turns non-finite instead of math.sin raising a domain error.
 _SO3_EXP = Block(["x y z"], "x y z A B", """
 t2 = x * x + y * y + z * z
 if t2 < 1e-8:  # theta < 1e-4
@@ -365,9 +373,10 @@ class Se3Element:
 # se3_exp on (xi, u) = (x, y, z, u1, u2, u3): the so(3) rotation of xi,
 # then the translation V u = u + P w x u + Q w x (w x u) on the same w:
 # P = B and the series of Q = (t - sin t) / t^3 below theta = 1e-4, else
-# P = (1 - cos t) / t = B / t and Q = (t - sin t) / t = 1 - A / t.  The
-# block reassigns its inputs x, y, z (w = v / t), so inlined it writes to
-# the locals it reads them from.
+# P = (1 - cos t) / t = B / t and Q = (t - sin t) / t = 1 - A / t, so
+# se(3) calls math.sin once, as so(3) does.  The block reassigns its
+# inputs x, y, z (w = v / t), so inlined it writes to the locals it reads
+# them from.
 _SE3_EXP = Block(["x y z u1 u2 u3"], _ROTATION + " v1 v2 v3",
                  _SO3_ROTATION.source + """
 if t2 < 1e-8:
@@ -507,7 +516,9 @@ class So3SphereAction(GroupAction):
     act = staticmethod(_so3_act)
 
     def infinitesimal(self, v, p):
-        """v x p, written out on floats as numpy's cross computes it."""
+        """v x p, written out on floats as numpy's cross computes it, with
+        its bits; np.cross itself costs about 40 us a call on 3-vectors
+        (numpy 2.4), mostly in its Python-level axis handling."""
         a1, a2, a3 = _floats(v, 3)
         p1, p2, p3 = _floats(p, 3)
         return np.array([a2 * p3 - a3 * p2,
@@ -526,7 +537,10 @@ class Gl2PlaneAction(GroupAction):
 
     def infinitesimal(self, v, p):
         """v p, written out on floats; v is a flat row-major list of 4
-        floats or a 2x2 array."""
+        floats or a 2x2 array.  Against numpy's matmul, which BLAS may fuse,
+        each entry agrees within 2 eps (|a x| + |b y|); a huge state
+        overflows it to inf with no numpy warning, so initial_step needs no
+        np.errstate."""
         a, b, c, d = v if type(v) is list else _floats(v, 2, 2)
         x, y = p if type(p) is list else _floats(p, 2)
         return np.array([a * x + b * y, c * x + d * y])

@@ -289,7 +289,8 @@ def run_work_precision(config: ExperimentConfig):
 def attempt_rows(traj) -> list:
     """One needle row (t, h, accepted, y1, y2, err) per attempt of
     traj.h_history; y1 and y2 are the first two entries of the candidate
-    end state."""
+    end state.  The CSV rows of cfrk integrate and needle are these, so the
+    trace cannot disagree with h_history."""
     nan = math.nan
     return [(a.t, a.h, a.accepted, a.y[0] if a.y else nan,
              a.y[1] if len(a.y) > 1 else nan, a.err) for a in traj.h_history]

@@ -7,9 +7,14 @@ and evaluators for its conserved quantities.
 
 f takes the point as a flat list of Python floats and returns the algebra
 element as a flat list of Python floats, in the layout the action's exp
-takes: the gl(2) element row-major [a, b, c, d].  It also accepts the
-point as a numpy array, which it converts once, so that scipy's solvers
-can call action.infinitesimal(f(y), y) on their own arrays.
+takes: three entries for so(3), six for se(3) (rotation part first), and
+the gl(2) element row-major, so Van der Pol's [[0, 1], [-1, m]] is
+[0.0, 1.0, -1.0, m].  The steppers hand f lists only.  A packaged f also
+accepts the point as a numpy array, which it converts once, to the same
+list bit for bit, so that scipy's solvers can call
+action.infinitesimal(f(y), y) on their own arrays.  A field of your own
+keeps the same contract: an array or a nested list it returns is not
+converted for it.
 
 Each f is a Block over the point's entries and the parameters, compiled
 once by stepper.field_body, which the compiled loops run in place of f.
@@ -23,6 +28,7 @@ Pol's 0, 1 and -1 are written as run-constant results
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,6 +50,15 @@ def _require_finite(params, *vectors) -> None:
         if np.shape(fields[name]) != (3,):
             raise ValueError(f"{name} must have 3 entries, got "
                              f"{fields[name]!r}")
+
+
+def _derived(name: str, values: list) -> list:
+    """values, the constants name (as 1 / inertia) derives from a
+    problem's parameters; ValueError naming them unless each is finite, as
+    finite parameters may overflow into them."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite, got {tuple(values)!r}")
+    return values
 
 
 def _vector(name: str, value) -> tuple:
@@ -145,7 +160,7 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
     disabled since the state norm is constant at 1.
     """
     p = RigidBodyParams(_vector("inertia", inertia), float(m))
-    i1, i2, i3 = (1.0 / np.asarray(p.inertia, float)).tolist()
+    i1, i2, i3 = _derived("1 / inertia", [1.0 / x for x in p.inertia])
     mass = p.m
 
     def ambient_field(y):
@@ -205,8 +220,8 @@ def heavy_top(inertia=(2.0, 2.0, 1.0), m: float = 1.0, g: float = 1.0,
     """
     p = HeavyTopParams(_vector("inertia", inertia), float(m), float(g),
                        _vector("chi", chi))
-    i1, i2, i3 = (1.0 / np.asarray(p.inertia, float)).tolist()
-    c1, c2, c3 = (p.m * p.g * np.asarray(p.chi, float)).tolist()
+    i1, i2, i3 = _derived("1 / inertia", [1.0 / x for x in p.inertia])
+    c1, c2, c3 = _derived("m * g * chi", [p.m * p.g * x for x in p.chi])
 
     def ambient_field(y):
         m1, m2, m3, b1, b2, b3 = y.tolist()
@@ -242,10 +257,12 @@ PROBLEM_BUILDERS = {
 
 
 def build_problem(name: str, params: dict | None = None) -> Problem:
-    """Look up a problem by id and apply parameter overrides.
+    """Look up a problem by id and build it once with parameter overrides.
 
     A parameter the problem does not take, or a value its builder rejects,
-    raises ConfigError naming the problem and the parameter.
+    raises ConfigError naming the problem and the first override that the
+    builder rejects alone, or every override where only their combination
+    fails (m and g whose product overflows).
     """
     try:
         builder = PROBLEM_BUILDERS[name]
@@ -253,10 +270,17 @@ def build_problem(name: str, params: dict | None = None) -> Problem:
         raise KeyError(f"unknown problem {name!r}; available: "
                        + ", ".join(sorted(PROBLEM_BUILDERS))) from None
     params = params or {}
+    try:
+        return builder(**params)
+    except (TypeError, ValueError) as exc:
+        error = exc
+    # name the first override that fails alone, else all of them
     for key, value in params.items():
         try:
             builder(**{key: value})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"problem {name!r} rejects parameter "
                               f"{key}={value!r}: {exc}") from None
-    return builder(**params)
+    given = ", ".join(f"{key}={value!r}" for key, value in params.items())
+    raise ConfigError(f"problem {name!r} rejects parameters {given}: "
+                      f"{error}") from None

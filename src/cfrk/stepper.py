@@ -14,7 +14,7 @@ resolved when the kernel is compiled, never per step.  Reuse off is a
 tableau with no reuse map: every row gets its own slot.  Each point is
 formed once: a row sequence whose prefix of slots an earlier one applied
 to the base point starts from that point (cf43 makes 7 acts per embedded
-step, not 8).
+step, not 8, for its 6 exponentials and 4 f evaluations).
 Each row sum is written out per component as x0*a0_i + x1*a1_i + ...
 with x_j = h * c_j, numpy's order of operations for
 (h*c0)*f0 + (h*c1)*f1 + ..., so it is bit-identical to the array
@@ -24,19 +24,22 @@ so a wrapper (an override in a subclass, an instance attribute, a
 recorder) sees every call; n_exp and n_feval, the exponentials and f
 evaluations in the source, are the step's cost and count_budget's.  The
 compiled loops (controller.py) run the same kernel_lines in their own
-frame in a second form, chosen by inline_length: when the action's exp
-and act are a built-in geometry's float bodies (actions.INLINE), its exp
-and act blocks run inline on float locals, with a packaged field's block
-(field_body, inline_field) in place of f; that form has the same slots,
-points and output bits, with the field's run-constant results as
-constants of its source (actions.Block.constants), and a 0.0 entry that
-the exponential reads in its 0.0 form (actions.Block.zero) not formed.
+frame in a second form, chosen by inline_length, not by an option: when
+the action's exp and act are a built-in geometry's float bodies
+(actions.INLINE), its exp and act blocks run inline on float locals,
+with a packaged field's block (field_body, inline_field) in place of f;
+that form has the same slots, points and output bits, with the field's
+run-constant results as constants of its source
+(actions.Block.constants), and a 0.0 entry that the exponential reads in
+its 0.0 form (actions.Block.zero) not formed.
 
-Everything inside the kernel is Python floats: f takes and returns flat
-lists (see problems.py), as exp and act do (see actions.py).  The base
-point and f(y) go in as lists, every f value is length-checked and
-unpacked into local floats once, and y1, yhat1 and f(y1) come out as
-lists; StepResult makes its y1 and yhat1 arrays only when they are read.
+Everything inside the kernel is Python floats, as numpy's per-call cost,
+about 0.5-1 us an operation, would dominate on 2-, 3- and 6-entry arrays:
+f takes and returns flat lists (see problems.py), as exp and act do (see
+actions.py).  The base point and f(y) go in as lists, every f value is
+length-checked and unpacked into local floats once, and y1, yhat1 and
+f(y1) come out as lists; StepResult makes its y1 and yhat1 arrays only
+when they are read.
 """
 
 from __future__ import annotations
@@ -136,9 +139,9 @@ _FIELDS = {}  # the code of each body field_body compiled -> its Block
 def field_body(block):
     """Compile block, over a point's names and then its parameters', once as
     a field body (actions._body), and return make(*params): the field f(y),
-    the body with params as its argument defaults, so a call runs one
-    frame.  f takes a list as it is and converts anything else once, and
-    returns its results as a list."""
+    the body with params as its argument defaults, so building a problem
+    compiles nothing and a call runs one frame.  f takes a list as it is
+    and converts anything else once, and returns its results as a list."""
     body = _body("f", block, y="_entries(y)")
     _FIELDS[body.__code__] = block
     return lambda *args: FunctionType(body.__code__, body.__globals__, "f",

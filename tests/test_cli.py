@@ -164,6 +164,13 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
     (["integrate", "--param", "inertia=[1,2,NaN]"],
      "problem 'rigid-body' rejects parameter inertia=[1, 2, nan]: inertia "
      "must be finite, got (1.0, 2.0, nan)"),
+    (["integrate", "--param", "inertia=[1e-320,1,1]", "--t1", "0.1"],
+     "problem 'rigid-body' rejects parameter inertia=[1e-320, 1, 1]: "
+     "1 / inertia must be finite, got (inf, 1.0, 1.0)"),
+    (["integrate", "--problem", "heavy-top", "--param", "m=1e200",
+      "--param", "g=1e200"],
+     "problem 'heavy-top' rejects parameters m=1e+200, g=1e+200: "
+     "m * g * chi must be finite, got (inf, nan, nan)"),
     (["integrate", "--param", "foo"],
      "--param expects key=value, got 'foo'"),
     (["work-precision", "--tableau", "cf4", "--t1", "1", "--tol", "1e-3"],
@@ -181,7 +188,8 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
         "integrate-param-too-short", "integrate-param-string",
         "integrate-param-not-json", "integrate-vdp-mu-nan",
         "integrate-heavy-top-g-inf", "convergence-m-nan",
-        "integrate-inertia-nan", "integrate-param-without-equals",
+        "integrate-inertia-nan", "integrate-inverse-inertia-inf",
+        "integrate-heavy-top-m-g-overflow", "integrate-param-without-equals",
         "work-precision-no-pair",
         "convergence-embedded-without-rows", "work-precision-hmax-0",
         "needle-two-tolerances"])

@@ -56,11 +56,37 @@ def test_build_problem_forwards_params():
     ("heavy-top", {"chi": "100"},
      "chi must be a sequence of numbers, got the string '100'"),
     ("heavy-top", {"inertia": "221"}, "inertia must be a sequence"),
+    # finite parameters whose derived constants overflow, named when the
+    # problem is built
+    ("rigid-body", {"inertia": [1e-320, 1, 1]},
+     r"inertia=\[1e-320, 1, 1\]: 1 / inertia must be finite, got "
+     r"\(inf, 1.0, 1.0\)"),
+    ("heavy-top", {"inertia": [2, 5e-324, 1]},
+     r"1 / inertia must be finite, got \(0.5, inf, 1.0\)"),
+    ("heavy-top", {"m": 1e300, "chi": [0, 0.6, 0.8], "g": 1e10},
+     r"parameters m=1e\+300, chi=\[0, 0.6, 0.8\], g=10000000000.0: "
+     r"m \* g \* chi must be finite, got \(nan, inf, inf\)"),
+    # only the combination fails: every override is named
+    ("heavy-top", {"m": 1e200, "g": 1e200},
+     r"^problem 'heavy-top' rejects parameters m=1e\+200, g=1e\+200: "
+     r"m \* g \* chi must be finite, got \(inf, nan, nan\)$"),
 ])
 def test_build_problem_names_a_rejected_parameter(name, params, message):
     with pytest.raises(ConfigError, match=message) as info:
         build_problem(name, params)
-    assert str(info.value).startswith(f"problem {name!r} rejects parameter ")
+    assert str(info.value).startswith(f"problem {name!r} rejects parameter")
+
+
+def test_build_problem_builds_once(monkeypatch):
+    # the overrides are tried one at a time only once the build failed
+    calls = []
+
+    def counted(**params):
+        calls.append(params)
+        return van_der_pol(**params)
+    monkeypatch.setitem(PROBLEM_BUILDERS, "van-der-pol", counted)
+    assert build_problem("van-der-pol", {"mu": 5.0}).params.mu == 5.0
+    assert calls == [{"mu": 5.0}]
 
 
 @pytest.mark.parametrize("prob", [
