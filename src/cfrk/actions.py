@@ -92,6 +92,13 @@ def _entries(p) -> list:
 
 # ----------------------------------------------------------- formula blocks
 
+# a string literal on one line: Block's comment stripping and inline's
+# renames leave it as it is
+_STRING = r"""("|')(?:\\.|(?!\1).)*\1"""
+# a name, not a string's prefix, not an attribute
+_NAME = re.compile(_STRING + r"""|(?<![\w.])[A-Za-z_]\w*\b(?!["'])""")
+
+
 class Block:
     """One formula as straight-line source over named float locals.
 
@@ -103,7 +110,9 @@ class Block:
     inline then needs one local for both.  A block may reassign an input:
     inlined, it then writes to that argument's own local.  It reads no
     global but builtins and what the code it is compiled into provides
-    (BLOCK_GLOBALS).  temps names the other locals it assigns.
+    (BLOCK_GLOBALS).  temps names the other locals it assigns.  Its string
+    literals are plain, each on one line: inline renames no word inside
+    one, so an f-string's fields would not be renamed.
 
     constants maps each run-constant result to the source of its value: a
     result the block assigns by a statement that is a whole line, `name =
@@ -130,7 +139,9 @@ class Block:
         self.temps = {node.id for node in nodes
                       if isinstance(node.ctx, ast.Store)}.difference(
                           self.results, *self.params)
-        self._code = re.sub(r"[ \t]*#.*", "", self.source).splitlines()
+        self._code = re.sub(_STRING + r"|[ \t]*#.*",
+                            lambda m: m[0] if m[1] else "",
+                            self.source).splitlines()
         lines = self.source.encode().splitlines()  # offsets count bytes
         whole = {lines[s.lineno - 1][s.col_offset:s.end_col_offset].decode()
                  for s in tree.body if s.lineno == s.end_lineno}
@@ -162,11 +173,10 @@ class Block:
         for p in zero:
             for old, new in self.zero[p].items():
                 code = [line.replace(old, new) for line in code]
-            if any(re.search(rf"(?<![\w.]){p}\b", line) for line in code):
+            if any(m[0] == p for line in code for m in _NAME.finditer(line)):
                 raise ValueError(f"{p} is still read in its 0.0 form")
         # a constant's name is on its own line only
-        return [re.sub(r"(?<![\w.])[A-Za-z_]\w*",
-                       lambda m: names.get(m[0], m[0]), line)
+        return [_NAME.sub(lambda m: names.get(m[0], m[0]), line)
                 for line in code
                 if line.partition(" = ")[0] not in self.constants]
 
@@ -360,7 +370,7 @@ def gl2_exp(A) -> np.ndarray:
 
 # --------------------------------------------------------------- se(3)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Se3Element:
     """Group element (g, u): rotation matrix and translation vector.
 

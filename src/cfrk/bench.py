@@ -47,6 +47,8 @@ CSV_COLUMNS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings; its defaults are the command line's."""
+
     problem: str = "rigid-body"
     problem_params: dict = field(default_factory=dict)
     tableau: str = "cf32a"
@@ -66,8 +68,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a run that cannot start fails here, before any reference solve
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
+        if self.fmt not in RENDERERS:
+            raise ConfigError(f"format must be {' or '.join(RENDERERS)}")
         check_span(self.t0, self.t1)
         for n in self.steps:
             check_steps(n, self.t0, self.t1)
@@ -458,14 +460,14 @@ def render_json(columns, rows, config_dict: dict, summary: dict | None = None) -
                       allow_nan=False) + "\n"
 
 
+# each output format -> its renderer: (columns, rows, config_dict, summary)
+# -> the text written
+RENDERERS = {"csv": render_csv, "json": render_json}
+
+
 def open_output(out: str | None):
     """The file out, opened for writing, or stdout where out is None, as a
     context manager."""
     if out is None:
         return contextlib.nullcontext(sys.stdout)
     return open(out, "w", newline="\n")
-
-
-def write_output(text: str, out: str | None) -> None:
-    with open_output(out) as fh:
-        fh.write(text)

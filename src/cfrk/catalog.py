@@ -129,7 +129,9 @@ def _cf32_variant_data(a: float, variant: str):
 
 
 def _poly_roots(coeffs, poly_text: str, a: float):
-    """Real roots of A z^2 + B z + C, sorted by magnitude."""
+    """Real roots of A z^2 + B z + C, sorted by magnitude: q / A and C / q
+    for q = -(B + sign(B) sqrt(B^2 - 4AC)) / 2, so that neither root is
+    formed by subtracting nearly equal terms."""
     A, B, C = coeffs
     if A == 0.0:
         if B == 0.0:
@@ -141,8 +143,8 @@ def _poly_roots(coeffs, poly_text: str, a: float):
         raise RootSelectionError(
             f"discriminant {disc} of {poly_text} at a = {a} is negative; "
             "no real root exists")
-    sq = math.sqrt(disc)
-    return sorted([(-B - sq) / (2 * A), (-B + sq) / (2 * A)], key=abs)
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    return sorted([q / A, C / q], key=abs)
 
 
 def _layout32(name: str, stage2, stage3, u, beta_hat, reused_stage: int,
@@ -197,11 +199,7 @@ def instantiate_cf32_family(a: float, variant: str,
     w = roots[0] if (root == "small" or len(roots) == 1) else roots[-1]
 
     c2 = data["c2"]
-    try:
-        t1, t2 = data["stage3"](w)
-    except ZeroDivisionError as exc:
-        raise SingularParameterError(
-            f"{variant}: stage-3 row singular at a = {a}, root {w}") from exc
+    t1, t2 = data["stage3"](w)
     stage2, stage3 = (c2, 0.0, 0.0), (t1, t2, 0.0)
     rs, ri = data["reused_stage"], data["reused_index"]
 

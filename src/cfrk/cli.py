@@ -3,8 +3,12 @@
 Subcommands mirror the experiment classes: ``tableaux list`` and
 ``tableaux check`` for validation, ``integrate`` for a single adaptive run,
 and ``convergence`` / ``work-precision`` / ``needle`` for the benchmark
-sweeps.  Output goes to stdout or, with --out, to a CSV/JSON file carrying
-the fully resolved configuration in its header.
+sweeps.  Each command but ``tableaux list`` builds one ExperimentConfig from
+the options given: an option left out takes ExperimentConfig's default,
+except the few a command sets itself (its tableau, its mode, and needle's
+problem and t1).  Output goes to stdout or, with --out, to a CSV/JSON file,
+opened before the run; a run's file carries the fully resolved
+configuration in its header.
 """
 
 from __future__ import annotations
@@ -14,19 +18,20 @@ import json
 import re
 import sys
 
-from .bench import (CSV_COLUMNS, ExperimentConfig, ReferenceSolveError,
-                    open_output, render_csv, render_json, resolved_config,
+from .bench import (CSV_COLUMNS, RENDERERS, ExperimentConfig,
+                    ReferenceSolveError, open_output, resolved_config,
                     run_convergence, run_integrate, run_needle,
-                    run_tableau_check, run_work_precision, write_output)
+                    run_tableau_check, run_work_precision)
 from .catalog import catalog
 from .controller import ConfigError, IntegrationError
+from .problems import PROBLEM_BUILDERS
 from .stepper import count_budget
 from .tableaux import TableauError
 
 
 def _parse_params(pairs) -> dict:
     out = {}
-    for item in pairs or ():
+    for item in pairs:
         if "=" not in item:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         key, _, value = item.partition("=")
@@ -37,26 +42,29 @@ def _parse_params(pairs) -> dict:
     return out
 
 
-def _add_common(sp, *, tableau_default=None):
-    sp.add_argument("--problem", default="rigid-body",
-                    choices=("rigid-body", "van-der-pol", "heavy-top"))
-    sp.add_argument("--tableau", default=tableau_default,
+def _add_common(sp, **defaults):
+    # the defaults this command keeps beside ExperimentConfig's
+    sp.set_defaults(**defaults)
+    sp.add_argument("--problem", choices=PROBLEM_BUILDERS)
+    sp.add_argument("--tableau",
                     help="catalog name or path to a tableau JSON file")
-    sp.add_argument("--param", action="append", metavar="KEY=VALUE",
+    sp.add_argument("--param", action="append", dest="problem_params",
+                    metavar="KEY=VALUE",
                     help="problem parameter override (repeatable)")
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, default=2.0)
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", dest="fmt", default="csv",
-                    choices=("csv", "json"))
+    sp.add_argument("--t0", type=float)
+    sp.add_argument("--t1", type=float)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--out")
+    sp.add_argument("--format", dest="fmt", choices=RENDERERS)
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser (subparsers too) reading -1e308 as a value, as -1."""
+    """ArgumentParser (subparsers too) reading -1e308 as a value, as -1,
+    and leaving an option that is not given out of the namespace, so that
+    ExperimentConfig's default applies."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -71,20 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
     tab_sub = p_tab.add_subparsers(dest="tableaux_command", required=True)
     tab_sub.add_parser("list", help="list catalog tableaux")
     p_check = tab_sub.add_parser("check", help="validate one tableau")
+    p_check.set_defaults(mode="tableau-check")
     p_check.add_argument("--tableau", required=True)
-    p_check.add_argument("--out", default=None)
-    p_check.add_argument("--format", dest="fmt", default="csv",
-                         choices=("csv", "json"))
+    p_check.add_argument("--out")
+    p_check.add_argument("--format", dest="fmt", choices=RENDERERS)
 
     p_int = sub.add_parser("integrate", help="one adaptive integration")
-    _add_common(p_int, tableau_default="cf43")
-    p_int.add_argument("--atol", type=float, default=1e-6)
-    p_int.add_argument("--rtol", type=float, default=1e-6)
-    p_int.add_argument("--h0", type=float, default=None)
-    p_int.add_argument("--hmax", type=float, default=None)
+    _add_common(p_int, mode="adaptive", tableau="cf43")
+    p_int.add_argument("--atol", type=float)
+    p_int.add_argument("--rtol", type=float)
+    p_int.add_argument("--h0", type=float)
+    p_int.add_argument("--hmax", type=float)
 
     p_conv = sub.add_parser("convergence", help="fixed-step convergence table")
-    _add_common(p_conv, tableau_default="cf4")
+    _add_common(p_conv, mode="convergence", tableau="cf4")
     p_conv.add_argument("--steps", action="append", type=int,
                         help="step count (repeatable)")
     p_conv.add_argument("--embedded", action="store_true",
@@ -93,54 +101,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wp = sub.add_parser("work-precision",
                           help="cost vs error across tolerances")
-    _add_common(p_wp, tableau_default="cf32a")
-    p_wp.add_argument("--tol", action="append", type=float,
-                      help="tolerance (repeatable)")
+    _add_common(p_wp, mode="work-precision", tableau="cf32a")
+    p_wp.add_argument("--tol", action="append", type=float, dest="tols",
+                      metavar="TOL", help="tolerance (repeatable)")
     p_wp.add_argument("--steps", action="append", type=int,
                       help="also run fixed-step entries (repeatable)")
-    p_wp.add_argument("--h0", type=float, default=None)
-    p_wp.add_argument("--hmax", type=float, default=None)
+    p_wp.add_argument("--h0", type=float)
+    p_wp.add_argument("--hmax", type=float)
 
     p_needle = sub.add_parser("needle", help="adaptive step-size trace")
-    _add_common(p_needle, tableau_default="cf32a")
-    p_needle.add_argument("--tol", action="append", type=float)
-    p_needle.add_argument("--h0", type=float, default=None)
-    p_needle.add_argument("--hmax", type=float, default=None)
-    p_needle.set_defaults(problem="van-der-pol", t1=15.0)
+    _add_common(p_needle, mode="needle", tableau="cf32a",
+                problem="van-der-pol", t1=15.0)
+    p_needle.add_argument("--tol", action="append", type=float, dest="tols",
+                          metavar="TOL")
+    p_needle.add_argument("--h0", type=float)
+    p_needle.add_argument("--hmax", type=float)
 
     return parser
 
 
-# Each run command -> its ExperimentConfig mode, the name of its runner in
-# this module (looked up when it runs, so a replaced runner is the one
-# called) and its CSV columns.
-_RUNS = {"integrate": ("adaptive", "run_integrate", "needle"),
-         "convergence": ("convergence", "run_convergence", "convergence"),
-         "work-precision": ("work-precision", "run_work_precision",
-                            "work-precision"),
-         "needle": ("needle", "run_needle", "needle")}
+# Each run mode -> the name of its runner in this module (looked up when it
+# runs, so a replaced runner is the one called) and its CSV columns.
+_RUNS = {"adaptive": ("run_integrate", "needle"),
+         "convergence": ("run_convergence", "convergence"),
+         "work-precision": ("run_work_precision", "work-precision"),
+         "needle": ("run_needle", "needle")}
 
 
-def _config_from(args, mode: str) -> ExperimentConfig:
-    # the options only some commands take: ExperimentConfig's defaults
-    # where a command has none
-    given = {name: getattr(args, name) for name in
-             ("atol", "rtol", "h0", "hmax", "advance_embedded")
-             if hasattr(args, name)}
-    return ExperimentConfig(
-        problem=args.problem,
-        problem_params=_parse_params(args.param),
-        tableau=args.tableau,
-        mode=mode,
-        tols=tuple(getattr(args, "tol", None) or ()),
-        steps=tuple(getattr(args, "steps", None) or ()),
-        t0=args.t0,
-        t1=args.t1,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-        **given,
-    )
+def _config_from(args) -> ExperimentConfig:
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "tableaux_command")}
+    if "problem_params" in given:
+        given["problem_params"] = _parse_params(given["problem_params"])
+    for name in ("tols", "steps"):  # a repeated option gives a list
+        if name in given:
+            given[name] = tuple(given[name])
+    return ExperimentConfig(**given)
 
 
 def _cmd_tableaux_list() -> int:
@@ -153,29 +149,22 @@ def _cmd_tableaux_list() -> int:
     return 0
 
 
-def _cmd_tableaux_check(args) -> int:
-    config = ExperimentConfig(tableau=args.tableau, mode="tableau-check",
-                              out=args.out, fmt=args.fmt)
-    text, payload = run_tableau_check(config)
-    write_output((json.dumps(payload, sort_keys=True, indent=2)
-                  if args.fmt == "json" else text) + "\n", args.out)
-    return 0 if payload["ok"] else 1
-
-
 def _dispatch(args) -> int:
-    if args.command == "tableaux":
-        if args.tableaux_command == "list":
-            return _cmd_tableaux_list()
-        return _cmd_tableaux_check(args)
-    mode, runner, kind = _RUNS[args.command]
-    config = _config_from(args, mode)
+    if getattr(args, "tableaux_command", None) == "list":
+        return _cmd_tableaux_list()
+    config = _config_from(args)
     # --out is opened before the run, so that a path that cannot be
     # written ends the command before any solve
     with open_output(config.out) as out:
+        if config.mode == "tableau-check":
+            text, payload = run_tableau_check(config)
+            out.write((json.dumps(payload, sort_keys=True, indent=2)
+                       if config.fmt == "json" else text) + "\n")
+            return 0 if payload["ok"] else 1
+        runner, kind = _RUNS[config.mode]
         rows, summary = globals()[runner](config)
-        render = render_csv if config.fmt == "csv" else render_json
-        out.write(render(CSV_COLUMNS[kind], rows, resolved_config(config),
-                         summary))
+        out.write(RENDERERS[config.fmt](CSV_COLUMNS[kind], rows,
+                                        resolved_config(config), summary))
     return 1 if summary.get("failures") else 0
 
 

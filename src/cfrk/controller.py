@@ -137,7 +137,7 @@ class Totals:
     n_rejected: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """The run's own copy of y0, the accepted times and its record: one row
     of 4 + y0.size floats per attempt, (t, h, accepted, err, *y) with

@@ -104,7 +104,7 @@ class HeavyTopParams:
             raise ValueError("chi must be a unit vector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A vector field in frozen-coefficient form over a group action.
 

@@ -40,7 +40,7 @@ def _freeze(row) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CFTableau:
     """Coefficients of a commutator-free method or embedded pair.
 
@@ -49,6 +49,8 @@ class CFTableau:
     update; beta_hat the rows of the embedded update, empty when the method
     has no embedded solution.  When fsal is set, beta_hat rows have length
     s+1 and the extra slot multiplies f evaluated at the accepted point y1.
+    A tableau, like each record holding arrays, compares and hashes by
+    identity; to_json() compares two by their coefficients.
     """
 
     name: str
@@ -68,8 +70,8 @@ class CFTableau:
         object.__setattr__(self, "beta_hat", tuple(_freeze(r) for r in self.beta_hat))
         object.__setattr__(self, "reuse_map",
                            tuple((tuple(k1), tuple(k2)) for k1, k2 in self.reuse_map))
-        # _rows and _kernels are not dataclass fields, so equality, repr and
-        # JSON ignore them; _kernels caches the step kernels (see stepper.py)
+        # _rows and _kernels are not dataclass fields, so repr and JSON
+        # ignore them; _kernels caches the step kernels (see stepper.py)
         # and the compiled loops (controller.py)
         rows = {("stage", r, j): row for r, stage in enumerate(self.alpha, 2)
                 for j, row in enumerate(stage)}
@@ -228,7 +230,7 @@ def load_tableau(path) -> CFTableau:
 
 # ------------------------------------------------------------------ reduction
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedCoefficients:
     """Classical Butcher data recovered from a commutator-free tableau.
 

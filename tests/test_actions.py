@@ -834,3 +834,16 @@ def test_a_block_rewrites_an_input_that_is_zero():
                     zero={"a": {"b - a": "b"}})
     with pytest.raises(ValueError, match="a is still read"):
         partial.inline([["x", "y"]], ["r", "s"], ["a"])
+
+
+def test_a_block_renames_no_word_of_a_string():
+    # inline renames the names outside string literals only, and a '#'
+    # inside one starts no comment
+    block = Block(["x"], "y", """
+if x < 0.5:
+    raise DomainError("x fell below 'x' # x")  # x
+y = x
+""")
+    assert block.inline([["p0"]], ["q"]) == [
+        "if p0 < 0.5:", "    raise DomainError(\"x fell below 'x' # x\")",
+        "q = p0"]

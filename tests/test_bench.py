@@ -13,8 +13,7 @@ from numpy.testing import assert_allclose
 from cfrk.bench import (ExperimentConfig, ReferenceSolveError,
                         build_experiment, reference_endpoint, render_csv,
                         render_json, resolved_config, run_convergence,
-                        run_needle, run_tableau_check, run_work_precision,
-                        write_output)
+                        run_needle, run_tableau_check, run_work_precision)
 from cfrk.catalog import get_tableau
 from cfrk.controller import ConfigError, integrate_fixed
 from cfrk.order_conditions import certify_pair
@@ -161,6 +160,32 @@ def test_reference_endpoint_rejects_non_finite_derivative():
     with pytest.raises(ReferenceSolveError, match=r"rigid-body: non-finite "
                                                   r"derivative at t=0\.0"):
         reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("how,message", [
+    ("fails", "reference LSODA solve failed for rigid-body: Excess work "
+              "done on this call."),
+    ("drifts", "reference cross-check failed for rigid-body: DOP853 and "
+               "LSODA differ by 1.00e-06")])
+def test_reference_endpoint_refuses_a_failed_or_disagreeing_solve(
+        monkeypatch, how, message):
+    # LSODA (through odeint) reporting a failure, or ending 1e-6 away from
+    # DOP853, gives ReferenceSolveError rather than a reference
+    import scipy.integrate
+    odeint = scipy.integrate.odeint
+
+    def broken(*args, **kwargs):
+        ys, info = odeint(*args, **kwargs)
+        if how == "fails":
+            info["message"] = "Excess work done on this call."
+        else:
+            ys[-1, 0] += 1e-6
+        return ys, info
+    monkeypatch.setattr(scipy.integrate, "odeint", broken)
+    prob = rigid_body()
+    with pytest.raises(ReferenceSolveError) as err:
+        reference_endpoint(prob, prob.default_y0, 0.0, 0.5)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -448,10 +473,3 @@ def test_json_rendering_replaces_non_finite_values():
     assert doc["summary"] == {"min_h_in_window": None, "n_exp": 3,
                               "y_end": [0.5, None]}
 
-
-def test_write_output_file_and_stdout(tmp_path, capsys):
-    target = tmp_path / "out.csv"
-    write_output("h,err\n", str(target))
-    assert target.read_text() == "h,err\n"
-    write_output("h,err\n", None)
-    assert capsys.readouterr().out == "h,err\n"

@@ -197,10 +197,13 @@ def test_family_members_are_rational(a, root):
 
 
 # each variant's quadratic only has real roots on part of the parameter
-# line, so the sample points differ per variant
+# line, so the sample points differ per variant; at a = 0 stage2-in-row1's
+# polynomial is linear, and at a = 1e-17 its small root (~0.75) is one that
+# the quadratic formula's cancellation would round to 0
 @pytest.mark.parametrize("variant,a", [
     ("row2-of-update", 0.4), ("row1-of-update", 0.4),
     ("stage2-in-row1", 0.2), ("stage2-in-row2", 0.02),
+    ("stage2-in-row1", 0.0), ("stage2-in-row1", 1e-17),
 ])
 def test_family_members_certify_their_orders(variant, a):
     t = instantiate_cf32_family(a, variant)

@@ -1039,6 +1039,16 @@ RANDOM_FIELDS = 3  # per geometry
 # cf32a's rows, a -0.0, a stage point's zero carried into c by f)
 SIGNED_ZERO_FIELDS = [["1.0", "-1.0", "-0.0", "2.5"],
                       ["1.0", "-1.0", "y1 * y2", "2.5"]]
+# Van der Pol's field refusing x below one half with a message that names
+# x: the inline loop renames the input x, but no word of a string
+HALF_PLANE_FIELD = field_body(Block(["x v", "mu"], "a b c d", """
+if x < 0.5:
+    raise DomainError("x fell below one half")
+a = 0.0
+b = 1.0
+c = -1.0
+d = mu * (1.0 - x * x)
+"""))
 # the runs over [0, t1]: adaptive with a ControllerConfig, or in a count
 # of fixed steps; no adaptive run spans more, as a field that holds err
 # near 1 there takes ~1e308 attempts
@@ -1077,7 +1087,8 @@ def oracle_entries():
     BRANCH_CASES case one step of its field, a plain function that every
     form calls, with reuse on and off and the calling form collecting its
     exp inputs; RANDOM_FIELDS random fields drawn from one seeded
-    generator; on gl(2), SIGNED_ZERO_FIELDS; and its packaged problem, on
+    generator; on gl(2), SIGNED_ZERO_FIELDS and HALF_PLANE_FIELD; and its
+    packaged problem, on
     the failure matrix's configurations and states too."""
     rng, entries = np.random.default_rng(2017), {}
     for build, _, cases in BRANCH_CASES:
@@ -1104,6 +1115,9 @@ def oracle_entries():
                     [(5, 1.0), (5, 1e-320), (13, 1e300), (1, 5e-324)]]
             own += [(dataclasses.replace(prob, f=field_of(2, results)(0.5)),
                      False, zero) for results in SIGNED_ZERO_FIELDS]
+            own.append((dataclasses.replace(
+                prob, f=HALF_PLANE_FIELD(prob.params.mu)), False,
+                [(ControllerConfig(atol=1e-6, rtol=1e-6), y0, 3.0)]))
         own.append((prob, False, runs + hand))
     return entries
 

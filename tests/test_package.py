@@ -2,13 +2,17 @@
 README.md's examples run."""
 
 import ast
+import copy
 import importlib
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cfrk
-from cfrk.cli import build_parser
+from cfrk.cli import build_parser, main
 
 
 def test_star_import_and_every_public_name_resolve():
@@ -20,6 +24,19 @@ def test_star_import_and_every_public_name_resolve():
     for name in cfrk.__all__:
         assert namespace[name] is getattr(cfrk, name)
 
+
+
+def test_records_holding_arrays_compare_and_hash_by_identity():
+    # a field-wise == would take the truth value of an array, and a hash of
+    # the fields would hash an array
+    cf4, prob = cfrk.get_tableau("cf4"), cfrk.rigid_body()
+    records = [cf4, cfrk.reduce(cf4), prob,
+               cfrk.Se3Element(np.eye(3), np.zeros(3)),
+               cfrk.integrate_fixed(cf4, prob, prob.default_y0, 0.0, 0.1, 2)]
+    for record in records:
+        twin = copy.copy(record)
+        assert record == record and record != twin
+        assert len({record, twin, record}) == 2
 
 # ------------------------------------------------------- README's examples
 
@@ -34,6 +51,14 @@ def readme_section(title: str) -> str:
 
 def code_blocks(text: str, language: str) -> list:
     return re.findall(rf"```{language}\n(.*?)```", text, re.S)
+
+
+def test_console_script_is_the_cli_main():
+    # README runs every command as `cfrk ...`, pyproject's console script
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    doc = tomllib.loads((README.parent / "pyproject.toml").read_text())
+    module, _, name = doc["project"]["scripts"]["cfrk"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_readme_command_lines_parse():

@@ -30,17 +30,23 @@ def test_single_stage_tableau_is_valid():
 
 
 def test_rejects_wrong_stage_group_count():
+    kw = dict(name="bad", beta_hat=(), order_p=1, order_phat=0, fsal=False)
     with pytest.raises(TableauError, match="stage groups"):
-        CFTableau(name="bad", s=3, alpha=(((1.0, 0.0, 0.0),),),
-                  beta=((1.0, 0.0, 0.0),), beta_hat=(),
-                  order_p=1, order_phat=0, fsal=False)
+        CFTableau(s=3, alpha=(((1.0, 0.0, 0.0),),),
+                  beta=((1.0, 0.0, 0.0),), **kw)
+    with pytest.raises(TableauError, match="stage count must be positive"):
+        CFTableau(s=0, alpha=(), beta=((1.0,),), **kw)
+    with pytest.raises(TableauError, match="bad: stage 2 has no rows"):
+        CFTableau(s=2, alpha=((),), beta=((1.0, 0.0),), **kw)
 
 
 def test_rejects_wrong_row_length():
+    kw = dict(name="bad", s=2, beta_hat=(), order_p=1, order_phat=0,
+              fsal=False)
     with pytest.raises(TableauError, match="length"):
-        CFTableau(name="bad", s=2, alpha=(((0.5, 0.0, 0.0),),),
-                  beta=((1.0, 0.0),), beta_hat=(),
-                  order_p=1, order_phat=0, fsal=False)
+        CFTableau(alpha=(((0.5, 0.0, 0.0),),), beta=((1.0, 0.0),), **kw)
+    with pytest.raises(TableauError, match="bad: no update rows"):
+        CFTableau(alpha=(((0.5, 0.0),),), beta=(), **kw)
 
 
 def test_rejects_implicit_stage():
