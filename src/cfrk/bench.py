@@ -1,14 +1,19 @@
 """Experiment harness: convergence, work-precision, step-size traces, and
 tableau validation, with reproducible CSV/JSON output.
 
-Every output embeds the fully resolved configuration (defaults filled in,
-seed included) as a JSON comment, so any row can be reproduced from the
-file alone.  Reference solutions come from scipy's compiled DOP853,
-cross-checked with its compiled LSODA, on each problem's ambient field,
-so the errors of cfrk's own integrators are measured against integrators
-that share no code with them.  Both run on the span shifted to start at
-0, call the field at no time beyond its end, and stop at the field's
-first failure.
+Every output embeds its configuration in a header (a JSON comment in
+CSV), so any row can be reproduced from the file alone: ExperimentConfig's
+fields as given, the tableau as given (a catalog name or a file path), and
+under problem_params the problem's parameters with their defaults filled
+in, the rigid body's seed among them.  The runners' own fallbacks are not
+written there: the default steps and tols a sweep runs when they are
+empty, and needle's tolerance and hmax when they are unset.
+
+Reference solutions come from scipy's compiled DOP853, cross-checked with
+its compiled LSODA, on each problem's ambient field, so the errors of
+cfrk's own integrators are measured against integrators that share no
+code with them.  Both run on the span shifted to start at 0, call the
+field at no time beyond its end, and stop at the field's first failure.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ class ExperimentConfig:
     rtol: float = 1e-6
     h0: float | None = None
     hmax: float | None = None
-    seed: int = 7
     advance_embedded: bool = False
     out: str | None = None
     fmt: str = "csv"
@@ -87,19 +91,16 @@ def _resolve_tableau(name: str):
 
 
 def build_experiment(config: ExperimentConfig):
-    params = dict(config.problem_params)
-    if config.problem == "rigid-body" and "seed" not in params:
-        params["seed"] = config.seed
-    problem = build_problem(config.problem, params)
-    return problem, _resolve_tableau(config.tableau)
+    return (build_problem(config.problem, config.problem_params),
+            _resolve_tableau(config.tableau))
 
 
 def resolved_config(config: ExperimentConfig) -> dict:
-    """The full configuration with defaults filled in, for output headers."""
-    problem, tableau = build_experiment(config)
+    """The output header: config's fields as given, with problem_params
+    holding every parameter of the problem (see the module docstring)."""
     out = dataclasses.asdict(config)
-    out["problem_params"] = dataclasses.asdict(problem.params)
-    out["tableau"] = tableau.name
+    out["problem_params"] = dataclasses.asdict(
+        build_problem(config.problem, config.problem_params).params)
     out["tols"] = list(config.tols)
     out["steps"] = list(config.steps)
     return out
@@ -431,9 +432,7 @@ def _fmt_value(v) -> str:
 
 def render_csv(columns, rows, config_dict: dict, summary: dict | None = None) -> str:
     def comment(doc):
-        # strict JSON, as render_json writes: a non-finite float is null
-        return json.dumps(_finite_or_null(doc), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False)
+        return strict_json(doc, separators=(",", ":"))
     lines = ["# " + comment(config_dict)]
     if summary is not None:
         lines.append("# summary: " + comment(summary))
@@ -452,12 +451,19 @@ def _finite_or_null(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
+def strict_json(doc, **layout) -> str:
+    """doc as the strict JSON every output is written in: sorted keys and
+    each non-finite float as null; layout is json.dumps's indent or
+    separators."""
+    return json.dumps(_finite_or_null(doc), sort_keys=True, allow_nan=False,
+                      **layout)
+
+
 def render_json(columns, rows, config_dict: dict, summary: dict | None = None) -> str:
     doc = {"config": config_dict, "columns": columns, "rows": rows}
     if summary is not None:
         doc["summary"] = summary
-    return json.dumps(_finite_or_null(doc), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    return strict_json(doc, indent=2) + "\n"
 
 
 # each output format -> its renderer: (columns, rows, config_dict, summary)

@@ -178,6 +178,18 @@ def _solve(system, tol: float = math.inf, fail=None):
     return u
 
 
+def _finite(system, what: str):
+    """system, the (M, d) of linear_conditions; SingularParameterError
+    naming what where it is not finite: a parameter whose conditions
+    overflow (c2 = a squared, a discriminant inf - inf) admits no member,
+    and LAPACK fails on such a system."""
+    if not all(np.isfinite(x).all() for x in system):
+        raise SingularParameterError(f"{what}: order conditions overflow")
+    return system
+
+
+# an overflow is refused where it reaches the conditions (see _finite)
+@np.errstate(over="ignore", invalid="ignore")
 def instantiate_cf32_family(a: float, variant: str,
                             hat_params=(0.0, 0.0),
                             root: str = "small") -> CFTableau:
@@ -207,8 +219,9 @@ def instantiate_cf32_family(a: float, variant: str,
     # conditions over the stage rows: no tableau can hold u at zero, as
     # CFTableau rejects an update that does not sum to 1.
     stages = np.array([np.zeros(3), stage2, stage3])
-    u = _solve(linear_conditions(stages, stages.sum(axis=1),
-                                 (stage2, stage3)[rs - 2], ri == 1),
+    u = _solve(_finite(linear_conditions(stages, stages.sum(axis=1),
+                                         (stage2, stage3)[rs - 2], ri == 1),
+                       f"{variant} at a = {a}"),
                1e-9, lambda resid: SingularParameterError(
                    f"{variant} at a = {a}, root {w}: order conditions are "
                    f"inconsistent (residual {resid:.2e}); this root does not "
@@ -228,8 +241,9 @@ def instantiate_cf32_family(a: float, variant: str,
     name = f"cf32[{variant},a={a:g},{root}]"
     red = reduce_embedded(_layout32(name, stage2, stage3, u,
                                     (h1, 0.0, h3, 0.0), rs, ri))
-    bh2, bh4 = _solve(linear_conditions(red.a, red.c, np.zeros(4), False,
-                                        {0: h1, 2: h3}, order=2))
+    bh2, bh4 = _solve(_finite(linear_conditions(
+        red.a, red.c, np.zeros(4), False, {0: h1, 2: h3}, order=2),
+        f"{variant} at a = {a}"))
     return _layout32(name, stage2, stage3, u, (h1, bh2, h3, bh4), rs, ri)
 
 

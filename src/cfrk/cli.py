@@ -21,7 +21,7 @@ import sys
 from .bench import (CSV_COLUMNS, RENDERERS, ExperimentConfig,
                     ReferenceSolveError, open_output, resolved_config,
                     run_convergence, run_integrate, run_needle,
-                    run_tableau_check, run_work_precision)
+                    run_tableau_check, run_work_precision, strict_json)
 from .catalog import catalog
 from .controller import ConfigError, IntegrationError
 from .problems import PROBLEM_BUILDERS
@@ -53,7 +53,6 @@ def _add_common(sp, **defaults):
                     help="problem parameter override (repeatable)")
     sp.add_argument("--t0", type=float)
     sp.add_argument("--t1", type=float)
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
     sp.add_argument("--format", dest="fmt", choices=RENDERERS)
 
@@ -158,7 +157,7 @@ def _dispatch(args) -> int:
     with open_output(config.out) as out:
         if config.mode == "tableau-check":
             text, payload = run_tableau_check(config)
-            out.write((json.dumps(payload, sort_keys=True, indent=2)
+            out.write((strict_json(payload, indent=2)
                        if config.fmt == "json" else text) + "\n")
             return 0 if payload["ok"] else 1
         runner, kind = _RUNS[config.mode]

@@ -156,6 +156,8 @@ def split_residuals(rows, a, c, up_to: int = 4) -> dict:
             for label, w, k, target in _through(_SPLIT, up_to)}
 
 
+# a residual that overflows is non-finite, which OrderReport.failed fails
+@np.errstate(over="ignore", invalid="ignore")
 def certify(tableau: CFTableau, which: str = "principal",
             tol: float = 1e-9) -> OrderReport:
     """Evaluate all conditions for one side of the tableau and certify the

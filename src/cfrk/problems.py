@@ -29,6 +29,7 @@ Pol's 0, 1 and -1 are written as run-constant results
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,10 +42,12 @@ from .stepper import field_body
 
 def _require_finite(params, *vectors) -> None:
     """ValueError naming the first field of params with a non-finite entry,
-    then the first of the fields named in vectors without 3 entries."""
+    then the first of the fields named in vectors without 3 entries.  An
+    int field (a seed) is finite, and is not passed to np.isfinite, which
+    refuses one beyond int64."""
     fields = asdict(params)
     for name, value in fields.items():
-        if not np.all(np.isfinite(value)):
+        if not isinstance(value, int) and not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
     for name in vectors:
         if np.shape(fields[name]) != (3,):
@@ -74,6 +77,7 @@ def _vector(name: str, value) -> tuple:
 class RigidBodyParams:
     inertia: tuple = (1.0, 2.0, 5.0)
     m: float = 1.0
+    seed: int = 7
 
     def __post_init__(self):
         _require_finite(self, "inertia")
@@ -156,10 +160,17 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
 
     f(xi) is the rotation generator with axis -m * I^{-1} xi, so the
     induced field is m * xi x I^{-1} xi (the Euler equations).  The default
-    initial state is a seeded random unit vector; relative error control is
-    disabled since the state norm is constant at 1.
+    initial state is a random unit vector drawn from numpy's default_rng
+    with seed, an integer (anything operator.index takes, kept as a Python
+    int; ValueError for anything else, None included), which params
+    records; relative error control is disabled since the state norm is
+    constant at 1.
     """
-    p = RigidBodyParams(_vector("inertia", inertia), float(m))
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    p = RigidBodyParams(_vector("inertia", inertia), float(m), seed)
     i1, i2, i3 = _derived("1 / inertia", [1.0 / x for x in p.inertia])
     mass = p.m
 
@@ -170,7 +181,7 @@ def rigid_body(inertia=(1.0, 2.0, 5.0), m: float = 1.0,
                          mass * (y3 * w1 - y1 * w3),
                          mass * (y1 * w2 - y2 * w1)])
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(p.seed)
     y0 = rng.standard_normal(3)
     y0 /= np.linalg.norm(y0)
 

@@ -58,13 +58,48 @@ def test_experiment_and_tableau_check_resolve_names_alike(tmp_path,
             get_tableau("cf43").to_json()
 
 
-def test_rigid_body_seed_is_injected_from_config():
-    problem, _ = build_experiment(ExperimentConfig(seed=11))
+def _keys(doc) -> set:
+    """Every key of doc's dicts, at any depth."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    return set()
+
+
+def test_rigid_body_seed_is_a_problem_parameter():
+    # the seed has one home, the problem's parameters, which the header
+    # records; the config has no seed of its own
+    config = ExperimentConfig(problem_params={"seed": 11})
+    problem, _ = build_experiment(config)
     assert np.array_equal(problem.default_y0, rigid_body(seed=11).default_y0)
-    # an explicit param wins over the config seed
-    problem, _ = build_experiment(
-        ExperimentConfig(seed=11, problem_params={"seed": 4}))
-    assert np.array_equal(problem.default_y0, rigid_body(seed=4).default_y0)
+    doc = resolved_config(config)
+    assert doc["problem_params"]["seed"] == 11
+    assert "seed" not in doc
+    assert resolved_config(ExperimentConfig())["problem_params"]["seed"] == 7
+    for name in ("van-der-pol", "heavy-top"):
+        assert "seed" not in _keys(resolved_config(
+            ExperimentConfig(problem=name)))
+
+
+def test_resolved_config_records_any_integer_seed():
+    # beyond int64 (np.isfinite refuses it) and a numpy integer (json
+    # refuses it) alike, the header holds the seed as a Python int
+    for seed in (2**70, np.int64(3)):
+        doc = resolved_config(
+            ExperimentConfig(problem_params={"seed": seed}))
+        recorded = doc["problem_params"]["seed"]
+        assert type(recorded) is int and recorded == seed
+        assert json.loads(json.dumps(doc))["problem_params"]["seed"] == seed
+
+
+def test_resolved_config_records_the_tableau_as_given(tmp_path):
+    # a file whose internal name is a catalog name is recorded by its path,
+    # the one input that reruns it
+    path = tmp_path / "pair.json"
+    save_tableau(get_tableau("cf43"), path)
+    assert resolved_config(ExperimentConfig(tableau=str(path)))["tableau"] \
+        == str(path)
 
 
 def test_resolved_config_fills_defaults():
@@ -76,7 +111,7 @@ def test_resolved_config_fills_defaults():
     assert doc["problem_params"] == {"mu": 5.0}
     assert doc["tols"] == [1e-3]
     assert doc["steps"] == []
-    assert doc["seed"] == 7
+    assert "seed" not in _keys(doc)
 
 
 # -------------------------------------------------------- reference solutions

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -298,6 +299,24 @@ def test_family_rejects_non_finite_parameter(capfd):
         with pytest.raises(ValueError, match="a must be finite"):
             instantiate_cf32_family(a, "row2-of-update")
     # rejected before any root or least-squares work reaches LAPACK
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,variant", [
+    # a discriminant inf - inf = nan, which passes the negativity test
+    (1e200, "stage2-in-row1"), (-3e153, "stage2-in-row1"),
+    (-3e153, "stage2-in-row2"),
+    # a finite root, but c2 = a squares to inf in the conditions
+    (1e200, "row2-of-update"), (1e200, "row1-of-update"),
+    (1e160, "row1-of-update")])
+def test_family_refuses_a_parameter_whose_conditions_overflow(capfd, a,
+                                                              variant):
+    # refused with no numpy warning and before LAPACK, which would print
+    # to stderr and fail untyped
+    with pytest.raises(SingularParameterError, match=re.escape(
+            f"{variant} at a = {a}: order conditions overflow")):
+        instantiate_cf32_family(a, variant)
     assert capfd.readouterr().err == ""
 
 

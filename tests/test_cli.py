@@ -144,6 +144,12 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
     (["integrate", "--problem", "van-der-pol", "--param", "mu=abc"],
      "problem 'van-der-pol' rejects parameter mu='abc': could not convert "
      "string to float: 'abc'"),
+    (["integrate", "--param", "seed=null"],
+     "problem 'rigid-body' rejects parameter seed=None: seed must be an "
+     "integer, got None"),
+    (["integrate", "--param", "seed=1.5"],
+     "problem 'rigid-body' rejects parameter seed=1.5: seed must be an "
+     "integer, got 1.5"),
     (["integrate", "--param", "inertia=[1,2]"],
      "problem 'rigid-body' rejects parameter inertia=[1, 2]: inertia must "
      "have 3 entries, got (1.0, 2.0)"),
@@ -185,6 +191,7 @@ SPAN = "need finite t0, t1 with t1 > t0, got "
         "work-precision-steps-0", "integrate-t1-nan", "integrate-empty-span",
         "convergence-backward-span", "work-precision-empty-span",
         "integrate-unknown-param", "integrate-param-not-a-float",
+        "integrate-seed-null", "integrate-seed-not-an-integer",
         "integrate-param-too-short", "integrate-param-string",
         "integrate-param-not-json", "integrate-vdp-mu-nan",
         "integrate-heavy-top-g-inf", "convergence-m-nan",
@@ -269,6 +276,53 @@ def test_integrate_csv_rows_are_the_h_history_attempts(tmp_path):
     assert [(float(t), float(h), accepted == "true", float(y1), float(y2),
              float(err)) for t, h, accepted, y1, y2, err in rows] == [
         (a.t, a.h, a.accepted, *a.y, a.err) for a in traj.h_history]
+
+
+def test_integrate_records_a_seed_set_by_param(tmp_path):
+    default, seeded = tmp_path / "default.csv", tmp_path / "seeded.csv"
+    for argv, out in (([], default), (["--param", "seed=3"], seeded)):
+        assert main(["integrate", "--t1", "0.1", "--out", str(out)]
+                    + argv) == 0
+    config, summary, _, _ = read_csv_table(seeded)
+    assert config["problem_params"]["seed"] == 3
+    default_config, default_summary, _, _ = read_csv_table(default)
+    assert config != default_config
+    assert summary["y_end"] != default_summary["y_end"]
+
+
+def test_the_seed_has_no_option_of_its_own(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["integrate", "--seed", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_a_tableau_file_is_recorded_by_its_path(tmp_path):
+    # the file's internal name, cf43, is a catalog name: the header records
+    # the path, which reruns the file
+    path, out = tmp_path / "my_pair.json", tmp_path / "run.csv"
+    save_tableau(get_tableau("cf43"), path)
+    assert main(["integrate", "--tableau", str(path), "--t1", "0.1",
+                 "--out", str(out)]) == 0
+    assert read_csv_table(out)[0]["tableau"] == str(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tableaux_check_json_is_strict_on_an_overflowing_tableau(tmp_path,
+                                                                 capfd):
+    # a stage entry of 1e200 overflows a residual: the payload writes it
+    # as null, numpy warns nothing, and the check fails
+    doc = get_tableau("cf32a").to_json_dict()
+    doc["alpha"][0][0][0] = "1e200"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["tableaux", "check", "--tableau", str(path),
+                 "--format", "json"]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out, parse_constant=pytest.fail)
+    assert payload["ok"] is False
+    assert ["b.c^2 = 1/3", None] in payload["violated"]
 
 
 def test_integrate_param_override(tmp_path):
@@ -366,7 +420,7 @@ def test_convergence_sweep(tmp_path):
                  "--steps", "20", "--steps", "40", "--out", str(out)]) == 0
     config, summary, header, rows = read_csv_table(out)
     assert config["steps"] == [20, 40]
-    assert config["seed"] == 7
+    assert config["problem_params"]["seed"] == 7 and "seed" not in config
     assert header == ["h", "global_error", "local_slope"]
     assert len(rows) == 2
     assert rows[0][2] == "nan"

@@ -34,6 +34,10 @@ def test_build_problem_forwards_params():
 
 @pytest.mark.parametrize("name,params,message", [
     ("rigid-body", {"seed": 3, "foo": 1}, "rejects parameter foo=1"),
+    # a seed is an integer: None would draw a fresh state each run
+    ("rigid-body", {"seed": None},
+     "rejects parameter seed=None: seed must be an integer, got None"),
+    ("rigid-body", {"seed": 1.5}, "seed must be an integer, got 1.5"),
     ("van-der-pol", {"mu": "abc"}, "rejects parameter mu='abc'"),
     ("rigid-body", {"inertia": [1, 2]}, r"rejects parameter inertia=\[1, 2\]"),
     ("heavy-top", {"chi": [1, 1, 0]}, "chi must be a unit vector"),

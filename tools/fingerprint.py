@@ -26,23 +26,32 @@ in ATTEMPT_RUNS; a loop runs a built-in field inline, so its frame holds
 the whole attempt.  The count is exact (sys.settrace with f_trace_opcodes
 counts each instruction executed), so it repeats on a given CPython.
 
+settable values: every value a run can set independently, counted so that
+a change can show how many it adds or removes: the fields of
+ExperimentConfig and ControllerConfig, the parameters of each problem
+builder, and the options of each command of the command line, -h aside.
+
 Run from the repository root: python3 tools/fingerprint.py
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
+import inspect
 import io
 import sys
 import tokenize
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from cfrk.bench import ExperimentConfig  # noqa: E402
 from cfrk.catalog import catalog, get_tableau  # noqa: E402
+from cfrk.cli import build_parser  # noqa: E402
 from cfrk.controller import (ControllerConfig, _loop,  # noqa: E402
                              integrate_adaptive)
 from cfrk.problems import PROBLEM_BUILDERS  # noqa: E402
@@ -140,6 +149,33 @@ def bytecode_per_attempt(problem, tableau, t1, tol) -> tuple:
     return count / attempts, attempts
 
 
+def commands(parser, prefix="cfrk"):
+    """(name, parser) of each command under parser: each leaf of its tree
+    of subcommands, named by the words that call it."""
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from commands(child, f"{prefix} {name}")
+
+
+def settable_values() -> dict:
+    """Label -> count of the settable values (see the module docstring)."""
+    counts = {f"{cls.__name__} fields": len(fields(cls))
+              for cls in (ExperimentConfig, ControllerConfig)}
+    for name, build in PROBLEM_BUILDERS.items():
+        counts[f"{name} parameters"] = len(
+            inspect.signature(build).parameters)
+    for name, parser in commands(build_parser()):
+        counts[f"{name} options"] = sum(
+            bool(action.option_strings)
+            and not isinstance(action, argparse._HelpAction)
+            for action in parser._actions)
+    return counts
+
+
 def main() -> None:
     for tree in ("src/cfrk", "tests"):
         lines = {path.name: code_lines(path.read_text())
@@ -149,6 +185,9 @@ def main() -> None:
             print(f"  {name}: {count}")
     readme = (ROOT / "README.md").read_text()
     print(f"README.md lines: {len(readme.splitlines())}")
+    print("settable values:")
+    for label, count in settable_values().items():
+        print(f"  {label}: {count}")
     sources = list(compiled_sources())
     every = {kind for kind, _ in sources}
     for label, kinds in [("compiled", every),
